@@ -70,7 +70,8 @@ class EngineConfig:
         act_sram_width: bits per activation SRAM row (64).
         act_sram_depth: activation SRAM rows (2048).
         act_fifo_width: activation FIFO width (32 bits).
-        act_fifo_depth: activation FIFO depth (32).
+        act_fifo_depth: activation FIFO depth (32).  Both are sizing
+            figures only: the cycle model does not simulate FIFO stalls.
         clock_ghz: clock frequency (1.2 GHz at 28 nm).
         tech_nm: technology node (28).
         pe: the per-PE configuration.

@@ -5,14 +5,20 @@ extends PD structure to CONV weight tensors (Fig. 2).  A convolution
 lowers to matrix-vector products: for each output position, the engine
 multiplies the *channel matrix* (c_out x c_in, block-PD) by the input
 patch column -- ``kh*kw`` PD mat-vecs per position, accumulated.  This
-module performs that lowering, preserving two properties the engine
-depends on:
+module is the one home of that lowering, shared by :func:`run_conv_layer`
+and the served conv stage (:class:`repro.serve.LoweredConvStage`).  It
+preserves two properties the engine depends on:
 
 - the per-position channel matrix **is** block-permuted diagonal (the PD
   plane is shared by all kernel offsets), so the modulo addressing and
   load balance carry over unchanged;
 - zero input channels at a given offset are skipped per column, exactly
   like FC zero-skipping.
+
+Every output position of one kernel offset streams through the engine as
+one batch, so the pipeline fill is paid once per offset product: a
+``kh x kw`` convolution costs ``kh*kw`` fills plus the compute and
+writeback cycles of every lowered column.
 """
 
 from __future__ import annotations
@@ -22,9 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
-from repro.hw.engine import PermDNNEngine, SimulationResult
+from repro.hw.engine import PermDNNEngine, apply_activation
 
-__all__ = ["ConvSimulationResult", "offset_matrices", "run_conv_layer"]
+__all__ = [
+    "ConvSimulationResult",
+    "accumulate_offsets",
+    "conv_output_hw",
+    "lower_columns",
+    "offset_matrices",
+    "run_conv_layer",
+]
 
 
 @dataclass
@@ -50,7 +63,6 @@ class ConvSimulationResult:
 
 def offset_matrices(
     tensor: BlockPermDiagTensor4D,
-    backend: str | None = None,
     value_dtype: str | None = None,
     fixed_point=None,
 ) -> list[BlockPermutedDiagonalMatrix]:
@@ -60,9 +72,8 @@ def offset_matrices(
     the tensor's own channel plane, so the whole family rides the plane's
     already-built index plan via
     :meth:`BlockPermutedDiagonalMatrix.like` -- no per-lowering index
-    arithmetic at all.  ``backend`` overrides the tensor's pinned kernel
-    backend for the lowered mat-vecs; ``value_dtype`` (with an optional
-    ``fixed_point`` format) converts every offset matrix through
+    arithmetic at all.  ``value_dtype`` (with an optional ``fixed_point``
+    format) converts every offset matrix through
     :meth:`~repro.core.BlockPermutedDiagonalMatrix.with_value_dtype`,
     still sharing the one plan, so a reduced-precision serving copy of a
     conv layer lowers without touching the float64 training kernels.
@@ -72,21 +83,104 @@ def offset_matrices(
     for dy in range(kh):
         for dx in range(kw):
             # Contiguous copy: the strided kernel slice would otherwise be
-            # re-raveled on every mat-vec of the simulation hot loop.
+            # re-raveled on every product of the simulation hot loop.
             data = np.ascontiguousarray(tensor.kernels[:, :, :, dy, dx])
             matrix = tensor.plane.like(data)
             if value_dtype is not None:
                 matrix = matrix.with_value_dtype(
                     value_dtype, fixed_point=fixed_point
                 )
-            if backend is not None:
-                matrix.set_backend(backend)
             matrices.append(matrix)
     return matrices
 
 
-# Back-compat alias for pre-generalization callers.
-_offset_matrices = offset_matrices
+def conv_output_hw(
+    input_hw: tuple[int, int],
+    kernel_size: tuple[int, int],
+    stride: int,
+    padding: int,
+) -> tuple[int, int]:
+    """Spatial output size of a convolution; rejects non-positive sizes."""
+    oh, ow = (
+        (size + 2 * padding - k) // stride + 1
+        for size, k in zip(input_hw, kernel_size)
+    )
+    if oh <= 0 or ow <= 0:
+        raise ValueError(f"non-positive conv output size for input {input_hw}")
+    return oh, ow
+
+
+def lower_columns(
+    x: np.ndarray,
+    kernel_size: tuple[int, int],
+    stride: int,
+    padding: int,
+) -> list[np.ndarray]:
+    """Lowered input columns of a ``(B, c_in, H, W)`` feature-map batch.
+
+    Returns one ``(B*oh*ow, c_in)`` column batch per kernel offset, in
+    offset order; row ``b*oh*ow + oy*ow + ox`` is the input patch column
+    that offset multiplies for output position ``(oy, ox)`` of sample
+    ``b``.  Columns keep ``x``'s dtype.
+    """
+    batch, c_in, height, width = x.shape
+    kh, kw = kernel_size
+    oh, ow = conv_output_hw((height, width), kernel_size, stride, padding)
+    if padding:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
+    columns = []
+    for dy in range(kh):
+        for dx in range(kw):
+            patch = x[
+                :,
+                :,
+                dy : dy + (oh - 1) * stride + 1 : stride,
+                dx : dx + (ow - 1) * stride + 1 : stride,
+            ]
+            columns.append(
+                np.ascontiguousarray(patch.transpose(0, 2, 3, 1)).reshape(
+                    batch * oh * ow, c_in
+                )
+            )
+    return columns
+
+
+def accumulate_offsets(
+    engine: PermDNNEngine,
+    matrices: list[BlockPermutedDiagonalMatrix],
+    columns: list[np.ndarray],
+    activation: str | None = None,
+    zero_skip: bool = True,
+    enforce_capacity: bool = True,
+) -> tuple[np.ndarray, int, int]:
+    """Run every offset product on ``engine`` and sum them in offset order.
+
+    Each ``(matrix, column batch)`` pair is one
+    :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` call; the
+    products accumulate in the fixed order of ``matrices``, so any row
+    shard of the offset family reproduces its rows of the unsharded sum
+    bit for bit.  The ActU mode applies after accumulation.
+
+    Returns:
+        ``(acc, cycles, macs)`` with ``acc`` of shape
+        ``(rows of columns, rows of matrices)`` in the matrices' compute
+        dtype.
+    """
+    acc = np.zeros(
+        (columns[0].shape[0], matrices[0].shape[0]),
+        dtype=matrices[0].compute_dtype,
+    )
+    cycles = macs = 0
+    for matrix, cols in zip(matrices, columns):
+        out, offset_cycles, offset_macs = engine.run_fc_batch_detailed(
+            matrix, cols, zero_skip=zero_skip, enforce_capacity=enforce_capacity
+        )
+        acc += out
+        cycles += offset_cycles
+        macs += offset_macs
+    return apply_activation(acc, activation), cycles, macs
 
 
 def run_conv_layer(
@@ -96,11 +190,14 @@ def run_conv_layer(
     stride: int = 1,
     padding: int = 0,
     enforce_capacity: bool = True,
-    backend: str | None = None,
     value_dtype: str | None = None,
     fixed_point=None,
 ) -> ConvSimulationResult:
     """Lower a PD convolution onto the FC engine and execute it.
+
+    The single-input, single-engine case of the served conv stage: the
+    same offset matrices, column lowering and offset accumulation, with
+    one pipeline fill per offset product.
 
     Args:
         engine: the PermDNN engine instance.
@@ -109,8 +206,6 @@ def run_conv_layer(
         stride: spatial stride.
         padding: symmetric zero padding.
         enforce_capacity: per-PE SRAM capacity check (see engine docs).
-        backend: kernel backend for the lowered mat-vecs (defaults to the
-            tensor's pinned backend, else the process default).
         value_dtype: lower through reduced-precision offset matrices
             (``"float32"`` / ``"int16"``; see :func:`offset_matrices`).
         fixed_point: fixed-point format for ``value_dtype="int16"``.
@@ -123,49 +218,27 @@ def run_conv_layer(
     c_out, c_in, kh, kw = tensor.shape
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"expected input (c_in={c_in}, H, W), got {x.shape}")
-
+    oh, ow = conv_output_hw(x.shape[1:], (kh, kw), stride, padding)
     matrices = offset_matrices(
-        tensor, backend=backend, value_dtype=value_dtype,
-        fixed_point=fixed_point,
+        tensor, value_dtype=value_dtype, fixed_point=fixed_point
     )
-    # Temporaries follow the offset family's compute dtype (float32
-    # storage accumulates in float32, int16 dequantizes to float64) --
-    # a dtype-less np.zeros here silently upcast every float32 lowering.
-    compute_dtype = matrices[0].compute_dtype
-    x = np.asarray(x, dtype=compute_dtype)
-    if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    __, height, width = x.shape
-    oh = (height - kh) // stride + 1
-    ow = (width - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError("non-positive conv output size")
-
-    output = np.zeros((c_out, oh, ow), dtype=compute_dtype)
-    cycles = macs = nonzero = skipped = 0
-    for oy in range(oh):
-        for ox in range(ow):
-            acc = np.zeros(c_out, dtype=compute_dtype)
-            for offset, matrix in enumerate(matrices):
-                dy, dx = divmod(offset, kw)
-                column = x[:, oy * stride + dy, ox * stride + dx]
-                result: SimulationResult = engine.run_fc_layer(
-                    matrix, column, enforce_capacity=enforce_capacity
-                )
-                acc += result.output
-                # pipeline fill amortizes across the whole layer; count the
-                # compute + writeback portions per lowered mat-vec
-                cycles += result.compute_cycles + result.writeback_cycles
-                macs += result.macs
-                nonzero += result.nonzero_columns
-                skipped += result.skipped_columns
-            output[:, oy, ox] = acc
-    cycles += engine.config.pipeline_stages
+    # Columns follow the offset family's compute dtype (float32 storage
+    # accumulates in float32, int16 dequantizes to float64).
+    columns = lower_columns(
+        np.asarray(x[None], dtype=matrices[0].compute_dtype),
+        (kh, kw),
+        stride,
+        padding,
+    )
+    acc, cycles, macs = accumulate_offsets(
+        engine, matrices, columns, enforce_capacity=enforce_capacity
+    )
+    nonzero = sum(int(np.count_nonzero(cols)) for cols in columns)
     return ConvSimulationResult(
-        output=output,
+        output=acc.T.reshape(c_out, oh, ow),
         cycles=cycles,
         macs=macs,
         nonzero_columns=nonzero,
-        skipped_columns=skipped,
+        skipped_columns=len(columns) * columns[0].size - nonzero,
         positions=oh * ow,
     )

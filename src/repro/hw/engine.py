@@ -36,7 +36,6 @@ from repro.core.backends import (
 )
 from repro.hw.config import EngineConfig
 from repro.hw.energy import AreaPowerModel
-from repro.hw.fifo import FIFO
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
 from repro.hw.scheduler import cycles_per_column
 from repro.hw.sram import SRAMBank
@@ -50,6 +49,7 @@ __all__ = [
     "EngineImageBackendError",
     "PermDNNEngine",
     "SimulationResult",
+    "apply_activation",
     "export_engine_image",
     "load_engine_image",
 ]
@@ -58,6 +58,17 @@ __all__ = [
 # ``layer{i}_fixed_point``); v1 images load as float64 layers.
 _IMAGE_FORMAT_VERSION = 2
 _IMAGE_MIN_FORMAT_VERSION = 1
+
+
+def apply_activation(values: np.ndarray, activation: str | None) -> np.ndarray:
+    """The ActU: ``None`` passes through, ``"relu"`` / ``"tanh"`` apply."""
+    if activation is None:
+        return values
+    if activation == "relu":
+        return np.maximum(values, 0.0)
+    if activation == "tanh":
+        return np.tanh(values)
+    raise ValueError(f"unsupported activation {activation!r} (ActU has relu/tanh)")
 
 
 class EngineImageBackendError(BackendUnavailableError):
@@ -335,60 +346,30 @@ class PermDNNEngine:
             )
         if enforce_capacity:
             self.check_capacity(matrix)
-        config = self.config
-        pe = config.pe
 
         saturations = 0
         if bit_accurate:
             output, saturations = self._bit_accurate_forward(matrix, x)
         else:
             output = matrix.matvec(x)
-        if activation == "relu":
-            output = np.maximum(output, 0.0)
-        elif activation == "tanh":
-            output = np.tanh(output)
-        elif activation is not None:
-            raise ValueError(f"unsupported activation {activation!r} (ActU has relu/tanh)")
+        output = apply_activation(output, activation)
 
         nnz_x = int(np.count_nonzero(x)) if zero_skip else x.size
-        skipped = x.size - nnz_x
-        n_rowpe = self.rows_per_pe(matrix.shape[0])
-        schedule = cycles_per_column(n_rowpe, matrix.p, pe.n_mul, pe.n_acc)
-        if schedule.case == 3:
-            compute_cycles = math.ceil(nnz_x / schedule.columns_per_cycle)
-        else:
-            compute_cycles = int(schedule.cycles_per_column) * nnz_x
-        writeback_cycles = math.ceil(
-            matrix.shape[0] / config.activations_written_per_cycle
+        cycles, compute_cycles, writeback_cycles, macs, case = (
+            self._account_batch(matrix, np.array([nnz_x]))
         )
-        total_cycles = config.pipeline_stages + compute_cycles + writeback_cycles
-
-        # exercise the FIFO model: every non-zero activation flows through
-        fifo = FIFO(config.act_fifo_depth)
-        for idx in range(min(nnz_x, config.act_fifo_depth)):
-            fifo.push(idx)
-
-        # average non-zeros per matrix column; exact when p divides (m, n)
-        macs = int(round(nnz_x * matrix.nnz / matrix.shape[1]))
-        # SRAM traffic: one weight row + one perm row per PE per compute
-        # cycle; one activation read per processed column; grouped writes.
-        self.weight_sram.read(compute_cycles)
-        self.perm_sram.read(compute_cycles)
-        self.act_sram.read(nnz_x)
-        self.act_sram.write(writeback_cycles)
-
-        peak = compute_cycles * config.n_pe * pe.n_mul
+        peak = compute_cycles * self.config.n_pe * self.config.pe.n_mul
         utilization = macs / peak if peak else 0.0
         return SimulationResult(
             output=output,
-            cycles=total_cycles,
+            cycles=cycles,
             compute_cycles=compute_cycles,
             writeback_cycles=writeback_cycles,
             macs=macs,
             nonzero_columns=nnz_x,
-            skipped_columns=skipped,
+            skipped_columns=x.size - nnz_x,
             utilization=min(utilization, 1.0),
-            case=schedule.case,
+            case=case,
             saturations=saturations,
             sram_stats={
                 "weight": self.weight_sram.stats,
@@ -396,6 +377,49 @@ class PermDNNEngine:
                 "activation": self.act_sram.stats,
             },
         )
+
+    def _account_batch(
+        self, matrix: BlockPermutedDiagonalMatrix, nnz_per: np.ndarray
+    ) -> tuple[int, int, int, int, int]:
+        """The cycle model: ``B`` inputs streamed back to back.
+
+        ``nnz_per`` holds each input's processed columns (its non-zeros
+        under zero-skipping).  The pipeline fill is paid once; every input
+        adds its own compute cycles (Case 1/2: ``cycles_per_column`` per
+        column, Case 3: several columns retire per cycle) and one output
+        writeback.  MACs are the average non-zeros per matrix column times
+        ``nnz_x`` -- exact when ``p`` divides the shape -- rounded half to
+        even per input.  SRAM traffic: one weight row + one perm row per
+        PE per compute cycle, one activation read per processed column,
+        grouped activation writes.
+
+        Returns:
+            ``(total_cycles, compute_cycles, writeback_cycles, macs,
+            case)``, compute and writeback summed over the batch.
+        """
+        config = self.config
+        pe = config.pe
+        schedule = cycles_per_column(
+            self.rows_per_pe(matrix.shape[0]), matrix.p, pe.n_mul, pe.n_acc
+        )
+        if schedule.case == 3:
+            compute = int(np.ceil(nnz_per / schedule.columns_per_cycle).sum())
+        else:
+            compute = int(schedule.cycles_per_column) * int(nnz_per.sum())
+        writeback = nnz_per.size * math.ceil(
+            matrix.shape[0] / config.activations_written_per_cycle
+        )
+        macs = int(
+            np.rint(nnz_per * matrix.nnz / matrix.shape[1])
+            .astype(np.int64)
+            .sum()
+        )
+        self.weight_sram.read(compute)
+        self.perm_sram.read(compute)
+        self.act_sram.read(int(nnz_per.sum()))
+        self.act_sram.write(writeback)
+        total = config.pipeline_stages + compute + writeback
+        return total, compute, writeback, macs, schedule.case
 
     def _bit_accurate_forward(
         self, matrix: BlockPermutedDiagonalMatrix, x: np.ndarray
@@ -459,11 +483,12 @@ class PermDNNEngine:
     ) -> tuple[np.ndarray, int, int]:
         """:meth:`run_fc_batch` plus the MAC count.
 
-        This is the single home of the batch accounting (pipeline fill
-        paid once, per-sample compute + writeback): the sharded serving
-        runtime (:mod:`repro.serve`) runs its shards through here, which
-        is what keeps sharded cycle/bit behaviour in lockstep with the
-        unsharded baseline by construction.
+        Every served stage (:mod:`repro.serve`) and the conv lowering
+        (:mod:`repro.hw.conv_lowering`) run their products through here,
+        which keeps sharded cycle/bit behaviour in lockstep with the
+        unsharded baseline by construction.  Counters come from the same
+        cycle model as :meth:`run_fc_layer`, so a batch costs one pipeline
+        fill plus the compute + writeback cycles of ``B`` single calls.
 
         The functional result is one batched product
         (:meth:`~repro.core.BlockPermutedDiagonalMatrix.matmat`) instead
@@ -471,10 +496,7 @@ class PermDNNEngine:
         per-sample :meth:`run_fc_layer` path (same backend, same
         accumulation order per output row) but it releases the GIL inside
         a single kernel call, which is what makes the serving runtime's
-        shard threads (:mod:`repro.serve.server`) actually overlap.  The
-        cycle accounting below is the per-sample model evaluated for the
-        whole batch at once; every counter matches the sample-by-sample
-        loop it replaced exactly.
+        shard threads (:mod:`repro.serve.server`) actually overlap.
 
         Returns:
             ``(outputs, total_cycles, macs)``; ``outputs`` is in the
@@ -486,58 +508,14 @@ class PermDNNEngine:
                 f"expected batch of shape (B, {matrix.shape[1]}), got "
                 f"{x_batch.shape}"
             )
-        if activation not in (None, "relu", "tanh"):
-            raise ValueError(
-                f"unsupported activation {activation!r} (ActU has relu/tanh)"
-            )
         if enforce_capacity:
             self.check_capacity(matrix)
-        config = self.config
-        pe = config.pe
-
-        outputs = matrix.matmat(x_batch)
-        if activation == "relu":
-            outputs = np.maximum(outputs, 0.0)
-        elif activation == "tanh":
-            outputs = np.tanh(outputs)
-
-        batch = x_batch.shape[0]
+        outputs = apply_activation(matrix.matmat(x_batch), activation)
         if zero_skip:
             nnz_per = np.count_nonzero(x_batch, axis=1)
         else:
-            nnz_per = np.full(batch, x_batch.shape[1], dtype=np.int64)
-        n_rowpe = self.rows_per_pe(matrix.shape[0])
-        schedule = cycles_per_column(n_rowpe, matrix.p, pe.n_mul, pe.n_acc)
-        if schedule.case == 3:
-            compute_per = np.ceil(
-                nnz_per / schedule.columns_per_cycle
-            ).astype(np.int64)
-        else:
-            compute_per = int(schedule.cycles_per_column) * nnz_per
-        compute_total = int(compute_per.sum())
-        writeback = math.ceil(
-            matrix.shape[0] / config.activations_written_per_cycle
-        )
-        total = config.pipeline_stages + compute_total + batch * writeback
-        # Same rounding as run_fc_layer, sample by sample (round-half-even
-        # on the exact per-sample expression, then summed).
-        macs = sum(
-            int(round(int(nnz_x) * matrix.nnz / matrix.shape[1]))
-            for nnz_x in nnz_per
-        )
-
-        # exercise the FIFO model exactly as the per-sample path does
-        for nnz_x in nnz_per:
-            fifo = FIFO(config.act_fifo_depth)
-            for idx in range(min(int(nnz_x), config.act_fifo_depth)):
-                fifo.push(idx)
-
-        # SRAM counters are additive, so the batch sum lands the same
-        # totals as B per-sample calls.
-        self.weight_sram.read(compute_total)
-        self.perm_sram.read(compute_total)
-        self.act_sram.read(int(nnz_per.sum()))
-        self.act_sram.write(batch * writeback)
+            nnz_per = np.full(x_batch.shape[0], x_batch.shape[1])
+        total, _, _, macs, _ = self._account_batch(matrix, nnz_per)
         return outputs, total, macs
 
     def run_network(

@@ -11,21 +11,25 @@ pipeline between the per-layer shard arrays.
   per-layer, per-shard and per-request statistics, plus admission
   control (bounded queue, reject-newest shedding) for graceful
   degradation past the saturation knee.
-- :class:`ServedStage` -- the stage protocol, with three
-  implementations: :class:`ShardedLayer` (one FC layer split across
-  shard engines), :class:`LoweredConvStage` (a PD convolution lowered
-  to per-offset FC batches, row-sharded over output channels), and
-  :class:`RecurrentStage` (one LSTM-cell timestep, gate matrices
-  row-sharded over hidden units).
+- :class:`ServedStage` -- the slotted stage skeleton (per shard, a
+  fixed number of PD slot matrices cut at one set of block-row bounds),
+  with three kinds: :class:`ShardedLayer` (one FC layer, 1 slot),
+  :class:`LoweredConvStage` (a PD convolution lowered to ``kh*kw``
+  per-offset FC batches, row-sharded over output channels), and
+  :class:`RecurrentStage` (one LSTM-cell timestep, 8 gate matrices
+  row-sharded over hidden units).  :class:`InvalidRequestError` rejects
+  malformed, non-finite, or complex requests at submission.
 - :class:`MicroBatcher` / :class:`BatchAssembler` / :class:`Request` /
   :class:`MicroBatch` -- the deterministic, order-preserving batching
   queue (offline plan and streaming forms).
 - :mod:`repro.serve.traffic` -- seeded open-loop arrival processes
   (deterministic / Poisson / bursty / diurnal) for tail-latency
   benchmarking.
-- :func:`export_sharded_bundle` / :func:`load_sharded_bundle` -- one
-  engine image per shard plus a manifest; cold starts never recompute
-  index arithmetic.
+- :func:`export_staged_bundle` / :func:`export_model_bundle` /
+  :func:`load_staged_bundle` -- one engine image per shard plus a
+  manifest; cold starts never recompute index arithmetic.  A raw
+  ``(matrix, activation)`` stack exports as
+  ``export_staged_bundle(d, [ShardedLayer(m, a, n) ...])``.
 - :func:`run_serving_benchmark` / :func:`run_open_loop_sweep` -- the
   closed-loop and open-loop measurements behind ``repro serve-bench``
   and ``benchmarks/bench_serving.py``, including
@@ -59,14 +63,13 @@ from repro.serve.bench import (
 )
 from repro.serve.bundle import (
     export_model_bundle,
-    export_sharded_bundle,
     export_staged_bundle,
-    load_sharded_bundle,
     load_staged_bundle,
 )
 from repro.nn.serialization import UnsupportedLayerError
 from repro.serve.server import (
     EmptyServeReportError,
+    InvalidRequestError,
     LayerShardStats,
     LoweredConvStage,
     ModelServer,
@@ -94,6 +97,7 @@ __all__ = [
     "DeterministicArrivals",
     "DiurnalArrivals",
     "EmptyServeReportError",
+    "InvalidRequestError",
     "LayerShardStats",
     "MixedClassStats",
     "MixedTrafficReport",
@@ -119,13 +123,11 @@ __all__ = [
     "build_stages",
     "build_workload",
     "export_model_bundle",
-    "export_sharded_bundle",
     "export_staged_bundle",
     "format_mixed_report",
     "format_open_loop_report",
     "format_report",
     "format_workload_matrix",
-    "load_sharded_bundle",
     "load_staged_bundle",
     "make_requests",
     "make_arrival_process",

@@ -29,12 +29,16 @@ import numpy as np
 
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw.engine import export_engine_image, load_engine_image
+from repro.serve.server import (
+    LoweredConvStage,
+    RecurrentStage,
+    ShardedLayer,
+    build_stages,
+)
 
 __all__ = [
     "export_model_bundle",
-    "export_sharded_bundle",
     "export_staged_bundle",
-    "load_sharded_bundle",
     "load_staged_bundle",
 ]
 
@@ -46,6 +50,12 @@ __all__ = [
 _BUNDLE_FORMAT_VERSION = 3
 _BUNDLE_MIN_FORMAT_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
+# Stage classes by manifest ``stage_kind``; each rebuilds itself from its
+# manifest entry (``ServedStage.from_manifest``).
+_STAGE_CLASSES = {
+    cls.stage_kind: cls
+    for cls in (ShardedLayer, LoweredConvStage, RecurrentStage)
+}
 
 
 def _shard_file(shard_idx: int) -> str:
@@ -102,38 +112,6 @@ def export_staged_bundle(directory, stages: list) -> None:
         handle.write("\n")
 
 
-def export_sharded_bundle(
-    directory,
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]],
-    num_shards: int,
-) -> None:
-    """Persist a multi-layer FC model as ``num_shards`` engine images.
-
-    Every layer is row-sharded with
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards` semantics
-    (balanced contiguous block-row cuts) and shard ``K`` of every layer
-    lands in ``shard<K>.npz``; plan slicing means export never recomputes
-    index arithmetic either.
-
-    Args:
-        directory: bundle directory (created if missing).
-        layers: ``(matrix, activation)`` pairs, input to output.
-        num_shards: shard count; every layer must have at least this many
-            block rows.
-    """
-    if not layers:
-        raise ValueError("cannot export an empty layer stack")
-    from repro.serve.server import ShardedLayer
-
-    export_staged_bundle(
-        directory,
-        [
-            ShardedLayer(matrix, activation, num_shards)
-            for matrix, activation in layers
-        ],
-    )
-
-
 def export_model_bundle(
     directory,
     model,
@@ -154,7 +132,6 @@ def export_model_bundle(
     iff the model has conv layers).
     """
     from repro.nn.serialization import model_stage_specs
-    from repro.serve.server import build_stages
 
     export_staged_bundle(
         directory,
@@ -173,7 +150,7 @@ def _check_slot(
     shard_idx: int,
     matrix: BlockPermutedDiagonalMatrix,
     slot_activation: str | None,
-    expected_shape: tuple[int, int],
+    rows: int,
     expected_activation: str | None,
     p: int,
     value_dtype: str,
@@ -186,7 +163,7 @@ def _check_slot(
     )
     if (
         matrix.p != p
-        or matrix.shape != expected_shape
+        or matrix.shape[0] != rows
         or slot_activation != expected_activation
         or matrix.value_dtype != value_dtype
         or shard_fmt != fixed_point
@@ -223,13 +200,6 @@ def load_staged_bundle(
         :class:`~repro.serve.server.ServedStage` objects ready to hand to
         :class:`~repro.serve.server.ModelServer`.
     """
-    from repro.serve.server import (
-        LoweredConvStage,
-        RecurrentStage,
-        ShardedLayer,
-        _GATES,
-    )
-
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_NAME
     if not manifest_path.is_file():
@@ -270,8 +240,12 @@ def load_staged_bundle(
     cursor = 0
     for stage_idx, spec in enumerate(specs):
         kind = spec.get("stage_kind", "fc")
+        if kind not in _STAGE_CLASSES:
+            raise ValueError(
+                f"layer {stage_idx}: unknown stage_kind {kind!r}"
+            )
+        cls = _STAGE_CLASSES[kind]
         slots = slots_per_stage[stage_idx]
-        activation = spec["activation"]
         p = int(spec["p"])
         m, n = (int(v) for v in spec["shape"])
         # v1 manifests predate value dtypes: their images store float64.
@@ -282,111 +256,39 @@ def load_staged_bundle(
             else None
         )
         bounds = spec["shard_block_bounds"]
+        if len(bounds) != num_shards:
+            raise ValueError(
+                f"layer {stage_idx}: bundle {directory} does not match its "
+                f"manifest ({len(bounds)} shard bounds for {num_shards} "
+                f"shards)"
+            )
+        activation = spec["activation"] if cls.engine_activation else None
         # Flat-slot layout: shard K's entries ``cursor..cursor+slots`` all
         # belong to this stage and share its row bounds.
         shard_slots: list[list[BlockPermutedDiagonalMatrix]] = []
         covered = 0
-        for shard_idx in range(num_shards):
-            start, stop = bounds[shard_idx]
-            expected_m = min((stop - start) * p, m - start * p)
-            matrices = []
-            for slot in range(slots):
-                matrix, slot_activation = shard_images[shard_idx][
-                    cursor + slot
-                ]
-                if kind == "recurrent":
-                    expected_n = n if slot < len(_GATES) else m
-                else:
-                    expected_n = n
+        for shard_idx, (start, stop) in enumerate(bounds):
+            rows = min((stop - start) * p, m - start * p)
+            image = shard_images[shard_idx][cursor : cursor + slots]
+            for matrix, slot_activation in image:
                 _check_slot(
-                    stage_idx,
-                    shard_idx,
-                    matrix,
-                    slot_activation,
-                    (expected_m, expected_n),
-                    activation if kind == "fc" else None,
-                    p,
-                    value_dtype,
-                    fixed_point,
+                    stage_idx, shard_idx, matrix, slot_activation, rows,
+                    activation, p, value_dtype, fixed_point,
                 )
-                matrices.append(matrix)
-            covered += matrices[0].shape[0]
-            shard_slots.append(matrices)
+            shard_slots.append([matrix for matrix, _ in image])
+            covered += rows
         if covered != m:
             raise ValueError(
                 f"layer {stage_idx}: shards cover {covered} rows, "
                 f"manifest says {m}"
             )
         cursor += slots
-        if kind == "fc":
-            if slots != 1:
-                raise ValueError(
-                    f"layer {stage_idx}: FC stages hold 1 slot, got {slots}"
-                )
-            stages.append(
-                ShardedLayer.from_shards(
-                    [matrices[0] for matrices in shard_slots], activation
-                )
-            )
-        elif kind == "conv":
-            stages.append(
-                LoweredConvStage.from_shard_slots(
-                    shard_slots,
-                    activation,
-                    channels=(m, n),
-                    kernel_size=tuple(
-                        int(v) for v in spec["kernel_size"]
-                    ),
-                    input_hw=tuple(int(v) for v in spec["input_hw"]),
-                    stride=int(spec["stride"]),
-                    padding=int(spec["padding"]),
-                    pool=(
-                        int(spec["pool"])
-                        if spec.get("pool") is not None
-                        else None
-                    ),
-                )
-            )
-        elif kind == "recurrent":
-            with np.load(directory / spec["aux_file"]) as aux:
-                biases = {gate: aux[f"bias_{gate}"] for gate in _GATES}
-            stages.append(
-                RecurrentStage.from_shard_slots(
-                    shard_slots,
-                    biases,
-                    input_size=int(spec["input_size"]),
-                    hidden_size=int(spec["hidden_size"]),
-                )
-            )
-        else:
+        stage = cls.from_manifest(spec, shard_slots, directory)
+        width = stage.shard_slots[0][0].shape[1]
+        if width != n:
             raise ValueError(
-                f"layer {stage_idx}: unknown stage_kind {kind!r}"
+                f"layer {stage_idx}: shards take {width} inputs, "
+                f"manifest says {n}"
             )
+        stages.append(stage)
     return stages, manifest
-
-
-def load_sharded_bundle(
-    directory,
-    missing_backend: str = "error",
-) -> tuple[list[tuple[list[BlockPermutedDiagonalMatrix], str | None]], dict]:
-    """Reload an FC bundle: per layer, its shard matrices and activation.
-
-    The pre-v3 loader shape, kept for FC-only callers.  Bundles holding
-    conv or recurrent stages have no ``(shards, activation)`` form --
-    load those through :func:`load_staged_bundle`.
-
-    Returns:
-        ``(layers, manifest)`` where ``layers[l]`` is
-        ``(shard_matrices, activation)``.
-    """
-    from repro.serve.server import ShardedLayer
-
-    stages, manifest = load_staged_bundle(
-        directory, missing_backend=missing_backend
-    )
-    if any(not isinstance(stage, ShardedLayer) for stage in stages):
-        kinds = sorted({stage.stage_kind for stage in stages})
-        raise ValueError(
-            f"bundle holds non-FC stages {kinds}; use load_staged_bundle"
-        )
-    return [(stage.shards, stage.activation) for stage in stages], manifest

@@ -1,13 +1,13 @@
 """Batched, sharded multi-engine serving runtime.
 
-``ModelServer`` drives a stack of PD FC layers the way the paper's
-deployment story scales past one engine: each layer's
-:class:`~repro.core.BlockPermutedDiagonalMatrix` is cut **row-wise** into
-``num_shards`` shards (block-row granularity, so every shard is itself a
-valid PD matrix) and each shard executes on its own
-:class:`~repro.hw.PermDNNEngine` instance.  Because row shards partition
-the output dimension, the shard engines process the *same* zero-skipped
-input columns and their stacked outputs reproduce the unsharded
+``ModelServer`` drives a pipeline of served stages (FC, lowered conv,
+LSTM cell) the way the paper's deployment story scales past one engine:
+every PD matrix of a stage is cut **row-wise** into ``num_shards`` shards
+(block-row granularity, so every shard is itself a valid PD matrix) and
+each shard executes on its own :class:`~repro.hw.PermDNNEngine`
+instance.  Because row shards partition the output dimension, the shard
+engines process the *same* zero-skipped input columns and their stacked
+outputs reproduce the unsharded
 :meth:`~repro.hw.PermDNNEngine.run_fc_batch` result bit for bit.  Shard
 concurrency exists on two clocks: in **simulated time** a micro-batch
 occupies a layer for its slowest shard's cycles (the engines are modelled
@@ -36,18 +36,26 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
 from repro.hw.config import EngineConfig
-from repro.hw.conv_lowering import offset_matrices
+from repro.hw.conv_lowering import (
+    accumulate_offsets,
+    conv_output_hw,
+    lower_columns,
+    offset_matrices,
+)
 from repro.hw.engine import PermDNNEngine
 from repro.nn.layers.recurrent import LSTMCell, sigmoid
 from repro.serve.batching import MicroBatcher, Request
 
 __all__ = [
     "EmptyServeReportError",
+    "InvalidRequestError",
     "LayerShardStats",
     "LoweredConvStage",
     "ModelServer",
@@ -68,53 +76,8 @@ class EmptyServeReportError(ValueError):
     """Raised when percentile statistics are asked of an empty report."""
 
 
-class ServedStage:
-    """One pipeline stage of a :class:`ModelServer`: the serving protocol.
-
-    A (stage, shard) is **not** synonymous with an FC matmul: a stage is
-    anything that maps a flat ``(B, in_features)`` micro-batch to a flat
-    ``(B, out_features)`` one on an array of shard engines.  Implementations
-    (:class:`ShardedLayer` for FC, :class:`LoweredConvStage` for lowered
-    convolutions, :class:`RecurrentStage` for per-timestep LSTM cells) all
-    meet the same bars: shard ``K`` writes a disjoint column range of the
-    output (thread-safe stitching, bit-identical at every thread count) and
-    the concatenation equals the unsharded single-engine computation bit for
-    bit.
-
-    Interface (attributes set by subclass ``__init__``):
-
-    - ``num_shards`` / ``in_features`` / ``out_features``
-    - ``check_capacity(engines)`` -- SRAM validation per shard engine.
-    - ``run_batch(engines, x_batch, zero_skip=True, enforce_capacity=True,
-      executor=None) -> (outputs, shard_cycles, shard_macs)`` -- execute
-      one micro-batch; the stage's simulated time is ``max(shard_cycles)``.
-    """
-
-    stage_kind: str = "abstract"
-    num_shards: int
-    in_features: int
-    out_features: int
-
-    def check_capacity(self, engines: list[PermDNNEngine]) -> None:
-        raise NotImplementedError
-
-    def run_batch(
-        self,
-        engines: list[PermDNNEngine],
-        x_batch: np.ndarray,
-        zero_skip: bool = True,
-        enforce_capacity: bool = True,
-        executor: ThreadPoolExecutor | None = None,
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        raise NotImplementedError
-
-    @staticmethod
-    def _run_shard_tasks(run_shard, tasks, executor, num_shards):
-        """Run per-shard closures, threaded or sequential, in shard order."""
-        if executor is not None and num_shards > 1:
-            futures = [executor.submit(run_shard, *task) for task in tasks]
-            return [future.result() for future in futures]
-        return [run_shard(*task) for task in tasks]
+class InvalidRequestError(ValueError):
+    """A submitted request is not a finite real vector of the served width."""
 
 
 @dataclass
@@ -138,45 +101,187 @@ class LayerShardStats:
     shed: int = 0
 
 
-def _shard_block_bounds(
-    shard_matrices: list[BlockPermutedDiagonalMatrix],
-) -> list[tuple[int, int]]:
-    """Contiguous block-row bounds covered by each shard, in shard order."""
-    bounds = []
-    start = 0
-    for matrix in shard_matrices:
-        bounds.append((start, start + matrix.mb))
-        start += matrix.mb
-    return bounds
+def _shard_major(
+    matrices: list[BlockPermutedDiagonalMatrix], num_shards: int
+) -> list[tuple[BlockPermutedDiagonalMatrix, ...]]:
+    """Row-shard every slot matrix; regroup the shards slot by slot."""
+    return list(zip(*(matrix.row_shards(num_shards) for matrix in matrices)))
 
 
-def _matrix_storage_entry(matrix: BlockPermutedDiagonalMatrix) -> dict:
-    """The manifest's value-storage fields for one (family of) matrices."""
-    return {
-        "p": matrix.p,
-        "value_dtype": matrix.value_dtype,
-        "fixed_point": (
-            [matrix.fixed_point.total_bits, matrix.fixed_point.frac_bits]
-            if matrix.fixed_point is not None
-            else None
-        ),
-    }
+class ServedStage:
+    """One pipeline stage of a :class:`ModelServer`: the slotted skeleton.
+
+    A stage maps a flat ``(B, in_features)`` micro-batch to a flat
+    ``(B, out_features)`` one on an array of shard engines.  It holds
+    ``shard_slots``: per shard, the stage's ``num_slots`` PD matrices (1
+    for FC, ``kh*kw`` offset matrices for a lowered conv, 8 gate matrices
+    for an LSTM cell step), all cut at one set of block-row bounds, so
+    shard ``K`` owns rows ``row_bounds[K]`` of every slot.  Each shard
+    writes a disjoint column range of the output (thread-safe stitching,
+    bit-identical at every thread count) and the concatenation equals the
+    unsharded single-engine computation bit for bit.
+
+    The base class owns the slot layout, capacity checks, the shard
+    fan-out and the bundle hooks.  A kind adds its model-side constructor,
+    ``_check_geometry`` (validates the slots against the kind's geometry
+    and sets ``in_features`` / ``out_features``) and
+    ``run_batch(engines, x_batch, zero_skip=True, enforce_capacity=True,
+    executor=None) -> (outputs, shard_cycles, shard_macs)``, where every
+    cycle and MAC comes from
+    :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`; the stage's
+    simulated time is ``max(shard_cycles)``.
+    """
+
+    stage_kind: str = "abstract"
+    # Kind-specific manifest fields, written after the common ones.
+    geometry: tuple[str, ...] = ()
+    # FC hands its activation to the engine with every slot product (and
+    # records it in the image); other kinds activate after combining slots.
+    engine_activation = False
+    num_slots: int
+    num_shards: int
+    in_features: int
+    out_features: int
+
+    def _init_slots(
+        self,
+        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
+        activation: str | None = None,
+        **params,
+    ) -> None:
+        """Adopt shard-major slot matrices.  ``params`` (the kind's
+        geometry) become attributes before ``_check_geometry`` runs."""
+        self.shard_slots = [list(slots) for slots in shard_slots]
+        if not self.shard_slots:
+            raise ValueError(
+                f"a {self.stage_kind} stage needs at least one shard"
+            )
+        self.activation = activation
+        for name, value in params.items():
+            setattr(self, name, value)
+        self.num_shards = len(self.shard_slots)
+        self.row_bounds: list[tuple[int, int]] = []
+        start = 0
+        for slots in self.shard_slots:
+            if len(slots) != self.num_slots:
+                raise ValueError(
+                    f"{self.stage_kind} shard holds {len(slots)} matrices, "
+                    f"the stage needs {self.num_slots}"
+                )
+            rows = slots[0].shape[0]
+            if any(matrix.shape[0] != rows for matrix in slots):
+                raise ValueError("slot matrices of one shard disagree on rows")
+            self.row_bounds.append((start, start + rows))
+            start += rows
+        self._check_geometry()
+
+    def _check_geometry(self) -> None:
+        raise NotImplementedError
+
+    @classmethod
+    def from_shard_slots(
+        cls,
+        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
+        activation: str | None = None,
+        **params,
+    ) -> "ServedStage":
+        """Wrap already-sharded slot matrices (e.g. from a bundle)."""
+        stage = cls.__new__(cls)
+        stage._init_slots(shard_slots, activation, **params)
+        return stage
+
+    @classmethod
+    def from_manifest(
+        cls, entry: dict, shard_slots: list, directory, **params
+    ) -> "ServedStage":
+        """Rebuild a stage from its bundle manifest entry and loaded slots."""
+        for name in cls.geometry:
+            params[name] = entry[name]
+        return cls.from_shard_slots(shard_slots, entry["activation"], **params)
+
+    @property
+    def compute_dtype(self) -> np.dtype:
+        return self.shard_slots[0][0].compute_dtype
+
+    def check_capacity(self, engines: list[PermDNNEngine]) -> None:
+        """Verify every slot matrix of every shard fits its engine."""
+        for engine, slots in zip(engines, self.shard_slots):
+            for matrix in slots:
+                engine.check_capacity(matrix)
+
+    def _fan_out(
+        self, engines: list[PermDNNEngine], run_shard, executor
+    ) -> tuple[list[int], list[int]]:
+        """Call ``run_shard(engine, slots, lo, hi) -> (cycles, macs)`` once
+        per shard, on ``executor``'s threads when given (every shard owns
+        its engine and writes a disjoint output slice) or sequentially.
+        Results are collected in shard order either way, so outputs and
+        counters are identical across thread counts.
+
+        Returns:
+            ``(shard_cycles, shard_macs)``.
+        """
+        tasks = [
+            (engine, slots, lo, hi)
+            for engine, slots, (lo, hi) in zip(
+                engines, self.shard_slots, self.row_bounds
+            )
+        ]
+        if executor is not None and self.num_shards > 1:
+            futures = [executor.submit(run_shard, *task) for task in tasks]
+            results = [future.result() for future in futures]
+        else:
+            results = [run_shard(*task) for task in tasks]
+        return [cycles for cycles, _ in results], [macs for _, macs in results]
+
+    # -- bundle serialization hooks (see repro.serve.bundle) -----------
+
+    def manifest_entry(self) -> dict:
+        first = self.shard_slots[0][0]
+        entry = {
+            "stage_kind": self.stage_kind,
+            "slots": self.num_slots,
+            "shape": [self.row_bounds[-1][1], first.shape[1]],
+            "activation": self.activation,
+        }
+        for name in self.geometry:
+            value = getattr(self, name)
+            entry[name] = list(value) if isinstance(value, tuple) else value
+        ends = list(accumulate(slots[0].mb for slots in self.shard_slots))
+        entry["shard_block_bounds"] = [
+            [start, stop] for start, stop in zip([0, *ends], ends)
+        ]
+        entry["p"] = first.p
+        entry["value_dtype"] = first.value_dtype
+        fmt = first.fixed_point
+        entry["fixed_point"] = (
+            [fmt.total_bits, fmt.frac_bits] if fmt is not None else None
+        )
+        return entry
+
+    def image_slots(self, shard_idx: int) -> list:
+        activation = self.activation if self.engine_activation else None
+        return [(matrix, activation) for matrix in self.shard_slots[shard_idx]]
+
+    def aux_payload(self) -> dict | None:
+        return None
 
 
 class ShardedLayer(ServedStage):
-    """One FC layer split row-wise across shard engines.
-
-    Built either from a full layer matrix (:meth:`__init__` calls
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards`) or from
-    pre-sharded matrices loaded out of a bundle (:meth:`from_shards`).
+    """One FC layer split row-wise across shard engines: the 1-slot stage.
 
     Args:
-        matrix: the full ``(out, in)`` PD weight matrix.
+        matrix: the full ``(out, in)`` PD weight matrix, cut with
+            :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards`.
         activation: optional ActU mode (``"relu"``/``"tanh"``) applied by
             every shard engine to its output slice (elementwise, so the
             sharded result still matches the unsharded one exactly).
         num_shards: how many engines the layer spreads over.
     """
+
+    stage_kind = "fc"
+    engine_activation = True
+    num_slots = 1
 
     def __init__(
         self,
@@ -184,39 +289,14 @@ class ShardedLayer(ServedStage):
         activation: str | None,
         num_shards: int,
     ) -> None:
-        self._init_from(matrix.row_shards(num_shards), activation)
+        self._init_slots(_shard_major([matrix], num_shards), activation)
 
-    @classmethod
-    def from_shards(
-        cls,
-        shards: list[BlockPermutedDiagonalMatrix],
-        activation: str | None,
-    ) -> "ShardedLayer":
-        """Wrap already-sharded matrices (e.g. from a sharded bundle)."""
-        if not shards:
-            raise ValueError("a sharded layer needs at least one shard")
-        widths = {shard.shape[1] for shard in shards}
+    def _check_geometry(self) -> None:
+        widths = {slots[0].shape[1] for slots in self.shard_slots}
         if len(widths) != 1:
-            raise ValueError(
-                f"shard input widths disagree: {sorted(widths)}"
-            )
-        layer = cls.__new__(cls)
-        layer._init_from(list(shards), activation)
-        return layer
-
-    def _init_from(
-        self, shards: list[BlockPermutedDiagonalMatrix], activation: str | None
-    ) -> None:
-        self.shards = shards
-        self.activation = activation
-        self.num_shards = len(shards)
-        self.in_features = shards[0].shape[1]
-        self.out_features = sum(shard.shape[0] for shard in shards)
-
-    def check_capacity(self, engines: list[PermDNNEngine]) -> None:
-        """Verify every shard fits its engine's SRAM budget."""
-        for engine, shard in zip(engines, self.shards):
-            engine.check_capacity(shard)
+            raise ValueError(f"shard input widths disagree: {sorted(widths)}")
+        self.in_features = widths.pop()
+        self.out_features = self.row_bounds[-1][1]
 
     def run_batch(
         self,
@@ -235,13 +315,6 @@ class ShardedLayer(ServedStage):
         outputs are bit-identical to the unsharded batch call by
         construction.
 
-        With an ``executor``, the shards run as one task each on its
-        threads (safe: every shard owns its engine and writes a disjoint
-        column slice of ``outputs``); without one they run sequentially
-        on the calling thread.  Either way results are collected in shard
-        order, so the stitched output is deterministic and identical
-        across thread counts.
-
         Returns:
             ``(outputs, shard_cycles, shard_macs)`` with outputs of shape
             ``(B, out_features)``; the batch's wall time on the shard
@@ -253,59 +326,21 @@ class ShardedLayer(ServedStage):
         # happen inside ``run_shard`` (possibly on executor threads), out
         # of reach of RPR006's unconditional-fill analysis.
         outputs = np.zeros(
-            (x_batch.shape[0], self.out_features),
-            dtype=self.shards[0].compute_dtype,
+            (x_batch.shape[0], self.out_features), dtype=self.compute_dtype
         )
 
-        def run_shard(
-            engine: PermDNNEngine,
-            shard: BlockPermutedDiagonalMatrix,
-            offset: int,
-        ) -> tuple[int, int]:
+        def run_shard(engine, slots, lo, hi):
             out, cycles, macs = engine.run_fc_batch_detailed(
-                shard,
+                slots[0],
                 x_batch,
                 activation=self.activation,
                 zero_skip=zero_skip,
                 enforce_capacity=enforce_capacity,
             )
-            outputs[:, offset : offset + shard.shape[0]] = out
+            outputs[:, lo:hi] = out
             return cycles, macs
 
-        tasks = []
-        offset = 0
-        for engine, shard in zip(engines, self.shards):
-            tasks.append((engine, shard, offset))
-            offset += shard.shape[0]
-        results = self._run_shard_tasks(
-            run_shard, tasks, executor, self.num_shards
-        )
-        shard_cycles = [cycles for cycles, _ in results]
-        shard_macs = [macs for _, macs in results]
-        return outputs, shard_cycles, shard_macs
-
-    # -- bundle serialization hooks (see repro.serve.bundle) -----------
-
-    stage_kind = "fc"
-
-    def manifest_entry(self) -> dict:
-        entry = {
-            "stage_kind": self.stage_kind,
-            "slots": 1,
-            "shape": [self.out_features, self.in_features],
-            "activation": self.activation,
-            "shard_block_bounds": [
-                list(b) for b in _shard_block_bounds(self.shards)
-            ],
-        }
-        entry.update(_matrix_storage_entry(self.shards[0]))
-        return entry
-
-    def image_slots(self, shard_idx: int) -> list:
-        return [(self.shards[shard_idx], self.activation)]
-
-    def aux_payload(self) -> dict | None:
-        return None
+        return (outputs, *self._fan_out(engines, run_shard, executor))
 
     def __repr__(self) -> str:
         return (
@@ -317,21 +352,21 @@ class ShardedLayer(ServedStage):
 class LoweredConvStage(ServedStage):
     """A PD convolution served as lowered per-offset FC batches.
 
-    Built on :func:`repro.hw.conv_lowering.offset_matrices`: the ``kh*kw``
-    per-offset channel matrices all share the weight tensor's channel-plane
-    index plan, and every offset matrix is row-sharded over **output
-    channels** with one shared set of block bounds -- so shard ``K`` owns
-    channel rows ``[lo, hi)`` of every offset and its output slice is a
-    contiguous range of the channel-major flattened feature map.  Requests
-    are flat ``c_in*H*W`` vectors (C-order, the same layout ``Flatten``
-    emits) and outputs are flat ``c_out*ph*pw`` vectors, so conv stages
-    chain with FC stages without any reshuffling.
+    Built on :mod:`repro.hw.conv_lowering`: the ``kh*kw`` per-offset
+    channel matrices all share the weight tensor's channel-plane index
+    plan, and every offset matrix is row-sharded over **output channels**
+    -- so shard ``K`` owns channel rows ``[lo, hi)`` of every offset and
+    its output slice is a contiguous range of the channel-major flattened
+    feature map.  Requests are flat ``c_in*H*W`` vectors (C-order, the
+    same layout ``Flatten`` emits) and outputs are flat ``c_out*ph*pw``
+    vectors, so conv stages chain with FC stages without any reshuffling.
 
     Per micro-batch, each shard accumulates its offset products over the
-    ``(B*oh*ow, c_in)`` lowered column batches **in fixed offset order**,
-    applies the activation post-accumulation, and optionally fuses a
-    non-overlapping square max-pool -- all elementwise/per-channel, so
-    sharded === unsharded and threaded === sequential hold bit for bit.
+    ``(B*oh*ow, c_in)`` lowered column batches **in fixed offset order**
+    (:func:`~repro.hw.conv_lowering.accumulate_offsets`), applies the
+    activation post-accumulation, and optionally fuses a non-overlapping
+    square max-pool -- all elementwise/per-channel, so sharded ===
+    unsharded and threaded === sequential hold bit for bit.
 
     Args:
         tensor: PD CONV weight tensor ``(c_out, c_in, kh, kw)``.
@@ -340,11 +375,12 @@ class LoweredConvStage(ServedStage):
         input_hw: spatial size ``(H, W)`` of the incoming feature map.
         stride / padding: convolution geometry.
         pool: optional fused max-pool factor (window == stride == pool).
-        backend / value_dtype / fixed_point: forwarded to
+        value_dtype / fixed_point: forwarded to
             :func:`~repro.hw.conv_lowering.offset_matrices`.
     """
 
     stage_kind = "conv"
+    geometry = ("kernel_size", "input_hw", "stride", "padding", "pool")
 
     def __init__(
         self,
@@ -355,25 +391,15 @@ class LoweredConvStage(ServedStage):
         stride: int = 1,
         padding: int = 0,
         pool: int | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> None:
         matrices = offset_matrices(
-            tensor,
-            backend=backend,
-            value_dtype=value_dtype,
-            fixed_point=fixed_point,
+            tensor, value_dtype=value_dtype, fixed_point=fixed_point
         )
-        slot_shards = [matrix.row_shards(num_shards) for matrix in matrices]
-        shard_slots = [
-            [slot_shards[slot][shard] for slot in range(len(matrices))]
-            for shard in range(num_shards)
-        ]
-        self._init_from(
-            shard_slots,
+        self._init_slots(
+            _shard_major(matrices, num_shards),
             activation,
-            channels=(tensor.shape[0], tensor.shape[1]),
             kernel_size=tensor.kernel_size,
             input_hw=input_hw,
             stride=stride,
@@ -381,99 +407,33 @@ class LoweredConvStage(ServedStage):
             pool=pool,
         )
 
-    @classmethod
-    def from_shard_slots(
-        cls,
-        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
-        activation: str | None,
-        channels: tuple[int, int],
-        kernel_size: tuple[int, int],
-        input_hw: tuple[int, int],
-        stride: int = 1,
-        padding: int = 0,
-        pool: int | None = None,
-    ) -> "LoweredConvStage":
-        """Wrap already-sharded offset matrices (e.g. from a v3 bundle)."""
-        stage = cls.__new__(cls)
-        stage._init_from(
-            [list(slots) for slots in shard_slots],
-            activation,
-            channels=channels,
-            kernel_size=kernel_size,
-            input_hw=input_hw,
-            stride=stride,
-            padding=padding,
-            pool=pool,
-        )
-        return stage
+    @property
+    def num_slots(self) -> int:
+        return self.kernel_size[0] * self.kernel_size[1]
 
-    def _init_from(
-        self,
-        shard_slots,
-        activation,
-        channels,
-        kernel_size,
-        input_hw,
-        stride,
-        padding,
-        pool,
-    ) -> None:
-        if not shard_slots:
-            raise ValueError("a conv stage needs at least one shard")
-        c_out, c_in = channels
-        kh, kw = kernel_size
-        for slots in shard_slots:
-            if len(slots) != kh * kw:
-                raise ValueError(
-                    f"conv shard holds {len(slots)} offset matrices, "
-                    f"kernel {kh}x{kw} needs {kh * kw}"
-                )
-            if any(matrix.shape != slots[0].shape for matrix in slots):
-                raise ValueError("offset matrices of one shard disagree")
-            if slots[0].shape[1] != c_in:
-                raise ValueError(
-                    f"shard expects {slots[0].shape[1]} input channels, "
-                    f"stage says {c_in}"
-                )
-        rows = [slots[0].shape[0] for slots in shard_slots]
-        if sum(rows) != c_out:
+    def _check_geometry(self) -> None:
+        self.kernel_size = tuple(int(v) for v in self.kernel_size)
+        self.input_hw = tuple(int(v) for v in self.input_hw)
+        self.stride, self.padding = int(self.stride), int(self.padding)
+        pool = self.pool = None if self.pool is None else int(self.pool)
+        c_in = self.shard_slots[0][0].shape[1]
+        if any(m.shape[1] != c_in for slots in self.shard_slots for m in slots):
+            raise ValueError("offset matrices disagree on input channels")
+        oh, ow = self.conv_hw = conv_output_hw(
+            self.input_hw, self.kernel_size, self.stride, self.padding
+        )
+        if pool is not None and (pool < 1 or oh % pool or ow % pool):
             raise ValueError(
-                f"shards cover {sum(rows)} output channels, stage has {c_out}"
+                f"pool {pool} does not tile the {oh}x{ow} conv output"
             )
-        height, width = (int(v) for v in input_hw)
-        oh = (height + 2 * padding - kh) // stride + 1
-        ow = (width + 2 * padding - kw) // stride + 1
-        if oh <= 0 or ow <= 0:
-            raise ValueError(
-                f"non-positive conv output size for input {input_hw}"
-            )
-        if pool is not None:
-            if pool < 1 or oh % pool or ow % pool:
-                raise ValueError(
-                    f"pool {pool} does not tile the {oh}x{ow} conv output"
-                )
-        self.shard_slots = shard_slots
-        self.activation = activation
-        self.num_shards = len(shard_slots)
-        self.channels = (c_out, c_in)
-        self.kernel_size = (kh, kw)
-        self.input_hw = (height, width)
-        self.stride = stride
-        self.padding = padding
-        self.pool = pool
-        self.conv_hw = (oh, ow)
         self.output_hw = (
             (oh // pool, ow // pool) if pool is not None else (oh, ow)
         )
-        self.in_features = c_in * height * width
-        self.out_features = c_out * self.output_hw[0] * self.output_hw[1]
-        self._shard_rows = rows
-
-    def check_capacity(self, engines: list[PermDNNEngine]) -> None:
-        """Verify every offset matrix of every shard fits its engine."""
-        for engine, slots in zip(engines, self.shard_slots):
-            for matrix in slots:
-                engine.check_capacity(matrix)
+        self.channels = (self.row_bounds[-1][1], c_in)
+        self.in_features = c_in * self.input_hw[0] * self.input_hw[1]
+        self.out_features = (
+            self.channels[0] * self.output_hw[0] * self.output_hw[1]
+        )
 
     def run_batch(
         self,
@@ -492,108 +452,36 @@ class LoweredConvStage(ServedStage):
         ranges -- the same stitching discipline as the FC path.
         """
         batch = x_batch.shape[0]
-        c_out, c_in = self.channels
-        kh, kw = self.kernel_size
         oh, ow = self.conv_hw
-        compute_dtype = self.shard_slots[0][0].compute_dtype
-        x = np.asarray(x_batch, dtype=compute_dtype).reshape(
-            batch, c_in, *self.input_hw
-        )
-        if self.padding:
-            pad = self.padding
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        stride = self.stride
-        columns = []
-        for dy in range(kh):
-            for dx in range(kw):
-                patch = x[
-                    :,
-                    :,
-                    dy : dy + (oh - 1) * stride + 1 : stride,
-                    dx : dx + (ow - 1) * stride + 1 : stride,
-                ]
-                columns.append(
-                    np.ascontiguousarray(
-                        patch.transpose(0, 2, 3, 1)
-                    ).reshape(batch * oh * ow, c_in)
-                )
-        outputs = np.zeros(
-            (batch, self.out_features), dtype=compute_dtype
-        )
         ph, pw = self.output_hw
+        x = np.asarray(x_batch, dtype=self.compute_dtype).reshape(
+            batch, self.channels[1], *self.input_hw
+        )
+        columns = lower_columns(x, self.kernel_size, self.stride, self.padding)
+        outputs = np.zeros((batch, self.out_features), dtype=self.compute_dtype)
 
-        def run_shard(engine, slots, rows, col_offset):
-            acc = np.zeros((batch * oh * ow, rows), dtype=compute_dtype)
-            cycles = macs = 0
-            for matrix, cols in zip(slots, columns):
-                out, slot_cycles, slot_macs = engine.run_fc_batch_detailed(
-                    matrix,
-                    cols,
-                    zero_skip=zero_skip,
-                    enforce_capacity=enforce_capacity,
-                )
-                acc += out
-                cycles += slot_cycles
-                macs += slot_macs
-            if self.activation == "relu":
-                acc = np.maximum(acc, 0.0)
-            elif self.activation == "tanh":
-                acc = np.tanh(acc)
+        def run_shard(engine, slots, lo, hi):
+            acc, cycles, macs = accumulate_offsets(
+                engine,
+                slots,
+                columns,
+                activation=self.activation,
+                zero_skip=zero_skip,
+                enforce_capacity=enforce_capacity,
+            )
+            rows = hi - lo
             fmap = acc.reshape(batch, oh, ow, rows).transpose(0, 3, 1, 2)
             if self.pool is not None:
                 pool = self.pool
-                fmap = fmap.reshape(
-                    batch, rows, ph, pool, pw, pool
-                ).max(axis=(3, 5))
-            outputs[:, col_offset : col_offset + rows * ph * pw] = (
-                fmap.reshape(batch, rows * ph * pw)
+                fmap = fmap.reshape(batch, rows, ph, pool, pw, pool).max(
+                    axis=(3, 5)
+                )
+            outputs[:, lo * ph * pw : hi * ph * pw] = fmap.reshape(
+                batch, rows * ph * pw
             )
             return cycles, macs
 
-        tasks = []
-        col_offset = 0
-        for engine, slots, rows in zip(
-            engines, self.shard_slots, self._shard_rows
-        ):
-            tasks.append((engine, slots, rows, col_offset))
-            col_offset += rows * ph * pw
-        results = self._run_shard_tasks(
-            run_shard, tasks, executor, self.num_shards
-        )
-        shard_cycles = [cycles for cycles, _ in results]
-        shard_macs = [macs for _, macs in results]
-        return outputs, shard_cycles, shard_macs
-
-    # -- bundle serialization hooks ------------------------------------
-
-    def manifest_entry(self) -> dict:
-        entry = {
-            "stage_kind": self.stage_kind,
-            "slots": self.kernel_size[0] * self.kernel_size[1],
-            "shape": list(self.channels),
-            "activation": self.activation,
-            "kernel_size": list(self.kernel_size),
-            "input_hw": list(self.input_hw),
-            "stride": self.stride,
-            "padding": self.padding,
-            "pool": self.pool,
-            "shard_block_bounds": [
-                list(b)
-                for b in _shard_block_bounds(
-                    [slots[0] for slots in self.shard_slots]
-                )
-            ],
-        }
-        entry.update(_matrix_storage_entry(self.shard_slots[0][0]))
-        return entry
-
-    def image_slots(self, shard_idx: int) -> list:
-        return [
-            (matrix, None) for matrix in self.shard_slots[shard_idx]
-        ]
-
-    def aux_payload(self) -> dict | None:
-        return None
+        return (outputs, *self._fan_out(engines, run_shard, executor))
 
     def __repr__(self) -> str:
         c_out, c_in = self.channels
@@ -611,34 +499,35 @@ class RecurrentStage(ServedStage):
     The paper's NMT stack is LSTM cells whose 8 component matrices (four
     gates x {input projection W, recurrent projection U}) are all PD; this
     stage drives all 8 through the engine per step.  Every gate matrix is
-    row-sharded over **hidden units** with one shared set of block bounds,
-    so shard ``K`` owns hidden rows ``[lo, hi)`` of every gate and
-    computes its slice of the whole cell update locally: gate
-    pre-activations from 8 engine batch calls, then the elementwise cell
-    math with exactly :meth:`~repro.nn.layers.recurrent.LSTMCell.step`'s
-    expressions (shared ``sigmoid``/``tanh``), writing the ``h`` and ``c``
-    row slices of the output.  Requests are ``[x | h_prev | c_prev]``
-    vectors and outputs ``[h | c]``, so a sequence is served by feeding
-    each step's output state back into the next request -- and an
-    encoder-decoder pair by feeding the encoder's final ``[h | c]`` into
-    the decoder stage's requests.
+    row-sharded over **hidden units**, so shard ``K`` owns hidden rows
+    ``[lo, hi)`` of every gate and computes its slice of the whole cell
+    update locally: gate pre-activations from 8 engine batch calls, then
+    the elementwise cell math with exactly
+    :meth:`~repro.nn.layers.recurrent.LSTMCell.step`'s expressions (shared
+    ``sigmoid``/``tanh``), writing the ``h`` and ``c`` row slices of the
+    output.  Requests are ``[x | h_prev | c_prev]`` vectors and outputs
+    ``[h | c]``, so a sequence is served by feeding each step's output
+    state back into the next request -- and an encoder-decoder pair by
+    feeding the encoder's final ``[h | c]`` into the decoder stage's
+    requests.
 
     Args:
         cell: the :class:`~repro.nn.layers.recurrent.LSTMCell` to serve
             (gate matrices must be PD; weights and biases stay aliased,
             so in-place training updates reach serving immediately).
         num_shards: engines this stage spreads over.
-        backend / value_dtype / fixed_point: optional kernel backend and
-            reduced-precision conversion for the 16 shard matrix families.
+        value_dtype / fixed_point: optional reduced-precision conversion
+            of the 8 gate matrices.
     """
 
     stage_kind = "recurrent"
+    geometry = ("input_size", "hidden_size")
+    num_slots = 2 * len(_GATES)
 
     def __init__(
         self,
         cell: LSTMCell,
         num_shards: int,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> None:
@@ -655,97 +544,54 @@ class RecurrentStage(ServedStage):
                     matrix = matrix.with_value_dtype(
                         value_dtype, fixed_point=fixed_point
                     )
-                    if backend is not None:
-                        matrix.set_backend(backend)
                 gate_matrices.append(matrix)
-        slot_shards = [
-            matrix.row_shards(num_shards) for matrix in gate_matrices
-        ]
-        shard_slots = [
-            [slot_shards[slot][shard] for slot in range(len(gate_matrices))]
-            for shard in range(num_shards)
-        ]
-        self._init_from(
-            shard_slots,
-            {gate: cell.biases[gate].value for gate in _GATES},
-            cell.input_size,
-            cell.hidden_size,
+        self._init_slots(
+            _shard_major(gate_matrices, num_shards),
+            biases={gate: cell.biases[gate].value for gate in _GATES},
+            input_size=cell.input_size,
+            hidden_size=cell.hidden_size,
         )
 
     @classmethod
-    def from_shard_slots(
-        cls,
-        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
-        biases: dict,
-        input_size: int,
-        hidden_size: int,
+    def from_manifest(
+        cls, entry: dict, shard_slots: list, directory, **params
     ) -> "RecurrentStage":
-        """Wrap already-sharded gate matrices (e.g. from a v3 bundle)."""
-        stage = cls.__new__(cls)
-        stage._init_from(
-            [list(slots) for slots in shard_slots],
-            dict(biases),
-            input_size,
-            hidden_size,
-        )
-        return stage
+        with np.load(Path(directory) / entry["aux_file"]) as aux:
+            params["biases"] = {gate: aux[f"bias_{gate}"] for gate in _GATES}
+        return super().from_manifest(entry, shard_slots, directory, **params)
 
-    def _init_from(self, shard_slots, biases, input_size, hidden_size):
-        if not shard_slots:
-            raise ValueError("a recurrent stage needs at least one shard")
-        for slots in shard_slots:
-            if len(slots) != 2 * len(_GATES):
-                raise ValueError(
-                    f"recurrent shard holds {len(slots)} matrices, "
-                    f"a cell has {2 * len(_GATES)}"
-                )
+    def _check_geometry(self) -> None:
+        self.input_size = int(self.input_size)
+        hidden = self.hidden_size = int(self.hidden_size)
+        for slots in self.shard_slots:
             rows = slots[0].shape[0]
             for slot, matrix in enumerate(slots):
-                expected_n = input_size if slot < len(_GATES) else hidden_size
+                expected_n = self.input_size if slot < len(_GATES) else hidden
                 if matrix.shape != (rows, expected_n):
                     raise ValueError(
                         f"gate slot {slot}: shape {matrix.shape} does not "
                         f"match ({rows}, {expected_n})"
                     )
-        covered = sum(slots[0].shape[0] for slots in shard_slots)
-        if covered != hidden_size:
+        if self.row_bounds[-1][1] != hidden:
             raise ValueError(
-                f"shards cover {covered} hidden rows, cell has {hidden_size}"
+                f"shards cover {self.row_bounds[-1][1]} hidden rows, cell "
+                f"has {hidden}"
             )
-        missing = set(_GATES) - set(biases)
+        missing = set(_GATES) - set(self.biases)
         if missing:
             raise ValueError(f"missing gate biases: {sorted(missing)}")
-        self.shard_slots = shard_slots
-        self.num_shards = len(shard_slots)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.in_features = input_size + 2 * hidden_size
-        self.out_features = 2 * hidden_size
-        self.activation = None  # the cell math *is* the nonlinearity
-        bounds = []
-        start = 0
-        for slots in shard_slots:
-            bounds.append((start, start + slots[0].shape[0]))
-            start += slots[0].shape[0]
-        self._row_bounds = bounds
-        self.biases = biases
-        compute_dtype = shard_slots[0][0].compute_dtype
+        self.in_features = self.input_size + 2 * hidden
+        self.out_features = 2 * hidden
         # Elementwise cell math runs in the engines' compute dtype; for
         # float64 keep the live (aliased) bias views so in-place updates
         # reach serving, like every other stage's weights.
-        if np.dtype(compute_dtype) == np.float64:
-            self._biases_c = biases
+        if np.dtype(self.compute_dtype) == np.float64:
+            self._biases_c = self.biases
         else:
             self._biases_c = {
-                gate: np.asarray(value, dtype=compute_dtype)
-                for gate, value in biases.items()
+                gate: np.asarray(value, dtype=self.compute_dtype)
+                for gate, value in self.biases.items()
             }
-
-    def check_capacity(self, engines: list[PermDNNEngine]) -> None:
-        """Verify every gate matrix of every shard fits its engine."""
-        for engine, slots in zip(engines, self.shard_slots):
-            for matrix in slots:
-                engine.check_capacity(matrix)
 
     def run_batch(
         self,
@@ -759,11 +605,11 @@ class RecurrentStage(ServedStage):
         hidden = self.hidden_size
         x = x_batch[:, : self.input_size]
         h_prev = x_batch[:, self.input_size : self.input_size + hidden]
-        c_prev = x_batch[:, self.input_size + hidden :]
-        compute_dtype = self.shard_slots[0][0].compute_dtype
-        c_prev_c = np.asarray(c_prev, dtype=compute_dtype)
+        c_prev = np.asarray(
+            x_batch[:, self.input_size + hidden :], dtype=self.compute_dtype
+        )
         outputs = np.zeros(
-            (x_batch.shape[0], 2 * hidden), dtype=compute_dtype
+            (x_batch.shape[0], 2 * hidden), dtype=self.compute_dtype
         )
 
         def run_shard(engine, slots, lo, hi):
@@ -790,48 +636,12 @@ class RecurrentStage(ServedStage):
             gate_f = sigmoid(pre["f"])
             gate_g = np.tanh(pre["g"])
             gate_o = sigmoid(pre["o"])
-            c = gate_f * c_prev_c[:, lo:hi] + gate_i * gate_g
+            c = gate_f * c_prev[:, lo:hi] + gate_i * gate_g
             outputs[:, lo:hi] = gate_o * np.tanh(c)
             outputs[:, hidden + lo : hidden + hi] = c
             return cycles, macs
 
-        tasks = [
-            (engine, slots, lo, hi)
-            for engine, slots, (lo, hi) in zip(
-                engines, self.shard_slots, self._row_bounds
-            )
-        ]
-        results = self._run_shard_tasks(
-            run_shard, tasks, executor, self.num_shards
-        )
-        shard_cycles = [cycles for cycles, _ in results]
-        shard_macs = [macs for _, macs in results]
-        return outputs, shard_cycles, shard_macs
-
-    # -- bundle serialization hooks ------------------------------------
-
-    def manifest_entry(self) -> dict:
-        entry = {
-            "stage_kind": self.stage_kind,
-            "slots": 2 * len(_GATES),
-            "shape": [self.hidden_size, self.input_size],
-            "activation": None,
-            "input_size": self.input_size,
-            "hidden_size": self.hidden_size,
-            "shard_block_bounds": [
-                list(b)
-                for b in _shard_block_bounds(
-                    [slots[0] for slots in self.shard_slots]
-                )
-            ],
-        }
-        entry.update(_matrix_storage_entry(self.shard_slots[0][0]))
-        return entry
-
-    def image_slots(self, shard_idx: int) -> list:
-        return [
-            (matrix, None) for matrix in self.shard_slots[shard_idx]
-        ]
+        return (outputs, *self._fan_out(engines, run_shard, executor))
 
     def aux_payload(self) -> dict | None:
         return {
@@ -1190,12 +1000,55 @@ class ModelServer:
         ``arrival_us`` defaults to the previous request's arrival (an
         all-at-once burst when never specified); arrivals are clamped to be
         non-decreasing so the queue stays ordered.
+
+        Raises:
+            InvalidRequestError: ``x`` is not a finite real vector of
+                ``in_features`` values; nothing is queued.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.in_features,):
+        return self._enqueue(self._checked_requests(x, ndim=1), arrival_us)
+
+    def submit_many(
+        self,
+        xs: np.ndarray,
+        arrivals_us: np.ndarray | None = None,
+    ) -> list[int]:
+        """Queue a batch of requests; returns their ids in order.
+
+        The batch is validated as a whole, before any row is queued (see
+        :meth:`submit`).
+        """
+        xs = self._checked_requests(xs, ndim=2)
+        if arrivals_us is None:
+            return [self._enqueue(x, None) for x in xs]
+        arrivals = np.asarray(arrivals_us, dtype=np.float64)
+        if arrivals.shape != (xs.shape[0],):
             raise ValueError(
-                f"expected input of shape ({self.in_features},), got {x.shape}"
+                f"arrivals_us shape {arrivals.shape} does not match "
+                f"batch of {xs.shape[0]}"
             )
+        return [self._enqueue(x, t) for x, t in zip(xs, arrivals)]
+
+    def _checked_requests(self, xs, ndim: int) -> np.ndarray:
+        """``xs`` as float64 with ``ndim`` axes and ``in_features`` columns.
+
+        Complex values are rejected before the cast (which would silently
+        drop the imaginary part), as are NaN and +-inf.
+        """
+        xs = np.asarray(xs)
+        if np.iscomplexobj(xs):
+            raise InvalidRequestError("requests must be real, got complex values")
+        xs = xs.astype(np.float64, copy=False)
+        if xs.ndim != ndim or xs.shape[-1] != self.in_features:
+            kind = "request" if ndim == 1 else "request batch"
+            raise InvalidRequestError(
+                f"expected input {kind} of width {self.in_features}, "
+                f"got shape {xs.shape}"
+            )
+        if not np.isfinite(xs).all():
+            raise InvalidRequestError("requests must be finite, got NaN or inf")
+        return xs
+
+    def _enqueue(self, x: np.ndarray, arrival_us: float | None) -> int:
         if arrival_us is None:
             arrival_us = self._last_arrival_us
         arrival_us = max(float(arrival_us), self._last_arrival_us)
@@ -1204,25 +1057,6 @@ class ModelServer:
         self._next_rid += 1
         self._pending.append(Request(rid, x, arrival_us))
         return rid
-
-    def submit_many(
-        self,
-        xs: np.ndarray,
-        arrivals_us: np.ndarray | None = None,
-    ) -> list[int]:
-        """Queue a batch of requests; returns their ids in order."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ValueError(f"expected inputs of shape (B, n), got {xs.shape}")
-        if arrivals_us is None:
-            return [self.submit(x) for x in xs]
-        arrivals = np.asarray(arrivals_us, dtype=np.float64)
-        if arrivals.shape != (xs.shape[0],):
-            raise ValueError(
-                f"arrivals_us shape {arrivals.shape} does not match "
-                f"batch of {xs.shape[0]}"
-            )
-        return [self.submit(x, t) for x, t in zip(xs, arrivals)]
 
     def drain(self) -> ServeReport:
         """Serve every pending request and return the drain report.

@@ -1,10 +1,9 @@
-"""Tests for SRAM/FIFO models, performance reports and workloads."""
+"""Tests for SRAM models, performance reports and workloads."""
 
 import numpy as np
 import pytest
 
 from repro.hw import TABLE_VII_WORKLOADS, Workload, make_workload_instance
-from repro.hw.fifo import FIFO
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
 from repro.hw.sram import SRAMBank
 
@@ -35,38 +34,6 @@ class TestSRAMBank:
     def test_invalid_word_bits(self):
         with pytest.raises(ValueError):
             SRAMBank("w", 1, 32, 4).capacity_words(0)
-
-
-class TestFIFO:
-    def test_push_pop_order(self):
-        fifo = FIFO(4)
-        for item in (1, 2, 3):
-            assert fifo.push(item)
-        assert fifo.pop() == 1
-        assert fifo.pop() == 2
-
-    def test_full_push_stalls(self):
-        fifo = FIFO(2)
-        fifo.push(1)
-        fifo.push(2)
-        assert not fifo.push(3)
-        assert fifo.push_stalls == 1
-
-    def test_empty_pop_stalls(self):
-        fifo = FIFO(2)
-        assert fifo.pop() is None
-        assert fifo.pop_stalls == 1
-
-    def test_peak_occupancy(self):
-        fifo = FIFO(8)
-        for item in range(5):
-            fifo.push(item)
-        fifo.pop()
-        assert fifo.peak_occupancy == 5
-
-    def test_rejects_bad_depth(self):
-        with pytest.raises(ValueError):
-            FIFO(0)
 
 
 class TestPerformanceReport:

@@ -9,10 +9,26 @@ import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.serve import (
     ModelServer,
+    ShardedLayer,
     export_model_bundle,
-    export_sharded_bundle,
-    load_sharded_bundle,
+    export_staged_bundle,
+    load_staged_bundle,
 )
+
+
+def _export_fc_stack(directory, layers, num_shards):
+    export_staged_bundle(
+        directory, [ShardedLayer(m, a, num_shards) for m, a in layers]
+    )
+
+
+def _load_fc_stack(directory):
+    stages, manifest = load_staged_bundle(directory)
+    layers = [
+        ([shard for (shard,) in stage.shard_slots], stage.activation)
+        for stage in stages
+    ]
+    return layers, manifest
 
 
 def _stack(seed=0):
@@ -31,7 +47,7 @@ class TestBundleRoundTrip:
         ref.submit_many(xs)
         reference = ref.drain()
 
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export_fc_stack(tmp_path, layers, num_shards=2)
         server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
         assert server.num_shards == 2
         server.submit_many(xs)
@@ -45,7 +61,7 @@ class TestBundleRoundTrip:
         """The cold-start property: booting a sharded server from a bundle
         performs no index arithmetic at all."""
         layers = _stack()
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export_fc_stack(tmp_path, layers, num_shards=2)
 
         def boom(*args, **kwargs):
             raise AssertionError("bundle load rebuilt an index plan")
@@ -56,8 +72,8 @@ class TestBundleRoundTrip:
         assert server.drain().num_requests == 3
 
     def test_manifest_describes_the_model(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
-        layers, manifest = load_sharded_bundle(tmp_path)
+        _export_fc_stack(tmp_path, _stack(), num_shards=2)
+        layers, manifest = _load_fc_stack(tmp_path)
         assert manifest["num_shards"] == 2 and manifest["num_layers"] == 2
         assert [spec["shape"] for spec in manifest["layers"]] == [
             [64, 48], [30, 64],
@@ -84,29 +100,38 @@ class TestBundleRoundTrip:
 class TestBundleValidation:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest"):
-            load_sharded_bundle(tmp_path)
+            _load_fc_stack(tmp_path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
+        _export_fc_stack(tmp_path, _stack(), num_shards=2)
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["bundle_version"] = 999
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="version"):
-            load_sharded_bundle(tmp_path)
+            _load_fc_stack(tmp_path)
 
     def test_shape_tampering_rejected(self, tmp_path):
-        export_sharded_bundle(tmp_path, _stack(), num_shards=2)
+        _export_fc_stack(tmp_path, _stack(), num_shards=2)
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["layers"][0]["shape"] = [63, 48]
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="does not match"):
-            load_sharded_bundle(tmp_path)
+            _load_fc_stack(tmp_path)
+
+    def test_truncated_block_bounds_rejected(self, tmp_path):
+        _export_fc_stack(tmp_path, _stack(), num_shards=2)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["layers"][1]["shard_block_bounds"][-1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="does not match its manifest"):
+            _load_fc_stack(tmp_path)
 
     def test_empty_stack_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            export_sharded_bundle(tmp_path, [], num_shards=2)
+            _export_fc_stack(tmp_path, [], num_shards=2)
 
     def test_unservable_model_rejected(self, tmp_path):
         from repro.models import build_alexnet_fc
@@ -124,7 +149,7 @@ class TestBundleSanitizer:
         from repro.debug import sanitize
 
         layers = _stack()
-        export_sharded_bundle(tmp_path, layers, num_shards=2)
+        _export_fc_stack(tmp_path, layers, num_shards=2)
         xs = np.random.default_rng(2).normal(size=(4, 48))
         with sanitize() as s:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=4)

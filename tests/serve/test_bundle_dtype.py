@@ -7,8 +7,23 @@ import pytest
 
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.nn.quantization import FixedPointFormat
-from repro.serve.bundle import export_sharded_bundle, load_sharded_bundle
-from repro.serve.server import ModelServer
+from repro.serve.bundle import export_staged_bundle, load_staged_bundle
+from repro.serve.server import ModelServer, ShardedLayer
+
+
+def _export_fc_stack(directory, layers, num_shards):
+    export_staged_bundle(
+        directory, [ShardedLayer(m, a, num_shards) for m, a in layers]
+    )
+
+
+def _load_fc_stack(directory):
+    stages, manifest = load_staged_bundle(directory)
+    layers = [
+        ([shard for (shard,) in stage.shard_slots], stage.activation)
+        for stage in stages
+    ]
+    return layers, manifest
 
 
 def _layers():
@@ -33,8 +48,8 @@ def _layers():
 
 
 def test_bundle_round_trip_preserves_value_dtypes(tmp_path):
-    export_sharded_bundle(tmp_path, _layers(), num_shards=4)
-    layers, manifest = load_sharded_bundle(tmp_path)
+    _export_fc_stack(tmp_path, _layers(), num_shards=4)
+    layers, manifest = _load_fc_stack(tmp_path)
     assert manifest["layers"][0]["value_dtype"] == "float32"
     assert manifest["layers"][0]["fixed_point"] is None
     assert manifest["layers"][1]["value_dtype"] == "int16"
@@ -48,7 +63,7 @@ def test_bundle_round_trip_preserves_value_dtypes(tmp_path):
 
 def test_bundle_server_matches_direct_chain(tmp_path):
     layers = _layers()
-    export_sharded_bundle(tmp_path, layers, num_shards=4)
+    _export_fc_stack(tmp_path, layers, num_shards=4)
     server = ModelServer.from_bundle(tmp_path, enforce_capacity=False)
     x = np.random.default_rng(0).normal(size=(5, 48))
     server.submit_many(x)
@@ -59,21 +74,21 @@ def test_bundle_server_matches_direct_chain(tmp_path):
 
 
 def test_manifest_dtype_mismatch_fails_loudly(tmp_path):
-    export_sharded_bundle(tmp_path, _layers(), num_shards=2)
+    _export_fc_stack(tmp_path, _layers(), num_shards=2)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["layers"][0]["value_dtype"] = "int16"
     manifest["layers"][0]["fixed_point"] = [16, 12]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="does not match"):
-        load_sharded_bundle(tmp_path)
+        _load_fc_stack(tmp_path)
 
 
 def test_v1_manifest_loads_float64_layers(tmp_path):
     float_layers = [
         (BlockPermutedDiagonalMatrix.random((32, 32), 8, rng=5), "relu")
     ]
-    export_sharded_bundle(tmp_path, float_layers, num_shards=2)
+    _export_fc_stack(tmp_path, float_layers, num_shards=2)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["bundle_version"] = 1
@@ -81,6 +96,6 @@ def test_v1_manifest_loads_float64_layers(tmp_path):
         del spec["value_dtype"]
         del spec["fixed_point"]
     manifest_path.write_text(json.dumps(manifest))
-    layers, loaded_manifest = load_sharded_bundle(tmp_path)
+    layers, loaded_manifest = _load_fc_stack(tmp_path)
     assert int(loaded_manifest["bundle_version"]) == 1
     assert all(shard.value_dtype == "float64" for shard in layers[0][0])

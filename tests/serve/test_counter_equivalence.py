@@ -1,0 +1,167 @@
+"""Equivalent execution paths report identical cycle and MAC counters.
+
+Outputs are cross-checked elsewhere; this module pins the counters.
+Every pair below claims the same engine work, so it must count the same
+cycles and MACs at every value dtype and on padded shapes (``p`` does
+not divide the layer dimensions):
+
+- ``run_conv_layer`` is the one-engine, B=1 case of ``LoweredConvStage``,
+  paying one pipeline fill per offset product;
+- a recurrent step costs exactly its 8 per-gate engine batch calls;
+- a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by layer;
+- row sharding redistributes MACs without creating or losing any.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
+from repro.hw import PermDNNEngine
+from repro.hw.conv_lowering import offset_matrices, run_conv_layer
+from repro.nn.layers.recurrent import LSTMCell
+from repro.serve import (
+    LoweredConvStage,
+    ModelServer,
+    RecurrentStage,
+    ShardedLayer,
+)
+
+VALUE_DTYPES = ["float64", "float32", "int16"]
+
+
+def _sparse(shape, seed, density=0.6):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    x[rng.random(size=shape) > density] = 0.0
+    return x
+
+
+def _fc_layers(value_dtype):
+    """A padded FC stack: no dimension is a multiple of its ``p``."""
+    shapes = [
+        ((100, 68), 8, "relu"),
+        ((30, 100), 8, "tanh"),
+        ((13, 30), 3, None),
+    ]
+    layers = []
+    for seed, (shape, p, activation) in enumerate(shapes):
+        matrix = BlockPermutedDiagonalMatrix.random(shape, p, rng=seed)
+        layers.append((matrix.with_value_dtype(value_dtype), activation))
+    return layers
+
+
+def _conv_tensor():
+    return BlockPermDiagTensor4D.random(13, 7, (3, 3), p=3, rng=0)
+
+
+def _cell():
+    return LSTMCell(10, 20, p=3, rng=0)
+
+
+def _stage(kind, num_shards, value_dtype):
+    if kind == "fc":
+        matrix, activation = _fc_layers(value_dtype)[0]
+        return ShardedLayer(matrix, activation, num_shards)
+    if kind == "conv":
+        return LoweredConvStage(
+            _conv_tensor(), "relu", num_shards, input_hw=(9, 9), padding=1,
+            value_dtype=value_dtype,
+        )
+    return RecurrentStage(_cell(), num_shards, value_dtype=value_dtype)
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_run_conv_layer_is_the_one_shard_stage(value_dtype, stride, padding):
+    tensor = _conv_tensor()
+    x = _sparse((7, 9, 9), seed=1)
+    result = run_conv_layer(
+        PermDNNEngine(), tensor, x, stride=stride, padding=padding,
+        value_dtype=value_dtype,
+    )
+    stage = LoweredConvStage(
+        tensor, None, 1, input_hw=(9, 9), stride=stride, padding=padding,
+        value_dtype=value_dtype,
+    )
+    out, cycles, macs = stage.run_batch([PermDNNEngine()], x.reshape(1, -1))
+    assert out.dtype == result.output.dtype
+    np.testing.assert_array_equal(out[0], result.output.reshape(-1))
+    assert cycles == [result.cycles]
+    assert macs == [result.macs]
+
+    # One fill per offset product, plus every lowered mat-vec's compute
+    # and writeback cycles.
+    engine = PermDNNEngine()
+    kh, kw = tensor.kernel_size
+    padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    oh, ow = stage.conv_hw
+    expected_cycles = kh * kw * engine.config.pipeline_stages
+    expected_macs = 0
+    matrices = offset_matrices(tensor, value_dtype=value_dtype)
+    for offset, matrix in enumerate(matrices):
+        dy, dx = divmod(offset, kw)
+        for oy in range(oh):
+            for ox in range(ow):
+                column = padded[:, oy * stride + dy, ox * stride + dx]
+                single = engine.run_fc_layer(matrix, column)
+                expected_cycles += single.compute_cycles
+                expected_cycles += single.writeback_cycles
+                expected_macs += single.macs
+    assert result.cycles == expected_cycles
+    assert result.macs == expected_macs
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+def test_recurrent_step_counts_its_gate_products(value_dtype):
+    cell = _cell()
+    stage = RecurrentStage(cell, 1, value_dtype=value_dtype)
+    xs = _sparse((5, 10 + 2 * 20), seed=2)
+    engine = PermDNNEngine()
+    _, cycles, macs = stage.run_batch([engine], xs)
+
+    reference = PermDNNEngine()
+    ref_cycles = ref_macs = 0
+    for ops, inputs in ((cell.w_ops, xs[:, :10]), (cell.u_ops, xs[:, 10:30])):
+        for gate in ("i", "f", "g", "o"):
+            matrix = ops[gate].matrix.with_value_dtype(value_dtype)
+            _, gate_cycles, gate_macs = reference.run_fc_batch_detailed(
+                matrix, inputs
+            )
+            ref_cycles += gate_cycles
+            ref_macs += gate_macs
+    assert cycles == [ref_cycles]
+    assert macs == [ref_macs]
+    for name in ("weight_sram", "perm_sram", "act_sram"):
+        got = getattr(engine, name).stats
+        want = getattr(reference, name).stats
+        assert (got.reads, got.writes) == (want.reads, want.writes), name
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+def test_one_shard_server_matches_run_network(value_dtype):
+    layers = _fc_layers(value_dtype)
+    x = _sparse(68, seed=3)
+    output, results = PermDNNEngine().run_network(layers, x)
+    server = ModelServer(layers, num_shards=1, max_batch_size=1)
+    server.submit(x)
+    report = server.drain()
+    np.testing.assert_array_equal(report.outputs[0], output)
+    assert report.layer_cycles == [result.cycles for result in results]
+    assert [row[0].macs for row in report.layer_stats] == [
+        result.macs for result in results
+    ]
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+@pytest.mark.parametrize("kind", ["fc", "conv", "recurrent"])
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_sharding_preserves_total_macs(kind, num_shards, value_dtype):
+    single = _stage(kind, 1, value_dtype)
+    sharded = _stage(kind, num_shards, value_dtype)
+    xs = _sparse((6, single.in_features), seed=4)
+    _, _, macs = single.run_batch([PermDNNEngine()], xs)
+    _, _, shard_macs = sharded.run_batch(
+        [PermDNNEngine() for _ in range(num_shards)], xs
+    )
+    assert len(shard_macs) == num_shards
+    assert sum(shard_macs) == sum(macs)

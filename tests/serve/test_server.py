@@ -162,6 +162,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="expected input"):
             server.submit(np.zeros(47))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 2.0j])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_or_complex_request_rejected(self, bad, batched):
+        from repro.serve import InvalidRequestError
+
+        server = ModelServer(_stack(), num_shards=2)
+        xs = _requests(3, 48).astype(np.result_type(bad, np.float64))
+        xs[1, 5] = bad
+        with pytest.raises(InvalidRequestError):
+            if batched:
+                server.submit_many(xs)
+            else:
+                server.submit(xs[1])
+        # Nothing of the rejected batch was queued.
+        assert server.drain().num_requests == 0
+
     def test_arrivals_clamped_non_decreasing(self):
         server = ModelServer(_stack(), num_shards=2)
         xs = _requests(2, 48)
@@ -204,9 +220,9 @@ class TestValidation:
         a = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
         b = BlockPermutedDiagonalMatrix.random((8, 6), 2, rng=0)
         with pytest.raises(ValueError, match="input widths"):
-            ShardedLayer.from_shards([a, b], None)
+            ShardedLayer.from_shard_slots([[a], [b]], None)
         with pytest.raises(ValueError, match="at least one shard"):
-            ShardedLayer.from_shards([], None)
+            ShardedLayer.from_shard_slots([], None)
 
 
 class TestAliasingContract:
@@ -225,7 +241,7 @@ class TestAliasingContract:
             ]
             assert len(pd_layers) == len(server.layers)
             for module, sharded in zip(pd_layers, server.layers):
-                for shard in sharded.shards:
+                for (shard,) in sharded.shard_slots:
                     assert np.shares_memory(shard.data, module.weight.value)
             expected_checks = sum(l.num_shards for l in server.layers)
             assert s.stats.shard_checks == expected_checks

@@ -38,7 +38,6 @@ from repro.serve import (
     ServedStage,
     ShardedLayer,
     export_model_bundle,
-    load_sharded_bundle,
     load_staged_bundle,
 )
 
@@ -350,7 +349,10 @@ class TestStagedBundles:
         mod._IndexPlan.__init__ = boom
         try:
             stages, loaded = load_staged_bundle(tmp_path)
-            layers, _ = load_sharded_bundle(tmp_path)
+            layers = [
+                (stage.shard_slots, stage.activation)
+                for stage in load_staged_bundle(tmp_path)[0]
+            ]
         finally:
             mod._IndexPlan.__init__ = orig
         assert all(isinstance(stage, ShardedLayer) for stage in stages)
@@ -359,12 +361,6 @@ class TestStagedBundles:
         xs = _requests(3, 24)
         served = _drain(ModelServer(stages, max_batch_size=4), xs)
         np.testing.assert_allclose(served, model.forward(xs), atol=1e-10)
-
-    def test_fc_only_loader_rejects_staged_bundles(self, tmp_path):
-        model, (h, w) = _conv_model()
-        export_model_bundle(tmp_path, model, num_shards=2, input_hw=(h, w))
-        with pytest.raises(ValueError, match="load_staged_bundle"):
-            load_sharded_bundle(tmp_path)
 
     def test_unknown_stage_kind_rejected(self, tmp_path):
         model, (h, w) = _conv_model()
