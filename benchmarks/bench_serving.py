@@ -3,9 +3,10 @@
 Runs the AlexNet-FC serving workload (FC6 -> FC7 -> FC8 at Table II block
 sizes, inputs at Alex-FC6's Table VII activation density) through
 ``repro.serve.ModelServer`` at several shard counts and compares simulated
-requests/sec and latency against the natural single-engine loop
-(``PermDNNEngine.run_fc_batch`` layer by layer).  Outputs must match the
-baseline **bit for bit** at every shard count.
+requests/sec and latency against the natural single-engine loop: the
+whole request set served as one batch on one shard, which is
+``PermDNNEngine.run_fc_batch`` layer by layer.  Outputs must match that
+reference **bit for bit** at every shard count.
 
 The tracked acceptance point is the 4-shard row: ``speedup >= 2.0`` on the
 full-scale stack (the script exits non-zero below that bar, or on any
@@ -16,8 +17,8 @@ bursty / diurnal arrival streams drive the 4-shard stack across offered
 loads, reporting p50/p90/p99 latency vs offered load, the max sustainable
 QPS under a p99 SLO (knee found by bisection), and graceful degradation
 under 2x-knee overload with a bounded queue (reject-newest shedding).
-Exit is non-zero on any admitted-output mismatch vs the single-engine
-baseline, a missing knee, or an SLO miss under shedding.  Methodology in
+Exit is non-zero on any admitted-output mismatch vs the 1-shard
+reference, a missing knee, or an SLO miss under shedding.  Methodology in
 ``docs/BENCHMARKS.md``.
 
 Usage::
@@ -44,6 +45,11 @@ real wall-clock per drain and the bit-exactness check.  Simulated
 metrics are thread-count independent by construction (shard outputs are
 stitched in shard order), so only wall time moves -- and only on hosts
 with more than one CPU.
+
+Every mode prints one table (``repro.serve.format_records``) with a row
+per measured stream, reference streams included, and writes it to
+``benchmarks/results/``; ``--smoke`` and non-float64 ``--dtype`` runs
+get their own file names (e.g. ``bench_serving_smoke_float32.txt``).
 """
 
 from __future__ import annotations
@@ -53,14 +59,13 @@ import os
 import sys
 import time
 
-from _common import emit, format_table
+from _common import emit
 from repro.serve import (
-    format_mixed_report,
-    format_open_loop_report,
-    format_workload_matrix,
+    format_records,
+    mixed_heading,
+    record_failures,
     run_mixed_traffic,
     run_open_loop_sweep,
-    run_serving_sweep,
     run_workload_matrix,
 )
 
@@ -72,6 +77,30 @@ ACCEPTANCE_SHARDS = 4
 ACCEPTANCE_SPEEDUP = 2.0
 
 OPEN_LOOP_ARRIVALS = ("poisson", "bursty", "diurnal")
+
+# The mixed run offers this fraction of the slower class's capacity.
+MIXED_LOAD = 0.8
+
+
+def artifact(name: str, args) -> str:
+    """Result file name: smoke runs and non-float64 storage get their own.
+
+    A CI canary never clobbers the committed full-scale reference table,
+    and a reduced-precision run never clobbers the float64 one.
+    """
+    if args.smoke:
+        name += "_smoke"
+    if args.dtype != "float64":
+        name += f"_{args.dtype}"
+    return name
+
+
+def finish(name: str, args, text: str, failures: list[str]) -> int:
+    """Emit the result table, report failures, and pick the exit code."""
+    emit(artifact(name, args), text)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def run_open_loop(args) -> int:
@@ -85,28 +114,28 @@ def run_open_loop(args) -> int:
         args.requests if args.requests is not None else (16 if smoke else 256)
     )
     start = time.perf_counter()
-    report = run_open_loop_sweep(
+    study = run_open_loop_sweep(
         arrivals=OPEN_LOOP_ARRIVALS,
         load_fractions=(0.5, 1.0) if smoke else (0.5, 0.8, 1.0, 1.3),
         num_requests=requests,
-        num_shards=ACCEPTANCE_SHARDS,
+        num_shards=args.shards[-1] if args.shards else ACCEPTANCE_SHARDS,
         scale=scale,
         seed=args.seed,
         slo_us=args.slo_us,
         max_batch_size=args.max_batch,
         flush_deadline_us=args.deadline_us,
         knee_iters=5 if smoke else 8,
+        num_threads=args.threads[-1] if args.threads else None,
+        value_dtype=args.dtype,
     )
     wall = time.perf_counter() - start
-    text = format_open_loop_report(report) + f"\n\n(wall time {wall:.1f}s)"
-    emit(
-        "bench_serving_openloop_smoke" if smoke else "bench_serving_openloop",
-        text,
+    text = (
+        f"open-loop serving, AlexNet-FC stack (scale 1/{scale}), "
+        f"deadline {args.deadline_us:.0f} us, seed {args.seed}\n"
+        + format_records(study.records, study)
+        + f"\n\n(wall time {wall:.1f}s)"
     )
-    failures = report.failures()
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return finish("bench_serving_openloop", args, text, study.failures())
 
 
 def run_workloads(args) -> int:
@@ -115,62 +144,113 @@ def run_workloads(args) -> int:
     Every named workload (AlexNet-FC, LeNet-style conv, ResNet-20-style
     conv, NMT LSTM cell) runs sharded and multi-threaded against its
     unsharded sequential reference, bit-exactness required, followed by
-    a mixed vision+translation run: one open-loop arrival stream (PR 7
-    generators) split between a LeNet server and an NMT server.
+    a mixed vision+translation run: one open-loop arrival stream split
+    between a LeNet server and an NMT server.
     """
-    smoke = args.smoke
     scale = args.scale if args.scale is not None else 8
     # Default to a multiple of the batch limit: a trailing partial batch
     # would wait out the deadline flush and the matrix would measure the
     # deadline, not the engines.
     requests = (
-        args.requests if args.requests is not None else (8 if smoke else 32)
+        args.requests if args.requests is not None
+        else (8 if args.smoke else 32)
     )
+    shard_counts = tuple(args.shards) if args.shards else (ACCEPTANCE_SHARDS,)
     thread_counts = tuple(args.threads) if args.threads else (
-        (2,) if smoke else (1, 2)
+        (2,) if args.smoke else (1, 2)
     )
-    start = time.perf_counter()
-    sections = []
-    failures = []
-    for threads in thread_counts:
-        rows = run_workload_matrix(
-            num_shards=ACCEPTANCE_SHARDS,
-            num_requests=requests,
-            max_batch_size=args.max_batch,
-            flush_deadline_us=args.deadline_us,
-            scale=scale,
-            seed=args.seed,
-            num_threads=threads,
-            value_dtype=args.dtype if args.dtype != "float64" else None,
-        )
-        sections.append(format_workload_matrix(rows))
-        failures.extend(
-            f"{row.workload} @ {row.num_threads} threads: outputs diverge "
-            "from the unsharded reference"
-            for row in rows
-            if not row.outputs_match
-        )
-    mixed = run_mixed_traffic(
-        process="bursty",
-        load=0.8,
+    common = dict(
         num_requests=requests,
-        num_shards=ACCEPTANCE_SHARDS,
-        num_threads=thread_counts[-1],
-        seed=args.seed,
         max_batch_size=args.max_batch,
         flush_deadline_us=args.deadline_us,
+        seed=args.seed,
+        value_dtype=args.dtype,
     )
-    sections.append(format_mixed_report(mixed))
-    failures.extend(mixed.failures())
+    start = time.perf_counter()
+    matrix = run_workload_matrix(
+        shard_counts=shard_counts,
+        thread_counts=thread_counts,
+        scale=scale,
+        **common,
+    )
+    mixed = run_mixed_traffic(
+        process="bursty",
+        load=MIXED_LOAD,
+        num_shards=shard_counts[-1],
+        num_threads=thread_counts[-1],
+        **common,
+    )
     wall = time.perf_counter() - start
-    text = "\n\n".join(sections) + f"\n\n(wall time {wall:.1f}s)"
-    emit(
-        "bench_serving_workloads_smoke" if smoke else "bench_serving_workloads",
-        text,
+    text = (
+        f"workload matrix (AlexNet-FC scale 1/{scale}), deadline "
+        f"{args.deadline_us:.0f} us, seed {args.seed}\n"
+        + format_records(matrix)
+        + f"\n\n{mixed_heading(mixed, MIXED_LOAD)}\n"
+        + format_records(mixed)
+        + f"\n\n(wall time {wall:.1f}s)"
     )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return finish(
+        "bench_serving_workloads", args, text, record_failures(matrix + mixed)
+    )
+
+
+def run_shard_sweep(args) -> int:
+    """The default path: AlexNet-FC shard sweep plus thread comparison."""
+    scale = args.scale if args.scale is not None else (8 if args.smoke else 1)
+    requests = (
+        args.requests if args.requests is not None
+        else (8 if args.smoke else 32)
+    )
+    shard_counts = tuple(args.shards) if args.shards else (
+        SMOKE_SHARDS if args.smoke else FULL_SHARDS
+    )
+    # Both tables are measured against the whole request set served as
+    # one batch on 1 shard: the single-engine run_fc_batch loop.
+    sweep = dict(
+        workloads=("alexnet-fc",),
+        num_requests=requests,
+        max_batch_size=args.max_batch,
+        flush_deadline_us=args.deadline_us,
+        scale=scale,
+        seed=args.seed,
+        value_dtype=args.dtype,
+        reference_batch_size=requests,
+    )
+    start = time.perf_counter()
+    shards = run_workload_matrix(shard_counts=shard_counts, **sweep)
+    wall = time.perf_counter() - start
+    # Host-time thread comparison: the same drain at the acceptance
+    # shard count across executor thread counts.  Simulated columns do
+    # not move; only real wall time can.
+    threads = run_workload_matrix(
+        shard_counts=(ACCEPTANCE_SHARDS,),
+        thread_counts=tuple(args.threads) if args.threads else (1, 2, 4),
+        **sweep,
+    )
+    failures = record_failures(shards + threads) + [
+        f"{record.num_shards}-shard speedup {record.speedup:.2f}x below "
+        f"the {ACCEPTANCE_SPEEDUP:.1f}x acceptance bar"
+        for record in shards
+        if record.num_shards == ACCEPTANCE_SHARDS
+        and record.speedup < ACCEPTANCE_SPEEDUP
+    ]
+    host_cpus = os.cpu_count() or 1
+    text = (
+        f"AlexNet-FC serving, scale 1/{scale}, deadline "
+        f"{args.deadline_us:.0f} us, seed {args.seed}; reference: the "
+        f"whole request set as one batch on 1 shard (run_fc_batch)\n"
+        + format_records(shards)
+        + f"\n\n(sweep wall time {wall:.1f}s)\n\n"
+        f"host-time thread comparison ({ACCEPTANCE_SHARDS} shards, "
+        f"{host_cpus}-CPU host):\n"
+        + format_records(threads)
+    )
+    if host_cpus == 1:
+        text += (
+            "\n(single-CPU host: thread counts cannot change wall time "
+            "here; the comparison pins determinism and overhead)"
+        )
+    return finish("bench_serving", args, text, failures)
 
 
 def main() -> int:
@@ -178,7 +258,8 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small scale + few requests for CI")
     parser.add_argument("--shards", type=int, action="append", default=None,
-                        help="shard count to measure (repeatable)")
+                        help="shard count to measure (repeatable; "
+                             "--open-loop and the mixed run use the last)")
     parser.add_argument("--requests", type=int, default=None)
     parser.add_argument("--scale", type=int, default=None,
                         help="divide the AlexNet-FC widths by this factor")
@@ -190,8 +271,10 @@ def main() -> int:
                         help="value-storage mode served "
                              "(quantize-at-export)")
     parser.add_argument("--threads", type=int, action="append", default=None,
-                        help="thread count for the host-time comparison "
-                             "(repeatable; default 1/2/4)")
+                        help="executor thread count (repeatable; default "
+                             "1/2/4 for the host-time comparison, 1/2 for "
+                             "--workloads; --open-loop and the mixed run "
+                             "use the last)")
     parser.add_argument("--open-loop", action="store_true",
                         help="tail-latency study under open-loop arrivals "
                              "(Poisson/bursty/diurnal) instead of the "
@@ -209,118 +292,7 @@ def main() -> int:
         return run_open_loop(args)
     if args.workloads:
         return run_workloads(args)
-
-    scale = args.scale if args.scale is not None else (8 if args.smoke else 1)
-    requests = (
-        args.requests if args.requests is not None else (8 if args.smoke else 32)
-    )
-    shard_counts = tuple(args.shards) if args.shards else (
-        SMOKE_SHARDS if args.smoke else FULL_SHARDS
-    )
-    # Throughput is measured under an all-at-once burst; cap the batch
-    # limit at the request count so partial batches don't sit out the
-    # deadline flush (which would measure the deadline, not the engines).
-    max_batch = min(args.max_batch, requests)
-
-    start = time.perf_counter()
-    # One sweep call: the workload and the single-engine baseline are
-    # built once and shared across every shard count.
-    reports = run_serving_sweep(
-        shard_counts,
-        num_requests=requests,
-        max_batch_size=max_batch,
-        flush_deadline_us=args.deadline_us,
-        scale=scale,
-        seed=args.seed,
-        value_dtype=args.dtype,
-    )
-    wall = time.perf_counter() - start
-
-    rows = []
-    failures = []
-    for report in reports:
-        rows.append((
-            report.num_shards,
-            f"{report.sharded_rps:,.0f}",
-            f"{report.speedup:.2f}x",
-            f"{report.p50_latency_us:.1f}",
-            f"{report.p99_latency_us:.1f}",
-            "yes" if report.outputs_match else "NO",
-        ))
-        if not report.outputs_match:
-            failures.append(
-                f"{report.num_shards}-shard outputs diverge from baseline"
-            )
-        if (
-            report.num_shards == ACCEPTANCE_SHARDS
-            and report.speedup < ACCEPTANCE_SPEEDUP
-        ):
-            failures.append(
-                f"{report.num_shards}-shard speedup {report.speedup:.2f}x "
-                f"below the {ACCEPTANCE_SPEEDUP:.1f}x acceptance bar"
-            )
-
-    header = (
-        f"AlexNet-FC serving, scale 1/{scale}, {requests} requests, "
-        f"max batch {reports[0].max_batch_size}, "
-        f"deadline {args.deadline_us:.0f} us, "
-        f"{args.dtype} value storage\n"
-        f"baseline (1 engine, run_fc_batch): "
-        f"{reports[0].baseline_rps:,.0f} req/s\n\n"
-    )
-    table = format_table(
-        ["shards", "req/s", "speedup", "p50_us", "p99_us", "bit-exact"],
-        rows,
-    )
-    table += f"\n\n(sweep wall time {wall:.1f}s)"
-
-    # Host-time thread comparison: the same drain at the acceptance shard
-    # count, across executor thread counts.  Simulated rows above do not
-    # move; only real wall time can.
-    thread_counts = tuple(args.threads) if args.threads else (1, 2, 4)
-    thread_rows = []
-    for threads in thread_counts:
-        [rep] = run_serving_sweep(
-            (ACCEPTANCE_SHARDS,),
-            num_requests=requests,
-            max_batch_size=max_batch,
-            flush_deadline_us=args.deadline_us,
-            scale=scale,
-            seed=args.seed,
-            num_threads=threads,
-            value_dtype=args.dtype,
-        )
-        thread_rows.append((
-            rep.num_threads,
-            f"{rep.host_wall_s * 1e3:.1f}",
-            f"{rep.sharded_rps:,.0f}",
-            "yes" if rep.outputs_match else "NO",
-        ))
-        if not rep.outputs_match:
-            failures.append(
-                f"{rep.num_threads}-thread outputs diverge from baseline"
-            )
-    host_cpus = os.cpu_count() or 1
-    table += (
-        f"\n\nhost-time thread comparison "
-        f"({ACCEPTANCE_SHARDS} shards, {host_cpus}-CPU host):\n"
-        + format_table(
-            ["threads", "drain_wall_ms", "sim_req/s", "bit-exact"],
-            thread_rows,
-        )
-    )
-    if host_cpus == 1:
-        table += (
-            "\n(single-CPU host: thread counts cannot change wall time "
-            "here; the comparison pins determinism and overhead)"
-        )
-    # Smoke runs get their own artifact so a CI canary never clobbers the
-    # committed full-scale reference table.
-    emit("bench_serving_smoke" if args.smoke else "bench_serving",
-         header + table)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return run_shard_sweep(args)
 
 
 if __name__ == "__main__":

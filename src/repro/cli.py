@@ -9,7 +9,7 @@ Usage (module form):
     python -m repro.cli memory      --sram-mb 16
     python -m repro.cli serve-bench --shards 4 [--requests 32] [--scale 1]
     python -m repro.cli serve-bench --arrivals poisson [--slo-us 150] [--load 0.8]
-    python -m repro.cli serve-bench --workload lenet|resnet20|nmt|all
+    python -m repro.cli serve-bench --workload lenet|resnet20|nmt|all [--arrivals poisson]
     python -m repro.cli serve-bench --mixed [--arrivals bursty] [--load 0.8]
     python -m repro.cli compress     --entry lenet --out runs/compress
     python -m repro.cli compress-zoo --out runs/compress_zoo [--entry nmt]
@@ -144,33 +144,12 @@ def _cmd_memory(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from repro.serve import format_report, run_serving_benchmark
-
-    if args.mixed:
-        return _cmd_serve_bench_mixed(args)
-    if args.workload != "alexnet-fc":
-        return _cmd_serve_bench_workloads(args)
-    if args.arrivals:
-        return _cmd_serve_bench_open_loop(args)
-    report = run_serving_benchmark(
-        num_shards=args.shards,
-        num_requests=args.requests,
-        max_batch_size=args.max_batch,
-        flush_deadline_us=args.deadline_us,
-        scale=args.scale,
-        seed=args.seed,
-        num_threads=args.threads,
-        value_dtype=args.dtype,
-    )
-    print(format_report(report))
-    # A sharded/unsharded mismatch is a correctness failure, not a perf
-    # number -- make it visible to scripts.
-    return 0 if report.outputs_match else 1
-
-
-def _cmd_serve_bench_workloads(args) -> int:
     from repro.serve import (
-        format_workload_matrix,
+        format_records,
+        mixed_heading,
+        record_failures,
+        run_mixed_traffic,
+        run_open_loop_sweep,
         run_workload_matrix,
         workload_names,
     )
@@ -178,57 +157,62 @@ def _cmd_serve_bench_workloads(args) -> int:
     workloads = (
         workload_names() if args.workload == "all" else (args.workload,)
     )
-    rows = run_workload_matrix(
-        workloads=workloads,
-        num_shards=args.shards,
+    common = dict(
         num_requests=args.requests,
         max_batch_size=args.max_batch,
         flush_deadline_us=args.deadline_us,
-        scale=args.scale,
         seed=args.seed,
-        num_threads=args.threads,
         value_dtype=args.dtype,
     )
-    print(format_workload_matrix(rows))
-    return 0 if all(row.outputs_match for row in rows) else 1
-
-
-def _cmd_serve_bench_mixed(args) -> int:
-    from repro.serve import format_mixed_report, run_mixed_traffic
-
-    report = run_mixed_traffic(
-        process=(args.arrivals or ["poisson"])[0],
-        load=(args.load or [0.8])[0],
-        num_requests=args.requests,
-        num_shards=args.shards,
-        num_threads=args.threads,
-        seed=args.seed,
-        max_batch_size=args.max_batch,
-        flush_deadline_us=args.deadline_us,
-    )
-    print(format_mixed_report(report))
-    failures = report.failures()
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_serve_bench_open_loop(args) -> int:
-    from repro.serve import format_open_loop_report, run_open_loop_sweep
-
-    report = run_open_loop_sweep(
-        arrivals=tuple(args.arrivals),
-        load_fractions=tuple(args.load or (0.5, 0.8, 1.0, 1.3)),
-        num_requests=args.requests,
-        num_shards=args.shards,
-        scale=args.scale,
-        seed=args.seed,
-        slo_us=args.slo_us,
-        max_batch_size=args.max_batch,
-        flush_deadline_us=args.deadline_us,
-    )
-    print(format_open_loop_report(report))
-    failures = report.failures()
+    lines = [
+        f"serve-bench: scale 1/{args.scale}, deadline "
+        f"{args.deadline_us:.1f} us, seed {args.seed}"
+    ]
+    if args.mixed:
+        load = (args.load or [0.8])[0]
+        records = run_mixed_traffic(
+            process=(args.arrivals or ["poisson"])[0],
+            load=load,
+            num_shards=args.shards,
+            num_threads=args.threads,
+            **common,
+        )
+        lines += [mixed_heading(records, load), format_records(records)]
+        failures = record_failures(records)
+    elif args.arrivals:
+        failures = []
+        for workload in workloads:
+            study = run_open_loop_sweep(
+                arrivals=tuple(args.arrivals),
+                load_fractions=tuple(args.load or (0.5, 0.8, 1.0, 1.3)),
+                num_shards=args.shards,
+                scale=args.scale,
+                slo_us=args.slo_us,
+                workload=workload,
+                num_threads=args.threads,
+                **common,
+            )
+            lines.append(format_records(study.records, study))
+            failures += study.failures()
+    else:
+        # The AlexNet-FC default is measured against the whole request
+        # set as one 1-shard batch (the single-engine run_fc_batch loop),
+        # named workloads against the unsharded server at the same batch.
+        records = run_workload_matrix(
+            workloads,
+            shard_counts=(args.shards,),
+            thread_counts=(args.threads,),
+            scale=args.scale,
+            reference_batch_size=(
+                args.requests if args.workload == "alexnet-fc" else None
+            ),
+            **common,
+        )
+        lines.append(format_records(records))
+        failures = record_failures(records)
+    print("\n".join(lines))
+    # A sharded/unsharded mismatch is a correctness failure, not a perf
+    # number -- make it visible to scripts.
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -332,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("alexnet-fc", "lenet", "resnet20", "nmt",
                               "all"),
                      help="serving workload: the AlexNet FC stack "
-                          "(default, full closed/open-loop machinery), a "
-                          "conv pipeline (lenet/resnet20), the NMT LSTM "
-                          "cell, or the whole matrix ('all')")
+                          "(default), a conv pipeline (lenet/resnet20), "
+                          "the NMT LSTM cell, or every one ('all'); "
+                          "--arrivals runs each one's open-loop study")
     srv.add_argument("--mixed", action="store_true",
                      help="mixed-traffic mode: split one open-loop "
                           "arrival stream between a vision (lenet) and a "

@@ -546,6 +546,61 @@ def _serving_inputs(x: np.ndarray, limit: int = 8) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _run_pipeline(
+    convert, metric, tune, serving_inputs, *, bundle_dir, verify, export,
+    **report_fields,
+) -> CompressionResult:
+    """The timed skeleton both pipelines share.
+
+    convert -> metric -> tune -> metric -> export -> verify -> report:
+    ``convert()`` returns ``(compressed, layer_reports)``,
+    ``metric(compressed)`` scores it, ``tune(compressed)`` fine-tunes it
+    in place (``None`` skips the phase) and ``serving_inputs()`` returns
+    the request batch :func:`verify_bundle` serves.  ``export`` holds
+    the bundle's ``num_shards`` / ``value_dtype`` / ``fixed_point`` /
+    ``input_hw``; ``report_fields`` are the :class:`CompressionReport`
+    fields the caller knows up front.
+    """
+    from repro.metrics import model_storage_report
+    from repro.serve import export_model_bundle
+
+    timings = PhaseTimings()
+    start = time.perf_counter()
+    compressed, layer_reports = convert()
+    timings.search_s = time.perf_counter() - start
+    projected_metric = metric(compressed)
+
+    start = time.perf_counter()
+    if tune is not None:
+        tune(compressed)
+    timings.finetune_s = time.perf_counter() - start
+    finetuned_metric = metric(compressed)
+
+    storage = model_storage_report(compressed)
+    verified = False
+    if bundle_dir is not None:
+        start = time.perf_counter()
+        export_model_bundle(bundle_dir, compressed, **export)
+        timings.export_s = time.perf_counter() - start
+        if verify:
+            verified = verify_bundle(
+                bundle_dir, compressed, serving_inputs(), **export
+            )
+
+    report = CompressionReport(
+        projected_metric=projected_metric,
+        finetuned_metric=finetuned_metric,
+        dense_weights=storage.dense_weights,
+        stored_weights=storage.stored_weights,
+        compression_ratio=storage.compression_ratio,
+        verified=verified,
+        layers=layer_reports,
+        timings=timings,
+        **report_fields,
+    )
+    return CompressionResult(compressed, report, bundle_dir)
+
+
 def compress_model(
     model,
     data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -584,29 +639,13 @@ def compress_model(
         verify: cold-start the bundle and pin zero plan builds +
             bit-identical serving (see :func:`verify_bundle`).
     """
-    from repro.metrics import model_storage_report
-    from repro.serve import export_model_bundle
-
     x_train, y_train, x_test, y_test = data
     strategy = get_strategy(strategy)
-    timings = PhaseTimings()
 
-    dense_metric = evaluate_classifier(model, x_test, y_test)
+    def metric(compressed) -> float:
+        return evaluate_classifier(compressed, x_test, y_test)
 
-    start = time.perf_counter()
-    compressed, layer_reports = convert_model(
-        model,
-        fc_p=fc_p,
-        conv_p=conv_p,
-        head_p=head_p,
-        strategy=strategy,
-        rng=seed,
-    )
-    timings.search_s = time.perf_counter() - start
-    projected_metric = evaluate_classifier(compressed, x_test, y_test)
-
-    start = time.perf_counter()
-    if finetune_epochs > 0:
+    def tune(compressed) -> None:
         Trainer(
             compressed,
             Adam(compressed.parameters(), lr=lr),
@@ -614,52 +653,36 @@ def compress_model(
             batch_size=batch_size,
             rng=seed,
         ).fit(x_train, y_train, epochs=finetune_epochs)
-    timings.finetune_s = time.perf_counter() - start
-    finetuned_metric = evaluate_classifier(compressed, x_test, y_test)
 
-    storage = model_storage_report(compressed)
-    verified = False
-    if bundle_dir is not None:
-        start = time.perf_counter()
-        export_model_bundle(
-            bundle_dir,
-            compressed,
-            num_shards,
+    return _run_pipeline(
+        lambda: convert_model(
+            model,
+            fc_p=fc_p,
+            conv_p=conv_p,
+            head_p=head_p,
+            strategy=strategy,
+            rng=seed,
+        ),
+        metric,
+        tune if finetune_epochs > 0 else None,
+        lambda: _serving_inputs(x_test),
+        bundle_dir=bundle_dir,
+        verify=verify,
+        export=dict(
+            num_shards=num_shards,
             value_dtype=value_dtype,
             fixed_point=fixed_point,
             input_hw=input_hw,
-        )
-        timings.export_s = time.perf_counter() - start
-        if verify:
-            verified = verify_bundle(
-                bundle_dir,
-                compressed,
-                _serving_inputs(x_test),
-                num_shards=num_shards,
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-                input_hw=input_hw,
-            )
-
-    report = CompressionReport(
+        ),
         model=name,
         strategy=strategy.name,
         value_dtype=value_dtype or "float64",
         metric_name="top1_accuracy",
-        dense_metric=dense_metric,
-        projected_metric=projected_metric,
-        finetuned_metric=finetuned_metric,
-        dense_weights=storage.dense_weights,
-        stored_weights=storage.stored_weights,
-        compression_ratio=storage.compression_ratio,
+        dense_metric=metric(model),
         finetune_epochs=finetune_epochs,
         num_shards=num_shards,
         seed=seed,
-        verified=verified,
-        layers=layer_reports,
-        timings=timings,
     )
-    return CompressionResult(compressed, report, bundle_dir)
 
 
 def compress_cell(
@@ -685,21 +708,9 @@ def compress_cell(
     reference on a seeded probe batch (1.0 for the dense cell itself,
     recorded as ``dense_metric``).
     """
-    from repro.metrics import model_storage_report
-    from repro.serve import export_model_bundle
-
     strategy = get_strategy(strategy)
-    timings = PhaseTimings()
 
-    start = time.perf_counter()
-    pd_cell, layer_reports = convert_cell(
-        cell, p=p, strategy=strategy, rng=seed
-    )
-    timings.search_s = time.perf_counter() - start
-    projected_metric = cell_fidelity(pd_cell, cell, seed=seed)
-
-    start = time.perf_counter()
-    if distill_steps > 0:
+    def tune(pd_cell) -> None:
         distill_cell(
             pd_cell,
             cell,
@@ -708,48 +719,29 @@ def compress_cell(
             lr=lr,
             seed=seed,
         )
-    timings.finetune_s = time.perf_counter() - start
-    finetuned_metric = cell_fidelity(pd_cell, cell, seed=seed)
 
-    storage = model_storage_report(pd_cell)
-    verified = False
-    if bundle_dir is not None:
-        start = time.perf_counter()
-        export_model_bundle(
-            bundle_dir,
-            pd_cell,
-            num_shards,
+    def serving_inputs() -> np.ndarray:
+        x, h, c = _cell_probe(cell, 8, np.random.default_rng(seed + 1))
+        return np.concatenate([x, h, c], axis=1)
+
+    return _run_pipeline(
+        lambda: convert_cell(cell, p=p, strategy=strategy, rng=seed),
+        lambda pd_cell: cell_fidelity(pd_cell, cell, seed=seed),
+        tune if distill_steps > 0 else None,
+        serving_inputs,
+        bundle_dir=bundle_dir,
+        verify=verify,
+        export=dict(
+            num_shards=num_shards,
             value_dtype=value_dtype,
             fixed_point=fixed_point,
-        )
-        timings.export_s = time.perf_counter() - start
-        if verify:
-            x, h, c = _cell_probe(cell, 8, np.random.default_rng(seed + 1))
-            verified = verify_bundle(
-                bundle_dir,
-                pd_cell,
-                np.concatenate([x, h, c], axis=1),
-                num_shards=num_shards,
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-            )
-
-    report = CompressionReport(
+        ),
         model=name,
         strategy=strategy.name,
         value_dtype=value_dtype or "float64",
         metric_name="state_fidelity",
         dense_metric=1.0,
-        projected_metric=projected_metric,
-        finetuned_metric=finetuned_metric,
-        dense_weights=storage.dense_weights,
-        stored_weights=storage.stored_weights,
-        compression_ratio=storage.compression_ratio,
         finetune_epochs=distill_steps,
         num_shards=num_shards,
         seed=seed,
-        verified=verified,
-        layers=layer_reports,
-        timings=timings,
     )
-    return CompressionResult(pd_cell, report, bundle_dir)

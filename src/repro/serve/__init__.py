@@ -30,34 +30,32 @@ pipeline between the per-layer shard arrays.
   manifest; cold starts never recompute index arithmetic.  A raw
   ``(matrix, activation)`` stack exports as
   ``export_staged_bundle(d, [ShardedLayer(m, a, n) ...])``.
-- :func:`run_serving_benchmark` / :func:`run_open_loop_sweep` -- the
-  closed-loop and open-loop measurements behind ``repro serve-bench``
-  and ``benchmarks/bench_serving.py``, including
-  :func:`max_sustainable_qps` knee finding under an SLO.
+- :func:`measure_stream` -- the one serving-benchmark measurement:
+  drain one request stream (a t=0 burst or given arrival times) and
+  return a :class:`BenchRecord`, bit-exactness checked against a
+  1-shard reference.  :func:`run_workload_matrix` (closed-loop bursts,
+  including the AlexNet shard sweep), :func:`run_open_loop_sweep`
+  (latency vs offered load, :func:`max_sustainable_qps` knee finding
+  under an SLO, overload shedding) and :func:`run_mixed_traffic` loop
+  over it; :func:`format_records` (headed by :func:`mixed_heading` for
+  mixed traffic) and :func:`record_failures` are the table and the exit
+  check behind ``repro serve-bench`` and ``benchmarks/bench_serving.py``.
 """
 
 from repro.serve.batching import BatchAssembler, MicroBatch, MicroBatcher, Request
 from repro.serve.bench import (
-    MixedClassStats,
-    MixedTrafficReport,
-    OpenLoopPoint,
+    BenchRecord,
     OpenLoopReport,
-    ServingBenchReport,
-    WorkloadMatrixRow,
     WorkloadSpec,
-    build_alexnet_fc_stack,
     build_workload,
-    format_mixed_report,
-    format_open_loop_report,
-    format_report,
-    format_workload_matrix,
+    format_records,
     make_requests,
     max_sustainable_qps,
+    measure_stream,
+    mixed_heading,
+    record_failures,
     run_mixed_traffic,
-    run_open_loop_point,
     run_open_loop_sweep,
-    run_serving_benchmark,
-    run_serving_sweep,
     run_workload_matrix,
     workload_names,
 )
@@ -93,50 +91,42 @@ from repro.serve.traffic import (
 __all__ = [
     "ArrivalProcess",
     "BatchAssembler",
+    "BenchRecord",
     "BurstyArrivals",
     "DeterministicArrivals",
     "DiurnalArrivals",
     "EmptyServeReportError",
     "InvalidRequestError",
     "LayerShardStats",
-    "MixedClassStats",
-    "MixedTrafficReport",
     "LoweredConvStage",
     "MicroBatch",
     "MicroBatcher",
     "ModelServer",
-    "OpenLoopPoint",
     "OpenLoopReport",
     "PoissonArrivals",
     "RecurrentStage",
     "Request",
     "ServeReport",
     "ServedStage",
-    "ServingBenchReport",
     "ShardedLayer",
     "UnknownArrivalProcessError",
     "UnsupportedLayerError",
-    "WorkloadMatrixRow",
     "WorkloadSpec",
     "arrival_process_names",
-    "build_alexnet_fc_stack",
     "build_stages",
     "build_workload",
     "export_model_bundle",
     "export_staged_bundle",
-    "format_mixed_report",
-    "format_open_loop_report",
-    "format_report",
-    "format_workload_matrix",
+    "format_records",
     "load_staged_bundle",
     "make_requests",
     "make_arrival_process",
     "max_sustainable_qps",
+    "measure_stream",
+    "mixed_heading",
+    "record_failures",
     "run_mixed_traffic",
-    "run_open_loop_point",
     "run_open_loop_sweep",
-    "run_serving_benchmark",
-    "run_serving_sweep",
     "run_workload_matrix",
     "workload_names",
 ]

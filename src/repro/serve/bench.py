@@ -1,90 +1,65 @@
-"""Serving benchmark: sharded multi-engine server vs one engine.
+"""Serving benchmark: one measurement behind every ``serve-bench`` mode.
 
-Workload: the AlexNet FC stack (FC6 -> FC7 -> FC8 at Table II block sizes,
-optionally width-scaled), driven with inputs at Alex-FC6's Table VII
-activation density.  The baseline is the natural single-engine serving
-loop -- :meth:`~repro.hw.PermDNNEngine.run_fc_batch` layer by layer over
-the whole request set -- and the contender is
-:class:`~repro.serve.ModelServer` with row sharding, micro-batching and
-inter-layer pipelining.  Both are measured in simulated engine time
-(cycles at the configured clock), the repo's standard accounting, and the
-sharded outputs are required to match the baseline **bit for bit**.
+:func:`measure_stream` drains one request stream -- a closed-loop burst
+at t=0, or an open-loop stream with given arrival times -- through a
+:class:`~repro.serve.ModelServer` the caller built, and returns one
+:class:`BenchRecord` plus the drain's :class:`~repro.serve.ServeReport`.
+Throughput and latency are simulated engine time (cycles at the
+configured clock), the repo's standard accounting; the host drain wall
+time is recorded beside them.  Every stream's admitted outputs must
+match a reference **bit for bit**, and every reference is the same
+function at 1 shard and 1 thread over the same requests.
 
-Used by both ``repro serve-bench`` (CLI) and
-``benchmarks/bench_serving.py``.
+The benchmark modes are loops over that function:
+
+- :func:`run_workload_matrix` -- closed-loop bursts of each named
+  workload at every (shard count, thread count) pair.  The AlexNet
+  shard sweep is its ``alexnet-fc`` case with the whole request set as
+  one reference batch, i.e. the single-engine ``run_fc_batch`` loop.
+- :func:`run_open_loop_sweep` -- latency percentiles vs offered load,
+  the SLO knee and overload shedding, summarized by
+  :class:`OpenLoopReport`.
+- :func:`run_mixed_traffic` -- one arrival stream split between a
+  vision and a translation server.
+
+:func:`format_records` renders records as one table (headed by
+:func:`mixed_heading` for mixed traffic) and :func:`record_failures`
+lists the ones that must fail a run; both serve ``repro serve-bench``
+and ``benchmarks/bench_serving.py``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw.config import EngineConfig
-from repro.hw.engine import PermDNNEngine
 from repro.serve.server import ModelServer, ServeReport
 from repro.serve.traffic import US_PER_S, make_arrival_process
 
 __all__ = [
-    "MixedClassStats",
-    "MixedTrafficReport",
-    "OpenLoopPoint",
+    "BenchRecord",
     "OpenLoopReport",
-    "ServingBenchReport",
-    "WorkloadMatrixRow",
     "WorkloadSpec",
-    "build_alexnet_fc_stack",
     "build_workload",
-    "format_mixed_report",
-    "format_open_loop_report",
-    "format_report",
-    "format_workload_matrix",
+    "format_records",
     "make_requests",
     "max_sustainable_qps",
+    "measure_stream",
+    "mixed_heading",
+    "record_failures",
     "run_mixed_traffic",
-    "run_open_loop_point",
     "run_open_loop_sweep",
-    "run_serving_benchmark",
-    "run_serving_sweep",
     "run_workload_matrix",
     "workload_names",
 ]
 
-# (out, in, p, activation) of the AlexNet FC stack at paper scale
-# (Table II block sizes; widths chain FC6 -> FC7 -> FC8).
-_ALEXNET_FC_STACK = (
-    (4096, 9216, 10, "relu"),
-    (4096, 4096, 10, "relu"),
-    (1000, 4096, 4, None),
-)
-
 # Table VII activation density of Alex-FC6's input.
 _ALEX_FC6_INPUT_DENSITY = 0.358
-
-
-def build_alexnet_fc_stack(
-    scale: int = 1, rng: np.random.Generator | int | None = 0
-) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
-    """The AlexNet FC serving stack, width-divided by ``scale``.
-
-    Widths chain (FC6's output feeds FC7, ...); shapes that stop dividing
-    by the block size are simply padded, which the PD kernel supports.
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    layers = []
-    prev_out: int | None = None
-    for m, n, p, activation in _ALEXNET_FC_STACK:
-        n_s = prev_out if prev_out is not None else max(n // scale, p)
-        m_s = max(m // scale, p)
-        matrix = BlockPermutedDiagonalMatrix.random((m_s, n_s), p, rng=rng)
-        layers.append((matrix, activation))
-        prev_out = m_s
-    return layers
 
 
 def make_requests(
@@ -104,601 +79,8 @@ def make_requests(
     return xs
 
 
-@dataclass
-class ServingBenchReport:
-    """Everything one serving benchmark run measured.
-
-    Rates are simulated-time requests/second; latencies are simulated
-    microseconds.
-    """
-
-    num_shards: int
-    num_requests: int
-    scale: int
-    max_batch_size: int
-    flush_deadline_us: float
-    baseline_makespan_us: float
-    baseline_rps: float
-    sharded_makespan_us: float
-    sharded_rps: float
-    speedup: float
-    p50_latency_us: float
-    p99_latency_us: float
-    outputs_match: bool
-    batch_sizes: list[int] = field(default_factory=list)
-    layer_cycles: list[int] = field(default_factory=list)
-    # Host-side execution facts: simulated metrics above are independent
-    # of both (threading stitches shard outputs deterministically, and
-    # the cycle model only sees shard shapes).
-    num_threads: int = 1
-    host_wall_s: float = 0.0
-    value_dtype: str = "float64"
-
-
-def _single_engine_baseline(layers, xs, config):
-    """The natural one-engine serving loop: ``run_fc_batch`` per layer.
-
-    Returns:
-        ``(outputs, total_cycles)`` over the whole request set.
-    """
-    engine = PermDNNEngine(config)
-    current = xs
-    total_cycles = 0
-    for matrix, activation in layers:
-        current, cycles = engine.run_fc_batch(
-            matrix, current, activation=activation
-        )
-        total_cycles += cycles
-    return current, total_cycles
-
-
-def run_serving_sweep(
-    shard_counts: tuple[int, ...],
-    num_requests: int = 32,
-    max_batch_size: int = 16,
-    flush_deadline_us: float = 50.0,
-    scale: int = 1,
-    seed: int = 0,
-    config: EngineConfig | None = None,
-    num_threads: int | None = 1,
-    value_dtype: str | None = None,
-) -> list[ServingBenchReport]:
-    """Measure the sharded server at several shard counts.
-
-    The workload (layers, requests) and the single-engine baseline are
-    built **once** and reused for every shard count, so a sweep costs one
-    baseline pass rather than one per row.
-
-    ``value_dtype`` converts the stack's value storage before serving
-    (quantize-at-export); the baseline runs on the *same* converted
-    layers, so the bit-for-bit contract holds at every storage mode.
-    ``num_threads`` sizes each drain's shard executor; simulated metrics
-    are independent of it, but ``host_wall_s`` (real drain wall time) is
-    recorded per row so thread counts can be compared honestly.
-
-    Returns:
-        One :class:`ServingBenchReport` per entry of ``shard_counts``;
-        ``outputs_match`` asserts the bit-for-bit contract, ``speedup`` is
-        sharded over baseline requests/sec.
-    """
-    rng = np.random.default_rng(seed)
-    layers = build_alexnet_fc_stack(scale=scale, rng=rng)
-    if value_dtype is not None and value_dtype != "float64":
-        layers = [
-            (matrix.with_value_dtype(value_dtype), activation)
-            for matrix, activation in layers
-        ]
-    xs = make_requests(layers[0][0].shape[1], num_requests, rng=rng)
-    config = config or EngineConfig()
-    cycles_per_us = config.clock_ghz * 1e3
-    # The benchmark drives an all-at-once burst; cap the batch limit at
-    # the request count so a never-filling batch doesn't sit out the
-    # deadline flush (which would measure the deadline, not the engines).
-    max_batch_size = min(max_batch_size, num_requests)
-
-    baseline_outputs, baseline_cycles = _single_engine_baseline(
-        layers, xs, config
-    )
-    baseline_makespan_us = baseline_cycles / cycles_per_us
-    baseline_rps = num_requests / (baseline_makespan_us * 1e-6)
-
-    reports = []
-    for num_shards in shard_counts:
-        server = ModelServer(
-            layers,
-            num_shards=num_shards,
-            config=config,
-            max_batch_size=max_batch_size,
-            flush_deadline_us=flush_deadline_us,
-            num_threads=num_threads,
-        )
-        server.submit_many(xs)
-        wall_start = time.perf_counter()
-        report = server.drain()
-        host_wall_s = time.perf_counter() - wall_start
-        outputs_match = bool(
-            np.array_equal(np.stack(report.outputs), baseline_outputs)
-        )
-        reports.append(ServingBenchReport(
-            num_shards=num_shards,
-            num_requests=num_requests,
-            scale=scale,
-            max_batch_size=max_batch_size,
-            flush_deadline_us=flush_deadline_us,
-            baseline_makespan_us=baseline_makespan_us,
-            baseline_rps=baseline_rps,
-            sharded_makespan_us=report.makespan_us,
-            sharded_rps=report.throughput_rps,
-            speedup=(
-                report.throughput_rps / baseline_rps
-                if baseline_rps > 0
-                else 0.0
-            ),
-            p50_latency_us=report.latency_percentile(50),
-            p99_latency_us=report.latency_percentile(99),
-            outputs_match=outputs_match,
-            batch_sizes=report.batch_sizes,
-            layer_cycles=report.layer_cycles,
-            num_threads=server.num_threads,
-            host_wall_s=host_wall_s,
-            value_dtype=value_dtype or "float64",
-        ))
-    return reports
-
-
-def run_serving_benchmark(
-    num_shards: int = 4,
-    num_requests: int = 32,
-    max_batch_size: int = 16,
-    flush_deadline_us: float = 50.0,
-    scale: int = 1,
-    seed: int = 0,
-    config: EngineConfig | None = None,
-    num_threads: int | None = 1,
-    value_dtype: str | None = None,
-) -> ServingBenchReport:
-    """One-shard-count convenience wrapper around :func:`run_serving_sweep`."""
-    return run_serving_sweep(
-        (num_shards,),
-        num_requests=num_requests,
-        max_batch_size=max_batch_size,
-        flush_deadline_us=flush_deadline_us,
-        scale=scale,
-        seed=seed,
-        config=config,
-        num_threads=num_threads,
-        value_dtype=value_dtype,
-    )[0]
-
-
 # ---------------------------------------------------------------------------
-# Open-loop: arrival processes, tail-latency SLOs, knee finding, shedding.
-
-
-@dataclass
-class OpenLoopPoint:
-    """One open-loop measurement: a process at one offered load.
-
-    ``outputs_match`` asserts the bit-for-bit contract on the admitted
-    subset: the sharded pipeline's per-request outputs equal the
-    single-engine baseline rows for exactly those requests (row outputs
-    are independent of batch composition, so the subset comparison is
-    exact, not approximate).
-    """
-
-    process: str
-    offered_qps: float
-    num_requests: int
-    num_admitted: int
-    num_shed: int
-    achieved_qps: float
-    p50_us: float
-    p90_us: float
-    p99_us: float
-    queue_p99_us: float
-    outputs_match: bool
-    queue_capacity: int | None = None
-
-
-@dataclass
-class OpenLoopReport:
-    """A full open-loop study of one serving stack.
-
-    ``capacity_qps`` is the steady-state pipeline capacity
-    (``max_batch`` over the bottleneck stage time of one full
-    micro-batch), the natural anchor for offered-load fractions;
-    ``slo_us`` is the p``slo_q`` target, by default twice the unloaded
-    tail latency; ``knees`` maps each arrival process to its max
-    sustainable QPS under the SLO; ``shed_points`` re-runs each process
-    at ``overload x knee`` with a bounded queue to show graceful
-    degradation.
-    """
-
-    scale: int
-    num_requests: int
-    num_shards: int
-    max_batch_size: int
-    flush_deadline_us: float
-    seed: int
-    baseline_rps: float
-    capacity_qps: float
-    unloaded_p99_us: float
-    slo_us: float
-    slo_q: float
-    points: list[OpenLoopPoint] = field(default_factory=list)
-    knees: dict[str, float] = field(default_factory=dict)
-    shed_points: list[OpenLoopPoint] = field(default_factory=list)
-    # Upper bracket of the knee search; a knee at the ceiling means the
-    # stack sustains every load in range (the knee lies above it).
-    knee_ceiling_qps: float = 0.0
-
-    def failures(self) -> list[str]:
-        """Everything that should make a benchmark run exit non-zero."""
-        problems = []
-        for point in self.points + self.shed_points:
-            if not point.outputs_match:
-                problems.append(
-                    f"{point.process} @ {point.offered_qps:,.0f} qps: "
-                    "outputs diverge from the single-engine baseline"
-                )
-        for process, knee in self.knees.items():
-            if knee <= 0:
-                problems.append(
-                    f"{process}: no sustainable load meets the "
-                    f"p{self.slo_q:g} <= {self.slo_us:.1f} us SLO"
-                )
-        for point in self.shed_points:
-            if point.num_admitted and point.p99_us > self.slo_us:
-                problems.append(
-                    f"{point.process} overload with shedding: admitted "
-                    f"p99 {point.p99_us:.1f} us exceeds the "
-                    f"{self.slo_us:.1f} us SLO"
-                )
-        return problems
-
-
-def max_sustainable_qps(
-    measure,
-    slo_us: float,
-    lo_qps: float,
-    hi_qps: float,
-    iters: int = 9,
-) -> float:
-    """Largest offered load whose measured tail latency meets the SLO.
-
-    Bisection over ``[lo_qps, hi_qps]``: ``measure(qps)`` returns the
-    tail-latency statistic (e.g. seeded open-loop p99 in microseconds)
-    at that offered load, and the knee is the largest load with
-    ``measure(qps) <= slo_us``.  Queueing delay grows monotonically with
-    load around the knee, which is what bisection relies on; with seeded
-    generators the whole search is deterministic.
-
-    Returns ``0.0`` when even ``lo_qps`` misses the SLO and ``hi_qps``
-    when the whole range meets it (the knee lies above the bracket).
-    """
-    if slo_us <= 0:
-        raise ValueError(f"slo_us must be positive, got {slo_us}")
-    if not 0 < lo_qps < hi_qps:
-        raise ValueError(
-            f"need 0 < lo_qps < hi_qps, got [{lo_qps}, {hi_qps}]"
-        )
-    if measure(lo_qps) > slo_us:
-        return 0.0
-    if measure(hi_qps) <= slo_us:
-        return hi_qps
-    lo, hi = lo_qps, hi_qps
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if measure(mid) <= slo_us:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def run_open_loop_point(
-    layers,
-    xs: np.ndarray,
-    baseline_outputs: np.ndarray,
-    process: str,
-    offered_qps: float,
-    num_shards: int = 4,
-    seed: int = 0,
-    max_batch_size: int = 16,
-    flush_deadline_us: float = 50.0,
-    queue_capacity: int | None = None,
-    config: EngineConfig | None = None,
-    arrival_kwargs: dict | None = None,
-) -> tuple[OpenLoopPoint, ServeReport]:
-    """Drive one arrival stream through a fresh server and measure it.
-
-    The arrival stream is generated by ``process`` at ``offered_qps``
-    with the given seed, so the measurement (down to the per-request
-    latency trace) is a pure function of the arguments.  Admitted
-    outputs are compared bit-for-bit against the corresponding
-    ``baseline_outputs`` rows.
-    """
-    proc = make_arrival_process(
-        process, offered_qps, seed=seed, **(arrival_kwargs or {})
-    )
-    arrivals = proc.generate(xs.shape[0])
-    server = ModelServer(
-        layers,
-        num_shards=num_shards,
-        config=config,
-        max_batch_size=max_batch_size,
-        flush_deadline_us=flush_deadline_us,
-        queue_capacity=queue_capacity,
-    )
-    rids = server.submit_many(xs, arrivals_us=arrivals)
-    report = server.drain()
-    shed = set(report.shed_rids)
-    admitted_rows = [row for row, rid in enumerate(rids) if rid not in shed]
-    if report.num_requests:
-        expected = baseline_outputs[admitted_rows]
-        outputs_match = bool(
-            np.array_equal(np.stack(report.outputs), expected)
-        )
-        p50, p90, p99 = report.percentile_curve((50.0, 90.0, 99.0))
-        queue_p99 = report.latency_percentile(99.0, which="queue")
-    else:
-        outputs_match = True
-        p50 = p90 = p99 = queue_p99 = float("nan")
-    point = OpenLoopPoint(
-        process=process,
-        offered_qps=offered_qps,
-        num_requests=xs.shape[0],
-        num_admitted=report.num_requests,
-        num_shed=report.num_shed,
-        achieved_qps=report.throughput_rps,
-        p50_us=float(p50),
-        p90_us=float(p90),
-        p99_us=float(p99),
-        queue_p99_us=float(queue_p99),
-        outputs_match=outputs_match,
-        queue_capacity=queue_capacity,
-    )
-    return point, report
-
-
-def run_open_loop_sweep(
-    arrivals: tuple[str, ...] = ("poisson", "bursty", "diurnal"),
-    load_fractions: tuple[float, ...] = (0.5, 0.8, 1.0, 1.3),
-    num_requests: int = 48,
-    num_shards: int = 4,
-    scale: int = 1,
-    seed: int = 0,
-    slo_us: float | None = None,
-    slo_q: float = 99.0,
-    max_batch_size: int = 16,
-    flush_deadline_us: float = 50.0,
-    config: EngineConfig | None = None,
-    knee_iters: int = 9,
-    find_knee: bool = True,
-    overload_factor: float | None = 2.0,
-) -> OpenLoopReport:
-    """The full open-loop study behind ``bench_serving.py --open-loop``.
-
-    Methodology (documented in ``docs/BENCHMARKS.md``):
-
-    1. **Anchor**: steady-state pipeline capacity of the stack
-       (``capacity_qps = max_batch / bottleneck stage time``, measured
-       by draining one full micro-batch) sets the offered-load scale,
-       and the single-engine baseline outputs are computed once for the
-       bit-exactness checks.  A closed-loop burst makespan would
-       underestimate capacity badly (it charges pipeline fill and every
-       stage to a short stream); offered load only means "fraction of
-       saturation" against the bottleneck-stage rate.
-    2. **SLO**: unless given, the SLO is ``2 x`` the unloaded tail
-       latency -- a deterministic stream with inter-arrivals of twice
-       the flush deadline, so every request pays the full deadline plus
-       a singleton-batch service (the honest light-traffic latency; at
-       low rates batch-*fill* wait otherwise dominates and shrinks with
-       load, which would poison both the anchor and the knee search).
-    3. **Sweep**: every arrival process runs at each load fraction of
-       capacity with an unbounded queue, yielding
-       latency-percentile-vs-offered-load points.  ``num_requests`` is
-       the measurement window for *every* loaded point: queueing past
-       saturation accumulates over the stream, so a short window
-       under-reports tail latency and inflates the knee (a knee at the
-       search ceiling means the window never saturated; a few hundred
-       requests at full scale puts the knee near the capacity anchor).
-    4. **Knee**: per process, :func:`max_sustainable_qps` bisects
-       offered load between the unloaded rate and ``2.5 x`` capacity
-       for the largest QPS whose p``slo_q`` meets the SLO over the same
-       window.
-    5. **Shedding**: per process, re-run at ``overload_factor x knee``
-       over a ``2 x num_requests`` stream with the queue bounded to
-       ``slo x knee / 2`` in-flight requests (Little's law sizing),
-       showing admitted-request tails stay inside the SLO while the
-       excess is shed.
-
-    Every input is drawn from one seeded pool and the single-engine
-    baseline runs over the pool once; each measurement compares its
-    admitted outputs against the matching baseline rows bit for bit.
-    """
-    rng = np.random.default_rng(seed)
-    layers = build_alexnet_fc_stack(scale=scale, rng=rng)
-    # One input pool covers every measurement: sweep and knee points
-    # read the first ``num_requests`` rows, the shedding run twice that.
-    # The single-engine baseline runs over the pool once; per-request
-    # outputs are independent of batch composition, so any prefix/subset
-    # comparison stays bit-exact.
-    pool = 2 * num_requests
-    xs_pool = make_requests(layers[0][0].shape[1], pool, rng=rng)
-    xs = xs_pool[:num_requests]
-    config = config or EngineConfig()
-    cycles_per_us = config.clock_ghz * 1e3
-
-    baseline_pool, baseline_cycles = _single_engine_baseline(
-        layers, xs_pool, config
-    )
-    baseline_rps = pool / (baseline_cycles / cycles_per_us * 1e-6)
-
-    # Steady-state capacity anchor: one full micro-batch through the
-    # pipeline; the slowest layer's critical path is the stage every
-    # later batch queues behind, so saturation sits at
-    # ``max_batch / bottleneck_stage_time``.
-    probe = ModelServer(
-        layers,
-        num_shards=num_shards,
-        config=config,
-        max_batch_size=min(max_batch_size, num_requests),
-        flush_deadline_us=flush_deadline_us,
-    )
-    probe.submit_many(xs[: probe.batcher.max_batch_size])
-    probe_report = probe.drain()
-    bottleneck_us = max(probe_report.layer_cycles) / cycles_per_us
-    capacity_qps = probe.batcher.max_batch_size / (bottleneck_us * 1e-6)
-
-    def measure(
-        process: str,
-        offered_qps: float,
-        capacity=None,
-        count: int = num_requests,
-    ):
-        point, _ = run_open_loop_point(
-            layers,
-            xs_pool[:count],
-            baseline_pool[:count],
-            process,
-            offered_qps,
-            num_shards=num_shards,
-            seed=seed,
-            max_batch_size=max_batch_size,
-            flush_deadline_us=flush_deadline_us,
-            queue_capacity=capacity,
-            config=config,
-        )
-        return point
-
-    # Unloaded = singleton batches: inter-arrivals of twice the deadline
-    # make every request wait out the flush and serve alone.
-    if flush_deadline_us > 0:
-        unloaded_qps = min(
-            0.1 * capacity_qps, US_PER_S / (2.0 * flush_deadline_us)
-        )
-    else:
-        unloaded_qps = 0.1 * capacity_qps
-    unloaded_p99 = measure("deterministic", unloaded_qps).p99_us
-    if slo_us is None:
-        slo_us = 2.0 * unloaded_p99
-
-    report = OpenLoopReport(
-        scale=scale,
-        num_requests=num_requests,
-        num_shards=num_shards,
-        max_batch_size=max_batch_size,
-        flush_deadline_us=flush_deadline_us,
-        seed=seed,
-        baseline_rps=baseline_rps,
-        capacity_qps=capacity_qps,
-        unloaded_p99_us=unloaded_p99,
-        slo_us=slo_us,
-        slo_q=slo_q,
-        knee_ceiling_qps=2.5 * capacity_qps,
-    )
-    for process in arrivals:
-        for fraction in load_fractions:
-            report.points.append(measure(process, fraction * capacity_qps))
-        if not find_knee:
-            continue
-
-        def tail(qps: float, p: str = process) -> float:
-            _, drain = run_open_loop_point(
-                layers, xs_pool[:num_requests],
-                baseline_pool[:num_requests], p, qps,
-                num_shards=num_shards, seed=seed,
-                max_batch_size=max_batch_size,
-                flush_deadline_us=flush_deadline_us, config=config,
-            )
-            return drain.latency_percentile(slo_q)
-
-        knee = max_sustainable_qps(
-            tail,
-            slo_us,
-            lo_qps=unloaded_qps,
-            hi_qps=report.knee_ceiling_qps,
-            iters=knee_iters,
-        )
-        report.knees[process] = knee
-        if overload_factor and knee > 0:
-            # Little's law: in-flight bound ~ SLO x service rate keeps
-            # the queueing delay of admitted requests within the SLO;
-            # halve it for safety margin.
-            capacity_bound = max(1, int(slo_us * 1e-6 * knee * 0.5))
-            report.shed_points.append(
-                measure(
-                    process,
-                    overload_factor * knee,
-                    capacity_bound,
-                    count=2 * num_requests,
-                )
-            )
-    return report
-
-
-def format_open_loop_report(report: OpenLoopReport) -> str:
-    """The latency-percentile-vs-offered-load tables, human-readable."""
-    lines = [
-        f"open-loop serving, AlexNet-FC stack (scale 1/{report.scale}), "
-        f"{report.num_shards} shards, {report.num_requests} requests/point",
-        f"batching          : max batch {report.max_batch_size}, "
-        f"deadline {report.flush_deadline_us:.0f} us, seed {report.seed}",
-        f"capacity anchor   : {report.capacity_qps:,.0f} qps "
-        f"(bottleneck stage; {report.baseline_rps:,.0f} qps single-engine "
-        f"baseline)",
-        f"SLO               : p{report.slo_q:g} <= {report.slo_us:.1f} us "
-        f"(unloaded p99 {report.unloaded_p99_us:.1f} us)",
-        "",
-        f"{'process':<10} {'offered_qps':>12} {'load':>6} {'p50_us':>8} "
-        f"{'p90_us':>8} {'p99_us':>8} {'q_p99':>8} {'shed':>5} {'exact':>6}",
-        "-" * 78,
-    ]
-    for point in report.points:
-        load = point.offered_qps / report.capacity_qps
-        lines.append(
-            f"{point.process:<10} {point.offered_qps:>12,.0f} "
-            f"{load:>5.2f}x {point.p50_us:>8.1f} {point.p90_us:>8.1f} "
-            f"{point.p99_us:>8.1f} {point.queue_p99_us:>8.1f} "
-            f"{point.num_shed:>5d} "
-            f"{'yes' if point.outputs_match else 'NO':>6}"
-        )
-    if report.knees:
-        lines.append("")
-        for process, knee in report.knees.items():
-            ceiling = (
-                report.knee_ceiling_qps
-                and knee >= 0.999 * report.knee_ceiling_qps
-            )
-            lines.append(
-                f"knee[{process}]: max sustainable "
-                f"{knee:,.0f} qps under p{report.slo_q:g} <= "
-                f"{report.slo_us:.1f} us "
-                f"({knee / report.capacity_qps:.2f}x of capacity)"
-                + (" [>= search ceiling]" if ceiling else "")
-            )
-    if report.shed_points:
-        lines.append("")
-        lines.append(
-            "overload with load shedding (bounded queue, reject-newest):"
-        )
-        for point in report.shed_points:
-            slo_ok = point.p99_us <= report.slo_us
-            lines.append(
-                f"{point.process:<10} {point.offered_qps:>12,.0f} qps, "
-                f"queue cap {point.queue_capacity}: admitted "
-                f"{point.num_admitted}/{point.num_requests} "
-                f"(shed {point.num_shed}), admitted p99 "
-                f"{point.p99_us:.1f} us "
-                f"[{'within SLO' if slo_ok else 'SLO MISS'}], "
-                f"{'exact' if point.outputs_match else 'MISMATCH'}"
-            )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Workload matrix: FC, conv, and recurrent pipelines through one harness.
+# Workloads: FC, conv, and recurrent pipelines through one harness.
 
 
 @dataclass
@@ -717,24 +99,6 @@ class WorkloadSpec:
     density: float
     input_hw: tuple[int, int] | None = None
 
-    def make_server(
-        self,
-        num_shards: int,
-        num_threads: int | None = 1,
-        value_dtype: str | None = None,
-        config: EngineConfig | None = None,
-        **kwargs,
-    ) -> ModelServer:
-        return ModelServer.from_model(
-            self.model,
-            input_hw=self.input_hw,
-            value_dtype=value_dtype,
-            num_shards=num_shards,
-            num_threads=num_threads,
-            config=config,
-            **kwargs,
-        )
-
 
 def workload_names() -> tuple[str, ...]:
     """The serving workloads ``--workload`` accepts."""
@@ -750,7 +114,7 @@ def build_workload(
 
     - ``alexnet-fc``: the paper's AlexNet FC stack (Table II block
       sizes), width-divided by ``scale``, requests at Alex-FC6's Table
-      VII activation density -- the pre-existing FC benchmark.
+      VII activation density.
     - ``lenet``: a LeNet-style PD conv pipeline (PD conv 6->16 5x5 on a
       14x14 map + ReLU + 2x2 max-pool, then the classic 400-120-84 FC
       tail), fully PD so every stage runs on the engine.
@@ -829,176 +193,552 @@ def build_workload(
     )
 
 
-@dataclass
-class WorkloadMatrixRow:
-    """One (workload, shard/thread/dtype point) measurement.
+def _workload_stream(
+    name: str,
+    num_requests: int,
+    reference_batch: int,
+    *,
+    scale: int,
+    seed: int,
+    request_seed: int,
+    value_dtype: str | None,
+    config: EngineConfig | None,
+    flush_deadline_us: float,
+):
+    """One workload's seeded requests, server factory and reference.
 
-    The reference is the *unsharded* server (1 shard, sequential) over
-    the same requests; ``outputs_match`` asserts the sharded
-    multi-threaded pipeline reproduced it bit for bit.
+    Returns ``(xs, serve, (record, report))``: ``serve(**kwargs)`` builds
+    a :meth:`ModelServer.from_model` server (callers add shards,
+    threads and batching), and the reference is ``xs`` as a burst at 1
+    shard and 1 thread with max batch ``reference_batch``.
+    """
+    spec = build_workload(name, scale=scale, rng=seed)
+    xs = make_requests(
+        spec.in_features, num_requests, density=spec.density,
+        rng=request_seed,
+    )
+    serve = partial(
+        ModelServer.from_model,
+        spec.model,
+        input_hw=spec.input_hw,
+        value_dtype=value_dtype,
+        config=config,
+        flush_deadline_us=flush_deadline_us,
+    )
+    reference = measure_stream(
+        serve(num_shards=1, num_threads=1, max_batch_size=reference_batch),
+        xs,
+        workload=name,
+    )
+    return xs, serve, reference
+
+
+# ---------------------------------------------------------------------------
+# One record, one measurement, one table, one failure check.
+
+
+@dataclass
+class BenchRecord:
+    """One measured request stream.
+
+    ``process`` names the arrival process (``"burst"`` for a closed-loop
+    t=0 burst, whose ``offered_qps`` is infinite).  Of ``num_requests``
+    submitted, ``num_admitted`` were served in ``num_batches``
+    micro-batches and ``num_shed`` rejected by a bounded
+    ``queue_capacity``.  Rates are simulated requests/second and
+    latencies simulated microseconds; ``reference_rps`` is the
+    reference stream's rate and ``outputs_match`` asserts the admitted
+    outputs equal its rows bit for bit.  ``host_wall_s`` (real drain
+    time) is excluded from ``==``, so seeded records compare equal.
     """
 
     workload: str
+    process: str
+    offered_qps: float
     num_shards: int
     num_threads: int
     value_dtype: str
-    num_requests: int
+    max_batch_size: int
     num_stages: int
+    num_requests: int
+    num_admitted: int
+    num_shed: int
+    num_batches: int
+    achieved_qps: float
     reference_rps: float
-    sharded_rps: float
-    speedup: float
-    p50_latency_us: float
-    p99_latency_us: float
+    p50_us: float
+    p90_us: float
+    p99_us: float
+    queue_p99_us: float
     outputs_match: bool
-    host_wall_s: float = 0.0
+    queue_capacity: int | None = None
+    host_wall_s: float = field(default=0.0, compare=False)
+
+    @property
+    def speedup(self) -> float:
+        """Achieved over reference requests/second."""
+        if self.reference_rps <= 0:
+            return 0.0
+        return self.achieved_qps / self.reference_rps
+
+
+def measure_stream(
+    server: ModelServer,
+    xs: np.ndarray,
+    reference: ServeReport | None = None,
+    arrivals_us: np.ndarray | None = None,
+    *,
+    workload: str,
+    process: str = "burst",
+    offered_qps: float = math.inf,
+) -> tuple[BenchRecord, ServeReport]:
+    """Drain one request stream through a fresh ``server`` and measure it.
+
+    ``arrivals_us=None`` submits a closed-loop burst (every request at
+    t=0); otherwise the given arrival times, labelled ``process`` at
+    ``offered_qps``.  Seeded inputs give a record that is a pure
+    function of the arguments, down to the per-request latency trace.
+
+    Admitted outputs are compared bit for bit with the matching rows of
+    ``reference``, a drain whose request set starts with ``xs``:
+    per-row outputs are independent of batch composition, so the
+    subset comparison is exact.  Without a reference the stream *is*
+    the reference: it matches itself and its rate is the record's
+    ``reference_rps``.
+    """
+    rids = server.submit_many(xs, arrivals_us=arrivals_us)
+    start = time.perf_counter()
+    report = server.drain()
+    host_wall_s = time.perf_counter() - start
+    outputs_match = True
+    if report.num_requests:
+        p50, p90, p99 = report.percentile_curve((50.0, 90.0, 99.0))
+        queue_p99 = report.latency_percentile(99.0, which="queue")
+        if reference is not None:
+            shed = set(report.shed_rids)
+            expected = [
+                reference.outputs[row]
+                for row, rid in enumerate(rids)
+                if rid not in shed
+            ]
+            outputs_match = bool(
+                np.array_equal(np.stack(report.outputs), np.stack(expected))
+            )
+    else:
+        p50 = p90 = p99 = queue_p99 = math.nan
+    record = BenchRecord(
+        workload=workload,
+        process=process,
+        offered_qps=offered_qps,
+        num_shards=server.num_shards,
+        num_threads=server.num_threads,
+        value_dtype=server.layers[0].shard_slots[0][0].value_dtype,
+        max_batch_size=server.batcher.max_batch_size,
+        num_stages=len(server.layers),
+        num_requests=len(rids),
+        num_admitted=report.num_requests,
+        num_shed=report.num_shed,
+        num_batches=len(report.batch_sizes),
+        achieved_qps=report.throughput_rps,
+        reference_rps=(reference or report).throughput_rps,
+        p50_us=float(p50),
+        p90_us=float(p90),
+        p99_us=float(p99),
+        queue_p99_us=float(queue_p99),
+        outputs_match=outputs_match,
+        queue_capacity=server.queue_capacity,
+        host_wall_s=host_wall_s,
+    )
+    return record, report
+
+
+def record_failures(records: list[BenchRecord]) -> list[str]:
+    """Every stream whose outputs diverge from its reference.
+
+    Any entry should make a benchmark run exit non-zero.
+    """
+    return [
+        f"{r.workload} {r.process} @ {r.num_shards} shards, "
+        f"{r.num_threads} threads"
+        + ("" if math.isinf(r.offered_qps) else f", {r.offered_qps:,.0f} qps")
+        + ": outputs diverge from the 1-shard reference"
+        for r in records
+        if not r.outputs_match
+    ]
+
+
+_COLUMNS = (
+    "workload", "process", "shards", "thr", "dtype", "batch", "qcap",
+    "stages", "reqs", "shed", "batches", "offered_qps", "load", "req/s",
+    "ref_req/s", "speedup", "makespan_us", "p50_us", "p90_us", "p99_us",
+    "q_p99_us", "exact", "host_ms",
+)
+
+
+def format_records(
+    records: list[BenchRecord], study: OpenLoopReport | None = None
+) -> str:
+    """One table row per measured stream, for every ``serve-bench`` mode.
+
+    ``offered_qps`` and ``load`` read ``-`` for a burst; ``load`` is the
+    offered rate over an open-loop ``study``'s capacity anchor (``-``
+    without one).  ``ref_req/s`` and ``speedup`` compare bursts only and
+    read ``-`` for an arrival-driven stream, whose rate the arrivals
+    bound.  ``makespan_us`` is first arrival to last completion and
+    ``exact`` the bit-for-bit verdict against the reference.  With a
+    ``study``, its capacity anchor and SLO head the table and its knees
+    follow it.
+    """
+    rows = [_COLUMNS]
+    for r in records:
+        burst = math.isinf(r.offered_qps)
+        makespan_us = (
+            r.num_admitted / r.achieved_qps * 1e6 if r.achieved_qps else 0.0
+        )
+        qcap = "-" if r.queue_capacity is None else r.queue_capacity
+        rows.append((
+            r.workload, r.process, str(r.num_shards), str(r.num_threads),
+            r.value_dtype,
+            *map(str, (r.max_batch_size, qcap, r.num_stages, r.num_requests,
+                       r.num_shed, r.num_batches)),
+            "-" if burst else f"{r.offered_qps:,.0f}",
+            "-" if burst or study is None
+            else f"{r.offered_qps / study.capacity_qps:.2f}x",
+            f"{r.achieved_qps:,.0f}",
+            f"{r.reference_rps:,.0f}" if burst else "-",
+            f"{r.speedup:.2f}x" if burst else "-",
+            *(f"{us:.1f}" for us in (makespan_us, r.p50_us, r.p90_us,
+                                     r.p99_us, r.queue_p99_us)),
+            "yes" if r.outputs_match else "NO", f"{r.host_wall_s * 1e3:.1f}",
+        ))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    table = [
+        " ".join(map(str.ljust, row, widths)).rstrip() for row in rows
+    ]
+    table.insert(1, "-" * len(table[0]))
+    if study is None:
+        return "\n".join(table)
+    knees = [
+        f"knee[{process}]: max sustainable {knee:,.0f} qps under "
+        f"p{study.slo_q:g} <= {study.slo_us:.1f} us "
+        f"({knee / study.capacity_qps:.2f}x of capacity)"
+        + (" [>= search ceiling]" if knee >= 0.999 * study.knee_ceiling_qps
+           else "")
+        for process, knee in study.knees.items()
+    ]
+    return "\n".join([
+        f"capacity anchor   : {study.capacity_qps:,.0f} qps (bottleneck "
+        "stage)",
+        f"SLO               : p{study.slo_q:g} <= {study.slo_us:.1f} us "
+        f"(unloaded p99 {study.unloaded_p99_us:.1f} us)",
+        "",
+        *table,
+        *([""] + knees if knees else []),
+    ])
+
+
+def mixed_heading(records: list[BenchRecord], load: float) -> str:
+    """The heading of a :func:`run_mixed_traffic` table.
+
+    Names the shared arrival process and the total stream rate (the sum
+    of the class rates), at ``load`` of the slower class's capacity.
+    """
+    classes = [r for r in records if not math.isinf(r.offered_qps)]
+    total_qps = sum(r.offered_qps for r in classes)
+    return (
+        f"mixed traffic: {classes[0].process} arrivals, {total_qps:,.0f} "
+        f"qps total ({load:.2f}x of the slower class's capacity)"
+    )
+
+
+def _capacity_qps(server: ModelServer, xs: np.ndarray) -> float:
+    """Steady-state pipeline capacity of ``server``'s stack.
+
+    One full micro-batch is drained.  The slowest stage's critical path
+    is what every later batch queues behind, so saturation sits at
+    ``max_batch / bottleneck stage time``.  A burst makespan would
+    underestimate it badly: it charges pipeline fill and every stage to
+    a short stream.
+    """
+    batch = server.batcher.max_batch_size
+    server.submit_many(xs[:batch])
+    bottleneck_us = max(server.drain().layer_cycles) / server.cycles_per_us
+    return batch / (bottleneck_us * 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Closed loop: shard sweep, thread comparison, workload matrix.
 
 
 def run_workload_matrix(
     workloads: tuple[str, ...] | None = None,
-    num_shards: int = 4,
+    shard_counts: tuple[int, ...] = (4,),
+    thread_counts: tuple[int | None, ...] = (1,),
     num_requests: int = 16,
     max_batch_size: int = 8,
     flush_deadline_us: float = 50.0,
     scale: int = 8,
     seed: int = 0,
     config: EngineConfig | None = None,
+    value_dtype: str | None = None,
+    reference_batch_size: int | None = None,
+) -> list[BenchRecord]:
+    """Closed-loop bursts of each workload at every (shards, threads) pair.
+
+    Per workload the model and the request set are built once.  Its
+    first record is the reference: the same burst at 1 shard and 1
+    thread, with max batch ``reference_batch_size`` (default: the
+    contenders' batch, i.e. the unsharded server).  Every following
+    record must reproduce it bit for bit, across FC, lowered-conv and
+    recurrent stages alike.  The AlexNet shard sweep passes
+    ``reference_batch_size=num_requests``: the whole set as one batch,
+    which is the single-engine ``run_fc_batch`` loop in outputs and
+    makespan.
+
+    The batch limit is capped at the request count, so a never-filling
+    batch does not sit out the deadline flush (which would measure the
+    deadline, not the engines).  ``value_dtype`` converts the value
+    storage before serving (quantize-at-export) for the reference and
+    contenders alike.
+    """
+    batch = min(max_batch_size, num_requests)
+    records = []
+    for name in workloads or workload_names():
+        xs, serve, (reference, ref_report) = _workload_stream(
+            name, num_requests, reference_batch_size or batch, scale=scale,
+            seed=seed, request_seed=seed + 1, value_dtype=value_dtype,
+            config=config, flush_deadline_us=flush_deadline_us,
+        )
+        records.append(reference)
+        for num_shards in shard_counts:
+            for num_threads in thread_counts:
+                server = serve(
+                    num_shards=num_shards,
+                    num_threads=num_threads,
+                    max_batch_size=batch,
+                )
+                records.append(
+                    measure_stream(server, xs, ref_report, workload=name)[0]
+                )
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Open loop: arrival processes, tail-latency SLOs, knee finding, shedding.
+
+
+@dataclass
+class OpenLoopReport:
+    """The open-loop study's summary.
+
+    ``records`` holds every measured stream: the 1-shard reference
+    burst, then per arrival process its load points and its overload
+    run with a bounded queue (:attr:`shed_points`).  ``capacity_qps``
+    is the steady-state pipeline capacity, the anchor for offered-load
+    fractions; ``slo_us`` is the p``slo_q`` target, by default twice the
+    unloaded tail latency; ``knees`` maps each arrival process to its
+    max sustainable QPS under the SLO.  A knee at ``knee_ceiling_qps``,
+    the search's upper bracket, means the stack sustains every load in
+    range.
+    """
+
+    capacity_qps: float
+    unloaded_p99_us: float
+    slo_us: float
+    slo_q: float
+    knee_ceiling_qps: float
+    records: list[BenchRecord] = field(default_factory=list)
+    knees: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def shed_points(self) -> list[BenchRecord]:
+        """The overload runs, each with a bounded queue."""
+        return [r for r in self.records if r.queue_capacity is not None]
+
+    def failures(self) -> list[str]:
+        """Everything that should make a benchmark run exit non-zero."""
+        problems = record_failures(self.records)
+        for process, knee in self.knees.items():
+            if knee <= 0:
+                problems.append(
+                    f"{process}: no sustainable load meets the "
+                    f"p{self.slo_q:g} <= {self.slo_us:.1f} us SLO"
+                )
+        for point in self.shed_points:
+            if point.num_admitted and point.p99_us > self.slo_us:
+                problems.append(
+                    f"{point.process} overload with shedding: admitted "
+                    f"p99 {point.p99_us:.1f} us exceeds the "
+                    f"{self.slo_us:.1f} us SLO"
+                )
+        return problems
+
+
+def max_sustainable_qps(
+    measure,
+    slo_us: float,
+    lo_qps: float,
+    hi_qps: float,
+    iters: int = 9,
+) -> float:
+    """Largest offered load whose measured tail latency meets the SLO.
+
+    Bisection over ``[lo_qps, hi_qps]``: ``measure(qps)`` returns the
+    tail-latency statistic (e.g. seeded open-loop p99 in microseconds)
+    at that offered load, and the knee is the largest load with
+    ``measure(qps) <= slo_us``.  Queueing delay grows monotonically with
+    load around the knee, which is what bisection relies on; with seeded
+    generators the whole search is deterministic.
+
+    Returns ``0.0`` when even ``lo_qps`` misses the SLO and ``hi_qps``
+    when the whole range meets it (the knee lies above the bracket).
+    """
+    if slo_us <= 0:
+        raise ValueError(f"slo_us must be positive, got {slo_us}")
+    if not 0 < lo_qps < hi_qps:
+        raise ValueError(
+            f"need 0 < lo_qps < hi_qps, got [{lo_qps}, {hi_qps}]"
+        )
+    if measure(lo_qps) > slo_us:
+        return 0.0
+    if measure(hi_qps) <= slo_us:
+        return hi_qps
+    lo, hi = lo_qps, hi_qps
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if measure(mid) <= slo_us:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def run_open_loop_sweep(
+    arrivals: tuple[str, ...] = ("poisson", "bursty", "diurnal"),
+    load_fractions: tuple[float, ...] = (0.5, 0.8, 1.0, 1.3),
+    num_requests: int = 48,
+    num_shards: int = 4,
+    scale: int = 1,
+    seed: int = 0,
+    slo_us: float | None = None,
+    slo_q: float = 99.0,
+    max_batch_size: int = 16,
+    flush_deadline_us: float = 50.0,
+    config: EngineConfig | None = None,
+    knee_iters: int = 9,
+    find_knee: bool = True,
+    overload_factor: float | None = 2.0,
+    workload: str = "alexnet-fc",
     num_threads: int | None = 1,
     value_dtype: str | None = None,
-) -> list[WorkloadMatrixRow]:
-    """Run every named workload through the sharded serving stack.
+) -> OpenLoopReport:
+    """The open-loop study of one workload (``serve-bench --arrivals``).
 
-    Per workload: build the model once, serve the same request set
-    through an unsharded reference server (1 shard, sequential host) and
-    the sharded contender, and require the outputs to match **bit for
-    bit** -- across FC, lowered-conv, and recurrent stages alike.
+    Methodology (documented in ``docs/BENCHMARKS.md``):
+
+    1. **Reference and anchor**: one seeded pool of ``2 x
+       num_requests`` inputs covers every measurement; its 1-shard
+       whole-pool burst is the bit-exactness reference.  The
+       steady-state capacity (:func:`_capacity_qps`) sets the
+       offered-load scale.
+    2. **SLO**: unless given, ``2 x`` the unloaded tail latency -- a
+       deterministic stream with inter-arrivals of twice the flush
+       deadline, so every request pays the full deadline plus a
+       singleton-batch service (the honest light-traffic latency; at
+       low rates batch-*fill* wait otherwise dominates and shrinks with
+       load, which would poison both the anchor and the knee search).
+    3. **Sweep**: every arrival process runs at each load fraction of
+       capacity with an unbounded queue.  ``num_requests`` is the
+       measurement window for *every* loaded point: queueing past
+       saturation accumulates over the stream, so a short window
+       under-reports tail latency and inflates the knee (a knee at the
+       search ceiling means the window never saturated; a few hundred
+       requests at full scale puts the knee near the capacity anchor).
+    4. **Knee**: per process, :func:`max_sustainable_qps` bisects
+       offered load between the unloaded rate and ``2.5 x`` capacity
+       for the largest QPS whose p``slo_q`` meets the SLO over the same
+       window.
+    5. **Shedding**: per process, re-run at ``overload_factor x knee``
+       over the whole pool with the queue bounded to ``slo x knee / 2``
+       in-flight requests (Little's law sizing), showing admitted
+       tails stay inside the SLO while the excess is shed.
     """
-    if workloads is None:
-        workloads = workload_names()
-    config = config or EngineConfig()
-    rows = []
-    for name in workloads:
-        spec = build_workload(name, scale=scale, rng=seed)
-        xs = make_requests(
-            spec.in_features, num_requests, density=spec.density,
-            rng=seed + 1,
-        )
-        batch = min(max_batch_size, num_requests)
-        reference = spec.make_server(
-            num_shards=1,
-            num_threads=1,
-            value_dtype=value_dtype,
-            config=config,
-            max_batch_size=batch,
-            flush_deadline_us=flush_deadline_us,
-        )
-        reference.submit_many(xs)
-        ref_report = reference.drain()
-        ref_outputs = np.stack(ref_report.outputs)
-
-        server = spec.make_server(
+    pool, serve, (reference, ref_report) = _workload_stream(
+        workload, 2 * num_requests, 2 * num_requests, scale=scale,
+        seed=seed, request_seed=seed + 1, value_dtype=value_dtype,
+        config=config, flush_deadline_us=flush_deadline_us,
+    )
+    capacity_qps = _capacity_qps(
+        serve(
             num_shards=num_shards,
             num_threads=num_threads,
-            value_dtype=value_dtype,
-            config=config,
-            max_batch_size=batch,
-            flush_deadline_us=flush_deadline_us,
-        )
-        server.submit_many(xs)
-        wall_start = time.perf_counter()
-        report = server.drain()
-        host_wall_s = time.perf_counter() - wall_start
-        rows.append(WorkloadMatrixRow(
-            workload=name,
+            max_batch_size=min(max_batch_size, num_requests),
+        ),
+        pool,
+    )
+
+    def measure(process, offered_qps, count=num_requests, capacity=None):
+        server = serve(
             num_shards=num_shards,
-            num_threads=server.num_threads,
-            value_dtype=value_dtype or "float64",
-            num_requests=num_requests,
-            num_stages=len(server.layers),
-            reference_rps=ref_report.throughput_rps,
-            sharded_rps=report.throughput_rps,
-            speedup=(
-                report.throughput_rps / ref_report.throughput_rps
-                if ref_report.throughput_rps > 0
-                else 0.0
-            ),
-            p50_latency_us=report.latency_percentile(50),
-            p99_latency_us=report.latency_percentile(99),
-            outputs_match=bool(
-                np.array_equal(np.stack(report.outputs), ref_outputs)
-            ),
-            host_wall_s=host_wall_s,
-        ))
-    return rows
-
-
-def format_workload_matrix(rows: list[WorkloadMatrixRow]) -> str:
-    """Human-readable workload-matrix table."""
-    if not rows:
-        return "workload matrix: no rows"
-    head = rows[0]
-    lines = [
-        f"workload matrix   : {head.num_shards} shards, "
-        f"{head.num_threads} host threads, {head.value_dtype} storage, "
-        f"{head.num_requests} requests/workload",
-        "",
-        f"{'workload':<12} {'stages':>6} {'ref_rps':>12} {'sharded_rps':>12} "
-        f"{'speedup':>8} {'p50_us':>8} {'p99_us':>8} {'exact':>6}",
-        "-" * 78,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.workload:<12} {row.num_stages:>6d} "
-            f"{row.reference_rps:>12,.0f} {row.sharded_rps:>12,.0f} "
-            f"{row.speedup:>7.2f}x {row.p50_latency_us:>8.1f} "
-            f"{row.p99_latency_us:>8.1f} "
-            f"{'yes' if row.outputs_match else 'NO':>6}"
+            num_threads=num_threads,
+            max_batch_size=max_batch_size,
+            queue_capacity=capacity,
         )
-    return "\n".join(lines)
+        arrivals_us = make_arrival_process(
+            process, offered_qps, seed=seed
+        ).generate(count)
+        return measure_stream(
+            server, pool[:count], ref_report, arrivals_us,
+            workload=workload, process=process, offered_qps=offered_qps,
+        )
+
+    # Unloaded = singleton batches: inter-arrivals of twice the deadline
+    # make every request wait out the flush and serve alone.
+    if flush_deadline_us > 0:
+        unloaded_qps = min(
+            0.1 * capacity_qps, US_PER_S / (2.0 * flush_deadline_us)
+        )
+    else:
+        unloaded_qps = 0.1 * capacity_qps
+    unloaded_p99 = measure("deterministic", unloaded_qps)[0].p99_us
+    report = OpenLoopReport(
+        capacity_qps=capacity_qps,
+        unloaded_p99_us=unloaded_p99,
+        slo_us=2.0 * unloaded_p99 if slo_us is None else slo_us,
+        slo_q=slo_q,
+        knee_ceiling_qps=2.5 * capacity_qps,
+        records=[reference],
+    )
+    for process in arrivals:
+        for fraction in load_fractions:
+            report.records.append(measure(process, fraction * capacity_qps)[0])
+        if not find_knee:
+            continue
+
+        def tail(qps: float, p: str = process) -> float:
+            return measure(p, qps)[1].latency_percentile(slo_q)
+
+        knee = max_sustainable_qps(
+            tail,
+            report.slo_us,
+            lo_qps=unloaded_qps,
+            hi_qps=report.knee_ceiling_qps,
+            iters=knee_iters,
+        )
+        report.knees[process] = knee
+        if overload_factor and knee > 0:
+            # Little's law: in-flight bound ~ SLO x service rate keeps
+            # the queueing delay of admitted requests within the SLO;
+            # halve it for safety margin.
+            bound = max(1, int(report.slo_us * 1e-6 * knee * 0.5))
+            report.records.append(
+                measure(process, overload_factor * knee, len(pool), bound)[0]
+            )
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Mixed traffic: vision + translation classes sharing one arrival stream.
-
-
-@dataclass
-class MixedClassStats:
-    """Per-class slice of a mixed-traffic run."""
-
-    workload: str
-    num_requests: int
-    achieved_qps: float
-    p50_us: float
-    p99_us: float
-    outputs_match: bool
-
-
-@dataclass
-class MixedTrafficReport:
-    """A mixed vision + translation open-loop run.
-
-    One seeded arrival stream (PR 7 generators) is split request-by-
-    request between two served pipelines -- even indices to the vision
-    class, odd to the translation class -- so both classes see the same
-    burstiness.  ``offered_qps`` is the total stream rate, anchored so
-    each class runs at ``load`` fraction of the *slower* class's
-    capacity probe.
-    """
-
-    process: str
-    load: float
-    offered_qps: float
-    num_requests: int
-    num_shards: int
-    seed: int
-    classes: list[MixedClassStats] = field(default_factory=list)
-
-    def failures(self) -> list[str]:
-        return [
-            f"mixed[{stats.workload}]: outputs diverge from the "
-            "unsharded reference"
-            for stats in self.classes
-            if not stats.outputs_match
-        ]
 
 
 def run_mixed_traffic(
@@ -1013,133 +753,55 @@ def run_mixed_traffic(
     config: EngineConfig | None = None,
     vision: str = "lenet",
     translation: str = "nmt",
-) -> MixedTrafficReport:
+    value_dtype: str | None = None,
+) -> list[BenchRecord]:
     """Serve vision and translation classes off one arrival stream.
 
-    ``num_requests`` is the per-class count.  Each class's capacity is
-    probed with one full micro-batch (the open-loop anchor methodology);
-    the stream rate is ``2 * load * min(capacities)`` so the slower
-    class runs at ``load`` fraction of saturation.  Outputs of both
-    classes are compared bit-for-bit against their own unsharded
-    burst-mode references -- per-request outputs are independent of
-    batching and arrival times, so the comparison is exact.
+    One seeded stream of ``2 x num_requests`` arrivals is split request
+    by request -- even indices to the vision class, odd to the
+    translation class -- so both classes see the same burstiness.  Each
+    class's capacity is probed with one full micro-batch
+    (:func:`_capacity_qps`); the stream rate is ``2 x load x
+    min(capacities)``, so the slower class runs at ``load`` fraction of
+    saturation and each class record's ``offered_qps`` is half the
+    stream rate.
+
+    Returns both classes' 1-shard burst references, then the two class
+    records, each checked bit for bit against its own reference
+    (per-request outputs are independent of batching and arrival
+    times).
     """
-    config = config or EngineConfig()
-    cycles_per_us = config.clock_ghz * 1e3
     batch = min(max_batch_size, num_requests)
-    specs = [
-        build_workload(vision, rng=seed),
-        build_workload(translation, rng=seed),
+    classes = [
+        _workload_stream(
+            name, num_requests, batch, scale=8, seed=seed,
+            request_seed=seed + 1 + idx, value_dtype=value_dtype,
+            config=config, flush_deadline_us=flush_deadline_us,
+        )
+        for idx, name in enumerate((vision, translation))
     ]
-    request_sets = [
-        make_requests(
-            spec.in_features, num_requests, density=spec.density,
-            rng=seed + 1 + idx,
+    capacities = [
+        _capacity_qps(
+            serve(num_shards=num_shards, num_threads=1, max_batch_size=batch),
+            xs,
         )
-        for idx, spec in enumerate(specs)
+        for xs, serve, _ in classes
     ]
-
-    capacities = []
-    references = []
-    for spec, xs in zip(specs, request_sets):
-        reference = spec.make_server(
-            num_shards=1, num_threads=1, config=config,
-            max_batch_size=batch, flush_deadline_us=flush_deadline_us,
-        )
-        reference.submit_many(xs)
-        ref_report = reference.drain()
-        references.append(np.stack(ref_report.outputs))
-        probe = spec.make_server(
-            num_shards=num_shards, num_threads=1, config=config,
-            max_batch_size=batch, flush_deadline_us=flush_deadline_us,
-        )
-        probe.submit_many(xs[:batch])
-        probe_report = probe.drain()
-        bottleneck_us = max(probe_report.layer_cycles) / cycles_per_us
-        capacities.append(batch / (bottleneck_us * 1e-6))
-
     offered_qps = 2.0 * load * min(capacities)
-    arrivals = make_arrival_process(process, offered_qps, seed=seed).generate(
-        2 * num_requests
-    )
-    servers = [
-        spec.make_server(
-            num_shards=num_shards, num_threads=num_threads, config=config,
-            max_batch_size=batch, flush_deadline_us=flush_deadline_us,
+    arrivals_us = make_arrival_process(
+        process, offered_qps, seed=seed
+    ).generate(2 * num_requests)
+    records = [reference for _, _, (reference, _) in classes]
+    for idx, (xs, serve, (reference, ref_report)) in enumerate(classes):
+        server = serve(
+            num_shards=num_shards,
+            num_threads=num_threads,
+            max_batch_size=batch,
         )
-        for spec in specs
-    ]
-    # Interleave: even stream slots -> vision, odd -> translation.
-    for idx, arrival in enumerate(arrivals):
-        cls = idx % 2
-        servers[cls].submit(request_sets[cls][idx // 2], arrival_us=arrival)
-
-    report = MixedTrafficReport(
-        process=process,
-        load=load,
-        offered_qps=offered_qps,
-        num_requests=2 * num_requests,
-        num_shards=num_shards,
-        seed=seed,
-    )
-    for spec, server, expected in zip(specs, servers, references):
-        drain = server.drain()
-        report.classes.append(MixedClassStats(
-            workload=spec.name,
-            num_requests=drain.num_requests,
-            achieved_qps=drain.throughput_rps,
-            p50_us=drain.latency_percentile(50),
-            p99_us=drain.latency_percentile(99),
-            outputs_match=bool(
-                np.array_equal(np.stack(drain.outputs), expected)
-            ),
-        ))
-    return report
-
-
-def format_mixed_report(report: MixedTrafficReport) -> str:
-    """Human-readable mixed-traffic summary."""
-    lines = [
-        f"mixed traffic     : {report.process} arrivals, "
-        f"{report.offered_qps:,.0f} qps total "
-        f"({report.load:.2f}x of the slower class's capacity), "
-        f"{report.num_requests} requests, {report.num_shards} shards, "
-        f"seed {report.seed}",
-        "",
-        f"{'class':<12} {'requests':>8} {'qps':>12} {'p50_us':>8} "
-        f"{'p99_us':>8} {'exact':>6}",
-        "-" * 60,
-    ]
-    for stats in report.classes:
-        lines.append(
-            f"{stats.workload:<12} {stats.num_requests:>8d} "
-            f"{stats.achieved_qps:>12,.0f} {stats.p50_us:>8.1f} "
-            f"{stats.p99_us:>8.1f} "
-            f"{'yes' if stats.outputs_match else 'NO':>6}"
+        record, _ = measure_stream(
+            server, xs, ref_report, arrivals_us[idx::2],
+            workload=reference.workload, process=process,
+            offered_qps=offered_qps / 2,
         )
-    return "\n".join(lines)
-
-
-def format_report(report: ServingBenchReport) -> str:
-    """Human-readable summary of a benchmark run."""
-    lines = [
-        f"workload          : AlexNet-FC stack (scale 1/{report.scale}), "
-        f"{report.num_requests} requests, "
-        f"{report.value_dtype} value storage",
-        f"server            : {report.num_shards} shards, "
-        f"{report.num_threads} host threads, "
-        f"max batch {report.max_batch_size}, "
-        f"deadline {report.flush_deadline_us:.1f} us",
-        f"host drain wall   : {report.host_wall_s * 1e3:.1f} ms",
-        f"batches formed    : {report.batch_sizes}",
-        f"baseline          : {report.baseline_rps:,.0f} req/s "
-        f"({report.baseline_makespan_us:.1f} us for the set)",
-        f"sharded           : {report.sharded_rps:,.0f} req/s "
-        f"({report.sharded_makespan_us:.1f} us makespan)",
-        f"speedup           : {report.speedup:.2f}x",
-        f"latency p50 / p99 : {report.p50_latency_us:.1f} / "
-        f"{report.p99_latency_us:.1f} us",
-        f"outputs match     : "
-        f"{'bit-for-bit' if report.outputs_match else 'MISMATCH'}",
-    ]
-    return "\n".join(lines)
+        records.append(record)
+    return records

@@ -8,7 +8,9 @@ not divide the layer dimensions):
 - ``run_conv_layer`` is the one-engine, B=1 case of ``LoweredConvStage``,
   paying one pipeline fill per offset product;
 - a recurrent step costs exactly its 8 per-gate engine batch calls;
-- a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by layer;
+- a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by
+  layer, and with the whole request set as one batch it matches the
+  per-layer ``run_fc_batch`` loop, makespan included;
 - row sharding redistributes MACs without creating or losing any.
 """
 
@@ -150,6 +152,26 @@ def test_one_shard_server_matches_run_network(value_dtype):
     assert [row[0].macs for row in report.layer_stats] == [
         result.macs for result in results
     ]
+
+    # The whole request set as one batch is the per-layer run_fc_batch
+    # loop in outputs, cycles and makespan: the reference every AlexNet
+    # shard sweep is measured against.
+    xs = _sparse((32, 68), seed=5)
+    engine = PermDNNEngine()
+    expected, cycles = xs, []
+    for matrix, activation in layers:
+        expected, layer_cycles = engine.run_fc_batch(
+            matrix, expected, activation=activation
+        )
+        cycles.append(layer_cycles)
+    server = ModelServer(
+        layers, num_shards=1, num_threads=1, max_batch_size=len(xs)
+    )
+    server.submit_many(xs)
+    report = server.drain()
+    np.testing.assert_array_equal(np.stack(report.outputs), expected)
+    assert report.layer_cycles == cycles
+    assert report.makespan_us == sum(cycles) / server.cycles_per_us
 
 
 @pytest.mark.parametrize("value_dtype", VALUE_DTYPES)

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.hw import PermDNNEngine
-from repro.serve import ModelServer, max_sustainable_qps, run_open_loop_point
+from repro.serve import (
+    ModelServer,
+    make_arrival_process,
+    max_sustainable_qps,
+    measure_stream,
+)
 
 
 def _stack(seed=0):
@@ -21,6 +26,30 @@ def _requests(num, n, seed=1, density=0.5):
     xs = rng.normal(size=(num, n))
     xs[rng.random(size=xs.shape) > density] = 0.0
     return xs
+
+
+def _point(layers, xs, reference, process, offered_qps, seed):
+    server = ModelServer(
+        layers, num_shards=2, max_batch_size=4, flush_deadline_us=20.0
+    )
+    arrivals = make_arrival_process(process, offered_qps, seed=seed)
+    return measure_stream(
+        server, xs, reference, arrivals.generate(len(xs)),
+        workload="toy", process=process, offered_qps=offered_qps,
+    )
+
+
+def _reference(layers, xs):
+    # The served reference must itself reproduce the independent
+    # single-engine loop, so a defect shared by 1- and 2-shard servers
+    # cannot pass the sharded comparisons against it.
+    server = ModelServer(layers, num_shards=1, num_threads=1,
+                         max_batch_size=len(xs))
+    report = measure_stream(server, xs, workload="toy")[1]
+    np.testing.assert_array_equal(
+        np.stack(report.outputs), _baseline(layers, xs)
+    )
+    return report
 
 
 def _baseline(layers, xs):
@@ -74,13 +103,9 @@ class TestTraceDeterminism:
     def test_identical_seeds_identical_latency_trace(self, process):
         layers = _stack()
         xs = _requests(20, 48)
-        baseline = _baseline(layers, xs)
+        baseline = _reference(layers, xs)
         runs = [
-            run_open_loop_point(
-                layers, xs, baseline, process, 50_000.0,
-                num_shards=2, seed=13, max_batch_size=4,
-                flush_deadline_us=20.0,
-            )
+            _point(layers, xs, baseline, process, 50_000.0, seed=13)
             for _ in range(2)
         ]
         (p1, r1), (p2, r2) = runs
@@ -95,11 +120,8 @@ class TestTraceDeterminism:
     def test_point_asserts_bit_exactness_against_baseline(self):
         layers = _stack()
         xs = _requests(12, 48)
-        baseline = _baseline(layers, xs)
-        point, report = run_open_loop_point(
-            layers, xs, baseline, "poisson", 20_000.0,
-            num_shards=2, seed=0, max_batch_size=4, flush_deadline_us=20.0,
-        )
+        baseline = _reference(layers, xs)
+        point, report = _point(layers, xs, baseline, "poisson", 20_000.0, seed=0)
         assert point.outputs_match
         assert point.num_admitted == 12
         assert point.num_shed == 0

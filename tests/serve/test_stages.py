@@ -123,10 +123,17 @@ class TestServedConvPipeline:
         spec = build_workload("resnet20", rng=0)
         xs = _requests(4, spec.in_features)
         reference = _drain(
-            spec.make_server(num_shards=1, max_batch_size=4), xs
+            ModelServer.from_model(
+                spec.model, input_hw=spec.input_hw,
+                num_shards=1, num_threads=1, max_batch_size=4,
+            ),
+            xs,
         )
         sharded = _drain(
-            spec.make_server(num_shards=4, num_threads=2, max_batch_size=4),
+            ModelServer.from_model(
+                spec.model, input_hw=spec.input_hw,
+                num_shards=4, num_threads=2, max_batch_size=4,
+            ),
             xs,
         )
         np.testing.assert_array_equal(sharded, reference)
