@@ -5,8 +5,9 @@ Measures the three products every training step pays --
 - forward: ``Y = matmat(X)``;
 - backward: ``dX = rmatmat(dY)`` plus ``dQ = grad_data(X, dY)``;
 
--- through the cached index plan and the selected kernel backend, and
-compares against two frozen baselines:
+-- through the cached index plan and the process kernel backend (``csr``
+unless ``REPRO_BACKEND`` selects another), and compares against two
+frozen baselines:
 
 - **naive** (pre-PR 1): a fresh structured matrix per call (indices and
   support recomputed from scratch) whose input gradient goes through a
@@ -22,10 +23,14 @@ Usage::
 
     python benchmarks/bench_kernel_hotpath.py                     # full grid
     python benchmarks/bench_kernel_hotpath.py --smoke             # CI canary
-    python benchmarks/bench_kernel_hotpath.py --backend gather    # pin backend
-    python benchmarks/bench_kernel_hotpath.py --compare-backends  # per-backend table
     python benchmarks/bench_kernel_hotpath.py --dtype float32     # reduced precision
     python benchmarks/bench_kernel_hotpath.py --dtype all         # dtype sweep table
+    REPRO_BACKEND=numba python benchmarks/bench_kernel_hotpath.py # another backend
+
+Tables land in ``benchmarks/results/``: ``bench_kernel_hotpath.txt`` for
+one dtype, ``bench_kernel_dtypes.txt`` for ``--dtype all``.  ``--smoke``
+runs write ``*_smoke.txt`` beside them, so the committed full-grid tables
+are never overwritten by the smoke grid.
 
 The ``--dtype`` axis times the value-storage modes (float64 default,
 float32 storage+compute, int16 fixed-point codes decoded into float64
@@ -42,7 +47,7 @@ import time
 import numpy as np
 
 from _common import emit, format_table
-from repro.core import BlockPermutedDiagonalMatrix, available_backends
+from repro.core import BlockPermutedDiagonalMatrix
 
 # (m, n, p, batch); the (4096, 4096, 64, 128) point is the acceptance grid.
 FULL_GRID = [
@@ -153,11 +158,10 @@ def bench_point(
     p: int,
     batch: int,
     reps: int,
-    backend: str | None,
     value_dtype: str = "float64",
 ) -> tuple:
     rng = np.random.default_rng(0)
-    base = BlockPermutedDiagonalMatrix.random((m, n), p, rng=rng, backend=backend)
+    base = BlockPermutedDiagonalMatrix.random((m, n), p, rng=rng)
     matrix = (
         base if value_dtype == "float64" else base.with_value_dtype(value_dtype)
     )
@@ -236,18 +240,6 @@ def main() -> None:
         "--reps", type=int, default=None, help="timing repetitions per point"
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("auto", "gather", "csr", "numba"),
-        help="pin the kernel backend under test (default: auto selection)",
-    )
-    parser.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help="run every available backend per grid point and emit a "
-        "side-by-side table (bench_kernel_backends.txt)",
-    )
-    parser.add_argument(
         "--dtype",
         default="float64",
         choices=("float64", "float32", "int16", "all"),
@@ -259,33 +251,17 @@ def main() -> None:
     reps = args.reps if args.reps is not None else (2 if args.smoke else 5)
     if reps < 1:
         parser.error("--reps must be >= 1")
-    if args.compare_backends and args.dtype == "all":
-        parser.error("--compare-backends sweeps backends; pick one --dtype")
-
-    if args.compare_backends:
-        rows = []
-        for point in grid:
-            for backend in available_backends():
-                rows.append(bench_point(*point, reps, backend, args.dtype))
-        emit("bench_kernel_backends", format_table(HEADERS, rows))
-        return
-
-    backend = None if args.backend in (None, "auto") else args.backend
-    if backend is not None and backend not in available_backends():
-        parser.error(
-            f"backend {backend!r} is not available on this machine "
-            f"(available: {', '.join(available_backends())})"
-        )
+    suffix = "_smoke" if args.smoke else ""
     if args.dtype == "all":
         rows = [
-            bench_point(*point, reps, backend, value_dtype)
+            bench_point(*point, reps, value_dtype)
             for point in grid
             for value_dtype in ("float64", "float32", "int16")
         ]
-        emit("bench_kernel_dtypes", format_table(HEADERS, rows))
+        emit("bench_kernel_dtypes" + suffix, format_table(HEADERS, rows))
         return
-    rows = [bench_point(*point, reps, backend, args.dtype) for point in grid]
-    emit("bench_kernel_hotpath", format_table(HEADERS, rows))
+    rows = [bench_point(*point, reps, args.dtype) for point in grid]
+    emit("bench_kernel_hotpath" + suffix, format_table(HEADERS, rows))
 
 
 if __name__ == "__main__":

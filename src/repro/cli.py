@@ -2,7 +2,7 @@
 
 Usage (module form):
 
-    python -m repro.cli simulate    --workload Alex-FC6 [--pes 32] [--backend csr]
+    python -m repro.cli simulate    --workload Alex-FC6 [--pes 32]
     python -m repro.cli compare     --workload Alex-FC7
     python -m repro.cli storage     --model alexnet|resnet20|wrn48
     python -m repro.cli scale       --workload NMT-1
@@ -14,9 +14,10 @@ Usage (module form):
     python -m repro.cli compress     --entry lenet --out runs/compress
     python -m repro.cli compress-zoo --out runs/compress_zoo [--entry nmt]
 
-The kernel backend used for the numerical products can also be selected
+The kernel backend used for the numerical products is selected
 process-wide with the ``REPRO_BACKEND`` environment variable
-(``gather``/``csr``/``numba``; see :mod:`repro.core.backends`).
+(``csr``/``numba``; see :mod:`repro.core.backends`); an unknown or
+unavailable name exits cleanly through :func:`main`.
 
 Command implementations are plain library code: they raise typed errors
 (e.g. :class:`repro.hw.UnknownWorkloadError`) and only :func:`main`
@@ -38,10 +39,6 @@ def _cmd_simulate(args) -> int:
     workload = find_workload(args.workload)
     engine = PermDNNEngine(EngineConfig(n_pe=args.pes))
     matrix, x = make_workload_instance(workload, rng=args.seed)
-    if args.backend:
-        # Pin the workload matrix only -- never the process-wide default,
-        # which would leak into later library calls.
-        matrix.set_backend(args.backend)
     verify_engine(engine, matrix, x)
     result = engine.run_fc_layer(matrix, x, enforce_capacity=not args.no_capacity)
     perf = engine.performance(result, (workload.m, workload.n))
@@ -283,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--no-capacity", action="store_true",
                      help="waive the per-PE SRAM capacity check")
-    sim.add_argument("--backend", default=None,
-                     help="kernel backend for the numerics "
-                          "(gather/csr/numba; default: auto)")
     sim.set_defaults(func=_cmd_simulate)
 
     cmp_ = sub.add_parser("compare", help="PermDNN vs EIE on one layer")

@@ -497,7 +497,8 @@ def verify_bundle(
     Two checks, both raising :class:`CompressionError` on failure:
 
     - the sanitized :meth:`ModelServer.from_bundle` cold start performs
-      **zero** index-plan builds (every stage reloads a serialized plan);
+      **zero** index-plan and CSR-skeleton builds (every stage reloads a
+      serialized, warmed plan);
     - the bundle's served outputs are bit-identical to serving the live
       ``model`` through :meth:`ModelServer.from_model` at the same value
       dtype (which ties the bundle to the model at any storage precision).
@@ -521,11 +522,12 @@ def verify_bundle(
         served = np.stack(server.drain().outputs)
         builds = guard.stats.plan_builds
         rebuilds = guard.stats.plan_rebuilds
-    if builds or rebuilds:
+        skeletons = guard.stats.skeleton_builds
+    if builds or rebuilds or skeletons:
         raise CompressionError(
             f"bundle at {directory} cold-started with {builds} index-plan "
-            f"build(s) and {rebuilds} rebuild(s); staged bundles must "
-            f"reload serialized plans only"
+            f"build(s), {rebuilds} rebuild(s) and {skeletons} CSR-skeleton "
+            f"build(s); staged bundles must reload serialized plans only"
         )
     if served.shape != expected.shape or not np.array_equal(served, expected):
         raise CompressionError(

@@ -17,9 +17,9 @@ Public API
 - :func:`natural_permutation`, :func:`random_permutation` -- ``k_l`` selection.
 - :func:`approximate_pd` / :func:`approximate_pd_tensor` -- optimal
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
-- :func:`set_default_backend` / :func:`available_backends` -- process-wide
-  kernel-backend selection (see :mod:`repro.core.backends`); individual
-  matrices can pin a backend via their ``backend=`` argument.
+- :func:`set_default_backend` / :func:`available_backends` -- the one
+  process-wide kernel-backend choice (see :mod:`repro.core.backends`):
+  ``set_default_backend``, else ``REPRO_BACKEND``, else ``csr``.
 - :func:`set_default_value_dtype` / :func:`default_value_dtype` --
   process-wide value-storage selection (float64 / float32 / int16
   fixed-point; see :mod:`repro.core.value_types`); individual matrices

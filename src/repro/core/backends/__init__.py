@@ -1,25 +1,22 @@
-"""Pluggable execution backends for the block-PD kernel.
+"""Execution backends for the block-PD kernel.
 
-Every matmul path in the repo dispatches through this registry instead of
-hard-coding scipy-vs-numpy branching:
+Every matmul path in the repo dispatches through this module instead of
+hard-coding an implementation:
 
-- ``gather`` -- pure numpy fancy-indexing + einsum; always available.
-- ``csr``    -- scipy CSR spmm with int32-indexed skeletons; the default
-  whenever scipy imports.
-- ``numba``  -- JIT-compiled parallel loops; auto-detected, optional.
+- ``csr``   -- scipy CSR spmm with int32-indexed skeletons; the default.
+- ``numba`` -- JIT-compiled parallel loops; optional, available only where
+  numba imports.
 
-Selection precedence, per product call:
+One backend serves the whole process, chosen in this order:
 
-1. the matrix's own ``backend=`` (constructor argument or
-   :meth:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.set_backend`);
-2. the process-wide default set by :func:`set_default_backend`;
-3. the ``REPRO_BACKEND`` environment variable;
-4. ``auto``: ``csr`` when scipy is importable, else ``gather``.
+1. the name set by :func:`set_default_backend`;
+2. the ``REPRO_BACKEND`` environment variable;
+3. ``auto``, which is ``csr``.
 
 Backend objects are stateless singletons (see
 :class:`~repro.core.backends.base.KernelBackend`); per-matrix caches stay
-on the matrix, so backends can be switched at any time without invalidating
-plans.
+on the matrix, so the process backend can be switched at any time without
+invalidating plans.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from repro.core.backends.base import (
     UnknownBackendError,
 )
 from repro.core.backends.csr import CsrBackend
-from repro.core.backends.gather import GatherBackend
 from repro.core.backends.numba_backend import NumbaBackend
 
 __all__ = [
@@ -42,31 +38,24 @@ __all__ = [
     "UnknownBackendError",
     "available_backends",
     "backend_names",
+    "current_backend",
     "default_backend",
     "get_backend",
-    "register_backend",
     "set_default_backend",
     "validate_backend_name",
 ]
 
-#: Sentinel name meaning "pick the best available backend".
+#: Sentinel name meaning "pick the best available backend" (``csr``).
 AUTO = "auto"
 
-_REGISTRY: dict[str, type[KernelBackend]] = {}
-_INSTANCES: dict[str, KernelBackend] = {}
+_REGISTRY: dict[str, KernelBackend] = {
+    "csr": CsrBackend(),
+    "numba": NumbaBackend(),
+}
 
 # Process-wide default; ``None`` defers to ``REPRO_BACKEND`` / AUTO so the
 # environment variable is re-read until someone pins a default explicitly.
 _default: str | None = None
-
-
-def register_backend(cls: type[KernelBackend]) -> type[KernelBackend]:
-    """Add a :class:`KernelBackend` subclass to the registry (by its name)."""
-    if not cls.name or cls.name == AUTO:
-        raise ValueError(f"invalid backend name {cls.name!r}")
-    _REGISTRY[cls.name] = cls
-    _INSTANCES.pop(cls.name, None)
-    return cls
 
 
 def backend_names() -> tuple[str, ...]:
@@ -76,7 +65,7 @@ def backend_names() -> tuple[str, ...]:
 
 def available_backends() -> tuple[str, ...]:
     """Registered backends whose dependencies import on this machine."""
-    return tuple(n for n, cls in _REGISTRY.items() if cls.is_available())
+    return tuple(n for n, b in _REGISTRY.items() if b.is_available())
 
 
 def validate_backend_name(name: str) -> str:
@@ -91,7 +80,7 @@ def validate_backend_name(name: str) -> str:
 
 
 def get_backend(name: str) -> KernelBackend:
-    """The singleton backend registered under ``name``.
+    """The singleton backend registered under ``name`` (``auto`` is csr).
 
     Raises:
         UnknownBackendError: ``name`` is not registered.
@@ -100,36 +89,28 @@ def get_backend(name: str) -> KernelBackend:
             take effect immediately).
     """
     normalized = validate_backend_name(name)
-    if normalized == AUTO:
-        raise UnknownBackendError("'auto' must be resolved by the caller")
-    cls = _REGISTRY[normalized]
-    if not cls.is_available():
+    backend = _REGISTRY["csr" if normalized == AUTO else normalized]
+    if not backend.is_available():
         raise BackendUnavailableError(
             f"kernel backend {normalized!r} is not available on this system "
             f"(available: {', '.join(available_backends()) or 'none'})"
         )
-    instance = _INSTANCES.get(normalized)
-    if instance is None:
-        instance = _INSTANCES[normalized] = cls()
-    return instance
+    return backend
 
 
 def set_default_backend(name: str | None) -> None:
     """Set the process-wide default backend.
 
     ``None`` restores the startup behaviour (``REPRO_BACKEND`` env var,
-    else ``auto``).  An explicit non-``auto`` name is validated and checked
-    for availability immediately so misconfiguration fails loudly here, not
-    inside some later product call.
+    else ``auto``).  A name is validated and checked for availability
+    immediately so misconfiguration fails loudly here, not inside some
+    later product call.
     """
     global _default
-    if name is None:
-        _default = None
-        return
-    normalized = validate_backend_name(name)
-    if normalized != AUTO:
-        get_backend(normalized)  # availability check, raises if missing
-    _default = normalized
+    if name is not None:
+        name = validate_backend_name(name)
+        get_backend(name)  # availability check, raises if missing
+    _default = name
 
 
 def default_backend() -> str:
@@ -140,6 +121,6 @@ def default_backend() -> str:
     return env or AUTO
 
 
-register_backend(GatherBackend)
-register_backend(CsrBackend)
-register_backend(NumbaBackend)
+def current_backend() -> KernelBackend:
+    """The backend every product in the process runs on right now."""
+    return get_backend(default_backend())

@@ -45,7 +45,7 @@ class KernelBackend:
     cheaper direct path (e.g. CSR mat-vec).
     """
 
-    #: Registry key; also the value accepted by ``backend=`` arguments,
+    #: Registry key; also the value accepted by
     #: :func:`~repro.core.backends.set_default_backend` and ``REPRO_BACKEND``.
     name: str = "?"
 

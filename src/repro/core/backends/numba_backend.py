@@ -3,14 +3,14 @@
 When numba is installed, the products run as parallel (``prange`` over
 block rows/columns) scalar loops compiled to native code: no ``nnz x B``
 gather temporaries are materialized at all, which is the win over the
-numpy backends for large layers.  When numba is missing the backend
-registers as unavailable and selection falls through to ``csr``/``gather``
--- nothing in this module hard-requires the dependency.
+numpy-side gathers for large layers.  When numba is missing the backend
+registers as unavailable and selecting it raises
+:class:`~repro.core.backends.base.BackendUnavailableError` -- nothing in
+this module hard-requires the dependency.
 
 The kernels index padded buffers (``mb*p`` / ``nb*p`` wide) so the modulo
 column arithmetic never goes out of bounds; the python wrappers add the
-zero padding only for non-multiple-of-``p`` shapes, mirroring the aligned
-fast paths of the gather backend.
+zero padding only for non-multiple-of-``p`` shapes.
 
 Every buffer the wrappers allocate carries an explicit dtype derived from
 the operands (the JIT specializes per dtype): a dtype-less ``np.zeros``

@@ -69,13 +69,11 @@ and ``to_q`` round-trips assume they stay zero).
 
 Backend dispatch
 ----------------
-The products themselves execute through a pluggable
-:mod:`repro.core.backends` implementation: ``csr`` (scipy, int32-indexed
-CSR skeletons -- the default when scipy imports), ``gather`` (pure numpy)
-or ``numba`` (optional JIT).  Selection order per call: the matrix's own
-``backend=`` argument / :meth:`~BlockPermutedDiagonalMatrix.set_backend`,
-then :func:`repro.core.backends.set_default_backend`, then the
-``REPRO_BACKEND`` environment variable, then auto-detection.
+The products themselves execute through the process-wide
+:mod:`repro.core.backends` choice: ``csr`` (scipy, int32-indexed CSR
+skeletons; the default) or ``numba`` (optional JIT).  The choice is
+:func:`repro.core.backends.set_default_backend`, else the
+``REPRO_BACKEND`` environment variable, else ``csr``.
 
 Plan serialization
 ------------------
@@ -95,22 +93,13 @@ import io
 
 import numpy as np
 
-try:  # scipy is an install requirement but stay importable without it
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _scipy_sparse = None
+from scipy import sparse as _scipy_sparse
 
 from repro.core import backends as _backends
 from repro.core import value_types as _value_types
 from repro.core.permutation import PermutationSpec
 
 __all__ = ["BlockPermutedDiagonalMatrix", "row_shard_bounds"]
-
-# Hard cap on gathered elements per slab in the gather backend; together
-# with the (much smaller) cache-blocking target in
-# :mod:`repro.core.backends.gather` it bounds temporary memory and forces
-# the chunked transposed path for large products.
-_GATHER_ELEMENT_LIMIT = 50_000_000
 
 # Version tag of the _IndexPlan.to_bytes() wire format.  Version 2 added
 # the optional value-dtype tag (``vd``/``fp`` keys); version-1 blobs are
@@ -153,6 +142,23 @@ def _resolve_value_dtype(value_dtype, fixed_point):
             f"fixed_point only applies to int16 value storage, not {name!r}"
         )
     return name, fixed_point
+
+
+def _untagged_value_dtype(data) -> str:
+    """Value dtype of stored values that carry no dtype tag.
+
+    float32 values stay float32 and any other float is float64.  Untagged
+    ``int16`` data is ambiguous -- codes are meaningless without their
+    format -- and is rejected rather than guessed.
+    """
+    kind = np.asarray(data).dtype
+    if kind == np.int16:
+        raise ValueError(
+            "int16 data needs its FixedPointFormat: pass "
+            "value_dtype='int16' and fixed_point=..., or load it from a "
+            "dtype-tagged plan blob or file"
+        )
+    return "float32" if kind == np.float32 else "float64"
 
 
 @contextlib.contextmanager
@@ -549,9 +555,6 @@ class BlockPermutedDiagonalMatrix:
         ks: integer array of shape ``(mb, nb)`` with per-block permutation
             parameters (reduced modulo ``p``).
         shape: logical ``(m, n)``; defaults to the padded ``(mb*p, nb*p)``.
-        backend: pin this matrix to a named kernel backend (``"gather"``,
-            ``"csr"``, ``"numba"``); ``None`` follows the process default
-            (see :mod:`repro.core.backends`).
         value_dtype: value-storage mode (``"float64"``, ``"float32"``,
             ``"int16"``); ``None`` follows the process default (see
             :mod:`repro.core.value_types`).
@@ -565,7 +568,6 @@ class BlockPermutedDiagonalMatrix:
         data: np.ndarray,
         ks: np.ndarray,
         shape: tuple[int, int] | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> None:
@@ -597,7 +599,6 @@ class BlockPermutedDiagonalMatrix:
         self._shape = (int(m), int(n))
         self._plan: _IndexPlan | None = None
         self._csr_cache: dict[bool, tuple] = {}
-        self._backend = self._normalize_backend(backend)
         self.data = data  # through the property: masks padding only if needed
 
     # ------------------------------------------------------------------
@@ -748,49 +749,14 @@ class BlockPermutedDiagonalMatrix:
         out._shape = self._shape
         out._plan = self._get_plan()
         out._csr_cache = {}
-        out._backend = self._backend
         out._value_dtype = name
         out._fixed_point = fmt
         out.data = data
         return out
 
     # ------------------------------------------------------------------
-    # Backend selection
+    # Structure mutation and plan-sharing siblings
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _normalize_backend(backend: str | None) -> str | None:
-        if backend is None:
-            return None
-        name = _backends.validate_backend_name(backend)
-        return None if name == _backends.AUTO else name
-
-    @property
-    def backend(self) -> str | None:
-        """Pinned backend name, or ``None`` when following the default."""
-        return self._backend
-
-    def set_backend(self, backend: str | None) -> "BlockPermutedDiagonalMatrix":
-        """Pin (or, with ``None``/``"auto"``, unpin) this matrix's backend.
-
-        Only the dispatch target changes -- the cached index plan and CSR
-        value buffers survive, so switching is free.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        self._backend = self._normalize_backend(backend)
-        return self
-
-    def resolved_backend(self) -> str:
-        """The backend name a product call would execute on right now."""
-        return self._resolve_backend().name
-
-    def _resolve_backend(self) -> _backends.KernelBackend:
-        name = self._backend or _backends.default_backend()
-        if name == _backends.AUTO:
-            name = "csr" if _scipy_sparse is not None else "gather"
-        return _backends.get_backend(name)
 
     def set_structure(
         self,
@@ -856,7 +822,6 @@ class BlockPermutedDiagonalMatrix:
         out._shape = self._shape
         out._plan = self._get_plan()
         out._csr_cache = {}
-        out._backend = self._backend
         out._value_dtype = self._value_dtype
         out._fixed_point = self._fixed_point
         out.data = data
@@ -884,7 +849,6 @@ class BlockPermutedDiagonalMatrix:
         out._shape = plan.shape
         out._plan = plan
         out._csr_cache = {}
-        out._backend = self._backend
         out._value_dtype = self._value_dtype
         out._fixed_point = self._fixed_point
         out.data = self._data[start_block:stop_block]
@@ -960,7 +924,6 @@ class BlockPermutedDiagonalMatrix:
         cls,
         plan: "_IndexPlan | bytes",
         data: np.ndarray,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
@@ -985,17 +948,7 @@ class BlockPermutedDiagonalMatrix:
 
                 fixed_point = FixedPointFormat(*plan.fixed_point_hint)
         if value_dtype is None:
-            kind = np.asarray(data).dtype
-            if kind == np.float32:
-                value_dtype = "float32"
-            elif kind == np.int16:
-                raise ValueError(
-                    "int16 data needs its FixedPointFormat: pass "
-                    "value_dtype='int16' and fixed_point=..., or use a "
-                    "dtype-tagged plan blob"
-                )
-            else:
-                value_dtype = "float64"
+            value_dtype = _untagged_value_dtype(data)
         out = cls.__new__(cls)
         out._value_dtype, out._fixed_point = _resolve_value_dtype(
             value_dtype, fixed_point
@@ -1005,7 +958,6 @@ class BlockPermutedDiagonalMatrix:
         out._shape = plan.shape
         out._plan = plan
         out._csr_cache = {}
-        out._backend = cls._normalize_backend(backend)
         out.data = data
         return out
 
@@ -1020,7 +972,6 @@ class BlockPermutedDiagonalMatrix:
         p: int,
         spec: PermutationSpec | None = None,
         ks: np.ndarray | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
@@ -1035,7 +986,6 @@ class BlockPermutedDiagonalMatrix:
             np.zeros((mb, nb, p), dtype=_value_types.storage_dtype(name)),
             ks,
             shape=shape,
-            backend=backend,
             value_dtype=name,
             fixed_point=fmt,
         )
@@ -1048,7 +998,6 @@ class BlockPermutedDiagonalMatrix:
         spec: PermutationSpec | None = None,
         scale: float | None = None,
         rng: np.random.Generator | int | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
@@ -1072,7 +1021,6 @@ class BlockPermutedDiagonalMatrix:
             shape,
             p,
             spec=spec,
-            backend=backend,
             value_dtype="float64" if requested == "int16" else requested,
         )
         if not isinstance(rng, np.random.Generator):
@@ -1096,7 +1044,6 @@ class BlockPermutedDiagonalMatrix:
         p: int,
         ks: np.ndarray | None = None,
         spec: PermutationSpec | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
@@ -1117,8 +1064,7 @@ class BlockPermutedDiagonalMatrix:
             else _value_types.default_value_dtype()
         )
         out = cls.zeros(
-            dense.shape, p, spec=spec, ks=ks, backend=backend,
-            value_dtype="float64",
+            dense.shape, p, spec=spec, ks=ks, value_dtype="float64",
         )
         flat, rows, cols = out._get_plan().support_coords()
         data = np.zeros(out.data.shape)
@@ -1216,7 +1162,6 @@ class BlockPermutedDiagonalMatrix:
         shape: tuple[int, int],
         p: int,
         ks: np.ndarray,
-        backend: str | None = None,
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
@@ -1233,7 +1178,6 @@ class BlockPermutedDiagonalMatrix:
             q.reshape(mb, nb, p),
             np.asarray(ks).reshape(mb, nb),
             shape=shape,
-            backend=backend,
             value_dtype=value_dtype,
             fixed_point=fixed_point,
         )
@@ -1259,10 +1203,6 @@ class BlockPermutedDiagonalMatrix:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
-
-    def _gather_columns(self) -> np.ndarray:
-        """Global input column index feeding each stored slot, ``(mb, nb, p)``."""
-        return self._get_plan().cols
 
     def _csr_values(self, perm: np.ndarray) -> np.ndarray:
         """CSR value buffer in the compute dtype: an ``nnz``-sized gather,
@@ -1298,12 +1238,16 @@ class BlockPermutedDiagonalMatrix:
             mat.data[:] = self._csr_values(perm)
         return self._csr_cache[key][1]
 
+    def resolved_backend(self) -> str:
+        """The backend name a product call would execute on right now."""
+        return _backends.current_backend().name
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = W @ x`` touching only the ``m*n/p`` stored weights."""
         x = np.asarray(x, dtype=self.compute_dtype)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected x of shape ({self.shape[1]},), got {x.shape}")
-        return self._resolve_backend().matvec(self, x)
+        return _backends.current_backend().matvec(self, x)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """Batched forward product ``Y[b] = W @ X[b]`` for ``X`` of shape ``(B, n)``.
@@ -1318,14 +1262,14 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"expected X of shape (B, {self.shape[1]}), got {x.shape}"
             )
-        return self._resolve_backend().matmat(self, x)
+        return _backends.current_backend().matmat(self, x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``W.T @ y`` (gradient propagation, Eqn. (3)), transpose-free."""
         y = np.asarray(y, dtype=self.compute_dtype)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected y of shape ({self.shape[0]},), got {y.shape}")
-        return self._resolve_backend().rmatvec(self, y)
+        return _backends.current_backend().rmatvec(self, y)
 
     def rmatmat(self, y: np.ndarray) -> np.ndarray:
         """Batched ``W.T`` product for ``Y`` of shape ``(B, m)`` -> ``(B, n)``.
@@ -1339,7 +1283,7 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"expected Y of shape (B, {self.shape[0]}), got {y.shape}"
             )
-        return self._resolve_backend().rmatmat(self, y)
+        return _backends.current_backend().rmatmat(self, y)
 
     def grad_data(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Gradient of a batch loss w.r.t. :attr:`data` (Eqn. (2)).
@@ -1348,7 +1292,7 @@ class BlockPermutedDiagonalMatrix:
         only the stored (non-zero) weights receive gradient, which is what
         keeps the trained network block-permuted diagonal.  Backends batch
         this against the shared column skeleton (see
-        :func:`repro.core.backends.gather.batched_grad_data`).
+        :func:`repro.core.backends.csr.batched_grad_data`).
 
         Args:
             x: layer input, shape ``(B, n)``.
@@ -1369,7 +1313,7 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"dy shape {dy.shape} does not match (B={batch}, m={self.shape[0]})"
             )
-        return self._resolve_backend().grad_data(self, x, dy)
+        return _backends.current_backend().grad_data(self, x, dy)
 
     def frobenius_error(self, dense: np.ndarray) -> float:
         """Frobenius-norm distance ``||dense - W||_F`` (approximation error)."""

@@ -28,9 +28,6 @@ class BlockPermDiagTensor4D:
         kernels: array of shape ``(mb, nb, p, kh, kw)``.
         ks: per-block permutation parameters, shape ``(mb, nb)``.
         channels: logical ``(c_out, c_in)``; defaults to padded sizes.
-        backend: kernel backend pinned to the channel-plane matrix (and
-            inherited by every per-offset matrix a lowering derives from
-            it); ``None`` follows the process default.
         value_dtype: value dtype pinned to the channel-plane matrix.  The
             kernels themselves always stay float64, but every per-offset
             matrix a lowering derives via ``plane.like`` quantizes through
@@ -44,7 +41,6 @@ class BlockPermDiagTensor4D:
         kernels: np.ndarray,
         ks: np.ndarray,
         channels: tuple[int, int] | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
     ) -> None:
         kernels = np.asarray(kernels, dtype=np.float64)
@@ -61,7 +57,6 @@ class BlockPermDiagTensor4D:
             np.ones((mb, nb, p)),
             ks,
             shape=channels,
-            backend=backend,
             value_dtype=value_dtype,
         )
         self.kernel_size = (kh, kw)
@@ -79,7 +74,6 @@ class BlockPermDiagTensor4D:
         spec: PermutationSpec | None = None,
         scale: float | None = None,
         rng: np.random.Generator | int | None = None,
-        backend: str | None = None,
     ) -> "BlockPermDiagTensor4D":
         """He-style initialization on the effective fan-in ``c_in/p * kh*kw``."""
         spec = spec or PermutationSpec()
@@ -92,7 +86,7 @@ class BlockPermDiagTensor4D:
         if scale is None:
             scale = float(np.sqrt(2.0 / fan_in))
         kernels = rng.normal(0.0, scale, size=(mb, nb, p, kh, kw))
-        return cls(kernels, ks, channels=(c_out, c_in), backend=backend)
+        return cls(kernels, ks, channels=(c_out, c_in))
 
     @classmethod
     def from_dense(
@@ -101,7 +95,6 @@ class BlockPermDiagTensor4D:
         p: int,
         ks: np.ndarray | None = None,
         spec: PermutationSpec | None = None,
-        backend: str | None = None,
         value_dtype: str | None = None,
     ) -> "BlockPermDiagTensor4D":
         """Optimal L2 projection of a dense ``(c_out, c_in, kh, kw)`` tensor."""
@@ -117,7 +110,6 @@ class BlockPermDiagTensor4D:
             np.zeros((mb, nb, p, kh, kw)),
             np.asarray(ks),
             channels=(c_out, c_in),
-            backend=backend,
             value_dtype=value_dtype,
         )
         rows, cols = out._plane._global_indices()
@@ -145,11 +137,6 @@ class BlockPermDiagTensor4D:
         matrix families (see :mod:`repro.hw.conv_lowering`).
         """
         return self._plane
-
-    @property
-    def backend(self) -> str | None:
-        """Kernel backend pinned to the channel plane (``None`` = default)."""
-        return self._plane.backend
 
     @property
     def ks(self) -> np.ndarray:

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.block_perm_diag import BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import (
+    BlockPermutedDiagonalMatrix,
+    _untagged_value_dtype,
+)
 
 __all__ = [
     "StorageReport",
@@ -116,16 +119,25 @@ def save_bpd(
 ) -> None:
     """Serialize a block-PD matrix to ``.npz`` (packed values + metadata).
 
-    With ``include_plan`` the warmed index plan rides along, so
+    ``q`` is stored in the matrix's storage dtype, tagged with its value
+    dtype and fixed-point format (as engine images do), so
+    :func:`load_bpd` restores the matrix at the saved precision.  With
+    ``include_plan`` the warmed index plan rides along, so
     :func:`load_bpd` rebuilds the matrix via
     :meth:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.from_plan`
     without recomputing any index arithmetic.
     """
+    fmt = matrix.fixed_point
     payload = {
         "q": matrix.to_q(),
         "ks": np.asarray(matrix.ks),
         "p": np.int64(matrix.p),
         "shape": np.asarray(matrix.shape, dtype=np.int64),
+        "value_dtype": np.str_(matrix.value_dtype),
+        "fixed_point": np.asarray(
+            [fmt.total_bits, fmt.frac_bits] if fmt is not None else [],
+            dtype=np.int64,
+        ),
     }
     if include_plan:
         payload["plan"] = np.frombuffer(matrix.plan_bytes(), dtype=np.uint8)
@@ -133,15 +145,35 @@ def save_bpd(
 
 
 def load_bpd(path: str) -> BlockPermutedDiagonalMatrix:
-    """Load a matrix produced by :func:`save_bpd` (reusing any saved plan)."""
+    """Load a matrix produced by :func:`save_bpd` (reusing any saved plan).
+
+    The matrix comes back at its saved value dtype and fixed-point
+    format.  Files without the tag fall back to the plan's tag, then to
+    ``q``'s own dtype; untagged ``int16`` codes raise ``ValueError``.
+    """
     with np.load(path) as archive:
+        q, ks, p = archive["q"], archive["ks"], int(archive["p"])
+        value_dtype = fixed_point = None
+        if "value_dtype" in archive.files:
+            value_dtype = str(archive["value_dtype"])
+            bits = archive["fixed_point"]
+            if bits.size:
+                from repro.nn.quantization import FixedPointFormat
+
+                fixed_point = FixedPointFormat(*(int(v) for v in bits))
         if "plan" in archive.files:
-            mb, nb = archive["ks"].shape
             return BlockPermutedDiagonalMatrix.from_plan(
                 archive["plan"].tobytes(),
-                archive["q"].reshape(mb, nb, int(archive["p"])),
+                q.reshape(*ks.shape, p),
+                value_dtype=value_dtype,
+                fixed_point=fixed_point,
             )
         shape = tuple(int(v) for v in archive["shape"])
-        return BlockPermutedDiagonalMatrix.from_q(
-            archive["q"], shape, int(archive["p"]), archive["ks"]
-        )
+    return BlockPermutedDiagonalMatrix.from_q(
+        q,
+        shape,
+        p,
+        ks,
+        value_dtype=value_dtype or _untagged_value_dtype(q),
+        fixed_point=fixed_point,
+    )

@@ -30,6 +30,9 @@ runtime.  Inside :func:`sanitize`:
   ``adopt_plan`` (engine images, bundles) never count as builds at all,
   which is exactly what a "zero index arithmetic at load time" test
   wants to assert.
+* ``_IndexPlan.csr_struct`` cache misses are counted as CSR-skeleton
+  builds (the ``lexsort`` that dominates a cold start); plans restored
+  from a warmed blob carry both skeletons and count none.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.block_perm_diag import BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import BlockPermutedDiagonalMatrix, _IndexPlan
 
 __all__ = [
     "AliasingViolationError",
@@ -79,6 +82,7 @@ class SanitizerStats:
 
     plan_builds: int = 0
     plan_rebuilds: int = 0
+    skeleton_builds: int = 0
     shard_checks: int = 0
     frozen_buffers: int = 0
     rebuild_sites: list[str] = field(default_factory=list)
@@ -108,6 +112,7 @@ class Sanitizer:
         self._frozen: list[tuple[np.ndarray, bool]] = []
         self._orig_get_plan = None
         self._orig_row_shard = None
+        self._orig_csr_struct = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -116,9 +121,11 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         self._orig_get_plan = cls._get_plan
         self._orig_row_shard = cls.row_shard
+        self._orig_csr_struct = _IndexPlan.csr_struct
         sanitizer = self
         orig_get_plan = self._orig_get_plan
         orig_row_shard = self._orig_row_shard
+        orig_csr_struct = self._orig_csr_struct
 
         def _get_plan(matrix):
             if matrix._plan is None:
@@ -149,8 +156,14 @@ class Sanitizer:
             sanitizer.freeze(out._data)
             return out
 
+        def csr_struct(plan, transposed):
+            if bool(transposed) not in plan._csr_structs:
+                sanitizer.stats.skeleton_builds += 1
+            return orig_csr_struct(plan, transposed)
+
         cls._get_plan = _get_plan
         cls.row_shard = row_shard
+        _IndexPlan.csr_struct = csr_struct
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -159,6 +172,7 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         cls._get_plan = self._orig_get_plan
         cls.row_shard = self._orig_row_shard
+        _IndexPlan.csr_struct = self._orig_csr_struct
         # Restore flags LIFO so re-frozen duplicates unwind correctly.
         while self._frozen:
             arr, original = self._frozen.pop()

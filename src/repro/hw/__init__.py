@@ -17,7 +17,6 @@ rebuilds that simulator in Python:
 
 from repro.hw.config import EngineConfig, PEConfig
 from repro.hw.engine import (
-    EngineImageBackendError,
     PermDNNEngine,
     SimulationResult,
     export_engine_image,
@@ -40,7 +39,6 @@ __all__ = [
     "ColumnSchedule",
     "EngineBreakdown",
     "EngineConfig",
-    "EngineImageBackendError",
     "PEBreakdown",
     "PEConfig",
     "PerformanceReport",

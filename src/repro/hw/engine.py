@@ -22,18 +22,11 @@ the numpy golden model (:mod:`repro.hw.verify`).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import BlockPermutedDiagonalMatrix
-from repro.core.backends import (
-    BackendUnavailableError,
-    UnknownBackendError,
-    get_backend,
-    validate_backend_name,
-)
 from repro.hw.config import EngineConfig
 from repro.hw.energy import AreaPowerModel
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
@@ -46,7 +39,6 @@ from repro.nn.quantization import (
 )
 
 __all__ = [
-    "EngineImageBackendError",
     "PermDNNEngine",
     "SimulationResult",
     "apply_activation",
@@ -55,7 +47,9 @@ __all__ = [
 ]
 
 # v2 added per-layer value-dtype tags (``layer{i}_value_dtype`` /
-# ``layer{i}_fixed_point``); v1 images load as float64 layers.
+# ``layer{i}_fixed_point``); v1 images load as float64 layers.  The
+# ``layer{i}_backend`` key older writers stored is ignored on load: the
+# kernel backend is a process-wide choice, not part of an image.
 _IMAGE_FORMAT_VERSION = 2
 _IMAGE_MIN_FORMAT_VERSION = 1
 
@@ -69,17 +63,6 @@ def apply_activation(values: np.ndarray, activation: str | None) -> np.ndarray:
     if activation == "tanh":
         return np.tanh(values)
     raise ValueError(f"unsupported activation {activation!r} (ActU has relu/tanh)")
-
-
-class EngineImageBackendError(BackendUnavailableError):
-    """An engine image pins a kernel backend this process cannot provide.
-
-    Raised by :func:`load_engine_image` when a layer's stored backend name
-    is unknown to (or unavailable in) the current process -- a typed error
-    instead of the ``KeyError``/``ImportError`` a raw lookup would produce.
-    Pass ``missing_backend="fallback"`` to load anyway on the default
-    backend (with a warning).
-    """
 
 
 def export_engine_image(
@@ -115,7 +98,6 @@ def export_engine_image(
         payload[f"layer{idx}_p"] = np.int64(matrix.p)
         payload[f"layer{idx}_shape"] = np.asarray(matrix.shape, dtype=np.int64)
         payload[f"layer{idx}_activation"] = np.str_(activation or "")
-        payload[f"layer{idx}_backend"] = np.str_(matrix.backend or "")
         payload[f"layer{idx}_value_dtype"] = np.str_(matrix.value_dtype)
         fmt = matrix.fixed_point
         payload[f"layer{idx}_fixed_point"] = np.asarray(
@@ -130,31 +112,16 @@ def export_engine_image(
 
 def load_engine_image(
     path,
-    missing_backend: str = "error",
 ) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
     """Reload an :func:`export_engine_image` artifact, plans included.
-
-    Layers exported from a matrix pinned to a kernel backend record that
-    backend's name; loading re-pins it.  When the stored backend is not
-    available in this process (e.g. an image built where numba was
-    installed, loaded where it is not) the behaviour follows
-    ``missing_backend``:
-
-    - ``"error"`` (default): raise :class:`EngineImageBackendError`;
-    - ``"fallback"``: warn and leave the layer on the process default
-      backend.
 
     Returns:
         ``(matrix, activation)`` pairs ready for
         :meth:`PermDNNEngine.run_network`; every matrix carries its
         deserialized index plan, so no index arithmetic is recomputed,
         and its exported value dtype (v1 images load as float64).
+        Products run on the process kernel backend.
     """
-    if missing_backend not in ("error", "fallback"):
-        raise ValueError(
-            f"missing_backend must be 'error' or 'fallback', "
-            f"got {missing_backend!r}"
-        )
     layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
     with np.load(path) as archive:
         version = int(archive["image_version"])
@@ -197,31 +164,6 @@ def load_engine_image(
                     f"does not match its serialized plan "
                     f"(shape={matrix.shape}, p={matrix.p})"
                 )
-            backend_key = f"layer{idx}_backend"
-            stored = (
-                str(archive[backend_key]) if backend_key in archive.files else ""
-            )
-            if stored:
-                try:
-                    get_backend(validate_backend_name(stored))
-                except (UnknownBackendError, BackendUnavailableError) as exc:
-                    if missing_backend == "fallback":
-                        warnings.warn(
-                            f"layer {idx}: stored kernel backend {stored!r} "
-                            f"is unavailable in this process; falling back "
-                            f"to the default backend ({exc})",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                    else:
-                        raise EngineImageBackendError(
-                            f"layer {idx} of engine image pins kernel "
-                            f"backend {stored!r}, which is unavailable here; "
-                            f"pass missing_backend='fallback' to load on "
-                            f"the default backend instead"
-                        ) from exc
-                else:
-                    matrix.set_backend(stored)
             activation = str(archive[f"layer{idx}_activation"]) or None
             layers.append((matrix, activation))
     return layers

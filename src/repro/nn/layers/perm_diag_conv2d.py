@@ -33,10 +33,6 @@ class PermDiagConv2D(Conv2D):
         p: channel-plane block size (= compression ratio of this layer).
         spec: permutation-parameter selection (natural indexing by default).
         rng: generator or seed for initialization.
-        backend: kernel backend pinned to the PD channel plane; the layer's
-            own compute is a masked dense convolution, but anything lowered
-            from :meth:`to_tensor` (e.g. :mod:`repro.hw.conv_lowering`)
-            inherits the choice.
     """
 
     def __init__(
@@ -50,7 +46,6 @@ class PermDiagConv2D(Conv2D):
         bias: bool = True,
         spec: PermutationSpec | None = None,
         rng: np.random.Generator | int | None = None,
-        backend: str | None = None,
     ) -> None:
         super().__init__(
             in_channels,
@@ -69,7 +64,6 @@ class PermDiagConv2D(Conv2D):
             p,
             spec=spec,
             rng=rng,
-            backend=backend,
         )
         self._adopt_tensor(tensor)
         self._x_shape = None
@@ -127,24 +121,17 @@ class PermDiagConv2D(Conv2D):
             layer.bias.value[...] = bias
         return layer
 
-    @property
-    def backend(self) -> str | None:
-        """Kernel backend pinned to the PD channel plane (``None`` = default)."""
-        return self._tensor.backend
-
     def to_tensor(self) -> BlockPermDiagTensor4D:
         """Current weights as a compact PD tensor.
 
-        Keeps the pinned backend *and* the channel plane's value dtype:
-        lowerings quantize per-offset matrices through the plane, so a
-        repacked tensor must not silently fall back to the process
-        default dtype.
+        Keeps the channel plane's value dtype: lowerings quantize
+        per-offset matrices through the plane, so a repacked tensor must
+        not silently fall back to the process default dtype.
         """
         return BlockPermDiagTensor4D.from_dense(
             self.weight.value,
             self.p,
             ks=self._tensor.ks,
-            backend=self._tensor.backend,
             value_dtype=self._tensor.plane.value_dtype,
         )
 

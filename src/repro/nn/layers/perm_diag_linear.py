@@ -33,9 +33,6 @@ class PermDiagLinear(Module):
         spec: how to pick ``k_l`` (natural indexing by default, as in all the
             paper's reported tables).
         rng: generator or seed for initialization.
-        backend: pin the weight matrix to a named kernel backend
-            (``"gather"``/``"csr"``/``"numba"``); ``None`` follows the
-            process default (see :mod:`repro.core.backends`).
     """
 
     def __init__(
@@ -46,7 +43,6 @@ class PermDiagLinear(Module):
         bias: bool = True,
         spec: PermutationSpec | None = None,
         rng: np.random.Generator | int | None = None,
-        backend: str | None = None,
     ) -> None:
         super().__init__()
         self.in_features = in_features
@@ -62,7 +58,6 @@ class PermDiagLinear(Module):
             p,
             spec=spec,
             rng=rng,
-            backend=backend,
             value_dtype="float64",
         )
         self._matrix = matrix
@@ -98,9 +93,9 @@ class PermDiagLinear(Module):
         approximation of a pre-trained dense layer, Sec. III-F).
 
         The layer adopts ``matrix`` as-is -- its ``ks``, logical shape
-        (including shapes not divisible by ``p``), cached index plan and
-        any pinned kernel backend are taken over directly, and the
-        trainable parameter aliases the matrix's storage.  No structure
+        (including shapes not divisible by ``p``) and cached index plan
+        are taken over directly, and the trainable parameter aliases the
+        matrix's storage.  No structure
         fields are mutated behind the matrix's validation.
         """
         if matrix.value_dtype != "float64":

@@ -177,10 +177,7 @@ def _check_slot(
         )
 
 
-def load_staged_bundle(
-    directory,
-    missing_backend: str = "error",
-) -> tuple[list, dict]:
+def load_staged_bundle(directory) -> tuple[list, dict]:
     """Reload a bundle as ready-to-serve stage objects.
 
     Every shard matrix carries its deserialized index plan -- no index
@@ -191,9 +188,6 @@ def load_staged_bundle(
 
     Args:
         directory: bundle directory written by one of the exporters.
-        missing_backend: forwarded to
-            :func:`~repro.hw.load_engine_image` (``"error"`` or
-            ``"fallback"``) for layers pinned to an unavailable backend.
 
     Returns:
         ``(stages, manifest)`` where ``stages`` are
@@ -222,9 +216,7 @@ def load_staged_bundle(
             f"manifest lists {len(specs)} layers, says {num_layers}"
         )
     shard_images = [
-        load_engine_image(
-            directory / shard_file, missing_backend=missing_backend
-        )
+        load_engine_image(directory / shard_file)
         for shard_file in manifest["shard_files"]
     ]
     slots_per_stage = [int(spec.get("slots", 1)) for spec in specs]

@@ -959,12 +959,7 @@ class ModelServer:
         return cls(stages, num_shards=num_shards, **kwargs)
 
     @classmethod
-    def from_bundle(
-        cls,
-        directory,
-        missing_backend: str = "error",
-        **kwargs,
-    ) -> "ModelServer":
+    def from_bundle(cls, directory, **kwargs) -> "ModelServer":
         """Boot a server from a sharded image bundle.
 
         Every shard matrix arrives with its serialized index plan
@@ -975,9 +970,7 @@ class ModelServer:
         """
         from repro.serve.bundle import load_staged_bundle
 
-        stages, _ = load_staged_bundle(
-            directory, missing_backend=missing_backend
-        )
+        stages, _ = load_staged_bundle(directory)
         return cls(stages, **kwargs)
 
     # ------------------------------------------------------------------

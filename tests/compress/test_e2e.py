@@ -87,6 +87,7 @@ class TestEndToEnd:
             served = np.stack(server.drain().outputs)
             assert guard.stats.plan_builds == 0
             assert guard.stats.plan_rebuilds == 0
+            assert guard.stats.skeleton_builds == 0
 
         np.testing.assert_array_equal(served, expected)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import set_default_value_dtype
+from repro.core import set_default_backend, set_default_value_dtype
 from repro.debug import sanitize, sanitize_enabled
 
 # Test files where a plan rebuild is a contract violation, not a detail.
@@ -50,6 +50,18 @@ def _pin_value_dtype(request):
         yield
     finally:
         set_default_value_dtype(None)
+
+
+@pytest.fixture(autouse=True)
+def _restore_default_backend():
+    """Undo any process-wide kernel-backend choice a test makes.
+
+    The backend is one choice per process, so tests that sweep
+    ``available_backends()`` call ``set_default_backend``; this restores
+    the startup selection (``REPRO_BACKEND``, else ``csr``) afterwards.
+    """
+    yield
+    set_default_backend(None)
 
 
 @pytest.fixture(autouse=True)

@@ -2,12 +2,18 @@
 
 A seeded random sweep over ~50 ``(m, n, p, batch)`` configurations --
 including non-multiple-of-``p`` shapes -- asserting that every available
-kernel backend (``gather``, ``csr``, and ``numba`` when installed) agrees
-with a dense numpy reference to 1e-10 on all three hot-path products, and
-that plan ``to_bytes()/from_bytes()`` round trips preserve results
-exactly.  Run with ``REPRO_BACKEND=numba`` in the numba CI leg; the sweep
-itself always pins each backend explicitly so every available
-implementation is exercised regardless of the process default.
+kernel backend (``csr``, and ``numba`` when installed) agrees with a
+dense numpy reference to 1e-10 on all three hot-path products, and that
+plan ``to_bytes()/from_bytes()`` round trips preserve results exactly.
+Run with ``REPRO_BACKEND=numba`` in the numba CI leg; the sweep itself
+selects each backend process-wide in turn (``set_default_backend``, reset
+after every test) so every available implementation is exercised
+regardless of the process default.
+
+The dense reference is ``to_dense()``, which reads the same index plan as
+the kernels.  An executable spec (:func:`_spec_products`) therefore checks
+the products against ``(data, ks, shape)`` alone, so a wrong plan cannot
+pass.
 
 A couple of hypothesis properties drive the same invariants (plus the
 row-shard decomposition the serving runtime relies on) over a wider,
@@ -23,6 +29,7 @@ from repro.core import (
     BlockPermutedDiagonalMatrix,
     PermutationSpec,
     available_backends,
+    set_default_backend,
 )
 from repro.core.block_perm_diag import _IndexPlan
 
@@ -66,6 +73,37 @@ def _build(m, n, p, case_seed):
     return matrix, rng
 
 
+def _spec_products(data, ks, shape, x, dy):
+    """Eqns. (1)-(3) from ``(data, ks, shape)`` alone, sharing no plan code.
+
+    Block ``(bi, bj)`` scales a ``k``-permuted input block by its diagonal
+    (the SNIPPETS ``Permute`` + ``DiagLinear`` form): row ``c`` of the
+    block is global row ``bi*p + c`` and reads column
+    ``bj*p + (c + k) mod p``.  Slots past the logical shape are padding
+    and masked out.  Returns ``(W x, W.T dy, dQ)`` for the batch.
+    """
+    mb, nb, p = data.shape
+    m, n = shape
+    x_pad = np.zeros((x.shape[0], nb * p))
+    x_pad[:, :n] = x
+    dy_pad = np.zeros((dy.shape[0], mb * p))
+    dy_pad[:, :m] = dy
+    forward = np.zeros_like(dy_pad)
+    backward = np.zeros_like(x_pad)
+    grad = np.zeros(data.shape)
+    c = np.arange(p)
+    for bi in range(mb):
+        rows = bi * p + c
+        for bj in range(nb):
+            cols = bj * p + (c + ks[bi, bj]) % p
+            mask = (rows < m) & (cols < n)
+            diag = data[bi, bj] * mask
+            forward[:, rows] += diag * x_pad[:, cols]
+            backward[:, cols] += diag * dy_pad[:, rows]
+            grad[bi, bj] = (dy_pad[:, rows] * x_pad[:, cols]).sum(0) * mask
+    return forward[:, :m], backward[:, :n], grad
+
+
 def _dense_grad_reference(matrix, x, dy):
     """Eqn. (2) off the dense product, projected onto the PD support."""
     dense_grad = dy.T @ x  # (m, n)
@@ -92,7 +130,7 @@ class TestBackendConformance:
         ref_backward = dy @ dense
         ref_grad = _dense_grad_reference(matrix, x, dy)
         for backend in available_backends():
-            matrix.set_backend(backend)
+            set_default_backend(backend)
             np.testing.assert_allclose(
                 matrix.matmat(x), ref_forward, atol=ATOL,
                 err_msg=f"matmat diverges on backend {backend!r}",
@@ -114,6 +152,29 @@ class TestBackendConformance:
                 err_msg=f"rmatvec diverges on backend {backend!r}",
             )
 
+    def test_products_match_executable_spec(
+        self, m, n, p, batch, case_seed
+    ):
+        matrix, rng = _build(m, n, p, case_seed)
+        x = rng.normal(size=(batch, n))
+        dy = rng.normal(size=(batch, m))
+        forward, backward, grad = _spec_products(
+            matrix.data, matrix.ks, matrix.shape, x, dy
+        )
+        for backend in available_backends():
+            set_default_backend(backend)
+            for name, got, want in (
+                ("matmat", matrix.matmat(x), forward),
+                ("rmatmat", matrix.rmatmat(dy), backward),
+                ("grad_data", matrix.grad_data(x, dy), grad),
+                ("matvec", matrix.matvec(x[0]), forward[0]),
+                ("rmatvec", matrix.rmatvec(dy[0]), backward[0]),
+            ):
+                np.testing.assert_allclose(
+                    got, want, atol=ATOL,
+                    err_msg=f"{name} diverges from the spec on {backend!r}",
+                )
+
     def test_plan_bytes_round_trip_preserves_results(
         self, m, n, p, batch, case_seed
     ):
@@ -123,9 +184,9 @@ class TestBackendConformance:
         blob = matrix.plan_bytes()
         restored_plan = _IndexPlan.from_bytes(blob)
         for backend in available_backends():
-            matrix.set_backend(backend)
+            set_default_backend(backend)
             restored = BlockPermutedDiagonalMatrix.from_plan(
-                restored_plan, matrix.data, backend=backend
+                restored_plan, matrix.data
             )
             np.testing.assert_array_equal(restored.matmat(x), matrix.matmat(x))
             np.testing.assert_array_equal(
@@ -159,7 +220,7 @@ class TestValueDtypeConformance:
         x = rng.normal(size=(batch, n))
         dy = rng.normal(size=(batch, m))
         for backend in available_backends():
-            f32.set_backend(backend)
+            set_default_backend(backend)
             forward = f32.matmat(x)
             backward = f32.rmatmat(dy)
             grad = f32.grad_data(x, dy)
@@ -190,7 +251,7 @@ class TestValueDtypeConformance:
         dense_deq = i16.with_value_dtype("float64").to_dense()
         x = rng.normal(size=(batch, n))
         for backend in available_backends():
-            i16.set_backend(backend)
+            set_default_backend(backend)
             out = i16.matmat(x)
             assert out.dtype == np.float64, backend
             np.testing.assert_allclose(
@@ -235,7 +296,7 @@ def test_backends_agree_hypothesis(structure):
     x = rng.normal(size=(batch, n))
     dy = rng.normal(size=(batch, m))
     for backend in available_backends():
-        matrix.set_backend(backend)
+        set_default_backend(backend)
         np.testing.assert_allclose(matrix.matmat(x), x @ dense.T, atol=ATOL)
         np.testing.assert_allclose(matrix.rmatmat(dy), dy @ dense, atol=ATOL)
         np.testing.assert_allclose(

@@ -1,4 +1,4 @@
-"""Backend dispatch: registry, selection precedence, cross-backend
+"""Backend dispatch: registry, process-wide selection, cross-backend
 equivalence, cache-blocked paths, int32 CSR skeletons, and plan
 serialization round trips."""
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro.core.backends as backends
-import repro.core.backends.gather as gather_mod
+import repro.core.backends.csr as csr_mod
 import repro.core.block_perm_diag as mod
 from repro.core import (
     BackendUnavailableError,
@@ -23,41 +23,28 @@ from repro.core import (
 SHAPES = [((16, 16), 4), ((13, 10), 4), ((7, 9), 3)]
 
 
-def _random_bpd(shape, p, seed=0, scheme="random", backend=None):
+def _random_bpd(shape, p, seed=0, scheme="random"):
     return BlockPermutedDiagonalMatrix.random(
         shape,
         p,
         spec=PermutationSpec(scheme=scheme, seed=seed),
         rng=seed,
-        backend=backend,
     )
 
 
-@pytest.fixture(autouse=True)
-def _restore_default_backend():
-    yield
-    set_default_backend(None)
-
-
 class TestRegistry:
-    def test_gather_and_csr_always_registered(self):
-        assert {"gather", "csr"} <= set(backends.backend_names())
-        assert "gather" in available_backends()
+    def test_csr_always_available_numba_optional(self):
+        assert backends.backend_names() == ("csr", "numba")
+        assert available_backends()[0] == "csr"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(UnknownBackendError):
             get_backend("bogus")
         with pytest.raises(UnknownBackendError):
-            BlockPermutedDiagonalMatrix.random((8, 8), 4, backend="bogus")
+            set_default_backend("bogus")
 
     def test_get_backend_is_singleton(self):
-        assert get_backend("gather") is get_backend("gather")
-
-    def test_unavailable_backend_raises(self, monkeypatch):
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
-        assert "csr" not in available_backends()
-        with pytest.raises(BackendUnavailableError):
-            get_backend("csr")
+        assert get_backend("csr") is get_backend("csr")
 
     def test_numba_backend_gated_on_import(self):
         from repro.core.backends.numba_backend import NumbaBackend, _numba
@@ -69,58 +56,37 @@ class TestRegistry:
 
 
 class TestSelection:
-    def test_auto_prefers_csr_then_gather(self, monkeypatch):
+    def test_auto_resolves_to_csr(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         bpd = _random_bpd((8, 8), 4)
-        assert bpd.backend is None
-        assert bpd.resolved_backend() == "csr"
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
-        assert bpd.resolved_backend() == "gather"
-
-    def test_pinned_backend_wins_over_default(self):
-        set_default_backend("gather")
-        bpd = _random_bpd((8, 8), 4, backend="csr")
         assert bpd.resolved_backend() == "csr"
 
     def test_set_default_backend_applies_and_validates(self):
-        set_default_backend("gather")
-        assert default_backend() == "gather"
-        assert _random_bpd((8, 8), 4).resolved_backend() == "gather"
+        set_default_backend("csr")
+        assert default_backend() == "csr"
+        assert _random_bpd((8, 8), 4).resolved_backend() == "csr"
         with pytest.raises(UnknownBackendError):
             set_default_backend("bogus")
 
     def test_env_var_consulted_until_default_pinned(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "gather")
-        assert default_backend() == "gather"
-        assert _random_bpd((8, 8), 4).resolved_backend() == "gather"
-        set_default_backend("csr")
+        monkeypatch.setenv("REPRO_BACKEND", "csr")
         assert default_backend() == "csr"
+        assert _random_bpd((8, 8), 4).resolved_backend() == "csr"
+        set_default_backend("auto")
+        assert default_backend() == "auto"
 
     def test_bad_env_var_fails_with_clear_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(UnknownBackendError, match="REPRO_BACKEND|bogus"):
             _random_bpd((8, 8), 4).matvec(np.zeros(8))
 
-    def test_set_backend_switch_and_unpin(self):
-        bpd = _random_bpd((8, 8), 4, backend="gather")
-        assert bpd.backend == "gather"
-        bpd.set_backend("csr")
-        assert bpd.backend == "csr"
-        bpd.set_backend("auto")
-        assert bpd.backend is None
-        with pytest.raises(UnknownBackendError):
-            bpd.set_backend("bogus")
-
-    def test_like_inherits_pinned_backend(self):
-        base = _random_bpd((8, 8), 4, backend="gather")
-        sibling = base.like(np.zeros(base.data.shape))
-        assert sibling.backend == "gather"
-
-    def test_pinned_unavailable_backend_fails_at_use(self, monkeypatch):
-        bpd = _random_bpd((8, 8), 4, backend="csr")
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
+    @pytest.mark.skipif(
+        "numba" in available_backends(), reason="numba is installed"
+    )
+    def test_unavailable_env_backend_fails_at_use(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
         with pytest.raises(BackendUnavailableError):
-            bpd.matvec(np.zeros(8))
+            _random_bpd((8, 8), 4).matvec(np.zeros(8))
 
 
 class TestCrossBackendEquivalence:
@@ -134,7 +100,7 @@ class TestCrossBackendEquivalence:
         x = rng.normal(size=(5, shape[1]))
         y = rng.normal(size=(5, shape[0]))
         for name in available_backends():
-            bpd.set_backend(name)
+            set_default_backend(name)
             np.testing.assert_allclose(
                 bpd.matmat(x), x @ dense.T, atol=1e-10, err_msg=name
             )
@@ -158,7 +124,7 @@ class TestCrossBackendEquivalence:
             (dy.T @ x) * bpd.dense_mask(), p, ks=bpd.ks
         ).data
         for name in available_backends():
-            bpd.set_backend(name)
+            set_default_backend(name)
             np.testing.assert_allclose(
                 bpd.grad_data(x, dy), reference, atol=1e-10, err_msg=name
             )
@@ -167,11 +133,12 @@ class TestCrossBackendEquivalence:
     def test_chunked_transposed_paths_match_dense(
         self, shape, p, monkeypatch
     ):
-        """Force the cache-blocked path (one block row per slab) for every
-        product and re-check against the dense reference."""
-        monkeypatch.setattr(gather_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
-        monkeypatch.setattr(gather_mod, "_CHUNK_TARGET_ELEMENTS", 1)
-        bpd = _random_bpd(shape, p, seed=7, backend="gather")
+        """Force the cache-blocked path (one block row per slab) of the
+        batched weight gradient and re-check every product against the
+        dense reference."""
+        monkeypatch.setattr(csr_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
+        monkeypatch.setattr(csr_mod, "_CHUNK_TARGET_ELEMENTS", 1)
+        bpd = _random_bpd(shape, p, seed=7)
         dense = bpd.to_dense()
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, shape[1]))
@@ -187,8 +154,10 @@ class TestCrossBackendEquivalence:
         bpd = _random_bpd((12, 8), 4, seed=9)
         plan = bpd._get_plan()
         x = np.random.default_rng(10).normal(size=(2, 8))
-        before = bpd.set_backend("csr").matmat(x)
-        after = bpd.set_backend("gather").matmat(x)
+        set_default_backend("csr")
+        before = bpd.matmat(x)
+        set_default_backend(available_backends()[-1])
+        after = bpd.matmat(x)
         np.testing.assert_allclose(after, before, atol=1e-12)
         assert bpd._get_plan() is plan
 

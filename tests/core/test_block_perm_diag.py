@@ -182,16 +182,6 @@ class TestProducts:
         with pytest.raises(ValueError):
             _random_bpd((4, 4), 2).matmat(np.zeros((2, 5)))
 
-    def test_block_row_loop_path_matches_gather_path(self, monkeypatch):
-        import repro.core.block_perm_diag as mod
-
-        bpd = _random_bpd((16, 24), 4, seed=11)
-        rng = np.random.default_rng(12)
-        x = rng.normal(size=(3, 24))
-        expected = bpd.matmat(x)
-        monkeypatch.setattr(mod, "_GATHER_ELEMENT_LIMIT", 0)
-        np.testing.assert_allclose(bpd.matmat(x), expected)
-
 
 class TestTransposeAndGrad:
     @given(shapes, block_sizes)

@@ -4,7 +4,6 @@ transpose-free backward path."""
 import numpy as np
 import pytest
 
-import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 
 
@@ -196,45 +195,3 @@ class TestTransposeFreeBackward:
         bpd = _random_bpd((8, 8), 4)
         with pytest.raises(ValueError):
             bpd.grad_data(np.zeros((2, 7)), np.zeros((2, 8)))
-
-
-class TestScipyFallback:
-    @pytest.fixture()
-    def no_scipy(self, monkeypatch):
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
-
-    def test_products_match_dense_without_scipy(self, no_scipy):
-        bpd = _random_bpd((11, 14), 4, seed=10, scheme="random")
-        dense = bpd.to_dense()
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(3, 14))
-        y = rng.normal(size=(3, 11))
-        np.testing.assert_allclose(bpd.matmat(x), x @ dense.T, atol=1e-12)
-        np.testing.assert_allclose(bpd.rmatmat(y), y @ dense, atol=1e-12)
-        np.testing.assert_allclose(bpd.matvec(x[0]), dense @ x[0], atol=1e-12)
-        np.testing.assert_allclose(bpd.rmatvec(y[0]), dense.T @ y[0], atol=1e-12)
-
-    def test_block_loop_paths_match_dense(self, no_scipy, monkeypatch):
-        monkeypatch.setattr(mod, "_GATHER_ELEMENT_LIMIT", 0)
-        bpd = _random_bpd((11, 14), 4, seed=12)
-        dense = bpd.to_dense()
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=(3, 14))
-        y = rng.normal(size=(3, 11))
-        np.testing.assert_allclose(bpd.matmat(x), x @ dense.T, atol=1e-12)
-        np.testing.assert_allclose(bpd.rmatmat(y), y @ dense, atol=1e-12)
-        grad = bpd.grad_data(x, y)
-        ref = BlockPermutedDiagonalMatrix.from_dense(
-            (y.T @ x) * bpd.dense_mask(), 4, ks=bpd.ks
-        )
-        np.testing.assert_allclose(grad, ref.data, atol=1e-10)
-
-    def test_scipy_and_fallback_agree(self, monkeypatch):
-        bpd = _random_bpd((9, 12), 4, seed=14)
-        rng = np.random.default_rng(15)
-        x = rng.normal(size=(2, 12))
-        y = rng.normal(size=(2, 9))
-        with_scipy = (bpd.matmat(x), bpd.rmatmat(y))
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
-        np.testing.assert_allclose(bpd.matmat(x), with_scipy[0], atol=1e-12)
-        np.testing.assert_allclose(bpd.rmatmat(y), with_scipy[1], atol=1e-12)

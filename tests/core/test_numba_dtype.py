@@ -7,7 +7,7 @@ tests run only where numba is installed (the CI numba leg).
 import numpy as np
 import pytest
 
-from repro.core import BlockPermutedDiagonalMatrix
+from repro.core import BlockPermutedDiagonalMatrix, set_default_backend
 from repro.core.backends.numba_backend import NumbaBackend, _padded
 
 
@@ -31,8 +31,9 @@ def test_padded_aligned_is_no_copy():
 @pytest.mark.skipif(not NumbaBackend.is_available(), reason="numba not installed")
 class TestNumbaProductsPreserveFloat32:
     def _case(self, shape=(23, 17), p=4):
+        set_default_backend("numba")
         mat = BlockPermutedDiagonalMatrix.random(
-            shape, p, rng=0, backend="numba", value_dtype="float32"
+            shape, p, rng=0, value_dtype="float32"
         )
         rng = np.random.default_rng(1)
         x = rng.normal(size=(5, shape[1])).astype(np.float32)
@@ -65,13 +66,16 @@ class TestNumbaProductsPreserveFloat32:
 
     def test_results_match_csr_reference(self):
         mat, x, dy = self._case()
-        ref = mat.with_value_dtype("float32").set_backend("csr")
+        ref = mat.with_value_dtype("float32")
+        forward, backward = mat.matmat(x), mat.rmatmat(dy)
+        grad = mat.grad_data(x, dy)
+        set_default_backend("csr")
         np.testing.assert_allclose(
-            mat.matmat(x), ref.matmat(x), rtol=1e-5, atol=1e-5
+            forward, ref.matmat(x), rtol=1e-5, atol=1e-5
         )
         np.testing.assert_allclose(
-            mat.rmatmat(dy), ref.rmatmat(dy), rtol=1e-5, atol=1e-5
+            backward, ref.rmatmat(dy), rtol=1e-5, atol=1e-5
         )
-        assert mat.matmat(x).dtype == np.float32
-        assert mat.rmatmat(dy).dtype == np.float32
-        assert mat.grad_data(x, dy).dtype == np.float32
+        assert forward.dtype == np.float32
+        assert backward.dtype == np.float32
+        assert grad.dtype == np.float32

@@ -82,10 +82,6 @@ class TestRowShard:
         matrix.data[0, 0, 0] = 42.0
         assert shards[0].data[0, 0, 0] == 42.0
 
-    def test_shard_backend_inherited(self, shape, p):
-        matrix = _random_bpd(shape, p).set_backend("gather")
-        assert all(s.backend == "gather" for s in matrix.row_shards(2))
-
 
 class TestPlanSlicing:
     def test_sharding_never_recomputes_index_arithmetic(self, monkeypatch):

@@ -1,13 +1,19 @@
-"""Tests for storage accounting (Fig. 4 model) and paper Table II numbers."""
+"""Tests for storage accounting (Fig. 4 model), paper Table II numbers, and
+the ``save_bpd``/``load_bpd`` file format."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
+    BlockPermutedDiagonalMatrix,
     StorageReport,
     dense_storage_bits,
+    load_bpd,
     pd_storage_bits,
+    save_bpd,
     unstructured_sparse_storage_bits,
 )
+from repro.nn.quantization import FixedPointFormat
 
 
 class TestStorageModels:
@@ -88,3 +94,42 @@ class TestStorageReport:
         for p in (2, 4, 8, 16):
             report = StorageReport.for_pd_layer(256, 256, p)
             assert report.compression_ratio == pytest.approx(p, rel=0.02)
+
+
+class TestSaveLoadValueDtype:
+    """save_bpd/load_bpd keep the value dtype and fixed-point format, with
+    or without the index plan riding along."""
+
+    @staticmethod
+    def _matrix(value_dtype):
+        matrix = BlockPermutedDiagonalMatrix.random((16, 16), 4, rng=0)
+        if value_dtype == "int16":
+            return matrix.with_value_dtype(
+                "int16", fixed_point=FixedPointFormat(16, 14)
+            )
+        return matrix.with_value_dtype(value_dtype)
+
+    @pytest.mark.parametrize("include_plan", [False, True])
+    @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
+    def test_round_trip_is_bit_exact(self, tmp_path, value_dtype, include_plan):
+        matrix = self._matrix(value_dtype)
+        path = str(tmp_path / "matrix.npz")
+        save_bpd(path, matrix, include_plan=include_plan)
+        loaded = load_bpd(path)
+        assert loaded.value_dtype == value_dtype
+        assert loaded.fixed_point == matrix.fixed_point
+        np.testing.assert_array_equal(loaded.data, matrix.data)
+        np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
+
+    def test_untagged_int16_file_raises(self, tmp_path):
+        matrix = self._matrix("int16")
+        path = str(tmp_path / "untagged.npz")
+        np.savez_compressed(
+            path,
+            q=matrix.to_q(),
+            ks=np.asarray(matrix.ks),
+            p=np.int64(matrix.p),
+            shape=np.asarray(matrix.shape, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="FixedPointFormat"):
+            load_bpd(path)

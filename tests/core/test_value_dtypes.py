@@ -14,6 +14,7 @@ from repro.core import (
     UnknownValueDtypeError,
     available_backends,
     default_value_dtype,
+    set_default_backend,
     set_default_value_dtype,
     validate_value_dtype,
 )
@@ -203,7 +204,7 @@ class TestProductDtypes:
             x = rng.normal(size=(5, 17))
             dy = rng.normal(size=(5, 23))
             for backend in available_backends():
-                mat.set_backend(backend)
+                set_default_backend(backend)
                 assert mat.matmat(x).dtype == expected, (vd, backend)
                 assert mat.rmatmat(dy).dtype == expected, (vd, backend)
                 assert mat.grad_data(x, dy).dtype == expected, (vd, backend)
@@ -215,8 +216,7 @@ class TestProductDtypes:
         ref = i16.with_value_dtype("float64")
         x = np.random.default_rng(1).normal(size=(6, 16))
         for backend in available_backends():
-            i16.set_backend(backend)
-            ref.set_backend(backend)
+            set_default_backend(backend)
             np.testing.assert_array_equal(i16.matmat(x), ref.matmat(x))
 
 

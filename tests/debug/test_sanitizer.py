@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.block_perm_diag import BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import BlockPermutedDiagonalMatrix, _IndexPlan
 from repro.debug import (
     AliasingViolationError,
     PlanRebuildError,
@@ -73,6 +73,43 @@ class TestPlanCounting:
             for sib in siblings:
                 sib.matmat(x)
             assert s.stats.plan_builds == 1
+
+
+class TestSkeletonCounting:
+    def test_fc_server_builds_skeletons_on_first_drain_only(self):
+        """Two PD FC layers at two shards: each shard builds its forward
+        CSR skeleton on the first drain (4 builds) and reuses it after."""
+        from repro.nn import PermDiagLinear, ReLU, Sequential
+        from repro.serve import ModelServer
+
+        model = Sequential(
+            PermDiagLinear(48, 64, p=4, rng=0),
+            ReLU(),
+            PermDiagLinear(64, 32, p=4, rng=1),
+        )
+        xs = np.random.default_rng(2).normal(size=(4, 48))
+        with sanitize() as s:
+            server = ModelServer.from_model(model, num_shards=2)
+            server.submit_many(xs)
+            server.drain()
+            assert s.stats.skeleton_builds == 4
+            server.submit_many(xs)
+            server.drain()
+            assert s.stats.skeleton_builds == 4
+
+    def test_restored_warm_plan_counts_no_skeleton_builds(self):
+        m = _matrix()
+        clone = BlockPermutedDiagonalMatrix.from_plan(m.plan_bytes(), m.data)
+        with sanitize() as s:
+            clone.matmat(np.zeros((2, clone.shape[1])))
+            clone.rmatmat(np.zeros((2, clone.shape[0])))
+            assert s.stats.skeleton_builds == 0
+
+    def test_csr_struct_patch_undone_on_exit(self):
+        before = _IndexPlan.csr_struct
+        with sanitize():
+            assert _IndexPlan.csr_struct is not before
+        assert _IndexPlan.csr_struct is before
 
 
 class TestShardAliasing:

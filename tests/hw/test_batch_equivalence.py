@@ -10,7 +10,11 @@ dtype and on every available backend.
 import numpy as np
 import pytest
 
-from repro.core import BlockPermutedDiagonalMatrix, available_backends
+from repro.core import (
+    BlockPermutedDiagonalMatrix,
+    available_backends,
+    set_default_backend,
+)
 from repro.hw.engine import PermDNNEngine
 
 
@@ -24,8 +28,9 @@ def _batch(n, rng, sparsity=0.5, size=7):
 @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
 @pytest.mark.parametrize("shape,p", [((96, 64), 8), ((100, 68), 8)])
 def test_batched_matches_per_sample_loop(backend, value_dtype, shape, p):
+    set_default_backend(backend)
     matrix = BlockPermutedDiagonalMatrix.random(
-        shape, p, rng=3, backend=backend, value_dtype=value_dtype
+        shape, p, rng=3, value_dtype=value_dtype
     )
     x_batch = _batch(shape[1], np.random.default_rng(0))
 

@@ -5,12 +5,7 @@ import pytest
 
 import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix
-from repro.hw import (
-    EngineImageBackendError,
-    PermDNNEngine,
-    export_engine_image,
-    load_engine_image,
-)
+from repro.hw import PermDNNEngine, export_engine_image, load_engine_image
 
 
 def _layers(rng):
@@ -89,65 +84,41 @@ class TestEngineImage:
             load_engine_image(path)
 
 
-class TestImageBackendMetadata:
-    def _pinned_image(self, tmp_path, backend):
-        rng = np.random.default_rng(5)
+class TestStoredBackendKey:
+    """Older writers stored a ``layer<i>_backend`` key per layer.  The
+    kernel backend is a process-wide choice now: exports omit the key and
+    the loader ignores it, whatever name it holds."""
+
+    def test_export_writes_no_backend_key(self, tmp_path):
+        path = str(tmp_path / "image.npz")
+        export_engine_image(path, _layers(np.random.default_rng(5)))
+        with np.load(path) as archive:
+            assert not any(key.endswith("_backend") for key in archive.files)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "stored",
+        [None, "", "csr", "gather", "bogus"],
+        ids=["absent", "empty", "csr", "gather", "bogus"],
+    )
+    def test_loads_and_runs_on_process_backend(
+        self, tmp_path, version, stored
+    ):
+        rng = np.random.default_rng(6)
         layers = _layers(rng)
-        layers[0][0].set_backend(backend)
+        x = rng.normal(size=48)
+        reference, _ = PermDNNEngine().run_network(layers, x)
         path = str(tmp_path / "image.npz")
         export_engine_image(path, layers)
-        return path
-
-    def test_pinned_backend_round_trips(self, tmp_path):
-        path = self._pinned_image(tmp_path, "gather")
-        loaded = load_engine_image(path)
-        assert loaded[0][0].backend == "gather"
-        assert loaded[1][0].backend is None
-
-    def test_unavailable_backend_raises_typed_error(self, tmp_path, monkeypatch):
-        path = self._pinned_image(tmp_path, "csr")
-        monkeypatch.setattr(mod, "_scipy_sparse", None)  # csr now unavailable
-        with pytest.raises(EngineImageBackendError, match="csr"):
-            load_engine_image(path)
-
-    def test_unknown_backend_raises_typed_error(self, tmp_path):
-        path = self._pinned_image(tmp_path, "gather")
         with np.load(path) as archive:
             payload = {key: archive[key] for key in archive.files}
-        payload["layer0_backend"] = np.str_("bogus")
+        payload["image_version"] = np.int64(version)
+        for idx in range(len(layers)):
+            if version == 1:  # v1 predates the value-dtype tags
+                del payload[f"layer{idx}_value_dtype"]
+                del payload[f"layer{idx}_fixed_point"]
+            if stored is not None:
+                payload[f"layer{idx}_backend"] = np.str_(stored)
         np.savez_compressed(path, **payload)
-        with pytest.raises(EngineImageBackendError, match="bogus"):
-            load_engine_image(path)
-
-    def test_fallback_warns_and_uses_default_backend(
-        self, tmp_path, monkeypatch
-    ):
-        path = self._pinned_image(tmp_path, "csr")
-        monkeypatch.setattr(mod, "_scipy_sparse", None)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            loaded = load_engine_image(path, missing_backend="fallback")
-        assert loaded[0][0].backend is None
-        # the fallback image still executes (on the default backend)
-        rng = np.random.default_rng(6)
-        PermDNNEngine().run_network(loaded, rng.normal(size=48))
-
-    def test_invalid_missing_backend_value_rejected(self, tmp_path):
-        path = self._pinned_image(tmp_path, "gather")
-        with pytest.raises(ValueError, match="missing_backend"):
-            load_engine_image(path, missing_backend="ignore")
-
-    def test_images_without_backend_key_still_load(self, tmp_path):
-        """Backward compatibility: images written before the backend key
-        existed (same format version) load with no pinned backend."""
-        rng = np.random.default_rng(7)
-        path = str(tmp_path / "image.npz")
-        export_engine_image(path, _layers(rng))
-        with np.load(path) as archive:
-            payload = {
-                key: archive[key]
-                for key in archive.files
-                if not key.endswith("_backend")
-            }
-        np.savez_compressed(path, **payload)
-        loaded = load_engine_image(path)
-        assert all(matrix.backend is None for matrix, _ in loaded)
+        output, _ = PermDNNEngine().run_network(load_engine_image(path), x)
+        np.testing.assert_array_equal(output, reference)

@@ -157,4 +157,5 @@ class TestBundleSanitizer:
             server.drain()
             assert s.stats.plan_builds == 0
             assert s.stats.plan_rebuilds == 0
+            assert s.stats.skeleton_builds == 0
             s.assert_no_plan_rebuild()

@@ -316,6 +316,7 @@ class TestStagedBundles:
             out = _drain(server, xs)
             assert s.stats.plan_builds == 0
             assert s.stats.plan_rebuilds == 0
+            assert s.stats.skeleton_builds == 0
         np.testing.assert_array_equal(out, reference)
 
     def test_recurrent_bundle_cold_start_zero_plan_builds(self, tmp_path):
@@ -330,6 +331,7 @@ class TestStagedBundles:
             out = _drain(server, xs)
             assert s.stats.plan_builds == 0
             assert s.stats.plan_rebuilds == 0
+            assert s.stats.skeleton_builds == 0
         np.testing.assert_array_equal(out, reference)
 
     def test_v2_manifest_still_loads_as_fc(self, tmp_path):

@@ -31,24 +31,15 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["simulate", "--workload", "bogus"])
 
-    def test_simulate_unknown_backend_exits_cleanly(self):
+    def test_simulate_unknown_backend_exits_cleanly(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
         with pytest.raises(SystemExit):
-            main(["simulate", "--workload", "NMT-1", "--backend", "bogus"])
+            main(["simulate", "--workload", "NMT-1"])
 
-    def test_simulate_with_pinned_backend(self, capsys):
-        assert main(
-            ["simulate", "--workload", "NMT-1", "--backend", "gather"]
-        ) == 0
+    def test_simulate_with_pinned_backend(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "csr")
+        assert main(["simulate", "--workload", "NMT-1"]) == 0
         assert "NMT-1" in capsys.readouterr().out
-
-    def test_simulate_backend_does_not_leak_process_default(self):
-        from repro.core import default_backend
-
-        before = default_backend()
-        assert main(
-            ["simulate", "--workload", "NMT-1", "--backend", "gather"]
-        ) == 0
-        assert default_backend() == before
 
     def test_compare_runs(self, capsys):
         assert main(["compare", "--workload", "Alex-FC8"]) == 0

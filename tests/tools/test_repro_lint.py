@@ -287,7 +287,7 @@ class TestRPR006EmptyPartialWrite:
                 return out
         """
         findings = lint(
-            src, "src/repro/core/backends/gather.py", select={"RPR006"}
+            src, "src/repro/core/backends/csr.py", select={"RPR006"}
         )
         assert codes(findings) == ["RPR006"]
 
@@ -301,13 +301,13 @@ class TestRPR006EmptyPartialWrite:
                 return out
         """
         assert (
-            lint(src, "src/repro/core/backends/gather.py", select={"RPR006"})
+            lint(src, "src/repro/core/backends/csr.py", select={"RPR006"})
             == []
         )
 
     def test_alloc_and_fill_inside_else_allowed(self):
         # Regression: conditionality is judged relative to the
-        # allocation's own block (the real gather-backend shape).
+        # allocation's own block (the shape of csr.batched_grad_data).
         src = """
             import numpy as np
             def kernel(matrix, chunked, chunks):
@@ -320,7 +320,7 @@ class TestRPR006EmptyPartialWrite:
                     out = grad
                 return out
         """
-        assert lint(src, "src/repro/core/backends/gather.py") == []
+        assert lint(src, "src/repro/core/backends/csr.py") == []
 
     def test_kernel_call_arg_counts_as_fill(self):
         src = """
@@ -430,7 +430,7 @@ class TestRPR009DtypelessAllocation:
                 out[:] = 1.0
                 return out
         """
-        findings = lint(src, "src/repro/core/backends/gather.py")
+        findings = lint(src, "src/repro/core/backends/csr.py")
         assert codes(findings) == ["RPR009"]
         assert "dtype" in findings[0].message
 
@@ -454,7 +454,7 @@ class TestRPR009DtypelessAllocation:
                 buf[:] = 0.0
                 return out, buf
         """
-        assert lint(src, "src/repro/core/backends/gather.py") == []
+        assert lint(src, "src/repro/core/backends/csr.py") == []
 
     def test_positional_dtype_allowed(self):
         src = """
