@@ -204,8 +204,6 @@ def run_shard_sweep(args) -> int:
     shard_counts = tuple(args.shards) if args.shards else (
         SMOKE_SHARDS if args.smoke else FULL_SHARDS
     )
-    # Both tables are measured against the whole request set served as
-    # one batch on 1 shard: the single-engine run_fc_batch loop.
     sweep = dict(
         workloads=("alexnet-fc",),
         num_requests=requests,
@@ -214,7 +212,6 @@ def run_shard_sweep(args) -> int:
         scale=scale,
         seed=args.seed,
         value_dtype=args.dtype,
-        reference_batch_size=requests,
     )
     start = time.perf_counter()
     shards = run_workload_matrix(shard_counts=shard_counts, **sweep)

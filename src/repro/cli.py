@@ -192,17 +192,11 @@ def _cmd_serve_bench(args) -> int:
             lines.append(format_records(study.records, study))
             failures += study.failures()
     else:
-        # The AlexNet-FC default is measured against the whole request
-        # set as one 1-shard batch (the single-engine run_fc_batch loop),
-        # named workloads against the unsharded server at the same batch.
         records = run_workload_matrix(
             workloads,
             shard_counts=(args.shards,),
             thread_counts=(args.threads,),
             scale=args.scale,
-            reference_batch_size=(
-                args.requests if args.workload == "alexnet-fc" else None
-            ),
             **common,
         )
         lines.append(format_records(records))

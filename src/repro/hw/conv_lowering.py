@@ -23,6 +23,7 @@ writeback cycles of every lowered column.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,39 +149,23 @@ def lower_columns(
 
 
 def accumulate_offsets(
-    engine: PermDNNEngine,
-    matrices: list[BlockPermutedDiagonalMatrix],
-    columns: list[np.ndarray],
-    activation: str | None = None,
-    zero_skip: bool = True,
-    enforce_capacity: bool = True,
-) -> tuple[np.ndarray, int, int]:
-    """Run every offset product on ``engine`` and sum them in offset order.
+    products: Iterable[np.ndarray], activation: str | None = None
+) -> np.ndarray:
+    """Sum the offset products in offset order, then apply the ActU mode.
 
-    Each ``(matrix, column batch)`` pair is one
-    :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` call; the
-    products accumulate in the fixed order of ``matrices``, so any row
-    shard of the offset family reproduces its rows of the unsharded sum
-    bit for bit.  The ActU mode applies after accumulation.
-
-    Returns:
-        ``(acc, cycles, macs)`` with ``acc`` of shape
-        ``(rows of columns, rows of matrices)`` in the matrices' compute
-        dtype.
+    ``products`` holds one ``(rows of columns, rows of matrices)`` engine
+    product per kernel offset; an iterator is consumed as it goes, so
+    only the running sum and one product are alive at a time.  The fixed
+    order makes any row shard of the offset family reproduce its rows of
+    the unsharded sum bit for bit.
     """
-    acc = np.zeros(
-        (columns[0].shape[0], matrices[0].shape[0]),
-        dtype=matrices[0].compute_dtype,
-    )
-    cycles = macs = 0
-    for matrix, cols in zip(matrices, columns):
-        out, offset_cycles, offset_macs = engine.run_fc_batch_detailed(
-            matrix, cols, zero_skip=zero_skip, enforce_capacity=enforce_capacity
-        )
-        acc += out
-        cycles += offset_cycles
-        macs += offset_macs
-    return apply_activation(acc, activation), cycles, macs
+    products = iter(products)
+    # A fresh sum in the products' dtype (a Python float does not promote
+    # float32), bit for bit a zeroed buffer plus the first product.
+    acc = 0.0 + next(products)
+    for product in products:
+        acc += product
+    return apply_activation(acc, activation)
 
 
 def run_conv_layer(
@@ -230,14 +215,18 @@ def run_conv_layer(
         stride,
         padding,
     )
-    acc, cycles, macs = accumulate_offsets(
-        engine, matrices, columns, enforce_capacity=enforce_capacity
-    )
+    results = [
+        engine.run_fc_batch_detailed(
+            matrix, cols, enforce_capacity=enforce_capacity
+        )
+        for matrix, cols in zip(matrices, columns)
+    ]
+    acc = accumulate_offsets(out for out, _, _ in results)
     nonzero = sum(int(np.count_nonzero(cols)) for cols in columns)
     return ConvSimulationResult(
         output=acc.T.reshape(c_out, oh, ow),
-        cycles=cycles,
-        macs=macs,
+        cycles=sum(cycles for _, cycles, _ in results),
+        macs=sum(macs for _, _, macs in results),
         nonzero_columns=nonzero,
         skipped_columns=len(columns) * columns[0].size - nonzero,
         positions=oh * ow,

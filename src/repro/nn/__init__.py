@@ -30,7 +30,6 @@ from repro.nn.schedulers import CosineLR, StepLR
 from repro.nn.serialization import (
     UnsupportedLayerError,
     load_model,
-    model_engine_layers,
     save_model,
 )
 from repro.nn.trainer import Trainer, evaluate_classifier
@@ -69,6 +68,5 @@ __all__ = [
     "UnsupportedLayerError",
     "evaluate_classifier",
     "load_model",
-    "model_engine_layers",
     "save_model",
 ]

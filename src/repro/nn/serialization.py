@@ -6,10 +6,10 @@ they additionally embed the serialized index plan of every PD layer
 :func:`load_model` reattaches the cached index arithmetic instead of
 recomputing it layer by layer on the first product call.
 
-:func:`model_engine_layers` flattens a trained FC model into the
-``(matrix, activation)`` pairs the hardware surfaces consume
-(:meth:`~repro.hw.PermDNNEngine.run_network`, engine images, and the
-sharded serving bundles of :mod:`repro.serve.bundle`).
+:func:`model_stage_specs` flattens a trained model into the serving
+stages of :mod:`repro.serve` (PD FC, lowered conv and LSTM-cell specs
+over the model's live weights), which ``ModelServer.from_model`` and the
+staged bundles of :mod:`repro.serve.bundle` consume.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "RecurrentStageSpec",
     "UnsupportedLayerError",
     "load_model",
-    "model_engine_layers",
     "model_stage_specs",
     "save_model",
 ]
@@ -86,79 +85,6 @@ def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
     return matrices
 
 
-def model_engine_layers(
-    model: Module,
-    value_dtype: str | None = None,
-    fixed_point=None,
-) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
-    """Flatten an FC model into engine-servable ``(matrix, activation)`` pairs.
-
-    Walks the model in module order: every :class:`PermDiagLinear`
-    contributes its structured matrix; a following ``ReLU``/``Tanh``
-    becomes that layer's ActU mode; ``Dropout``/``Flatten`` (inference
-    no-ops) and containers are skipped.  Anything else -- dense layers,
-    convolutions, activations the ActU does not implement, or a PD layer
-    carrying a non-zero bias (the engine computes ``W x`` only) -- raises
-    :class:`UnsupportedLayerError` (a ``ValueError`` subclass naming the
-    offending module's class and index) rather than silently serving the
-    wrong function.
-
-    With ``value_dtype=None`` (default) the returned matrices are the
-    layers' **live** structured matrices (aliased storage, cached plans),
-    so exporting or serving them reflects in-place weight updates with
-    zero copies.  Passing ``value_dtype`` (``"float32"`` / ``"int16"``,
-    optionally with a ``fixed_point`` format) instead converts each layer
-    through
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.with_value_dtype` --
-    quantize-at-export: the serving copies hold reduced-precision storage
-    (still sharing the training matrices' index plans) while training
-    itself stays float64.
-    """
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
-    pending_activation = False  # True after a PD layer, before an activation
-    for index, module in enumerate(model.modules()):
-        if isinstance(module, Sequential):
-            continue
-        if isinstance(module, PermDiagLinear):
-            if module.bias is not None and np.any(module.bias.value):
-                raise UnsupportedLayerError(
-                    index, module,
-                    "carries a non-zero bias; the engine's FC datapath "
-                    "computes W x only",
-                )
-            layers.append((module.matrix, None))
-            pending_activation = True
-        elif isinstance(module, (ReLU, Tanh)):
-            if not pending_activation:
-                raise UnsupportedLayerError(
-                    index, module,
-                    "is an activation that does not follow a PD FC layer",
-                )
-            matrix, _ = layers[-1]
-            layers[-1] = (matrix, "relu" if isinstance(module, ReLU) else "tanh")
-            pending_activation = False
-        elif isinstance(module, (Dropout, Flatten)):
-            continue  # inference no-ops
-        else:
-            raise UnsupportedLayerError(
-                index, module,
-                "is not servable on the PD FC engine (expected "
-                "PermDiagLinear + ReLU/Tanh stacks)",
-            )
-    if not layers:
-        raise ValueError("model contains no PermDiagLinear layers")
-    if value_dtype is not None:
-        layers = [
-            (matrix.with_value_dtype(value_dtype, fixed_point=fixed_point), act)
-            for matrix, act in layers
-        ]
-    elif fixed_point is not None:
-        raise ValueError(
-            "fixed_point requires value_dtype='int16' (got value_dtype=None)"
-        )
-    return layers
-
-
 @dataclass
 class FCStageSpec:
     """One FC serving stage: a PD matrix plus its ActU mode."""
@@ -196,9 +122,12 @@ class RecurrentStageSpec:
 def model_stage_specs(model: Module) -> list:
     """Flatten a model into serving-stage specs: FC, conv, and recurrent.
 
-    The staged superset of :func:`model_engine_layers`: the same walk
-    rules for PD FC layers, activations, ``Dropout``/``Flatten``, plus
+    Walks the model in module order, skipping containers and the
+    inference no-ops ``Dropout``/``Flatten``:
 
+    - :class:`~repro.nn.PermDiagLinear` (zero bias; the engine computes
+      ``W x`` only) becomes an :class:`FCStageSpec`, and a following
+      ``ReLU``/``Tanh`` its ActU mode;
     - :class:`~repro.nn.PermDiagConv2D` (zero bias) becomes a
       :class:`ConvStageSpec`; a following ``ReLU``/``Tanh`` attaches as
       its activation and a following non-overlapping square

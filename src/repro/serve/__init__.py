@@ -12,13 +12,16 @@ pipeline between the per-layer shard arrays.
   control (bounded queue, reject-newest shedding) for graceful
   degradation past the saturation knee.
 - :class:`ServedStage` -- the slotted stage skeleton (per shard, a
-  fixed number of PD slot matrices cut at one set of block-row bounds),
-  with three kinds: :class:`ShardedLayer` (one FC layer, 1 slot),
+  fixed number of PD slot matrices cut at one set of block-row bounds)
+  and its one batch body, ``run_batch``, with three kinds that differ
+  only in how they build slot inputs and combine a shard's slot
+  products: :class:`ShardedLayer` (one FC layer, 1 slot),
   :class:`LoweredConvStage` (a PD convolution lowered to ``kh*kw``
   per-offset FC batches, row-sharded over output channels), and
   :class:`RecurrentStage` (one LSTM-cell timestep, 8 gate matrices
   row-sharded over hidden units).  :class:`InvalidRequestError` rejects
-  malformed, non-finite, or complex requests at submission.
+  malformed, non-finite, or complex requests and arrival times at
+  submission.
 - :class:`MicroBatcher` / :class:`BatchAssembler` / :class:`Request` /
   :class:`MicroBatch` -- the deterministic, order-preserving batching
   queue (offline plan and streaming forms).
@@ -33,7 +36,8 @@ pipeline between the per-layer shard arrays.
 - :func:`measure_stream` -- the one serving-benchmark measurement:
   drain one request stream (a t=0 burst or given arrival times) and
   return a :class:`BenchRecord`, bit-exactness checked against a
-  1-shard reference.  :func:`run_workload_matrix` (closed-loop bursts,
+  reference: the whole request set drained as one batch on 1 shard and
+  1 thread.  :func:`run_workload_matrix` (closed-loop bursts,
   including the AlexNet shard sweep), :func:`run_open_loop_sweep`
   (latency vs offered load, :func:`max_sustainable_qps` knee finding
   under an SLO, overload shedding) and :func:`run_mixed_traffic` loop

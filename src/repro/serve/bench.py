@@ -8,14 +8,15 @@ Throughput and latency are simulated engine time (cycles at the
 configured clock), the repo's standard accounting; the host drain wall
 time is recorded beside them.  Every stream's admitted outputs must
 match a reference **bit for bit**, and every reference is the same
-function at 1 shard and 1 thread over the same requests.
+function over the same requests: the whole set drained as one batch, at
+1 shard and 1 thread.
 
 The benchmark modes are loops over that function:
 
 - :func:`run_workload_matrix` -- closed-loop bursts of each named
   workload at every (shard count, thread count) pair.  The AlexNet
-  shard sweep is its ``alexnet-fc`` case with the whole request set as
-  one reference batch, i.e. the single-engine ``run_fc_batch`` loop.
+  shard sweep is its ``alexnet-fc`` case; its reference is the
+  single-engine ``run_fc_batch`` loop.
 - :func:`run_open_loop_sweep` -- latency percentiles vs offered load,
   the SLO knee and overload shedding, summarized by
   :class:`OpenLoopReport`.
@@ -196,7 +197,6 @@ def build_workload(
 def _workload_stream(
     name: str,
     num_requests: int,
-    reference_batch: int,
     *,
     scale: int,
     seed: int,
@@ -209,8 +209,8 @@ def _workload_stream(
 
     Returns ``(xs, serve, (record, report))``: ``serve(**kwargs)`` builds
     a :meth:`ModelServer.from_model` server (callers add shards,
-    threads and batching), and the reference is ``xs`` as a burst at 1
-    shard and 1 thread with max batch ``reference_batch``.
+    threads and batching), and the reference is ``xs`` drained as one
+    batch at 1 shard and 1 thread.
     """
     spec = build_workload(name, scale=scale, rng=seed)
     xs = make_requests(
@@ -226,7 +226,7 @@ def _workload_stream(
         flush_deadline_us=flush_deadline_us,
     )
     reference = measure_stream(
-        serve(num_shards=1, num_threads=1, max_batch_size=reference_batch),
+        serve(num_shards=1, num_threads=1, max_batch_size=num_requests),
         xs,
         workload=name,
     )
@@ -481,19 +481,15 @@ def run_workload_matrix(
     seed: int = 0,
     config: EngineConfig | None = None,
     value_dtype: str | None = None,
-    reference_batch_size: int | None = None,
 ) -> list[BenchRecord]:
     """Closed-loop bursts of each workload at every (shards, threads) pair.
 
     Per workload the model and the request set are built once.  Its
-    first record is the reference: the same burst at 1 shard and 1
-    thread, with max batch ``reference_batch_size`` (default: the
-    contenders' batch, i.e. the unsharded server).  Every following
+    first record is the reference: the whole set drained as one batch
+    at 1 shard and 1 thread (for ``alexnet-fc``, the single-engine
+    ``run_fc_batch`` loop in outputs and makespan).  Every following
     record must reproduce it bit for bit, across FC, lowered-conv and
-    recurrent stages alike.  The AlexNet shard sweep passes
-    ``reference_batch_size=num_requests``: the whole set as one batch,
-    which is the single-engine ``run_fc_batch`` loop in outputs and
-    makespan.
+    recurrent stages alike.
 
     The batch limit is capped at the request count, so a never-filling
     batch does not sit out the deadline flush (which would measure the
@@ -505,9 +501,9 @@ def run_workload_matrix(
     records = []
     for name in workloads or workload_names():
         xs, serve, (reference, ref_report) = _workload_stream(
-            name, num_requests, reference_batch_size or batch, scale=scale,
-            seed=seed, request_seed=seed + 1, value_dtype=value_dtype,
-            config=config, flush_deadline_us=flush_deadline_us,
+            name, num_requests, scale=scale, seed=seed,
+            request_seed=seed + 1, value_dtype=value_dtype, config=config,
+            flush_deadline_us=flush_deadline_us,
         )
         records.append(reference)
         for num_shards in shard_counts:
@@ -664,9 +660,9 @@ def run_open_loop_sweep(
        tails stay inside the SLO while the excess is shed.
     """
     pool, serve, (reference, ref_report) = _workload_stream(
-        workload, 2 * num_requests, 2 * num_requests, scale=scale,
-        seed=seed, request_seed=seed + 1, value_dtype=value_dtype,
-        config=config, flush_deadline_us=flush_deadline_us,
+        workload, 2 * num_requests, scale=scale, seed=seed,
+        request_seed=seed + 1, value_dtype=value_dtype, config=config,
+        flush_deadline_us=flush_deadline_us,
     )
     capacity_qps = _capacity_qps(
         serve(
@@ -766,15 +762,15 @@ def run_mixed_traffic(
     saturation and each class record's ``offered_qps`` is half the
     stream rate.
 
-    Returns both classes' 1-shard burst references, then the two class
-    records, each checked bit for bit against its own reference
+    Returns both classes' references (each class's whole request set as
+    one batch on 1 shard), then the two class records, each checked bit for bit against its own reference
     (per-request outputs are independent of batching and arrival
     times).
     """
     batch = min(max_batch_size, num_requests)
     classes = [
         _workload_stream(
-            name, num_requests, batch, scale=8, seed=seed,
+            name, num_requests, scale=8, seed=seed,
             request_seed=seed + 1 + idx, value_dtype=value_dtype,
             config=config, flush_deadline_us=flush_deadline_us,
         )

@@ -17,6 +17,11 @@ actually run on a :class:`~concurrent.futures.ThreadPoolExecutor`
 batched numpy/scipy product).  Results are stitched in shard order, so
 threaded and sequential execution are bit-identical by construction.
 
+Every stage kind runs one body, :meth:`ServedStage.run_batch`: it builds
+the kind's slot inputs once, runs each shard's slot products through
+:meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`, and hands them to
+the kind's combine hook, which writes the shard's output columns.
+
 Sharding reuses the layer matrix's cached index plan through
 :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shard` (pure slicing of
 the ``_IndexPlan`` arrays -- index arithmetic is computed once per layer,
@@ -77,7 +82,23 @@ class EmptyServeReportError(ValueError):
 
 
 class InvalidRequestError(ValueError):
-    """A submitted request is not a finite real vector of the served width."""
+    """A submitted request is not a finite real vector of the served width,
+    or its arrival time is not a finite real number."""
+
+
+def _finite_real(values, what: str) -> np.ndarray:
+    """``values`` as float64, or :class:`InvalidRequestError`.
+
+    Complex values are rejected before the cast (which would silently
+    drop the imaginary part), as are NaN and +-inf.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise InvalidRequestError(f"{what} must be real, got complex values")
+    values = values.astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise InvalidRequestError(f"{what} must be finite, got NaN or inf")
+    return values
 
 
 @dataclass
@@ -121,15 +142,17 @@ class ServedStage:
     bit-identical at every thread count) and the concatenation equals the
     unsharded single-engine computation bit for bit.
 
-    The base class owns the slot layout, capacity checks, the shard
-    fan-out and the bundle hooks.  A kind adds its model-side constructor,
-    ``_check_geometry`` (validates the slots against the kind's geometry
-    and sets ``in_features`` / ``out_features``) and
-    ``run_batch(engines, x_batch, zero_skip=True, enforce_capacity=True,
-    executor=None) -> (outputs, shard_cycles, shard_macs)``, where every
-    cycle and MAC comes from
-    :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`; the stage's
-    simulated time is ``max(shard_cycles)``.
+    The base class owns the slot layout, capacity checks, the one stage
+    body :meth:`run_batch` and the bundle hooks.  A kind adds its
+    model-side constructor, ``_check_geometry`` (validates the slots
+    against the kind's geometry and sets ``in_features`` /
+    ``out_features``) and two batch hooks:
+
+    - ``_slot_inputs(x_batch)``: the ``num_slots`` engine inputs, in slot
+      order, shared read-only by every shard;
+    - ``_combine(products, x_batch, outputs, lo, hi)``: consumes one
+      shard's slot products (an iterator, in slot order) and writes the
+      shard's output columns.
     """
 
     stage_kind: str = "abstract"
@@ -178,6 +201,12 @@ class ServedStage:
     def _check_geometry(self) -> None:
         raise NotImplementedError
 
+    def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+        raise NotImplementedError
+
     @classmethod
     def from_shard_slots(
         cls,
@@ -209,30 +238,65 @@ class ServedStage:
             for matrix in slots:
                 engine.check_capacity(matrix)
 
-    def _fan_out(
-        self, engines: list[PermDNNEngine], run_shard, executor
-    ) -> tuple[list[int], list[int]]:
-        """Call ``run_shard(engine, slots, lo, hi) -> (cycles, macs)`` once
-        per shard, on ``executor``'s threads when given (every shard owns
-        its engine and writes a disjoint output slice) or sequentially.
-        Results are collected in shard order either way, so outputs and
-        counters are identical across thread counts.
+    def run_batch(
+        self,
+        engines: list[PermDNNEngine],
+        x_batch: np.ndarray,
+        executor: ThreadPoolExecutor | None = None,
+    ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Execute one micro-batch on every shard engine.
+
+        The slot inputs are built once, on the calling thread.  Each shard
+        runs its slot products in slot order through
+        :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` and
+        ``_combine`` writes them into the shard's output columns.  Shards
+        run on ``executor``'s threads when given, else in turn; results
+        are collected in shard order either way, so outputs and counters
+        are identical at every thread count.  Capacity is not re-checked:
+        :class:`ModelServer` checks every shard at construction, and slot
+        matrices never change after that.
 
         Returns:
-            ``(shard_cycles, shard_macs)``.
+            ``(outputs, shard_cycles, shard_macs)`` with outputs of shape
+            ``(B, out_features)``; the batch's wall time on the shard
+            array is ``max(shard_cycles)`` -- in simulated time the
+            engines are a parallel array, whatever the host execution
+            mode.
         """
-        tasks = [
-            (engine, slots, lo, hi)
-            for engine, slots, (lo, hi) in zip(
-                engines, self.shard_slots, self.row_bounds
-            )
-        ]
+        inputs = self._slot_inputs(x_batch)
+        activation = self.activation if self.engine_activation else None
+        # np.zeros, not np.empty: the shard writes that cover every column
+        # happen inside ``_combine`` (possibly on executor threads), out
+        # of reach of RPR006's unconditional-fill analysis.
+        outputs = np.zeros(
+            (x_batch.shape[0], self.out_features), dtype=self.compute_dtype
+        )
+
+        def run_shard(engine, slots, bounds):
+            cycles = macs = 0
+
+            def products():
+                # Lazy, so a combine that sums (conv) holds one product
+                # at a time.
+                nonlocal cycles, macs
+                for matrix, x in zip(slots, inputs):
+                    out, slot_cycles, slot_macs = engine.run_fc_batch_detailed(
+                        matrix, x, activation=activation, enforce_capacity=False
+                    )
+                    cycles += slot_cycles
+                    macs += slot_macs
+                    yield out
+
+            self._combine(products(), x_batch, outputs, *bounds)
+            return cycles, macs
+
+        shards = (engines, self.shard_slots, self.row_bounds)
         if executor is not None and self.num_shards > 1:
-            futures = [executor.submit(run_shard, *task) for task in tasks]
-            results = [future.result() for future in futures]
+            results = executor.map(run_shard, *shards)
         else:
-            results = [run_shard(*task) for task in tasks]
-        return [cycles for cycles, _ in results], [macs for _, macs in results]
+            results = map(run_shard, *shards)
+        shard_cycles, shard_macs = map(list, zip(*results))
+        return outputs, shard_cycles, shard_macs
 
     # -- bundle serialization hooks (see repro.serve.bundle) -----------
 
@@ -298,49 +362,16 @@ class ShardedLayer(ServedStage):
         self.in_features = widths.pop()
         self.out_features = self.row_bounds[-1][1]
 
-    def run_batch(
-        self,
-        engines: list[PermDNNEngine],
-        x_batch: np.ndarray,
-        zero_skip: bool = True,
-        enforce_capacity: bool = True,
-        executor: ThreadPoolExecutor | None = None,
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Execute one micro-batch on every shard engine.
+    def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
+        return [x_batch]
 
-        Each shard runs through
-        :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` -- the same
-        accounting as the unsharded baseline (pipeline fill paid once per
-        batch, per-sample compute + writeback) -- so the concatenated
-        outputs are bit-identical to the unsharded batch call by
-        construction.
+    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+        (product,) = products
+        outputs[:, lo:hi] = product
 
-        Returns:
-            ``(outputs, shard_cycles, shard_macs)`` with outputs of shape
-            ``(B, out_features)``; the batch's wall time on the shard
-            array is ``max(shard_cycles)`` -- in simulated time the
-            engines are a parallel array, whatever the host execution
-            mode.
-        """
-        # np.zeros, not np.empty: the shard writes that cover every column
-        # happen inside ``run_shard`` (possibly on executor threads), out
-        # of reach of RPR006's unconditional-fill analysis.
-        outputs = np.zeros(
-            (x_batch.shape[0], self.out_features), dtype=self.compute_dtype
-        )
-
-        def run_shard(engine, slots, lo, hi):
-            out, cycles, macs = engine.run_fc_batch_detailed(
-                slots[0],
-                x_batch,
-                activation=self.activation,
-                zero_skip=zero_skip,
-                enforce_capacity=enforce_capacity,
-            )
-            outputs[:, lo:hi] = out
-            return cycles, macs
-
-        return (outputs, *self._fan_out(engines, run_shard, executor))
+    # perfbench/tracing.py patches each stage class's *own* run_batch (read
+    # through ``cls.__dict__``), so every kind names the shared body.
+    run_batch = ServedStage.run_batch
 
     def __repr__(self) -> str:
         return (
@@ -435,53 +466,31 @@ class LoweredConvStage(ServedStage):
             self.channels[0] * self.output_hw[0] * self.output_hw[1]
         )
 
-    def run_batch(
-        self,
-        engines: list[PermDNNEngine],
-        x_batch: np.ndarray,
-        zero_skip: bool = True,
-        enforce_capacity: bool = True,
-        executor: ThreadPoolExecutor | None = None,
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Execute one micro-batch of flattened feature maps.
+    def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
+        """One ``(B*oh*ow, c_in)`` lowered column batch per kernel offset."""
+        x = np.asarray(x_batch, dtype=self.compute_dtype).reshape(
+            x_batch.shape[0], self.channels[1], *self.input_hw
+        )
+        return lower_columns(x, self.kernel_size, self.stride, self.padding)
 
-        The lowered column batches (one ``(B*oh*ow, c_in)`` matrix per
-        kernel offset) are built **once** on the calling thread and shared
-        read-only by every shard; shard tasks then accumulate their offset
-        products, apply activation/pool, and write disjoint output column
-        ranges -- the same stitching discipline as the FC path.
-        """
-        batch = x_batch.shape[0]
+    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+        """Sum the offsets, activate, pool, and write channels ``[lo, hi)``."""
+        batch, rows = x_batch.shape[0], hi - lo
         oh, ow = self.conv_hw
         ph, pw = self.output_hw
-        x = np.asarray(x_batch, dtype=self.compute_dtype).reshape(
-            batch, self.channels[1], *self.input_hw
+        acc = accumulate_offsets(products, self.activation)
+        fmap = acc.reshape(batch, oh, ow, rows).transpose(0, 3, 1, 2)
+        if self.pool is not None:
+            pool = self.pool
+            fmap = fmap.reshape(batch, rows, ph, pool, pw, pool).max(
+                axis=(3, 5)
+            )
+        outputs[:, lo * ph * pw : hi * ph * pw] = fmap.reshape(
+            batch, rows * ph * pw
         )
-        columns = lower_columns(x, self.kernel_size, self.stride, self.padding)
-        outputs = np.zeros((batch, self.out_features), dtype=self.compute_dtype)
 
-        def run_shard(engine, slots, lo, hi):
-            acc, cycles, macs = accumulate_offsets(
-                engine,
-                slots,
-                columns,
-                activation=self.activation,
-                zero_skip=zero_skip,
-                enforce_capacity=enforce_capacity,
-            )
-            rows = hi - lo
-            fmap = acc.reshape(batch, oh, ow, rows).transpose(0, 3, 1, 2)
-            if self.pool is not None:
-                pool = self.pool
-                fmap = fmap.reshape(batch, rows, ph, pool, pw, pool).max(
-                    axis=(3, 5)
-                )
-            outputs[:, lo * ph * pw : hi * ph * pw] = fmap.reshape(
-                batch, rows * ph * pw
-            )
-            return cycles, macs
-
-        return (outputs, *self._fan_out(engines, run_shard, executor))
+    # Kept per class for perfbench's tracer (see ShardedLayer).
+    run_batch = ServedStage.run_batch
 
     def __repr__(self) -> str:
         c_out, c_in = self.channels
@@ -501,8 +510,9 @@ class RecurrentStage(ServedStage):
     stage drives all 8 through the engine per step.  Every gate matrix is
     row-sharded over **hidden units**, so shard ``K`` owns hidden rows
     ``[lo, hi)`` of every gate and computes its slice of the whole cell
-    update locally: gate pre-activations from 8 engine batch calls, then
-    the elementwise cell math with exactly
+    update locally: gate pre-activations from 8 engine batch calls (the
+    four ``W x`` products, then the four ``U h``), then the elementwise
+    cell math with exactly
     :meth:`~repro.nn.layers.recurrent.LSTMCell.step`'s expressions (shared
     ``sigmoid``/``tanh``), writing the ``h`` and ``c`` row slices of the
     output.  Requests are ``[x | h_prev | c_prev]`` vectors and outputs
@@ -593,55 +603,37 @@ class RecurrentStage(ServedStage):
                 for gate, value in self.biases.items()
             }
 
-    def run_batch(
-        self,
-        engines: list[PermDNNEngine],
-        x_batch: np.ndarray,
-        zero_skip: bool = True,
-        enforce_capacity: bool = True,
-        executor: ThreadPoolExecutor | None = None,
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Execute one cell step for a micro-batch of ``[x|h|c]`` rows."""
+    def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
+        """``x`` for the four W gates, then ``h_prev`` for the four U gates."""
+        start = self.input_size
+        x = x_batch[:, :start]
+        h_prev = x_batch[:, start : start + self.hidden_size]
+        return [x] * len(_GATES) + [h_prev] * len(_GATES)
+
+    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+        """The cell update of hidden rows ``[lo, hi)``: ``h`` and ``c``."""
         hidden = self.hidden_size
-        x = x_batch[:, : self.input_size]
-        h_prev = x_batch[:, self.input_size : self.input_size + hidden]
+        products = list(products)
+        w_x, u_h = products[: len(_GATES)], products[len(_GATES) :]
+        # Same association order as LSTMCell.step: (W x + U h) + b.
+        pre = {
+            gate: w + u + self._biases_c[gate][lo:hi]
+            for gate, w, u in zip(_GATES, w_x, u_h)
+        }
+        gate_i = sigmoid(pre["i"])
+        gate_f = sigmoid(pre["f"])
+        gate_g = np.tanh(pre["g"])
+        gate_o = sigmoid(pre["o"])
+        c_start = self.input_size + hidden
         c_prev = np.asarray(
-            x_batch[:, self.input_size + hidden :], dtype=self.compute_dtype
+            x_batch[:, c_start + lo : c_start + hi], dtype=self.compute_dtype
         )
-        outputs = np.zeros(
-            (x_batch.shape[0], 2 * hidden), dtype=self.compute_dtype
-        )
+        c = gate_f * c_prev + gate_i * gate_g
+        outputs[:, lo:hi] = gate_o * np.tanh(c)
+        outputs[:, hidden + lo : hidden + hi] = c
 
-        def run_shard(engine, slots, lo, hi):
-            cycles = macs = 0
-            pre = {}
-            for idx, gate in enumerate(_GATES):
-                w_out, w_cycles, w_macs = engine.run_fc_batch_detailed(
-                    slots[idx],
-                    x,
-                    zero_skip=zero_skip,
-                    enforce_capacity=enforce_capacity,
-                )
-                u_out, u_cycles, u_macs = engine.run_fc_batch_detailed(
-                    slots[len(_GATES) + idx],
-                    h_prev,
-                    zero_skip=zero_skip,
-                    enforce_capacity=enforce_capacity,
-                )
-                # Same association order as LSTMCell.step: (W x + U h) + b.
-                pre[gate] = w_out + u_out + self._biases_c[gate][lo:hi]
-                cycles += w_cycles + u_cycles
-                macs += w_macs + u_macs
-            gate_i = sigmoid(pre["i"])
-            gate_f = sigmoid(pre["f"])
-            gate_g = np.tanh(pre["g"])
-            gate_o = sigmoid(pre["o"])
-            c = gate_f * c_prev[:, lo:hi] + gate_i * gate_g
-            outputs[:, lo:hi] = gate_o * np.tanh(c)
-            outputs[:, hidden + lo : hidden + hi] = c
-            return cycles, macs
-
-        return (outputs, *self._fan_out(engines, run_shard, executor))
+    # Kept per class for perfbench's tracer (see ShardedLayer).
+    run_batch = ServedStage.run_batch
 
     def aux_payload(self) -> dict | None:
         return {
@@ -838,9 +830,9 @@ class ModelServer:
         config: engine configuration shared by every shard engine.
         max_batch_size: micro-batcher fill limit.
         flush_deadline_us: micro-batcher deadline flush.
-        zero_skip: forward the engines' input zero-skipping.
         enforce_capacity: validate every shard against its engine's SRAM
-            budget at construction (and per call).
+            budget at construction (slot matrices never change after
+            that, so batches are not re-checked).
         num_threads: host threads driving each layer's shard engines.
             ``None`` (default) uses ``min(max shard count, host CPUs)``;
             ``1`` forces sequential shard execution.  Purely a host-side
@@ -867,7 +859,6 @@ class ModelServer:
         config: EngineConfig | None = None,
         max_batch_size: int = 16,
         flush_deadline_us: float = 50.0,
-        zero_skip: bool = True,
         enforce_capacity: bool = True,
         num_threads: int | None = None,
         queue_capacity: int | None = None,
@@ -880,8 +871,6 @@ class ModelServer:
             )
         self.queue_capacity = queue_capacity
         self.config = config or EngineConfig()
-        self.zero_skip = zero_skip
-        self.enforce_capacity = enforce_capacity
         self.layers: list[ServedStage] = [
             layer
             if isinstance(layer, ServedStage)
@@ -996,9 +985,13 @@ class ModelServer:
 
         Raises:
             InvalidRequestError: ``x`` is not a finite real vector of
-                ``in_features`` values; nothing is queued.
+                ``in_features`` values, or ``arrival_us`` is not a finite
+                real time; nothing is queued.
         """
-        return self._enqueue(self._checked_requests(x, ndim=1), arrival_us)
+        x = self._checked_requests(x, ndim=1)
+        if arrival_us is not None:
+            arrival_us = float(_finite_real(arrival_us, "arrival times"))
+        return self._enqueue(x, arrival_us)
 
     def submit_many(
         self,
@@ -1007,38 +1000,30 @@ class ModelServer:
     ) -> list[int]:
         """Queue a batch of requests; returns their ids in order.
 
-        The batch is validated as a whole, before any row is queued (see
-        :meth:`submit`).
+        The batch and its arrival times (one per row) are validated as a
+        whole, before any row is queued (see :meth:`submit`).
         """
         xs = self._checked_requests(xs, ndim=2)
         if arrivals_us is None:
             return [self._enqueue(x, None) for x in xs]
-        arrivals = np.asarray(arrivals_us, dtype=np.float64)
+        arrivals = _finite_real(arrivals_us, "arrival times")
         if arrivals.shape != (xs.shape[0],):
-            raise ValueError(
-                f"arrivals_us shape {arrivals.shape} does not match "
+            raise InvalidRequestError(
+                f"arrival times of shape {arrivals.shape} do not match a "
                 f"batch of {xs.shape[0]}"
             )
         return [self._enqueue(x, t) for x, t in zip(xs, arrivals)]
 
     def _checked_requests(self, xs, ndim: int) -> np.ndarray:
-        """``xs`` as float64 with ``ndim`` axes and ``in_features`` columns.
-
-        Complex values are rejected before the cast (which would silently
-        drop the imaginary part), as are NaN and +-inf.
-        """
-        xs = np.asarray(xs)
-        if np.iscomplexobj(xs):
-            raise InvalidRequestError("requests must be real, got complex values")
-        xs = xs.astype(np.float64, copy=False)
+        """``xs`` as finite real float64 with ``ndim`` axes and
+        ``in_features`` columns."""
+        xs = _finite_real(xs, "requests")
         if xs.ndim != ndim or xs.shape[-1] != self.in_features:
             kind = "request" if ndim == 1 else "request batch"
             raise InvalidRequestError(
                 f"expected input {kind} of width {self.in_features}, "
                 f"got shape {xs.shape}"
             )
-        if not np.isfinite(xs).all():
-            raise InvalidRequestError("requests must be finite, got NaN or inf")
         return xs
 
     def _enqueue(self, x: np.ndarray, arrival_us: float | None) -> int:
@@ -1120,11 +1105,7 @@ class ModelServer:
                 zip(self.layers, self.engines)
             ):
                 current, shard_cycles, shard_macs = layer.run_batch(
-                    engines,
-                    current,
-                    zero_skip=self.zero_skip,
-                    enforce_capacity=self.enforce_capacity,
-                    executor=executor,
+                    engines, current, executor=executor
                 )
                 stage = max(shard_cycles)
                 start = max(done, layer_free[idx])
@@ -1142,7 +1123,11 @@ class ModelServer:
                     stats.batches += 1
                     stats.samples += batch.size
             completion_us = done / self.cycles_per_us
-            start_entry_us = start_entry / self.cycles_per_us
+            # The cycles round trip can land an ulp before ready_us, which
+            # would make an idle entry layer report negative queueing.
+            start_entry_us = max(
+                start_entry / self.cycles_per_us, batch.ready_us
+            )
             for row, request in enumerate(batch.requests):
                 outputs[request.rid] = current[row]
                 latencies[request.rid] = completion_us - request.arrival_us

@@ -140,6 +140,17 @@ class TestTimingAndStats:
         # one request never fills the batch: it waits out the deadline
         assert report.latencies_us[0] >= 25.0
 
+    def test_idle_entry_layer_reports_zero_queueing(self):
+        # At this arrival the us -> cycles -> us round trip of the batch's
+        # ready time lands one ulp early.
+        server = ModelServer(
+            _stack(), num_shards=1, max_batch_size=1, flush_deadline_us=0.0
+        )
+        server.submit(_requests(1, 48)[0], arrival_us=109.30753943394252)
+        report = server.drain()
+        assert report.queue_us[0] == 0.0
+        assert report.compute_us[0] == report.latencies_us[0]
+
     def test_drain_clears_the_queue(self):
         layers = _stack()
         server = ModelServer(layers, num_shards=2)
@@ -177,6 +188,30 @@ class TestValidation:
                 server.submit(xs[1])
         # Nothing of the rejected batch was queued.
         assert server.drain().num_requests == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 2.0j])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_or_complex_arrival_rejected(self, bad, batched):
+        from repro.serve import InvalidRequestError
+
+        server = ModelServer(_stack(), num_shards=2, max_batch_size=2)
+        xs = _requests(4, 48)
+        with pytest.raises(InvalidRequestError, match="arrival times must"):
+            if batched:
+                server.submit_many(xs, arrivals_us=[0.0, bad, 10.0, 20.0])
+            else:
+                server.submit(xs[1], arrival_us=bad)
+        # Nothing of the rejected batch was queued.
+        report = server.drain()
+        assert report.num_submitted == 0
+
+    def test_arrivals_of_wrong_shape_rejected(self):
+        from repro.serve import InvalidRequestError
+
+        server = ModelServer(_stack(), num_shards=2)
+        with pytest.raises(InvalidRequestError, match="arrival times"):
+            server.submit_many(_requests(3, 48), arrivals_us=[0.0, 1.0])
+        assert server.drain().num_submitted == 0
 
     def test_arrivals_clamped_non_decreasing(self):
         server = ModelServer(_stack(), num_shards=2)

@@ -302,6 +302,25 @@ class TestModelStageSpecs:
         with pytest.raises(UnsupportedLayerError, match="bias"):
             model_stage_specs(model)
 
+    def test_fc_bias_rejected_with_index(self):
+        model = Sequential(PermDiagLinear(16, 16, p=4, bias=True, rng=0))
+        model.layers[0].bias.value[:] = 1.0
+        with pytest.raises(
+            UnsupportedLayerError,
+            match=r"^module 1 \(PermDiagLinear\) carries a non-zero bias",
+        ) as excinfo:
+            model_stage_specs(model)
+        assert excinfo.value.index == 1
+        assert excinfo.value.layer_type == "PermDiagLinear"
+
+    def test_orphan_activation_rejected_with_index(self):
+        with pytest.raises(
+            UnsupportedLayerError,
+            match=r"^module 1 \(Tanh\) is an activation that does not "
+            r"follow a PD FC or conv layer$",
+        ):
+            model_stage_specs(Sequential(Tanh()))
+
 
 class TestStagedBundles:
     def test_conv_bundle_cold_start_zero_plan_builds(self, tmp_path):
