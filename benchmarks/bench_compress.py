@@ -8,7 +8,7 @@ model compressed at ``p`` in {2, 4, 8, 16} to trace how retained
 accuracy falls as the block size (and so the compression ratio) grows.
 
 Every zoo bundle must come back ``verified=True`` (bit-identical
-from-bundle serving, zero index-plan builds under the sanitizer) and
+from-bundle serving, zero index-plan rebuilds under the sanitizer) and
 every entry must hit >= 2x parameter compression; the script exits
 non-zero otherwise.
 

@@ -119,7 +119,7 @@ def _pr1_style_matrix(
     it pays exactly the PR 1 index traffic.
     """
     pr1 = BlockPermutedDiagonalMatrix(matrix.data, matrix.ks, shape=matrix.shape)
-    plan = pr1._get_plan().warm()
+    plan = pr1._get_plan()
     for key in (False, True):
         indptr, indices, perm = plan.csr_struct(key)
         plan._csr_structs[key] = (

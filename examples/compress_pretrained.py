@@ -5,7 +5,7 @@
    support (L2-optimal approximation, searched per layer).
 3. Fine-tune with the structure-preserving update rules.
 4. Export the result as a staged serving bundle and verify it serves
-   bit-identically with zero index-plan builds.
+   bit-identically with zero index-plan rebuilds.
 
 The paper reports this flow reaching 99.06% on MNIST at 40x compression;
 here we reproduce the *shape*: a large accuracy drop right after

@@ -6,7 +6,8 @@ permutation structure per layer (:mod:`~repro.compress.strategies`),
 convert to PD layers, fine-tune with the structure-preserving trainer,
 and emit a v3 staged engine bundle plus a structured
 accuracy/compression report -- cold-startable by
-:meth:`repro.serve.ModelServer.from_bundle` with zero index-plan builds.
+:meth:`repro.serve.ModelServer.from_bundle`, with every index plan
+derived from ``ks`` once and never rebuilt.
 
 - :func:`compress_model` / :func:`compress_cell` /
   :func:`compress_arrays` -- the pipeline entry points.

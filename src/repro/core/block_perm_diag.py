@@ -17,7 +17,8 @@ artifact -- the global row/column of each stored slot, the support mask,
 the forward gather columns, the transposed gather pair, and the CSR
 skeletons used by the sparse products -- is a pure function of the
 *structure* ``(ks, shape, p)`` and never of the values.  All of it is
-computed once, lazily, in an :class:`_IndexPlan` cached on the matrix;
+computed at most once, lazily, in an :class:`_IndexPlan` cached on the
+matrix, and none of it is ever stored (see "What artifacts store");
 every product (:meth:`~BlockPermutedDiagonalMatrix.matmat`,
 :meth:`~BlockPermutedDiagonalMatrix.rmatmat`,
 :meth:`~BlockPermutedDiagonalMatrix.grad_data`, ...) reads the plan instead
@@ -65,7 +66,8 @@ trainable parameter at the same buffer, so in-place optimizer updates are
 visible to the matrix with zero copies.  In-place writes to ``data`` are
 fine for *values*; writing non-zeros into the padding region of an aliased
 buffer is unsupported (products ignore those slots, but storage accounting
-and ``to_q`` round-trips assume they stay zero).
+assumes they stay zero and :meth:`~BlockPermutedDiagonalMatrix.from_q`
+rejects a ``q`` that holds them).
 
 Backend dispatch
 ----------------
@@ -75,21 +77,23 @@ skeletons; the default) or ``numba`` (optional JIT).  The choice is
 :func:`repro.core.backends.set_default_backend`, else the
 ``REPRO_BACKEND`` environment variable, else ``csr``.
 
-Plan serialization
-------------------
-A warmed :class:`_IndexPlan` round-trips through
-:meth:`~BlockPermutedDiagonalMatrix.plan_bytes` /
-:meth:`~BlockPermutedDiagonalMatrix.from_plan` (and
-:meth:`~BlockPermutedDiagonalMatrix.adopt_plan`), so deployment surfaces
-(``repro.hw.engine`` images, ``repro.nn.serialization`` checkpoints,
-``repro.core.storage``) can persist the index arithmetic once and reload
-matrices without recomputing any of it.
+What artifacts store
+--------------------
+Index state is never stored.  Engine images (and so bundles) and
+``save_bpd`` files keep only the values ``q``
+(:meth:`~BlockPermutedDiagonalMatrix.to_q`), the per-block ``ks``, ``p``,
+the logical shape and the value-dtype tags; checkpoints keep parameter
+values plus each PD matrix's ``ks``.  This is the paper's storage model
+(Sec. III, Fig. 4): positions are recomputed from ``k_l`` with a modulo,
+so a PD layer costs its values plus ``ceil(log2 p)`` bits per block.
+:meth:`~BlockPermutedDiagonalMatrix.from_q` is the one decoder; a loaded
+matrix derives its plan from ``(ks, shape, p)`` lazily, at most once,
+exactly like a freshly built one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 
 import numpy as np
 
@@ -100,16 +104,6 @@ from repro.core import value_types as _value_types
 from repro.core.permutation import PermutationSpec
 
 __all__ = ["BlockPermutedDiagonalMatrix", "row_shard_bounds"]
-
-# Version tag of the _IndexPlan.to_bytes() wire format.  Version 2 added
-# the optional value-dtype tag (``vd``/``fp`` keys); version-1 blobs are
-# still accepted and read as untagged (float64-era) plans.
-_PLAN_FORMAT_VERSION = 2
-_PLAN_MIN_FORMAT_VERSION = 1
-
-# Lazily-built plan members, as (serialization key, attribute) pairs; each
-# is a tuple of arrays when built, None otherwise.
-_PLAN_LAZY_FIELDS = (("t", "_t_arrays"), ("sc", "_support_coords"))
 
 
 def _resolve_value_dtype(value_dtype, fixed_point):
@@ -156,7 +150,7 @@ def _untagged_value_dtype(data) -> str:
         raise ValueError(
             "int16 data needs its FixedPointFormat: pass "
             "value_dtype='int16' and fixed_point=..., or load it from a "
-            "dtype-tagged plan blob or file"
+            "dtype-tagged file"
         )
     return "float32" if kind == np.float32 else "float64"
 
@@ -258,12 +252,6 @@ class _IndexPlan:
         self._t_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr_structs: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # Serialization metadata only (plans are value-free and shared
-        # across dtype siblings): the value dtype of the matrix whose
-        # plan_bytes() produced a deserialized plan, used by from_plan()
-        # to restore a matrix at its persisted precision.
-        self.value_dtype_hint: str | None = None
-        self.fixed_point_hint: tuple[int, int] | None = None
 
     def support_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, rows, cols)`` of every in-bounds slot, each 1-D.
@@ -313,6 +301,16 @@ class _IndexPlan:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR skeleton ``(indptr, indices, perm)`` of ``W`` (or ``W.T``).
 
+        Read off the block layout, without a sort.  Forward row
+        ``bi*p + c`` holds one slot per block column, in ascending ``bj``
+        and so in ascending column order: ``indices`` is ``cols``
+        transposed to ``(mb, p, nb)``.  Transposed row ``bj*p + d`` holds
+        one slot per block row, in ascending ``bi``: its skeleton is
+        :meth:`transpose_arrays` transposed to ``(nb, p, mb)``.  Padding
+        slots are dropped with the support mask, which keeps that order.
+        Every row thus lists its non-zeros in ascending column order, the
+        order scipy accumulates a row in.
+
         ``indptr``/``indices`` are int32 whenever the matrix dimensions
         permit (scipy's native index type -- spmm then moves half the index
         bytes of an int64 skeleton); ``perm`` stays at the platform index
@@ -324,21 +322,33 @@ class _IndexPlan:
         """
         key = bool(transposed)
         if key not in self._csr_structs:
-            flat, r, c = self.support_coords()
             if transposed:
-                rows, cols, height = c, r, self.shape[1]
+                src, cols = self.transpose_arrays()
+                height = self.shape[1]
             else:
-                rows, cols, height = r, c, self.shape[0]
+                src = np.arange(self.cols.size, dtype=np.intp).reshape(
+                    self.cols.shape
+                )
+                cols, height = self.cols, self.shape[0]
             idx_dtype = (
                 np.int32
                 if max(self.shape[0], self.shape[1], self.nnz) < 2**31
                 else np.int64
             )
-            order = np.lexsort((cols, rows))
+            # (blocks, p, per_row): one CSR row per (block, offset) pair.
+            per_row = src.shape[1]
+            perm = src.transpose(0, 2, 1).reshape(-1).astype(np.intp, copy=False)
+            indices = np.ascontiguousarray(
+                cols.transpose(0, 2, 1), dtype=idx_dtype
+            ).reshape(-1)
+            if self.full_support:
+                counts = np.full(height, per_row)
+            else:
+                keep = self.support.reshape(-1)[perm]
+                perm, indices = perm[keep], indices[keep]
+                counts = keep.reshape(-1, per_row).sum(axis=1)[:height]
             indptr = np.zeros(height + 1, dtype=idx_dtype)
-            indptr[1:] = np.cumsum(np.bincount(rows, minlength=height))
-            indices = cols[order].astype(idx_dtype, copy=False)
-            perm = flat[order]
+            indptr[1:] = np.cumsum(counts)
             for arr in (indptr, indices, perm):
                 arr.setflags(write=False)
             self._csr_structs[key] = (indptr, indices, perm)
@@ -397,140 +407,7 @@ class _IndexPlan:
             shard._t_arrays = None
         shard._support_coords = None
         shard._csr_structs = {}
-        shard.value_dtype_hint = None
-        shard.fixed_point_hint = None
         return shard
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def warm(self) -> "_IndexPlan":
-        """Force-build every lazy member (transpose pair, support
-        coordinates, both CSR skeletons).  Returns ``self``."""
-        self.support_coords()
-        self.transpose_arrays()
-        self.csr_struct(False)
-        self.csr_struct(True)
-        return self
-
-    def to_bytes(
-        self,
-        warm: bool = True,
-        value_dtype: str | None = None,
-        fixed_point=None,
-    ) -> bytes:
-        """Serialize the plan (an ``.npz`` payload) for later reattachment.
-
-        With ``warm`` (the default) every lazy member is built first, so a
-        plan restored by :meth:`from_bytes` never recomputes *any* index
-        arithmetic -- the property deployment surfaces rely on.  Pass
-        ``warm=False`` to persist only what has been built so far (e.g. a
-        forward-only plan for an inference-only artifact).
-
-        ``value_dtype``/``fixed_point`` (normally supplied by
-        :meth:`BlockPermutedDiagonalMatrix.plan_bytes`) tag the payload
-        with the owning matrix's value-storage mode so
-        :meth:`BlockPermutedDiagonalMatrix.from_plan` can restore it at
-        the persisted precision.
-        """
-        if warm:
-            self.warm()
-        payload: dict[str, np.ndarray] = {
-            "version": np.int64(_PLAN_FORMAT_VERSION),
-            "p": np.int64(self.p),
-            "shape": np.asarray(self.shape, dtype=np.int64),
-            "nnz": np.int64(self.nnz),
-            "ks": self.ks,
-            "rows": self.rows,
-            "cols": self.cols,
-            "support": self.support,
-        }
-        if value_dtype is not None:
-            payload["vd"] = np.asarray(
-                _value_types.validate_value_dtype(value_dtype)
-            )
-            if fixed_point is not None:
-                payload["fp"] = np.asarray(
-                    [fixed_point.total_bits, fixed_point.frac_bits],
-                    dtype=np.int64,
-                )
-        for key, attr in _PLAN_LAZY_FIELDS:
-            value = getattr(self, attr)
-            if value is not None:
-                for pos, arr in enumerate(value):
-                    payload[f"{key}{pos}"] = arr
-        for transposed, struct in self._csr_structs.items():
-            for pos, arr in enumerate(struct):
-                payload[f"csr{int(transposed)}_{pos}"] = arr
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "_IndexPlan":
-        """Rebuild a plan from :meth:`to_bytes` without index recomputation.
-
-        Every array is restored verbatim (and re-frozen read-only); members
-        absent from the payload stay lazy and would be built on first use.
-        """
-        with np.load(io.BytesIO(bytes(blob))) as archive:
-            version = int(archive["version"])
-            if not _PLAN_MIN_FORMAT_VERSION <= version <= _PLAN_FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported index-plan format version {version} "
-                    f"(expected {_PLAN_MIN_FORMAT_VERSION}.."
-                    f"{_PLAN_FORMAT_VERSION})"
-                )
-            plan = cls.__new__(cls)
-            plan.value_dtype_hint = (
-                str(archive["vd"]) if "vd" in archive.files else None
-            )
-            plan.fixed_point_hint = (
-                tuple(int(v) for v in archive["fp"])
-                if "fp" in archive.files
-                else None
-            )
-            plan.p = int(archive["p"])
-            plan.shape = tuple(int(v) for v in archive["shape"])
-            plan.nnz = int(archive["nnz"])
-            ks = archive["ks"]
-            plan.mb, plan.nb = ks.shape
-            m, n = plan.shape
-            plan.aligned_m = m == plan.mb * plan.p
-            plan.aligned_n = n == plan.nb * plan.p
-            plan.full_support = plan.aligned_m and plan.aligned_n
-            rows, cols, support = (
-                archive["rows"], archive["cols"], archive["support"]
-            )
-            for arr in (ks, rows, cols, support):
-                arr.setflags(write=False)
-            plan.ks = ks
-            plan.rows, plan.cols, plan.support = rows, cols, support
-            plan.flat_cols = cols.reshape(-1)
-            for key, attr in _PLAN_LAZY_FIELDS:
-                if f"{key}0" in archive.files:
-                    arrays = []
-                    pos = 0
-                    while f"{key}{pos}" in archive.files:
-                        arr = archive[f"{key}{pos}"]
-                        arr.setflags(write=False)
-                        arrays.append(arr)
-                        pos += 1
-                    setattr(plan, attr, tuple(arrays))
-                else:
-                    setattr(plan, attr, None)
-            plan._csr_structs = {}
-            for transposed in (False, True):
-                prefix = f"csr{int(transposed)}_"
-                if f"{prefix}0" in archive.files:
-                    struct = tuple(
-                        archive[f"{prefix}{pos}"] for pos in range(3)
-                    )
-                    for arr in struct:
-                        arr.setflags(write=False)
-                    plan._csr_structs[transposed] = struct
-        return plan
 
 
 class BlockPermutedDiagonalMatrix:
@@ -542,7 +419,8 @@ class BlockPermutedDiagonalMatrix:
 
     The structure ``(ks, shape, p)`` is fixed at construction -- ``ks`` is
     exposed read-only and ``shape`` is a property -- and all index
-    arithmetic derived from it is cached (see the module docstring).  Use
+    arithmetic is derived from it lazily, cached, and never stored (see
+    the module docstring).  Use
     :meth:`set_structure` to mutate it and :meth:`like` to create siblings
     that share the cached plan.
 
@@ -873,95 +751,6 @@ class BlockPermutedDiagonalMatrix:
         return plan
 
     # ------------------------------------------------------------------
-    # Plan serialization
-    # ------------------------------------------------------------------
-
-    def plan_bytes(self, warm: bool = True) -> bytes:
-        """Serialized index plan (see :meth:`_IndexPlan.to_bytes`).
-
-        Persist this next to the packed values and rebuild with
-        :meth:`from_plan` (or reattach with :meth:`adopt_plan`) to skip all
-        index arithmetic at load time.  The blob is tagged with this
-        matrix's value dtype (and fixed-point format, if any) so
-        :meth:`from_plan` restores the persisted precision by default.
-        """
-        return self._get_plan().to_bytes(
-            warm=warm,
-            value_dtype=self._value_dtype,
-            fixed_point=self._fixed_point,
-        )
-
-    def adopt_plan(
-        self, plan: "_IndexPlan | bytes"
-    ) -> "BlockPermutedDiagonalMatrix":
-        """Attach a precomputed (e.g. deserialized) index plan.
-
-        The plan must describe exactly this matrix's structure
-        ``(ks, shape, p)``; a mismatch raises ``ValueError`` rather than
-        silently corrupting products.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        if isinstance(plan, (bytes, bytearray, memoryview)):
-            plan = _IndexPlan.from_bytes(plan)
-        if (
-            plan.p != self.p
-            or plan.shape != self._shape
-            or plan.ks.shape != self._ks.shape
-            or not np.array_equal(plan.ks, self._ks)
-        ):
-            raise ValueError(
-                f"plan structure (p={plan.p}, shape={plan.shape}) does not "
-                f"match matrix (p={self.p}, shape={self._shape})"
-            )
-        self._plan = plan
-        self._csr_cache = {}
-        return self
-
-    @classmethod
-    def from_plan(
-        cls,
-        plan: "_IndexPlan | bytes",
-        data: np.ndarray,
-        value_dtype: str | None = None,
-        fixed_point=None,
-    ) -> "BlockPermutedDiagonalMatrix":
-        """Matrix around a precomputed plan: **no index arithmetic runs**.
-
-        The inverse of (:meth:`plan_bytes`, :meth:`to_q`): deployment
-        surfaces persist both and reconstruct here, paying only the
-        deserialization.  ``data`` follows the aliasing contract.
-
-        The value dtype is resolved in order: the explicit arguments, the
-        dtype tag a version-2 plan blob carries (what
-        :meth:`plan_bytes` recorded), then the dtype of ``data`` itself.
-        Untagged ``int16`` data is ambiguous -- codes are meaningless
-        without their format -- and is rejected rather than guessed.
-        """
-        if isinstance(plan, (bytes, bytearray, memoryview)):
-            plan = _IndexPlan.from_bytes(plan)
-        if value_dtype is None:
-            value_dtype = plan.value_dtype_hint
-            if fixed_point is None and plan.fixed_point_hint is not None:
-                from repro.nn.quantization import FixedPointFormat
-
-                fixed_point = FixedPointFormat(*plan.fixed_point_hint)
-        if value_dtype is None:
-            value_dtype = _untagged_value_dtype(data)
-        out = cls.__new__(cls)
-        out._value_dtype, out._fixed_point = _resolve_value_dtype(
-            value_dtype, fixed_point
-        )
-        out.p = plan.p
-        out._ks = plan.ks
-        out._shape = plan.shape
-        out._plan = plan
-        out._csr_cache = {}
-        out.data = data
-        return out
-
-    # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
 
@@ -1165,7 +954,15 @@ class BlockPermutedDiagonalMatrix:
         value_dtype: str | None = None,
         fixed_point=None,
     ) -> "BlockPermutedDiagonalMatrix":
-        """Rebuild from a packed ``q`` vector (inverse of :meth:`to_q`)."""
+        """Rebuild from a packed ``q`` vector (inverse of :meth:`to_q`).
+
+        The one decoder for stored matrices (engine images, bundles,
+        ``save_bpd`` files): the index plan is derived from ``ks`` lazily,
+        as for any other matrix.  :meth:`to_q` always writes zero padding,
+        so a non-zero value outside the logical ``shape`` means the stored
+        values and metadata disagree; that raises ``ValueError`` instead
+        of silently dropping the value.
+        """
         m, n = shape
         mb, nb = -(-m // p), -(-n // p)
         q = np.asarray(q)
@@ -1174,13 +971,21 @@ class BlockPermutedDiagonalMatrix:
                 f"q has {q.size} entries, expected {mb * nb * p} for "
                 f"shape {shape} with p={p}"
             )
-        return cls(
-            q.reshape(mb, nb, p),
+        values = q.reshape(mb, nb, p)
+        matrix = cls(
+            values,
             np.asarray(ks).reshape(mb, nb),
             shape=shape,
             value_dtype=value_dtype,
             fixed_point=fixed_point,
         )
+        padded = (m, n) != (mb * p, nb * p)
+        if padded and np.any(values[~matrix.support_mask()]):
+            raise ValueError(
+                f"q does not match shape {shape} with p={p}: it holds "
+                f"non-zero values outside the logical shape"
+            )
+        return matrix
 
     def transpose(self) -> "BlockPermutedDiagonalMatrix":
         """Transpose; also block-PD, with ``k_t = (p - k) mod p`` per block.

@@ -6,6 +6,10 @@ weight tag plus 4 bits of relative position, i.e. the index doubles the
 cost), while a PD weight costs its value bits only -- positions are
 recomputed from ``(k_l, p)`` with a modulo, and the per-block ``k_l``
 (``ceil(log2 p)`` bits) is amortized over ``p`` weights.
+
+:func:`save_bpd` files follow the same model: values plus ``ks``, with
+no index state (see "What artifacts store" in
+:mod:`repro.core.block_perm_diag`).
 """
 
 from __future__ import annotations
@@ -112,20 +116,12 @@ class StorageReport:
         )
 
 
-def save_bpd(
-    path: str,
-    matrix: BlockPermutedDiagonalMatrix,
-    include_plan: bool = False,
-) -> None:
-    """Serialize a block-PD matrix to ``.npz`` (packed values + metadata).
+def save_bpd(path: str, matrix: BlockPermutedDiagonalMatrix) -> None:
+    """Serialize a block-PD matrix to ``.npz``: packed values + structure.
 
-    ``q`` is stored in the matrix's storage dtype, tagged with its value
-    dtype and fixed-point format (as engine images do), so
-    :func:`load_bpd` restores the matrix at the saved precision.  With
-    ``include_plan`` the warmed index plan rides along, so
-    :func:`load_bpd` rebuilds the matrix via
-    :meth:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.from_plan`
-    without recomputing any index arithmetic.
+    The file holds ``q`` in the matrix's storage dtype, ``ks``, ``p``, the
+    logical shape and the value-dtype tags (as engine images do) -- no
+    index state, which :func:`load_bpd` re-derives from ``ks``.
     """
     fmt = matrix.fixed_point
     payload = {
@@ -139,20 +135,20 @@ def save_bpd(
             dtype=np.int64,
         ),
     }
-    if include_plan:
-        payload["plan"] = np.frombuffer(matrix.plan_bytes(), dtype=np.uint8)
     np.savez_compressed(path, **payload)
 
 
 def load_bpd(path: str) -> BlockPermutedDiagonalMatrix:
-    """Load a matrix produced by :func:`save_bpd` (reusing any saved plan).
+    """Load a matrix produced by :func:`save_bpd`, through ``from_q``.
 
     The matrix comes back at its saved value dtype and fixed-point
-    format.  Files without the tag fall back to the plan's tag, then to
-    ``q``'s own dtype; untagged ``int16`` codes raise ``ValueError``.
+    format; files without the tag fall back to ``q``'s own dtype, and
+    untagged ``int16`` codes raise ``ValueError``.  A ``plan`` entry older
+    writers stored is never read.
     """
     with np.load(path) as archive:
         q, ks, p = archive["q"], archive["ks"], int(archive["p"])
+        shape = tuple(int(v) for v in archive["shape"])
         value_dtype = fixed_point = None
         if "value_dtype" in archive.files:
             value_dtype = str(archive["value_dtype"])
@@ -161,14 +157,6 @@ def load_bpd(path: str) -> BlockPermutedDiagonalMatrix:
                 from repro.nn.quantization import FixedPointFormat
 
                 fixed_point = FixedPointFormat(*(int(v) for v in bits))
-        if "plan" in archive.files:
-            return BlockPermutedDiagonalMatrix.from_plan(
-                archive["plan"].tobytes(),
-                q.reshape(*ks.shape, p),
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-            )
-        shape = tuple(int(v) for v in archive["shape"])
     return BlockPermutedDiagonalMatrix.from_q(
         q,
         shape,

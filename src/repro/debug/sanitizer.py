@@ -10,8 +10,8 @@ The PD matrix core promises two things its consumers silently rely on
 2. **Plan caching** -- index arithmetic (an :class:`_IndexPlan`) is built
    at most once per structure; only :meth:`set_structure` may invalidate
    it.  A *rebuild* of the same matrix's plan means somebody clobbered
-   ``_plan`` behind the cache's back (or dropped a deserialized plan on
-   the floor), silently re-running all index arithmetic.
+   ``_plan`` behind the cache's back, silently re-running all index
+   arithmetic.
 
 ``tools/repro_lint`` rejects the code *shapes* that break these
 contracts; this module catches the breakage the linter cannot see, at
@@ -26,13 +26,12 @@ runtime.  Inside :func:`sanitize`:
   ``_ensure_writable`` and restore it even on exceptions.
 * ``_get_plan`` calls are counted, distinguishing first builds from
   rebuilds; :meth:`Sanitizer.assert_no_plan_rebuild` turns rebuilds into
-  a :class:`PlanRebuildError`.  Matrices loaded through ``from_plan`` /
-  ``adopt_plan`` (engine images, bundles) never count as builds at all,
-  which is exactly what a "zero index arithmetic at load time" test
-  wants to assert.
+  a :class:`PlanRebuildError`.  No plan is ever stored, so a matrix
+  loaded from an engine image or bundle counts one build on first use,
+  like any other: a cold start builds one plan per loaded slot matrix
+  and rebuilds none.
 * ``_IndexPlan.csr_struct`` cache misses are counted as CSR-skeleton
-  builds (the ``lexsort`` that dominates a cold start); plans restored
-  from a warmed blob carry both skeletons and count none.
+  builds, at most one per matrix and orientation.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test

@@ -46,11 +46,12 @@ __all__ = [
     "load_engine_image",
 ]
 
-# v2 added per-layer value-dtype tags (``layer{i}_value_dtype`` /
-# ``layer{i}_fixed_point``); v1 images load as float64 layers.  The
-# ``layer{i}_backend`` key older writers stored is ignored on load: the
-# kernel backend is a process-wide choice, not part of an image.
-_IMAGE_FORMAT_VERSION = 2
+# v3 drops the per-layer serialized index plan (``layer{i}_plan``): a
+# loaded matrix derives its index state from ``ks``.  v2 added per-layer
+# value-dtype tags (``layer{i}_value_dtype`` / ``layer{i}_fixed_point``);
+# v1 images load as float64 layers.  The ``layer{i}_plan`` and
+# ``layer{i}_backend`` keys older writers stored are never read.
+_IMAGE_FORMAT_VERSION = 3
 _IMAGE_MIN_FORMAT_VERSION = 1
 
 
@@ -69,19 +70,14 @@ def export_engine_image(
     path,
     layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]],
 ) -> None:
-    """Persist a network image the engine can boot without index arithmetic.
+    """Persist a network image the engine can boot from.
 
     For every layer the image stores the packed ``q`` vector (in the
     layer's storage dtype: float32 values or int16 fixed-point codes ride
     through untouched), its value-dtype tag, the structure
-    ``(ks, shape, p)``, the ActU mode, and the **serialized index plan**
-    (:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`, warmed so
-    transpose/CSR skeletons are included).  :func:`load_engine_image` then
-    rebuilds the matrices via
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan` -- the
-    deployment path pays deserialization only, never the modulo index
-    recomputation, which is what makes cold-starting a many-layer engine
-    cheap.
+    ``(ks, shape, p)`` and the ActU mode -- and no index state: as in the
+    paper's storage model, positions are recomputed from ``ks``, so an
+    image is its values plus ``ks``.
 
     Args:
         path: target ``.npz`` file (or open binary file object).
@@ -104,23 +100,24 @@ def export_engine_image(
             [fmt.total_bits, fmt.frac_bits] if fmt is not None else [],
             dtype=np.int64,
         )
-        payload[f"layer{idx}_plan"] = np.frombuffer(
-            matrix.plan_bytes(), dtype=np.uint8
-        )
     np.savez_compressed(path, **payload)
 
 
 def load_engine_image(
     path,
 ) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
-    """Reload an :func:`export_engine_image` artifact, plans included.
+    """Reload an :func:`export_engine_image` artifact (v1, v2 or v3).
+
+    Every matrix is rebuilt through
+    :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`, which rejects
+    values that disagree with the stored shape, and derives its index
+    plan from ``ks`` on first use, like any other matrix.
 
     Returns:
         ``(matrix, activation)`` pairs ready for
-        :meth:`PermDNNEngine.run_network`; every matrix carries its
-        deserialized index plan, so no index arithmetic is recomputed,
-        and its exported value dtype (v1 images load as float64).
-        Products run on the process kernel backend.
+        :meth:`PermDNNEngine.run_network`, each at its exported value
+        dtype (v1 images load as float64).  Products run on the process
+        kernel backend.
     """
     layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
     with np.load(path) as archive:
@@ -131,9 +128,6 @@ def load_engine_image(
                 f"{_IMAGE_MIN_FORMAT_VERSION}..{_IMAGE_FORMAT_VERSION})"
             )
         for idx in range(int(archive["num_layers"])):
-            ks = archive[f"layer{idx}_ks"]
-            p = int(archive[f"layer{idx}_p"])
-            mb, nb = ks.shape
             dtype_key = f"layer{idx}_value_dtype"
             if dtype_key in archive.files:
                 value_dtype = str(archive[dtype_key])
@@ -145,25 +139,14 @@ def load_engine_image(
                 )
             else:  # v1 image: values were always float64
                 value_dtype, fixed_point = "float64", None
-            matrix = BlockPermutedDiagonalMatrix.from_plan(
-                archive[f"layer{idx}_plan"].tobytes(),
-                archive[f"layer{idx}_q"].reshape(mb, nb, p),
+            matrix = BlockPermutedDiagonalMatrix.from_q(
+                archive[f"layer{idx}_q"],
+                tuple(int(v) for v in archive[f"layer{idx}_shape"]),
+                int(archive[f"layer{idx}_p"]),
+                archive[f"layer{idx}_ks"],
                 value_dtype=value_dtype,
                 fixed_point=fixed_point,
             )
-            # Cross-check the plan against the image's own metadata so a
-            # corrupted or hand-edited archive fails loudly here.
-            shape = tuple(int(v) for v in archive[f"layer{idx}_shape"])
-            if (
-                matrix.shape != shape
-                or matrix.p != p
-                or not np.array_equal(matrix.ks, ks)
-            ):
-                raise ValueError(
-                    f"layer {idx}: image metadata (shape={shape}, p={p}) "
-                    f"does not match its serialized plan "
-                    f"(shape={matrix.shape}, p={matrix.p})"
-                )
             activation = str(archive[f"layer{idx}_activation"]) or None
             layers.append((matrix, activation))
     return layers

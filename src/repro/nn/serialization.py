@@ -1,10 +1,11 @@
 """Whole-model checkpointing to ``.npz``.
 
-Checkpoints hold the flat parameter state dict; with ``include_plans=True``
-they additionally embed the serialized index plan of every PD layer
-(:meth:`~repro.core.BlockPermutedDiagonalMatrix.plan_bytes`), so
-:func:`load_model` reattaches the cached index arithmetic instead of
-recomputing it layer by layer on the first product call.
+Checkpoints hold the flat parameter state dict plus, per PD matrix, its
+per-block permutation parameters ``ks`` -- the structure the values were
+trained under, one small integer per block.  :func:`load_model` checks
+them against the model before writing any parameter, so a checkpoint
+never loads into a layer with different permutations.  No index state is
+stored: a loaded layer derives its plan from ``ks`` as usual.
 
 :func:`model_stage_specs` flattens a trained model into the serving
 stages of :mod:`repro.serve` (PD FC, lowered conv and LSTM-cell specs
@@ -14,6 +15,7 @@ staged bundles of :mod:`repro.serve.bundle` consume.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +62,12 @@ class UnsupportedLayerError(ValueError):
             f"module {index} ({self.layer_type}) {detail}"
         )
 
-# Checkpoint keys carrying serialized index plans (one per PD matrix, in
-# module-discovery order); everything else is parameter state.
-_PLAN_KEY_PREFIX = "pd_plan_"
+# Checkpoint keys carrying each PD matrix's ``ks`` (in module-discovery
+# order); everything else is parameter state.  Older writers could embed
+# a whole serialized index plan per matrix instead; only its ``ks`` is
+# read.
+_KS_KEY = "pd_ks"
+_LEGACY_PLAN_KEY = "pd_plan"
 
 
 def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
@@ -70,7 +75,7 @@ def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
 
     Covers both FC layers (their `_matrix`) and PD convolutions (the
     channel-plane matrix of their `_tensor`).  Discovery order is
-    deterministic for a fixed architecture, which is what lets plan keys
+    deterministic for a fixed architecture, which is what lets ``ks`` keys
     pair back up with their layers at load time (the same state-dict
     discipline the parameters follow).
     """
@@ -227,37 +232,30 @@ def model_stage_specs(model: Module) -> list:
     return specs
 
 
-def save_model(path: str, model: Module, include_plans: bool = False) -> None:
-    """Write a model's parameters to an ``.npz`` checkpoint.
+def save_model(path: str, model: Module) -> None:
+    """Write a model's parameters and PD structure to an ``.npz`` checkpoint.
 
-    Layer structure is not serialized -- loading requires rebuilding the
-    same architecture first (the usual state-dict discipline).  PD layers
-    save their packed value arrays, so checkpoints of compressed models
-    are proportionally small.
+    Layer structure beyond ``ks`` is not serialized -- loading requires
+    rebuilding the same architecture first (the usual state-dict
+    discipline).  PD layers save their packed value arrays, so checkpoints
+    of compressed models are proportionally small.
 
     Args:
         path: target checkpoint path.
         model: the model to snapshot.
-        include_plans: also embed each PD layer's warmed index plan, so
-            :func:`load_model` restores it without index recomputation
-            (bigger file, faster first step after load).
     """
     state = model.state_dict()
-    if include_plans:
-        for idx, matrix in enumerate(_pd_matrices(model)):
-            state[f"{_PLAN_KEY_PREFIX}{idx}"] = np.frombuffer(
-                matrix.plan_bytes(), dtype=np.uint8
-            )
+    for idx, matrix in enumerate(_pd_matrices(model)):
+        state[f"{_KS_KEY}_{idx}"] = np.asarray(matrix.ks)
     np.savez_compressed(path, **state)
 
 
 def load_model(path: str, model: Module) -> Module:
     """Load an ``.npz`` checkpoint into an already-constructed model.
 
-    Embedded index plans (see :func:`save_model`) are reattached to the
-    matching PD layers via
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.adopt_plan`, which
-    validates the structure and raises ``ValueError`` on mismatch.
+    Every stored ``ks`` is checked against the matching PD matrix before
+    any parameter is written; a mismatch raises ``ValueError`` naming the
+    matrix's index and leaves the model untouched.
 
     Args:
         path: checkpoint produced by :func:`save_model`.
@@ -266,21 +264,23 @@ def load_model(path: str, model: Module) -> Module:
     Returns:
         The same model instance, for chaining.
     """
+    params, stored_ks = {}, {}
     with np.load(path) as archive:
-        params = {
-            key: archive[key]
-            for key in archive.files
-            if not key.startswith(_PLAN_KEY_PREFIX)
-        }
-        plans = {
-            key: archive[key].tobytes()
-            for key in archive.files
-            if key.startswith(_PLAN_KEY_PREFIX)
-        }
+        for key in archive.files:
+            prefix, _, index = key.rpartition("_")
+            if prefix == _KS_KEY:
+                stored_ks[int(index)] = archive[key]
+            elif prefix == _LEGACY_PLAN_KEY:
+                with np.load(io.BytesIO(archive[key].tobytes())) as plan:
+                    stored_ks[int(index)] = plan["ks"]
+            else:
+                params[key] = archive[key]
+    matrices = _pd_matrices(model)
+    for idx, ks in stored_ks.items():
+        if idx >= len(matrices) or not np.array_equal(matrices[idx].ks, ks):
+            raise ValueError(
+                f"PD matrix {idx}: the checkpoint's ks does not match the "
+                f"model's permutation structure"
+            )
     model.load_state_dict(params)
-    if plans:
-        for idx, matrix in enumerate(_pd_matrices(model)):
-            blob = plans.get(f"{_PLAN_KEY_PREFIX}{idx}")
-            if blob is not None:
-                matrix.adopt_plan(blob)
     return model

@@ -30,7 +30,8 @@ pipeline between the per-layer shard arrays.
   benchmarking.
 - :func:`export_staged_bundle` / :func:`export_model_bundle` /
   :func:`load_staged_bundle` -- one engine image per shard plus a
-  manifest; cold starts never recompute index arithmetic.  A raw
+  manifest; images store values and ``ks``, and each loaded shard
+  matrix derives its index plan once, on first use.  A raw
   ``(matrix, activation)`` stack exports as
   ``export_staged_bundle(d, [ShardedLayer(m, a, n) ...])``.
 - :func:`measure_stream` -- the one serving-benchmark measurement:

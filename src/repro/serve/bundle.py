@@ -2,7 +2,7 @@
 
 A bundle is a directory holding ``shard<K>.npz`` engine images (the exact
 :func:`~repro.hw.export_engine_image` format -- each contains shard ``K``'s
-row slice of **every** served stage, serialized index plans included) plus
+row slice of **every** served stage: values, ``ks`` and dtype tags) plus
 a ``manifest.json`` describing the pipeline.  Since v3 each manifest layer
 entry carries a ``stage_kind`` tag (``"fc"`` / ``"conv"`` /
 ``"recurrent"``) and a ``slots`` count -- the number of consecutive image
@@ -15,9 +15,10 @@ Stages that need non-matrix state (the recurrent stage's gate biases)
 store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the
 manifest.
 
-Loading a bundle cold-starts a whole sharded server without recomputing
-any index arithmetic: every shard matrix is rebuilt through
-:meth:`~repro.core.BlockPermutedDiagonalMatrix.from_plan`.
+Loading a bundle cold-starts a whole sharded server: every shard matrix
+is rebuilt through :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`
+and derives its index plan from ``ks`` on first use, once.  Bundles hold
+no index state, so one is about the size of its values plus ``ks``.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ def _check_slot(
 def load_staged_bundle(directory) -> tuple[list, dict]:
     """Reload a bundle as ready-to-serve stage objects.
 
-    Every shard matrix carries its deserialized index plan -- no index
-    arithmetic is recomputed -- and shard shapes, dtypes, and stage
+    Every shard matrix is decoded from its values and ``ks`` (its index
+    plan is derived on first use), and shard shapes, dtypes, and stage
     layouts are cross-checked against the manifest so a truncated or
     mixed-up bundle fails loudly.  v1/v2 manifests (no ``stage_kind``)
     load every entry as a single-slot FC stage.

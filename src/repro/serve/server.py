@@ -951,11 +951,11 @@ class ModelServer:
     def from_bundle(cls, directory, **kwargs) -> "ModelServer":
         """Boot a server from a sharded image bundle.
 
-        Every shard matrix arrives with its serialized index plan
-        (:mod:`repro.serve.bundle`), so cold-starting a many-layer sharded
-        server performs **no** index arithmetic -- for FC, lowered-conv,
-        and recurrent stages alike.  Keyword arguments are forwarded to
-        the constructor (batching, config, ...).
+        Every shard matrix is decoded from its values and ``ks``
+        (:mod:`repro.serve.bundle`) and derives its index plan once, on
+        first use -- for FC, lowered-conv, and recurrent stages alike.
+        Keyword arguments are forwarded to the constructor (batching,
+        config, ...).
         """
         from repro.serve.bundle import load_staged_bundle
 

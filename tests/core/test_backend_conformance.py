@@ -4,7 +4,8 @@ A seeded random sweep over ~50 ``(m, n, p, batch)`` configurations --
 including non-multiple-of-``p`` shapes -- asserting that every available
 kernel backend (``csr``, and ``numba`` when installed) agrees with a
 dense numpy reference to 1e-10 on all three hot-path products, and that
-plan ``to_bytes()/from_bytes()`` round trips preserve results exactly.
+decoding the stored form (``to_q()`` plus ``ks``) through ``from_q``
+preserves results exactly.
 Run with ``REPRO_BACKEND=numba`` in the numba CI leg; the sweep itself
 selects each backend process-wide in turn (``set_default_backend``, reset
 after every test) so every available implementation is exercised
@@ -31,7 +32,6 @@ from repro.core import (
     available_backends,
     set_default_backend,
 )
-from repro.core.block_perm_diag import _IndexPlan
 
 ATOL = 1e-10
 SWEEP_SIZE = 50
@@ -175,19 +175,17 @@ class TestBackendConformance:
                     err_msg=f"{name} diverges from the spec on {backend!r}",
                 )
 
-    def test_plan_bytes_round_trip_preserves_results(
+    def test_stored_q_round_trip_preserves_results(
         self, m, n, p, batch, case_seed
     ):
         matrix, rng = _build(m, n, p, case_seed)
         x = rng.normal(size=(batch, n))
         dy = rng.normal(size=(batch, m))
-        blob = matrix.plan_bytes()
-        restored_plan = _IndexPlan.from_bytes(blob)
+        restored = BlockPermutedDiagonalMatrix.from_q(
+            matrix.to_q(), matrix.shape, matrix.p, matrix.ks
+        )
         for backend in available_backends():
             set_default_backend(backend)
-            restored = BlockPermutedDiagonalMatrix.from_plan(
-                restored_plan, matrix.data
-            )
             np.testing.assert_array_equal(restored.matmat(x), matrix.matmat(x))
             np.testing.assert_array_equal(
                 restored.rmatmat(dy), matrix.rmatmat(dy)

@@ -1,9 +1,12 @@
 """Backend dispatch: registry, process-wide selection, cross-backend
-equivalence, cache-blocked paths, int32 CSR skeletons, and plan
-serialization round trips."""
+equivalence, cache-blocked paths, int32 CSR skeletons whose rows keep
+the sorted order scipy accumulates in, and the index plans a matrix
+decoded from its stored form derives from ``ks``."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.backends as backends
 import repro.core.backends.csr as csr_mod
@@ -185,11 +188,31 @@ class TestInt32Skeletons:
         np.testing.assert_allclose(bpd.matmat(x), x @ dense.T, atol=1e-10)
 
 
-class TestPlanSerialization:
-    def test_round_trip_restores_every_array(self):
+def _decode(matrix):
+    """``matrix`` rebuilt from what artifacts store: ``q`` plus ``ks``."""
+    return BlockPermutedDiagonalMatrix.from_q(
+        matrix.to_q(), matrix.shape, matrix.p, matrix.ks
+    )
+
+
+def _warm(plan):
+    """Build every lazy member of ``plan``."""
+    plan.support_coords()
+    plan.transpose_arrays()
+    plan.csr_struct(False)
+    plan.csr_struct(True)
+    return plan
+
+
+class TestDecodedPlans:
+    """Artifacts store no index state: a decoded matrix derives its plan
+    from ``ks``, once, and that plan equals the one it was saved from."""
+
+    def test_decoded_plan_equals_the_original_in_every_array(self):
         bpd = _random_bpd((13, 10), 4, seed=13)
-        plan = bpd._get_plan().warm()
-        clone = mod._IndexPlan.from_bytes(plan.to_bytes())
+        plan = _warm(bpd._get_plan())
+        clone = _warm(_decode(bpd)._get_plan())
+        assert clone is not plan
         assert clone.shape == plan.shape
         assert clone.p == plan.p and clone.nnz == plan.nnz
         assert (clone.mb, clone.nb) == (plan.mb, plan.nb)
@@ -209,86 +232,111 @@ class TestPlanSerialization:
                 np.testing.assert_array_equal(a, b)
                 assert a.dtype == b.dtype
 
-    def test_restored_arrays_are_read_only(self):
-        bpd = _random_bpd((13, 10), 4, seed=14)
-        clone = mod._IndexPlan.from_bytes(bpd.plan_bytes())
-        for arr in (clone.rows, clone.cols, clone.support, clone.ks):
+    def test_decoded_plan_arrays_are_read_only(self):
+        plan = _warm(_decode(_random_bpd((13, 10), 4, seed=14))._get_plan())
+        arrays = [plan.rows, plan.cols, plan.support, plan.ks]
+        arrays += [*plan.transpose_arrays(), *plan.support_coords()]
+        arrays += [*plan.csr_struct(False), *plan.csr_struct(True)]
+        for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
 
-    def test_cold_plan_serializes_without_lazy_members(self):
-        bpd = _random_bpd((13, 10), 4, seed=15)
-        blob = bpd.plan_bytes(warm=False)
-        clone = mod._IndexPlan.from_bytes(blob)
-        assert clone._t_arrays is None
-        assert clone._csr_structs == {}
-        assert len(blob) < len(bpd.plan_bytes(warm=True))
+    def test_decoded_matrix_derives_its_plan_on_first_use(self):
+        """Nothing is built at decode time for an unpadded shape, and a
+        forward product builds only the forward members."""
+        clone = _decode(_random_bpd((16, 12), 4, seed=15))
+        assert clone._plan is None
+        clone.matmat(np.ones((2, 12)))
+        plan = clone._plan
+        assert plan is not None
+        assert plan._t_arrays is None
+        assert set(plan._csr_structs) == {False}
 
-    def test_from_plan_runs_products_without_rebuild(self, monkeypatch):
+    def test_decoded_matrix_builds_its_plan_once(self, monkeypatch):
         bpd = _random_bpd((13, 10), 4, seed=16)
         dense = bpd.to_dense()
-        blob = bpd.plan_bytes()
-        values = bpd.data.copy()
+        builds = []
+        init = mod._IndexPlan.__init__
 
-        def boom(*args, **kwargs):
-            raise AssertionError("index plan was rebuilt")
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        clone = BlockPermutedDiagonalMatrix.from_plan(blob, values)
+        monkeypatch.setattr(mod._IndexPlan, "__init__", counting_init)
+        clone = _decode(bpd)
         rng = np.random.default_rng(17)
         x = rng.normal(size=(3, 10))
         y = rng.normal(size=(3, 13))
-        np.testing.assert_allclose(clone.matmat(x), x @ dense.T, atol=1e-10)
-        np.testing.assert_allclose(clone.rmatmat(y), y @ dense, atol=1e-10)
-        np.testing.assert_allclose(
-            clone.grad_data(x, y),
-            bpd.grad_data(x, y),
-            atol=1e-10,
-        )
+        for _ in range(2):
+            np.testing.assert_allclose(clone.matmat(x), x @ dense.T, atol=1e-10)
+            np.testing.assert_allclose(clone.rmatmat(y), y @ dense, atol=1e-10)
+            np.testing.assert_array_equal(
+                clone.grad_data(x, y), bpd.grad_data(x, y)
+            )
+        assert len(builds) == 1
 
-    def test_adopt_plan_accepts_matching_structure(self):
+    def test_from_q_rejects_structure_that_does_not_fit(self):
         bpd = _random_bpd((13, 10), 4, seed=18)
-        blob = bpd.plan_bytes()
-        other = BlockPermutedDiagonalMatrix(bpd.data, bpd.ks, shape=bpd.shape)
-        old_plan = other._get_plan()
-        other.adopt_plan(blob)
-        assert other._get_plan() is not old_plan
-        x = np.random.default_rng(19).normal(size=(2, 10))
-        np.testing.assert_allclose(
-            other.matmat(x), x @ bpd.to_dense().T, atol=1e-10
-        )
-
-    def test_adopt_plan_rejects_structure_mismatch(self):
-        bpd = _random_bpd((13, 10), 4, seed=20)
-        blob = bpd.plan_bytes()
-        other = _random_bpd((13, 10), 4, seed=21)  # different random ks
-        if np.array_equal(other.ks, bpd.ks):  # pragma: no cover - seed guard
-            pytest.skip("seeds produced identical structure")
+        q, ks = bpd.to_q(), bpd.ks
+        with pytest.raises(ValueError, match="entries"):
+            BlockPermutedDiagonalMatrix.from_q(q, bpd.shape, 2, ks)
+        with pytest.raises(ValueError, match="entries"):
+            BlockPermutedDiagonalMatrix.from_q(q[:-1], bpd.shape, 4, ks)
         with pytest.raises(ValueError):
-            other.adopt_plan(blob)
-        wrong_p = _random_bpd((13, 10), 2, seed=20)
-        with pytest.raises(ValueError):
-            wrong_p.adopt_plan(blob)
+            BlockPermutedDiagonalMatrix.from_q(q, bpd.shape, 4, ks[:, :1])
 
-    def test_from_bytes_rejects_unknown_version(self):
-        bpd = _random_bpd((8, 8), 4, seed=22)
-        blob = bpd.plan_bytes()
-        import io
 
-        with np.load(io.BytesIO(blob)) as archive:
-            payload = {key: archive[key] for key in archive.files}
-        payload["version"] = np.int64(999)
-        buffer = io.BytesIO()
-        np.savez(buffer, **payload)
-        with pytest.raises(ValueError, match="version"):
-            mod._IndexPlan.from_bytes(buffer.getvalue())
+def _lexsort_skeleton(plan, transposed):
+    """Reference skeleton: every in-bounds slot, sorted by ``lexsort``
+    on (row, column)."""
+    flat, rows, cols = plan.support_coords()
+    if transposed:
+        rows, cols, height = cols, rows, plan.shape[1]
+    else:
+        height = plan.shape[0]
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(height + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=height))
+    return (
+        indptr,
+        cols[order].astype(np.int32),
+        flat[order].astype(np.intp),
+    )
 
-    def test_storage_save_bpd_round_trips_plan(self, tmp_path):
-        from repro.core import load_bpd, save_bpd
 
-        bpd = _random_bpd((13, 10), 4, seed=23)
-        path = str(tmp_path / "matrix.npz")
-        save_bpd(path, bpd, include_plan=True)
-        loaded = load_bpd(path)
-        np.testing.assert_allclose(loaded.to_dense(), bpd.to_dense())
-        assert loaded._plan is not None  # plan attached, not recomputed lazily
+class TestSkeletonOrder:
+    """scipy accumulates a CSR row in ``indices`` order, so bit-exact
+    serving depends on every row listing its non-zeros in ascending
+    column order.  Sharded-vs-unsharded suites cannot see an order change
+    (both sides share the skeleton code); this pins it to a sort."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9),  # p
+        st.integers(1, 6),  # mb
+        st.integers(1, 6),  # nb
+        st.integers(0, 8),  # m padding (clamped below p)
+        st.integers(0, 8),  # n padding (clamped below p)
+        st.integers(0, 4),  # row shards (0: unsharded)
+        st.booleans(),  # shards slice the parent's transposed arrays
+        st.booleans(),  # transposed skeleton
+        st.integers(0, 2**16),  # seed
+    )
+    def test_csr_struct_matches_sorted_reference(
+        self, p, mb, nb, m_pad, n_pad, num_shards, sliced, transposed, seed
+    ):
+        m = mb * p - min(m_pad, p - 1)
+        n = nb * p - min(n_pad, p - 1)
+        matrix = _random_bpd((m, n), p, seed=seed)
+        parts = [matrix]
+        if num_shards:
+            if sliced:
+                matrix._get_plan().transpose_arrays()
+            parts = matrix.row_shards(min(num_shards, matrix.mb))
+        for part in parts:
+            plan = part._get_plan()
+            got = plan.csr_struct(transposed)
+            for have, want in zip(got, _lexsort_skeleton(plan, transposed)):
+                assert have.dtype == want.dtype
+                np.testing.assert_array_equal(have, want)
+            assert part._csr(transposed).has_canonical_format

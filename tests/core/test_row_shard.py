@@ -89,7 +89,11 @@ class TestPlanSlicing:
         and the structured products all run without any `_IndexPlan`
         construction."""
         matrix = _random_bpd((24, 16), 4)
-        matrix._get_plan().warm()
+        plan = matrix._get_plan()
+        plan.support_coords()
+        plan.transpose_arrays()
+        plan.csr_struct(False)
+        plan.csr_struct(True)
 
         def boom(*args, **kwargs):
             raise AssertionError("row sharding rebuilt an index plan")

@@ -3,7 +3,8 @@
 Covers the :mod:`repro.core.value_types` registry, dtype-aware
 construction and conversion on :class:`BlockPermutedDiagonalMatrix`
 (aliasing, plan sharing, shard propagation), product dtype propagation
-across every available backend, and the dtype tags plan blobs carry.
+across every available backend, and the dtype tags the stored form
+(``q`` plus ``ks``) is decoded with.
 """
 
 import numpy as np
@@ -14,11 +15,11 @@ from repro.core import (
     UnknownValueDtypeError,
     available_backends,
     default_value_dtype,
+    load_bpd,
     set_default_backend,
     set_default_value_dtype,
     validate_value_dtype,
 )
-from repro.core.block_perm_diag import _IndexPlan
 from repro.core.value_types import storage_dtype
 from repro.debug import sanitize
 from repro.nn.quantization import FixedPointFormat
@@ -220,41 +221,62 @@ class TestProductDtypes:
             np.testing.assert_array_equal(i16.matmat(x), ref.matmat(x))
 
 
-class TestPlanSerialization:
-    def test_plan_blob_carries_dtype_tag(self):
+def _from_q(matrix, q=None, **tags):
+    return BlockPermutedDiagonalMatrix.from_q(
+        matrix.to_q() if q is None else q,
+        matrix.shape,
+        matrix.p,
+        matrix.ks,
+        **tags,
+    )
+
+
+class TestDecoding:
+    def test_from_q_keeps_int16_codes_and_format(self):
         i16 = _matrix("int16", seed=10, fixed_point=FixedPointFormat(16, 13))
-        plan = _IndexPlan.from_bytes(i16.plan_bytes())
-        assert plan.value_dtype_hint == "int16"
-        assert plan.fixed_point_hint == (16, 13)
-        restored = BlockPermutedDiagonalMatrix.from_plan(
-            i16.plan_bytes(), i16.data
+        restored = _from_q(
+            i16, value_dtype="int16", fixed_point=i16.fixed_point
         )
         assert restored.value_dtype == "int16"
         assert restored.fixed_point == i16.fixed_point
+        assert restored.data.dtype == np.int16
         np.testing.assert_array_equal(restored.data, i16.data)
+        x = np.random.default_rng(10).normal(size=(3, 16))
+        np.testing.assert_array_equal(restored.matmat(x), i16.matmat(x))
 
-    def test_from_plan_infers_float_dtypes_from_data(self):
-        f32 = _matrix("float32", seed=11)
-        plain_plan = f32._get_plan().to_bytes()  # untagged blob
-        restored = BlockPermutedDiagonalMatrix.from_plan(plain_plan, f32.data)
+    def test_from_q_aliases_values_in_the_storage_dtype(self):
+        f32 = _matrix("float32", shape=(23, 17), seed=11)
+        q = f32.to_q()
+        restored = _from_q(f32, q, value_dtype="float32")
         assert restored.value_dtype == "float32"
-        assert np.shares_memory(restored.data, f32.data)
+        assert np.shares_memory(restored.data, q)
 
-    def test_from_plan_rejects_untagged_int16_data(self):
-        i16 = _matrix("int16", seed=12)
-        plain_plan = i16._get_plan().to_bytes()
-        with pytest.raises(ValueError, match="FixedPointFormat"):
-            BlockPermutedDiagonalMatrix.from_plan(plain_plan, i16.data)
+    def test_untagged_float_files_keep_their_dtype(self, tmp_path):
+        for vd in ("float32", "float64"):
+            matrix = _matrix(vd, shape=(23, 17), seed=12)
+            path = str(tmp_path / f"untagged_{vd}.npz")
+            np.savez_compressed(
+                path,
+                q=matrix.to_q(),
+                ks=np.asarray(matrix.ks),
+                p=np.int64(matrix.p),
+                shape=np.asarray(matrix.shape, dtype=np.int64),
+            )
+            loaded = load_bpd(path)
+            assert loaded.value_dtype == vd
+            np.testing.assert_array_equal(loaded.data, matrix.data)
 
-    def test_explicit_args_override_blob_hint(self):
+    def test_explicit_value_dtype_overrides_stored_dtype(self):
         i16 = _matrix("int16", seed=13)
-        restored = BlockPermutedDiagonalMatrix.from_plan(
-            i16.plan_bytes(),
-            np.asarray(i16._kernel_data(), dtype=np.float64),
+        restored = _from_q(
+            i16,
+            np.asarray(i16._kernel_data(), dtype=np.float64).reshape(-1),
             value_dtype="float64",
         )
         assert restored.value_dtype == "float64"
         assert restored.fixed_point is None
+        x = np.random.default_rng(13).normal(size=(3, 16))
+        np.testing.assert_array_equal(restored.matmat(x), i16.matmat(x))
 
 
 def test_storage_dtype_mapping():

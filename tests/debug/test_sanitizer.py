@@ -56,13 +56,19 @@ class TestPlanCounting:
             m.matmat(np.zeros((2, m.shape[1])))
             assert s.stats.plan_rebuilds == 1
 
-    def test_adopted_plan_counts_zero_builds(self):
-        m = _matrix()
-        blob = m.plan_bytes()
-        clone = BlockPermutedDiagonalMatrix.from_plan(blob, m.data)
+    def test_decoded_matrix_counts_one_plan_build(self):
+        """A matrix decoded from its stored form (``q`` plus ``ks``)
+        derives its plan once -- at decode time for a padded shape, whose
+        padding check needs the support -- and every product reuses it."""
+        full = _matrix()
+        m = BlockPermutedDiagonalMatrix(full.data, full.ks, shape=(15, 10))
         with sanitize() as s:
+            clone = BlockPermutedDiagonalMatrix.from_q(
+                m.to_q(), m.shape, m.p, m.ks
+            )
             clone.matmat(np.zeros((2, clone.shape[1])))
-            assert s.stats.plan_builds == 0
+            clone.rmatmat(np.zeros((2, clone.shape[0])))
+            assert s.stats.plan_builds == 1
             assert s.stats.plan_rebuilds == 0
 
     def test_shared_plans_count_once_per_family(self):
@@ -97,13 +103,16 @@ class TestSkeletonCounting:
             server.drain()
             assert s.stats.skeleton_builds == 4
 
-    def test_restored_warm_plan_counts_no_skeleton_builds(self):
+    def test_decoded_matrix_builds_each_skeleton_once(self):
         m = _matrix()
-        clone = BlockPermutedDiagonalMatrix.from_plan(m.plan_bytes(), m.data)
+        clone = BlockPermutedDiagonalMatrix.from_q(
+            m.to_q(), m.shape, m.p, m.ks
+        )
         with sanitize() as s:
-            clone.matmat(np.zeros((2, clone.shape[1])))
-            clone.rmatmat(np.zeros((2, clone.shape[0])))
-            assert s.stats.skeleton_builds == 0
+            for _ in range(2):
+                clone.matmat(np.zeros((2, clone.shape[1])))
+                clone.rmatmat(np.zeros((2, clone.shape[0])))
+            assert s.stats.skeleton_builds == 2
 
     def test_csr_struct_patch_undone_on_exit(self):
         before = _IndexPlan.csr_struct

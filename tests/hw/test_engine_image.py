@@ -1,4 +1,5 @@
-"""Engine images: persisted plans reload without index recomputation."""
+"""Engine images (format v3): values plus ``ks``, decoded through
+``from_q``; no index state is stored."""
 
 import numpy as np
 import pytest
@@ -31,25 +32,30 @@ class TestEngineImage:
         np.testing.assert_allclose(output, reference, atol=1e-12)
         assert len(results) == 2
 
-    def test_loaded_image_never_rebuilds_plans(self, tmp_path, monkeypatch):
-        """The acceptance property: a serialized plan reloads and executes
-        in the engine without any index arithmetic being recomputed."""
+    def test_loaded_image_builds_each_plan_once(self, tmp_path, monkeypatch):
+        """Index state is derived from ``ks``: each loaded layer builds
+        its plan once, and the bit-accurate path's like() siblings share
+        it instead of building their own."""
         rng = np.random.default_rng(1)
         layers = _layers(rng)
         x = rng.normal(size=48)
         path = str(tmp_path / "image.npz")
         export_engine_image(path, layers)
+        builds = []
+        init = mod._IndexPlan.__init__
 
-        def boom(*args, **kwargs):
-            raise AssertionError("engine image load rebuilt an index plan")
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
+        monkeypatch.setattr(mod._IndexPlan, "__init__", counting_init)
         loaded = load_engine_image(path)
         engine = PermDNNEngine()
         output, _ = engine.run_network(loaded, x)
-        # bit-accurate mode exercises like(), which must also reuse the plan
+        engine.run_network(loaded, x)
         engine.run_fc_layer(loaded[0][0], x, bit_accurate=True)
         assert output.shape == (30,)
+        assert len(builds) == len(loaded)
 
     def test_loaded_matrices_preserve_structure(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -71,6 +77,26 @@ class TestEngineImage:
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match="does not match"):
             load_engine_image(path)
+
+    def test_image_holds_values_and_structure_only(self, tmp_path):
+        """No index array can come back unnoticed: a v3 image holds
+        exactly the version, the layer count and, per layer, the values,
+        the structure, the ActU mode and the dtype tags."""
+        path = str(tmp_path / "image.npz")
+        layers = _layers(np.random.default_rng(7))
+        export_engine_image(path, layers)
+        per_layer = (
+            "q", "ks", "p", "shape", "activation", "value_dtype",
+            "fixed_point",
+        )
+        expected = {"image_version", "num_layers"} | {
+            f"layer{idx}_{name}"
+            for idx in range(len(layers))
+            for name in per_layer
+        }
+        with np.load(path) as archive:
+            assert set(archive.files) == expected
+            assert int(archive["image_version"]) == 3
 
     def test_version_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -66,79 +66,37 @@ class TestPlanCheckpointing:
             PermDiagLinear(32, 8, p=2, rng=seed + 1),
         )
 
-    def test_include_plans_round_trip_preserves_outputs(self, tmp_path):
-        model = self._model(seed=0)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = self._model(seed=9)
-        load_model(path, clone)
-        x = np.random.default_rng(1).normal(size=(4, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
-        )
+    @staticmethod
+    def _conv_model(seed=0):
+        """PD conv + PD FC: the conv layer's channel-plane ``ks`` is
+        checkpointed too."""
+        from repro.nn import Flatten, PermDiagConv2D
 
-    def test_plans_reattach_without_recompute(self, tmp_path, monkeypatch):
-        import repro.core.block_perm_diag as mod
-
-        model = self._model(seed=2)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = self._model(seed=3)
-        old_plans = [clone[0].matrix._get_plan(), clone[2].matrix._get_plan()]
-
-        def boom(*args, **kwargs):
-            raise AssertionError("checkpoint load rebuilt an index plan")
-
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        load_model(path, clone)
-        for layer, old_plan in zip((clone[0], clone[2]), old_plans):
-            assert layer.matrix._get_plan() is not old_plan
-        x = np.random.default_rng(4).normal(size=(4, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
+        return Sequential(
+            PermDiagConv2D(8, 8, 3, p=4, rng=seed),
+            Flatten(),
+            PermDiagLinear(16, 8, p=2, rng=seed + 1),
         )
 
     def test_plan_free_checkpoints_still_load(self, tmp_path):
-        model = self._model(seed=5)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model)  # no plans embedded
-        clone = self._model(seed=6)
-        load_model(path, clone)
-        x = np.random.default_rng(7).normal(size=(2, 16))
-        np.testing.assert_allclose(
-            clone.eval().forward(x), model.eval().forward(x)
-        )
-
-    def test_conv_channel_plane_plans_included(self, tmp_path, monkeypatch):
-        """PD convolutions embed their channel-plane plan too -- loading a
-        mixed FC+CONV model must not rebuild any plan."""
-        import repro.core.block_perm_diag as mod
-        from repro.nn import PermDiagConv2D
-
-        def build(seed):
-            return Sequential(
-                PermDiagConv2D(8, 8, 3, p=4, rng=seed),
-                PermDiagLinear(16, 8, p=2, rng=seed + 1),
+        for build, in_shape in (
+            (self._model, (16,)),
+            (self._conv_model, (8, 3, 4)),
+        ):
+            model = build(seed=5)
+            path = str(tmp_path / "ckpt.npz")
+            save_model(path, model)  # no plans embedded
+            clone = build(seed=6)
+            load_model(path, clone)
+            x = np.random.default_rng(7).normal(size=(2, *in_shape))
+            np.testing.assert_allclose(
+                clone.eval().forward(x), model.eval().forward(x)
             )
-
-        model = build(0)
-        path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
-        clone = build(5)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("checkpoint load rebuilt an index plan")
-
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        load_model(path, clone)
-        np.testing.assert_array_equal(
-            clone[0].channel_mask, model[0].channel_mask
-        )
 
     def test_plan_structure_mismatch_rejected(self, tmp_path):
         model = Sequential(PermDiagLinear(16, 16, p=4, rng=0, bias=False))
         path = str(tmp_path / "ckpt.npz")
-        save_model(path, model, include_plans=True)
+        save_model(path, model)
         wrong = Sequential(
             PermDiagLinear(
                 16, 16, p=4, rng=1, bias=False,
@@ -147,6 +105,48 @@ class TestPlanCheckpointing:
         )
         with pytest.raises(ValueError):
             load_model(path, wrong)
+
+    @staticmethod
+    def _random_spec_layer():
+        return Sequential(
+            PermDiagLinear(
+                16, 16, p=4, rng=1, bias=False,
+                spec=PermutationSpec(scheme="random", seed=3),
+            )
+        )
+
+    def test_rejected_load_leaves_parameters_untouched(self, tmp_path):
+        model = Sequential(PermDiagLinear(16, 16, p=4, rng=0, bias=False))
+        path = str(tmp_path / "ckpt.npz")
+        save_model(path, model)
+        wrong = self._random_spec_layer()
+        before = [param.value.copy() for param in wrong.parameters()]
+        with pytest.raises(ValueError, match="PD matrix 0"):
+            load_model(path, wrong)
+        for param, value in zip(wrong.parameters(), before):
+            np.testing.assert_array_equal(param.value, value)
+
+    def test_legacy_plan_entry_checked_through_its_ks(self, tmp_path):
+        """Older checkpoints embedded a serialized plan per PD matrix as
+        ``pd_plan_<i>``; only the ``ks`` inside it is read."""
+        import io
+
+        model = Sequential(PermDiagLinear(16, 16, p=4, rng=0, bias=False))
+        blob = io.BytesIO()
+        np.savez(blob, ks=np.asarray(model[0].matrix.ks))
+        path = str(tmp_path / "legacy.npz")
+        np.savez_compressed(
+            path,
+            **model.state_dict(),
+            pd_plan_0=np.frombuffer(blob.getvalue(), dtype=np.uint8),
+        )
+        clone = Sequential(PermDiagLinear(16, 16, p=4, rng=5, bias=False))
+        load_model(path, clone)
+        np.testing.assert_array_equal(
+            clone[0].matrix.data, model[0].matrix.data
+        )
+        with pytest.raises(ValueError, match="PD matrix 0"):
+            load_model(path, self._random_spec_layer())
 
 
 class TestUnsupportedLayerError:

@@ -1,11 +1,12 @@
-"""Sharded image bundles: round trips, plan reuse, manifest validation."""
+"""Sharded image bundles: round trips, plans derived once per matrix,
+manifest validation, and the committed zoo bundles' compatibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.serve import (
     ModelServer,
@@ -14,6 +15,11 @@ from repro.serve import (
     export_staged_bundle,
     load_staged_bundle,
 )
+
+
+# Bundles the compression factory committed, written with image format v2
+# (every shard image still carries a serialized ``layer<i>_plan``).
+_ZOO = Path(__file__).resolve().parents[2] / "benchmarks/results/compress_zoo"
 
 
 def _export_fc_stack(directory, layers, num_shards):
@@ -56,20 +62,6 @@ class TestBundleRoundTrip:
             np.stack(report.outputs), np.stack(reference.outputs)
         )
         assert report.batch_sizes == reference.batch_sizes
-
-    def test_bundle_load_never_rebuilds_plans(self, tmp_path, monkeypatch):
-        """The cold-start property: booting a sharded server from a bundle
-        performs no index arithmetic at all."""
-        layers = _stack()
-        _export_fc_stack(tmp_path, layers, num_shards=2)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("bundle load rebuilt an index plan")
-
-        monkeypatch.setattr(mod._IndexPlan, "__init__", boom)
-        server = ModelServer.from_bundle(tmp_path)
-        server.submit_many(np.random.default_rng(2).normal(size=(3, 48)))
-        assert server.drain().num_requests == 3
 
     def test_manifest_describes_the_model(self, tmp_path):
         _export_fc_stack(tmp_path, _stack(), num_shards=2)
@@ -142,10 +134,10 @@ class TestBundleValidation:
 
 
 class TestBundleSanitizer:
-    def test_bundle_boot_and_serve_zero_plan_builds(self, tmp_path):
-        """Sanitizer-counted cold-start property: loading a sharded bundle
-        and serving from it performs no index arithmetic at all -- every
-        plan arrives deserialized."""
+    def test_bundle_boot_and_serve_builds_each_plan_once(self, tmp_path):
+        """Sanitizer-counted cold-start property: a bundle stores no index
+        state, so every loaded slot matrix derives its plan and its
+        forward CSR skeleton exactly once, and nothing is rebuilt."""
         from repro.debug import sanitize
 
         layers = _stack()
@@ -155,7 +147,47 @@ class TestBundleSanitizer:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
             server.submit_many(xs)
             server.drain()
-            assert s.stats.plan_builds == 0
+            slot_matrices = sum(
+                len(slots)
+                for stage in server.layers
+                for slots in stage.shard_slots
+            )
+            assert slot_matrices == 4
+            assert s.stats.plan_builds == slot_matrices
             assert s.stats.plan_rebuilds == 0
-            assert s.stats.skeleton_builds == 0
+            assert s.stats.skeleton_builds == slot_matrices
             s.assert_no_plan_rebuild()
+
+
+class TestCommittedZooBundles:
+    @pytest.mark.parametrize("name", ["alexnet-fc", "lenet", "nmt", "resnet20"])
+    def test_legacy_bundle_serves_like_its_reexport(self, tmp_path, name):
+        """A bundle written with plans still cold-starts, and serves bit
+        for bit like the same stages re-exported without them."""
+        legacy_dir = _ZOO / name / "bundle"
+        with np.load(legacy_dir / "shard0.npz") as image:
+            assert "layer0_plan" in image.files
+        stages, _ = load_staged_bundle(legacy_dir)
+        export_staged_bundle(tmp_path, stages)
+        reports = []
+        for directory in (legacy_dir, tmp_path):
+            server = ModelServer.from_bundle(directory, max_batch_size=4)
+            xs = np.random.default_rng(12).normal(
+                size=(12, server.in_features)
+            )
+            server.submit_many(xs)
+            reports.append(server.drain())
+        legacy, fresh = reports
+        np.testing.assert_array_equal(
+            np.stack(legacy.outputs), np.stack(fresh.outputs)
+        )
+        np.testing.assert_array_equal(legacy.latencies_us, fresh.latencies_us)
+        np.testing.assert_array_equal(legacy.queue_us, fresh.queue_us)
+        assert legacy.layer_cycles == fresh.layer_cycles
+        assert [
+            [(shard.cycles, shard.macs) for shard in layer]
+            for layer in legacy.layer_stats
+        ] == [
+            [(shard.cycles, shard.macs) for shard in layer]
+            for layer in fresh.layer_stats
+        ]

@@ -37,7 +37,7 @@ from tools.repro_lint.framework import (
 
 # Private attributes making up a matrix's cached-plan/value state.  The
 # only sanctioned mutation points live in ``src/repro/core/`` (the
-# ``data`` property setter, ``set_structure``, ``adopt_plan``, ...).
+# ``data`` property setter, ``set_structure``, ``like``, ...).
 _PRIVATE_STATE_ATTRS = frozenset(
     {"_plan", "_data", "_csr_cache", "_ks", "_shape",
      "_value_dtype", "_fixed_point"}
