@@ -9,7 +9,9 @@ The factory pipeline behind ``repro compress``:
    interfaces).
 2. **Convert**: dense layers are replaced by their PD counterparts
    (:meth:`PermDiagLinear.from_matrix` / :meth:`PermDiagConv2D.from_tensor`
-   / a PD :class:`LSTMCell`), biases are dropped (the engine's datapath
+   / a PD :class:`LSTMCell`), each adopting its projected PD values as
+   the storage it trains in place and serves from (already-PD layers
+   are re-wrapped around copies), biases are dropped (the engine's datapath
    computes ``W x`` only -- fine-tuning compensates), and layers whose
    shapes cannot carry the requested block size are kept at ``p = 1``
    (functionally dense but servable).
@@ -268,12 +270,7 @@ def convert_model(
             weight, p = plan["weight"], plan["p"]
             kernel_energy = np.sqrt((weight**2).sum(axis=(2, 3)))
             ks = strategy.select_ks(kernel_energy, p, rng)
-            # The plane dtype must be pinned: lowering quantizes every
-            # per-offset matrix through it, and training runs at float64
-            # regardless of the process serving default.
-            tensor = BlockPermDiagTensor4D.from_dense(
-                weight, p, ks=ks, value_dtype="float64"
-            )
+            tensor = BlockPermDiagTensor4D.from_dense(weight, p, ks=ks)
             new_layer = PermDiagConv2D.from_tensor(
                 tensor, stride=source.stride, padding=source.padding
             )
@@ -287,7 +284,11 @@ def convert_model(
             stored = matrix.nnz
             plan["note"] = _join_notes("already PD", _bias_note(source))
         else:  # pd-conv
-            tensor = source.to_tensor()
+            tensor = BlockPermDiagTensor4D(
+                source.tensor.values.copy(),
+                source.tensor.ks,
+                channels=source.tensor.channels,
+            )
             new_layer = PermDiagConv2D.from_tensor(
                 tensor, stride=source.stride, padding=source.padding
             )
@@ -376,7 +377,6 @@ def compress_arrays(
     *,
     strategy: str | CompressionStrategy = "greedy",
     value_dtype: str | None = None,
-    fixed_point=None,
     rng: np.random.Generator | int | None = None,
 ) -> tuple[dict[str, BlockPermutedDiagonalMatrix], list[LayerReport]]:
     """Compress a raw checkpoint: name -> 2-D weight array.
@@ -400,8 +400,7 @@ def compress_arrays(
         p_eff, clamp_note = _effective_p(p, min(array.shape))
         ks = strategy.select_ks(array, p_eff, rng)
         matrix = BlockPermutedDiagonalMatrix.from_dense(
-            array, p_eff, ks=ks, value_dtype=value_dtype,
-            fixed_point=fixed_point,
+            array, p_eff, ks=ks, value_dtype=value_dtype
         )
         matrices[name] = matrix
         reports.append(
@@ -490,7 +489,6 @@ def verify_bundle(
     *,
     num_shards: int,
     value_dtype: str | None = None,
-    fixed_point=None,
     input_hw: tuple[int, int] | None = None,
 ) -> bool:
     """Cold-start ``directory`` and pin the factory's output contract.
@@ -511,7 +509,6 @@ def verify_bundle(
         model,
         input_hw=input_hw,
         value_dtype=value_dtype,
-        fixed_point=fixed_point,
         num_shards=num_shards,
         num_threads=1,
     )
@@ -557,9 +554,9 @@ def _run_pipeline(
     ``metric(compressed)`` scores it, ``tune(compressed)`` fine-tunes it
     in place (``None`` skips the phase) and ``serving_inputs()`` returns
     the request batch :func:`verify_bundle` serves.  ``export`` holds
-    the bundle's ``num_shards`` / ``value_dtype`` / ``fixed_point`` /
-    ``input_hw``; ``report_fields`` are the :class:`CompressionReport`
-    fields the caller knows up front.
+    the bundle's ``num_shards`` / ``value_dtype`` / ``input_hw``;
+    ``report_fields`` are the :class:`CompressionReport` fields the
+    caller knows up front.
     """
     from repro.metrics import model_storage_report
     from repro.serve import export_model_bundle
@@ -611,7 +608,6 @@ def compress_model(
     head_p: int = 1,
     strategy: str | CompressionStrategy = "greedy",
     value_dtype: str | None = None,
-    fixed_point=None,
     finetune_epochs: int = 2,
     lr: float = 1e-3,
     batch_size: int = 64,
@@ -630,8 +626,8 @@ def compress_model(
         fc_p / conv_p / head_p: requested block sizes (head = final
             weight layer; 1 keeps it functionally dense but servable).
         strategy: structure-search strategy name or instance.
-        value_dtype / fixed_point: bundle storage precision (training
-            stays float64; quantization happens at export).
+        value_dtype: bundle storage precision (training stays
+            float64; quantization happens at export).
         finetune_epochs / lr / batch_size / seed: fine-tuning recipe.
         num_shards: shard count baked into the exported bundle.
         input_hw: first conv stage's spatial input (required iff conv).
@@ -671,7 +667,6 @@ def compress_model(
         export=dict(
             num_shards=num_shards,
             value_dtype=value_dtype,
-            fixed_point=fixed_point,
             input_hw=input_hw,
         ),
         model=name,
@@ -692,7 +687,6 @@ def compress_cell(
     p: int = 8,
     strategy: str | CompressionStrategy = "greedy",
     value_dtype: str | None = None,
-    fixed_point=None,
     distill_steps: int = 200,
     lr: float = 1e-3,
     batch_size: int = 32,
@@ -731,11 +725,7 @@ def compress_cell(
         serving_inputs,
         bundle_dir=bundle_dir,
         verify=verify,
-        export=dict(
-            num_shards=num_shards,
-            value_dtype=value_dtype,
-            fixed_point=fixed_point,
-        ),
+        export=dict(num_shards=num_shards, value_dtype=value_dtype),
         model=name,
         strategy=strategy.name,
         value_dtype=value_dtype or "float64",

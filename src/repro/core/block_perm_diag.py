@@ -103,7 +103,7 @@ from repro.core import backends as _backends
 from repro.core import value_types as _value_types
 from repro.core.permutation import PermutationSpec
 
-__all__ = ["BlockPermutedDiagonalMatrix", "row_shard_bounds"]
+__all__ = ["BlockPermutedDiagonalMatrix", "convert_values", "row_shard_bounds"]
 
 
 def _resolve_value_dtype(value_dtype, fixed_point):
@@ -1141,3 +1141,27 @@ class BlockPermutedDiagonalMatrix:
             f"BlockPermutedDiagonalMatrix(shape={self.shape}, p={self.p}, "
             f"blocks={self.mb}x{self.nb}, nnz={self.nnz}{dtype})"
         )
+
+
+def convert_values(
+    matrices: list[BlockPermutedDiagonalMatrix], value_dtype: str | None
+) -> list[BlockPermutedDiagonalMatrix]:
+    """One served stage's slot matrices at ``value_dtype``.
+
+    ``None`` keeps the live matrices.  Otherwise each converts through
+    :meth:`BlockPermutedDiagonalMatrix.with_value_dtype`; at ``int16`` one
+    format covers every slot, the one a bundle manifest records.
+    """
+    if value_dtype is None:
+        return list(matrices)
+    fixed_point = None
+    if _value_types.validate_value_dtype(value_dtype) == "int16":
+        from repro.nn.quantization import choose_fixed_point_format
+
+        fixed_point = choose_fixed_point_format(
+            [np.max(np.abs(m._kernel_data()), initial=0.0) for m in matrices]
+        )
+    return [
+        m.with_value_dtype(value_dtype, fixed_point=fixed_point)
+        for m in matrices
+    ]

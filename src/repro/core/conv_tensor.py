@@ -6,6 +6,10 @@ The paper (Sec. III-C, Fig. 2) views a CONV weight tensor
 filter kernels, and imposes the permuted diagonal pattern on that plane:
 kernel ``(i, j)`` exists only when channel-matrix entry ``(i, j)`` is on a
 permuted diagonal.  Compression ratio is again exactly ``p``.
+
+It is stored as the engine runs it (:mod:`repro.hw.conv_lowering`): one
+block-PD channel matrix per kernel offset, each a view of one float64
+buffer that :class:`~repro.nn.PermDiagConv2D` trains in place.
 """
 
 from __future__ import annotations
@@ -21,46 +25,45 @@ __all__ = ["BlockPermDiagTensor4D"]
 class BlockPermDiagTensor4D:
     """A CONV weight tensor with PD structure on its channel plane.
 
-    Compact storage: ``kernels[bi, bj, c]`` is the ``kh x kw`` kernel of
-    channel-plane slot ``(bi*p + c, bj*p + (c + ks[bi,bj]) % p)``.
+    Storage: ``values[dy, dx, bi, bj, c]`` is tap ``(dy, dx)`` of the
+    kernel at channel-plane slot ``(bi*p + c, bj*p + (c + ks[bi,bj]) % p)``,
+    zero in padding slots.  ``matrices[dy*kw + dx]`` is offset ``(dy, dx)``'s
+    channel matrix over the view ``values[dy, dx]``; all share one plan.
 
     Args:
-        kernels: array of shape ``(mb, nb, p, kh, kw)``.
+        values: array of shape ``(kh, kw, mb, nb, p)``; aliased when it is
+            C-contiguous float64 with zero padding slots.
         ks: per-block permutation parameters, shape ``(mb, nb)``.
         channels: logical ``(c_out, c_in)``; defaults to padded sizes.
-        value_dtype: value dtype pinned to the channel-plane matrix.  The
-            kernels themselves always stay float64, but every per-offset
-            matrix a lowering derives via ``plane.like`` quantizes through
-            the plane's dtype -- so a tensor that must lower at full
-            precision has to pin ``"float64"`` here rather than inherit
-            the process default.
     """
 
     def __init__(
         self,
-        kernels: np.ndarray,
+        values: np.ndarray,
         ks: np.ndarray,
         channels: tuple[int, int] | None = None,
-        value_dtype: str | None = None,
     ) -> None:
-        kernels = np.asarray(kernels, dtype=np.float64)
-        if kernels.ndim != 5:
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        if values.ndim != 5:
             raise ValueError(
-                f"kernels must have shape (mb, nb, p, kh, kw), got {kernels.shape}"
+                f"values must have shape (kh, kw, mb, nb, p), got {values.shape}"
             )
-        mb, nb, p, kh, kw = kernels.shape
-        # The channel plane is an ordinary block-PD matrix; reuse it for all
-        # index arithmetic (one slot per kernel).
+        kh, kw, mb, nb, p = values.shape
+        self.kernel_size = (kh, kw)
         if channels is None:
             channels = (mb * p, nb * p)
-        self._plane = BlockPermutedDiagonalMatrix(
-            np.ones((mb, nb, p)),
-            ks,
-            shape=channels,
-            value_dtype=value_dtype,
+        structure = BlockPermutedDiagonalMatrix.zeros(
+            channels, p, ks=ks, value_dtype="float64"
         )
-        self.kernel_size = (kh, kw)
-        self.kernels = kernels * self._plane.support_mask()[..., None, None]
+        padding = ~structure.support_mask()
+        if np.any(values[:, :, padding]):
+            values = values.copy()
+            values[:, :, padding] = 0.0
+        self.values = values
+        self.matrices = [
+            structure.like(offset)
+            for offset in values.reshape(kh * kw, mb, nb, p)
+        ]
 
     # ------------------------------------------------------------------
 
@@ -85,8 +88,9 @@ class BlockPermDiagTensor4D:
         fan_in = max(c_in / p, 1.0) * kh * kw
         if scale is None:
             scale = float(np.sqrt(2.0 / fan_in))
+        # Drawn kernel-major, so every seed keeps its weights.
         kernels = rng.normal(0.0, scale, size=(mb, nb, p, kh, kw))
-        return cls(kernels, ks, channels=(c_out, c_in))
+        return cls(kernels.transpose(3, 4, 0, 1, 2), ks, (c_out, c_in))
 
     @classmethod
     def from_dense(
@@ -95,7 +99,6 @@ class BlockPermDiagTensor4D:
         p: int,
         ks: np.ndarray | None = None,
         spec: PermutationSpec | None = None,
-        value_dtype: str | None = None,
     ) -> "BlockPermDiagTensor4D":
         """Optimal L2 projection of a dense ``(c_out, c_in, kh, kw)`` tensor."""
         dense = np.asarray(dense, dtype=np.float64)
@@ -106,46 +109,24 @@ class BlockPermDiagTensor4D:
         if ks is None:
             spec = spec or PermutationSpec()
             ks = spec.generate(mb * nb, p).reshape(mb, nb)
-        out = cls(
-            np.zeros((mb, nb, p, kh, kw)),
-            np.asarray(ks),
-            channels=(c_out, c_in),
-            value_dtype=value_dtype,
-        )
-        rows, cols = out._plane._global_indices()
-        padded = np.zeros((mb * p, nb * p, kh, kw))
-        padded[:c_out, :c_in] = dense
-        out.kernels = (
-            padded[rows.ravel(), cols.ravel()].reshape(mb, nb, p, kh, kw)
-            * out._plane.support_mask()[..., None, None]
-        )
+        out = cls(np.zeros((kh, kw, mb, nb, p)), ks, channels=(c_out, c_in))
+        out.values[...] = out.pack(dense)
         return out
 
     # ------------------------------------------------------------------
 
     @property
     def p(self) -> int:
-        return self._plane.p
-
-    @property
-    def plane(self) -> BlockPermutedDiagonalMatrix:
-        """The block-PD channel-plane matrix carrying all index arithmetic.
-
-        Its values are a placeholder (ones); consumers use it for the
-        cached index plan, the support mask, and as the
-        :meth:`~BlockPermutedDiagonalMatrix.like` base of per-offset
-        matrix families (see :mod:`repro.hw.conv_lowering`).
-        """
-        return self._plane
+        return self.matrices[0].p
 
     @property
     def ks(self) -> np.ndarray:
-        return self._plane.ks
+        return self.matrices[0].ks
 
     @property
     def channels(self) -> tuple[int, int]:
         """Logical ``(c_out, c_in)``."""
-        return self._plane.shape
+        return self.matrices[0].shape
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -155,7 +136,7 @@ class BlockPermDiagTensor4D:
     @property
     def nnz_kernels(self) -> int:
         """Number of stored kernels (``~ c_out*c_in/p``)."""
-        return self._plane.nnz
+        return self.matrices[0].nnz
 
     @property
     def nnz(self) -> int:
@@ -170,36 +151,42 @@ class BlockPermDiagTensor4D:
 
     def channel_mask(self) -> np.ndarray:
         """Boolean ``(c_out, c_in)`` channel-connectivity mask."""
-        return self._plane.dense_mask()
+        return self.matrices[0].dense_mask()
 
     def dense_mask(self) -> np.ndarray:
         """Boolean ``(c_out, c_in, kh, kw)`` support mask."""
-        kh, kw = self.kernel_size
         return np.broadcast_to(
             self.channel_mask()[:, :, None, None], self.shape
         ).copy()
 
+    def pack(self, dense: np.ndarray) -> np.ndarray:
+        """A dense ``(c_out, c_in, kh, kw)`` array gathered onto the support.
+
+        Returns a fresh ``values``-shaped array.  Off-support entries are
+        dropped: packing a dense gradient is Eqn. (5)'s training rule.
+        """
+        dense = np.asarray(dense)
+        if dense.shape != self.shape:
+            raise ValueError(
+                f"dense shape {dense.shape} != tensor shape {self.shape}"
+            )
+        kh, kw = self.kernel_size
+        flat, rows, cols = self.matrices[0]._get_plan().support_coords()
+        packed = np.zeros(self.values.shape)
+        packed.reshape(kh * kw, -1)[:, flat] = (
+            dense[rows, cols].reshape(-1, kh * kw).T
+        )
+        return packed
+
     def to_dense(self) -> np.ndarray:
         """Materialize the dense ``(c_out, c_in, kh, kw)`` weight tensor."""
-        mb, nb, p = self._plane.data.shape
         kh, kw = self.kernel_size
-        rows, cols = self._plane._global_indices()
-        dense = np.zeros((mb * p, nb * p, kh, kw))
-        dense[rows.ravel(), cols.ravel()] = self.kernels.reshape(-1, kh, kw)
-        c_out, c_in = self.channels
-        return dense[:c_out, :c_in]
-
-    def project_dense_grad(self, grad: np.ndarray) -> np.ndarray:
-        """Zero a dense gradient off the PD support (training rule, Eqn. (5)).
-
-        Updating only supported entries is exactly equivalent to masking the
-        dense gradient, and "theoretically guarantees the trained sparse
-        network always exhibits block-permuted diagonal structure".
-        """
-        grad = np.asarray(grad)
-        if grad.shape != self.shape:
-            raise ValueError(f"grad shape {grad.shape} != tensor shape {self.shape}")
-        return grad * self.dense_mask()
+        flat, rows, cols = self.matrices[0]._get_plan().support_coords()
+        dense = np.zeros(self.shape)
+        dense[rows, cols] = (
+            self.values.reshape(kh * kw, -1)[:, flat].T.reshape(-1, kh, kw)
+        )
+        return dense
 
     def __repr__(self) -> str:
         return (

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import convert_values
 from repro.hw.engine import PermDNNEngine, apply_activation
 
 __all__ = [
@@ -63,36 +64,16 @@ class ConvSimulationResult:
 
 
 def offset_matrices(
-    tensor: BlockPermDiagTensor4D,
-    value_dtype: str | None = None,
-    fixed_point=None,
+    tensor: BlockPermDiagTensor4D, value_dtype: str | None = None
 ) -> list[BlockPermutedDiagonalMatrix]:
     """One block-PD channel matrix per kernel offset ``(dy, dx)``.
 
-    All ``kh*kw`` matrices share one structure ``(ks, channels, p)`` with
-    the tensor's own channel plane, so the whole family rides the plane's
-    already-built index plan via
-    :meth:`BlockPermutedDiagonalMatrix.like` -- no per-lowering index
-    arithmetic at all.  ``value_dtype`` (with an optional ``fixed_point``
-    format) converts every offset matrix through
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.with_value_dtype`,
-    still sharing the one plan, so a reduced-precision serving copy of a
-    conv layer lowers without touching the float64 training kernels.
+    The tensor's own matrices, views of its values sharing one plan: no
+    index arithmetic, no copy.  ``value_dtype`` converts them through
+    :func:`~repro.core.block_perm_diag.convert_values` instead, leaving
+    the float64 training values untouched.
     """
-    kh, kw = tensor.kernel_size
-    matrices = []
-    for dy in range(kh):
-        for dx in range(kw):
-            # Contiguous copy: the strided kernel slice would otherwise be
-            # re-raveled on every product of the simulation hot loop.
-            data = np.ascontiguousarray(tensor.kernels[:, :, :, dy, dx])
-            matrix = tensor.plane.like(data)
-            if value_dtype is not None:
-                matrix = matrix.with_value_dtype(
-                    value_dtype, fixed_point=fixed_point
-                )
-            matrices.append(matrix)
-    return matrices
+    return convert_values(tensor.matrices, value_dtype)
 
 
 def conv_output_hw(
@@ -176,7 +157,6 @@ def run_conv_layer(
     padding: int = 0,
     enforce_capacity: bool = True,
     value_dtype: str | None = None,
-    fixed_point=None,
 ) -> ConvSimulationResult:
     """Lower a PD convolution onto the FC engine and execute it.
 
@@ -193,7 +173,6 @@ def run_conv_layer(
         enforce_capacity: per-PE SRAM capacity check (see engine docs).
         value_dtype: lower through reduced-precision offset matrices
             (``"float32"`` / ``"int16"``; see :func:`offset_matrices`).
-        fixed_point: fixed-point format for ``value_dtype="int16"``.
 
     Returns:
         :class:`ConvSimulationResult` whose ``output`` equals the direct
@@ -204,9 +183,7 @@ def run_conv_layer(
     if x.ndim != 3 or x.shape[0] != c_in:
         raise ValueError(f"expected input (c_in={c_in}, H, W), got {x.shape}")
     oh, ow = conv_output_hw(x.shape[1:], (kh, kw), stride, padding)
-    matrices = offset_matrices(
-        tensor, value_dtype=value_dtype, fixed_point=fixed_point
-    )
+    matrices = offset_matrices(tensor, value_dtype)
     # Columns follow the offset family's compute dtype (float32 storage
     # accumulates in float32, int16 dequantizes to float64).
     columns = lower_columns(

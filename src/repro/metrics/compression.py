@@ -8,6 +8,7 @@ index bits; circulant layers store one vector per block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.nn.layers.circulant_linear import BlockCirculantLinear
@@ -92,7 +93,7 @@ def _storage_for_layer(layer: Module, eie_index_bits: float) -> LayerStorage | N
         dense = layer.out_features * layer.in_features
         return LayerStorage(repr(layer), dense, dense)
     if isinstance(layer, PermDiagConv2D):
-        dense = layer.weight.size
+        dense = math.prod(layer.tensor.shape)  # weight holds only stored taps
         return LayerStorage(repr(layer), dense, layer.nnz)
     if isinstance(layer, Conv2D):
         dense = layer.weight.size

@@ -86,8 +86,7 @@ def check_parameter_gradients(
         numeric = np.zeros_like(param.value)
         value = param.value
         # .flat (not reshape(-1)): parameter values may be non-contiguous
-        # views (a PD conv weight is a slice of a padded plane) and a
-        # reshaped copy would swallow the probe perturbations.
+        # views, and a reshaped copy would swallow the probe perturbations.
         for idx in range(value.size):
             orig = value.flat[idx]
             value.flat[idx] = orig + eps

@@ -58,7 +58,7 @@ class Conv2D(Module):
         self._x_shape: tuple[int, int, int, int] | None = None
 
     def _effective_weight(self) -> np.ndarray:
-        """Weight used for compute; PD subclass masks it here."""
+        """Dense weight used for compute; the PD subclass unpacks it here."""
         return self.weight.value
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ class Conv2D(Module):
         batch, c_out, oh, ow = dy.shape
         dy2d = dy.reshape(batch, c_out, oh * ow).transpose(0, 2, 1)  # (B, P, c_out)
         dw = np.einsum("bpc,bpk->ck", dy2d, self._cols).reshape(
-            self.weight.value.shape
+            c_out, self.in_channels, *self.kernel_size
         )
         self._accumulate_weight_grad(dw)
         if self.bias is not None:
@@ -95,7 +95,7 @@ class Conv2D(Module):
         return col2im(dcols, self._x_shape, kh, kw, self.stride, self.padding)
 
     def _accumulate_weight_grad(self, dw: np.ndarray) -> None:
-        """Hook for subclasses to project the gradient (PD masking)."""
+        """Hook for subclasses to project the gradient (PD packing)."""
         self.weight.grad += dw
 
     def output_shape(self, height: int, width: int) -> tuple[int, int]:

@@ -4,13 +4,13 @@ The PD pattern lives on the (output-channel, input-channel) plane of the
 weight tensor (Fig. 2): a kernel ``F(i, j, :, :)`` exists only when channel
 slot ``(i, j)`` is on a permuted diagonal.  Forward is Eqn. (4); the
 training rule (Eqns. (5)-(6)) updates only existing kernels, implemented
-here by projecting the dense weight gradient onto the support mask --
+here by packing the dense weight gradient onto the support --
 mathematically identical to the paper's index-wise update, and verified
 against numerical gradients in the tests.
 
-Storage accounting (``num_parameters``/``nnz``) counts only stored kernels,
-i.e. ``c_out*c_in/p`` of them, even though compute uses a masked dense
-tensor for vectorization.
+The trainable parameter holds only the ``c_out*c_in/p`` stored kernels
+(a :class:`~repro.core.BlockPermDiagTensor4D` buffer that served conv
+stages alias); compute unpacks them for one im2col GEMM per pass.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ __all__ = ["PermDiagConv2D"]
 
 class PermDiagConv2D(Conv2D):
     """:class:`Conv2D` whose channel plane is block-permuted diagonal.
+
+    The trainable weight is :attr:`tensor`'s ``(kh, kw, mb, nb, p)``
+    ``values`` buffer; the ``k_l`` are fixed structure, never trained.
 
     Args:
         in_channels, out_channels, kernel_size, stride, padding, bias:
@@ -47,6 +50,8 @@ class PermDiagConv2D(Conv2D):
         spec: PermutationSpec | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
+        # Conv2D draws a dense weight that is discarded below; the draw
+        # keeps seeded RNG streams, and so seeded models, unchanged.
         super().__init__(
             in_channels,
             out_channels,
@@ -66,19 +71,19 @@ class PermDiagConv2D(Conv2D):
             rng=rng,
         )
         self._adopt_tensor(tensor)
-        self._x_shape = None
-        self._cols = None
 
     def _adopt_tensor(self, tensor: BlockPermDiagTensor4D) -> None:
-        """Point the layer at ``tensor``: mask, nnz, and dense weight are
-        derived once here (the tensor's plane caches the index plan)."""
         self._tensor = tensor
-        self._mask = tensor.dense_mask()
-        self._nnz = int(self._mask.sum())
-        # Re-point the weight parameter at the PD-structured dense tensor.
-        self.weight = Parameter(tensor.to_dense(), "pd_conv_weight")
+        # Aliasing contract: Parameter and tensor share one buffer, so
+        # in-place optimizer updates reach every offset matrix directly.
+        self.weight = Parameter(tensor.values, "pd_conv_weight")
 
     # ------------------------------------------------------------------
+
+    @property
+    def tensor(self) -> BlockPermDiagTensor4D:
+        """Live view of the weight as a structured tensor."""
+        return self._tensor
 
     @property
     def ks(self) -> np.ndarray:
@@ -91,11 +96,11 @@ class PermDiagConv2D(Conv2D):
     @property
     def nnz(self) -> int:
         """Stored scalar weights: ``~ c_out*c_in*kh*kw / p``."""
-        return self._nnz
+        return self._tensor.nnz
 
     @property
     def compression_ratio(self) -> float:
-        return self._mask.size / max(self.nnz, 1)
+        return self._tensor.compression_ratio
 
     @classmethod
     def from_tensor(
@@ -105,7 +110,11 @@ class PermDiagConv2D(Conv2D):
         padding: int = 0,
         bias: np.ndarray | None = None,
     ) -> "PermDiagConv2D":
-        """Wrap an existing PD tensor (e.g. from approximation, Sec. III-F)."""
+        """Wrap an existing PD tensor (e.g. from approximation, Sec. III-F).
+
+        The layer adopts ``tensor`` as-is: the trainable parameter aliases
+        ``tensor.values``, so the caller's tensor sees training updates.
+        """
         c_out, c_in, kh, kw = tensor.shape
         layer = cls(
             c_in,
@@ -121,28 +130,14 @@ class PermDiagConv2D(Conv2D):
             layer.bias.value[...] = bias
         return layer
 
-    def to_tensor(self) -> BlockPermDiagTensor4D:
-        """Current weights as a compact PD tensor.
-
-        Keeps the channel plane's value dtype: lowerings quantize
-        per-offset matrices through the plane, so a repacked tensor must
-        not silently fall back to the process default dtype.
-        """
-        return BlockPermDiagTensor4D.from_dense(
-            self.weight.value,
-            self.p,
-            ks=self._tensor.ks,
-            value_dtype=self._tensor.plane.value_dtype,
-        )
-
     # ------------------------------------------------------------------
 
     def _effective_weight(self) -> np.ndarray:
-        return self.weight.value * self._mask
+        return self._tensor.to_dense()
 
     def _accumulate_weight_grad(self, dw: np.ndarray) -> None:
-        # Eqn. (5): "for any F(i,j,w,h) != 0" -- mask the dense gradient.
-        self.weight.grad += dw * self._mask
+        # Eqn. (5): "for any F(i,j,w,h) != 0" -- only stored taps update.
+        self.weight.grad += self._tensor.pack(dw)
 
     def __repr__(self) -> str:
         return (

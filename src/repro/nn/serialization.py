@@ -74,10 +74,10 @@ def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
     """Structured matrices of the model's PD layers, in discovery order.
 
     Covers both FC layers (their `_matrix`) and PD convolutions (the
-    channel-plane matrix of their `_tensor`).  Discovery order is
-    deterministic for a fixed architecture, which is what lets ``ks`` keys
-    pair back up with their layers at load time (the same state-dict
-    discipline the parameters follow).
+    first offset matrix of their `_tensor`, whose ``ks`` all offsets
+    share).  Discovery order is deterministic for a fixed architecture,
+    which is what lets ``ks`` keys pair back up with their layers at load
+    time (the same state-dict discipline the parameters follow).
     """
     matrices = []
     for module in model.modules():
@@ -86,7 +86,7 @@ def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
             matrices.append(matrix)
         tensor = getattr(module, "_tensor", None)
         if isinstance(tensor, BlockPermDiagTensor4D):
-            matrices.append(tensor.plane)
+            matrices.append(tensor.matrices[0])
     return matrices
 
 
@@ -102,9 +102,9 @@ class FCStageSpec:
 class ConvStageSpec:
     """One lowered-conv serving stage.
 
-    ``tensor`` is the layer's *current* PD weight tensor
-    (:meth:`~repro.nn.PermDiagConv2D.to_tensor`, repacked from the dense
-    trainable weight); ``pool`` is an optional non-overlapping square
+    ``tensor`` is the layer's live PD weight tensor
+    (:attr:`~repro.nn.PermDiagConv2D.tensor`, whose offset matrices alias
+    the trainable values); ``pool`` is an optional non-overlapping square
     max-pool factor fused after the activation.  The input spatial size is
     supplied at server/bundle construction, not here -- the same conv
     stack serves any spatial resolution.
@@ -144,8 +144,8 @@ def model_stage_specs(model: Module) -> list:
     Anything else raises :class:`UnsupportedLayerError` naming the
     offending module and its position in ``model.modules()`` order --
     never a silent skip.  Returned specs reference the model's **live**
-    weights (FC matrices and cell gate matrices alias parameter storage;
-    conv tensors are repacked from the current dense weight).
+    weights: FC matrices, conv offset matrices and cell gate matrices
+    all alias parameter storage.
     """
     specs: list = []
     pending = None  # spec still accepting an activation
@@ -173,7 +173,7 @@ def model_stage_specs(model: Module) -> list:
                     "accumulates W * x only",
                 )
             specs.append(ConvStageSpec(
-                module.to_tensor(),
+                module.tensor,
                 stride=module.stride,
                 padding=module.padding,
             ))

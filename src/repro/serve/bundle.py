@@ -118,7 +118,6 @@ def export_model_bundle(
     model,
     num_shards: int,
     value_dtype: str | None = None,
-    fixed_point=None,
     input_hw: tuple[int, int] | None = None,
 ) -> None:
     """Export a trained model as a sharded image bundle.
@@ -127,8 +126,9 @@ def export_model_bundle(
     :func:`repro.nn.serialization.model_stage_specs` (which rejects
     anything the engine cannot serve) and the resulting stages -- FC,
     lowered-conv, recurrent -- are handed to :func:`export_staged_bundle`.
-    ``value_dtype`` / ``fixed_point`` quantize at export (float32 or int16
-    fixed-point serving copies; the training weights stay float64);
+    ``value_dtype`` quantizes at export (float32 or int16 fixed-point
+    serving copies, one format per stage; the training weights stay
+    float64);
     ``input_hw`` is the first conv stage's input spatial size (required
     iff the model has conv layers).
     """
@@ -141,7 +141,6 @@ def export_model_bundle(
             num_shards,
             input_hw=input_hw,
             value_dtype=value_dtype,
-            fixed_point=fixed_point,
         ),
     )
 

@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import convert_values
 from repro.hw.config import EngineConfig
 from repro.hw.conv_lowering import (
     accumulate_offsets,
@@ -384,8 +385,9 @@ class LoweredConvStage(ServedStage):
     """A PD convolution served as lowered per-offset FC batches.
 
     Built on :mod:`repro.hw.conv_lowering`: the ``kh*kw`` per-offset
-    channel matrices all share the weight tensor's channel-plane index
-    plan, and every offset matrix is row-sharded over **output channels**
+    channel matrices are the weight tensor's own (aliasing the layer's
+    trainable values, sharing one index plan), and every offset matrix
+    is row-sharded over **output channels**
     -- so shard ``K`` owns channel rows ``[lo, hi)`` of every offset and
     its output slice is a contiguous range of the channel-major flattened
     feature map.  Requests are flat ``c_in*H*W`` vectors (C-order, the
@@ -406,7 +408,7 @@ class LoweredConvStage(ServedStage):
         input_hw: spatial size ``(H, W)`` of the incoming feature map.
         stride / padding: convolution geometry.
         pool: optional fused max-pool factor (window == stride == pool).
-        value_dtype / fixed_point: forwarded to
+        value_dtype: forwarded to
             :func:`~repro.hw.conv_lowering.offset_matrices`.
     """
 
@@ -423,13 +425,9 @@ class LoweredConvStage(ServedStage):
         padding: int = 0,
         pool: int | None = None,
         value_dtype: str | None = None,
-        fixed_point=None,
     ) -> None:
-        matrices = offset_matrices(
-            tensor, value_dtype=value_dtype, fixed_point=fixed_point
-        )
         self._init_slots(
-            _shard_major(matrices, num_shards),
+            _shard_major(offset_matrices(tensor, value_dtype), num_shards),
             activation,
             kernel_size=tensor.kernel_size,
             input_hw=input_hw,
@@ -526,8 +524,8 @@ class RecurrentStage(ServedStage):
             (gate matrices must be PD; weights and biases stay aliased,
             so in-place training updates reach serving immediately).
         num_shards: engines this stage spreads over.
-        value_dtype / fixed_point: optional reduced-precision conversion
-            of the 8 gate matrices.
+        value_dtype: optional reduced-precision conversion of the 8 gate
+            matrices (:func:`~repro.core.block_perm_diag.convert_values`).
     """
 
     stage_kind = "recurrent"
@@ -539,7 +537,6 @@ class RecurrentStage(ServedStage):
         cell: LSTMCell,
         num_shards: int,
         value_dtype: str | None = None,
-        fixed_point=None,
     ) -> None:
         gate_matrices = []
         for ops in (cell.w_ops, cell.u_ops):
@@ -550,11 +547,8 @@ class RecurrentStage(ServedStage):
                         "RecurrentStage needs PD gate matrices; build the "
                         "cell with p set (dense cells are not servable)"
                     )
-                if value_dtype is not None:
-                    matrix = matrix.with_value_dtype(
-                        value_dtype, fixed_point=fixed_point
-                    )
                 gate_matrices.append(matrix)
+        gate_matrices = convert_values(gate_matrices, value_dtype)
         self._init_slots(
             _shard_major(gate_matrices, num_shards),
             biases={gate: cell.biases[gate].value for gate in _GATES},
@@ -653,16 +647,16 @@ def build_stages(
     num_shards: int,
     input_hw: tuple[int, int] | None = None,
     value_dtype: str | None = None,
-    fixed_point=None,
 ) -> list[ServedStage]:
     """Turn :func:`~repro.nn.serialization.model_stage_specs` output into
     served stages, chaining conv spatial geometry stage to stage.
 
     ``input_hw`` is the spatial size of the first conv stage's input
     (required iff the model has conv stages); each conv stage's output
-    size feeds the next.  ``value_dtype``/``fixed_point`` convert every
-    stage's weight storage (quantize-at-serve; plans stay shared with the
-    training matrices).
+    size feeds the next.  ``value_dtype`` converts every stage's weight
+    storage (quantize-at-serve through
+    :func:`~repro.core.block_perm_diag.convert_values`; plans stay shared
+    with the training matrices).
     """
     from repro.nn.serialization import (
         ConvStageSpec,
@@ -674,11 +668,7 @@ def build_stages(
     chain_hw = tuple(int(v) for v in input_hw) if input_hw is not None else None
     for spec in specs:
         if isinstance(spec, FCStageSpec):
-            matrix = spec.matrix
-            if value_dtype is not None:
-                matrix = matrix.with_value_dtype(
-                    value_dtype, fixed_point=fixed_point
-                )
+            (matrix,) = convert_values([spec.matrix], value_dtype)
             stages.append(ShardedLayer(matrix, spec.activation, num_shards))
         elif isinstance(spec, ConvStageSpec):
             if chain_hw is None:
@@ -695,17 +685,13 @@ def build_stages(
                 padding=spec.padding,
                 pool=spec.pool,
                 value_dtype=value_dtype,
-                fixed_point=fixed_point,
             )
             chain_hw = stage.output_hw
             stages.append(stage)
         elif isinstance(spec, RecurrentStageSpec):
-            stages.append(RecurrentStage(
-                spec.cell,
-                num_shards,
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-            ))
+            stages.append(
+                RecurrentStage(spec.cell, num_shards, value_dtype=value_dtype)
+            )
         else:
             raise TypeError(
                 f"unknown stage spec {type(spec).__name__}"
@@ -913,7 +899,6 @@ class ModelServer:
         model,
         input_hw: tuple[int, int] | None = None,
         value_dtype: str | None = None,
-        fixed_point=None,
         num_shards: int = 4,
         **kwargs,
     ) -> "ModelServer":
@@ -923,17 +908,17 @@ class ModelServer:
         :func:`repro.nn.serialization.model_stage_specs` -- PD FC stacks,
         PD conv + pool chains, and PD LSTM cells all map to served
         stages; anything else raises
-        :class:`~repro.nn.serialization.UnsupportedLayerError`.  FC and
-        recurrent shard data aliases the layers' parameter storage, so
-        serving reflects subsequent in-place weight updates (conv stages
-        repack the trainable dense kernel tensor at construction).
+        :class:`~repro.nn.serialization.UnsupportedLayerError`.  Shard
+        data of every stage kind aliases the layers' parameter storage,
+        so serving reflects subsequent in-place weight updates (unless
+        ``value_dtype`` converts it).
 
         Args:
             model: the :class:`~repro.nn.module.Module` to serve.
             input_hw: spatial ``(H, W)`` of the first conv stage's input
                 (required iff the model has conv layers).
-            value_dtype / fixed_point: serve-time weight storage
-                conversion (quantize-at-serve; index plans stay shared).
+            value_dtype: serve-time weight storage conversion
+                (quantize-at-serve; index plans stay shared).
             num_shards / kwargs: forwarded to the constructor.
         """
         from repro.nn.serialization import model_stage_specs
@@ -943,7 +928,6 @@ class ModelServer:
             num_shards,
             input_hw=input_hw,
             value_dtype=value_dtype,
-            fixed_point=fixed_point,
         )
         return cls(stages, num_shards=num_shards, **kwargs)
 

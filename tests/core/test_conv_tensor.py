@@ -72,22 +72,57 @@ class TestDenseRoundTrip:
 class TestGradProjection:
     def test_projects_off_support_to_zero(self):
         t = BlockPermDiagTensor4D.random(8, 8, (3, 3), p=4, rng=7)
-        grad = np.ones(t.shape)
-        projected = t.project_dense_grad(grad)
+        t.values[...] = t.pack(np.ones(t.shape))
+        projected = t.to_dense()
         assert np.all(projected[~t.dense_mask()] == 0)
         np.testing.assert_allclose(projected[t.dense_mask()], 1.0)
 
     def test_shape_check(self):
         t = BlockPermDiagTensor4D.random(8, 8, (3, 3), p=4, rng=8)
         with pytest.raises(ValueError):
-            t.project_dense_grad(np.ones((8, 8, 5, 5)))
+            t.pack(np.ones((8, 8, 5, 5)))
 
     def test_masked_update_preserves_structure(self):
-        # simulate a few "training steps" of dense grad + projection
+        # simulate a few "training steps" of packed dense grads
         rng = np.random.default_rng(9)
         t = BlockPermDiagTensor4D.random(8, 8, (3, 3), p=2, rng=9)
-        dense = t.to_dense()
         for _ in range(5):
-            dense -= 0.1 * t.project_dense_grad(rng.normal(size=t.shape))
+            t.values -= 0.1 * t.pack(rng.normal(size=t.shape))
+        dense = t.to_dense()
+        assert np.all(dense[~t.dense_mask()] == 0)
         again = BlockPermDiagTensor4D.from_dense(dense, p=2, ks=t.ks)
-        np.testing.assert_allclose(again.to_dense(), dense)
+        np.testing.assert_array_equal(again.values, t.values)
+
+
+class TestOffsetMatrices:
+    """``matrices`` are the engine's offset matrices over ``values``."""
+
+    def test_offsets_view_values_and_share_one_plan(self):
+        t = BlockPermDiagTensor4D.random(10, 6, (2, 3), p=4, rng=10)
+        assert t.values.shape == (2, 3, 3, 2, 4)
+        assert t.values.flags.c_contiguous
+        plan = t.matrices[0]._get_plan()
+        for offset, matrix in enumerate(t.matrices):
+            dy, dx = divmod(offset, 3)
+            assert np.shares_memory(matrix.data, t.values)
+            np.testing.assert_array_equal(matrix.data, t.values[dy, dx])
+            assert matrix._get_plan() is plan
+            assert matrix.value_dtype == "float64"
+
+    def test_clean_values_are_aliased(self):
+        values = np.ones((1, 1, 2, 2, 3))
+        assert BlockPermDiagTensor4D(values, np.zeros((2, 2))).values is values
+        # Non-zero padding slots are zeroed in a copy instead.
+        padded = BlockPermDiagTensor4D(values, np.zeros((2, 2)), (5, 6))
+        support = padded.matrices[0].support_mask()
+        assert not np.any(padded.values[:, :, ~support])
+        assert values.all()
+
+    def test_random_keeps_the_kernel_major_draw(self):
+        t = BlockPermDiagTensor4D.random(8, 4, (3, 3), p=2, rng=12)
+        kernels = np.random.default_rng(12).normal(
+            0.0, np.sqrt(2.0 / 18.0), size=(4, 2, 2, 3, 3)
+        )
+        np.testing.assert_array_equal(
+            t.values, kernels.transpose(3, 4, 0, 1, 2)
+        )

@@ -120,7 +120,7 @@ class TestPermDiagConv2D:
         from repro.nn import Adam
 
         layer = PermDiagConv2D(4, 4, 3, p=2, rng=7)
-        mask = layer._mask
+        mask = layer.tensor.dense_mask()
         opt = Adam(layer.parameters(), lr=0.01)
         for _ in range(5):
             x = rng.normal(size=(2, 4, 5, 5))
@@ -134,13 +134,18 @@ class TestPermDiagConv2D:
         layer = PermDiagConv2D(8, 8, 3, p=4, rng=8)
         assert layer.compression_ratio == pytest.approx(4.0)
 
+    def test_num_parameters_counts_stored_taps(self):
+        # 8*8/4 kernels of 3x3 taps, plus 8 biases.
+        assert PermDiagConv2D(8, 8, 3, p=4, rng=8).num_parameters() == 152
+
     def test_p1_equals_dense_support(self):
         layer = PermDiagConv2D(4, 4, 3, p=1, rng=9)
-        assert layer._mask.all()
+        assert layer.tensor.dense_mask().all()
 
     def test_to_tensor_round_trip(self):
         layer = PermDiagConv2D(4, 8, 3, p=2, rng=10)
-        tensor = layer.to_tensor()
+        tensor = layer.tensor
+        assert np.shares_memory(layer.weight.value, tensor.values)
         np.testing.assert_allclose(tensor.to_dense(), layer._effective_weight())
 
     def test_from_tensor(self):

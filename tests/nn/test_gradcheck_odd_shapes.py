@@ -86,4 +86,5 @@ class TestPermDiagConv2DGradcheck:
         layer.zero_grad()
         y = layer.forward(x)
         layer.backward(np.ones_like(y))
-        assert not np.any(layer.weight.grad[~layer._mask])
+        support = layer.tensor.matrices[0].support_mask()
+        assert not np.any(layer.weight.grad[:, :, ~support])

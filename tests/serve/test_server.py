@@ -261,12 +261,15 @@ class TestValidation:
 
 
 class TestAliasingContract:
-    """The zero-copy chain: Parameter -> layer matrix -> every shard."""
+    """The zero-copy chain: Parameter -> layer matrix -> every shard
+    (for a conv layer, every offset matrix of every shard)."""
 
     def test_parameter_to_shard_memory_chain(self):
         from repro.debug import sanitize
         from repro.models import build_alexnet_fc
         from repro.nn import PermDiagLinear
+        from repro.serve import LoweredConvStage
+        from repro.serve.bench import build_workload
 
         model = build_alexnet_fc(scale=64, dropout=0.0, rng=0)
         with sanitize() as s:
@@ -281,9 +284,23 @@ class TestAliasingContract:
             expected_checks = sum(l.num_shards for l in server.layers)
             assert s.stats.shard_checks == expected_checks
 
+        # Conv: every offset slot of every shard views the layer's values.
+        lenet = build_workload("lenet", rng=0)
+        with sanitize():
+            server = ModelServer.from_model(
+                lenet.model, input_hw=lenet.input_hw, num_shards=2
+            )
+            conv = lenet.model.layers[0]
+            assert isinstance(server.layers[0], LoweredConvStage)
+            for slots in server.layers[0].shard_slots:
+                assert len(slots) == 25
+                for shard in slots:
+                    assert np.shares_memory(shard.data, conv.weight.value)
+
     def test_in_place_weight_update_visible_to_serving(self):
         from repro.models import build_alexnet_fc
-        from repro.nn import PermDiagLinear
+        from repro.nn import PermDiagConv2D, PermDiagLinear
+        from repro.serve.bench import build_workload
 
         model = build_alexnet_fc(scale=64, dropout=0.0, rng=0)
         server = ModelServer.from_model(model, num_shards=2)
@@ -297,4 +314,21 @@ class TestAliasingContract:
         model.eval()
         np.testing.assert_allclose(
             np.stack(report.outputs), model.forward(xs), atol=1e-10
+        )
+
+        lenet = build_workload("lenet", rng=0)
+        server = ModelServer.from_model(
+            lenet.model, input_hw=lenet.input_hw, num_shards=2
+        )
+        xs = _requests(3, server.in_features)
+        # conv weights too: the offset matrices view the trained values
+        for module in lenet.model.modules():
+            if isinstance(module, PermDiagConv2D):
+                module.weight.value *= 0.5
+        server.submit_many(xs)
+        report = server.drain()
+        np.testing.assert_allclose(
+            np.stack(report.outputs),
+            lenet.model.forward(xs.reshape(3, 6, *lenet.input_hw)),
+            atol=1e-10,
         )

@@ -4,9 +4,9 @@ The serving contract extends beyond FC: every stage kind must satisfy
 sharded === unsharded and threaded === sequential **bit for bit**, at
 every value-storage mode, and cold-start from a v3 bundle deriving each
 slot matrix's plan once.  (This directory runs under the strict
-no-*re*build teardown; conv stage construction may *build* fresh plans
--- ``to_tensor()`` repacks the trainable kernel -- but nothing may ever
-rebuild one.)
+no-*re*build teardown; conv stage construction serves the layer's own
+offset matrices, which share one plan, and nothing may ever rebuild
+one.)
 """
 
 import json
@@ -146,7 +146,7 @@ class TestServedConvPipeline:
 
     def test_pool_must_tile_the_output(self):
         model, _ = _conv_model()
-        tensor = model.layers[0].to_tensor()
+        tensor = model.layers[0].tensor
         with pytest.raises(ValueError, match="pool"):
             LoweredConvStage(
                 tensor, "relu", 2, input_hw=(8, 8), padding=1, pool=3
@@ -422,6 +422,36 @@ class TestStagedBundles:
             value_dtype="float32",
         )
         server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
+        np.testing.assert_array_equal(_drain(server, xs), reference)
+
+    @pytest.mark.parametrize("kind", ["recurrent", "conv"])
+    def test_int16_multi_slot_bundle_shares_one_format(self, tmp_path, kind):
+        """A stage's slots share one int16 format -- the one its manifest
+        records -- even when one slot's values dwarf the others'."""
+        if kind == "recurrent":
+            from repro.serve.bench import build_workload
+
+            model, input_hw = build_workload("nmt", rng=0).model, None
+            in_features = model.input_size + 2 * model.hidden_size
+        else:
+            model, input_hw = _conv_model()
+            model.layers[0].weight.value[1, 1] *= 8.0  # the centre tap
+            in_features = 4 * input_hw[0] * input_hw[1]
+        xs = _requests(4, in_features)
+        reference = _drain(
+            _served(model, input_hw, num_shards=2, value_dtype="int16"), xs
+        )
+        export_model_bundle(
+            tmp_path, model, num_shards=2, input_hw=input_hw,
+            value_dtype="int16",
+        )
+        server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
+        formats = {
+            matrix.fixed_point
+            for slots in server.layers[0].shard_slots
+            for matrix in slots
+        }
+        assert len(formats) == 1
         np.testing.assert_array_equal(_drain(server, xs), reference)
 
 
