@@ -59,7 +59,7 @@ from repro.nn import (
     evaluate_classifier,
 )
 from repro.nn.layers.conv2d import Conv2D
-from repro.nn.layers.recurrent import LSTMCell
+from repro.nn.layers.recurrent import LSTMCell, join_gates, stack_gates
 
 __all__ = [
     "CompressionResult",
@@ -72,9 +72,6 @@ __all__ = [
     "distill_cell",
     "verify_bundle",
 ]
-
-_GATES = ("i", "f", "g", "o")
-
 
 @dataclass
 class CompressionResult:
@@ -321,11 +318,14 @@ def convert_cell(
 ) -> tuple[LSTMCell, list[LayerReport]]:
     """PD-compress all 8 gate matrices of a dense :class:`LSTMCell`.
 
-    Gate biases are copied over (the recurrent serving stage applies
-    them, unlike the FC/conv datapaths).  Hidden-unit permutation
-    refinement does not apply to cells -- a permutation would also
-    permute the served ``[h | c]`` layout -- so every strategy reduces
-    to its per-matrix shift selection here.
+    Each gate is searched and projected on its own, then stacked into the
+    PD cell's ``W`` and ``U`` (one report each); a ``p`` that does not
+    divide ``hidden_size`` is clamped to 1.  Gate biases are copied over
+    (the recurrent serving stage applies them, unlike the FC/conv
+    datapaths).  Hidden-unit permutation refinement does not apply to
+    cells -- a permutation would also permute the served ``[h | c]``
+    layout -- so every strategy reduces to its per-matrix shift
+    selection here.
     """
     if cell.p is not None:
         raise CompressionError(
@@ -334,40 +334,40 @@ def convert_cell(
         )
     strategy = get_strategy(strategy)
     rng = _as_rng(rng)
-    p_eff, clamp_note = _effective_p(
-        p, min(cell.input_size, cell.hidden_size)
-    )
-    pd = LSTMCell(cell.input_size, cell.hidden_size, p=p_eff, rng=0)
+    hidden = cell.hidden_size
+    p_eff, clamp_note = _effective_p(p, min(cell.input_size, hidden))
+    if hidden % p_eff:
+        p_eff = 1
+        clamp_note = f"p clamped to 1 ({p} does not divide hidden {hidden})"
+    pd = LSTMCell(cell.input_size, hidden, p=p_eff, rng=0)
     reports: list[LayerReport] = []
-    for group, src_ops, dst_ops in (
-        ("W", cell.w_ops, pd.w_ops),
-        ("U", cell.u_ops, pd.u_ops),
+    for name, source, target in zip(
+        ("LSTM.W", "LSTM.U"), cell.weight_matrices, pd.weight_matrices
     ):
-        for gate in _GATES:
-            weight = src_ops[gate].weight.value
-            ks = strategy.select_ks(weight, p_eff, rng)
-            projected = BlockPermutedDiagonalMatrix.from_dense(
-                weight, p_eff, ks=ks, value_dtype="float64"
+        weight = source.weight.value
+        projected = stack_gates([
+            BlockPermutedDiagonalMatrix.from_dense(
+                gate, p_eff, ks=strategy.select_ks(gate, p_eff, rng),
+                value_dtype="float64",
             )
-            target = dst_ops[gate]
-            target.matrix.set_structure(ks=ks)
-            target.weight.value[...] = projected.data
-            reports.append(
-                LayerReport(
-                    name=f"LSTM.{group}[{gate}]",
-                    kind="lstm-gate",
-                    dense_shape=list(weight.shape),
-                    p=p_eff,
-                    dense_weights=int(weight.size),
-                    stored_weights=int(projected.nnz),
-                    retained_mass=_retained_fraction(
-                        weight, projected.to_dense()
-                    ),
-                    note=clamp_note,
-                )
+            for gate in weight.reshape(4, hidden, -1)
+        ])
+        target.matrix.set_structure(ks=projected.ks)
+        target.weight.value[...] = projected.data
+        reports.append(
+            LayerReport(
+                name=name,
+                kind="lstm-gate",
+                dense_shape=list(weight.shape),
+                p=p_eff,
+                dense_weights=int(weight.size),
+                stored_weights=int(projected.nnz),
+                retained_mass=_retained_fraction(weight, projected.to_dense()),
+                note=clamp_note,
             )
-    for gate in _GATES:
-        pd.biases[gate].value[...] = cell.biases[gate].value
+        )
+    # A dense cell's bias is gate-major: blocks of h, not p.
+    pd.bias.value[...] = join_gates(cell.bias.value.reshape(4, -1), p_eff)
     return pd, reports
 
 

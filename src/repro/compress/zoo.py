@@ -222,15 +222,14 @@ def _build_nmt_cell(seed: int):
 
     boost = 8.0
     cell = LSTMCell(32, 64, p=None, rng=seed)
-    for ops in (cell.w_ops, cell.u_ops):
-        for op in ops.values():
-            dense = op.weight.value
+    for op in cell.weight_matrices:
+        for dense in op.weight.value.reshape(4, cell.hidden_size, -1):
             norm = np.linalg.norm(dense)
             planted = BlockPermutedDiagonalMatrix.from_dense(
                 dense, 8, value_dtype="float64"
             ).to_dense()
             mixed = dense + boost * planted
-            op.weight.value[...] = mixed * (norm / np.linalg.norm(mixed))
+            dense[...] = mixed * (norm / np.linalg.norm(mixed))
     return cell
 
 

@@ -427,7 +427,7 @@ class PermDNNEngine:
             ``(outputs, total_cycles, macs)``; ``outputs`` is in the
             matrix's compute dtype (float32 storage serves float32).
         """
-        x_batch = np.asarray(x_batch, dtype=np.float64)
+        x_batch = np.asarray(x_batch)
         if x_batch.ndim != 2 or x_batch.shape[1] != matrix.shape[1]:
             raise ValueError(
                 f"expected batch of shape (B, {matrix.shape[1]}), got "

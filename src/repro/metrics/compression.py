@@ -17,7 +17,7 @@ from repro.nn.layers.linear import Linear
 from repro.nn.layers.masked_linear import MaskedLinear
 from repro.nn.layers.perm_diag_conv2d import PermDiagConv2D
 from repro.nn.layers.perm_diag_linear import PermDiagLinear
-from repro.nn.layers.recurrent import LSTM, LSTMCell, _DenseOp, _PDOp
+from repro.nn.layers.recurrent import LSTMCell
 from repro.nn.module import Module
 
 __all__ = ["LayerStorage", "ModelStorageReport", "model_storage_report"]
@@ -114,20 +114,14 @@ def model_storage_report(
     records: list[LayerStorage] = []
     for module in model.modules():
         if isinstance(module, LSTMCell):
-            for idx, op in enumerate(module.weight_matrices):
-                if isinstance(op, _PDOp):
-                    dense = op.matrix.shape[0] * op.matrix.shape[1]
-                    records.append(
-                        LayerStorage(f"LSTM.W[{idx}] (PD)", dense, op.matrix.nnz)
-                    )
-                elif isinstance(op, _DenseOp):
-                    records.append(
-                        LayerStorage(
-                            f"LSTM.W[{idx}] (dense)",
-                            op.weight.size,
-                            op.weight.size,
-                        )
-                    )
+            kind = "dense" if module.p is None else "PD"
+            widths = (module.input_size, module.hidden_size)
+            for name, width, op in zip("WU", widths, module.weight_matrices):
+                records.append(LayerStorage(
+                    f"LSTM.{name} ({kind})",
+                    4 * module.hidden_size * width,
+                    op.stored_weights,
+                ))
             continue
         record = _storage_for_layer(module, eie_index_bits)
         if record is not None:

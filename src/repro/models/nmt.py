@@ -67,8 +67,8 @@ class Seq2SeqNMT(Module):
 
     @property
     def num_weight_matrices(self) -> int:
-        """Total component FC matrices across the stack (32 in Table III)."""
-        return sum(len(lstm.cell.weight_matrices) for lstm in self.lstms)
+        """Table III's component FC matrices: 8 gate matrices per LSTM."""
+        return 8 * len(self.lstms)
 
     # ------------------------------------------------------------------
 

@@ -3,7 +3,12 @@
 The paper's NMT benchmark (Table III) is a stacked LSTM where "one FC in
 LSTM means one component weight matrix": each LSTM owns 8 weight matrices
 (four gates x {input projection W, recurrent projection U}), and PermDNN
-imposes the PD structure on all of them with ``p = 8``.
+imposes the PD structure on all of them with ``p = 8``.  The cell stores
+them as Table VII's two stacked matrices, ``W`` (``4h x input``) and ``U``
+(``4h x h``): block row ``4*b + k`` is gate ``k``'s block row ``b`` (gates
+``i, f, g, o``; bias and pre-activations likewise, in blocks of ``p``, or
+of ``h`` for dense cells), so whole hidden blocks of rows hold every gate
+of a range of hidden units -- one shard of the recurrent serving stage.
 
 Weights are abstracted as *ops* so the same cell runs dense (baseline) or
 block-permuted diagonal (compressed): an op exposes a stateless
@@ -20,20 +25,22 @@ from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
-__all__ = ["LSTM", "LSTMCell", "sigmoid"]
-
-_GATES = ("i", "f", "g", "o")
+__all__ = [
+    "LSTM",
+    "LSTMCell",
+    "join_gates",
+    "lstm_update",
+    "split_gates",
+    "stack_gates",
+]
 
 
 class _DenseOp(Module):
     """Dense ``(out, in)`` matrix op."""
 
-    def __init__(self, in_features: int, out_features: int, rng) -> None:
+    def __init__(self, weight: np.ndarray) -> None:
         super().__init__()
-        scale = 1.0 / np.sqrt(max(in_features, 1))
-        self.weight = Parameter(
-            rng.uniform(-scale, scale, size=(out_features, in_features))
-        )
+        self.weight = Parameter(weight)
 
     @property
     def stored_weights(self) -> int:
@@ -50,60 +57,86 @@ class _DenseOp(Module):
 class _PDOp(Module):
     """Block-permuted diagonal matrix op (the paper's compressed FC)."""
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        p: int,
-        spec: PermutationSpec | None,
-        rng,
-    ) -> None:
+    def __init__(self, matrix: BlockPermutedDiagonalMatrix) -> None:
         super().__init__()
-        # Training stays float64 regardless of the process value-dtype
-        # default -- a reduced-precision matrix cannot alias the float64
-        # Parameter buffer below (see PermDiagLinear).
-        matrix = BlockPermutedDiagonalMatrix.random(
-            (out_features, in_features), p, spec=spec, rng=rng,
-            value_dtype="float64",
-        )
-        self.matrix = matrix
+        self._matrix = matrix
         # Aliasing contract: Parameter and matrix share one buffer, so
         # in-place optimizer updates reach the structured matrix directly.
         self.weight = Parameter(matrix.data)
         matrix.data = self.weight.value
 
     @property
+    def matrix(self) -> BlockPermutedDiagonalMatrix:
+        return self._matrix
+
+    @property
     def stored_weights(self) -> int:
-        return self.matrix.nnz
+        return self._matrix.nnz
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.matmat(x)
+        return self._matrix.matmat(x)
 
     def grad(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        self.weight.grad += self.matrix.grad_data(x, dy)
-        return self.matrix.rmatmat(dy)
+        self.weight.grad += self._matrix.grad_data(x, dy)
+        return self._matrix.rmatmat(dy)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """The cell's gate nonlinearity (clipped for exp overflow).
-
-    Public because the serving runtime's recurrent stage must apply the
-    *same* function the cell applies -- bit-identical served steps depend
-    on sharing this exact expression, not a lookalike.
-    """
+    """The cell's gate nonlinearity (clipped for exp overflow)."""
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-_sigmoid = sigmoid
+def split_gates(stacked: np.ndarray, block: int) -> np.ndarray:
+    """The gates of a stacked last axis as a ``(4, ..., h)`` copy (each
+    gate a contiguous array, whatever ``block``)."""
+    lead = stacked.shape[:-1]
+    gates = np.moveaxis(stacked.reshape(*lead, -1, 4, block), -2, 0)
+    return gates.reshape(4, *lead, -1)
+
+
+def join_gates(gates, block: int) -> np.ndarray:
+    """Interleave four per-gate arrays per ``block`` (the stacked layout)."""
+    lead = gates[0].shape[:-1]
+    blocks = [np.reshape(gate, (*lead, -1, block)) for gate in gates]
+    return np.stack(blocks, axis=-2).reshape(*lead, -1)
+
+
+def stack_gates(gates) -> BlockPermutedDiagonalMatrix:
+    """Four ``(h, n)`` PD gate matrices as the stacked ``(4h, n)`` one
+    (block rows interleaved; value dtype and fixed-point format kept)."""
+    first = gates[0]
+    data = np.stack([gate.data for gate in gates], axis=1)
+    ks = np.stack([gate.ks for gate in gates], axis=1)
+    return BlockPermutedDiagonalMatrix(
+        data.reshape(-1, first.nb, first.p),
+        ks.reshape(-1, first.nb),
+        shape=(4 * first.shape[0], first.shape[1]),
+        value_dtype=first.value_dtype,
+        fixed_point=first.fixed_point,
+    )
+
+
+def lstm_update(
+    pre: np.ndarray, c_prev: np.ndarray, block: int
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The cell math on stacked ``(B, 4h)`` pre-activations, shared by
+    :meth:`LSTMCell.step` and the recurrent serving stage.  Returns ``h``,
+    ``c`` and the activations (gates and ``tanh_c``) backpropagation needs.
+    """
+    pre_i, pre_f, pre_g, pre_o = split_gates(pre, block)
+    i, f, g, o = sigmoid(pre_i), sigmoid(pre_f), np.tanh(pre_g), sigmoid(pre_o)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, {"i": i, "f": f, "g": g, "o": o, "tanh_c": tanh_c}
 
 
 class LSTMCell(Module):
-    """One LSTM step; owns the 8 weight matrices and 4 gate biases.
+    """One LSTM step over the stacked ``W``, ``U`` and bias (module docstring).
 
     Args:
         input_size: width of ``x_t``.
-        hidden_size: width of ``h_t`` / ``c_t``.
-        p: PD block size for all 8 matrices, or ``None`` for dense weights.
+        hidden_size: width of ``h_t`` / ``c_t``; a multiple of ``p``.
+        p: PD block size for both matrices, or ``None`` for dense weights.
         spec: permutation selection for PD weights.
         rng: generator or seed.
         forget_bias: initial forget-gate bias (1.0 helps gradient flow).
@@ -119,63 +152,56 @@ class LSTMCell(Module):
         forget_bias: float = 1.0,
     ) -> None:
         super().__init__()
+        if p is not None and hidden_size % p:
+            raise ValueError(
+                f"hidden_size {hidden_size} is not a multiple of p={p}"
+            )
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.p = p
+        self.block = hidden_size if p is None else p
 
         def make_op(n_in: int) -> Module:
             if p is None:
-                return _DenseOp(n_in, hidden_size, rng)
-            return _PDOp(n_in, hidden_size, p, spec, rng)
+                scale = 1.0 / np.sqrt(max(n_in, 1))
+                return _DenseOp(
+                    rng.uniform(-scale, scale, size=(4 * hidden_size, n_in))
+                )
+            # Training stays float64 whatever the value-dtype default: only
+            # a float64 matrix can alias its Parameter (see PermDiagLinear).
+            return _PDOp(stack_gates([
+                BlockPermutedDiagonalMatrix.random(
+                    (hidden_size, n_in), p, spec=spec, rng=rng,
+                    value_dtype="float64",
+                )
+                for _ in range(4)
+            ]))
 
-        self.w_ops = {gate: make_op(input_size) for gate in _GATES}
-        self.u_ops = {gate: make_op(hidden_size) for gate in _GATES}
-        self.biases = {
-            gate: Parameter(
-                np.full(hidden_size, forget_bias if gate == "f" else 0.0)
-            )
-            for gate in _GATES
-        }
+        self.w_op = make_op(input_size)
+        self.u_op = make_op(hidden_size)
+        bias = np.zeros((4, hidden_size))
+        bias[1] = forget_bias  # gates i, f, g, o
+        self.bias = Parameter(join_gates(bias, self.block))
 
     @property
     def weight_matrices(self) -> list[Module]:
-        """The 8 component FC matrices (paper's Table III terminology)."""
-        return [self.w_ops[g] for g in _GATES] + [self.u_ops[g] for g in _GATES]
+        """The stacked ``W`` and ``U`` ops (Table III's 8 matrices, 4 each)."""
+        return [self.w_op, self.u_op]
 
     @property
     def stored_weights(self) -> int:
-        """Scalar weights stored across the 8 matrices (PD counts non-zeros)."""
+        """Scalar weights stored across both matrices (PD counts non-zeros)."""
         return sum(op.stored_weights for op in self.weight_matrices)
 
     def step(
         self, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict]:
         """One forward step; returns ``(h, c, cache)`` for BPTT."""
-        pre = {
-            gate: self.w_ops[gate].matmat(x)
-            + self.u_ops[gate].matmat(h_prev)
-            + self.biases[gate].value
-            for gate in _GATES
-        }
-        i = _sigmoid(pre["i"])
-        f = _sigmoid(pre["f"])
-        g = np.tanh(pre["g"])
-        o = _sigmoid(pre["o"])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache = {
-            "x": x,
-            "h_prev": h_prev,
-            "c_prev": c_prev,
-            "i": i,
-            "f": f,
-            "g": g,
-            "o": o,
-            "tanh_c": tanh_c,
-        }
+        pre = self.w_op.matmat(x) + self.u_op.matmat(h_prev) + self.bias.value
+        h, c, activations = lstm_update(pre, c_prev, self.block)
+        cache = {"x": x, "h_prev": h_prev, "c_prev": c_prev, **activations}
         return h, c, cache
 
     def step_backward(
@@ -194,21 +220,16 @@ class LSTMCell(Module):
         i, f, g, o = cache["i"], cache["f"], cache["g"], cache["o"]
         tanh_c = cache["tanh_c"]
         dc_total = dc + dh * o * (1.0 - tanh_c**2)
-        dgate = {
-            "i": dc_total * g * i * (1.0 - i),
-            "f": dc_total * cache["c_prev"] * f * (1.0 - f),
-            "g": dc_total * i * (1.0 - g**2),
-            "o": dh * tanh_c * o * (1.0 - o),
-        }
-        dx = np.zeros_like(cache["x"])
-        dh_prev = np.zeros_like(cache["h_prev"])
-        for gate in _GATES:
-            dz = dgate[gate]
-            dx += self.w_ops[gate].grad(cache["x"], dz)
-            dh_prev += self.u_ops[gate].grad(cache["h_prev"], dz)
-            self.biases[gate].grad += dz.sum(axis=0)
-        dc_prev = dc_total * f
-        return dx, dh_prev, dc_prev
+        dz = join_gates([
+            dc_total * g * i * (1.0 - i),
+            dc_total * cache["c_prev"] * f * (1.0 - f),
+            dc_total * i * (1.0 - g**2),
+            dh * tanh_c * o * (1.0 - o),
+        ], self.block)
+        dx = self.w_op.grad(cache["x"], dz)
+        dh_prev = self.u_op.grad(cache["h_prev"], dz)
+        self.bias.grad += dz.sum(axis=0)
+        return dx, dh_prev, dc_total * f
 
 
 class LSTM(Module):

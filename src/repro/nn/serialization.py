@@ -73,11 +73,12 @@ _LEGACY_PLAN_KEY = "pd_plan"
 def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
     """Structured matrices of the model's PD layers, in discovery order.
 
-    Covers both FC layers (their `_matrix`) and PD convolutions (the
-    first offset matrix of their `_tensor`, whose ``ks`` all offsets
-    share).  Discovery order is deterministic for a fixed architecture,
-    which is what lets ``ks`` keys pair back up with their layers at load
-    time (the same state-dict discipline the parameters follow).
+    Covers FC layers and LSTM cells' stacked ``W`` and ``U`` (their
+    `_matrix`) and PD convolutions (the first offset matrix of their
+    `_tensor`, whose ``ks`` all offsets share).  Discovery order is
+    deterministic for a fixed architecture, which is what lets ``ks``
+    keys pair back up with their layers at load time (the same state-dict
+    discipline the parameters follow).
     """
     matrices = []
     for module in model.modules():
@@ -206,12 +207,7 @@ def model_stage_specs(model: Module) -> list:
             continue  # inference no-ops (conv stages emit channel-major flat)
         elif isinstance(module, (LSTM, LSTMCell)):
             cell = module.cell if isinstance(module, LSTM) else module
-            if any(
-                not isinstance(
-                    getattr(op, "matrix", None), BlockPermutedDiagonalMatrix
-                )
-                for op in cell.weight_matrices
-            ):
+            if cell.p is None:
                 raise UnsupportedLayerError(
                     index, module,
                     "uses dense weight ops; the recurrent stage serves "

@@ -18,8 +18,8 @@ pipeline between the per-layer shard arrays.
   products: :class:`ShardedLayer` (one FC layer, 1 slot),
   :class:`LoweredConvStage` (a PD convolution lowered to ``kh*kw``
   per-offset FC batches, row-sharded over output channels), and
-  :class:`RecurrentStage` (one LSTM-cell timestep, 8 gate matrices
-  row-sharded over hidden units).  :class:`InvalidRequestError` rejects
+  :class:`RecurrentStage` (one LSTM-cell timestep, 2 stacked gate
+  matrices row-sharded over hidden units).  :class:`InvalidRequestError` rejects
   malformed, non-finite, or complex requests and arrival times at
   submission.
 - :class:`MicroBatcher` / :class:`BatchAssembler` / :class:`Request` /

@@ -7,9 +7,10 @@ a ``manifest.json`` describing the pipeline.  Since v3 each manifest layer
 entry carries a ``stage_kind`` tag (``"fc"`` / ``"conv"`` /
 ``"recurrent"``) and a ``slots`` count -- the number of consecutive image
 entries the stage occupies per shard (1 for FC, ``kh*kw`` offset matrices
-for a lowered conv, 8 gate matrices for an LSTM cell step).  v1/v2
-manifests predate the tag and load as single-slot FC stages, so old
-FC-only bundles keep cold-starting unchanged.
+for a lowered conv, 2 stacked gate matrices for an LSTM cell step; older
+recurrent entries hold 8 per-gate slots and are restacked at load).
+v1/v2 manifests predate the tag and load as single-slot FC stages, so
+old FC-only bundles keep cold-starting unchanged.
 
 Stages that need non-matrix state (the recurrent stage's gate biases)
 store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
-from repro.core.block_perm_diag import convert_values
+from repro.core.block_perm_diag import convert_values, row_shard_bounds
 from repro.hw.config import EngineConfig
 from repro.hw.conv_lowering import (
     accumulate_offsets,
@@ -56,7 +56,13 @@ from repro.hw.conv_lowering import (
     offset_matrices,
 )
 from repro.hw.engine import PermDNNEngine
-from repro.nn.layers.recurrent import LSTMCell, sigmoid
+from repro.nn.layers.recurrent import (
+    LSTMCell,
+    join_gates,
+    lstm_update,
+    split_gates,
+    stack_gates,
+)
 from repro.serve.batching import MicroBatcher, Request
 
 __all__ = [
@@ -72,10 +78,8 @@ __all__ = [
     "build_stages",
 ]
 
-# Gate order of every recurrent stage's image slots: the four input
-# projections W then the four recurrent projections U, gates in LSTMCell
-# order (input, forget, cell, output).
-_GATES = ("i", "f", "g", "o")
+# A recurrent stage's aux sidecar keys: its bias per gate, in cell order.
+_BIAS_KEYS = ("bias_i", "bias_f", "bias_g", "bias_o")
 
 
 class EmptyServeReportError(ValueError):
@@ -136,12 +140,12 @@ class ServedStage:
     A stage maps a flat ``(B, in_features)`` micro-batch to a flat
     ``(B, out_features)`` one on an array of shard engines.  It holds
     ``shard_slots``: per shard, the stage's ``num_slots`` PD matrices (1
-    for FC, ``kh*kw`` offset matrices for a lowered conv, 8 gate matrices
-    for an LSTM cell step), all cut at one set of block-row bounds, so
-    shard ``K`` owns rows ``row_bounds[K]`` of every slot.  Each shard
-    writes a disjoint column range of the output (thread-safe stitching,
-    bit-identical at every thread count) and the concatenation equals the
-    unsharded single-engine computation bit for bit.
+    for FC, ``kh*kw`` offset matrices for a lowered conv, 2 stacked gate
+    matrices for an LSTM cell step), all cut at one set of block-row
+    bounds, so shard ``K`` owns rows ``row_bounds[K]`` of every slot.
+    Each shard writes a disjoint column range of the output (thread-safe
+    stitching, bit-identical at every thread count) and the concatenation
+    equals the unsharded single-engine computation bit for bit.
 
     The base class owns the slot layout, capacity checks, the one stage
     body :meth:`run_batch` and the bundle hooks.  A kind adds its
@@ -504,33 +508,32 @@ class RecurrentStage(ServedStage):
     """One LSTM-cell timestep served across shard engines.
 
     The paper's NMT stack is LSTM cells whose 8 component matrices (four
-    gates x {input projection W, recurrent projection U}) are all PD; this
-    stage drives all 8 through the engine per step.  Every gate matrix is
-    row-sharded over **hidden units**, so shard ``K`` owns hidden rows
-    ``[lo, hi)`` of every gate and computes its slice of the whole cell
-    update locally: gate pre-activations from 8 engine batch calls (the
-    four ``W x`` products, then the four ``U h``), then the elementwise
-    cell math with exactly
-    :meth:`~repro.nn.layers.recurrent.LSTMCell.step`'s expressions (shared
-    ``sigmoid``/``tanh``), writing the ``h`` and ``c`` row slices of the
-    output.  Requests are ``[x | h_prev | c_prev]`` vectors and outputs
-    ``[h | c]``, so a sequence is served by feeding each step's output
-    state back into the next request -- and an encoder-decoder pair by
-    feeding the encoder's final ``[h | c]`` into the decoder stage's
-    requests.
+    gates x {input projection W, recurrent projection U}) are all PD,
+    stored as Table VII's two stacked matrices ``W`` and ``U`` (see
+    :mod:`repro.nn.layers.recurrent`): this stage's 2 slots.  Both are
+    row-sharded at whole hidden blocks, so shard ``K`` owns stacked rows
+    ``[lo, hi)`` -- every gate of hidden rows ``[lo/4, hi/4)`` -- and
+    computes its slice of the cell update locally: one ``W x`` and one
+    ``U h`` engine batch call, then the cell's own
+    :func:`~repro.nn.layers.recurrent.lstm_update`, writing the ``h`` and
+    ``c`` row slices of the output.  Requests are
+    ``[x | h_prev | c_prev]`` vectors and outputs ``[h | c]``, so a
+    sequence is served by feeding each step's output state back into the
+    next request -- and an encoder-decoder pair by feeding the encoder's
+    final ``[h | c]`` into the decoder stage's requests.
 
     Args:
         cell: the :class:`~repro.nn.layers.recurrent.LSTMCell` to serve
-            (gate matrices must be PD; weights and biases stay aliased,
-            so in-place training updates reach serving immediately).
-        num_shards: engines this stage spreads over.
-        value_dtype: optional reduced-precision conversion of the 8 gate
-            matrices (:func:`~repro.core.block_perm_diag.convert_values`).
+            (its matrices must be PD; weights and bias stay aliased, so
+            in-place training updates reach serving immediately).
+        num_shards: engines this stage spreads over (at most ``h / p``).
+        value_dtype: optional reduced-precision conversion of ``W`` and
+            ``U`` (:func:`~repro.core.block_perm_diag.convert_values`).
     """
 
     stage_kind = "recurrent"
     geometry = ("input_size", "hidden_size")
-    num_slots = 2 * len(_GATES)
+    num_slots = 2
 
     def __init__(
         self,
@@ -538,20 +541,19 @@ class RecurrentStage(ServedStage):
         num_shards: int,
         value_dtype: str | None = None,
     ) -> None:
-        gate_matrices = []
-        for ops in (cell.w_ops, cell.u_ops):
-            for gate in _GATES:
-                matrix = getattr(ops[gate], "matrix", None)
-                if not isinstance(matrix, BlockPermutedDiagonalMatrix):
-                    raise ValueError(
-                        "RecurrentStage needs PD gate matrices; build the "
-                        "cell with p set (dense cells are not servable)"
-                    )
-                gate_matrices.append(matrix)
-        gate_matrices = convert_values(gate_matrices, value_dtype)
+        if cell.p is None:
+            raise ValueError(
+                "RecurrentStage needs PD gate matrices; build the cell "
+                "with p set (dense cells are not servable)"
+            )
+        matrices = convert_values(
+            [op.matrix for op in cell.weight_matrices], value_dtype
+        )
+        # Whole hidden blocks: 4 stacked block rows each.
+        bounds = row_shard_bounds(cell.hidden_size // cell.p, num_shards)
         self._init_slots(
-            _shard_major(gate_matrices, num_shards),
-            biases={gate: cell.biases[gate].value for gate in _GATES},
+            [[m.row_shard(4 * a, 4 * b) for m in matrices] for a, b in bounds],
+            bias=cell.bias.value,
             input_size=cell.input_size,
             hidden_size=cell.hidden_size,
         )
@@ -560,80 +562,65 @@ class RecurrentStage(ServedStage):
     def from_manifest(
         cls, entry: dict, shard_slots: list, directory, **params
     ) -> "RecurrentStage":
+        if entry["slots"] == 8:  # written before the stacked layout
+            shard_slots = [
+                [stack_gates(slots[:4]), stack_gates(slots[4:])]
+                for slots in shard_slots
+            ]
         with np.load(Path(directory) / entry["aux_file"]) as aux:
-            params["biases"] = {gate: aux[f"bias_{gate}"] for gate in _GATES}
+            gates = [aux[key] for key in _BIAS_KEYS]
+        params["bias"] = join_gates(gates, int(entry["p"]))
         return super().from_manifest(entry, shard_slots, directory, **params)
 
     def _check_geometry(self) -> None:
-        self.input_size = int(self.input_size)
+        n_in = self.input_size = int(self.input_size)
         hidden = self.hidden_size = int(self.hidden_size)
-        for slots in self.shard_slots:
-            rows = slots[0].shape[0]
-            for slot, matrix in enumerate(slots):
-                expected_n = self.input_size if slot < len(_GATES) else hidden
-                if matrix.shape != (rows, expected_n):
-                    raise ValueError(
-                        f"gate slot {slot}: shape {matrix.shape} does not "
-                        f"match ({rows}, {expected_n})"
-                    )
-        if self.row_bounds[-1][1] != hidden:
+        self.block = self.shard_slots[0][0].p
+        for (lo, hi), (w, u) in zip(self.row_bounds, self.shard_slots):
+            widths = (w.shape[1], u.shape[1])
+            if (hi - lo) % (4 * self.block) or widths != (n_in, hidden):
+                raise ValueError(
+                    f"shard rows [{lo}, {hi}) with input widths {widths} are "
+                    f"not whole hidden blocks of a {n_in} -> {hidden} cell"
+                )
+        covered = (self.row_bounds[-1][1], np.size(self.bias))
+        if covered != (4 * hidden, 4 * hidden):
             raise ValueError(
-                f"shards cover {self.row_bounds[-1][1]} hidden rows, cell "
-                f"has {hidden}"
+                f"shards cover {covered[0]} stacked rows and the bias holds "
+                f"{covered[1]}; the cell has 4 x {hidden}"
             )
-        missing = set(_GATES) - set(self.biases)
-        if missing:
-            raise ValueError(f"missing gate biases: {sorted(missing)}")
-        self.in_features = self.input_size + 2 * hidden
+        self.in_features = n_in + 2 * hidden
         self.out_features = 2 * hidden
         # Elementwise cell math runs in the engines' compute dtype; for
-        # float64 keep the live (aliased) bias views so in-place updates
-        # reach serving, like every other stage's weights.
-        if np.dtype(self.compute_dtype) == np.float64:
-            self._biases_c = self.biases
-        else:
-            self._biases_c = {
-                gate: np.asarray(value, dtype=self.compute_dtype)
-                for gate, value in self.biases.items()
-            }
+        # float64 this is the live (aliased) bias, so in-place updates
+        # reach serving like every other stage's weights.
+        self._bias_c = np.asarray(self.bias, dtype=self.compute_dtype)
 
     def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
-        """``x`` for the four W gates, then ``h_prev`` for the four U gates."""
-        start = self.input_size
-        x = x_batch[:, :start]
-        h_prev = x_batch[:, start : start + self.hidden_size]
-        return [x] * len(_GATES) + [h_prev] * len(_GATES)
+        """``x`` for the ``W`` slot, then ``h_prev`` for the ``U`` slot."""
+        start, stop = self.input_size, self.input_size + self.hidden_size
+        return [x_batch[:, :start], x_batch[:, start:stop]]
 
     def _combine(self, products, x_batch, outputs, lo, hi) -> None:
-        """The cell update of hidden rows ``[lo, hi)``: ``h`` and ``c``."""
-        hidden = self.hidden_size
-        products = list(products)
-        w_x, u_h = products[: len(_GATES)], products[len(_GATES) :]
+        """The cell update of hidden rows ``[lo/4, hi/4)``: ``h`` and ``c``."""
+        w_x, u_h = products
         # Same association order as LSTMCell.step: (W x + U h) + b.
-        pre = {
-            gate: w + u + self._biases_c[gate][lo:hi]
-            for gate, w, u in zip(_GATES, w_x, u_h)
-        }
-        gate_i = sigmoid(pre["i"])
-        gate_f = sigmoid(pre["f"])
-        gate_g = np.tanh(pre["g"])
-        gate_o = sigmoid(pre["o"])
+        pre = w_x + u_h + self._bias_c[lo:hi]
+        lo, hi, hidden = lo // 4, hi // 4, self.hidden_size
         c_start = self.input_size + hidden
         c_prev = np.asarray(
             x_batch[:, c_start + lo : c_start + hi], dtype=self.compute_dtype
         )
-        c = gate_f * c_prev + gate_i * gate_g
-        outputs[:, lo:hi] = gate_o * np.tanh(c)
+        h, c, _ = lstm_update(pre, c_prev, self.block)
+        outputs[:, lo:hi] = h
         outputs[:, hidden + lo : hidden + hi] = c
 
     # Kept per class for perfbench's tracer (see ShardedLayer).
     run_batch = ServedStage.run_batch
 
     def aux_payload(self) -> dict | None:
-        return {
-            f"bias_{gate}": np.asarray(self.biases[gate], dtype=np.float64)
-            for gate in _GATES
-        }
+        bias = np.asarray(self.bias, dtype=np.float64)
+        return dict(zip(_BIAS_KEYS, split_gates(bias, self.block)))
 
     def __repr__(self) -> str:
         return (

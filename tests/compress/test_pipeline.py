@@ -155,18 +155,18 @@ class TestConvertModel:
 
 
 class TestConvertCell:
-    def test_projects_all_eight_gates(self):
+    def test_projects_every_gate(self):
         dense = LSTMCell(16, 32, p=None, rng=0)
+        dense.bias.value[...] = np.arange(128.0)
         pd, reports = convert_cell(dense, p=8)
         assert pd.p == 8
-        assert len(reports) == 8
+        assert [r.name for r in reports] == ["LSTM.W", "LSTM.U"]
         assert {r.kind for r in reports} == {"lstm-gate"}
-        names = {r.name for r in reports}
-        assert "LSTM.W[i]" in names and "LSTM.U[o]" in names
-        for gate in ("i", "f", "g", "o"):
-            np.testing.assert_array_equal(
-                pd.biases[gate].value, dense.biases[gate].value
-            )
+        # Dense cells stack gates in blocks of h, PD cells in blocks of p.
+        np.testing.assert_array_equal(
+            pd.bias.value.reshape(-1, 4, 8).transpose(1, 0, 2).reshape(-1),
+            dense.bias.value,
+        )
 
     def test_rejects_already_pd_cell(self):
         with pytest.raises(CompressionError, match="already uses PD"):
@@ -177,6 +177,12 @@ class TestConvertCell:
         pd, reports = convert_cell(dense, p=8)
         assert pd.p == 1
         assert all("p clamped to 1" in r.note for r in reports)
+
+    def test_p_clamps_when_it_does_not_divide_hidden_size(self):
+        dense = LSTMCell(16, 20, p=None, rng=0)
+        pd, reports = convert_cell(dense, p=8)
+        assert pd.p == 1
+        assert all("does not divide hidden 20" in r.note for r in reports)
 
 
 class TestCompressArrays:

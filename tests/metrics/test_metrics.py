@@ -139,7 +139,7 @@ class TestCompressionReport:
         model = Wrapper()
         model.lstm = LSTM(16, 16, p=4, rng=0)
         report = model_storage_report(model)
-        assert len(report.layers) == 8  # 8 component matrices
+        assert len(report.layers) == 2  # stacked W and U: 4 gates each
         assert report.compression_ratio == pytest.approx(4.0)
 
 

@@ -24,10 +24,18 @@ def _numeric_input_grad(lstm, x, seed, eps=1e-6):
 
 
 class TestLSTMCell:
-    def test_has_eight_weight_matrices(self):
-        """Paper Table III: '8 FC weight matrices for each LSTM'."""
-        cell = LSTMCell(8, 8, rng=0)
-        assert len(cell.weight_matrices) == 8
+    def test_has_two_stacked_gate_matrices(self):
+        """Paper Table III's '8 FC weight matrices for each LSTM', stored
+        as Table VII's two stacked matrices: four gates each."""
+        cell = LSTMCell(6, 8, rng=0)
+        assert [op.weight.shape for op in cell.weight_matrices] == [
+            (32, 6),
+            (32, 8),
+        ]
+
+    def test_pd_block_must_divide_hidden_size(self):
+        with pytest.raises(ValueError, match="not a multiple of p=3"):
+            LSTMCell(10, 20, p=3, rng=0)
 
     def test_pd_cell_stores_one_pth_of_dense(self):
         dense = LSTMCell(16, 16, rng=1)
@@ -43,8 +51,9 @@ class TestLSTMCell:
 
     def test_forget_bias_initialized(self):
         cell = LSTMCell(4, 4, forget_bias=1.0, rng=4)
-        np.testing.assert_allclose(cell.biases["f"].value, 1.0)
-        np.testing.assert_allclose(cell.biases["i"].value, 0.0)
+        gates = cell.bias.value.reshape(-1, 4, cell.block)
+        np.testing.assert_allclose(gates[:, 1], 1.0)
+        np.testing.assert_allclose(gates[:, 0], 0.0)
 
     def test_gate_ranges(self):
         cell = LSTMCell(4, 6, rng=5)

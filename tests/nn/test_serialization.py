@@ -149,6 +149,32 @@ class TestPlanCheckpointing:
             load_model(path, self._random_spec_layer())
 
 
+class TestLSTMCheckpointing:
+    def test_pd_cell_checkpoint_checks_its_ks(self, tmp_path):
+        """A PD cell's stacked W and U carry their ks: a searched
+        structure never loads into a cell with other permutations, and a
+        matching cell round-trips bit for bit."""
+        from repro.compress import convert_cell
+        from repro.nn import LSTMCell
+
+        pd, _ = convert_cell(LSTMCell(16, 32, p=None, rng=0), p=8)
+        path = str(tmp_path / "cell.npz")
+        save_model(path, pd)
+        with np.load(path) as archive:
+            assert {"pd_ks_0", "pd_ks_1"} <= set(archive.files)
+        with pytest.raises(ValueError, match="PD matrix 0"):
+            load_model(path, LSTMCell(16, 32, p=8, rng=1))
+
+        clone = LSTMCell(16, 32, p=8, rng=1)
+        for op, source in zip(clone.weight_matrices, pd.weight_matrices):
+            op.matrix.set_structure(ks=source.matrix.ks)
+        load_model(path, clone)
+        rng = np.random.default_rng(2)
+        x, h, c = (rng.normal(size=(3, n)) for n in (16, 32, 32))
+        for got, want in zip(clone.step(x, h, c)[:2], pd.step(x, h, c)[:2]):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestUnsupportedLayerError:
     def test_is_a_value_error(self):
         """Existing ``except ValueError`` call sites keep catching it."""

@@ -8,7 +8,10 @@ not divide the layer dimensions):
 - ``run_conv_layer`` is the one-engine, B=1 case of ``LoweredConvStage``,
   paying one pipeline fill per offset product (also on Hypothesis-drawn
   conv shapes);
-- a recurrent step costs exactly its 8 per-gate engine batch calls;
+- a recurrent step costs exactly its two stacked engine batch calls
+  (``W`` and ``U``) and does the MACs of its 8 per-gate products (also
+  on Hypothesis-drawn cell shapes, where sharded and served steps match
+  the 1-shard stage and ``LSTMCell.step`` bitwise);
 - a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by
   layer, and with the whole request set as one batch it matches the
   per-layer ``run_fc_batch`` loop, makespan included;
@@ -66,7 +69,7 @@ def _conv_tensor():
 
 
 def _cell():
-    return LSTMCell(10, 20, p=3, rng=0)
+    return LSTMCell(10, 21, p=3, rng=0)
 
 
 def _stage(kind, num_shards, value_dtype):
@@ -122,30 +125,78 @@ def test_run_conv_layer_is_the_one_shard_stage(value_dtype, stride, padding):
     assert result.macs == expected_macs
 
 
-@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
-def test_recurrent_step_counts_its_gate_products(value_dtype):
-    cell = _cell()
-    stage = RecurrentStage(cell, 1, value_dtype=value_dtype)
-    xs = _sparse((5, 10 + 2 * 20), seed=2)
-    engine = PermDNNEngine()
-    _, cycles, macs = stage.run_batch([engine], xs)
+def _gate_rows(matrix, gate):
+    """Gate ``gate``'s ``(h, n)`` matrix: a row view of a stacked one."""
+    return BlockPermutedDiagonalMatrix(
+        matrix.data[gate::4],
+        matrix.ks[gate::4],
+        shape=(matrix.shape[0] // 4, matrix.shape[1]),
+        value_dtype=matrix.value_dtype,
+        fixed_point=matrix.fixed_point,
+    )
 
-    reference = PermDNNEngine()
+
+def _check_recurrent_step_counts(cell, xs, value_dtype):
+    """A 1-shard recurrent stage costs its two stacked engine calls, and
+    does the MACs of the cell's eight per-gate products."""
+    stage = RecurrentStage(cell, 1, value_dtype=value_dtype)
+    engine = PermDNNEngine()
+    out, cycles, macs = stage.run_batch([engine], xs)
+
+    stacked, per_gate = PermDNNEngine(), PermDNNEngine()
     ref_cycles = ref_macs = 0
-    for ops, inputs in ((cell.w_ops, xs[:, :10]), (cell.u_ops, xs[:, 10:30])):
-        for gate in ("i", "f", "g", "o"):
-            matrix = ops[gate].matrix.with_value_dtype(value_dtype)
-            _, gate_cycles, gate_macs = reference.run_fc_batch_detailed(
-                matrix, inputs
+    split = np.cumsum([cell.input_size, cell.hidden_size])
+    for op, inputs in zip(cell.weight_matrices, np.split(xs, split, axis=1)):
+        matrix = op.matrix.with_value_dtype(value_dtype)
+        _, op_cycles, _ = stacked.run_fc_batch_detailed(matrix, inputs)
+        ref_cycles += op_cycles
+        for gate in range(4):
+            _, _, gate_macs = per_gate.run_fc_batch_detailed(
+                _gate_rows(matrix, gate), inputs
             )
-            ref_cycles += gate_cycles
             ref_macs += gate_macs
     assert cycles == [ref_cycles]
     assert macs == [ref_macs]
     for name in ("weight_sram", "perm_sram", "act_sram"):
         got = getattr(engine, name).stats
-        want = getattr(reference, name).stats
+        want = getattr(stacked, name).stats
         assert (got.reads, got.writes) == (want.reads, want.writes), name
+    return out, macs
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+def test_recurrent_step_counts_its_gate_products(value_dtype):
+    _check_recurrent_step_counts(
+        _cell(), _sparse((5, 10 + 2 * 21), seed=2), value_dtype
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    blocks=st.integers(1, 4),
+    input_size=st.integers(1, 12),
+    batch=st.integers(1, 5),
+    value_dtype=st.sampled_from(VALUE_DTYPES),
+    seed=st.integers(0, 2**16),
+)
+def test_recurrent_paths_agree_on_drawn_shapes(
+    p, blocks, input_size, batch, value_dtype, seed
+):
+    hidden = p * blocks
+    cell = LSTMCell(input_size, hidden, p=p, rng=seed)
+    xs = _sparse((batch, input_size + 2 * hidden), seed=seed)
+    reference, macs = _check_recurrent_step_counts(cell, xs, value_dtype)
+    if value_dtype == "float64":
+        x, h_prev, c_prev = np.split(xs, [input_size, input_size + hidden], 1)
+        h, c, _ = cell.step(x, h_prev, c_prev)
+        np.testing.assert_array_equal(reference, np.concatenate([h, c], 1))
+    for num_shards in range(2, min(3, blocks) + 1):
+        stage = RecurrentStage(cell, num_shards, value_dtype=value_dtype)
+        engines = [PermDNNEngine() for _ in range(num_shards)]
+        sharded, _, shard_macs = stage.run_batch(engines, xs)
+        np.testing.assert_array_equal(sharded, reference)
+        assert sum(shard_macs) == sum(macs)
 
 
 @pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
