@@ -5,9 +5,9 @@ Measures the three products every training step pays --
 - forward: ``Y = matmat(X)``;
 - backward: ``dX = rmatmat(dY)`` plus ``dQ = grad_data(X, dY)``;
 
--- through the cached index plan and the process kernel backend (``csr``
-unless ``REPRO_BACKEND`` selects another), and compares against two
-frozen baselines:
+-- through the cached index plan and the product kernel
+(:mod:`repro.core.kernel`, the table's ``backend`` column: always
+``csr``), and compares against two frozen baselines:
 
 - **naive** (pre-PR 1): a fresh structured matrix per call (indices and
   support recomputed from scratch) whose input gradient goes through a
@@ -25,7 +25,6 @@ Usage::
     python benchmarks/bench_kernel_hotpath.py --smoke             # CI canary
     python benchmarks/bench_kernel_hotpath.py --dtype float32     # reduced precision
     python benchmarks/bench_kernel_hotpath.py --dtype all         # dtype sweep table
-    REPRO_BACKEND=numba python benchmarks/bench_kernel_hotpath.py # another backend
 
 Tables land in ``benchmarks/results/``: ``bench_kernel_hotpath.txt`` for
 one dtype, ``bench_kernel_dtypes.txt`` for ``--dtype all``.  ``--smoke``
@@ -194,7 +193,7 @@ def bench_point(
         n,
         p,
         batch,
-        matrix.resolved_backend(),
+        "csr",
         value_dtype,
         f"{fwd_s * 1e3:.2f}",
         f"{fwd_gmacs:.2f}",

@@ -14,11 +14,6 @@ Usage (module form):
     python -m repro.cli compress     --entry lenet --out runs/compress
     python -m repro.cli compress-zoo --out runs/compress_zoo [--entry nmt]
 
-The kernel backend used for the numerical products is selected
-process-wide with the ``REPRO_BACKEND`` environment variable
-(``csr``/``numba``; see :mod:`repro.core.backends`); an unknown or
-unavailable name exits cleanly through :func:`main`.
-
 Command implementations are plain library code: they raise typed errors
 (e.g. :class:`repro.hw.UnknownWorkloadError`) and only :func:`main`
 converts those into ``SystemExit`` for terminal users.
@@ -392,7 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     library functions.
     """
     from repro.compress import UnknownStrategyError, ZooEntryError
-    from repro.core import BackendUnavailableError, UnknownBackendError
     from repro.hw import UnknownWorkloadError
     from repro.serve import UnknownArrivalProcessError
 
@@ -402,8 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         UnknownWorkloadError,
-        UnknownBackendError,
-        BackendUnavailableError,
         UnknownArrivalProcessError,
         UnknownStrategyError,
         ZooEntryError,

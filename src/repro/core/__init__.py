@@ -17,9 +17,10 @@ Public API
 - :func:`natural_permutation`, :func:`random_permutation` -- ``k_l`` selection.
 - :func:`approximate_pd` / :func:`approximate_pd_tensor` -- optimal
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
-- :func:`set_default_backend` / :func:`available_backends` -- the one
-  process-wide kernel-backend choice (see :mod:`repro.core.backends`):
-  ``set_default_backend``, else ``REPRO_BACKEND``, else ``csr``.
+- :mod:`repro.core.kernel` -- the one product kernel (scipy CSR products
+  and the batched weight gradient), which every product calls directly;
+  :func:`default_backend` / :func:`available_backends` name it (``csr``)
+  for host reports and choose nothing.
 - :func:`set_default_value_dtype` / :func:`default_value_dtype` --
   process-wide value-storage selection (float64 / float32 / int16
   fixed-point; see :mod:`repro.core.value_types`); individual matrices
@@ -27,14 +28,6 @@ Public API
   :meth:`BlockPermutedDiagonalMatrix.with_value_dtype`.
 """
 
-from repro.core.backends import (
-    BackendUnavailableError,
-    UnknownBackendError,
-    available_backends,
-    default_backend,
-    get_backend,
-    set_default_backend,
-)
 from repro.core.value_types import (
     VALUE_DTYPES,
     UnknownValueDtypeError,
@@ -68,14 +61,23 @@ from repro.core.storage import (
     unstructured_sparse_storage_bits,
 )
 
+
+def default_backend() -> str:
+    """Name of the product kernel: always ``"csr"``."""
+    return "csr"
+
+
+def available_backends() -> tuple[str, ...]:
+    """Names of the product kernels: only ``("csr",)``."""
+    return ("csr",)
+
+
 __all__ = [
-    "BackendUnavailableError",
     "PermutationSpec",
     "PermutedDiagonalMatrix",
     "BlockPermutedDiagonalMatrix",
     "BlockPermDiagTensor4D",
     "StorageReport",
-    "UnknownBackendError",
     "UnknownValueDtypeError",
     "VALUE_DTYPES",
     "approximate_pd",
@@ -87,7 +89,6 @@ __all__ = [
     "default_backend",
     "default_value_dtype",
     "dense_storage_bits",
-    "get_backend",
     "load_bpd",
     "natural_permutation",
     "nonzero_column",
@@ -96,7 +97,6 @@ __all__ = [
     "random_permutation",
     "row_shard_bounds",
     "save_bpd",
-    "set_default_backend",
     "set_default_value_dtype",
     "unstructured_sparse_storage_bits",
     "validate_value_dtype",

@@ -45,8 +45,8 @@ the hot-path memory traffic; products run end to end in float32), and
 through :meth:`~BlockPermutedDiagonalMatrix._kernel_data`, which hands
 them the storage array for the float modes and the codes dequantized to
 float64 for ``int16`` -- the power-of-two scale makes dequantize-then-
-accumulate bitwise equal to accumulate-then-scale, so backends carry no
-scaling logic.  Accumulation policy: float64 and int16 products
+accumulate bitwise equal to accumulate-then-scale, so the kernel carries
+no scaling logic.  Accumulation policy: float64 and int16 products
 accumulate in float64 (int16 is the software analogue of the paper's
 16-bit weights feeding wide accumulators); float32 accumulates in
 float32, which is where its speedup comes from.
@@ -69,13 +69,12 @@ buffer is unsupported (products ignore those slots, but storage accounting
 assumes they stay zero and :meth:`~BlockPermutedDiagonalMatrix.from_q`
 rejects a ``q`` that holds them).
 
-Backend dispatch
-----------------
-The products themselves execute through the process-wide
-:mod:`repro.core.backends` choice: ``csr`` (scipy, int32-indexed CSR
-skeletons; the default) or ``numba`` (optional JIT).  The choice is
-:func:`repro.core.backends.set_default_backend`, else the
-``REPRO_BACKEND`` environment variable, else ``csr``.
+Product kernel
+--------------
+Every product calls the one kernel in :mod:`repro.core.kernel` directly:
+scipy CSR products over the plan's int32-indexed skeletons, and a
+batched gather-and-contract for the weight gradient.  There is no
+kernel choice to make, so matrices, layers and artifacts carry none.
 
 What artifacts store
 --------------------
@@ -99,7 +98,7 @@ import numpy as np
 
 from scipy import sparse as _scipy_sparse
 
-from repro.core import backends as _backends
+from repro.core import kernel as _kernel
 from repro.core import value_types as _value_types
 from repro.core.permutation import PermutationSpec
 
@@ -576,12 +575,12 @@ class BlockPermutedDiagonalMatrix:
         return np.dtype(np.float64)
 
     def _kernel_data(self) -> np.ndarray:
-        """Values as kernel backends consume them.
+        """Values as the kernel consumes them.
 
         The storage array itself for the float modes (zero-copy); for
         ``int16``, the codes dequantized to float64 in one fused multiply
-        (exact: the scale is a power of two).  Backends must read values
-        through this, never :attr:`data`, so they stay dtype-agnostic.
+        (exact: the scale is a power of two).  The kernel reads values
+        through this, never :attr:`data`, so it stays dtype-agnostic.
         """
         if self._value_dtype == "int16":
             from repro.nn.quantization import decode_fixed_point
@@ -621,16 +620,7 @@ class BlockPermutedDiagonalMatrix:
             data = logical.astype(
                 _value_types.storage_dtype(name), copy=False
             )
-        out = self.__class__.__new__(self.__class__)
-        out.p = self.p
-        out._ks = self._ks
-        out._shape = self._shape
-        out._plan = self._get_plan()
-        out._csr_cache = {}
-        out._value_dtype = name
-        out._fixed_point = fmt
-        out.data = data
-        return out
+        return self._sibling(self._get_plan(), data, name, fmt)
 
     # ------------------------------------------------------------------
     # Structure mutation and plan-sharing siblings
@@ -694,16 +684,9 @@ class BlockPermutedDiagonalMatrix:
         the index arithmetic is computed once for the whole family.
         ``data`` follows the aliasing contract.
         """
-        out = self.__class__.__new__(self.__class__)
-        out.p = self.p
-        out._ks = self._ks
-        out._shape = self._shape
-        out._plan = self._get_plan()
-        out._csr_cache = {}
-        out._value_dtype = self._value_dtype
-        out._fixed_point = self._fixed_point
-        out.data = data
-        return out
+        return self._sibling(
+            self._get_plan(), data, self._value_dtype, self._fixed_point
+        )
 
     def row_shard(
         self, start_block: int, stop_block: int
@@ -720,17 +703,12 @@ class BlockPermutedDiagonalMatrix:
         bit for bit, which is the contract the sharded serving runtime
         (:mod:`repro.serve`) is built on.
         """
-        plan = self._get_plan().row_block_slice(start_block, stop_block)
-        out = self.__class__.__new__(self.__class__)
-        out.p = self.p
-        out._ks = plan.ks
-        out._shape = plan.shape
-        out._plan = plan
-        out._csr_cache = {}
-        out._value_dtype = self._value_dtype
-        out._fixed_point = self._fixed_point
-        out.data = self._data[start_block:stop_block]
-        return out
+        return self._sibling(
+            self._get_plan().row_block_slice(start_block, stop_block),
+            self._data[start_block:stop_block],
+            self._value_dtype,
+            self._fixed_point,
+        )
 
     def row_shards(self, num_shards: int) -> list["BlockPermutedDiagonalMatrix"]:
         """Partition into ``num_shards`` contiguous row shards.
@@ -743,6 +721,28 @@ class BlockPermutedDiagonalMatrix:
             self.row_shard(start, stop)
             for start, stop in row_shard_bounds(self.mb, num_shards)
         ]
+
+    def _sibling(
+        self, plan: _IndexPlan, data: np.ndarray, value_dtype: str, fixed_point
+    ) -> "BlockPermutedDiagonalMatrix":
+        """New matrix over ``plan``'s structure holding ``data``.
+
+        The one place a matrix is built around an existing plan (see
+        :meth:`like`, :meth:`with_value_dtype` and :meth:`row_shard`): the
+        structure ``(ks, shape, p)`` is read off the plan, and ``data``
+        follows the aliasing contract at ``value_dtype`` /
+        ``fixed_point``.
+        """
+        out = self.__class__.__new__(self.__class__)
+        out.p = plan.p
+        out._ks = plan.ks
+        out._shape = plan.shape
+        out._plan = plan
+        out._csr_cache = {}
+        out._value_dtype = value_dtype
+        out._fixed_point = fixed_point
+        out.data = data
+        return out
 
     def _get_plan(self) -> _IndexPlan:
         plan = self._plan
@@ -1043,16 +1043,12 @@ class BlockPermutedDiagonalMatrix:
             mat.data[:] = self._csr_values(perm)
         return self._csr_cache[key][1]
 
-    def resolved_backend(self) -> str:
-        """The backend name a product call would execute on right now."""
-        return _backends.current_backend().name
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = W @ x`` touching only the ``m*n/p`` stored weights."""
         x = np.asarray(x, dtype=self.compute_dtype)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected x of shape ({self.shape[1]},), got {x.shape}")
-        return _backends.current_backend().matvec(self, x)
+        return _kernel.matvec(self, x)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """Batched forward product ``Y[b] = W @ X[b]`` for ``X`` of shape ``(B, n)``.
@@ -1067,14 +1063,14 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"expected X of shape (B, {self.shape[1]}), got {x.shape}"
             )
-        return _backends.current_backend().matmat(self, x)
+        return _kernel.matmat(self, x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """``W.T @ y`` (gradient propagation, Eqn. (3)), transpose-free."""
         y = np.asarray(y, dtype=self.compute_dtype)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected y of shape ({self.shape[0]},), got {y.shape}")
-        return _backends.current_backend().rmatvec(self, y)
+        return _kernel.rmatvec(self, y)
 
     def rmatmat(self, y: np.ndarray) -> np.ndarray:
         """Batched ``W.T`` product for ``Y`` of shape ``(B, m)`` -> ``(B, n)``.
@@ -1088,16 +1084,16 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"expected Y of shape (B, {self.shape[0]}), got {y.shape}"
             )
-        return _backends.current_backend().rmatmat(self, y)
+        return _kernel.rmatmat(self, y)
 
     def grad_data(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Gradient of a batch loss w.r.t. :attr:`data` (Eqn. (2)).
 
         ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` --
         only the stored (non-zero) weights receive gradient, which is what
-        keeps the trained network block-permuted diagonal.  Backends batch
-        this against the shared column skeleton (see
-        :func:`repro.core.backends.csr.batched_grad_data`).
+        keeps the trained network block-permuted diagonal.  The kernel
+        batches this against the shared column skeleton (see
+        :func:`repro.core.kernel.batched_grad_data`).
 
         Args:
             x: layer input, shape ``(B, n)``.
@@ -1118,7 +1114,7 @@ class BlockPermutedDiagonalMatrix:
             raise ValueError(
                 f"dy shape {dy.shape} does not match (B={batch}, m={self.shape[0]})"
             )
-        return _backends.current_backend().grad_data(self, x, dy)
+        return _kernel.batched_grad_data(self, x, dy)
 
     def frobenius_error(self, dense: np.ndarray) -> float:
         """Frobenius-norm distance ``||dense - W||_F`` (approximation error)."""

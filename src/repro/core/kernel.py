@@ -1,27 +1,45 @@
-"""scipy CSR backend: int32-indexed sparse products off the cached skeleton.
+"""The block-PD product kernel: scipy CSR products and the weight gradient.
+
+:class:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix` calls
+these functions directly for the three products every training step pays
+-- :func:`matmat` (forward), :func:`rmatmat` (input gradient) and
+:func:`batched_grad_data` (weight gradient) -- plus the single-vector
+:func:`matvec` and :func:`rmatvec`.
 
 The CSR skeleton (``indptr``/``indices``) comes from the index plan and is
 stored in int32 whenever the matrix dimensions permit -- scipy's sparsetools
 native index type -- which halves the index traffic of every spmm against
-the int64 skeletons of earlier revisions.  Only the ``nnz`` value buffer is
-refreshed per call (a single plan-ordered gather, dequantizing int16 codes
-on the fly), so in-place weight updates are always reflected without
-rebuilding structure.  The value buffer lives in the matrix's compute
-dtype: float32 storage runs scipy's float32 spmm end to end (half the
-memory traffic), everything else the float64 reference arithmetic.
+an int64 skeleton.  Only the ``nnz`` value buffer is refreshed per call (a
+single plan-ordered gather, dequantizing int16 codes on the fly; see
+``BlockPermutedDiagonalMatrix._csr``), so in-place weight updates are
+always reflected without rebuilding structure.  The value buffer lives in
+the matrix's compute dtype: float32 storage runs scipy's float32 spmm end
+to end (half the memory traffic), everything else the float64 reference
+arithmetic.
 
 The weight gradient reuses the same column skeleton through a batched
 contraction (:func:`batched_grad_data`): sparse storage buys nothing there
 because the output is exactly the dense ``(mb, nb, p)`` value array.
+
+Contract: every function receives operands of the correct shape, already
+cast to the matrix's compute dtype
+(:attr:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.compute_dtype`),
+and may index them without re-checking; input validation stays on the
+matrix.  All per-matrix state (the cached index plan, the refreshed CSR
+value buffers) lives on the matrix, never here.  Weight values are read
+through ``matrix._kernel_data()`` or the CSR value refresh, never
+``matrix.data``, which may hold int16 fixed-point codes.  Every
+temporary or output buffer is allocated with an explicit dtype derived
+from the operands: a dtype-less ``np.zeros`` / ``np.empty`` silently
+upcasts float32 products to float64, and repro-lint rule RPR009 bans it
+in this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backends.base import KernelBackend
-
-__all__ = ["CsrBackend", "batched_grad_data"]
+__all__ = ["batched_grad_data", "matmat", "matvec", "rmatmat", "rmatvec"]
 
 # Below this many gathered float64 elements the weight gradient runs as
 # one gather; above it, the cache-blocked transposed path wins.
@@ -31,6 +49,26 @@ _ONESHOT_LIMIT_ELEMENTS = 1 << 20
 # cache-blocked path; chosen so slab + einsum output stay cache resident
 # (measured fastest across 512..4096-wide layers, see docs/BENCHMARKS.md).
 _CHUNK_TARGET_ELEMENTS = 1 << 16
+
+
+def matmat(matrix, x: np.ndarray) -> np.ndarray:
+    """Forward ``Y[b] = W @ X[b]`` for ``X`` of shape ``(B, n)``."""
+    return np.ascontiguousarray(matrix._csr(False).dot(x.T).T)
+
+
+def rmatmat(matrix, y: np.ndarray) -> np.ndarray:
+    """Transposed ``X[b] = W.T @ Y[b]`` for ``Y`` of shape ``(B, m)``."""
+    return np.ascontiguousarray(matrix._csr(True).dot(y.T).T)
+
+
+def matvec(matrix, x: np.ndarray) -> np.ndarray:
+    """``W @ x`` for one input vector."""
+    return matrix._csr(False) @ x
+
+
+def rmatvec(matrix, y: np.ndarray) -> np.ndarray:
+    """``W.T @ y`` for one output-gradient vector."""
+    return matrix._csr(True) @ y
 
 
 def _chunk_rows(block_rows: int, per_row: int) -> int:
@@ -93,24 +131,3 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     if plan.full_support:
         return grad
     return grad * plan.support
-
-
-class CsrBackend(KernelBackend):
-    """Products through ``scipy.sparse`` CSR views of ``W`` and ``W.T``."""
-
-    name = "csr"
-
-    def matmat(self, matrix, x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(matrix._csr(False).dot(x.T).T)
-
-    def rmatmat(self, matrix, y: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(matrix._csr(True).dot(y.T).T)
-
-    def matvec(self, matrix, x: np.ndarray) -> np.ndarray:
-        return matrix._csr(False) @ x
-
-    def rmatvec(self, matrix, y: np.ndarray) -> np.ndarray:
-        return matrix._csr(True) @ y
-
-    def grad_data(self, matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        return batched_grad_data(matrix, x, dy)

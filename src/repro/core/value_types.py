@@ -19,11 +19,11 @@ by a ``value_dtype`` name:
     bit-identical to a float64 matrix holding the dequantized weights.
 
 Because the fixed-point scale is a power of two, dequantize-then-
-accumulate equals accumulate-then-scale bit for bit; backends therefore
-carry no scaling logic at all (they read
+accumulate equals accumulate-then-scale bit for bit; the kernel
+therefore carries no scaling logic at all (it reads
 ``BlockPermutedDiagonalMatrix._kernel_data()``).
 
-Process-wide default resolution mirrors the kernel-backend registry:
+Process-wide default resolution:
 :func:`set_default_value_dtype` wins, then the ``REPRO_VALUE_DTYPE``
 environment variable, then ``"float64"``.  Only the two float modes can
 be process defaults -- ``int16`` needs a per-matrix

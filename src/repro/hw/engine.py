@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import BlockPermutedDiagonalMatrix
+from repro.core import BlockPermutedDiagonalMatrix, nonzero_column
 from repro.hw.config import EngineConfig
 from repro.hw.energy import AreaPowerModel
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
@@ -116,8 +116,7 @@ def load_engine_image(
     Returns:
         ``(matrix, activation)`` pairs ready for
         :meth:`PermDNNEngine.run_network`, each at its exported value
-        dtype (v1 images load as float64).  Products run on the process
-        kernel backend.
+        dtype (v1 images load as float64).
     """
     layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
     with np.load(path) as archive:
@@ -150,6 +149,36 @@ def load_engine_image(
             activation = str(archive[f"layer{idx}_activation"]) or None
             layers.append((matrix, activation))
     return layers
+
+
+def _stored_macs(
+    matrix: BlockPermutedDiagonalMatrix,
+    x_batch: np.ndarray,
+    columns: int,
+    zero_skip: bool,
+) -> int:
+    """Weights stored in the processed columns of every row of ``x_batch``.
+
+    ``columns`` is the batch's processed-column count.  A full block row
+    stores exactly one weight in every column, so each processed column
+    costs ``mb`` MACs.  Only a row-padded matrix's last block row, which
+    keeps its first ``kept`` rows, stores fewer: its columns are read off
+    ``ks`` with Eqn. (1)'s modulo, and the batch's processed columns among
+    them are counted once more.
+    """
+    m, n = matrix.shape
+    p, mb = matrix.p, matrix.mb
+    kept = m - (mb - 1) * p
+    if kept == p:
+        return mb * columns
+    offsets = nonzero_column(np.arange(kept), matrix.ks[-1][:, None], p)
+    cols = (np.arange(matrix.nb)[:, None] * p + offsets).reshape(-1)
+    cols = cols[cols < n]
+    if zero_skip:
+        last = np.count_nonzero(x_batch[:, cols])
+    else:
+        last = x_batch.shape[0] * cols.size
+    return (mb - 1) * columns + int(last)
 
 
 @dataclass
@@ -281,7 +310,7 @@ class PermDNNEngine:
 
         nnz_x = int(np.count_nonzero(x)) if zero_skip else x.size
         cycles, compute_cycles, writeback_cycles, macs, case = (
-            self._account_batch(matrix, np.array([nnz_x]))
+            self._account_batch(matrix, x[None, :], zero_skip)
         )
         peak = compute_cycles * self.config.n_pe * self.config.pe.n_mul
         utilization = macs / peak if peak else 0.0
@@ -304,19 +333,22 @@ class PermDNNEngine:
         )
 
     def _account_batch(
-        self, matrix: BlockPermutedDiagonalMatrix, nnz_per: np.ndarray
+        self,
+        matrix: BlockPermutedDiagonalMatrix,
+        x_batch: np.ndarray,
+        zero_skip: bool,
     ) -> tuple[int, int, int, int, int]:
-        """The cycle model: ``B`` inputs streamed back to back.
+        """The cycle model: the ``B`` rows of ``x_batch`` streamed back to back.
 
-        ``nnz_per`` holds each input's processed columns (its non-zeros
-        under zero-skipping).  The pipeline fill is paid once; every input
-        adds its own compute cycles (Case 1/2: ``cycles_per_column`` per
-        column, Case 3: several columns retire per cycle) and one output
-        writeback.  MACs are the average non-zeros per matrix column times
-        ``nnz_x`` -- exact when ``p`` divides the shape -- rounded half to
-        even per input.  SRAM traffic: one weight row + one perm row per
-        PE per compute cycle, one activation read per processed column,
-        grouped activation writes.
+        Each input processes its non-zero columns under zero-skipping and
+        all ``n`` columns otherwise.  The pipeline fill is paid once; every
+        input adds its own compute cycles (Case 1/2: ``cycles_per_column``
+        per column, Case 3: several columns retire per cycle) and one
+        output writeback.  MACs are exact: every processed column costs
+        the weights stored in it (see :func:`_stored_macs`).  SRAM
+        traffic: one weight row + one perm row per PE per compute cycle,
+        one activation read per processed column, grouped activation
+        writes.
 
         Returns:
             ``(total_cycles, compute_cycles, writeback_cycles, macs,
@@ -324,6 +356,10 @@ class PermDNNEngine:
         """
         config = self.config
         pe = config.pe
+        if zero_skip:
+            nnz_per = np.count_nonzero(x_batch, axis=1)
+        else:
+            nnz_per = np.full(x_batch.shape[0], x_batch.shape[1])
         schedule = cycles_per_column(
             self.rows_per_pe(matrix.shape[0]), matrix.p, pe.n_mul, pe.n_acc
         )
@@ -334,14 +370,11 @@ class PermDNNEngine:
         writeback = nnz_per.size * math.ceil(
             matrix.shape[0] / config.activations_written_per_cycle
         )
-        macs = int(
-            np.rint(nnz_per * matrix.nnz / matrix.shape[1])
-            .astype(np.int64)
-            .sum()
-        )
+        columns = int(nnz_per.sum())
+        macs = _stored_macs(matrix, x_batch, columns, zero_skip)
         self.weight_sram.read(compute)
         self.perm_sram.read(compute)
-        self.act_sram.read(int(nnz_per.sum()))
+        self.act_sram.read(columns)
         self.act_sram.write(writeback)
         total = config.pipeline_stages + compute + writeback
         return total, compute, writeback, macs, schedule.case
@@ -418,7 +451,7 @@ class PermDNNEngine:
         The functional result is one batched product
         (:meth:`~repro.core.BlockPermutedDiagonalMatrix.matmat`) instead
         of ``B`` python-level mat-vecs -- numerically identical to the
-        per-sample :meth:`run_fc_layer` path (same backend, same
+        per-sample :meth:`run_fc_layer` path (same kernel, same
         accumulation order per output row) but it releases the GIL inside
         a single kernel call, which is what makes the serving runtime's
         shard threads (:mod:`repro.serve.server`) actually overlap.
@@ -436,11 +469,7 @@ class PermDNNEngine:
         if enforce_capacity:
             self.check_capacity(matrix)
         outputs = apply_activation(matrix.matmat(x_batch), activation)
-        if zero_skip:
-            nnz_per = np.count_nonzero(x_batch, axis=1)
-        else:
-            nnz_per = np.full(x_batch.shape[0], x_batch.shape[1])
-        total, _, _, macs, _ = self._account_batch(matrix, nnz_per)
+        total, _, _, macs, _ = self._account_batch(matrix, x_batch, zero_skip)
         return outputs, total, macs
 
     def run_network(

@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ColumnSchedule", "classify_case", "cycles_per_column", "layer_cycles",
-           "schedule_trace"]
+__all__ = ["ColumnSchedule", "classify_case", "cycles_per_column", "schedule_trace"]
 
 
 def classify_case(n_rowpe: int, p: int, n_mul: int, n_acc: int) -> int:
@@ -84,28 +83,6 @@ def cycles_per_column(n_rowpe: int, p: int, n_mul: int, n_acc: int) -> ColumnSch
     concurrent = max(int(p * n_mul // n_rowpe), 1)
     cycles = 1.0 / concurrent
     return ColumnSchedule(3, cycles, passes=1, columns_per_cycle=concurrent)
-
-
-def layer_cycles(
-    nonzero_columns: int,
-    n_rowpe: int,
-    p: int,
-    n_mul: int,
-    n_acc: int,
-    pipeline_stages: int = 5,
-) -> int:
-    """Total compute cycles for a layer: non-zero columns x schedule cost.
-
-    Zero input activations are skipped entirely (Fig. 5), so only
-    ``nonzero_columns`` contribute.  A pipeline fill of ``pipeline_stages``
-    cycles is added once.
-    """
-    schedule = cycles_per_column(n_rowpe, p, n_mul, n_acc)
-    if schedule.case == 3:
-        compute = math.ceil(nonzero_columns / schedule.columns_per_cycle)
-    else:
-        compute = int(schedule.cycles_per_column) * nonzero_columns
-    return compute + pipeline_stages
 
 
 def schedule_trace(

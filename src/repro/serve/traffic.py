@@ -316,8 +316,8 @@ def make_arrival_process(
     Raises:
         UnknownArrivalProcessError: for a name outside
             :func:`arrival_process_names` (a :class:`LookupError`, so
-            the CLI converts it into a clean exit like the workload and
-            backend lookups).
+            the CLI converts it into a clean exit like the workload
+            lookup).
     """
     if name not in _PROCESSES:
         raise UnknownArrivalProcessError(

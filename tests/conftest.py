@@ -4,7 +4,7 @@ Exporting ``REPRO_SANITIZE=1`` runs every test inside
 :func:`repro.debug.sanitize`: row shards are verified to alias their
 parent storage and frozen against stray writes, and index-plan activity
 is counted.  For the suites built on the "plans are computed once"
-contract -- the serving runtime and the backend conformance matrix --
+contract -- the serving runtime and the kernel conformance suite --
 teardown additionally asserts that no plan was *rebuilt* during the
 test.  Suites that exercise ``set_structure`` (whose documented job is
 to invalidate the plan) are deliberately outside that strict set.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import set_default_backend, set_default_value_dtype
+from repro.core import set_default_value_dtype
 from repro.debug import sanitize, sanitize_enabled
 
 # Test files where a plan rebuild is a contract violation, not a detail.
@@ -50,18 +50,6 @@ def _pin_value_dtype(request):
         yield
     finally:
         set_default_value_dtype(None)
-
-
-@pytest.fixture(autouse=True)
-def _restore_default_backend():
-    """Undo any process-wide kernel-backend choice a test makes.
-
-    The backend is one choice per process, so tests that sweep
-    ``available_backends()`` call ``set_default_backend``; this restores
-    the startup selection (``REPRO_BACKEND``, else ``csr``) afterwards.
-    """
-    yield
-    set_default_backend(None)
 
 
 @pytest.fixture(autouse=True)

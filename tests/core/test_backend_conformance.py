@@ -1,15 +1,10 @@
-"""Property-based cross-backend conformance suite.
+"""Property-based conformance suite for the product kernel.
 
 A seeded random sweep over ~50 ``(m, n, p, batch)`` configurations --
-including non-multiple-of-``p`` shapes -- asserting that every available
-kernel backend (``csr``, and ``numba`` when installed) agrees with a
-dense numpy reference to 1e-10 on all three hot-path products, and that
-decoding the stored form (``to_q()`` plus ``ks``) through ``from_q``
-preserves results exactly.
-Run with ``REPRO_BACKEND=numba`` in the numba CI leg; the sweep itself
-selects each backend process-wide in turn (``set_default_backend``, reset
-after every test) so every available implementation is exercised
-regardless of the process default.
+including non-multiple-of-``p`` shapes -- asserting that the kernel
+(:mod:`repro.core.kernel`) agrees with a dense numpy reference to 1e-10
+on all three hot-path products, and that decoding the stored form
+(``to_q()`` plus ``ks``) through ``from_q`` preserves results exactly.
 
 The dense reference is ``to_dense()``, which reads the same index plan as
 the kernels.  An executable spec (:func:`_spec_products`) therefore checks
@@ -26,12 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    BlockPermutedDiagonalMatrix,
-    PermutationSpec,
-    available_backends,
-    set_default_backend,
-)
+from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 
 ATOL = 1e-10
 SWEEP_SIZE = 50
@@ -129,28 +119,22 @@ class TestBackendConformance:
         ref_forward = x @ dense.T
         ref_backward = dy @ dense
         ref_grad = _dense_grad_reference(matrix, x, dy)
-        for backend in available_backends():
-            set_default_backend(backend)
-            np.testing.assert_allclose(
-                matrix.matmat(x), ref_forward, atol=ATOL,
-                err_msg=f"matmat diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                matrix.rmatmat(dy), ref_backward, atol=ATOL,
-                err_msg=f"rmatmat diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                matrix.grad_data(x, dy), ref_grad, atol=ATOL,
-                err_msg=f"grad_data diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                matrix.matvec(x[0]), ref_forward[0], atol=ATOL,
-                err_msg=f"matvec diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                matrix.rmatvec(dy[0]), ref_backward[0], atol=ATOL,
-                err_msg=f"rmatvec diverges on backend {backend!r}",
-            )
+        np.testing.assert_allclose(
+            matrix.matmat(x), ref_forward, atol=ATOL, err_msg="matmat"
+        )
+        np.testing.assert_allclose(
+            matrix.rmatmat(dy), ref_backward, atol=ATOL, err_msg="rmatmat"
+        )
+        np.testing.assert_allclose(
+            matrix.grad_data(x, dy), ref_grad, atol=ATOL, err_msg="grad_data"
+        )
+        np.testing.assert_allclose(
+            matrix.matvec(x[0]), ref_forward[0], atol=ATOL, err_msg="matvec"
+        )
+        np.testing.assert_allclose(
+            matrix.rmatvec(dy[0]), ref_backward[0], atol=ATOL,
+            err_msg="rmatvec",
+        )
 
     def test_products_match_executable_spec(
         self, m, n, p, batch, case_seed
@@ -161,19 +145,16 @@ class TestBackendConformance:
         forward, backward, grad = _spec_products(
             matrix.data, matrix.ks, matrix.shape, x, dy
         )
-        for backend in available_backends():
-            set_default_backend(backend)
-            for name, got, want in (
-                ("matmat", matrix.matmat(x), forward),
-                ("rmatmat", matrix.rmatmat(dy), backward),
-                ("grad_data", matrix.grad_data(x, dy), grad),
-                ("matvec", matrix.matvec(x[0]), forward[0]),
-                ("rmatvec", matrix.rmatvec(dy[0]), backward[0]),
-            ):
-                np.testing.assert_allclose(
-                    got, want, atol=ATOL,
-                    err_msg=f"{name} diverges from the spec on {backend!r}",
-                )
+        for name, got, want in (
+            ("matmat", matrix.matmat(x), forward),
+            ("rmatmat", matrix.rmatmat(dy), backward),
+            ("grad_data", matrix.grad_data(x, dy), grad),
+            ("matvec", matrix.matvec(x[0]), forward[0]),
+            ("rmatvec", matrix.rmatvec(dy[0]), backward[0]),
+        ):
+            np.testing.assert_allclose(
+                got, want, atol=ATOL, err_msg=f"{name} diverges from the spec"
+            )
 
     def test_stored_q_round_trip_preserves_results(
         self, m, n, p, batch, case_seed
@@ -184,15 +165,11 @@ class TestBackendConformance:
         restored = BlockPermutedDiagonalMatrix.from_q(
             matrix.to_q(), matrix.shape, matrix.p, matrix.ks
         )
-        for backend in available_backends():
-            set_default_backend(backend)
-            np.testing.assert_array_equal(restored.matmat(x), matrix.matmat(x))
-            np.testing.assert_array_equal(
-                restored.rmatmat(dy), matrix.rmatmat(dy)
-            )
-            np.testing.assert_array_equal(
-                restored.grad_data(x, dy), matrix.grad_data(x, dy)
-            )
+        np.testing.assert_array_equal(restored.matmat(x), matrix.matmat(x))
+        np.testing.assert_array_equal(restored.rmatmat(dy), matrix.rmatmat(dy))
+        np.testing.assert_array_equal(
+            restored.grad_data(x, dy), matrix.grad_data(x, dy)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,26 +194,24 @@ class TestValueDtypeConformance:
         dense = matrix.to_dense()
         x = rng.normal(size=(batch, n))
         dy = rng.normal(size=(batch, m))
-        for backend in available_backends():
-            set_default_backend(backend)
-            forward = f32.matmat(x)
-            backward = f32.rmatmat(dy)
-            grad = f32.grad_data(x, dy)
-            assert forward.dtype == np.float32, backend
-            assert backward.dtype == np.float32, backend
-            assert grad.dtype == np.float32, backend
-            np.testing.assert_allclose(
-                forward, x @ dense.T, atol=FLOAT32_ATOL,
-                err_msg=f"float32 matmat diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                backward, dy @ dense, atol=FLOAT32_ATOL,
-                err_msg=f"float32 rmatmat diverges on backend {backend!r}",
-            )
-            np.testing.assert_allclose(
-                grad, _dense_grad_reference(matrix, x, dy), atol=FLOAT32_ATOL,
-                err_msg=f"float32 grad_data diverges on backend {backend!r}",
-            )
+        forward = f32.matmat(x)
+        backward = f32.rmatmat(dy)
+        grad = f32.grad_data(x, dy)
+        assert forward.dtype == np.float32
+        assert backward.dtype == np.float32
+        assert grad.dtype == np.float32
+        np.testing.assert_allclose(
+            forward, x @ dense.T, atol=FLOAT32_ATOL,
+            err_msg="float32 matmat diverges",
+        )
+        np.testing.assert_allclose(
+            backward, dy @ dense, atol=FLOAT32_ATOL,
+            err_msg="float32 rmatmat diverges",
+        )
+        np.testing.assert_allclose(
+            grad, _dense_grad_reference(matrix, x, dy), atol=FLOAT32_ATOL,
+            err_msg="float32 grad_data diverges",
+        )
 
     def test_int16_exact_vs_dequantized_bounded_vs_original(
         self, m, n, p, batch, case_seed
@@ -248,24 +223,21 @@ class TestValueDtypeConformance:
         # weights -- the dense reference holds at the float64 tolerance.
         dense_deq = i16.with_value_dtype("float64").to_dense()
         x = rng.normal(size=(batch, n))
-        for backend in available_backends():
-            set_default_backend(backend)
-            out = i16.matmat(x)
-            assert out.dtype == np.float64, backend
-            np.testing.assert_allclose(
-                out, x @ dense_deq.T, atol=ATOL,
-                err_msg=f"int16 matmat diverges on backend {backend!r}",
-            )
-            # (b) Per-format bound vs the *original* float64 weights:
-            # every stored weight moved by at most resolution/2, so each
-            # output is off by at most sum|x| * resolution/2.
-            bound = (
-                0.5 * i16.fixed_point.resolution
-                * float(np.abs(x).sum(axis=1).max())
-                + 1e-12
-            )
-            err = np.max(np.abs(out - x @ matrix.to_dense().T))
-            assert err <= bound, (backend, err, bound)
+        out = i16.matmat(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(
+            out, x @ dense_deq.T, atol=ATOL, err_msg="int16 matmat diverges"
+        )
+        # (b) Per-format bound vs the *original* float64 weights: every
+        # stored weight moved by at most resolution/2, so each output is
+        # off by at most sum|x| * resolution/2.
+        bound = (
+            0.5 * i16.fixed_point.resolution
+            * float(np.abs(x).sum(axis=1).max())
+            + 1e-12
+        )
+        err = np.max(np.abs(out - x @ matrix.to_dense().T))
+        assert err <= bound, (err, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +257,7 @@ _structure = st.tuples(
 
 @settings(max_examples=25, deadline=None)
 @given(_structure)
-def test_backends_agree_hypothesis(structure):
+def test_products_agree_with_dense_hypothesis(structure):
     p, mb, nb, m_pad, n_pad, batch, seed = structure
     m = mb * p - min(m_pad, p - 1)
     n = nb * p - min(n_pad, p - 1)
@@ -293,15 +265,13 @@ def test_backends_agree_hypothesis(structure):
     dense = matrix.to_dense()
     x = rng.normal(size=(batch, n))
     dy = rng.normal(size=(batch, m))
-    for backend in available_backends():
-        set_default_backend(backend)
-        np.testing.assert_allclose(matrix.matmat(x), x @ dense.T, atol=ATOL)
-        np.testing.assert_allclose(matrix.rmatmat(dy), dy @ dense, atol=ATOL)
-        np.testing.assert_allclose(
-            matrix.grad_data(x, dy),
-            _dense_grad_reference(matrix, x, dy),
-            atol=ATOL,
-        )
+    np.testing.assert_allclose(matrix.matmat(x), x @ dense.T, atol=ATOL)
+    np.testing.assert_allclose(matrix.rmatmat(dy), dy @ dense, atol=ATOL)
+    np.testing.assert_allclose(
+        matrix.grad_data(x, dy),
+        _dense_grad_reference(matrix, x, dy),
+        atol=ATOL,
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,26 +1,16 @@
-"""Backend dispatch: registry, process-wide selection, cross-backend
-equivalence, cache-blocked paths, int32 CSR skeletons whose rows keep
-the sorted order scipy accumulates in, and the index plans a matrix
-decoded from its stored form derives from ``ks``."""
+"""The product kernel (:mod:`repro.core.kernel`): products against the
+dense reference, cache-blocked gradient paths, int32 CSR skeletons whose
+rows keep the sorted order scipy accumulates in, and the index plans a
+matrix decoded from its stored form derives from ``ks``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.backends as backends
-import repro.core.backends.csr as csr_mod
 import repro.core.block_perm_diag as mod
-from repro.core import (
-    BackendUnavailableError,
-    BlockPermutedDiagonalMatrix,
-    PermutationSpec,
-    UnknownBackendError,
-    available_backends,
-    default_backend,
-    get_backend,
-    set_default_backend,
-)
+import repro.core.kernel as kernel_mod
+from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 
 # Shapes covering aligned, row-padded and fully padded structures.
 SHAPES = [((16, 16), 4), ((13, 10), 4), ((7, 9), 3)]
@@ -35,90 +25,25 @@ def _random_bpd(shape, p, seed=0, scheme="random"):
     )
 
 
-class TestRegistry:
-    def test_csr_always_available_numba_optional(self):
-        assert backends.backend_names() == ("csr", "numba")
-        assert available_backends()[0] == "csr"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(UnknownBackendError):
-            get_backend("bogus")
-        with pytest.raises(UnknownBackendError):
-            set_default_backend("bogus")
-
-    def test_get_backend_is_singleton(self):
-        assert get_backend("csr") is get_backend("csr")
-
-    def test_numba_backend_gated_on_import(self):
-        from repro.core.backends.numba_backend import NumbaBackend, _numba
-
-        assert NumbaBackend.is_available() == (_numba is not None)
-        if _numba is None:
-            with pytest.raises(BackendUnavailableError):
-                get_backend("numba")
-
-
-class TestSelection:
-    def test_auto_resolves_to_csr(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        bpd = _random_bpd((8, 8), 4)
-        assert bpd.resolved_backend() == "csr"
-
-    def test_set_default_backend_applies_and_validates(self):
-        set_default_backend("csr")
-        assert default_backend() == "csr"
-        assert _random_bpd((8, 8), 4).resolved_backend() == "csr"
-        with pytest.raises(UnknownBackendError):
-            set_default_backend("bogus")
-
-    def test_env_var_consulted_until_default_pinned(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "csr")
-        assert default_backend() == "csr"
-        assert _random_bpd((8, 8), 4).resolved_backend() == "csr"
-        set_default_backend("auto")
-        assert default_backend() == "auto"
-
-    def test_bad_env_var_fails_with_clear_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(UnknownBackendError, match="REPRO_BACKEND|bogus"):
-            _random_bpd((8, 8), 4).matvec(np.zeros(8))
-
-    @pytest.mark.skipif(
-        "numba" in available_backends(), reason="numba is installed"
-    )
-    def test_unavailable_env_backend_fails_at_use(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        with pytest.raises(BackendUnavailableError):
-            _random_bpd((8, 8), 4).matvec(np.zeros(8))
-
-
-class TestCrossBackendEquivalence:
-    """Same matrix, every available backend: products agree to 1e-10."""
+class TestProductsMatchDense:
+    """Every product of one matrix agrees with the dense one to 1e-10."""
 
     @pytest.mark.parametrize("shape,p", SHAPES)
-    def test_products_match_dense_on_every_backend(self, shape, p):
+    def test_products_match_dense(self, shape, p):
         bpd = _random_bpd(shape, p, seed=3)
         dense = bpd.to_dense()
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, shape[1]))
         y = rng.normal(size=(5, shape[0]))
-        for name in available_backends():
-            set_default_backend(name)
-            np.testing.assert_allclose(
-                bpd.matmat(x), x @ dense.T, atol=1e-10, err_msg=name
-            )
-            np.testing.assert_allclose(
-                bpd.rmatmat(y), y @ dense, atol=1e-10, err_msg=name
-            )
-            np.testing.assert_allclose(
-                bpd.matvec(x[0]), dense @ x[0], atol=1e-10, err_msg=name
-            )
-            np.testing.assert_allclose(
-                bpd.rmatvec(y[0]), dense.T @ y[0], atol=1e-10, err_msg=name
-            )
+        np.testing.assert_allclose(bpd.matmat(x), x @ dense.T, atol=1e-10)
+        np.testing.assert_allclose(bpd.rmatmat(y), y @ dense, atol=1e-10)
+        np.testing.assert_allclose(bpd.matvec(x[0]), dense @ x[0], atol=1e-10)
+        np.testing.assert_allclose(
+            bpd.rmatvec(y[0]), dense.T @ y[0], atol=1e-10
+        )
 
     @pytest.mark.parametrize("shape,p", SHAPES)
-    def test_grad_data_agrees_across_backends(self, shape, p):
+    def test_grad_data_matches_dense_projection(self, shape, p):
         bpd = _random_bpd(shape, p, seed=5)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, shape[1]))
@@ -126,11 +51,7 @@ class TestCrossBackendEquivalence:
         reference = BlockPermutedDiagonalMatrix.from_dense(
             (dy.T @ x) * bpd.dense_mask(), p, ks=bpd.ks
         ).data
-        for name in available_backends():
-            set_default_backend(name)
-            np.testing.assert_allclose(
-                bpd.grad_data(x, dy), reference, atol=1e-10, err_msg=name
-            )
+        np.testing.assert_allclose(bpd.grad_data(x, dy), reference, atol=1e-10)
 
     @pytest.mark.parametrize("shape,p", SHAPES)
     def test_chunked_transposed_paths_match_dense(
@@ -139,8 +60,8 @@ class TestCrossBackendEquivalence:
         """Force the cache-blocked path (one block row per slab) of the
         batched weight gradient and re-check every product against the
         dense reference."""
-        monkeypatch.setattr(csr_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
-        monkeypatch.setattr(csr_mod, "_CHUNK_TARGET_ELEMENTS", 1)
+        monkeypatch.setattr(kernel_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
+        monkeypatch.setattr(kernel_mod, "_CHUNK_TARGET_ELEMENTS", 1)
         bpd = _random_bpd(shape, p, seed=7)
         dense = bpd.to_dense()
         rng = np.random.default_rng(8)
@@ -153,16 +74,16 @@ class TestCrossBackendEquivalence:
         ).data
         np.testing.assert_allclose(bpd.grad_data(x, dy), reference, atol=1e-10)
 
-    def test_backend_switch_keeps_plan_and_values(self):
-        bpd = _random_bpd((12, 8), 4, seed=9)
-        plan = bpd._get_plan()
-        x = np.random.default_rng(10).normal(size=(2, 8))
-        set_default_backend("csr")
-        before = bpd.matmat(x)
-        set_default_backend(available_backends()[-1])
-        after = bpd.matmat(x)
-        np.testing.assert_allclose(after, before, atol=1e-12)
-        assert bpd._get_plan() is plan
+
+def test_environment_selects_no_kernel(monkeypatch):
+    """``REPRO_BACKEND`` is not read: a value left over from an older
+    setup, even one naming no kernel, changes no product."""
+    bpd = _random_bpd((13, 10), 4, seed=19)
+    x = np.random.default_rng(20).normal(size=(3, 10))
+    before = bpd.matmat(x)
+    for name in ("numba", "bogus"):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        np.testing.assert_array_equal(bpd.matmat(x), before)
 
 
 class TestInt32Skeletons:

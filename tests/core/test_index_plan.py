@@ -45,6 +45,29 @@ class TestPlanCache:
             sibling.matmat(x), x @ sibling.to_dense().T, atol=1e-12
         )
 
+    @pytest.mark.parametrize("make", ["like", "with_value_dtype", "row_shard"])
+    def test_siblings_get_their_own_value_cache(self, make):
+        """The plan-sharing constructors build through one helper: each
+        sibling carries its structure and value dtype, and starts with an
+        empty CSR value cache, so a product the parent ran first never
+        serves the parent's values to the sibling."""
+        base = _random_bpd((10, 14), 4, seed=5)  # row- and column-padded
+        x = np.random.default_rng(1).normal(size=(3, 14))
+        base.matmat(x)
+        sibling, ks, value_dtype = {
+            "like": lambda: (base.like(2.0 * base.data), base.ks, "float64"),
+            "with_value_dtype": lambda: (
+                base.with_value_dtype("float32"), base.ks, "float32"
+            ),
+            "row_shard": lambda: (base.row_shard(1, 3), base.ks[1:], "float64"),
+        }[make]()
+        assert sibling._csr_cache == {}
+        assert sibling.value_dtype == value_dtype
+        np.testing.assert_array_equal(sibling.ks, ks)
+        np.testing.assert_allclose(
+            sibling.matmat(x), x @ sibling.to_dense().T, atol=1e-5
+        )
+
     def test_like_rejects_wrong_shape(self):
         base = _random_bpd((8, 8), 4)
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 Covers the :mod:`repro.core.value_types` registry, dtype-aware
 construction and conversion on :class:`BlockPermutedDiagonalMatrix`
 (aliasing, plan sharing, shard propagation), product dtype propagation
-across every available backend, and the dtype tags the stored form
+through the kernel, and the dtype tags the stored form
 (``q`` plus ``ks``) is decoded with.
 """
 
@@ -13,10 +13,8 @@ import pytest
 from repro.core import (
     BlockPermutedDiagonalMatrix,
     UnknownValueDtypeError,
-    available_backends,
     default_value_dtype,
     load_bpd,
-    set_default_backend,
     set_default_value_dtype,
     validate_value_dtype,
 )
@@ -194,7 +192,7 @@ class TestConversion:
 
 
 class TestProductDtypes:
-    def test_products_run_in_compute_dtype_on_every_backend(self):
+    def test_products_run_in_compute_dtype(self):
         rng = np.random.default_rng(0)
         for vd, expected in (
             ("float64", np.float64),
@@ -204,21 +202,17 @@ class TestProductDtypes:
             mat = _matrix(vd, shape=(23, 17), p=4, seed=8)
             x = rng.normal(size=(5, 17))
             dy = rng.normal(size=(5, 23))
-            for backend in available_backends():
-                set_default_backend(backend)
-                assert mat.matmat(x).dtype == expected, (vd, backend)
-                assert mat.rmatmat(dy).dtype == expected, (vd, backend)
-                assert mat.grad_data(x, dy).dtype == expected, (vd, backend)
-                assert mat.matvec(x[0]).dtype == expected, (vd, backend)
-                assert mat.rmatvec(dy[0]).dtype == expected, (vd, backend)
+            assert mat.matmat(x).dtype == expected, vd
+            assert mat.rmatmat(dy).dtype == expected, vd
+            assert mat.grad_data(x, dy).dtype == expected, vd
+            assert mat.matvec(x[0]).dtype == expected, vd
+            assert mat.rmatvec(dy[0]).dtype == expected, vd
 
     def test_int16_products_match_dequantized_float64_bitwise(self):
         i16 = _matrix("int16", shape=(24, 16), seed=9)
         ref = i16.with_value_dtype("float64")
         x = np.random.default_rng(1).normal(size=(6, 16))
-        for backend in available_backends():
-            set_default_backend(backend)
-            np.testing.assert_array_equal(i16.matmat(x), ref.matmat(x))
+        np.testing.assert_array_equal(i16.matmat(x), ref.matmat(x))
 
 
 def _from_q(matrix, q=None, **tags):

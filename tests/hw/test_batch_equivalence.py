@@ -4,17 +4,13 @@
 cycle model for the whole batch at once; these tests pin its contract:
 bit-identical outputs, identical cycle/MAC totals, and identical SRAM
 counters to a sample-by-sample ``run_fc_layer`` loop, at every value
-dtype and on every available backend.
+dtype.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    BlockPermutedDiagonalMatrix,
-    available_backends,
-    set_default_backend,
-)
+from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw.engine import PermDNNEngine
 
 
@@ -24,11 +20,9 @@ def _batch(n, rng, sparsity=0.5, size=7):
     return x
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
 @pytest.mark.parametrize("shape,p", [((96, 64), 8), ((100, 68), 8)])
-def test_batched_matches_per_sample_loop(backend, value_dtype, shape, p):
-    set_default_backend(backend)
+def test_batched_matches_per_sample_loop(value_dtype, shape, p):
     matrix = BlockPermutedDiagonalMatrix.random(
         shape, p, rng=3, value_dtype=value_dtype
     )

@@ -1,8 +1,8 @@
 """Conv-lowering dtype regressions (the silent float32->float64 upcast).
 
-Same shape as ``tests/core/test_numba_dtype.py``: warm the plan outside
-the observation window, then spy on ``np.zeros``/``np.empty`` and assert
-that a float32 lowering never materializes a float64 temporary.
+Warm the plan outside the observation window, then spy on
+``np.zeros``/``np.empty`` and assert that a float32 lowering never
+materializes a float64 temporary.
 """
 
 import numpy as np

@@ -109,13 +109,58 @@ class TestCycleModel:
         assert result.case == 1
 
     def test_macs_accounting(self):
+        """MACs count every stored weight in a non-zero input column.
+        4096 is not divisible by p=10, so the last block row stores a
+        weight in only some columns: no per-column average is exact."""
         engine = PermDNNEngine()
         matrix, x = make_workload_instance(TABLE_VII_WORKLOADS[1], rng=0)
         result = engine.run_fc_layer(matrix, x)
-        nnz = int(np.count_nonzero(x))
-        # average column population (4096 is not divisible by p=10, so the
-        # padded blocks make this slightly less than m/p)
-        assert result.macs == round(nnz * matrix.nnz / 4096)
+        _, cols = matrix.support_coordinates()
+        assert result.macs == int(np.count_nonzero(x[cols]))
+
+    @given(
+        st.integers(1, 6),  # p
+        st.integers(1, 30),  # m
+        st.integers(1, 30),  # n
+        st.integers(1, 4),  # batch
+        st.integers(0, 2**16),  # seed
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_macs_count_stored_weights_on_drawn_shapes(
+        self, p, m, n, batch, seed
+    ):
+        """Batched MACs are exact on padded shapes too: the stored
+        weights in each input's processed columns, summed over the batch,
+        and every stored weight per input without zero-skipping."""
+        rng = np.random.default_rng(seed)
+        matrix = BlockPermutedDiagonalMatrix.random((m, n), p, rng=rng)
+        x = rng.normal(size=(batch, n)) * (rng.random((batch, n)) < 0.5)
+        _, cols = matrix.support_coordinates()
+        engine = PermDNNEngine()
+        _, _, macs = engine.run_fc_batch_detailed(matrix, x)
+        assert macs == int(np.count_nonzero(x[:, cols]))
+        _, _, every = engine.run_fc_batch_detailed(matrix, x, zero_skip=False)
+        assert every == batch * matrix.nnz
+
+    @given(
+        st.integers(1, 6),  # p
+        st.integers(1, 6),  # block rows
+        st.integers(1, 30),  # n
+        st.integers(0, 2**16),  # seed
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_macs_match_the_column_average_when_p_divides_rows(
+        self, p, blocks, n, seed
+    ):
+        """Every column then stores one weight per block row, so the exact
+        count is the per-column average ``nnz / n`` per processed column,
+        the model earlier revisions used: counts there did not move."""
+        rng = np.random.default_rng(seed)
+        matrix = BlockPermutedDiagonalMatrix.random((p * blocks, n), p, rng=rng)
+        x = rng.normal(size=(3, n)) * (rng.random((3, n)) < 0.5)
+        _, _, macs = PermDNNEngine().run_fc_batch_detailed(matrix, x)
+        average = np.count_nonzero(x, axis=1) * matrix.nnz / n
+        assert macs == int(np.rint(average).sum())
 
     def test_macs_exact_when_divisible(self):
         engine = PermDNNEngine()

@@ -111,9 +111,9 @@ class TestEngineImage:
 
 
 class TestStoredBackendKey:
-    """Older writers stored a ``layer<i>_backend`` key per layer.  The
-    kernel backend is a process-wide choice now: exports omit the key and
-    the loader ignores it, whatever name it holds."""
+    """Older writers stored a ``layer<i>_backend`` key per layer.  There
+    is one product kernel now: exports omit the key and the loader
+    ignores it, whatever name it holds."""
 
     def test_export_writes_no_backend_key(self, tmp_path):
         path = str(tmp_path / "image.npz")
@@ -127,7 +127,7 @@ class TestStoredBackendKey:
         [None, "", "csr", "gather", "bogus"],
         ids=["absent", "empty", "csr", "gather", "bogus"],
     )
-    def test_loads_and_runs_on_process_backend(
+    def test_loads_and_ignores_the_key(
         self, tmp_path, version, stored
     ):
         rng = np.random.default_rng(6)

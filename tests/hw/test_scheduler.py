@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import BlockPermutedDiagonalMatrix
+from repro.hw import EngineConfig, PermDNNEngine
 from repro.hw.scheduler import (
     classify_case,
     cycles_per_column,
-    layer_cycles,
     schedule_trace,
 )
 
@@ -93,26 +94,47 @@ class TestCyclesPerColumn:
         assert weights_per_cycle <= n_mul + 1e-9
 
 
+def _layer(nonzero_columns, m, p, n=1024, pipeline_stages=5):
+    """One engine layer run: 2 PEs (``n_rowpe = m / 2``), 8 multipliers
+    and 128 accumulators each, on an input with ``nonzero_columns``
+    non-zeros."""
+    engine = PermDNNEngine(
+        EngineConfig(n_pe=2, pipeline_stages=pipeline_stages)
+    )
+    matrix = BlockPermutedDiagonalMatrix.random((m, n), p, rng=0)
+    x = np.zeros(n)
+    x[:nonzero_columns] = 1.0
+    return engine.run_fc_layer(matrix, x, enforce_capacity=False)
+
+
 class TestLayerCycles:
+    """The engine's one cycle rule (``PermDNNEngine._account_batch``)
+    applied to the schedules above."""
+
     def test_zero_skipping_reduces_cycles(self):
-        dense = layer_cycles(1024, 128, 8, 8, 128)
-        sparse = layer_cycles(300, 128, 8, 8, 128)
+        dense = _layer(1024, 256, 8).cycles
+        sparse = _layer(300, 256, 8).cycles
         assert sparse < dense
 
     def test_linear_in_nonzero_columns(self):
-        base = layer_cycles(100, 128, 8, 8, 128, pipeline_stages=0)
-        double = layer_cycles(200, 128, 8, 8, 128, pipeline_stages=0)
+        base = _layer(100, 256, 8).compute_cycles
+        double = _layer(200, 256, 8).compute_cycles
         assert double == 2 * base
 
     def test_pipeline_fill_added_once(self):
-        with_fill = layer_cycles(10, 128, 8, 8, 128, pipeline_stages=5)
-        without = layer_cycles(10, 128, 8, 8, 128, pipeline_stages=0)
-        assert with_fill - without == 5
+        with_fill = _layer(10, 256, 8, pipeline_stages=5)
+        without = _layer(10, 256, 8, pipeline_stages=0)
+        assert with_fill.cycles - without.cycles == 5
+        assert with_fill.cycles == (
+            5 + with_fill.compute_cycles + with_fill.writeback_cycles
+        )
 
     def test_case3_ceils_concurrent_columns(self):
         # n_rowpe=16, p=10, n_mul=8 -> Case 3 with floor(80/16)=5 columns
         # per cycle; 7 non-zero columns need ceil(7/5)=2 cycles.
-        assert layer_cycles(7, 16, 10, 8, 128, pipeline_stages=0) == 2
+        result = _layer(7, 32, 10, n=20)
+        assert result.case == 3
+        assert result.compute_cycles == 2
 
 
 class TestScheduleTrace:

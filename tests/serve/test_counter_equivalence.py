@@ -12,16 +12,16 @@ not divide the layer dimensions):
   (``W`` and ``U``) and does the MACs of its 8 per-gate products (also
   on Hypothesis-drawn cell shapes, where sharded and served steps match
   the 1-shard stage and ``LSTMCell.step`` bitwise);
+- a 1-shard ``ShardedLayer`` is one ``run_fc_batch_detailed`` call
+  (also on Hypothesis-drawn FC shapes);
 - a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by
   layer, and with the whole request set as one batch it matches the
   per-layer ``run_fc_batch`` loop, makespan included;
-- row sharding redistributes MACs without creating or losing any when
-  ``p`` divides the layer's dimensions.  On padded shapes the engine's
-  average-per-column MAC model rounds per shard, so totals can move: a
-  1x1 conv with ``c_out=4, c_in=2, p=3`` and one non-zero input channel
-  counts 2 MACs unsharded and 1 + 0 over two shards.  The fixed padded
-  cases below happen to conserve; the drawn shapes assert conservation
-  only where ``p`` divides both channel counts.
+- row sharding redistributes MACs without creating or losing any, on
+  every shape: the engine counts the weights stored in each input's
+  non-zero columns, so shard counts add up to the unsharded count even
+  when a row-padded last block row stores fewer weights in some columns
+  than in others.
 """
 
 import numpy as np
@@ -247,6 +247,34 @@ def test_sharding_preserves_total_macs(kind, num_shards, value_dtype):
     )
     assert len(shard_macs) == num_shards
     assert sum(shard_macs) == sum(macs)
+    if kind == "fc":  # the stack's other padded FC shapes as well
+        for matrix, activation in _fc_layers(value_dtype)[1:]:
+            xs = _sparse((6, matrix.shape[1]), seed=5)
+            _, _, macs = ShardedLayer(matrix, activation, 1).run_batch(
+                [PermDNNEngine()], xs
+            )
+            _, _, shard_macs = ShardedLayer(
+                matrix, activation, num_shards
+            ).run_batch([PermDNNEngine() for _ in range(num_shards)], xs)
+            assert sum(shard_macs) == sum(macs), matrix.shape
+
+
+@pytest.mark.parametrize("channel,stored", [(0, 4), (1, 8)])
+def test_row_padded_conv_shards_conserve_macs(channel, stored):
+    """Regression: a 1x1 conv with ``c_out=4, c_in=2, p=3`` has two block
+    rows, the second holding one real row.  With one non-zero input
+    channel on a 2x2 map, the stored weights give 4 MACs for channel 0
+    and 8 for channel 1; the average-per-column model counted 8 on one
+    shard and 4 + 0 over two, for either channel."""
+    tensor = BlockPermDiagTensor4D.random(4, 2, (1, 1), 3, rng=0)
+    x = np.zeros((1, 2, 2, 2))
+    x[0, channel] = 1.0
+    xs = x.reshape(1, -1)
+    for num_shards in (1, 2):
+        stage = LoweredConvStage(tensor, None, num_shards, input_hw=(2, 2))
+        engines = [PermDNNEngine() for _ in range(num_shards)]
+        _, _, shard_macs = stage.run_batch(engines, xs)
+        assert sum(shard_macs) == stored, num_shards
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,5 +320,42 @@ def test_conv_paths_agree_on_drawn_shapes(
         engines = [PermDNNEngine() for _ in range(num_shards)]
         sharded, _, shard_macs = stage.run_batch(engines, xs)
         np.testing.assert_array_equal(sharded, reference)
-        if c_out % p == 0 and c_in % p == 0:
-            assert sum(shard_macs) == sum(reference_macs)
+        assert sum(shard_macs) == sum(reference_macs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    p=st.integers(1, 5),
+    batch=st.integers(1, 5),
+    activation=st.sampled_from([None, "relu"]),
+    value_dtype=st.sampled_from(VALUE_DTYPES),
+    seed=st.integers(0, 2**16),
+)
+def test_fc_paths_agree_on_drawn_shapes(
+    m, n, p, batch, activation, value_dtype, seed
+):
+    """A 1-shard FC stage is one engine batch call in bits, cycles and
+    MACs, and 2 or 3 row shards (where the block rows allow) serve the
+    same bits and the same MAC total, padded axes included."""
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (m, n), p, rng=seed
+    ).with_value_dtype(value_dtype)
+    xs = _sparse((batch, n), seed=seed)
+    out, cycles, macs = PermDNNEngine().run_fc_batch_detailed(
+        matrix, xs, activation=activation
+    )
+    single = ShardedLayer(matrix, activation, 1)
+    reference, stage_cycles, stage_macs = single.run_batch(
+        [PermDNNEngine()], xs
+    )
+    np.testing.assert_array_equal(reference, out)
+    assert stage_cycles == [cycles]
+    assert stage_macs == [macs]
+    for num_shards in range(2, min(3, matrix.mb) + 1):
+        stage = ShardedLayer(matrix, activation, num_shards)
+        engines = [PermDNNEngine() for _ in range(num_shards)]
+        sharded, _, shard_macs = stage.run_batch(engines, xs)
+        np.testing.assert_array_equal(sharded, reference)
+        assert sum(shard_macs) == macs

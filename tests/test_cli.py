@@ -31,16 +31,6 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["simulate", "--workload", "bogus"])
 
-    def test_simulate_unknown_backend_exits_cleanly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(SystemExit):
-            main(["simulate", "--workload", "NMT-1"])
-
-    def test_simulate_with_pinned_backend(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "csr")
-        assert main(["simulate", "--workload", "NMT-1"]) == 0
-        assert "NMT-1" in capsys.readouterr().out
-
     def test_compare_runs(self, capsys):
         assert main(["compare", "--workload", "Alex-FC8"]) == 0
         out = capsys.readouterr().out

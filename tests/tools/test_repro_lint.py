@@ -147,7 +147,7 @@ class TestRPR002BackendBypass:
 class TestRPR003CsrIndexDtype:
     def test_untyped_construction_flagged(self):
         # select= keeps the fixture focused: a dtype-less np.zeros in
-        # backends/ is (correctly) also an RPR009 finding.
+        # the kernel module is (correctly) also an RPR009 finding.
         src = """
             import numpy as np
             def f(n):
@@ -155,7 +155,7 @@ class TestRPR003CsrIndexDtype:
                 return indptr
         """
         findings = lint(
-            src, "src/repro/core/backends/csr.py", select={"RPR003"}
+            src, "src/repro/core/kernel.py", select={"RPR003"}
         )
         assert codes(findings) == ["RPR003"]
 
@@ -167,7 +167,7 @@ class TestRPR003CsrIndexDtype:
                 indices[:] = 0
                 return indices
         """
-        assert codes(lint(src, "src/repro/core/backends/csr.py")) == ["RPR003"]
+        assert codes(lint(src, "src/repro/core/kernel.py")) == ["RPR003"]
 
     def test_astype_int64_flagged(self):
         src = """
@@ -176,7 +176,7 @@ class TestRPR003CsrIndexDtype:
                 col_indices = raw.astype(np.int64)
                 return col_indices
         """
-        assert codes(lint(src, "src/repro/core/backends/csr.py")) == ["RPR003"]
+        assert codes(lint(src, "src/repro/core/kernel.py")) == ["RPR003"]
 
     def test_symbolic_dtype_allowed(self):
         src = """
@@ -186,7 +186,7 @@ class TestRPR003CsrIndexDtype:
                 indices = np.arange(n, dtype=idx_dtype)
                 return indptr, indices
         """
-        assert lint(src, "src/repro/core/backends/csr.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_unrelated_names_ignored(self):
         src = """
@@ -196,7 +196,7 @@ class TestRPR003CsrIndexDtype:
                 return values
         """
         assert (
-            lint(src, "src/repro/core/backends/csr.py", select={"RPR003"})
+            lint(src, "src/repro/core/kernel.py", select={"RPR003"})
             == []
         )
 
@@ -287,7 +287,7 @@ class TestRPR006EmptyPartialWrite:
                 return out
         """
         findings = lint(
-            src, "src/repro/core/backends/csr.py", select={"RPR006"}
+            src, "src/repro/core/kernel.py", select={"RPR006"}
         )
         assert codes(findings) == ["RPR006"]
 
@@ -301,13 +301,13 @@ class TestRPR006EmptyPartialWrite:
                 return out
         """
         assert (
-            lint(src, "src/repro/core/backends/csr.py", select={"RPR006"})
+            lint(src, "src/repro/core/kernel.py", select={"RPR006"})
             == []
         )
 
     def test_alloc_and_fill_inside_else_allowed(self):
         # Regression: conditionality is judged relative to the
-        # allocation's own block (the shape of csr.batched_grad_data).
+        # allocation's own block (the shape of kernel.batched_grad_data).
         src = """
             import numpy as np
             def kernel(matrix, chunked, chunks):
@@ -320,7 +320,7 @@ class TestRPR006EmptyPartialWrite:
                     out = grad
                 return out
         """
-        assert lint(src, "src/repro/core/backends/csr.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_kernel_call_arg_counts_as_fill(self):
         src = """
@@ -330,7 +330,7 @@ class TestRPR006EmptyPartialWrite:
                 _jit_kernel(values, x, out)
                 return out
         """
-        assert lint(src, "src/repro/core/backends/numba_backend.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_out_of_scope_path_ignored(self):
         src = """
@@ -430,7 +430,7 @@ class TestRPR009DtypelessAllocation:
                 out[:] = 1.0
                 return out
         """
-        findings = lint(src, "src/repro/core/backends/csr.py")
+        findings = lint(src, "src/repro/core/kernel.py")
         assert codes(findings) == ["RPR009"]
         assert "dtype" in findings[0].message
 
@@ -441,7 +441,7 @@ class TestRPR009DtypelessAllocation:
                 out = np.full(n, 0.0)
                 return out
         """
-        assert codes(lint(src, "src/repro/core/backends/csr.py")) == [
+        assert codes(lint(src, "src/repro/core/kernel.py")) == [
             "RPR009",
         ]
 
@@ -454,7 +454,7 @@ class TestRPR009DtypelessAllocation:
                 buf[:] = 0.0
                 return out, buf
         """
-        assert lint(src, "src/repro/core/backends/csr.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_positional_dtype_allowed(self):
         src = """
@@ -464,7 +464,7 @@ class TestRPR009DtypelessAllocation:
                 fill = np.full(n, 0.0, np.float32)
                 return out, fill
         """
-        assert lint(src, "src/repro/core/backends/csr.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_like_constructors_exempt(self):
         src = """
@@ -474,7 +474,7 @@ class TestRPR009DtypelessAllocation:
                 out[:] = 0.0
                 return out, np.zeros_like(values)
         """
-        assert lint(src, "src/repro/core/backends/numba_backend.py") == []
+        assert lint(src, "src/repro/core/kernel.py") == []
 
     def test_out_of_scope_path_ignored(self):
         src = """
@@ -483,6 +483,9 @@ class TestRPR009DtypelessAllocation:
                 return np.zeros(n)
         """
         assert lint(src, "src/repro/serve/server.py") == []
+        # to_dense() is a float64 reference by contract; only the kernel
+        # module computes in the operands' dtype.
+        assert lint(src, "src/repro/core/block_perm_diag.py") == []
 
 
 class TestSuppressionAndSelection:
@@ -518,6 +521,28 @@ class TestRuleRegistry:
     def test_rules_carry_docs(self):
         for rule in all_rules():
             assert rule.name and rule.invariant and rule.rationale
+
+    def test_kernel_module_is_in_scope(self):
+        """RPR006 and RPR009 guard the module the matrix products call."""
+        import repro.core.kernel as kernel
+
+        rel = Path(kernel.__file__).resolve().relative_to(REPO_ROOT)
+        src = """
+            import numpy as np
+            def kernel(n, flag):
+                out = np.empty(n)
+                if flag:
+                    out[:] = 1.0
+                return out
+        """
+        assert codes(lint(src, rel.as_posix())) == ["RPR006", "RPR009"]
+
+    def test_scopes_name_paths_in_the_tree(self):
+        """A scope left pointing at a moved or deleted file would silently
+        lint nothing, and the whole-tree run would still pass."""
+        for rule in all_rules():
+            for prefix in rule.scope + rule.exempt:
+                assert (REPO_ROOT / prefix).exists(), (rule.code, prefix)
 
 
 class TestCli:

@@ -8,14 +8,14 @@ refer to them.
 | Code   | Invariant                                                    |
 | ------ | ------------------------------------------------------------ |
 | RPR001 | plan/value private state is mutated only inside ``core/``     |
-| RPR002 | nn/hw/serve matmuls on PD state dispatch through backends     |
+| RPR002 | nn/hw/serve matmuls on PD state go through the PD kernel      |
 | RPR003 | CSR index arrays carry an explicit, never-int64 dtype         |
 | RPR004 | ``SystemExit`` is raised only by ``repro.cli``                |
 | RPR005 | no bare ``except:`` and no silently-swallowed exceptions      |
 | RPR006 | ``np.empty`` buffers in kernels are unconditionally filled    |
 | RPR007 | serving/serialization never copies aliased parameter storage  |
 | RPR008 | read-only buffer flags are lifted only by core/ and debug/    |
-| RPR009 | kernel buffer allocations in core/backends/ pin a dtype       |
+| RPR009 | buffer allocations in the core/kernel.py kernel pin a dtype   |
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ class PrivateStateMutationRule(Rule):
 
 @register
 class BackendBypassRule(Rule):
-    """RPR002: PD products in nn/hw/serve go through the backend registry."""
+    """RPR002: PD products in nn/hw/serve go through the PD kernel."""
 
     code = "RPR002"
     name = "backend-bypass"
@@ -146,9 +146,9 @@ class BackendBypassRule(Rule):
         "numpy reductions (`einsum`/`tensordot`/`inner`/`vdot`)"
     )
     rationale = (
-        "every PD product must dispatch through `repro.core.backends` so "
-        "backend selection, int32 CSR skeletons and the plan cache apply "
-        "uniformly; raw products silently fork the execution path.  Served "
+        "every PD product must go through the matrix's products "
+        "(`repro.core.kernel`) so int32 CSR skeletons and the plan cache "
+        "apply uniformly; raw products silently fork the execution path.  Served "
         "stages are held to the strict form: everything a stage multiplies "
         "is shard state by construction, so name heuristics would only "
         "hide bypasses"
@@ -160,7 +160,7 @@ class BackendBypassRule(Rule):
         "src/repro/compress/",
     )
     # The baseline simulators (EIE, CirCNN) model *other accelerators'*
-    # storage formats -- bypassing the PD registry is their entire point.
+    # storage formats -- bypassing the PD kernel is their entire point.
     exempt = ("src/repro/hw/baselines/",)
 
     # Under these prefixes, every `@` product and matmul-shaped numpy
@@ -179,26 +179,26 @@ class BackendBypassRule(Rule):
                         yield self.finding(
                             ctx, node,
                             "scipy import outside core/ -- sparse products "
-                            "belong to the backend registry",
+                            "belong to the PD kernel",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if (node.module or "").startswith("scipy"):
                     yield self.finding(
                         ctx, node,
                         "scipy import outside core/ -- sparse products "
-                        "belong to the backend registry",
+                        "belong to the PD kernel",
                     )
             elif _is_np_call(node, "dot", "matmul"):
                 yield self.finding(
                     ctx, node,
                     "raw np.dot/np.matmul -- structured products must "
-                    "dispatch through the kernel backend registry",
+                    "go through the PD kernel",
                 )
             elif strict and _is_np_call(node, *self._STRICT_NP_REDUCTIONS):
                 yield self.finding(
                     ctx, node,
                     "matmul-shaped numpy reduction in serve/ -- served "
-                    "stages drive the engine (backend-dispatched), never "
+                    "stages drive the engine (the PD kernel), never "
                     "multiply on the host",
                 )
             elif isinstance(node, ast.BinOp) and isinstance(
@@ -208,14 +208,14 @@ class BackendBypassRule(Rule):
                     yield self.finding(
                         ctx, node,
                         "raw `@` product in serve/ -- served stages drive "
-                        "the engine (backend-dispatched), never multiply "
+                        "the engine (the PD kernel), never multiply "
                         "on the host",
                     )
                 elif _matrix_like(node.left) or _matrix_like(node.right):
                     yield self.finding(
                         ctx, node,
                         "raw `@` product on structured-matrix state -- use "
-                        "`.matmat`/`.rmatmat`/`.matvec` (backend-dispatched)",
+                        "`.matmat`/`.rmatmat`/`.matvec` (the PD kernel)",
                     )
 
 
@@ -393,7 +393,7 @@ class EmptyPartialWriteRule(Rule):
         "every slot or start from zeros"
     )
     scope = (
-        "src/repro/core/backends/",
+        "src/repro/core/kernel.py",
         "src/repro/hw/engine.py",
         "src/repro/serve/",
         "src/repro/nn/layers/",
@@ -607,8 +607,8 @@ class DtypelessAllocationRule(Rule):
     code = "RPR009"
     name = "dtypeless-allocation"
     invariant = (
-        "`np.zeros`/`np.empty`/`np.ones`/`np.full` in "
-        "`src/repro/core/backends/` always pass a `dtype`"
+        "`np.zeros`/`np.empty`/`np.ones`/`np.full` in the kernel module "
+        "`src/repro/core/kernel.py` always pass a `dtype`"
     )
     rationale = (
         "a dtype-less allocation defaults to float64, which silently "
@@ -616,7 +616,7 @@ class DtypelessAllocationRule(Rule):
         "writes into it; `*_like` constructors inherit the source dtype "
         "and stay exempt"
     )
-    scope = ("src/repro/core/backends/",)
+    scope = ("src/repro/core/kernel.py",)
 
     # Positional index where `dtype` lands per constructor signature:
     # zeros/empty/ones take (shape, dtype, ...); full takes
