@@ -6,18 +6,24 @@ Measures the three products every training step pays --
 - backward: ``dX = rmatmat(dY)`` plus ``dQ = grad_data(X, dY)``;
 
 -- through the cached index plan and the product kernel
-(:mod:`repro.core.kernel`, the table's ``backend`` column: always
-``csr``), and compares against two frozen baselines:
+(:mod:`repro.core.kernel`), and compares against two frozen baselines:
 
 - **naive** (pre-PR 1): a fresh structured matrix per call (indices and
   support recomputed from scratch) whose input gradient goes through a
   materialized ``transpose()`` object.  ``bwd_speedup`` against it is the
   tracked regression metric for the kernel cache.
-- **pr1**: the PR 1 kernel -- cached plan, transpose-free backward, but
-  int64 CSR skeletons and the pre-dispatch ``grad_data``.  ``grad_vs_pr1``
-  (and ``bwd_ms`` vs ``pr1_bwd_ms``) track what the int32-CSR backend
-  dispatch layer buys on top of the plan cache; the acceptance bar is
-  ``grad_vs_pr1 >= 1.0`` at (m=n=4096, p=64, batch=128).
+- **pr1**: the first cached-plan kernel -- transpose-free CSR backward
+  (called explicitly, so it stays CSR on natural ``ks``), but int64 CSR
+  skeletons and the one-shot gather ``grad_data``.  ``grad_vs_pr1`` (and
+  ``bwd_ms`` vs ``pr1_bwd_ms``) track what the kernel gained on top of
+  the plan cache; the acceptance bar is ``grad_vs_pr1 >= 1.0`` at
+  (m=n=4096, p=64, batch=128).
+
+Every grid point runs twice: with natural-indexed ``ks`` (the paper's
+setting), whose backward products run as permuted block-diagonal GEMMs,
+and with random ``ks``, whose backward products stay on CSR and the
+gather.  The table's ``bwd_path`` column names the path each row took
+(``pbd`` or ``csr``); the forward is CSR on every row.
 
 Usage::
 
@@ -46,7 +52,7 @@ import time
 import numpy as np
 
 from _common import emit, format_table
-from repro.core import BlockPermutedDiagonalMatrix
+from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 
 # (m, n, p, batch); the (4096, 4096, 64, 128) point is the acceptance grid.
 FULL_GRID = [
@@ -59,6 +65,8 @@ SMOKE_GRID = [
     (128, 128, 8, 16),
     (130, 96, 8, 16),  # non-multiple-of-p shapes keep the padded path honest
 ]
+# Natural ks take the PBD backward, random ks the CSR one.
+SCHEMES = ("natural", "random")
 
 
 def _time(fn, reps: int, warmup: int = 1) -> float:
@@ -129,6 +137,12 @@ def _pr1_style_matrix(
     return pr1
 
 
+def _pr1_rmatmat(matrix: BlockPermutedDiagonalMatrix, dy) -> np.ndarray:
+    """The ``pr1`` baseline's input gradient: the CSR product over
+    ``W.T``'s skeleton, whatever path the matrix's own ``rmatmat`` takes."""
+    return np.ascontiguousarray(matrix._csr(True).dot(dy.T).T)
+
+
 def _pr1_grad(matrix: BlockPermutedDiagonalMatrix, x, dy) -> np.ndarray:
     """Verbatim replica of the PR 1 ``grad_data`` (transposed gather)."""
     plan = matrix._get_plan()
@@ -158,9 +172,12 @@ def bench_point(
     batch: int,
     reps: int,
     value_dtype: str = "float64",
+    scheme: str = "natural",
 ) -> tuple:
     rng = np.random.default_rng(0)
-    base = BlockPermutedDiagonalMatrix.random((m, n), p, rng=rng)
+    base = BlockPermutedDiagonalMatrix.random(
+        (m, n), p, spec=PermutationSpec(scheme=scheme, seed=0), rng=rng
+    )
     matrix = (
         base if value_dtype == "float64" else base.with_value_dtype(value_dtype)
     )
@@ -178,7 +195,7 @@ def bench_point(
     )
     grad_s = _time(lambda: matrix.grad_data(x, dy), reps)
     pr1_bwd_s = _time(
-        lambda: (pr1.rmatmat(dy64), _pr1_grad(pr1, x64, dy64)), reps
+        lambda: (_pr1_rmatmat(pr1, dy64), _pr1_grad(pr1, x64, dy64)), reps
     )
     pr1_grad_s = _time(lambda: _pr1_grad(pr1, x64, dy64), reps)
     naive_s = _time(lambda: _naive_backward(base, x64, dy64), reps)
@@ -193,7 +210,7 @@ def bench_point(
         n,
         p,
         batch,
-        "csr",
+        "csr" if matrix._get_plan().pbd_index() is None else "pbd",
         value_dtype,
         f"{fwd_s * 1e3:.2f}",
         f"{fwd_gmacs:.2f}",
@@ -213,7 +230,7 @@ HEADERS = [
     "n",
     "p",
     "batch",
-    "backend",
+    "bwd_path",
     "dtype",
     "fwd_ms",
     "fwd_GMAC/s",
@@ -251,16 +268,17 @@ def main() -> None:
     if reps < 1:
         parser.error("--reps must be >= 1")
     suffix = "_smoke" if args.smoke else ""
-    if args.dtype == "all":
-        rows = [
-            bench_point(*point, reps, value_dtype)
-            for point in grid
-            for value_dtype in ("float64", "float32", "int16")
-        ]
-        emit("bench_kernel_dtypes" + suffix, format_table(HEADERS, rows))
-        return
-    rows = [bench_point(*point, reps, args.dtype) for point in grid]
-    emit("bench_kernel_hotpath" + suffix, format_table(HEADERS, rows))
+    dtypes = (
+        ("float64", "float32", "int16") if args.dtype == "all" else (args.dtype,)
+    )
+    rows = [
+        bench_point(*point, reps, value_dtype, scheme)
+        for point in grid
+        for scheme in SCHEMES
+        for value_dtype in dtypes
+    ]
+    name = "bench_kernel_dtypes" if args.dtype == "all" else "bench_kernel_hotpath"
+    emit(name + suffix, format_table(HEADERS, rows))
 
 
 if __name__ == "__main__":

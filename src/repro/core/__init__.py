@@ -17,10 +17,11 @@ Public API
 - :func:`natural_permutation`, :func:`random_permutation` -- ``k_l`` selection.
 - :func:`approximate_pd` / :func:`approximate_pd_tensor` -- optimal
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
-- :mod:`repro.core.kernel` -- the one product kernel (scipy CSR products
-  and the batched weight gradient), which every product calls directly;
-  :func:`default_backend` / :func:`available_backends` name it (``csr``)
-  for host reports and choose nothing.
+- :mod:`repro.core.kernel` -- the one product kernel (scipy CSR products,
+  and permuted block-diagonal GEMMs for the backward of additive ``ks``),
+  which every product calls directly; :func:`default_backend` /
+  :func:`available_backends` name its forward (``csr``) for host reports
+  and choose nothing.
 - :func:`set_default_value_dtype` / :func:`default_value_dtype` --
   process-wide value-storage selection (float64 / float32 / int16
   fixed-point; see :mod:`repro.core.value_types`); individual matrices

@@ -14,8 +14,9 @@ Index-plan cache
 ----------------
 Because non-zero positions are arithmetically derivable, every index
 artifact -- the global row/column of each stored slot, the support mask,
-the forward gather columns, the transposed gather pair, and the CSR
-skeletons used by the sparse products -- is a pure function of the
+the forward gather columns, the transposed gather pair, the CSR
+skeletons used by the sparse products, and the class gather vectors of
+the permuted block-diagonal backward -- is a pure function of the
 *structure* ``(ks, shape, p)`` and never of the values.  All of it is
 computed at most once, lazily, in an :class:`_IndexPlan` cached on the
 matrix, and none of it is ever stored (see "What artifacts store");
@@ -71,10 +72,16 @@ rejects a ``q`` that holds them).
 
 Product kernel
 --------------
-Every product calls the one kernel in :mod:`repro.core.kernel` directly:
-scipy CSR products over the plan's int32-indexed skeletons, and a
-batched gather-and-contract for the weight gradient.  There is no
-kernel choice to make, so matrices, layers and artifacts carry none.
+Every product calls the one kernel in :mod:`repro.core.kernel` directly.
+The forward is a scipy CSR product over the plan's int32-indexed
+skeleton on every matrix.  The backward products follow the structure:
+when ``ks`` are additive (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as
+natural indexing's are) rows and columns relabel into ``p`` dense
+blocks and each backward product is one stacked GEMM
+(:meth:`_IndexPlan.pbd_index`); otherwise they are the CSR product over
+the transposed skeleton and a batched gather-and-contract.  Nothing is
+chosen by setting, so matrices, layers and artifacts carry no kernel
+name.
 
 What artifacts store
 --------------------
@@ -93,6 +100,7 @@ exactly like a freshly built one.
 from __future__ import annotations
 
 import contextlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,14 +209,50 @@ def row_shard_bounds(num_block_rows: int, num_shards: int) -> list[tuple[int, in
     return bounds
 
 
+class _PBDIndex(NamedTuple):
+    """Gather vectors of the permuted block-diagonal form, O(m + n) in all.
+
+    Class ``s`` holds, in block row ``bi``, in-block row
+    ``row_offsets[s, bi]`` (global row ``rows[s, bi]``) and, in block
+    column ``bj``, global column ``cols[s, bj]``.  Its dense block is
+    ``D_s[bi, bj] = data[bi, bj, row_offsets[s, bi]]``, read as
+    ``data[block_rows, :, row_offsets]``.
+    """
+
+    block_rows: np.ndarray  # (1, mb): arange(mb), broadcast against row_offsets
+    row_offsets: np.ndarray  # (p, mb)
+    rows: np.ndarray  # (p, mb)
+    cols: np.ndarray  # (p, nb)
+
+
+def _pbd_index(ks: np.ndarray, p: int) -> _PBDIndex | None:
+    """The :class:`_PBDIndex` of ``ks`` (reduced mod ``p``), or ``None``
+    when no ``a``, ``b`` give ``ks[bi, bj] == (a[bi] + b[bj]) % p``."""
+    mb, nb = ks.shape
+    b = ks[0]
+    a = (ks[:, 0] - ks[0, 0]) % p
+    if not np.array_equal((a[:, None] + b[None, :]) % p, ks):
+        return None
+    s = np.arange(p, dtype=np.intp)[:, None]
+    block_rows = np.arange(mb, dtype=np.intp)[None, :]
+    row_offsets = (s - a[None, :]) % p
+    rows = block_rows * p + row_offsets
+    cols = np.arange(nb, dtype=np.intp)[None, :] * p + (s + b[None, :]) % p
+    index = _PBDIndex(block_rows, row_offsets, rows, cols)
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
 class _IndexPlan:
     """Cached index arithmetic for one ``(ks, shape, p)`` structure.
 
     Built lazily, once, and shared by every matrix that uses the structure
     (see :meth:`BlockPermutedDiagonalMatrix.like`).  The eager members are
-    the forward-path arrays; the transpose pair, support coordinates and
-    CSR skeletons are themselves built lazily on first use so forward-only
-    consumers never pay for them.  All exposed arrays are read-only.
+    the forward-path arrays; the transpose pair, support coordinates, CSR
+    skeletons and the backward products' PBD index are themselves built
+    lazily on first use so forward-only consumers never pay for them.  All
+    exposed arrays are read-only.
 
     Attributes:
         rows / cols: global ``(row, col)`` of every stored slot, ``(mb, nb, p)``.
@@ -251,6 +295,8 @@ class _IndexPlan:
         self._t_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._csr_structs: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._pbd_derived = False
+        self._pbd: _PBDIndex | None = None
 
     def support_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, rows, cols)`` of every in-bounds slot, each 1-D.
@@ -353,6 +399,25 @@ class _IndexPlan:
             self._csr_structs[key] = (indptr, indices, perm)
         return self._csr_structs[key]
 
+    def pbd_index(self) -> _PBDIndex | None:
+        """Class gather vectors for additive ``ks``; ``None`` otherwise.
+
+        ``ks`` are *additive* when ``ks[bi, bj] == (a[bi] + b[bj]) % p``,
+        as natural indexing's are (``k = (bi*nb + bj) % p``).  Then row
+        ``bi*p + c`` and column ``bj*p + d`` meet at a stored slot exactly
+        when ``(c + a[bi]) % p == (d - b[bj]) % p``: both lie in the same
+        *class* ``s``.  Each class holds one row per block row and one
+        column per block column, so relabelling rows and columns by class
+        turns ``W`` into ``p`` dense ``mb x nb`` blocks -- the permuted
+        block-diagonal (PBD) form the backward products run on (see
+        :mod:`repro.core.kernel`).  Derived lazily, at most once (the
+        check costs O(mb*nb)); a row-shard plan derives its own.
+        """
+        if not self._pbd_derived:
+            self._pbd = _pbd_index(self.ks, self.p)
+            self._pbd_derived = True
+        return self._pbd
+
     # ------------------------------------------------------------------
     # Row sharding
     # ------------------------------------------------------------------
@@ -406,6 +471,8 @@ class _IndexPlan:
             shard._t_arrays = None
         shard._support_coords = None
         shard._csr_structs = {}
+        shard._pbd_derived = False
+        shard._pbd = None
         return shard
 
 
@@ -1044,11 +1111,12 @@ class BlockPermutedDiagonalMatrix:
         return self._csr_cache[key][1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``y = W @ x`` touching only the ``m*n/p`` stored weights."""
+        """``y = W @ x`` touching only the ``m*n/p`` stored weights: the
+        one-row :meth:`matmat`."""
         x = np.asarray(x, dtype=self.compute_dtype)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected x of shape ({self.shape[1]},), got {x.shape}")
-        return _kernel.matvec(self, x)
+        return _kernel.matmat(self, x[None])[0]
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """Batched forward product ``Y[b] = W @ X[b]`` for ``X`` of shape ``(B, n)``.
@@ -1066,18 +1134,21 @@ class BlockPermutedDiagonalMatrix:
         return _kernel.matmat(self, x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``W.T @ y`` (gradient propagation, Eqn. (3)), transpose-free."""
+        """``W.T @ y`` (gradient propagation, Eqn. (3)): the one-row
+        :meth:`rmatmat`."""
         y = np.asarray(y, dtype=self.compute_dtype)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected y of shape ({self.shape[0]},), got {y.shape}")
-        return _kernel.rmatvec(self, y)
+        return _kernel.rmatmat(self, y[None])[0]
 
     def rmatmat(self, y: np.ndarray) -> np.ndarray:
         """Batched ``W.T`` product for ``Y`` of shape ``(B, m)`` -> ``(B, n)``.
 
         The backward input gradient ``dx = W.T @ dy`` (Eqn. (3)).  Runs
-        directly off the cached plan's transposed skeleton -- no
-        ``transpose()`` matrix object is constructed.
+        off the cached plan -- the permuted block-diagonal GEMMs for
+        additive ``ks``, the transposed CSR skeleton otherwise (see
+        :func:`repro.core.kernel.rmatmat`) -- and never constructs a
+        ``transpose()`` matrix object.
         """
         y = np.asarray(y, dtype=self.compute_dtype)
         if y.ndim != 2 or y.shape[1] != self.shape[0]:
@@ -1092,7 +1163,8 @@ class BlockPermutedDiagonalMatrix:
         ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` --
         only the stored (non-zero) weights receive gradient, which is what
         keeps the trained network block-permuted diagonal.  The kernel
-        batches this against the shared column skeleton (see
+        batches this as permuted block-diagonal GEMMs for additive ``ks``
+        and against the shared column skeleton otherwise (see
         :func:`repro.core.kernel.batched_grad_data`).
 
         Args:

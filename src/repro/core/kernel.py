@@ -1,25 +1,44 @@
-"""The block-PD product kernel: scipy CSR products and the weight gradient.
+"""The block-PD product kernel: CSR products and permuted block-diagonal GEMMs.
 
 :class:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix` calls
 these functions directly for the three products every training step pays
 -- :func:`matmat` (forward), :func:`rmatmat` (input gradient) and
-:func:`batched_grad_data` (weight gradient) -- plus the single-vector
-:func:`matvec` and :func:`rmatvec`.
+:func:`batched_grad_data` (weight gradient).  Its ``matvec`` and
+``rmatvec`` are the one-row :func:`matmat` and :func:`rmatmat`, so each
+direction has one entry point.
 
-The CSR skeleton (``indptr``/``indices``) comes from the index plan and is
-stored in int32 whenever the matrix dimensions permit -- scipy's sparsetools
-native index type -- which halves the index traffic of every spmm against
-an int64 skeleton.  Only the ``nnz`` value buffer is refreshed per call (a
-single plan-ordered gather, dequantizing int16 codes on the fly; see
+Forward: CSR, on every matrix.  The CSR skeleton (``indptr``/``indices``)
+comes from the index plan and is stored in int32 whenever the matrix
+dimensions permit -- scipy's sparsetools native index type -- which halves
+the index traffic of every spmm against an int64 skeleton.  Only the
+``nnz`` value buffer is refreshed per call (a single plan-ordered gather,
+dequantizing int16 codes on the fly; see
 ``BlockPermutedDiagonalMatrix._csr``), so in-place weight updates are
 always reflected without rebuilding structure.  The value buffer lives in
 the matrix's compute dtype: float32 storage runs scipy's float32 spmm end
 to end (half the memory traffic), everything else the float64 reference
-arithmetic.
+arithmetic.  Served outputs, shard and thread bit-identity and every
+engine counter rest on this one forward.
 
-The weight gradient reuses the same column skeleton through a batched
-contraction (:func:`batched_grad_data`): sparse storage buys nothing there
-because the output is exactly the dense ``(mb, nb, p)`` value array.
+Backward: permuted block-diagonal (PBD) GEMMs when the matrix's ``ks``
+are additive (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural
+indexing's are), CSR and a gather otherwise.  Relabelling rows and
+columns by class turns an additive matrix into ``p`` dense ``mb x nb``
+blocks (:meth:`~repro.core.block_perm_diag._IndexPlan.pbd_index`), so
+the input gradient is one stacked ``np.matmul`` of the ``(B x mb)``
+class slices of ``dy`` against the blocks, and the weight gradient one
+of ``(mb x B)`` against ``(B x nb)``.  Operands are gathered into class
+order in the transposed orientation (contiguous ``(B,)`` rows), and the
+blocks are a ``(p, mb, nb)`` relayout of the values, redone on every
+call because training writes the values every step.  The GEMMs sum in
+another order than CSR, so on additive matrices backward results differ
+from the CSR path in the last bits; repeated calls are bit-identical.
+The forward stays CSR: a served request's bits must not depend on its
+batch or its row shard, and one GEMM per class over either changes them.
+Without additive ``ks`` the weight gradient reuses the column skeleton
+through a batched contraction (:func:`batched_grad_data`): sparse storage
+buys nothing there because the output is exactly the dense
+``(mb, nb, p)`` value array.
 
 Contract: every function receives operands of the correct shape, already
 cast to the matrix's compute dtype
@@ -39,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["batched_grad_data", "matmat", "matvec", "rmatmat", "rmatvec"]
+__all__ = ["batched_grad_data", "matmat", "rmatmat"]
 
 # Below this many gathered float64 elements the weight gradient runs as
 # one gather; above it, the cache-blocked transposed path wins.
@@ -57,18 +76,29 @@ def matmat(matrix, x: np.ndarray) -> np.ndarray:
 
 
 def rmatmat(matrix, y: np.ndarray) -> np.ndarray:
-    """Transposed ``X[b] = W.T @ Y[b]`` for ``Y`` of shape ``(B, m)``."""
-    return np.ascontiguousarray(matrix._csr(True).dot(y.T).T)
+    """Transposed ``X[b] = W.T @ Y[b]`` for ``Y`` of shape ``(B, m)``.
+
+    On additive ``ks``: class ``s`` of ``dy`` (its ``(mb, B)`` rows in
+    the transposed orientation) times block ``D_s``, stacked over the
+    ``p`` classes in one ``np.matmul``, then scattered back to column
+    order.
+    """
+    index = matrix._get_plan().pbd_index()
+    if index is None:
+        return np.ascontiguousarray(matrix._csr(True).dot(y.T).T)
+    p, nb = matrix.p, matrix.nb
+    y_t = _pad_columns_t(np.ascontiguousarray(y.T), matrix.mb * p)
+    blocks = _pbd_blocks(matrix, index)
+    out_t = np.matmul(blocks.transpose(0, 2, 1), y_t[index.rows])
+    x_t = np.empty((nb * p, y.shape[0]), dtype=out_t.dtype)
+    x_t[index.cols] = out_t  # cols is a permutation: every row is written
+    return np.ascontiguousarray(x_t[: matrix.shape[1]].T)
 
 
-def matvec(matrix, x: np.ndarray) -> np.ndarray:
-    """``W @ x`` for one input vector."""
-    return matrix._csr(False) @ x
-
-
-def rmatvec(matrix, y: np.ndarray) -> np.ndarray:
-    """``W.T @ y`` for one output-gradient vector."""
-    return matrix._csr(True) @ y
+def _pbd_blocks(matrix, index) -> np.ndarray:
+    """The ``p`` dense class blocks ``D_s`` of an additive matrix, as one
+    ``(p, mb, nb)`` array in the compute dtype."""
+    return matrix._kernel_data()[index.block_rows, :, index.row_offsets]
 
 
 def _chunk_rows(block_rows: int, per_row: int) -> int:
@@ -90,15 +120,20 @@ def _pad_columns_t(arr_t: np.ndarray, width: int) -> np.ndarray:
 
 
 def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Weight gradient for a whole batch off the shared column skeleton.
+    """Weight gradient for a whole batch.
 
     ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` (Eqn.
-    (2)).  Transposed, cache-blocked gathers of ``x`` against
-    ``plan.cols`` serve the entire batch; the ``dy`` factor never needs
-    gathering because in block order its rows are exactly ``dy.T``
-    reshaped to ``(mb, p, B)`` and broadcast over ``nb`` -- that broadcast
-    plus the chunked gather is what makes this batched formulation several
-    times cheaper than per-sample (or one-shot ``nnz x B``) gathers.
+    (2)).  On additive ``ks`` that is, per class ``s``, the ``(mb x B)``
+    class slice of ``dy`` times the ``(B x nb)`` one of ``x``: one
+    stacked ``np.matmul`` whose ``(p, mb, nb)`` result scatters back to
+    the value layout.  Otherwise, transposed, cache-blocked gathers of
+    ``x`` against ``plan.cols`` serve the entire batch; the ``dy`` factor
+    never needs gathering because in block order its rows are exactly
+    ``dy.T`` reshaped to ``(mb, p, B)`` and broadcast over ``nb`` -- that
+    broadcast plus the chunked gather is what makes this batched
+    formulation several times cheaper than per-sample (or one-shot
+    ``nnz x B``) gathers.  Either way, slots outside the logical shape get
+    zero gradient.
     """
     plan = matrix._get_plan()
     batch = x.shape[0]
@@ -107,19 +142,26 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     x_t = _pad_columns_t(np.ascontiguousarray(x.T), matrix.nb * matrix.p)
     dy_t = _pad_columns_t(np.ascontiguousarray(dy.T), matrix.mb * matrix.p)
     dy_blocks = dy_t.reshape(matrix.mb, matrix.p, batch)
-    if batch * plan.cols.size <= _ONESHOT_LIMIT_ELEMENTS:
+    # The gradient is w.r.t. the *logical* weights, in the compute dtype
+    # of the operands -- never the storage dtype (which may be int16
+    # codes that could not hold a gradient at all).
+    dtype = np.result_type(x_t, dy_t)
+    index = plan.pbd_index()
+    if index is not None:
+        blocks = np.matmul(
+            dy_t[index.rows], x_t[index.cols].transpose(0, 2, 1)
+        )
+        grad = np.empty(matrix.data.shape, dtype=dtype)
+        # Each (bi, c) is one class's row: the scatter writes every slot.
+        grad[index.block_rows, :, index.row_offsets] = blocks
+    elif batch * plan.cols.size <= _ONESHOT_LIMIT_ELEMENTS:
         gathered = x_t[plan.flat_cols].reshape(
             matrix.mb, matrix.nb, matrix.p, batch
         )
         grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
     else:
         rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
-        # The gradient is w.r.t. the *logical* weights, in the compute
-        # dtype of the operands -- never the storage dtype (which may be
-        # int16 codes that could not hold a gradient at all).
-        grad = np.empty(
-            matrix.data.shape, dtype=np.result_type(x_t, dy_t)
-        )
+        grad = np.empty(matrix.data.shape, dtype=dtype)
         for start in range(0, matrix.mb, rows):
             stop = min(start + rows, matrix.mb)
             gathered = x_t[plan.cols[start:stop].reshape(-1)].reshape(

@@ -31,7 +31,11 @@ runtime.  Inside :func:`sanitize`:
   like any other: a cold start builds one plan per loaded slot matrix
   and rebuilds none.
 * ``_IndexPlan.csr_struct`` cache misses are counted as CSR-skeleton
-  builds, at most one per matrix and orientation.
+  builds, at most one per matrix and orientation, and
+  ``_IndexPlan.pbd_index`` cache misses as PBD index builds (the
+  additivity check plus, for additive ``ks``, the class gather vectors
+  of the backward products), at most one per plan.  The serving forward
+  never leaves CSR, so a drain builds no PBD index.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test
@@ -82,6 +86,7 @@ class SanitizerStats:
     plan_builds: int = 0
     plan_rebuilds: int = 0
     skeleton_builds: int = 0
+    pbd_builds: int = 0
     shard_checks: int = 0
     frozen_buffers: int = 0
     rebuild_sites: list[str] = field(default_factory=list)
@@ -112,6 +117,7 @@ class Sanitizer:
         self._orig_get_plan = None
         self._orig_row_shard = None
         self._orig_csr_struct = None
+        self._orig_pbd_index = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -121,10 +127,12 @@ class Sanitizer:
         self._orig_get_plan = cls._get_plan
         self._orig_row_shard = cls.row_shard
         self._orig_csr_struct = _IndexPlan.csr_struct
+        self._orig_pbd_index = _IndexPlan.pbd_index
         sanitizer = self
         orig_get_plan = self._orig_get_plan
         orig_row_shard = self._orig_row_shard
         orig_csr_struct = self._orig_csr_struct
+        orig_pbd_index = self._orig_pbd_index
 
         def _get_plan(matrix):
             if matrix._plan is None:
@@ -160,9 +168,15 @@ class Sanitizer:
                 sanitizer.stats.skeleton_builds += 1
             return orig_csr_struct(plan, transposed)
 
+        def pbd_index(plan):
+            if not plan._pbd_derived:
+                sanitizer.stats.pbd_builds += 1
+            return orig_pbd_index(plan)
+
         cls._get_plan = _get_plan
         cls.row_shard = row_shard
         _IndexPlan.csr_struct = csr_struct
+        _IndexPlan.pbd_index = pbd_index
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -172,6 +186,7 @@ class Sanitizer:
         cls._get_plan = self._orig_get_plan
         cls.row_shard = self._orig_row_shard
         _IndexPlan.csr_struct = self._orig_csr_struct
+        _IndexPlan.pbd_index = self._orig_pbd_index
         # Restore flags LIFO so re-frozen duplicates unwind correctly.
         while self._frozen:
             arr, original = self._frozen.pop()

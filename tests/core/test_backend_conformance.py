@@ -14,6 +14,13 @@ pass.
 A couple of hypothesis properties drive the same invariants (plus the
 row-shard decomposition the serving runtime relies on) over a wider,
 shrinkable input space.
+
+The first sweeps draw random ``ks``, which are additive only when
+``mb == 1`` or ``nb == 1``.  Natural-indexed ``ks`` are always additive,
+so their backward products run as permuted block-diagonal (PBD) GEMMs;
+the natural-indexing sweep and properties check those against the spec
+at every value dtype, against the CSR path, and anchor the relabelling
+identity ``P_rows . W . P_cols = blockdiag(D_0 ... D_{p-1})``.
 """
 
 import numpy as np
@@ -22,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
+from repro.core.block_perm_diag import _IndexPlan
 
 ATOL = 1e-10
 SWEEP_SIZE = 50
@@ -289,3 +297,227 @@ def test_row_shards_reassemble_forward_hypothesis(structure, num_shards):
     shards = matrix.row_shards(num_shards)
     stacked = np.concatenate([shard.matmat(x) for shard in shards], axis=1)
     np.testing.assert_array_equal(stacked, full)
+
+
+# ---------------------------------------------------------------------------
+# Natural indexing: additive ks, so the backward products run as permuted
+# block-diagonal (PBD) GEMMs.  The sweeps above draw random ks, which are
+# additive only when mb == 1 or nb == 1.
+# ---------------------------------------------------------------------------
+
+
+def _build_natural(m, n, p, case_seed):
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (m, n), p, spec=PermutationSpec(scheme="natural"), rng=case_seed
+    )
+    return matrix, np.random.default_rng(case_seed + 1)
+
+
+def _check_against_spec(matrix, x, dy, atol):
+    """All five products of ``matrix`` against the executable spec of its
+    logical (dequantized) values."""
+    forward, backward, grad = _spec_products(
+        np.asarray(matrix._kernel_data(), dtype=np.float64),
+        matrix.ks, matrix.shape, x, dy,
+    )
+    for name, got, want in (
+        ("matmat", matrix.matmat(x), forward),
+        ("rmatmat", matrix.rmatmat(dy), backward),
+        ("grad_data", matrix.grad_data(x, dy), grad),
+        ("matvec", matrix.matvec(x[0]), forward[0]),
+        ("rmatvec", matrix.rmatvec(dy[0]), backward[0]),
+    ):
+        assert got.dtype == matrix.compute_dtype, name
+        np.testing.assert_allclose(
+            got, want, atol=atol, err_msg=f"{name} diverges from the spec"
+        )
+
+
+@pytest.mark.parametrize(
+    "m,n,p,batch,case_seed",
+    CONFIGS,
+    ids=[f"m{m}n{n}p{p}b{b}" for m, n, p, b, _ in CONFIGS],
+)
+class TestNaturalIndexingConformance:
+    def test_float64_matches_executable_spec(self, m, n, p, batch, case_seed):
+        matrix, rng = _build_natural(m, n, p, case_seed)
+        assert matrix._get_plan().pbd_index() is not None
+        x = rng.normal(size=(batch, n))
+        dy = rng.normal(size=(batch, m))
+        _check_against_spec(matrix, x, dy, ATOL)
+
+    def test_float32_matches_executable_spec(self, m, n, p, batch, case_seed):
+        matrix, rng = _build_natural(m, n, p, case_seed)
+        x = rng.normal(size=(batch, n))
+        dy = rng.normal(size=(batch, m))
+        _check_against_spec(
+            matrix.with_value_dtype("float32"), x, dy, FLOAT32_ATOL
+        )
+
+    def test_int16_matches_executable_spec(self, m, n, p, batch, case_seed):
+        """int16 codes decode into float64 arithmetic: the dequantized
+        weights' spec holds at the float64 bar."""
+        matrix, rng = _build_natural(m, n, p, case_seed)
+        x = rng.normal(size=(batch, n))
+        dy = rng.normal(size=(batch, m))
+        _check_against_spec(matrix.with_value_dtype("int16"), x, dy, ATOL)
+
+    def test_pbd_agrees_with_the_csr_path(
+        self, m, n, p, batch, case_seed, monkeypatch
+    ):
+        """On one additive matrix the PBD backward and the CSR/gather
+        backward (forced by hiding the PBD index) agree to 1e-10; the
+        forward is CSR either way and stays bit-identical."""
+        matrix, rng = _build_natural(m, n, p, case_seed)
+        x = rng.normal(size=(batch, n))
+        dy = rng.normal(size=(batch, m))
+        pbd = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
+        monkeypatch.setattr(_IndexPlan, "pbd_index", lambda plan: None)
+        csr = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
+        np.testing.assert_array_equal(pbd[0], csr[0])
+        for name, got, want in zip(("rmatmat", "grad_data"), pbd[1:], csr[1:]):
+            np.testing.assert_allclose(got, want, atol=ATOL, err_msg=name)
+
+
+_value_dtype = st.sampled_from(["float64", "float32", "int16"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(_structure, _value_dtype)
+def test_natural_products_match_spec_hypothesis(structure, value_dtype):
+    p, mb, nb, m_pad, n_pad, batch, seed = structure
+    m = mb * p - min(m_pad, p - 1)
+    n = nb * p - min(n_pad, p - 1)
+    matrix, rng = _build_natural(m, n, p, seed)
+    x = rng.normal(size=(batch, n))
+    dy = rng.normal(size=(batch, m))
+    atol = FLOAT32_ATOL if value_dtype == "float32" else ATOL
+    _check_against_spec(matrix.with_value_dtype(value_dtype), x, dy, atol)
+
+
+def _spec_dense_padded(data, ks, shape):
+    """``W`` zero-padded to ``(mb*p, nb*p)`` from ``(data, ks, shape)``
+    alone, by Eqn. (1); slots past the logical shape stay zero."""
+    mb, nb, p = data.shape
+    m, n = shape
+    dense = np.zeros((mb * p, nb * p))
+    c = np.arange(p)
+    for bi in range(mb):
+        for bj in range(nb):
+            rows = bi * p + c
+            cols = bj * p + (c + ks[bi, bj]) % p
+            dense[rows, cols] = data[bi, bj] * ((rows < m) & (cols < n))
+    return dense
+
+
+@settings(max_examples=25, deadline=None)
+@given(_structure)
+def test_pbd_relabelling_is_block_diagonal_hypothesis(structure):
+    """For additive ``ks``, ``P_rows . W . P_cols = blockdiag(D_0 ...
+    D_{p-1})``: the index's class orders are permutations, every entry
+    off the class blocks is zero, and the blocks are exactly the
+    ``(p, mb, nb)`` relayout the kernel multiplies (padded shapes
+    included)."""
+    from scipy.linalg import block_diag
+
+    from repro.core import kernel
+
+    p, mb, nb, m_pad, n_pad, _, seed = structure
+    m = mb * p - min(m_pad, p - 1)
+    n = nb * p - min(n_pad, p - 1)
+    matrix, _ = _build_natural(m, n, p, seed)
+    index = matrix._get_plan().pbd_index()
+    rows, cols = index.rows.reshape(-1), index.cols.reshape(-1)
+    np.testing.assert_array_equal(np.sort(rows), np.arange(mb * p))
+    np.testing.assert_array_equal(np.sort(cols), np.arange(nb * p))
+    dense = _spec_dense_padded(matrix.data, matrix.ks, matrix.shape)
+    blocks = kernel._pbd_blocks(matrix, index)
+    assert blocks.shape == (p, mb, nb)
+    np.testing.assert_array_equal(
+        dense[np.ix_(rows, cols)], block_diag(*blocks)
+    )
+
+
+class TestPBDDispatch:
+    """Which matrices are additive, and which backward path they take."""
+
+    @pytest.mark.parametrize("shape,p", [
+        ((16, 16), 4), ((13, 10), 4), ((7, 9), 3), ((30, 50), 10),
+        ((5, 40), 8), ((40, 5), 8), ((6, 6), 1),
+    ])
+    def test_natural_ks_are_additive(self, shape, p):
+        matrix = BlockPermutedDiagonalMatrix.random(shape, p, rng=0)
+        assert matrix._get_plan().pbd_index() is not None
+
+    def test_lstm_stacked_matrices_are_additive(self):
+        from repro.nn import LSTMCell
+
+        cell = LSTMCell(24, 16, p=4, rng=0)
+        for op in (cell.w_op, cell.u_op):
+            assert op.matrix._get_plan().pbd_index() is not None
+
+    @pytest.mark.parametrize("num_shards", [2, 3])
+    def test_row_shards_of_additive_matrices_are_additive(self, num_shards):
+        """A shard plan derives its own index from its own ``ks`` and its
+        backward products meet the spec."""
+        matrix, rng = _build_natural(45, 30, 4, 7)
+        matrix._get_plan().pbd_index()
+        for shard in matrix.row_shards(num_shards):
+            plan = shard._get_plan()
+            assert not plan._pbd_derived
+            assert plan.pbd_index() is not None
+            x = rng.normal(size=(3, shard.shape[1]))
+            dy = rng.normal(size=(3, shard.shape[0]))
+            _check_against_spec(shard, x, dy, ATOL)
+
+    def test_non_additive_ks_take_the_csr_path(self):
+        # ks[1, 1] would have to be ks[1, 0] + ks[0, 1] - ks[0, 0] = 0.
+        ks = np.array([[0, 0], [0, 1]])
+        data = np.random.default_rng(0).normal(size=(2, 2, 2))
+        matrix = BlockPermutedDiagonalMatrix(data, ks)
+        plan = matrix._get_plan()
+        assert plan.pbd_index() is None
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        dy = np.random.default_rng(2).normal(size=(3, 4))
+        _check_against_spec(matrix, x, dy, ATOL)
+        assert set(plan._csr_structs) == {False, True}
+
+    @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
+    def test_backward_is_deterministic(self, value_dtype):
+        """Two backward calls on the same inputs return identical bits."""
+        base, rng = _build_natural(130, 96, 8, 5)
+        matrix = base.with_value_dtype(value_dtype)
+        x = rng.normal(size=(16, 96))
+        dy = rng.normal(size=(16, 130))
+        np.testing.assert_array_equal(matrix.rmatmat(dy), matrix.rmatmat(dy))
+        np.testing.assert_array_equal(
+            matrix.grad_data(x, dy), matrix.grad_data(x, dy)
+        )
+        np.testing.assert_array_equal(
+            matrix.rmatvec(dy[0]), matrix.rmatvec(dy[0])
+        )
+
+
+@pytest.mark.parametrize("scheme", ["natural", "random"])
+@pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
+def test_one_row_products_equal_the_vector_products(scheme, value_dtype):
+    """``matvec`` is the one-row ``matmat``, bit for bit the same as
+    scipy's single-vector CSR product (the engine's bit-accurate path and
+    ``hw/verify.py`` read it); on CSR ``rmatvec`` is likewise the
+    single-vector product over ``W.T``."""
+    rng = np.random.default_rng(11)
+    for m, n, p in [(13, 10, 4), (64, 48, 8), (130, 96, 8), (9, 9, 1)]:
+        matrix = BlockPermutedDiagonalMatrix.random(
+            (m, n), p, spec=PermutationSpec(scheme=scheme, seed=3),
+            rng=rng, value_dtype=value_dtype,
+        )
+        x = rng.normal(size=n).astype(matrix.compute_dtype)
+        y = rng.normal(size=m).astype(matrix.compute_dtype)
+        np.testing.assert_array_equal(matrix.matvec(x), matrix._csr(False) @ x)
+        np.testing.assert_array_equal(
+            matrix.rmatvec(y), matrix.rmatmat(y[None])[0]
+        )
+        if matrix._get_plan().pbd_index() is None:
+            np.testing.assert_array_equal(
+                matrix.rmatvec(y), matrix._csr(True) @ y
+            )

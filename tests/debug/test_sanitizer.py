@@ -121,6 +121,97 @@ class TestSkeletonCounting:
         assert _IndexPlan.csr_struct is before
 
 
+def _slot_plans(server):
+    return [
+        matrix._plan
+        for stage in server.layers
+        for slots in stage.shard_slots
+        for matrix in slots
+    ]
+
+
+class TestPBDCounting:
+    """PBD index builds: at most one per plan, and only the backward
+    products make them -- the serving forward never leaves CSR."""
+
+    def test_backward_builds_one_pbd_index_and_no_transposed_skeleton(self):
+        m = BlockPermutedDiagonalMatrix.random((13, 10), 4, rng=0)
+        rng = np.random.default_rng(1)
+        x, dy = rng.normal(size=(3, 10)), rng.normal(size=(3, 13))
+        with sanitize() as s:
+            for _ in range(2):
+                m.rmatmat(dy)
+                m.rmatvec(dy[0])
+                m.grad_data(x, dy)
+            assert s.stats.pbd_builds == 1
+            assert s.stats.skeleton_builds == 0
+            m.matmat(x)
+            assert s.stats.skeleton_builds == 1
+
+    def test_non_additive_check_counts_once(self):
+        m = _matrix()  # random ks on 4x3 blocks: not additive
+        with sanitize() as s:
+            for _ in range(2):
+                m.rmatmat(np.zeros((2, m.shape[0])))
+            assert m._get_plan().pbd_index() is None
+            assert s.stats.pbd_builds == 1
+            assert s.stats.skeleton_builds == 1
+
+    def test_shards_derive_their_own_pbd_index(self):
+        m = BlockPermutedDiagonalMatrix.random((16, 12), 4, rng=0)
+        with sanitize() as s:
+            m.rmatmat(np.zeros((2, 16)))
+            for shard in m.row_shards(2):
+                shard.rmatmat(np.zeros((2, shard.shape[0])))
+            assert s.stats.pbd_builds == 3
+
+    def test_from_model_drain_stays_on_csr(self):
+        from repro.nn import LSTMCell, PermDiagLinear, ReLU, Sequential
+        from repro.serve import ModelServer
+
+        fc = Sequential(
+            PermDiagLinear(48, 64, p=4, rng=0),
+            ReLU(),
+            PermDiagLinear(64, 32, p=4, rng=1),
+        )
+        cell = LSTMCell(6, 16, p=2, rng=0)
+        rng = np.random.default_rng(2)
+        for model, width in ((fc, 48), (cell, 6 + 32)):
+            with sanitize() as s:
+                server = ModelServer.from_model(model, num_shards=2)
+                server.submit_many(rng.normal(size=(4, width)))
+                server.drain()
+                plans = _slot_plans(server)
+                assert s.stats.pbd_builds == 0
+                assert s.stats.skeleton_builds == len(plans)
+                assert all(set(p._csr_structs) == {False} for p in plans)
+
+    def test_from_bundle_drain_stays_on_csr(self, tmp_path):
+        from repro.nn import PermDiagLinear, ReLU, Sequential
+        from repro.serve import ModelServer, export_model_bundle
+
+        model = Sequential(
+            PermDiagLinear(48, 64, p=4, rng=0),
+            ReLU(),
+            PermDiagLinear(64, 32, p=4, rng=1),
+        )
+        export_model_bundle(tmp_path, model, num_shards=2)
+        with sanitize() as s:
+            server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
+            server.submit_many(np.random.default_rng(3).normal(size=(4, 48)))
+            server.drain()
+            plans = _slot_plans(server)
+            assert s.stats.pbd_builds == 0
+            assert s.stats.skeleton_builds == len(plans)
+            assert all(set(p._csr_structs) == {False} for p in plans)
+
+    def test_pbd_index_patch_undone_on_exit(self):
+        before = _IndexPlan.pbd_index
+        with sanitize():
+            assert _IndexPlan.pbd_index is not before
+        assert _IndexPlan.pbd_index is before
+
+
 class TestShardAliasing:
     def test_shards_verified_and_frozen(self):
         m = _matrix()
