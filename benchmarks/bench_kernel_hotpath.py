@@ -13,17 +13,18 @@ Measures the three products every training step pays --
   materialized ``transpose()`` object.  ``bwd_speedup`` against it is the
   tracked regression metric for the kernel cache.
 - **pr1**: the first cached-plan kernel -- transpose-free CSR backward
-  (called explicitly, so it stays CSR on natural ``ks``), but int64 CSR
-  skeletons and the one-shot gather ``grad_data``.  ``grad_vs_pr1`` (and
-  ``bwd_ms`` vs ``pr1_bwd_ms``) track what the kernel gained on top of
-  the plan cache; the acceptance bar is ``grad_vs_pr1 >= 1.0`` at
-  (m=n=4096, p=64, batch=128).
+  over its own int64 CSR skeleton of ``W.T`` (built once, values
+  re-gathered per call, so it stays CSR on natural ``ks``) and the
+  one-shot gather ``grad_data``.  ``grad_vs_pr1`` (and ``bwd_ms`` vs
+  ``pr1_bwd_ms``) track what the kernel gained on top of the plan cache;
+  the acceptance bar is ``grad_vs_pr1 >= 1.0`` at (m=n=4096, p=64,
+  batch=128).
 
 Every grid point runs twice: with natural-indexed ``ks`` (the paper's
 setting), whose backward products run as permuted block-diagonal GEMMs,
-and with random ``ks``, whose backward products stay on CSR and the
-gather.  The table's ``bwd_path`` column names the path each row took
-(``pbd`` or ``csr``); the forward is CSR on every row.
+and with random ``ks``, whose backward products are the COO product over
+``W.T`` and the gather.  The table's ``bwd_path`` column names the path
+each row took (``pbd`` or ``coo``); the forward is COO on every row.
 
 Usage::
 
@@ -49,7 +50,10 @@ from __future__ import annotations
 import argparse
 import time
 
+from typing import NamedTuple
+
 import numpy as np
+from scipy import sparse
 
 from _common import emit, format_table
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
@@ -65,7 +69,7 @@ SMOKE_GRID = [
     (128, 128, 8, 16),
     (130, 96, 8, 16),  # non-multiple-of-p shapes keep the padded path honest
 ]
-# Natural ks take the PBD backward, random ks the CSR one.
+# Natural ks take the PBD backward, random ks the COO one.
 SCHEMES = ("natural", "random")
 
 
@@ -115,32 +119,49 @@ def _naive_backward(matrix: BlockPermutedDiagonalMatrix, x, dy) -> None:
     np.einsum("bic,bijc->ijc", dy_blocks, gathered) * plan.support
 
 
-def _pr1_style_matrix(
-    matrix: BlockPermutedDiagonalMatrix,
-) -> BlockPermutedDiagonalMatrix:
+class _PR1(NamedTuple):
+    """The ``pr1`` baseline: its own matrix, and the int64 CSR skeleton
+    of ``W.T`` with the gather that refreshes its values."""
+
+    matrix: BlockPermutedDiagonalMatrix
+    csr_t: sparse.csr_matrix
+    perm: np.ndarray
+
+
+def _pr1_style_matrix(matrix: BlockPermutedDiagonalMatrix) -> _PR1:
     """An independent copy of ``matrix`` frozen at PR 1 behaviour.
 
-    PR 1 cached the index plan and ran the backward transpose-free, but its
-    CSR skeletons stored int64 ``indptr``/``indices``.  The copy gets its
-    own plan whose cached skeletons are re-cast to int64, so spmm against
-    it pays exactly the PR 1 index traffic.
+    The first cached-plan kernel ran the backward transpose-free, over
+    CSR skeletons that stored int64 ``indptr``/``indices`` and refreshed
+    their values with one ``nnz``-sized gather per call.  The copy gets
+    its own plan and its own skeleton of ``W.T``, built once from
+    ``support_coordinates()``: each row (an original column) lists its
+    slots in ascending original row, so spmm against it pays exactly
+    that kernel's index traffic.
     """
     pr1 = BlockPermutedDiagonalMatrix(matrix.data, matrix.ks, shape=matrix.shape)
-    plan = pr1._get_plan()
-    for key in (False, True):
-        indptr, indices, perm = plan.csr_struct(key)
-        plan._csr_structs[key] = (
-            indptr.astype(np.int64),
-            indices.astype(np.int64),
-            perm.astype(np.int64),
-        )
-    return pr1
+    rows, cols = pr1.support_coordinates()
+    order = np.lexsort((rows, cols))
+    perm = np.flatnonzero(pr1.support_mask())[order]
+    indptr = np.zeros(pr1.shape[1] + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(cols, minlength=pr1.shape[1]))
+    csr_t = sparse.csr_matrix(
+        (pr1.data.ravel()[perm], rows[order], indptr),
+        shape=(pr1.shape[1], pr1.shape[0]),
+    )
+    # The constructor narrows indices that fit to int32; the baseline's
+    # were int64.
+    csr_t.indptr = indptr
+    csr_t.indices = rows[order].astype(np.int64)
+    return _PR1(pr1, csr_t, perm)
 
 
-def _pr1_rmatmat(matrix: BlockPermutedDiagonalMatrix, dy) -> np.ndarray:
-    """The ``pr1`` baseline's input gradient: the CSR product over
-    ``W.T``'s skeleton, whatever path the matrix's own ``rmatmat`` takes."""
-    return np.ascontiguousarray(matrix._csr(True).dot(dy.T).T)
+def _pr1_rmatmat(pr1: _PR1, dy) -> np.ndarray:
+    """The ``pr1`` baseline's input gradient: refresh the ``W.T`` values
+    with the gather, then the CSR product, whatever path the matrix's own
+    ``rmatmat`` takes."""
+    pr1.csr_t.data[:] = pr1.matrix.data.ravel()[pr1.perm]
+    return np.ascontiguousarray(pr1.csr_t.dot(dy.T).T)
 
 
 def _pr1_grad(matrix: BlockPermutedDiagonalMatrix, x, dy) -> np.ndarray:
@@ -195,9 +216,10 @@ def bench_point(
     )
     grad_s = _time(lambda: matrix.grad_data(x, dy), reps)
     pr1_bwd_s = _time(
-        lambda: (_pr1_rmatmat(pr1, dy64), _pr1_grad(pr1, x64, dy64)), reps
+        lambda: (_pr1_rmatmat(pr1, dy64), _pr1_grad(pr1.matrix, x64, dy64)),
+        reps,
     )
-    pr1_grad_s = _time(lambda: _pr1_grad(pr1, x64, dy64), reps)
+    pr1_grad_s = _time(lambda: _pr1_grad(pr1.matrix, x64, dy64), reps)
     naive_s = _time(lambda: _naive_backward(base, x64, dy64), reps)
 
     # A forward touches batch * nnz multiply-accumulates; the backward pair
@@ -210,7 +232,7 @@ def bench_point(
         n,
         p,
         batch,
-        "csr" if matrix._get_plan().pbd_index() is None else "pbd",
+        "coo" if matrix._get_plan().pbd_index() is None else "pbd",
         value_dtype,
         f"{fwd_s * 1e3:.2f}",
         f"{fwd_gmacs:.2f}",

@@ -5,8 +5,8 @@ sizes, inputs at Alex-FC6's Table VII activation density) through
 ``repro.serve.ModelServer`` at several shard counts and compares simulated
 requests/sec and latency against the natural single-engine loop: the
 whole request set served as one batch on one shard, which is
-``PermDNNEngine.run_fc_batch`` layer by layer.  Outputs must match that
-reference **bit for bit** at every shard count.
+``PermDNNEngine.run_fc_batch_detailed`` layer by layer.  Outputs must
+match that reference **bit for bit** at every shard count.
 
 The tracked acceptance point is the 4-shard row: ``speedup >= 2.0`` on the
 full-scale stack (the script exits non-zero below that bar, or on any
@@ -235,7 +235,7 @@ def run_shard_sweep(args) -> int:
     text = (
         f"AlexNet-FC serving, scale 1/{scale}, deadline "
         f"{args.deadline_us:.0f} us, seed {args.seed}; reference: the "
-        f"whole request set as one batch on 1 shard (run_fc_batch)\n"
+        f"whole request set as one batch on 1 shard (run_fc_batch_detailed)\n"
         + format_records(shards)
         + f"\n\n(sweep wall time {wall:.1f}s)\n\n"
         f"host-time thread comparison ({ACCEPTANCE_SHARDS} shards, "

@@ -17,11 +17,11 @@ Public API
 - :func:`natural_permutation`, :func:`random_permutation` -- ``k_l`` selection.
 - :func:`approximate_pd` / :func:`approximate_pd_tensor` -- optimal
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
-- :mod:`repro.core.kernel` -- the one product kernel (scipy CSR products,
-  and permuted block-diagonal GEMMs for the backward of additive ``ks``),
-  which every product calls directly; :func:`default_backend` /
-  :func:`available_backends` name its forward (``csr``) for host reports
-  and choose nothing.
+- :mod:`repro.core.kernel` -- the one product kernel (scipy COO products
+  over the index plan's slot coordinates, and permuted block-diagonal
+  GEMMs for the backward of additive ``ks``), which every product calls
+  directly; :func:`default_backend` / :func:`available_backends` name its
+  forward (``coo``) for host reports and choose nothing.
 - :func:`set_default_value_dtype` / :func:`default_value_dtype` --
   process-wide value-storage selection (float64 / float32 / int16
   fixed-point; see :mod:`repro.core.value_types`); individual matrices
@@ -64,13 +64,13 @@ from repro.core.storage import (
 
 
 def default_backend() -> str:
-    """Name of the product kernel: always ``"csr"``."""
-    return "csr"
+    """Name of the product kernel: always ``"coo"``."""
+    return "coo"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the product kernels: only ``("csr",)``."""
-    return ("csr",)
+    """Names of the product kernels: only ``("coo",)``."""
+    return ("coo",)
 
 
 __all__ = [

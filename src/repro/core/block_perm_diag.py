@@ -14,18 +14,20 @@ Index-plan cache
 ----------------
 Because non-zero positions are arithmetically derivable, every index
 artifact -- the global row/column of each stored slot, the support mask,
-the forward gather columns, the transposed gather pair, the CSR
-skeletons used by the sparse products, and the class gather vectors of
-the permuted block-diagonal backward -- is a pure function of the
-*structure* ``(ks, shape, p)`` and never of the values.  All of it is
-computed at most once, lazily, in an :class:`_IndexPlan` cached on the
-matrix, and none of it is ever stored (see "What artifacts store");
-every product (:meth:`~BlockPermutedDiagonalMatrix.matmat`,
+and the class gather vectors of the permuted block-diagonal backward --
+is a pure function of the *structure* ``(ks, shape, p)`` and never of
+the values.  All of it is computed at most once, lazily, in an
+:class:`_IndexPlan` cached on the matrix, and none of it is ever stored
+(see "What artifacts store").  The slot coordinates are the only index
+structure the sparse products use: they read them as they are, in
+storage order, as the coordinates of a scipy COO view, so no CSR or
+transposed index layout is derived and no value is re-gathered per call.
+Every product (:meth:`~BlockPermutedDiagonalMatrix.matmat`,
 :meth:`~BlockPermutedDiagonalMatrix.rmatmat`,
-:meth:`~BlockPermutedDiagonalMatrix.grad_data`, ...) reads the plan instead
-of rebuilding indices, and the backward path is transpose-free: no
-intermediate :meth:`~BlockPermutedDiagonalMatrix.transpose` object is
-materialized per call.
+:meth:`~BlockPermutedDiagonalMatrix.grad_data`, ...) reads the plan
+instead of rebuilding indices, and the backward path is transpose-free:
+no intermediate :meth:`~BlockPermutedDiagonalMatrix.transpose` object
+is materialized per call.
 
 Structure is immutable through attribute access (``ks`` is exposed
 read-only and ``shape`` is a plain property).  The sanctioned mutation API
@@ -73,15 +75,15 @@ rejects a ``q`` that holds them).
 Product kernel
 --------------
 Every product calls the one kernel in :mod:`repro.core.kernel` directly.
-The forward is a scipy CSR product over the plan's int32-indexed
-skeleton on every matrix.  The backward products follow the structure:
-when ``ks`` are additive (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as
-natural indexing's are) rows and columns relabel into ``p`` dense
-blocks and each backward product is one stacked GEMM
-(:meth:`_IndexPlan.pbd_index`); otherwise they are the CSR product over
-the transposed skeleton and a batched gather-and-contract.  Nothing is
-chosen by setting, so matrices, layers and artifacts carry no kernel
-name.
+The forward is a scipy COO product over the plan's int32 slot
+coordinates on every matrix, reading the stored values in place.  The
+backward products follow the structure: when ``ks`` are additive
+(``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural indexing's are) rows
+and columns relabel into ``p`` dense blocks and each backward product is
+one stacked GEMM (:meth:`_IndexPlan.pbd_index`); otherwise they are the
+COO product over the same coordinates swapped and a batched
+gather-and-contract.  Nothing is chosen by setting, so matrices, layers
+and artifacts carry no kernel name.
 
 What artifacts store
 --------------------
@@ -249,13 +251,18 @@ class _IndexPlan:
 
     Built lazily, once, and shared by every matrix that uses the structure
     (see :meth:`BlockPermutedDiagonalMatrix.like`).  The eager members are
-    the forward-path arrays; the transpose pair, support coordinates, CSR
-    skeletons and the backward products' PBD index are themselves built
-    lazily on first use so forward-only consumers never pay for them.  All
-    exposed arrays are read-only.
+    the slot coordinates and the support mask; the sparse products read
+    the coordinates as they are, as the ``(row, col)`` arrays of scipy COO
+    views (:meth:`BlockPermutedDiagonalMatrix._coo`), so no other index
+    layout is ever derived for them.  The support coordinates and the
+    backward products' PBD index are built lazily on first use so
+    forward-only consumers never pay for them.  All exposed arrays are
+    read-only.
 
     Attributes:
-        rows / cols: global ``(row, col)`` of every stored slot, ``(mb, nb, p)``.
+        rows / cols: global ``(row, col)`` of every stored slot,
+            ``(mb, nb, p)``; int32 whenever the padded dimensions fit
+            (scipy's native index type, so the COO views alias them).
         support: boolean ``(mb, nb, p)`` mask of slots inside the logical shape.
         flat_cols: ``cols`` flattened for one-shot gathers.
         nnz: number of in-bounds stored slots.
@@ -273,15 +280,16 @@ class _IndexPlan:
         self.aligned_m = m == mb * p
         self.aligned_n = n == nb * p
         self.full_support = self.aligned_m and self.aligned_n
-        c = np.arange(p, dtype=np.int64)
+        idx = np.int32 if max(mb, nb) * p < 2**31 else np.int64
+        c = np.arange(p, dtype=idx)
         rows = np.ascontiguousarray(
             np.broadcast_to(
-                np.arange(mb, dtype=np.int64)[:, None, None] * p + c, (mb, nb, p)
+                np.arange(mb, dtype=idx)[:, None, None] * p + c, (mb, nb, p)
             )
         )
         cols = (
-            np.arange(nb, dtype=np.int64)[None, :, None] * p
-            + (c[None, None, :] + ks[:, :, None]) % p
+            np.arange(nb, dtype=idx)[None, :, None] * p
+            + (c[None, None, :] + ks.astype(idx)[:, :, None]) % p
         )
         if self.full_support:
             support = np.ones((mb, nb, p), dtype=bool)
@@ -292,9 +300,7 @@ class _IndexPlan:
             arr.setflags(write=False)
         self.rows, self.cols, self.support = rows, cols, support
         self.flat_cols = cols.reshape(-1)  # after the freeze: read-only view
-        self._t_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._csr_structs: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pbd_derived = False
         self._pbd: _PBDIndex | None = None
 
@@ -316,88 +322,6 @@ class _IndexPlan:
                 arr.setflags(write=False)
             self._support_coords = (flat, rows, cols)
         return self._support_coords
-
-    def transpose_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(t_src, t_cols)``, each ``(nb, mb, p)``, for the transposed view.
-
-        For transposed slot ``(bj, bi, d)`` -- row ``bj*p + d`` of ``W.T`` --
-        ``t_src`` is the flat index into ``data`` of the value it carries and
-        ``t_cols`` the original global row (= the ``W.T`` input column)
-        feeding it.  This is what lets ``rmatmat`` run without materializing
-        a transposed matrix object.
-        """
-        if self._t_arrays is None:
-            p, mb, nb = self.p, self.mb, self.nb
-            d = np.arange(p, dtype=np.int64)
-            # Transposed row d of block (bi, bj) carries the original entry
-            # whose column offset was d, i.e. original row (d - k) mod p.
-            src_c = (d[None, None, :] - self.ks[:, :, None]) % p  # (mb, nb, p)
-            bi = np.arange(mb, dtype=np.int64)[:, None, None]
-            bj = np.arange(nb, dtype=np.int64)[None, :, None]
-            t_src = np.ascontiguousarray(((bi * nb + bj) * p + src_c).transpose(1, 0, 2))
-            t_cols = np.ascontiguousarray((bi * p + src_c).transpose(1, 0, 2))
-            t_src.setflags(write=False)
-            t_cols.setflags(write=False)
-            self._t_arrays = (t_src, t_cols)
-        return self._t_arrays
-
-    def csr_struct(
-        self, transposed: bool
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR skeleton ``(indptr, indices, perm)`` of ``W`` (or ``W.T``).
-
-        Read off the block layout, without a sort.  Forward row
-        ``bi*p + c`` holds one slot per block column, in ascending ``bj``
-        and so in ascending column order: ``indices`` is ``cols``
-        transposed to ``(mb, p, nb)``.  Transposed row ``bj*p + d`` holds
-        one slot per block row, in ascending ``bi``: its skeleton is
-        :meth:`transpose_arrays` transposed to ``(nb, p, mb)``.  Padding
-        slots are dropped with the support mask, which keeps that order.
-        Every row thus lists its non-zeros in ascending column order, the
-        order scipy accumulates a row in.
-
-        ``indptr``/``indices`` are int32 whenever the matrix dimensions
-        permit (scipy's native index type -- spmm then moves half the index
-        bytes of an int64 skeleton); ``perm`` stays at the platform index
-        type because it is consumed by numpy fancy indexing, which would
-        otherwise re-cast it on every value refresh.  ``perm`` gathers
-        ``data.ravel()`` into CSR order, so refreshing a cached sparse
-        matrix after an in-place weight update is a single ``nnz``-sized
-        gather.
-        """
-        key = bool(transposed)
-        if key not in self._csr_structs:
-            if transposed:
-                src, cols = self.transpose_arrays()
-                height = self.shape[1]
-            else:
-                src = np.arange(self.cols.size, dtype=np.intp).reshape(
-                    self.cols.shape
-                )
-                cols, height = self.cols, self.shape[0]
-            idx_dtype = (
-                np.int32
-                if max(self.shape[0], self.shape[1], self.nnz) < 2**31
-                else np.int64
-            )
-            # (blocks, p, per_row): one CSR row per (block, offset) pair.
-            per_row = src.shape[1]
-            perm = src.transpose(0, 2, 1).reshape(-1).astype(np.intp, copy=False)
-            indices = np.ascontiguousarray(
-                cols.transpose(0, 2, 1), dtype=idx_dtype
-            ).reshape(-1)
-            if self.full_support:
-                counts = np.full(height, per_row)
-            else:
-                keep = self.support.reshape(-1)[perm]
-                perm, indices = perm[keep], indices[keep]
-                counts = keep.reshape(-1, per_row).sum(axis=1)[:height]
-            indptr = np.zeros(height + 1, dtype=idx_dtype)
-            indptr[1:] = np.cumsum(counts)
-            for arr in (indptr, indices, perm):
-                arr.setflags(write=False)
-            self._csr_structs[key] = (indptr, indices, perm)
-        return self._csr_structs[key]
 
     def pbd_index(self) -> _PBDIndex | None:
         """Class gather vectors for additive ``ks``; ``None`` otherwise.
@@ -425,13 +349,12 @@ class _IndexPlan:
     def row_block_slice(self, start: int, stop: int) -> "_IndexPlan":
         """Derived plan covering block rows ``[start, stop)`` only.
 
-        Everything is obtained by **slicing (and re-basing) this plan's
-        cached arrays** -- no modulo index arithmetic runs, which is what
-        lets the serving runtime shard a layer across engines without
-        paying the structure computation per shard.  ``cols`` and
-        ``support`` are shared views; ``rows`` and the transposed pair
-        (when already built here) are re-based copies.  Members this plan
-        has not built stay lazy on the shard too.
+        Everything is obtained by **slicing this plan's cached arrays** --
+        no modulo index arithmetic runs, which is what lets the serving
+        runtime shard a layer across engines without paying the structure
+        computation per shard.  ``cols`` and ``support`` are shared views;
+        ``rows`` is a re-based copy.  Members this plan has not built stay
+        lazy on the shard too.
         """
         if not (0 <= start < stop <= self.mb):
             raise ValueError(
@@ -456,21 +379,7 @@ class _IndexPlan:
         shard.support = self.support[start:stop]
         shard.flat_cols = shard.cols.reshape(-1)
         shard.nnz = int(shard.support.sum())
-        if self._t_arrays is not None:
-            t_src, t_cols = self._t_arrays
-            # Re-base: shard slot (bj, bi', d) reads data[start + bi'] of
-            # the parent, i.e. parent flat index minus the sliced-off rows.
-            t_src_s = np.ascontiguousarray(
-                t_src[:, start:stop] - start * self.nb * p
-            )
-            t_cols_s = np.ascontiguousarray(t_cols[:, start:stop] - start * p)
-            t_src_s.setflags(write=False)
-            t_cols_s.setflags(write=False)
-            shard._t_arrays = (t_src_s, t_cols_s)
-        else:
-            shard._t_arrays = None
         shard._support_coords = None
-        shard._csr_structs = {}
         shard._pbd_derived = False
         shard._pbd = None
         return shard
@@ -542,7 +451,7 @@ class BlockPermutedDiagonalMatrix:
             )
         self._shape = (int(m), int(n))
         self._plan: _IndexPlan | None = None
-        self._csr_cache: dict[bool, tuple] = {}
+        self._coo_cache: dict[bool, tuple] = {}
         self.data = data  # through the property: masks padding only if needed
 
     # ------------------------------------------------------------------
@@ -702,7 +611,7 @@ class BlockPermutedDiagonalMatrix:
 
         Validates exactly like ``__init__``, re-applies the padding mask to
         the stored values under the new structure, and invalidates the
-        cached index plan (plus any CSR skeletons derived from it).  The
+        cached index plan (plus the COO views built over it).  The
         re-mask happens **in place** whenever the buffer is writable, so
         the data-aliasing contract (e.g. a ``Parameter`` sharing storage)
         survives the mutation.
@@ -728,7 +637,7 @@ class BlockPermutedDiagonalMatrix:
                 )
             self._shape = (int(m), int(n))
         self._plan = None
-        self._csr_cache = {}
+        self._coo_cache = {}
         # Re-mask under the new structure, in place when possible so any
         # consumer aliasing the buffer keeps seeing this matrix's values.
         if self._shape != (mb * p, nb * p):
@@ -805,7 +714,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = plan.ks
         out._shape = plan.shape
         out._plan = plan
-        out._csr_cache = {}
+        out._coo_cache = {}
         out._value_dtype = value_dtype
         out._fixed_point = fixed_point
         out.data = data
@@ -965,14 +874,6 @@ class BlockPermutedDiagonalMatrix:
         """
         return self._get_plan().support
 
-    def _global_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Global ``(row, col)`` of every stored slot, each ``(mb, nb, p)``.
-
-        Read-only views of the cached index plan.
-        """
-        plan = self._get_plan()
-        return plan.rows, plan.cols
-
     def support_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """``(rows, cols)`` 1-D global coordinates of every in-bounds slot.
 
@@ -1057,15 +958,18 @@ class BlockPermutedDiagonalMatrix:
     def transpose(self) -> "BlockPermutedDiagonalMatrix":
         """Transpose; also block-PD, with ``k_t = (p - k) mod p`` per block.
 
-        The backward pass no longer calls this -- :meth:`rmatmat` and
-        :meth:`rmatvec` run transpose-free off the cached plan -- but the
-        structured transpose remains part of the public API.
+        Transposed row ``d`` of block ``(bj, bi)`` carries the original
+        entry whose column offset was ``d``, i.e. original row
+        ``(d - k) mod p``: one gather along the value axis.  The backward
+        pass never calls this -- :meth:`rmatmat` and :meth:`rmatvec` run
+        transpose-free -- but the structured transpose remains part of the
+        public API.
         """
-        t_src, _ = self._get_plan().transpose_arrays()
-        data_t = self._data.ravel()[t_src]
+        src = (np.arange(self.p) - self._ks[:, :, None]) % self.p
+        data_t = np.take_along_axis(self._data, src, axis=2)
         ks_t = (-self._ks.T) % self.p
         return BlockPermutedDiagonalMatrix(
-            data_t,
+            np.ascontiguousarray(data_t.transpose(1, 0, 2)),
             ks_t,
             shape=(self.shape[1], self.shape[0]),
             value_dtype=self._value_dtype,
@@ -1076,39 +980,36 @@ class BlockPermutedDiagonalMatrix:
     # Arithmetic
     # ------------------------------------------------------------------
 
-    def _csr_values(self, perm: np.ndarray) -> np.ndarray:
-        """CSR value buffer in the compute dtype: an ``nnz``-sized gather,
-        fused with the dequantizing multiply for ``int16`` codes."""
-        gathered = self._data.ravel()[perm]
-        if self._value_dtype == "int16":
-            from repro.nn.quantization import decode_fixed_point
+    def _coo(self, transposed: bool):
+        """Cached ``scipy.sparse.coo_matrix`` view of ``W`` (or ``W.T``).
 
-            return decode_fixed_point(gathered, self._fixed_point)
-        return gathered
-
-    def _csr(self, transposed: bool):
-        """Cached ``scipy.sparse.csr_matrix`` view of ``W`` (or ``W.T``).
-
-        The skeleton comes from the index plan; only ``nnz`` values are
-        re-gathered per call, so in-place weight updates are always
-        reflected.  The value buffer is in the compute dtype (float32 for
-        float32 storage -- scipy's spmm then moves and multiplies half the
-        bytes -- float64 otherwise).
+        Its coordinates are the plan's own ``rows``/``cols`` (swapped for
+        ``W.T``) and its shape the padded ``(mb*p, nb*p)`` (or its
+        transpose), so padding slots stay in: their zero weights meet the
+        kernel's zero-padded operand rows, or land in output rows it
+        slices off.  Storage order ``(bi, bj, c)`` lists every row's
+        non-zeros in ascending column, and every ``W.T`` row's in
+        ascending original row -- the order scipy accumulates them in.
+        A view is built once per matrix and orientation, paying only
+        scipy's O(nnz) bounds check; its ``data`` is re-pointed at
+        :meth:`_kernel_data` on every call, so in-place writes and a
+        reassigned :attr:`data` are always current.  Float storage is
+        read in place; ``int16`` codes are decoded per call.
         """
         key = bool(transposed)
         plan = self._get_plan()
-        entry = self._csr_cache.get(key)
-        if entry is None or entry[0] is not plan:
-            indptr, indices, perm = plan.csr_struct(key)
-            shape = (self.shape[1], self.shape[0]) if transposed else self.shape
-            mat = _scipy_sparse.csr_matrix(
-                (self._csr_values(perm), indices, indptr), shape=shape
-            )
-            self._csr_cache[key] = (plan, mat, perm)
-        else:
-            _, mat, perm = entry
-            mat.data[:] = self._csr_values(perm)
-        return self._csr_cache[key][1]
+        values = self._kernel_data().reshape(-1)
+        entry = self._coo_cache.get(key)
+        if entry is not None and entry[0] is plan:
+            entry[1].data = values
+            return entry[1]
+        coords = (plan.rows.reshape(-1), plan.cols.reshape(-1))
+        shape = (self.mb * self.p, self.nb * self.p)
+        if key:
+            coords, shape = coords[::-1], shape[::-1]
+        view = _scipy_sparse.coo_matrix((values, coords), shape=shape)
+        self._coo_cache[key] = (plan, view)
+        return view
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = W @ x`` touching only the ``m*n/p`` stored weights: the
@@ -1146,7 +1047,7 @@ class BlockPermutedDiagonalMatrix:
 
         The backward input gradient ``dx = W.T @ dy`` (Eqn. (3)).  Runs
         off the cached plan -- the permuted block-diagonal GEMMs for
-        additive ``ks``, the transposed CSR skeleton otherwise (see
+        additive ``ks``, the transposed COO view otherwise (see
         :func:`repro.core.kernel.rmatmat`) -- and never constructs a
         ``transpose()`` matrix object.
         """
@@ -1164,7 +1065,7 @@ class BlockPermutedDiagonalMatrix:
         only the stored (non-zero) weights receive gradient, which is what
         keeps the trained network block-permuted diagonal.  The kernel
         batches this as permuted block-diagonal GEMMs for additive ``ks``
-        and against the shared column skeleton otherwise (see
+        and as gathers against the plan's columns otherwise (see
         :func:`repro.core.kernel.batched_grad_data`).
 
         Args:

@@ -9,8 +9,8 @@ by a ``value_dtype`` name:
     artifact and the reference for all conformance tolerances.
 ``"float32"``
     Half the memory traffic on the hot path.  Products run end to end in
-    float32 (inputs are cast, CSR value buffers stay float32), which is
-    where the speedup comes from.
+    float32 (inputs are cast, the sparse products read the float32
+    values in place), which is where the speedup comes from.
 ``"int16"``
     Fixed-point codes in the paper's 16-bit weight format
     (:class:`repro.nn.quantization.FixedPointFormat`).  Kernels see the

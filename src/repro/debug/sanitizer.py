@@ -30,12 +30,14 @@ runtime.  Inside :func:`sanitize`:
   loaded from an engine image or bundle counts one build on first use,
   like any other: a cold start builds one plan per loaded slot matrix
   and rebuilds none.
-* ``_IndexPlan.csr_struct`` cache misses are counted as CSR-skeleton
-  builds, at most one per matrix and orientation, and
-  ``_IndexPlan.pbd_index`` cache misses as PBD index builds (the
-  additivity check plus, for additive ``ks``, the class gather vectors
-  of the backward products), at most one per plan.  The serving forward
-  never leaves CSR, so a drain builds no PBD index.
+* ``BlockPermutedDiagonalMatrix._coo`` cache misses are counted as
+  COO-view builds (``skeleton_builds``), at most one per matrix and
+  orientation; a view wraps the plan's own coordinates, so building one
+  runs no index arithmetic.  ``_IndexPlan.pbd_index`` cache misses are
+  counted as PBD index builds (the additivity check plus, for additive
+  ``ks``, the class gather vectors of the backward products), at most
+  one per plan.  The serving forward never leaves COO, so a drain builds
+  no PBD index.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test
@@ -116,7 +118,7 @@ class Sanitizer:
         self._frozen: list[tuple[np.ndarray, bool]] = []
         self._orig_get_plan = None
         self._orig_row_shard = None
-        self._orig_csr_struct = None
+        self._orig_coo = None
         self._orig_pbd_index = None
 
     # -- lifecycle -----------------------------------------------------
@@ -126,12 +128,12 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         self._orig_get_plan = cls._get_plan
         self._orig_row_shard = cls.row_shard
-        self._orig_csr_struct = _IndexPlan.csr_struct
+        self._orig_coo = cls._coo
         self._orig_pbd_index = _IndexPlan.pbd_index
         sanitizer = self
         orig_get_plan = self._orig_get_plan
         orig_row_shard = self._orig_row_shard
-        orig_csr_struct = self._orig_csr_struct
+        orig_coo = self._orig_coo
         orig_pbd_index = self._orig_pbd_index
 
         def _get_plan(matrix):
@@ -163,10 +165,11 @@ class Sanitizer:
             sanitizer.freeze(out._data)
             return out
 
-        def csr_struct(plan, transposed):
-            if bool(transposed) not in plan._csr_structs:
+        def _coo(matrix, transposed):
+            entry = matrix._coo_cache.get(bool(transposed))
+            if entry is None or entry[0] is not matrix._plan:
                 sanitizer.stats.skeleton_builds += 1
-            return orig_csr_struct(plan, transposed)
+            return orig_coo(matrix, transposed)
 
         def pbd_index(plan):
             if not plan._pbd_derived:
@@ -175,7 +178,7 @@ class Sanitizer:
 
         cls._get_plan = _get_plan
         cls.row_shard = row_shard
-        _IndexPlan.csr_struct = csr_struct
+        cls._coo = _coo
         _IndexPlan.pbd_index = pbd_index
         return self
 
@@ -185,7 +188,7 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         cls._get_plan = self._orig_get_plan
         cls.row_shard = self._orig_row_shard
-        _IndexPlan.csr_struct = self._orig_csr_struct
+        cls._coo = self._orig_coo
         _IndexPlan.pbd_index = self._orig_pbd_index
         # Restore flags LIFO so re-frozen duplicates unwind correctly.
         while self._frozen:

@@ -398,39 +398,6 @@ class PermDNNEngine:
         saturations = int((clipped != y).sum())
         return clipped, saturations
 
-    def run_fc_batch(
-        self,
-        matrix: BlockPermutedDiagonalMatrix,
-        x_batch: np.ndarray,
-        activation: str | None = None,
-        zero_skip: bool = True,
-        enforce_capacity: bool = True,
-    ) -> tuple[np.ndarray, int]:
-        """Execute one FC layer over a batch of inputs.
-
-        Inputs stream through back-to-back, so the pipeline fill is paid
-        once; each sample contributes its own compute + writeback cycles
-        (zero-skipping makes these input dependent).
-
-        Args:
-            matrix: the PD weight matrix.
-            x_batch: inputs of shape ``(B, n)``.
-            activation: optional ActU mode applied to every output.
-            zero_skip: process only non-zero input entries.
-            enforce_capacity: reject layers overflowing the per-PE SRAM.
-
-        Returns:
-            ``(outputs, total_cycles)`` with outputs of shape ``(B, m)``.
-        """
-        outputs, cycles, _ = self.run_fc_batch_detailed(
-            matrix,
-            x_batch,
-            activation=activation,
-            zero_skip=zero_skip,
-            enforce_capacity=enforce_capacity,
-        )
-        return outputs, cycles
-
     def run_fc_batch_detailed(
         self,
         matrix: BlockPermutedDiagonalMatrix,
@@ -439,7 +406,11 @@ class PermDNNEngine:
         zero_skip: bool = True,
         enforce_capacity: bool = True,
     ) -> tuple[np.ndarray, int, int]:
-        """:meth:`run_fc_batch` plus the MAC count.
+        """Execute one FC layer over a batch of inputs.
+
+        Inputs stream through back-to-back, so the pipeline fill is paid
+        once; each sample contributes its own compute + writeback cycles
+        (zero-skipping makes these input dependent).
 
         Every served stage (:mod:`repro.serve`) and the conv lowering
         (:mod:`repro.hw.conv_lowering`) run their products through here,
@@ -455,6 +426,13 @@ class PermDNNEngine:
         accumulation order per output row) but it releases the GIL inside
         a single kernel call, which is what makes the serving runtime's
         shard threads (:mod:`repro.serve.server`) actually overlap.
+
+        Args:
+            matrix: the PD weight matrix.
+            x_batch: inputs of shape ``(B, n)``.
+            activation: optional ActU mode applied to every output.
+            zero_skip: process only non-zero input entries.
+            enforce_capacity: reject layers overflowing the per-PE SRAM.
 
         Returns:
             ``(outputs, total_cycles, macs)``; ``outputs`` is in the

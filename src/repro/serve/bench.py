@@ -16,7 +16,7 @@ The benchmark modes are loops over that function:
 - :func:`run_workload_matrix` -- closed-loop bursts of each named
   workload at every (shard count, thread count) pair.  The AlexNet
   shard sweep is its ``alexnet-fc`` case; its reference is the
-  single-engine ``run_fc_batch`` loop.
+  single-engine ``run_fc_batch_detailed`` loop.
 - :func:`run_open_loop_sweep` -- latency percentiles vs offered load,
   the SLO knee and overload shedding, summarized by
   :class:`OpenLoopReport`.
@@ -487,9 +487,9 @@ def run_workload_matrix(
     Per workload the model and the request set are built once.  Its
     first record is the reference: the whole set drained as one batch
     at 1 shard and 1 thread (for ``alexnet-fc``, the single-engine
-    ``run_fc_batch`` loop in outputs and makespan).  Every following
-    record must reproduce it bit for bit, across FC, lowered-conv and
-    recurrent stages alike.
+    ``run_fc_batch_detailed`` loop in outputs and makespan).  Every
+    following record must reproduce it bit for bit, across FC,
+    lowered-conv and recurrent stages alike.
 
     The batch limit is capped at the request count, so a never-filling
     batch does not sit out the deadline flush (which would measure the

@@ -8,8 +8,8 @@ each shard executes on its own :class:`~repro.hw.PermDNNEngine`
 instance.  Because row shards partition the output dimension, the shard
 engines process the *same* zero-skipped input columns and their stacked
 outputs reproduce the unsharded
-:meth:`~repro.hw.PermDNNEngine.run_fc_batch` result bit for bit.  Shard
-concurrency exists on two clocks: in **simulated time** a micro-batch
+:meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` result bit for
+bit.  Shard concurrency exists on two clocks: in **simulated time** a micro-batch
 occupies a layer for its slowest shard's cycles (the engines are modelled
 as a parallel array), and in **host time** the shard engines of a layer
 actually run on a :class:`~concurrent.futures.ThreadPoolExecutor`

@@ -19,7 +19,7 @@ The first sweeps draw random ``ks``, which are additive only when
 ``mb == 1`` or ``nb == 1``.  Natural-indexed ``ks`` are always additive,
 so their backward products run as permuted block-diagonal (PBD) GEMMs;
 the natural-indexing sweep and properties check those against the spec
-at every value dtype, against the CSR path, and anchor the relabelling
+at every value dtype, against the sparse (COO) path, and anchor the relabelling
 identity ``P_rows . W . P_cols = blockdiag(D_0 ... D_{p-1})``.
 """
 
@@ -470,7 +470,7 @@ class TestPBDDispatch:
             dy = rng.normal(size=(3, shard.shape[0]))
             _check_against_spec(shard, x, dy, ATOL)
 
-    def test_non_additive_ks_take_the_csr_path(self):
+    def test_non_additive_ks_take_the_coo_path(self):
         # ks[1, 1] would have to be ks[1, 0] + ks[0, 1] - ks[0, 0] = 0.
         ks = np.array([[0, 0], [0, 1]])
         data = np.random.default_rng(0).normal(size=(2, 2, 2))
@@ -480,7 +480,7 @@ class TestPBDDispatch:
         x = np.random.default_rng(1).normal(size=(3, 4))
         dy = np.random.default_rng(2).normal(size=(3, 4))
         _check_against_spec(matrix, x, dy, ATOL)
-        assert set(plan._csr_structs) == {False, True}
+        assert set(matrix._coo_cache) == {False, True}
 
     @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
     def test_backward_is_deterministic(self, value_dtype):
@@ -502,9 +502,16 @@ class TestPBDDispatch:
 @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
 def test_one_row_products_equal_the_vector_products(scheme, value_dtype):
     """``matvec`` is the one-row ``matmat``, bit for bit the same as
-    scipy's single-vector CSR product (the engine's bit-accurate path and
-    ``hw/verify.py`` read it); on CSR ``rmatvec`` is likewise the
-    single-vector product over ``W.T``."""
+    scipy's single-vector COO product over the padded view (the engine's
+    bit-accurate path and ``hw/verify.py`` read it); off the PBD path
+    ``rmatvec`` is likewise the single-vector product over ``W.T``."""
+
+    def coo_vector_product(matrix, v, transposed):
+        view = matrix._coo(transposed)
+        padded = np.zeros(view.shape[1], dtype=v.dtype)
+        padded[: v.size] = v
+        return (view @ padded)[: matrix.shape[0 if not transposed else 1]]
+
     rng = np.random.default_rng(11)
     for m, n, p in [(13, 10, 4), (64, 48, 8), (130, 96, 8), (9, 9, 1)]:
         matrix = BlockPermutedDiagonalMatrix.random(
@@ -513,11 +520,13 @@ def test_one_row_products_equal_the_vector_products(scheme, value_dtype):
         )
         x = rng.normal(size=n).astype(matrix.compute_dtype)
         y = rng.normal(size=m).astype(matrix.compute_dtype)
-        np.testing.assert_array_equal(matrix.matvec(x), matrix._csr(False) @ x)
+        np.testing.assert_array_equal(
+            matrix.matvec(x), coo_vector_product(matrix, x, False)
+        )
         np.testing.assert_array_equal(
             matrix.rmatvec(y), matrix.rmatmat(y[None])[0]
         )
         if matrix._get_plan().pbd_index() is None:
             np.testing.assert_array_equal(
-                matrix.rmatvec(y), matrix._csr(True) @ y
+                matrix.rmatvec(y), coo_vector_product(matrix, y, True)
             )

@@ -1,7 +1,8 @@
 """The product kernel (:mod:`repro.core.kernel`): products against the
-dense reference, cache-blocked gradient paths, int32 CSR skeletons whose
-rows keep the sorted order scipy accumulates in, and the index plans a
-matrix decoded from its stored form derives from ``ks``."""
+dense reference, cache-blocked gradient paths, COO views that alias the
+plan's int32 coordinates and the stored values and list every row in the
+sorted order scipy accumulates in, and the index plans a matrix decoded
+from its stored form derives from ``ks``."""
 
 import numpy as np
 import pytest
@@ -44,14 +45,20 @@ class TestProductsMatchDense:
 
     @pytest.mark.parametrize("shape,p", SHAPES)
     def test_grad_data_matches_dense_projection(self, shape, p):
-        bpd = _random_bpd(shape, p, seed=5)
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, shape[1]))
-        dy = rng.normal(size=(4, shape[0]))
-        reference = BlockPermutedDiagonalMatrix.from_dense(
-            (dy.T @ x) * bpd.dense_mask(), p, ks=bpd.ks
-        ).data
-        np.testing.assert_allclose(bpd.grad_data(x, dy), reference, atol=1e-10)
+        """Random ``ks`` take the gather path, natural ``ks`` the PBD
+        GEMMs; on both, padding slots get exactly zero gradient from the
+        zero-padded operands alone."""
+        for scheme in ("random", "natural"):
+            bpd = _random_bpd(shape, p, seed=5, scheme=scheme)
+            rng = np.random.default_rng(6)
+            x = rng.normal(size=(4, shape[1]))
+            dy = rng.normal(size=(4, shape[0]))
+            reference = BlockPermutedDiagonalMatrix.from_dense(
+                (dy.T @ x) * bpd.dense_mask(), p, ks=bpd.ks
+            ).data
+            grad = bpd.grad_data(x, dy)
+            np.testing.assert_allclose(grad, reference, atol=1e-10)
+            assert not np.any(grad[~bpd.support_mask()])
 
     @pytest.mark.parametrize("shape,p", SHAPES)
     def test_chunked_transposed_paths_match_dense(
@@ -72,7 +79,9 @@ class TestProductsMatchDense:
         reference = BlockPermutedDiagonalMatrix.from_dense(
             (dy.T @ x) * bpd.dense_mask(), p, ks=bpd.ks
         ).data
-        np.testing.assert_allclose(bpd.grad_data(x, dy), reference, atol=1e-10)
+        grad = bpd.grad_data(x, dy)
+        np.testing.assert_allclose(grad, reference, atol=1e-10)
+        assert not np.any(grad[~bpd.support_mask()])
 
 
 def test_environment_selects_no_kernel(monkeypatch):
@@ -86,20 +95,122 @@ def test_environment_selects_no_kernel(monkeypatch):
         np.testing.assert_array_equal(bpd.matmat(x), before)
 
 
-class TestInt32Skeletons:
-    def test_csr_skeleton_is_int32_for_small_matrices(self):
-        bpd = _random_bpd((10, 14), 4)
-        for transposed in (False, True):
-            indptr, indices, perm = bpd._get_plan().csr_struct(transposed)
-            assert indptr.dtype == np.int32
-            assert indices.dtype == np.int32
-            assert perm.dtype == np.int64  # numpy gather wants intp
+@st.composite
+def _drawn_matrix(draw):
+    """A drawn matrix -- padded shapes, both ``ks`` schemes, every value
+    dtype -- and the parts its products run on: itself, or its row
+    shards."""
+    p = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 6)) * p - draw(st.integers(0, p - 1))
+    n = draw(st.integers(1, 6)) * p - draw(st.integers(0, p - 1))
+    seed = draw(st.integers(0, 2**16))
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (m, n), p,
+        spec=PermutationSpec(
+            scheme=draw(st.sampled_from(["natural", "random"])), seed=seed
+        ),
+        rng=seed,
+        value_dtype=draw(st.sampled_from(["float64", "float32", "int16"])),
+    )
+    num_shards = draw(st.integers(0, 4))  # 0: unsharded
+    if num_shards:
+        return matrix, matrix.row_shards(min(num_shards, matrix.mb))
+    return matrix, [matrix]
 
-    def test_csr_skeleton_arrays_read_only(self):
-        bpd = _random_bpd((10, 14), 4)
-        for arr in bpd._get_plan().csr_struct(False):
-            with pytest.raises(ValueError):
-                arr[...] = 0
+
+class TestCOOViews:
+    """The products' only index structure is the plan's own coordinates:
+    the COO views alias them (and float storage), keep every row and
+    column in the sorted order scipy accumulates in, and read the values
+    current at each call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn_matrix())
+    def test_storage_order_sorts_every_row_and_column(self, drawn):
+        """scipy accumulates a COO product in storage order, so bit-exact
+        serving depends on each row's in-bounds columns, and each
+        column's rows (the ``W.T`` view), appearing strictly ascending."""
+        for part in drawn[1]:
+            m, n = part.shape
+            for transposed in (False, True):
+                view = part._coo(transposed)
+                rows, cols = view.row, view.col
+                height, width = (n, m) if transposed else (m, n)
+                keep = (rows < height) & (cols < width)
+                assert keep.sum() == part.nnz
+                rows, cols = rows[keep], cols[keep]
+                order = np.lexsort((np.arange(rows.size), rows))
+                same_row = rows[order][1:] == rows[order][:-1]
+                assert np.all(np.diff(cols[order])[same_row] > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn_matrix())
+    def test_views_alias_the_plan_coordinates_and_float_values(self, drawn):
+        for part in drawn[1]:
+            plan = part._get_plan()
+            assert plan.rows.dtype == np.int32
+            assert plan.cols.dtype == np.int32
+            for transposed in (False, True):
+                view = part._coo(transposed)
+                row, col = (plan.rows, plan.cols)[:: -1 if transposed else 1]
+                assert np.shares_memory(view.row, row)
+                assert np.shares_memory(view.col, col)
+                for arr in (view.row, view.col):
+                    with pytest.raises(ValueError):
+                        arr[...] = 0
+                if part.value_dtype != "int16":
+                    assert np.shares_memory(view.data, part.data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_drawn_matrix())
+    def test_value_writes_reach_the_next_product_without_a_new_view(
+        self, drawn
+    ):
+        """After an in-place write (through the matrix that owns the
+        buffer), and after a part's ``data`` is reassigned, the next
+        ``matmat`` / ``rmatmat`` -- and the ``W.T`` view, which additive
+        ``ks`` leave to the PBD backward -- are the dense products of the
+        new values, and no view is rebuilt."""
+        from repro.debug import sanitize
+
+        matrix, parts = drawn
+        rng = np.random.default_rng(matrix.nnz)
+        tol = 1e-4 if matrix.value_dtype == "float32" else 1e-10
+
+        def new_values(data, support):
+            # int16 codes are halved so the shift stays in range.
+            scaled = data // 2 if data.dtype == np.int16 else data * 2
+            return scaled + support.astype(data.dtype)
+
+        def check(part, x, y):
+            dense = part.to_dense()
+            np.testing.assert_allclose(
+                part.matmat(x), x @ dense.T, atol=tol, rtol=tol
+            )
+            np.testing.assert_allclose(
+                part.rmatmat(y), y @ dense, atol=tol, rtol=tol
+            )
+            y_t = np.zeros((part.mb * part.p, y.shape[0]), dtype=y.dtype)
+            y_t[: part.shape[0]] = y.T
+            out = part._coo(True) @ y_t
+            np.testing.assert_allclose(
+                out[: part.shape[1]].T, y @ dense, atol=tol, rtol=tol
+            )
+
+        inputs = []
+        for part in parts:
+            x = rng.normal(size=(3, part.shape[1])).astype(part.compute_dtype)
+            y = rng.normal(size=(3, part.shape[0])).astype(part.compute_dtype)
+            part.matmat(x), part.rmatmat(y), part._coo(True)
+            inputs.append((x, y))
+        with sanitize() as s:
+            matrix.data[...] = new_values(matrix.data, matrix.support_mask())
+            for part, (x, y) in zip(parts, inputs):
+                check(part, x, y)
+            for part, (x, y) in zip(parts, inputs):
+                part.data = new_values(part.data, part.support_mask())
+                check(part, x, y)
+            assert s.stats.skeleton_builds == 0
 
     def test_int32_spmm_matches_dense(self):
         bpd = _random_bpd((66, 34), 8, seed=11)
@@ -119,9 +230,7 @@ def _decode(matrix):
 def _warm(plan):
     """Build every lazy member of ``plan``."""
     plan.support_coords()
-    plan.transpose_arrays()
-    plan.csr_struct(False)
-    plan.csr_struct(True)
+    plan.pbd_index()
     return plan
 
 
@@ -139,25 +248,22 @@ class TestDecodedPlans:
         assert (clone.mb, clone.nb) == (plan.mb, plan.nb)
         assert clone.full_support == plan.full_support
         np.testing.assert_array_equal(clone.ks, plan.ks)
-        np.testing.assert_array_equal(clone.rows, plan.rows)
-        np.testing.assert_array_equal(clone.cols, plan.cols)
-        np.testing.assert_array_equal(clone.support, plan.support)
-        for a, b in zip(clone.transpose_arrays(), plan.transpose_arrays()):
+        for a, b in ((clone.rows, plan.rows), (clone.cols, plan.cols)):
             np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        np.testing.assert_array_equal(clone.support, plan.support)
         for a, b in zip(clone.support_coords(), plan.support_coords()):
             np.testing.assert_array_equal(a, b)
-        for transposed in (False, True):
-            for a, b in zip(
-                clone.csr_struct(transposed), plan.csr_struct(transposed)
-            ):
-                np.testing.assert_array_equal(a, b)
-                assert a.dtype == b.dtype
+        assert (clone.pbd_index() is None) == (plan.pbd_index() is None)
 
     def test_decoded_plan_arrays_are_read_only(self):
-        plan = _warm(_decode(_random_bpd((13, 10), 4, seed=14))._get_plan())
+        clone = _decode(_random_bpd((13, 10), 4, seed=14))
+        plan = _warm(clone._get_plan())
         arrays = [plan.rows, plan.cols, plan.support, plan.ks]
-        arrays += [*plan.transpose_arrays(), *plan.support_coords()]
-        arrays += [*plan.csr_struct(False), *plan.csr_struct(True)]
+        arrays += [*plan.support_coords()]
+        for transposed in (False, True):
+            view = clone._coo(transposed)
+            arrays += [view.row, view.col]
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
@@ -170,8 +276,8 @@ class TestDecodedPlans:
         clone.matmat(np.ones((2, 12)))
         plan = clone._plan
         assert plan is not None
-        assert plan._t_arrays is None
-        assert set(plan._csr_structs) == {False}
+        assert plan._support_coords is None and not plan._pbd_derived
+        assert set(clone._coo_cache) == {False}
 
     def test_decoded_matrix_builds_its_plan_once(self, monkeypatch):
         bpd = _random_bpd((13, 10), 4, seed=16)
@@ -205,59 +311,3 @@ class TestDecodedPlans:
             BlockPermutedDiagonalMatrix.from_q(q[:-1], bpd.shape, 4, ks)
         with pytest.raises(ValueError):
             BlockPermutedDiagonalMatrix.from_q(q, bpd.shape, 4, ks[:, :1])
-
-
-def _lexsort_skeleton(plan, transposed):
-    """Reference skeleton: every in-bounds slot, sorted by ``lexsort``
-    on (row, column)."""
-    flat, rows, cols = plan.support_coords()
-    if transposed:
-        rows, cols, height = cols, rows, plan.shape[1]
-    else:
-        height = plan.shape[0]
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(height + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=height))
-    return (
-        indptr,
-        cols[order].astype(np.int32),
-        flat[order].astype(np.intp),
-    )
-
-
-class TestSkeletonOrder:
-    """scipy accumulates a CSR row in ``indices`` order, so bit-exact
-    serving depends on every row listing its non-zeros in ascending
-    column order.  Sharded-vs-unsharded suites cannot see an order change
-    (both sides share the skeleton code); this pins it to a sort."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 9),  # p
-        st.integers(1, 6),  # mb
-        st.integers(1, 6),  # nb
-        st.integers(0, 8),  # m padding (clamped below p)
-        st.integers(0, 8),  # n padding (clamped below p)
-        st.integers(0, 4),  # row shards (0: unsharded)
-        st.booleans(),  # shards slice the parent's transposed arrays
-        st.booleans(),  # transposed skeleton
-        st.integers(0, 2**16),  # seed
-    )
-    def test_csr_struct_matches_sorted_reference(
-        self, p, mb, nb, m_pad, n_pad, num_shards, sliced, transposed, seed
-    ):
-        m = mb * p - min(m_pad, p - 1)
-        n = nb * p - min(n_pad, p - 1)
-        matrix = _random_bpd((m, n), p, seed=seed)
-        parts = [matrix]
-        if num_shards:
-            if sliced:
-                matrix._get_plan().transpose_arrays()
-            parts = matrix.row_shards(min(num_shards, matrix.mb))
-        for part in parts:
-            plan = part._get_plan()
-            got = plan.csr_struct(transposed)
-            for have, want in zip(got, _lexsort_skeleton(plan, transposed)):
-                assert have.dtype == want.dtype
-                np.testing.assert_array_equal(have, want)
-            assert part._csr(transposed).has_canonical_format

@@ -18,9 +18,11 @@ class TestPlanCache:
         bpd = _random_bpd((10, 14), 4)
         assert bpd._get_plan() is bpd._get_plan()
         assert bpd.support_mask() is bpd.support_mask()
-        rows1, cols1 = bpd._global_indices()
-        rows2, cols2 = bpd._global_indices()
-        assert rows1 is rows2 and cols1 is cols2
+        plan = bpd._get_plan()
+        view = bpd._coo(False)
+        assert bpd._coo(False) is view
+        assert np.shares_memory(view.row, plan.rows)
+        assert np.shares_memory(view.col, plan.cols)
 
     def test_plan_built_lazily_for_aligned_shapes(self):
         bpd = BlockPermutedDiagonalMatrix(np.ones((2, 3, 4)), np.zeros((2, 3)))
@@ -30,8 +32,8 @@ class TestPlanCache:
 
     def test_plan_arrays_are_read_only(self):
         bpd = _random_bpd((10, 14), 4)
-        rows, cols = bpd._global_indices()
-        for arr in (rows, cols, bpd.support_mask()):
+        plan = bpd._get_plan()
+        for arr in (plan.rows, plan.cols, bpd.support_mask()):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -49,7 +51,7 @@ class TestPlanCache:
     def test_siblings_get_their_own_value_cache(self, make):
         """The plan-sharing constructors build through one helper: each
         sibling carries its structure and value dtype, and starts with an
-        empty CSR value cache, so a product the parent ran first never
+        empty COO view cache, so a product the parent ran first never
         serves the parent's values to the sibling."""
         base = _random_bpd((10, 14), 4, seed=5)  # row- and column-padded
         x = np.random.default_rng(1).normal(size=(3, 14))
@@ -61,7 +63,7 @@ class TestPlanCache:
             ),
             "row_shard": lambda: (base.row_shard(1, 3), base.ks[1:], "float64"),
         }[make]()
-        assert sibling._csr_cache == {}
+        assert sibling._coo_cache == {}
         assert sibling.value_dtype == value_dtype
         np.testing.assert_array_equal(sibling.ks, ks)
         np.testing.assert_allclose(
@@ -181,7 +183,7 @@ class TestAliasingContract:
 class TestTransposeFreeBackward:
     def test_rmatmat_does_not_construct_a_matrix(self, monkeypatch):
         bpd = _random_bpd((10, 14), 4, seed=6)
-        bpd._get_plan().transpose_arrays()  # pre-warm so laziness is no excuse
+        bpd._get_plan().pbd_index()  # pre-warm so laziness is no excuse
 
         def boom(*args, **kwargs):
             raise AssertionError("backward must not build matrix objects")

@@ -91,9 +91,9 @@ class TestPlanSlicing:
         matrix = _random_bpd((24, 16), 4)
         plan = matrix._get_plan()
         plan.support_coords()
-        plan.transpose_arrays()
-        plan.csr_struct(False)
-        plan.csr_struct(True)
+        plan.pbd_index()
+        matrix._coo(False)
+        matrix._coo(True)
 
         def boom(*args, **kwargs):
             raise AssertionError("row sharding rebuilt an index plan")

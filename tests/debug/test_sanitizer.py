@@ -114,16 +114,16 @@ class TestSkeletonCounting:
                 clone.rmatmat(np.zeros((2, clone.shape[0])))
             assert s.stats.skeleton_builds == 2
 
-    def test_csr_struct_patch_undone_on_exit(self):
-        before = _IndexPlan.csr_struct
+    def test_coo_patch_undone_on_exit(self):
+        before = BlockPermutedDiagonalMatrix._coo
         with sanitize():
-            assert _IndexPlan.csr_struct is not before
-        assert _IndexPlan.csr_struct is before
+            assert BlockPermutedDiagonalMatrix._coo is not before
+        assert BlockPermutedDiagonalMatrix._coo is before
 
 
-def _slot_plans(server):
+def _slot_matrices(server):
     return [
-        matrix._plan
+        matrix
         for stage in server.layers
         for slots in stage.shard_slots
         for matrix in slots
@@ -132,7 +132,7 @@ def _slot_plans(server):
 
 class TestPBDCounting:
     """PBD index builds: at most one per plan, and only the backward
-    products make them -- the serving forward never leaves CSR."""
+    products make them -- the serving forward never leaves COO."""
 
     def test_backward_builds_one_pbd_index_and_no_transposed_skeleton(self):
         m = BlockPermutedDiagonalMatrix.random((13, 10), 4, rng=0)
@@ -165,7 +165,7 @@ class TestPBDCounting:
                 shard.rmatmat(np.zeros((2, shard.shape[0])))
             assert s.stats.pbd_builds == 3
 
-    def test_from_model_drain_stays_on_csr(self):
+    def test_from_model_drain_stays_on_coo(self):
         from repro.nn import LSTMCell, PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer
 
@@ -181,12 +181,12 @@ class TestPBDCounting:
                 server = ModelServer.from_model(model, num_shards=2)
                 server.submit_many(rng.normal(size=(4, width)))
                 server.drain()
-                plans = _slot_plans(server)
+                matrices = _slot_matrices(server)
                 assert s.stats.pbd_builds == 0
-                assert s.stats.skeleton_builds == len(plans)
-                assert all(set(p._csr_structs) == {False} for p in plans)
+                assert s.stats.skeleton_builds == len(matrices)
+                assert all(set(m._coo_cache) == {False} for m in matrices)
 
-    def test_from_bundle_drain_stays_on_csr(self, tmp_path):
+    def test_from_bundle_drain_stays_on_coo(self, tmp_path):
         from repro.nn import PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer, export_model_bundle
 
@@ -200,10 +200,10 @@ class TestPBDCounting:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
             server.submit_many(np.random.default_rng(3).normal(size=(4, 48)))
             server.drain()
-            plans = _slot_plans(server)
+            matrices = _slot_matrices(server)
             assert s.stats.pbd_builds == 0
-            assert s.stats.skeleton_builds == len(plans)
-            assert all(set(p._csr_structs) == {False} for p in plans)
+            assert s.stats.skeleton_builds == len(matrices)
+            assert all(set(m._coo_cache) == {False} for m in matrices)
 
     def test_pbd_index_patch_undone_on_exit(self):
         before = _IndexPlan.pbd_index

@@ -78,7 +78,7 @@ class TestBatchedFC:
         matrix = BlockPermutedDiagonalMatrix.random((16, 24), 4, rng=rng)
         x_batch = rng.normal(size=(5, 24))
         engine = _small_engine()
-        outputs, cycles = engine.run_fc_batch(matrix, x_batch)
+        outputs, cycles, _ = engine.run_fc_batch_detailed(matrix, x_batch)
         np.testing.assert_allclose(outputs, matrix.matmat(x_batch), atol=1e-12)
         assert cycles > 0
 
@@ -87,7 +87,7 @@ class TestBatchedFC:
         matrix = BlockPermutedDiagonalMatrix.random((16, 16), 4, rng=rng)
         engine = _small_engine()
         x = rng.normal(size=(3, 16))
-        __, batch_cycles = engine.run_fc_batch(matrix, x)
+        __, batch_cycles, _ = engine.run_fc_batch_detailed(matrix, x)
         singles = sum(
             engine.run_fc_layer(matrix, xi).compute_cycles
             + engine.run_fc_layer(matrix, xi).writeback_cycles
@@ -98,7 +98,7 @@ class TestBatchedFC:
     def test_shape_check(self):
         matrix = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
         with pytest.raises(ValueError):
-            _small_engine().run_fc_batch(matrix, np.zeros((2, 9)))
+            _small_engine().run_fc_batch_detailed(matrix, np.zeros((2, 9)))
 
     def test_sparser_batch_is_faster(self):
         rng = np.random.default_rng(2)
@@ -106,8 +106,8 @@ class TestBatchedFC:
         engine = _small_engine()
         dense = rng.normal(size=(4, 64))
         sparse = dense * (rng.random((4, 64)) < 0.2)
-        __, dense_cycles = engine.run_fc_batch(matrix, dense)
-        __, sparse_cycles = engine.run_fc_batch(matrix, sparse)
+        __, dense_cycles, _ = engine.run_fc_batch_detailed(matrix, dense)
+        __, sparse_cycles, _ = engine.run_fc_batch_detailed(matrix, sparse)
         assert sparse_cycles < dense_cycles
 
 

@@ -16,7 +16,7 @@ not divide the layer dimensions):
   (also on Hypothesis-drawn FC shapes);
 - a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by
   layer, and with the whole request set as one batch it matches the
-  per-layer ``run_fc_batch`` loop, makespan included;
+  per-layer ``run_fc_batch_detailed`` loop, makespan included;
 - row sharding redistributes MACs without creating or losing any, on
   every shape: the engine counts the weights stored in each input's
   non-zero columns, so shard counts add up to the unsharded count even
@@ -213,14 +213,14 @@ def test_one_shard_server_matches_run_network(value_dtype):
         result.macs for result in results
     ]
 
-    # The whole request set as one batch is the per-layer run_fc_batch
-    # loop in outputs, cycles and makespan: the reference every AlexNet
-    # shard sweep is measured against.
+    # The whole request set as one batch is the per-layer
+    # run_fc_batch_detailed loop in outputs, cycles and makespan: the
+    # reference every AlexNet shard sweep is measured against.
     xs = _sparse((32, 68), seed=5)
     engine = PermDNNEngine()
     expected, cycles = xs, []
     for matrix, activation in layers:
-        expected, layer_cycles = engine.run_fc_batch(
+        expected, layer_cycles, _ = engine.run_fc_batch_detailed(
             matrix, expected, activation=activation
         )
         cycles.append(layer_cycles)

@@ -56,7 +56,9 @@ def _baseline(layers, xs):
     engine = PermDNNEngine()
     current = xs
     for matrix, activation in layers:
-        current, _ = engine.run_fc_batch(matrix, current, activation=activation)
+        current, _, _ = engine.run_fc_batch_detailed(
+            matrix, current, activation=activation
+        )
     return current
 
 

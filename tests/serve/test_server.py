@@ -29,7 +29,9 @@ def _unsharded_reference(layers, xs):
     engine = PermDNNEngine()
     current = xs
     for matrix, activation in layers:
-        current, _ = engine.run_fc_batch(matrix, current, activation=activation)
+        current, _, _ = engine.run_fc_batch_detailed(
+            matrix, current, activation=activation
+        )
     return current
 
 
@@ -47,7 +49,7 @@ class TestShardedCorrectness:
     def test_single_layer_matches_engine_batch(self):
         matrix, activation = _stack()[0]
         xs = _requests(5, 48)
-        outputs, _ = PermDNNEngine().run_fc_batch(
+        outputs, _, _ = PermDNNEngine().run_fc_batch_detailed(
             matrix, xs, activation=activation
         )
         server = ModelServer([(matrix, activation)], num_shards=2)

@@ -324,8 +324,8 @@ class TestModelStageSpecs:
 
 
 def _slot_matrices(server):
-    """Slot matrices a server holds: one index plan and one forward CSR
-    skeleton each, derived from ``ks`` on first use."""
+    """Slot matrices a server holds: one index plan and one forward COO
+    view each, derived from ``ks`` on first use."""
     return sum(
         len(slots) for stage in server.layers for slots in stage.shard_slots
     )

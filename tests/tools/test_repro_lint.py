@@ -45,7 +45,7 @@ class TestRPR001PrivateStateMutation:
     def test_subscript_and_del_targets(self):
         src = """
             def evil(m):
-                m._csr_cache[True] = ()
+                m._coo_cache[True] = ()
                 del m._plan
         """
         assert codes(lint(src, "src/repro/serve/server.py")) == [

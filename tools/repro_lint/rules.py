@@ -39,7 +39,7 @@ from tools.repro_lint.framework import (
 # only sanctioned mutation points live in ``src/repro/core/`` (the
 # ``data`` property setter, ``set_structure``, ``like``, ...).
 _PRIVATE_STATE_ATTRS = frozenset(
-    {"_plan", "_data", "_csr_cache", "_ks", "_shape",
+    {"_plan", "_data", "_coo_cache", "_ks", "_shape",
      "_value_dtype", "_fixed_point"}
 )
 
@@ -88,7 +88,7 @@ class PrivateStateMutationRule(Rule):
     name = "private-state-mutation"
     invariant = (
         "index-plan and value-storage private attributes (`_plan`, `_data`, "
-        "`_csr_cache`, `_ks`, `_shape`) are assigned only inside "
+        "`_coo_cache`, `_ks`, `_shape`) are assigned only inside "
         "`src/repro/core/`"
     )
     rationale = (
@@ -147,8 +147,9 @@ class BackendBypassRule(Rule):
     )
     rationale = (
         "every PD product must go through the matrix's products "
-        "(`repro.core.kernel`) so int32 CSR skeletons and the plan cache "
-        "apply uniformly; raw products silently fork the execution path.  Served "
+        "(`repro.core.kernel`) so the COO views over the plan's int32 "
+        "coordinates and the plan cache apply uniformly; raw products "
+        "silently fork the execution path.  Served "
         "stages are held to the strict form: everything a stage multiplies "
         "is shard state by construction, so name heuristics would only "
         "hide bypasses"
