@@ -257,9 +257,7 @@ def convert_model(
         if kind == "fc":
             weight, p = plan["weight"], plan["p"]
             ks = strategy.select_ks(weight, p, rng)
-            matrix = BlockPermutedDiagonalMatrix.from_dense(
-                weight, p, ks=ks, value_dtype="float64"
-            )
+            matrix = BlockPermutedDiagonalMatrix.from_dense(weight, p, ks=ks)
             new_layer = PermDiagLinear.from_matrix(matrix)
             retained = _retained_fraction(weight, matrix.to_dense())
             stored = matrix.nnz
@@ -347,8 +345,7 @@ def convert_cell(
         weight = source.weight.value
         projected = stack_gates([
             BlockPermutedDiagonalMatrix.from_dense(
-                gate, p_eff, ks=strategy.select_ks(gate, p_eff, rng),
-                value_dtype="float64",
+                gate, p_eff, ks=strategy.select_ks(gate, p_eff, rng)
             )
             for gate in weight.reshape(4, hidden, -1)
         ])

@@ -225,9 +225,7 @@ def _build_nmt_cell(seed: int):
     for op in cell.weight_matrices:
         for dense in op.weight.value.reshape(4, cell.hidden_size, -1):
             norm = np.linalg.norm(dense)
-            planted = BlockPermutedDiagonalMatrix.from_dense(
-                dense, 8, value_dtype="float64"
-            ).to_dense()
+            planted = BlockPermutedDiagonalMatrix.from_dense(dense, 8).to_dense()
             mixed = dense + boost * planted
             dense[...] = mixed * (norm / np.linalg.norm(mixed))
     return cell

@@ -22,18 +22,17 @@ Public API
   GEMMs for the backward of additive ``ks``), which every product calls
   directly; :func:`default_backend` / :func:`available_backends` name its
   forward (``coo``) for host reports and choose nothing.
-- :func:`set_default_value_dtype` / :func:`default_value_dtype` --
-  process-wide value-storage selection (float64 / float32 / int16
-  fixed-point; see :mod:`repro.core.value_types`); individual matrices
-  take ``value_dtype=`` / ``fixed_point=`` arguments and convert via
-  :meth:`BlockPermutedDiagonalMatrix.with_value_dtype`.
+- Value storage (float64 / float32 / int16 fixed-point; see
+  :mod:`repro.core.value_types`): each matrix takes ``value_dtype=`` /
+  ``fixed_point=`` arguments, stores float64 without them, and converts
+  via :meth:`BlockPermutedDiagonalMatrix.with_value_dtype`;
+  :func:`default_value_dtype` names that float64 for host reports.
 """
 
 from repro.core.value_types import (
     VALUE_DTYPES,
     UnknownValueDtypeError,
     default_value_dtype,
-    set_default_value_dtype,
     validate_value_dtype,
 )
 from repro.core.permutation import (
@@ -57,8 +56,6 @@ from repro.core.storage import (
     StorageReport,
     dense_storage_bits,
     pd_storage_bits,
-    save_bpd,
-    load_bpd,
     unstructured_sparse_storage_bits,
 )
 
@@ -90,15 +87,12 @@ __all__ = [
     "default_backend",
     "default_value_dtype",
     "dense_storage_bits",
-    "load_bpd",
     "natural_permutation",
     "nonzero_column",
     "nonzero_row",
     "pd_storage_bits",
     "random_permutation",
     "row_shard_bounds",
-    "save_bpd",
-    "set_default_value_dtype",
     "unstructured_sparse_storage_bits",
     "validate_value_dtype",
 ]

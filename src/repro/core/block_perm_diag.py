@@ -87,13 +87,13 @@ and artifacts carry no kernel name.
 
 What artifacts store
 --------------------
-Index state is never stored.  Engine images (and so bundles) and
-``save_bpd`` files keep only the values ``q``
-(:meth:`~BlockPermutedDiagonalMatrix.to_q`), the per-block ``ks``, ``p``,
-the logical shape and the value-dtype tags; checkpoints keep parameter
-values plus each PD matrix's ``ks``.  This is the paper's storage model
-(Sec. III, Fig. 4): positions are recomputed from ``k_l`` with a modulo,
-so a PD layer costs its values plus ``ceil(log2 p)`` bits per block.
+Index state is never stored.  Engine images (and so bundles) keep only
+the values ``q`` (:meth:`~BlockPermutedDiagonalMatrix.to_q`), the
+per-block ``ks``, ``p``, the logical shape and the value-dtype tags;
+checkpoints keep parameter values plus each PD matrix's ``ks``.  This
+is the paper's storage model (Sec. III, Fig. 4): positions are
+recomputed from ``k_l`` with a modulo, so a PD layer costs its values
+plus ``ceil(log2 p)`` bits per block.
 :meth:`~BlockPermutedDiagonalMatrix.from_q` is the one decoder; a loaded
 matrix derives its plan from ``(ks, shape, p)`` lazily, at most once,
 exactly like a freshly built one.
@@ -118,16 +118,11 @@ __all__ = ["BlockPermutedDiagonalMatrix", "convert_values", "row_shard_bounds"]
 def _resolve_value_dtype(value_dtype, fixed_point):
     """Canonical ``(name, format)`` for a constructor's value-dtype args.
 
-    ``None`` follows the process default
-    (:func:`repro.core.value_types.default_value_dtype`).  ``int16``
-    requires an explicit format here -- only
-    :meth:`BlockPermutedDiagonalMatrix.with_value_dtype` derives one,
-    because deriving needs the values.
+    ``None`` is ``"float64"``.  ``int16`` requires an explicit format
+    here -- only :meth:`BlockPermutedDiagonalMatrix.with_value_dtype`
+    derives one, because deriving needs the values.
     """
-    if value_dtype is None:
-        name = _value_types.default_value_dtype()
-    else:
-        name = _value_types.validate_value_dtype(value_dtype)
+    name = _value_types.validate_value_dtype(value_dtype)
     if name == "int16":
         if fixed_point is None:
             raise ValueError(
@@ -145,23 +140,6 @@ def _resolve_value_dtype(value_dtype, fixed_point):
             f"fixed_point only applies to int16 value storage, not {name!r}"
         )
     return name, fixed_point
-
-
-def _untagged_value_dtype(data) -> str:
-    """Value dtype of stored values that carry no dtype tag.
-
-    float32 values stay float32 and any other float is float64.  Untagged
-    ``int16`` data is ambiguous -- codes are meaningless without their
-    format -- and is rejected rather than guessed.
-    """
-    kind = np.asarray(data).dtype
-    if kind == np.int16:
-        raise ValueError(
-            "int16 data needs its FixedPointFormat: pass "
-            "value_dtype='int16' and fixed_point=..., or load it from a "
-            "dtype-tagged file"
-        )
-    return "float32" if kind == np.float32 else "float64"
 
 
 @contextlib.contextmanager
@@ -409,8 +387,7 @@ class BlockPermutedDiagonalMatrix:
             parameters (reduced modulo ``p``).
         shape: logical ``(m, n)``; defaults to the padded ``(mb*p, nb*p)``.
         value_dtype: value-storage mode (``"float64"``, ``"float32"``,
-            ``"int16"``); ``None`` follows the process default (see
-            :mod:`repro.core.value_types`).
+            ``"int16"``); ``None`` is ``"float64"``.
         fixed_point: the :class:`~repro.nn.quantization.FixedPointFormat`
             the stored codes are in; required for (and exclusive to)
             ``int16`` storage.
@@ -777,11 +754,7 @@ class BlockPermutedDiagonalMatrix:
         omitted), so the same seed yields the same underlying weights at
         every precision.
         """
-        requested = (
-            _value_types.validate_value_dtype(value_dtype)
-            if value_dtype is not None
-            else _value_types.default_value_dtype()
-        )
+        requested = _value_types.validate_value_dtype(value_dtype)
         out = cls.zeros(
             shape,
             p,
@@ -823,14 +796,8 @@ class BlockPermutedDiagonalMatrix:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise ValueError(f"expected 2-D matrix, got shape {dense.shape}")
-        requested = (
-            _value_types.validate_value_dtype(value_dtype)
-            if value_dtype is not None
-            else _value_types.default_value_dtype()
-        )
-        out = cls.zeros(
-            dense.shape, p, spec=spec, ks=ks, value_dtype="float64",
-        )
+        requested = _value_types.validate_value_dtype(value_dtype)
+        out = cls.zeros(dense.shape, p, spec=spec, ks=ks)
         flat, rows, cols = out._get_plan().support_coords()
         data = np.zeros(out.data.shape)
         data.reshape(-1)[flat] = dense[rows, cols]
@@ -924,12 +891,12 @@ class BlockPermutedDiagonalMatrix:
     ) -> "BlockPermutedDiagonalMatrix":
         """Rebuild from a packed ``q`` vector (inverse of :meth:`to_q`).
 
-        The one decoder for stored matrices (engine images, bundles,
-        ``save_bpd`` files): the index plan is derived from ``ks`` lazily,
-        as for any other matrix.  :meth:`to_q` always writes zero padding,
-        so a non-zero value outside the logical ``shape`` means the stored
-        values and metadata disagree; that raises ``ValueError`` instead
-        of silently dropping the value.
+        The one decoder for stored matrices (engine images, bundles): the
+        index plan is derived from ``ks`` lazily, as for any other matrix.
+        :meth:`to_q` always writes zero padding, so a non-zero value
+        outside the logical ``shape`` means the stored values and metadata
+        disagree; that raises ``ValueError`` instead of silently dropping
+        the value.
         """
         m, n = shape
         mb, nb = -(-m // p), -(-n // p)

@@ -52,9 +52,7 @@ class BlockPermDiagTensor4D:
         self.kernel_size = (kh, kw)
         if channels is None:
             channels = (mb * p, nb * p)
-        structure = BlockPermutedDiagonalMatrix.zeros(
-            channels, p, ks=ks, value_dtype="float64"
-        )
+        structure = BlockPermutedDiagonalMatrix.zeros(channels, p, ks=ks)
         padding = ~structure.support_mask()
         if np.any(values[:, :, padding]):
             values = values.copy()

@@ -1,4 +1,4 @@
-"""Storage-cost accounting and serialization for PD matrices.
+"""Storage-cost accounting for PD matrices.
 
 Implements the model behind Fig. 4 of the paper: an *unstructured* sparse
 weight costs its value bits **plus** index bits (EIE stores a 4-bit virtual
@@ -7,9 +7,8 @@ cost), while a PD weight costs its value bits only -- positions are
 recomputed from ``(k_l, p)`` with a modulo, and the per-block ``k_l``
 (``ceil(log2 p)`` bits) is amortized over ``p`` weights.
 
-:func:`save_bpd` files follow the same model: values plus ``ks``, with
-no index state (see "What artifacts store" in
-:mod:`repro.core.block_perm_diag`).
+Engine images follow the same model: values plus ``ks``, with no index
+state (see "What artifacts store" in :mod:`repro.core.block_perm_diag`).
 """
 
 from __future__ import annotations
@@ -17,19 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.block_perm_diag import (
-    BlockPermutedDiagonalMatrix,
-    _untagged_value_dtype,
-)
-
 __all__ = [
     "StorageReport",
     "dense_storage_bits",
-    "load_bpd",
     "pd_storage_bits",
-    "save_bpd",
     "unstructured_sparse_storage_bits",
 ]
 
@@ -114,54 +104,3 @@ class StorageReport:
             dense_storage_bits(m, n, dense_bits),
             pd_storage_bits(m, n, p, weight_bits),
         )
-
-
-def save_bpd(path: str, matrix: BlockPermutedDiagonalMatrix) -> None:
-    """Serialize a block-PD matrix to ``.npz``: packed values + structure.
-
-    The file holds ``q`` in the matrix's storage dtype, ``ks``, ``p``, the
-    logical shape and the value-dtype tags (as engine images do) -- no
-    index state, which :func:`load_bpd` re-derives from ``ks``.
-    """
-    fmt = matrix.fixed_point
-    payload = {
-        "q": matrix.to_q(),
-        "ks": np.asarray(matrix.ks),
-        "p": np.int64(matrix.p),
-        "shape": np.asarray(matrix.shape, dtype=np.int64),
-        "value_dtype": np.str_(matrix.value_dtype),
-        "fixed_point": np.asarray(
-            [fmt.total_bits, fmt.frac_bits] if fmt is not None else [],
-            dtype=np.int64,
-        ),
-    }
-    np.savez_compressed(path, **payload)
-
-
-def load_bpd(path: str) -> BlockPermutedDiagonalMatrix:
-    """Load a matrix produced by :func:`save_bpd`, through ``from_q``.
-
-    The matrix comes back at its saved value dtype and fixed-point
-    format; files without the tag fall back to ``q``'s own dtype, and
-    untagged ``int16`` codes raise ``ValueError``.  A ``plan`` entry older
-    writers stored is never read.
-    """
-    with np.load(path) as archive:
-        q, ks, p = archive["q"], archive["ks"], int(archive["p"])
-        shape = tuple(int(v) for v in archive["shape"])
-        value_dtype = fixed_point = None
-        if "value_dtype" in archive.files:
-            value_dtype = str(archive["value_dtype"])
-            bits = archive["fixed_point"]
-            if bits.size:
-                from repro.nn.quantization import FixedPointFormat
-
-                fixed_point = FixedPointFormat(*(int(v) for v in bits))
-    return BlockPermutedDiagonalMatrix.from_q(
-        q,
-        shape,
-        p,
-        ks,
-        value_dtype=value_dtype or _untagged_value_dtype(q),
-        fixed_point=fixed_point,
-    )

@@ -5,8 +5,9 @@ values are stored is independent of the index structure and is described
 by a ``value_dtype`` name:
 
 ``"float64"``
-    The historical default.  Bit-compatible with every pre-existing
-    artifact and the reference for all conformance tolerances.
+    The default: what every matrix built without a ``value_dtype``
+    stores.  Bit-compatible with every pre-existing artifact and the
+    reference for all conformance tolerances.
 ``"float32"``
     Half the memory traffic on the hot path.  Products run end to end in
     float32 (inputs are cast, the sparse products read the float32
@@ -23,26 +24,19 @@ accumulate equals accumulate-then-scale bit for bit; the kernel
 therefore carries no scaling logic at all (it reads
 ``BlockPermutedDiagonalMatrix._kernel_data()``).
 
-Process-wide default resolution:
-:func:`set_default_value_dtype` wins, then the ``REPRO_VALUE_DTYPE``
-environment variable, then ``"float64"``.  Only the two float modes can
-be process defaults -- ``int16`` needs a per-matrix
-:class:`~repro.nn.quantization.FixedPointFormat` and must be requested
-explicitly.
+There is no process-wide setting: a matrix stores what its constructor
+is asked for, else float64.  ``int16`` also needs a per-matrix
+:class:`~repro.nn.quantization.FixedPointFormat`.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "FLOAT_VALUE_DTYPES",
     "UnknownValueDtypeError",
     "VALUE_DTYPES",
     "default_value_dtype",
-    "set_default_value_dtype",
     "storage_dtype",
     "validate_value_dtype",
 ]
@@ -50,18 +44,11 @@ __all__ = [
 #: Every supported value-storage mode, in documentation order.
 VALUE_DTYPES = ("float64", "float32", "int16")
 
-#: The subset usable as a process-wide default (no per-matrix format).
-FLOAT_VALUE_DTYPES = ("float64", "float32")
-
 _STORAGE_DTYPES = {
     "float64": np.dtype(np.float64),
     "float32": np.dtype(np.float32),
     "int16": np.dtype(np.int16),
 }
-
-_ENV_VAR = "REPRO_VALUE_DTYPE"
-
-_default: str | None = None
 
 
 class UnknownValueDtypeError(ValueError):
@@ -73,6 +60,7 @@ def validate_value_dtype(name) -> str:
 
     Accepts the canonical strings plus anything ``np.dtype`` resolves to
     one of the three storage dtypes (``np.float32``, ``"f4"``, ...).
+    ``None`` is ``"float64"``, as ``np.dtype(None)`` is.
     """
     if isinstance(name, str) and name in VALUE_DTYPES:
         return name
@@ -94,41 +82,7 @@ def storage_dtype(name: str) -> np.dtype:
     return _STORAGE_DTYPES[validate_value_dtype(name)]
 
 
-def set_default_value_dtype(name: str | None) -> None:
-    """Set (or with ``None`` clear) the process-wide default value dtype.
-
-    Only the float modes are accepted: an ``int16`` matrix needs an
-    explicit per-matrix fixed-point format, so it cannot be a blanket
-    default.  Clearing falls back to ``REPRO_VALUE_DTYPE`` / float64.
-    """
-    global _default
-    if name is None:
-        _default = None
-        return
-    canonical = validate_value_dtype(name)
-    if canonical not in FLOAT_VALUE_DTYPES:
-        raise UnknownValueDtypeError(
-            f"only {FLOAT_VALUE_DTYPES} may be process defaults; "
-            f"request {canonical!r} per matrix with an explicit format"
-        )
-    _default = canonical
-
-
 def default_value_dtype() -> str:
-    """The value dtype a constructor uses when none is requested.
-
-    Resolution order: :func:`set_default_value_dtype`, then the
-    ``REPRO_VALUE_DTYPE`` environment variable, then ``"float64"``.
-    """
-    if _default is not None:
-        return _default
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        canonical = validate_value_dtype(env)
-        if canonical not in FLOAT_VALUE_DTYPES:
-            raise UnknownValueDtypeError(
-                f"{_ENV_VAR}={env!r}: only {FLOAT_VALUE_DTYPES} may be "
-                f"process defaults"
-            )
-        return canonical
+    """The value dtype a constructor uses when none is requested:
+    always ``"float64"``."""
     return "float64"

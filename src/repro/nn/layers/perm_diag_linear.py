@@ -48,17 +48,8 @@ class PermDiagLinear(Module):
         self.in_features = in_features
         self.out_features = out_features
         self.p = p
-        # Training stays float64 regardless of the process value-dtype
-        # default: Parameter buffers are float64, and a reduced-precision
-        # matrix could not alias one (the assignment below would silently
-        # copy, decoupling optimizer updates from the served weights).
-        # Reduced precision is a serving-time export (with_value_dtype).
         matrix = BlockPermutedDiagonalMatrix.random(
-            (out_features, in_features),
-            p,
-            spec=spec,
-            rng=rng,
-            value_dtype="float64",
+            (out_features, in_features), p, spec=spec, rng=rng
         )
         self._matrix = matrix
         # Aliasing contract: Parameter and matrix share one buffer, so

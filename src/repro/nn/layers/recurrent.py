@@ -169,12 +169,9 @@ class LSTMCell(Module):
                 return _DenseOp(
                     rng.uniform(-scale, scale, size=(4 * hidden_size, n_in))
                 )
-            # Training stays float64 whatever the value-dtype default: only
-            # a float64 matrix can alias its Parameter (see PermDiagLinear).
             return _PDOp(stack_gates([
                 BlockPermutedDiagonalMatrix.random(
-                    (hidden_size, n_in), p, spec=spec, rng=rng,
-                    value_dtype="float64",
+                    (hidden_size, n_in), p, spec=spec, rng=rng
                 )
                 for _ in range(4)
             ]))

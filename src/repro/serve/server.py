@@ -803,9 +803,6 @@ class ModelServer:
         config: engine configuration shared by every shard engine.
         max_batch_size: micro-batcher fill limit.
         flush_deadline_us: micro-batcher deadline flush.
-        enforce_capacity: validate every shard against its engine's SRAM
-            budget at construction (slot matrices never change after
-            that, so batches are not re-checked).
         num_threads: host threads driving each layer's shard engines.
             ``None`` (default) uses ``min(max shard count, host CPUs)``;
             ``1`` forces sequential shard execution.  Purely a host-side
@@ -832,7 +829,6 @@ class ModelServer:
         config: EngineConfig | None = None,
         max_batch_size: int = 16,
         flush_deadline_us: float = 50.0,
-        enforce_capacity: bool = True,
         num_threads: int | None = None,
         queue_capacity: int | None = None,
     ) -> None:
@@ -872,9 +868,8 @@ class ModelServer:
             [PermDNNEngine(self.config) for _ in range(layer.num_shards)]
             for layer in self.layers
         ]
-        if enforce_capacity:
-            for layer, engines in zip(self.layers, self.engines):
-                layer.check_capacity(engines)
+        for layer, engines in zip(self.layers, self.engines):
+            layer.check_capacity(engines)
         self.batcher = MicroBatcher(max_batch_size, flush_deadline_us)
         self._pending: list[Request] = []
         self._next_rid = 0

@@ -51,11 +51,6 @@ def factory_run(tmp_path_factory):
         input_hw=(28, 28),
         bundle_dir=bundle_dir,
         verify=True,
-        # Pinned explicitly: this module-scoped fixture runs before the
-        # function-scoped dtype pin, so under the REPRO_VALUE_DTYPE=float32
-        # CI leg a None here would export a float32 bundle while the
-        # in-test reference server runs at the pinned float64.
-        value_dtype="float64",
     )
     probe = np.asarray(x_test[:6], dtype=np.float64)
     return result, probe

@@ -124,35 +124,6 @@ class TestConvertModel:
         with pytest.raises(CompressionError, match="no PD conversion rule"):
             convert_model(Sequential(Linear(8, 8, bias=False), Exotic()))
 
-    def test_conv_lowers_float64_values_under_float32_default(self):
-        # Regression: under a float32 process default (the
-        # REPRO_VALUE_DTYPE=float32 CI leg) a converted conv layer must
-        # still train and lower its float64 values -- otherwise exports
-        # labelled float64 carry float32-rounded values.
-        from repro.core import set_default_value_dtype
-        from repro.hw.conv_lowering import offset_matrices
-
-        rng = np.random.default_rng(7)
-        model = Sequential(
-            Conv2D(4, 8, 3, padding=1, bias=False, rng=rng),
-            Flatten(),
-            Linear(8 * 8 * 8, 5, bias=False, rng=rng),
-        )
-        set_default_value_dtype("float32")
-        try:
-            compressed, _ = convert_model(model, conv_p=4, head_p=1)
-            lowered = offset_matrices(compressed.layers[0].tensor)
-        finally:
-            set_default_value_dtype("float64")
-        tensor = compressed.layers[0].tensor
-        assert tensor.values.dtype == np.float64
-        mask = tensor.dense_mask()
-        np.testing.assert_array_equal(
-            tensor.to_dense()[mask], model.layers[0].weight.value[mask]
-        )
-        assert lowered[4].value_dtype == "float64"
-        np.testing.assert_array_equal(lowered[4].data, tensor.values[1, 1])
-
 
 class TestConvertCell:
     def test_projects_every_gate(self):

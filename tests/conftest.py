@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import set_default_value_dtype
 from repro.debug import sanitize, sanitize_enabled
 
 # Test files where a plan rebuild is a contract violation, not a detail.
@@ -26,30 +25,6 @@ _STRICT_NO_REBUILD = (
     "tests/serve/",
     "tests/core/test_backend_conformance.py",
 )
-
-
-@pytest.fixture(autouse=True)
-def _pin_value_dtype(request):
-    """Pin float64 value storage unless a test module opts out.
-
-    CI runs the suite once with ``REPRO_VALUE_DTYPE=float32`` exported.
-    Most tests assert float64 reference numerics (1e-10 tolerances,
-    bit-exact comparisons), so by default this fixture pins the process
-    value-dtype to float64 for the duration of each test -- the env leg
-    proves nothing *leaks* through the default.  A module that declares
-    ``REPRO_DTYPE_POLYMORPHIC = True`` at top level runs unpinned and
-    genuinely follows the environment's value dtype (its assertions must
-    be dtype-agnostic, e.g. internal-consistency checks).
-    """
-    module = getattr(request.node, "module", None)
-    if module is not None and getattr(module, "REPRO_DTYPE_POLYMORPHIC", False):
-        yield
-        return
-    set_default_value_dtype("float64")
-    try:
-        yield
-    finally:
-        set_default_value_dtype(None)
 
 
 @pytest.fixture(autouse=True)

@@ -286,18 +286,6 @@ class TestRoundTripsNonDivisible:
         np.testing.assert_allclose(again.to_dense(), bpd.to_dense())
 
 
-class TestSerialization:
-    def test_save_load_round_trip(self, tmp_path):
-        from repro.core import load_bpd, save_bpd
-
-        bpd = _random_bpd((10, 15), 5, seed=17)
-        path = str(tmp_path / "w.npz")
-        save_bpd(path, bpd)
-        again = load_bpd(path)
-        np.testing.assert_allclose(again.to_dense(), bpd.to_dense())
-        assert again.shape == bpd.shape and again.p == bpd.p
-
-
 class TestEnsureWritable:
     """The flag-restoring context behind set_structure's in-place re-mask."""
 

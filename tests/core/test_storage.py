@@ -1,19 +1,13 @@
-"""Tests for storage accounting (Fig. 4 model), paper Table II numbers, and
-the ``save_bpd``/``load_bpd`` file format."""
+"""Tests for storage accounting (Fig. 4 model) and paper Table II numbers."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
-    BlockPermutedDiagonalMatrix,
     StorageReport,
     dense_storage_bits,
-    load_bpd,
     pd_storage_bits,
-    save_bpd,
     unstructured_sparse_storage_bits,
 )
-from repro.nn.quantization import FixedPointFormat
 
 
 class TestStorageModels:
@@ -94,80 +88,3 @@ class TestStorageReport:
         for p in (2, 4, 8, 16):
             report = StorageReport.for_pd_layer(256, 256, p)
             assert report.compression_ratio == pytest.approx(p, rel=0.02)
-
-
-def _rewrite(path, **changes):
-    """Rewrite the saved ``.npz`` at ``path`` with ``changes`` applied."""
-    with np.load(path) as archive:
-        payload = {key: archive[key] for key in archive.files}
-    payload.update(changes)
-    np.savez_compressed(path, **payload)
-
-
-class TestSaveLoadValueDtype:
-    """save_bpd/load_bpd keep the value dtype and fixed-point format, also
-    for files an older writer saved with a serialized index plan."""
-
-    @staticmethod
-    def _matrix(value_dtype):
-        matrix = BlockPermutedDiagonalMatrix.random((16, 16), 4, rng=0)
-        if value_dtype == "int16":
-            return matrix.with_value_dtype(
-                "int16", fixed_point=FixedPointFormat(16, 14)
-            )
-        return matrix.with_value_dtype(value_dtype)
-
-    @pytest.mark.parametrize("legacy_plan", [False, True])
-    @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
-    def test_round_trip_is_bit_exact(self, tmp_path, value_dtype, legacy_plan):
-        matrix = self._matrix(value_dtype)
-        path = str(tmp_path / "matrix.npz")
-        save_bpd(path, matrix)
-        if legacy_plan:
-            _rewrite(
-                path, plan=np.frombuffer(b"opaque plan bytes", dtype=np.uint8)
-            )
-        loaded = load_bpd(path)
-        assert loaded.value_dtype == value_dtype
-        assert loaded.fixed_point == matrix.fixed_point
-        np.testing.assert_array_equal(loaded.data, matrix.data)
-        np.testing.assert_array_equal(loaded.to_dense(), matrix.to_dense())
-
-    def test_untagged_int16_file_raises(self, tmp_path):
-        matrix = self._matrix("int16")
-        path = str(tmp_path / "untagged.npz")
-        np.savez_compressed(
-            path,
-            q=matrix.to_q(),
-            ks=np.asarray(matrix.ks),
-            p=np.int64(matrix.p),
-            shape=np.asarray(matrix.shape, dtype=np.int64),
-        )
-        with pytest.raises(ValueError, match="FixedPointFormat"):
-            load_bpd(path)
-
-
-class TestSavedFileContents:
-    def test_legacy_plan_entry_is_never_read(self, tmp_path):
-        """Older writers stored a serialized index plan under ``plan``;
-        the loader decodes ``q`` and ``ks`` alone, whatever it holds."""
-        matrix = BlockPermutedDiagonalMatrix.random((13, 10), 4, rng=3)
-        path = str(tmp_path / "legacy.npz")
-        save_bpd(path, matrix)
-        _rewrite(
-            path, plan=np.frombuffer(b"opaque plan bytes", dtype=np.uint8)
-        )
-        loaded = load_bpd(path)
-        assert loaded.shape == matrix.shape
-        np.testing.assert_array_equal(loaded.ks, matrix.ks)
-        np.testing.assert_array_equal(loaded.data, matrix.data)
-
-    def test_tampered_shape_that_drops_stored_values_rejected(self, tmp_path):
-        """Shrinking the stored shape would put row 63's stored non-zeros
-        in the padding region; loading must fail, not drop them."""
-        matrix = BlockPermutedDiagonalMatrix.random((64, 48), 4, rng=4)
-        path = str(tmp_path / "matrix.npz")
-        save_bpd(path, matrix)
-        _rewrite(path, shape=np.asarray([63, 48], dtype=np.int64))
-        with pytest.raises(ValueError, match="does not match"):
-            load_bpd(path)

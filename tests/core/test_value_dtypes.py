@@ -10,16 +10,26 @@ through the kernel, and the dtype tags the stored form
 import numpy as np
 import pytest
 
+from repro.compress import convert_cell, convert_model
 from repro.core import (
+    BlockPermDiagTensor4D,
     BlockPermutedDiagonalMatrix,
     UnknownValueDtypeError,
     default_value_dtype,
-    load_bpd,
-    set_default_value_dtype,
     validate_value_dtype,
 )
 from repro.core.value_types import storage_dtype
 from repro.debug import sanitize
+from repro.hw.conv_lowering import offset_matrices
+from repro.nn import (
+    Conv2D,
+    Flatten,
+    Linear,
+    LSTMCell,
+    PermDiagConv2D,
+    PermDiagLinear,
+    Sequential,
+)
 from repro.nn.quantization import FixedPointFormat
 
 
@@ -27,6 +37,64 @@ def _matrix(vd="float64", shape=(24, 16), p=4, seed=0, **kwargs):
     return BlockPermutedDiagonalMatrix.random(
         shape, p, rng=seed, value_dtype=vd, **kwargs
     )
+
+
+def _pd_ops(ops):
+    return [(op.matrix, op.weight.value) for op in ops]
+
+
+def _converted_layers():
+    rng = np.random.default_rng(7)
+    model = Sequential(
+        Conv2D(4, 8, 3, padding=1, bias=False, rng=rng),
+        Flatten(),
+        Linear(8 * 8 * 8, 8, bias=False, rng=rng),
+    )
+    conv, _, head = convert_model(model, conv_p=4, head_p=4)[0].layers
+    return conv, head
+
+
+def _converted_conv():
+    conv, _ = _converted_layers()
+    return [
+        (mat, conv.weight.value) for mat in offset_matrices(conv.tensor)
+    ]
+
+
+def _permdiag_conv():
+    layer = PermDiagConv2D(8, 8, 3, p=4, rng=0)
+    return [(mat, layer.weight.value) for mat in layer.tensor.matrices]
+
+
+def _conv_tensor():
+    tensor = BlockPermDiagTensor4D.random(8, 8, (3, 3), 4, rng=0)
+    return [(mat, tensor.values) for mat in tensor.matrices]
+
+
+# Each site that builds a matrix without a value_dtype, returning
+# ``(matrix, buffer)`` pairs: ``buffer`` is the float64 training buffer the
+# matrix must alias, or None for a free-standing matrix.
+_BUILT_WITHOUT_A_DTYPE = {
+    "random": lambda: [
+        (BlockPermutedDiagonalMatrix.random((8, 8), 4, rng=0), None)
+    ],
+    "from_dense": lambda: [(
+        BlockPermutedDiagonalMatrix.from_dense(
+            np.random.default_rng(0).normal(size=(8, 8)), 4
+        ),
+        None,
+    )],
+    "zeros": lambda: [(BlockPermutedDiagonalMatrix.zeros((8, 8), 4), None)],
+    "conv_tensor": _conv_tensor,
+    "perm_diag_linear": lambda: _pd_ops([PermDiagLinear(12, 8, p=4, rng=0)]),
+    "perm_diag_conv2d": _permdiag_conv,
+    "lstm_cell": lambda: _pd_ops(LSTMCell(8, 8, p=4, rng=0).weight_matrices),
+    "convert_model_fc": lambda: _pd_ops([_converted_layers()[1]]),
+    "convert_model_conv": _converted_conv,
+    "convert_cell": lambda: _pd_ops(
+        convert_cell(LSTMCell(8, 8, rng=0), p=4)[0].weight_matrices
+    ),
+}
 
 
 class TestRegistry:
@@ -42,35 +110,21 @@ class TestRegistry:
             with pytest.raises(UnknownValueDtypeError):
                 validate_value_dtype(bad)
 
-    def test_default_resolution_order(self, monkeypatch):
-        set_default_value_dtype(None)
-        monkeypatch.delenv("REPRO_VALUE_DTYPE", raising=False)
-        assert default_value_dtype() == "float64"
+    @pytest.mark.parametrize("site", sorted(_BUILT_WITHOUT_A_DTYPE))
+    def test_no_dtype_means_float64_whatever_the_environment(
+        self, monkeypatch, site
+    ):
+        """No process-wide default: exporting the variable that once set
+        one changes nothing, at any site that builds a matrix without a
+        ``value_dtype``.  A trainable matrix still aliases its float64
+        ``Parameter``, so optimizer updates reach the served weights."""
         monkeypatch.setenv("REPRO_VALUE_DTYPE", "float32")
-        assert default_value_dtype() == "float32"
-        set_default_value_dtype("float64")  # explicit beats env
         assert default_value_dtype() == "float64"
-        set_default_value_dtype(None)
-
-    def test_int16_cannot_be_process_default(self, monkeypatch):
-        with pytest.raises(UnknownValueDtypeError):
-            set_default_value_dtype("int16")
-        set_default_value_dtype(None)
-        monkeypatch.setenv("REPRO_VALUE_DTYPE", "int16")
-        with pytest.raises(UnknownValueDtypeError):
-            default_value_dtype()
-        # restore pinning for the remainder of the test (autouse fixture
-        # pinned before the monkeypatch; teardown order is safe either way)
-        set_default_value_dtype("float64")
-
-    def test_default_drives_construction(self):
-        set_default_value_dtype("float32")
-        try:
-            mat = BlockPermutedDiagonalMatrix.random((8, 8), 4, rng=0)
-            assert mat.value_dtype == "float32"
-            assert mat.data.dtype == np.float32
-        finally:
-            set_default_value_dtype("float64")
+        for mat, buffer in _BUILT_WITHOUT_A_DTYPE[site]():
+            assert mat.value_dtype == "float64"
+            assert mat.data.dtype == np.float64
+            if buffer is not None:
+                assert np.shares_memory(mat.data, buffer)
 
 
 class TestStorageModes:
@@ -244,21 +298,6 @@ class TestDecoding:
         restored = _from_q(f32, q, value_dtype="float32")
         assert restored.value_dtype == "float32"
         assert np.shares_memory(restored.data, q)
-
-    def test_untagged_float_files_keep_their_dtype(self, tmp_path):
-        for vd in ("float32", "float64"):
-            matrix = _matrix(vd, shape=(23, 17), seed=12)
-            path = str(tmp_path / f"untagged_{vd}.npz")
-            np.savez_compressed(
-                path,
-                q=matrix.to_q(),
-                ks=np.asarray(matrix.ks),
-                p=np.int64(matrix.p),
-                shape=np.asarray(matrix.shape, dtype=np.int64),
-            )
-            loaded = load_bpd(path)
-            assert loaded.value_dtype == vd
-            np.testing.assert_array_equal(loaded.data, matrix.data)
 
     def test_explicit_value_dtype_overrides_stored_dtype(self):
         i16 = _matrix("int16", seed=13)

@@ -170,24 +170,6 @@ class TestPermDiagLinear:
         np.testing.assert_allclose(layer.matrix.data, layer.weight.value)
         assert layer.bias is None
 
-    def test_construction_pins_float64_under_reduced_default(self):
-        """Regression: under a process float32 value-dtype default the layer
-        used to build a float32 matrix whose storage could not alias the
-        float64 Parameter buffer -- the ``matrix.data = weight.value``
-        adoption silently cast-copied, optimizer updates never reached the
-        served weights, and models trained to random accuracy."""
-        from repro.core import set_default_value_dtype
-
-        set_default_value_dtype("float32")
-        try:
-            layer = PermDiagLinear(12, 8, p=4, rng=0)
-        finally:
-            set_default_value_dtype("float64")
-        assert layer.matrix.value_dtype == "float64"
-        assert layer.weight.value is layer.matrix.data
-        layer.weight.value += 1.0  # optimizer-style in-place update
-        np.testing.assert_allclose(layer.matrix.data, layer.weight.value)
-
     def test_from_matrix_rejects_reduced_precision_storage(self):
         from repro.core import BlockPermutedDiagonalMatrix
 

@@ -64,7 +64,7 @@ def test_bundle_round_trip_preserves_value_dtypes(tmp_path):
 def test_bundle_server_matches_direct_chain(tmp_path):
     layers = _layers()
     _export_fc_stack(tmp_path, layers, num_shards=4)
-    server = ModelServer.from_bundle(tmp_path, enforce_capacity=False)
+    server = ModelServer.from_bundle(tmp_path)
     x = np.random.default_rng(0).normal(size=(5, 48))
     server.submit_many(x)
     report = server.drain()

@@ -1,15 +1,17 @@
 """Drain fuzzer: random arrival streams through every stage kind.
 
 Hypothesis draws the stage kind (an FC stack, conv + pool + FC, or an
-LSTM cell), the inter-arrival gaps, the batching policy, the shard and
-thread counts and the queue bound, then checks the drain's invariants:
+LSTM cell), the served value dtype (float64, float32 or int16), the
+inter-arrival gaps, the batching policy, the shard and thread counts and
+the queue bound, then checks the drain's invariants:
 
 - every submitted request is served or shed, never both, and nothing is
   shed without a queue bound;
 - queueing latency is never negative and compute latency always is;
 - completion times never go backwards in submission order;
 - every served output equals its row of the whole request set drained
-  as one batch on a 1-shard, 1-thread server, bit for bit.
+  as one batch on a 1-shard, 1-thread server at the same value dtype,
+  bit for bit.
 """
 
 from functools import lru_cache
@@ -30,10 +32,6 @@ from repro.nn import (
 from repro.nn.layers.recurrent import LSTMCell
 from repro.nn.serialization import model_stage_specs
 from repro.serve import ModelServer, build_stages
-
-# The checks compare the server with itself, so the float32 CI leg runs
-# this module at its storage dtype.
-REPRO_DTYPE_POLYMORPHIC = True
 
 _CONV_INPUT_HW = (6, 6)
 
@@ -66,15 +64,19 @@ def _model(kind: str):
 
 
 @lru_cache(maxsize=None)
-def _stages(kind: str, num_shards: int) -> tuple:
+def _stages(kind: str, num_shards: int, value_dtype: str | None) -> tuple:
     return tuple(build_stages(
-        model_stage_specs(_model(kind)), num_shards, input_hw=_CONV_INPUT_HW
+        model_stage_specs(_model(kind)),
+        num_shards,
+        input_hw=_CONV_INPUT_HW,
+        value_dtype=value_dtype,
     ))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(("fc", "conv", "lstm")),
+    value_dtype=st.sampled_from((None, "float32", "int16")),
     gaps_us=st.lists(st.floats(0.0, 200.0), min_size=1, max_size=24),
     max_batch=st.integers(1, 6),
     deadline_us=st.sampled_from((0.0, 5.0, 50.0)),
@@ -84,11 +86,11 @@ def _stages(kind: str, num_shards: int) -> tuple:
     seed=st.integers(0, 2**16),
 )
 def test_drain_invariants(
-    kind, gaps_us, max_batch, deadline_us, num_shards, num_threads,
-    capacity, seed,
+    kind, value_dtype, gaps_us, max_batch, deadline_us, num_shards,
+    num_threads, capacity, seed,
 ):
     arrivals_us = np.cumsum(gaps_us)
-    stages = _stages(kind, num_shards)
+    stages = _stages(kind, num_shards, value_dtype)
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(len(gaps_us), stages[0].in_features))
     xs[rng.random(xs.shape) < 0.3] = 0.0
@@ -115,7 +117,9 @@ def test_drain_invariants(
     assert np.all(np.diff(completion_us) >= -_COMPLETION_TOL_US)
 
     reference = ModelServer(
-        list(_stages(kind, 1)), num_threads=1, max_batch_size=len(xs)
+        list(_stages(kind, 1, value_dtype)),
+        num_threads=1,
+        max_batch_size=len(xs),
     )
     reference.submit_many(xs)
     expected = np.stack(reference.drain().outputs)[served]

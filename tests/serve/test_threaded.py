@@ -1,9 +1,8 @@
 """Thread-parallel shard execution: determinism and lifecycle.
 
-Dtype-polymorphic on purpose: every assertion here is internal
-consistency (threaded vs sequential on the *same* server inputs), so the
-``REPRO_VALUE_DTYPE=float32`` CI leg drives this module end to end at
-float32 storage.
+Every assertion here is internal consistency (threaded vs sequential on
+the *same* server inputs), so each test runs at float64 and at float32
+value storage.
 """
 
 import threading
@@ -14,13 +13,20 @@ import pytest
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.serve.server import ModelServer, ShardedLayer
 
-REPRO_DTYPE_POLYMORPHIC = True
+
+@pytest.fixture(params=["float64", "float32"])
+def value_dtype(request):
+    return request.param
 
 
-def _layers(seed=0):
+def _layers(value_dtype, seed=0):
     return [
-        (BlockPermutedDiagonalMatrix.random((128, 96), 8, rng=seed), "relu"),
-        (BlockPermutedDiagonalMatrix.random((64, 128), 8, rng=seed + 1), None),
+        (BlockPermutedDiagonalMatrix.random(
+            (128, 96), 8, rng=seed, value_dtype=value_dtype
+        ), "relu"),
+        (BlockPermutedDiagonalMatrix.random(
+            (64, 128), 8, rng=seed + 1, value_dtype=value_dtype
+        ), None),
     ]
 
 
@@ -31,11 +37,10 @@ def _workload(rng, n=96, count=23):
     return x, arrivals
 
 
-def _drain(num_threads, **kwargs):
+def _drain(value_dtype, num_threads, **kwargs):
     server = ModelServer(
-        _layers(),
+        _layers(value_dtype),
         num_shards=4,
-        enforce_capacity=False,
         num_threads=num_threads,
         **kwargs,
     )
@@ -45,9 +50,9 @@ def _drain(num_threads, **kwargs):
 
 
 @pytest.mark.parametrize("num_threads", [2, 4, 8])
-def test_threaded_drain_bit_identical_to_sequential(num_threads):
-    sequential = _drain(1)
-    threaded = _drain(num_threads)
+def test_threaded_drain_bit_identical_to_sequential(value_dtype, num_threads):
+    sequential = _drain(value_dtype, 1)
+    threaded = _drain(value_dtype, num_threads)
     np.testing.assert_array_equal(
         np.stack(sequential.outputs), np.stack(threaded.outputs)
     )
@@ -67,16 +72,16 @@ def test_threaded_drain_bit_identical_to_sequential(num_threads):
     assert flat(sequential) == flat(threaded)
 
 
-def test_threaded_drain_with_shedding_is_deterministic():
-    a = _drain(4, queue_capacity=8, max_batch_size=4)
-    b = _drain(1, queue_capacity=8, max_batch_size=4)
+def test_threaded_drain_with_shedding_is_deterministic(value_dtype):
+    a = _drain(value_dtype, 4, queue_capacity=8, max_batch_size=4)
+    b = _drain(value_dtype, 1, queue_capacity=8, max_batch_size=4)
     assert a.shed_rids == b.shed_rids
     np.testing.assert_array_equal(np.stack(a.outputs), np.stack(b.outputs))
 
 
-def test_no_threads_outlive_the_drain():
+def test_no_threads_outlive_the_drain(value_dtype):
     before = {t.ident for t in threading.enumerate()}
-    _drain(4)
+    _drain(value_dtype, 4)
     leaked = [
         t
         for t in threading.enumerate()
@@ -85,22 +90,22 @@ def test_no_threads_outlive_the_drain():
     assert not leaked, leaked
 
 
-def test_num_threads_default_and_validation():
-    server = ModelServer(_layers(), num_shards=4, enforce_capacity=False)
+def test_num_threads_default_and_validation(value_dtype):
+    server = ModelServer(_layers(value_dtype), num_shards=4)
     assert 1 <= server.num_threads <= 4  # min(shards, host CPUs)
     assert f"threads={server.num_threads}" in repr(server)
     with pytest.raises(ValueError, match="num_threads"):
-        ModelServer(
-            _layers(), num_shards=4, enforce_capacity=False, num_threads=0
-        )
+        ModelServer(_layers(value_dtype), num_shards=4, num_threads=0)
 
 
-def test_sharded_layer_executor_path_matches_direct_call():
+def test_sharded_layer_executor_path_matches_direct_call(value_dtype):
     from concurrent.futures import ThreadPoolExecutor
 
-    matrix = BlockPermutedDiagonalMatrix.random((128, 96), 8, rng=2)
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (128, 96), 8, rng=2, value_dtype=value_dtype
+    )
     layer = ShardedLayer(matrix, "relu", 4)
-    server = ModelServer([layer], enforce_capacity=False, num_threads=1)
+    server = ModelServer([layer], num_threads=1)
     engines = server.engines[0]
     x = _workload(np.random.default_rng(3))[0]
     seq_out, seq_cycles, seq_macs = layer.run_batch(engines, x)
