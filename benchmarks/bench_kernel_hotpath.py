@@ -179,7 +179,9 @@ def _pr1_grad(matrix: BlockPermutedDiagonalMatrix, x, dy) -> np.ndarray:
         dy_pad[: dy_t.shape[0]] = dy_t
         dy_t = dy_pad
     dy_blocks = dy_t.reshape(matrix.mb, matrix.p, batch)
-    gathered = x_t[plan.flat_cols].reshape(matrix.mb, matrix.nb, matrix.p, batch)
+    gathered = x_t[plan.cols.reshape(-1)].reshape(
+        matrix.mb, matrix.nb, matrix.p, batch
+    )
     grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
     if plan.full_support:
         return grad

@@ -242,7 +242,6 @@ class _IndexPlan:
             ``(mb, nb, p)``; int32 whenever the padded dimensions fit
             (scipy's native index type, so the COO views alias them).
         support: boolean ``(mb, nb, p)`` mask of slots inside the logical shape.
-        flat_cols: ``cols`` flattened for one-shot gathers.
         nnz: number of in-bounds stored slots.
         aligned_m / aligned_n / full_support: padding-free flags per axis.
     """
@@ -277,7 +276,6 @@ class _IndexPlan:
         for arr in (rows, cols, support):
             arr.setflags(write=False)
         self.rows, self.cols, self.support = rows, cols, support
-        self.flat_cols = cols.reshape(-1)  # after the freeze: read-only view
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pbd_derived = False
         self._pbd: _PBDIndex | None = None
@@ -291,11 +289,11 @@ class _IndexPlan:
         if self._support_coords is None:
             if self.full_support:
                 flat = np.arange(self.rows.size, dtype=np.int64)
-                rows, cols = self.rows.reshape(-1), self.flat_cols
+                rows, cols = self.rows.reshape(-1), self.cols.reshape(-1)
             else:
                 flat = np.flatnonzero(self.support)
                 rows = self.rows.reshape(-1)[flat]
-                cols = self.flat_cols[flat]
+                cols = self.cols.reshape(-1)[flat]
             for arr in (flat, rows, cols):
                 arr.setflags(write=False)
             self._support_coords = (flat, rows, cols)
@@ -355,7 +353,6 @@ class _IndexPlan:
         shard.rows = rows
         shard.cols = self.cols[start:stop]
         shard.support = self.support[start:stop]
-        shard.flat_cols = shard.cols.reshape(-1)
         shard.nnz = int(shard.support.sum())
         shard._support_coords = None
         shard._pbd_derived = False

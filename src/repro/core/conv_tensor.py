@@ -7,8 +7,8 @@ filter kernels, and imposes the permuted diagonal pattern on that plane:
 kernel ``(i, j)`` exists only when channel-matrix entry ``(i, j)`` is on a
 permuted diagonal.  Compression ratio is again exactly ``p``.
 
-It is stored as the engine runs it (:mod:`repro.hw.conv_lowering`): one
-block-PD channel matrix per kernel offset, each a view of one float64
+It is stored as the engine runs it (:class:`repro.serve.LoweredConvStage`):
+one block-PD channel matrix per kernel offset, each a view of one float64
 buffer that :class:`~repro.nn.PermDiagConv2D` trains in place.
 """
 

@@ -67,10 +67,6 @@ import numpy as np
 
 __all__ = ["batched_grad_data", "matmat", "rmatmat"]
 
-# Below this many gathered float64 elements the weight gradient runs as
-# one gather; above it, the cache-blocked transposed path wins.
-_ONESHOT_LIMIT_ELEMENTS = 1 << 20
-
 # Target size (in gathered float64 elements, ~0.5 MB) of one slab of the
 # cache-blocked path; chosen so slab + einsum output stay cache resident
 # (measured fastest across 512..4096-wide layers, see docs/BENCHMARKS.md).
@@ -141,10 +137,11 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     never needs gathering because in block order its rows are exactly
     ``dy.T`` reshaped to ``(mb, p, B)`` and broadcast over ``nb`` -- that
     broadcast plus the chunked gather is what makes this batched
-    formulation several times cheaper than per-sample (or one-shot
-    ``nnz x B``) gathers.  Either way, slots outside the logical shape
-    get zero gradient for finite inputs: their row of ``dy`` or column
-    of ``x`` is zero padding, so every term of their sum is zero.
+    formulation several times cheaper than per-sample gathers.  Each
+    slab's einsum sums over the batch only, so the slab size never
+    changes a bit of the result.  Either way, slots outside the logical
+    shape get zero gradient for finite inputs: their row of ``dy`` or
+    column of ``x`` is zero padding, so every term of their sum is zero.
     """
     plan = matrix._get_plan()
     batch = x.shape[0]
@@ -165,11 +162,6 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         grad = np.empty(matrix.data.shape, dtype=dtype)
         # Each (bi, c) is one class's row: the scatter writes every slot.
         grad[index.block_rows, :, index.row_offsets] = blocks
-    elif batch * plan.cols.size <= _ONESHOT_LIMIT_ELEMENTS:
-        gathered = x_t[plan.flat_cols].reshape(
-            matrix.mb, matrix.nb, matrix.p, batch
-        )
-        grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
     else:
         rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
         grad = np.empty(matrix.data.shape, dtype=dtype)

@@ -412,8 +412,8 @@ class PermDNNEngine:
         once; each sample contributes its own compute + writeback cycles
         (zero-skipping makes these input dependent).
 
-        Every served stage (:mod:`repro.serve`) and the conv lowering
-        (:mod:`repro.hw.conv_lowering`) run their products through here,
+        Every served stage (:mod:`repro.serve`), the lowered conv stage's
+        per-offset products included, runs its products through here,
         which keeps sharded cycle/bit behaviour in lockstep with the
         unsharded baseline by construction.  Counters come from the same
         cycle model as :meth:`run_fc_layer`, so a batch costs one pipeline

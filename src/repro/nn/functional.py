@@ -6,8 +6,10 @@ import numpy as np
 
 __all__ = [
     "col2im",
+    "conv_output_hw",
     "im2col",
     "log_softmax",
+    "lower_columns",
     "one_hot",
     "softmax",
 ]
@@ -38,14 +40,63 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _output_size(size: int, kernel: int, stride: int, pad: int) -> int:
-    out = (size + 2 * pad - kernel) // stride + 1
-    if out <= 0:
+def conv_output_hw(
+    input_hw: tuple[int, int],
+    kernel_size: tuple[int, int],
+    stride: int,
+    padding: int,
+) -> tuple[int, int]:
+    """Spatial output size ``(oh, ow)`` of a convolution.
+
+    Raises ``ValueError`` for ``stride < 1``, ``padding < 0``, an empty
+    input or a non-positive output size, so bad geometry fails here
+    instead of as a division by zero or a negative index downstream.
+    """
+    if stride < 1 or padding < 0 or min(input_hw) < 1:
         raise ValueError(
-            f"non-positive conv output size for input={size}, "
-            f"kernel={kernel}, stride={stride}, pad={pad}"
+            f"invalid conv geometry: input {tuple(input_hw)}, "
+            f"stride {stride}, padding {padding}"
         )
-    return out
+    oh, ow = (
+        (size + 2 * padding - k) // stride + 1
+        for size, k in zip(input_hw, kernel_size)
+    )
+    if oh <= 0 or ow <= 0:
+        raise ValueError(
+            f"non-positive conv output size for input {tuple(input_hw)}, "
+            f"kernel {tuple(kernel_size)}, stride {stride}, "
+            f"padding {padding}"
+        )
+    return oh, ow
+
+
+def _windows(
+    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
+) -> np.ndarray:
+    """Read-only patch view ``(B, C, oh, ow, kh, kw)`` of ``(B, C, H, W)``.
+
+    Entry ``[b, c, oy, ox, dy, dx]`` is the zero-padded input at
+    ``(oy*stride + dy, ox*stride + dx)``.  The one place patches are cut:
+    :func:`im2col` and :func:`lower_columns` copy it in two layouts.
+    """
+    batch, channels, height, width = x.shape
+    oh, ow = conv_output_hw((height, width), (kh, kw), stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    strides = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(batch, channels, oh, ow, kh, kw),
+        strides=(
+            strides[0],
+            strides[1],
+            strides[2] * stride,
+            strides[3] * stride,
+            strides[2],
+            strides[3],
+        ),
+        writeable=False,
+    )
 
 
 def im2col(
@@ -61,31 +112,33 @@ def im2col(
 
     Returns:
         ``(cols, (oh, ow))`` where ``cols`` has shape
-        ``(B, oh*ow, C*kh*kw)``.
+        ``(B, oh*ow, C*kh*kw)``: position-major, one patch per row.
     """
-    batch, channels, height, width = x.shape
-    oh = _output_size(height, kh, stride, pad)
-    ow = _output_size(width, kw, stride, pad)
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(batch, channels, oh, ow, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * stride,
-            strides[3] * stride,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
-    )
+    windows = _windows(x, kh, kw, stride, pad)
+    batch, channels, oh, ow = windows.shape[:4]
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
         batch, oh * ow, channels * kh * kw
     )
     return np.ascontiguousarray(cols), (oh, ow)
+
+
+def lower_columns(
+    x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
+) -> np.ndarray:
+    """The :func:`im2col` patches, offset-major: ``(kh*kw, B*oh*ow, C)``.
+
+    ``lower_columns(x)[dy*kw + dx]`` is kernel offset ``(dy, dx)``'s
+    column batch, its rows contiguous: row ``b*oh*ow + oy*ow + ox`` is the
+    input channel column that offset multiplies for output position
+    ``(oy, ox)`` of sample ``b``.  These are the engine inputs of a
+    lowered PD convolution (:class:`repro.serve.LoweredConvStage`).
+    Columns keep ``x``'s dtype.
+    """
+    windows = _windows(x, kh, kw, stride, pad)
+    batch, channels, oh, ow = windows.shape[:4]
+    return np.ascontiguousarray(windows.transpose(4, 5, 0, 2, 3, 1)).reshape(
+        kh * kw, batch * oh * ow, channels
+    )
 
 
 def col2im(
@@ -98,8 +151,7 @@ def col2im(
 ) -> np.ndarray:
     """Fold patch-gradients back into an image (adjoint of :func:`im2col`)."""
     batch, channels, height, width = x_shape
-    oh = _output_size(height, kh, stride, pad)
-    ow = _output_size(width, kw, stride, pad)
+    oh, ow = conv_output_hw((height, width), (kh, kw), stride, pad)
     padded = np.zeros((batch, channels, height + 2 * pad, width + 2 * pad))
     patches = cols.reshape(batch, oh, ow, channels, kh, kw)
     for dy in range(kh):

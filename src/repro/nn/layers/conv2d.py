@@ -98,13 +98,6 @@ class Conv2D(Module):
         """Hook for subclasses to project the gradient (PD packing)."""
         self.weight.grad += dw
 
-    def output_shape(self, height: int, width: int) -> tuple[int, int]:
-        """Spatial output size for a given input size."""
-        kh, kw = self.kernel_size
-        oh = (height + 2 * self.padding - kh) // self.stride + 1
-        ow = (width + 2 * self.padding - kw) // self.stride + 1
-        return oh, ow
-
     def __repr__(self) -> str:
         return (
             f"Conv2D({self.in_channels} -> {self.out_channels}, "

@@ -38,6 +38,7 @@ other ``repro.hw`` result uses.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,13 +50,8 @@ import numpy as np
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
 from repro.core.block_perm_diag import convert_values, row_shard_bounds
 from repro.hw.config import EngineConfig
-from repro.hw.conv_lowering import (
-    accumulate_offsets,
-    conv_output_hw,
-    lower_columns,
-    offset_matrices,
-)
-from repro.hw.engine import PermDNNEngine
+from repro.hw.engine import PermDNNEngine, apply_activation
+from repro.nn.functional import conv_output_hw, lower_columns
 from repro.nn.layers.recurrent import (
     LSTMCell,
     join_gates,
@@ -125,6 +121,17 @@ class LayerShardStats:
     batches: int = 0
     samples: int = 0
     shed: int = 0
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer.
+
+    Geometry read from a manifest or a caller is checked, not truncated:
+    ``int(1.5)`` would silently serve another convolution.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _shard_major(
@@ -386,10 +393,22 @@ class ShardedLayer(ServedStage):
 
 
 class LoweredConvStage(ServedStage):
-    """A PD convolution served as lowered per-offset FC batches.
+    """A PD convolution run on the FC-targeted engine (Sec. III-C).
 
-    Built on :mod:`repro.hw.conv_lowering`: the ``kh*kw`` per-offset
-    channel matrices are the weight tensor's own (aliasing the layer's
+    The paper's engine targets FC layers; its algorithm extends PD
+    structure to CONV weight tensors (Fig. 2) by imposing it on the
+    channel plane.  A convolution therefore lowers to channel-matrix
+    products: for each output position, the engine multiplies each kernel
+    offset's ``c_out x c_in`` block-PD channel matrix by that offset's
+    input column -- ``kh*kw`` PD mat-vecs per position, accumulated.
+    Every channel matrix shares the plane's PD structure, so the modulo
+    addressing and load balance carry over unchanged, and zero input
+    channels are skipped per column exactly like FC zero-skipping.  Every
+    output position of one offset streams through the engine as one
+    batch, so a ``kh x kw`` convolution costs ``kh*kw`` pipeline fills
+    plus the compute and writeback cycles of every lowered column.
+
+    The offset matrices are the weight tensor's own (aliasing the layer's
     trainable values, sharing one index plan), and every offset matrix
     is row-sharded over **output channels**
     -- so shard ``K`` owns channel rows ``[lo, hi)`` of every offset and
@@ -399,11 +418,11 @@ class LoweredConvStage(ServedStage):
     vectors, so conv stages chain with FC stages without any reshuffling.
 
     Per micro-batch, each shard accumulates its offset products over the
-    ``(B*oh*ow, c_in)`` lowered column batches **in fixed offset order**
-    (:func:`~repro.hw.conv_lowering.accumulate_offsets`), applies the
-    activation post-accumulation, and optionally fuses a non-overlapping
-    square max-pool -- all elementwise/per-channel, so sharded ===
-    unsharded and threaded === sequential hold bit for bit.
+    ``(B*oh*ow, c_in)`` column batches of
+    :func:`~repro.nn.functional.lower_columns` **in fixed offset order**,
+    applies the activation post-accumulation, and optionally fuses a
+    non-overlapping square max-pool -- all elementwise/per-channel, so
+    sharded === unsharded and threaded === sequential hold bit for bit.
 
     Args:
         tensor: PD CONV weight tensor ``(c_out, c_in, kh, kw)``.
@@ -412,8 +431,9 @@ class LoweredConvStage(ServedStage):
         input_hw: spatial size ``(H, W)`` of the incoming feature map.
         stride / padding: convolution geometry.
         pool: optional fused max-pool factor (window == stride == pool).
-        value_dtype: forwarded to
-            :func:`~repro.hw.conv_lowering.offset_matrices`.
+        value_dtype: storage of the served offset matrices, converted
+            with :func:`~repro.core.block_perm_diag.convert_values`
+            (``None`` serves the tensor's own).
     """
 
     stage_kind = "conv"
@@ -431,7 +451,9 @@ class LoweredConvStage(ServedStage):
         value_dtype: str | None = None,
     ) -> None:
         self._init_slots(
-            _shard_major(offset_matrices(tensor, value_dtype), num_shards),
+            _shard_major(
+                convert_values(tensor.matrices, value_dtype), num_shards
+            ),
             activation,
             kernel_size=tensor.kernel_size,
             input_hw=input_hw,
@@ -445,10 +467,15 @@ class LoweredConvStage(ServedStage):
         return self.kernel_size[0] * self.kernel_size[1]
 
     def _check_geometry(self) -> None:
-        self.kernel_size = tuple(int(v) for v in self.kernel_size)
-        self.input_hw = tuple(int(v) for v in self.input_hw)
-        self.stride, self.padding = int(self.stride), int(self.padding)
-        pool = self.pool = None if self.pool is None else int(self.pool)
+        self.kernel_size = tuple(
+            _integer("kernel_size", v) for v in self.kernel_size
+        )
+        self.input_hw = tuple(_integer("input_hw", v) for v in self.input_hw)
+        self.stride = _integer("stride", self.stride)
+        self.padding = _integer("padding", self.padding)
+        pool = self.pool = (
+            None if self.pool is None else _integer("pool", self.pool)
+        )
         c_in = self.shard_slots[0][0].shape[1]
         if any(m.shape[1] != c_in for slots in self.shard_slots for m in slots):
             raise ValueError("offset matrices disagree on input channels")
@@ -468,19 +495,31 @@ class LoweredConvStage(ServedStage):
             self.channels[0] * self.output_hw[0] * self.output_hw[1]
         )
 
-    def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
-        """One ``(B*oh*ow, c_in)`` lowered column batch per kernel offset."""
+    def _slot_inputs(self, x_batch: np.ndarray) -> np.ndarray:
+        """One ``(B*oh*ow, c_in)`` lowered column batch per kernel offset,
+        stacked offset-major in the stage's compute dtype."""
         x = np.asarray(x_batch, dtype=self.compute_dtype).reshape(
             x_batch.shape[0], self.channels[1], *self.input_hw
         )
-        return lower_columns(x, self.kernel_size, self.stride, self.padding)
+        return lower_columns(x, *self.kernel_size, self.stride, self.padding)
 
     def _combine(self, products, x_batch, outputs, lo, hi) -> None:
-        """Sum the offsets, activate, pool, and write channels ``[lo, hi)``."""
+        """Sum the offsets, activate, pool, and write channels ``[lo, hi)``.
+
+        ``products`` is consumed as it goes, so only the running sum and
+        one product are alive at a time.  The fixed offset order makes
+        any row shard reproduce its rows of the unsharded sum bit for bit.
+        """
         batch, rows = x_batch.shape[0], hi - lo
         oh, ow = self.conv_hw
         ph, pw = self.output_hw
-        acc = accumulate_offsets(products, self.activation)
+        # A fresh sum in the products' dtype (a Python float does not
+        # promote float32), bit for bit a zeroed buffer plus the first
+        # product.
+        acc = 0.0 + next(products)
+        for product in products:
+            acc += product
+        acc = apply_activation(acc, self.activation)
         fmap = acc.reshape(batch, oh, ow, rows).transpose(0, 3, 1, 2)
         if self.pool is not None:
             pool = self.pool
@@ -652,7 +691,7 @@ def build_stages(
     )
 
     stages: list[ServedStage] = []
-    chain_hw = tuple(int(v) for v in input_hw) if input_hw is not None else None
+    chain_hw = tuple(input_hw) if input_hw is not None else None
     for spec in specs:
         if isinstance(spec, FCStageSpec):
             (matrix,) = convert_values([spec.matrix], value_dtype)

@@ -4,9 +4,11 @@ plan's int32 coordinates and the stored values and list every row in the
 sorted order scipy accumulates in, and the index plans a matrix decoded
 from its stored form derives from ``ks``."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.core.block_perm_diag as mod
@@ -64,10 +66,9 @@ class TestProductsMatchDense:
     def test_chunked_transposed_paths_match_dense(
         self, shape, p, monkeypatch
     ):
-        """Force the cache-blocked path (one block row per slab) of the
-        batched weight gradient and re-check every product against the
-        dense reference."""
-        monkeypatch.setattr(kernel_mod, "_ONESHOT_LIMIT_ELEMENTS", 0)
+        """Force one block row per slab in the non-additive weight
+        gradient and re-check every product against the dense
+        reference."""
         monkeypatch.setattr(kernel_mod, "_CHUNK_TARGET_ELEMENTS", 1)
         bpd = _random_bpd(shape, p, seed=7)
         dense = bpd.to_dense()
@@ -82,6 +83,35 @@ class TestProductsMatchDense:
         grad = bpd.grad_data(x, dy)
         np.testing.assert_allclose(grad, reference, atol=1e-10)
         assert not np.any(grad[~bpd.support_mask()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 9),
+    blocks=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    trim=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    batch=st.integers(1, 8),
+    value_dtype=st.sampled_from(["float64", "float32", "int16"]),
+    seed=st.integers(0, 2**16),
+)
+def test_slab_size_leaves_non_additive_gradients_bit_identical(
+    p, blocks, trim, batch, value_dtype, seed
+):
+    """The non-additive weight gradient is one gather-and-einsum per
+    block-row slab, summing over the batch only: one block row per slab
+    gives the bits of the default slabs (one slab for these sizes)."""
+    shape = tuple(b * p - min(t, p - 1) for b, t in zip(blocks, trim))
+    matrix = BlockPermutedDiagonalMatrix.random(
+        shape, p, spec=PermutationSpec(scheme="random", seed=seed),
+        rng=seed, value_dtype=value_dtype,
+    )
+    assume(matrix._get_plan().pbd_index() is None)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, shape[1])).astype(matrix.compute_dtype)
+    dy = rng.normal(size=(batch, shape[0])).astype(matrix.compute_dtype)
+    default = matrix.grad_data(x, dy)
+    with mock.patch.object(kernel_mod, "_CHUNK_TARGET_ELEMENTS", 1):
+        np.testing.assert_array_equal(matrix.grad_data(x, dy), default)
 
 
 def test_environment_selects_no_kernel(monkeypatch):

@@ -82,7 +82,7 @@ class TestPlanCache:
             with pytest.raises(ValueError):
                 arr[...] = 0
         with pytest.raises(ValueError):
-            bpd._get_plan().flat_cols[...] = 0
+            bpd._get_plan().cols[...] = 0
 
     def test_support_coordinates_match_dense_mask(self):
         bpd = _random_bpd((11, 7), 3, seed=5, scheme="random")

@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.core.value_types import storage_dtype
 from repro.debug import sanitize
-from repro.hw.conv_lowering import offset_matrices
 from repro.nn import (
     Conv2D,
     Flatten,
@@ -56,9 +55,7 @@ def _converted_layers():
 
 def _converted_conv():
     conv, _ = _converted_layers()
-    return [
-        (mat, conv.weight.value) for mat in offset_matrices(conv.tensor)
-    ]
+    return [(mat, conv.weight.value) for mat in conv.tensor.matrices]
 
 
 def _permdiag_conv():

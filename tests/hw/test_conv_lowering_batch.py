@@ -5,14 +5,24 @@ import pytest
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
 from repro.hw import EngineConfig, PEConfig, PermDNNEngine
-from repro.hw.conv_lowering import run_conv_layer
 from repro.nn import PermDiagConv2D
+from repro.serve import LoweredConvStage
 
 
 def _small_engine(n_pe=4, n_mul=2, n_acc=8):
     return PermDNNEngine(
         EngineConfig(n_pe=n_pe, pe=PEConfig(n_mul=n_mul, n_acc=n_acc))
     )
+
+
+def _run_conv(engine, tensor, x, stride=1, padding=0):
+    """One ``(c_in, H, W)`` input through a 1-shard lowered conv stage:
+    ``(output (c_out, oh, ow), cycles, macs)``."""
+    stage = LoweredConvStage(
+        tensor, None, 1, input_hw=x.shape[1:], stride=stride, padding=padding
+    )
+    out, (cycles,), (macs,) = stage.run_batch([engine], x.reshape(1, -1))
+    return out.reshape(tensor.shape[0], *stage.conv_hw), cycles, macs
 
 
 class TestConvLowering:
@@ -22,22 +32,17 @@ class TestConvLowering:
         tensor = BlockPermDiagTensor4D.random(8, 4, (3, 3), p=2, rng=rng)
         x = rng.normal(size=(4, 6, 6))
         engine = _small_engine()
-        result = run_conv_layer(engine, tensor, x, stride=stride, padding=pad)
+        output, _, _ = _run_conv(engine, tensor, x, stride=stride, padding=pad)
         layer = PermDiagConv2D.from_tensor(
             tensor, stride=stride, padding=pad, bias=np.zeros(8)
         )
         expected = layer.forward(x[None])[0]
-        np.testing.assert_allclose(result.output, expected, atol=1e-10)
-
-    def test_input_shape_check(self):
-        tensor = BlockPermDiagTensor4D.random(4, 4, (3, 3), p=2, rng=0)
-        with pytest.raises(ValueError):
-            run_conv_layer(_small_engine(), tensor, np.zeros((3, 6, 6)))
+        np.testing.assert_allclose(output, expected, atol=1e-10)
 
     def test_too_small_spatial_input(self):
         tensor = BlockPermDiagTensor4D.random(4, 4, (5, 5), p=2, rng=0)
         with pytest.raises(ValueError):
-            run_conv_layer(_small_engine(), tensor, np.zeros((4, 3, 3)))
+            _run_conv(_small_engine(), tensor, np.zeros((4, 3, 3)))
 
     def test_zero_channels_skipped(self):
         # enough channels that per-column cycles dominate (Case 1)
@@ -47,28 +52,20 @@ class TestConvLowering:
         dense_in = rng.normal(size=(32, 4, 4))
         sparse_in = dense_in.copy()
         sparse_in[::2] = 0.0  # zero half the channels
-        dense_res = run_conv_layer(engine, tensor, dense_in)
-        sparse_res = run_conv_layer(engine, tensor, sparse_in)
-        assert sparse_res.skipped_columns > dense_res.skipped_columns
-        assert sparse_res.cycles < dense_res.cycles
-
-    def test_positions_counted(self):
-        tensor = BlockPermDiagTensor4D.random(4, 4, (3, 3), p=2, rng=2)
-        result = run_conv_layer(
-            _small_engine(), tensor, np.ones((4, 6, 6)), stride=1, padding=0
-        )
-        assert result.positions == 16  # 4x4 output
+        _, dense_cycles, _ = _run_conv(engine, tensor, dense_in)
+        _, sparse_cycles, _ = _run_conv(engine, tensor, sparse_in)
+        assert sparse_cycles < dense_cycles
 
     def test_macs_scale_with_compression(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(8, 5, 5))
         engine = _small_engine()
-        dense_macs = run_conv_layer(
+        _, _, dense_macs = _run_conv(
             engine, BlockPermDiagTensor4D.random(8, 8, (3, 3), p=1, rng=4), x
-        ).macs
-        pd_macs = run_conv_layer(
+        )
+        _, _, pd_macs = _run_conv(
             engine, BlockPermDiagTensor4D.random(8, 8, (3, 3), p=4, rng=4), x
-        ).macs
+        )
         assert pd_macs == pytest.approx(dense_macs / 4, rel=0.01)
 
 

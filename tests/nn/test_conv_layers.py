@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Conv2D, PermDiagConv2D
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import col2im, conv_output_hw, im2col, lower_columns
 from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
 
 rng = np.random.default_rng(77)
@@ -51,6 +53,55 @@ class TestIm2Col:
         with pytest.raises(ValueError):
             im2col(rng.normal(size=(1, 1, 2, 2)), 3, 3, 1, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 4),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        stride=st.integers(1, 3),
+        pad=st.integers(0, 2),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lower_columns_is_im2col_offset_major(
+        self, batch, channels, kernel, extra, stride, pad, dtype, seed
+    ):
+        """One patch view, two layouts: offset ``(dy, dx)``'s column batch
+        is that offset's entries of every ``im2col`` row, bit for bit."""
+        kh, kw = kernel
+        x = np.random.default_rng(seed).normal(
+            size=(batch, channels, kh + extra[0], kw + extra[1])
+        ).astype(dtype)
+        cols, (oh, ow) = im2col(x, kh, kw, stride, pad)
+        lowered = lower_columns(x, kh, kw, stride, pad)
+        assert lowered.shape == (kh * kw, batch * oh * ow, channels)
+        assert lowered.dtype == dtype and lowered.flags.c_contiguous
+        patches = cols.reshape(batch * oh * ow, channels, kh, kw)
+        for dy in range(kh):
+            for dx in range(kw):
+                np.testing.assert_array_equal(
+                    lowered[dy * kw + dx], patches[:, :, dy, dx]
+                )
+
+    @pytest.mark.parametrize(
+        "stride,pad,input_hw",
+        [(0, 0, (8, 8)), (-1, 0, (8, 8)), (1, -1, (8, 8)), (1, 1, (0, 8))],
+    )
+    def test_rejects_invalid_geometry(self, stride, pad, input_hw):
+        """Bad geometry fails with ``ValueError`` wherever patches are
+        cut, ``Conv2D.forward`` included: a zero stride would divide by
+        zero, a negative padding or an empty input give a meaningless
+        output size."""
+        with pytest.raises(ValueError, match="invalid conv geometry"):
+            conv_output_hw(input_hw, (3, 3), stride, pad)
+        x = np.zeros((1, 2, *input_hw))
+        for unfold in (im2col, lower_columns):
+            with pytest.raises(ValueError, match="invalid conv geometry"):
+                unfold(x, 3, 3, stride, pad)
+        with pytest.raises(ValueError, match="invalid conv geometry"):
+            Conv2D(2, 4, 3, stride=stride, padding=pad).forward(x)
+
     def test_col2im_is_adjoint_of_im2col(self):
         """<im2col(x), c> == <x, col2im(c)> for random c (adjoint test)."""
         x = rng.normal(size=(2, 3, 6, 6))
@@ -84,8 +135,7 @@ class TestConv2D:
         assert check_parameter_gradients(layer, x) < 1e-5
 
     def test_output_shape_helper(self):
-        layer = Conv2D(3, 8, 3, stride=2, padding=1)
-        assert layer.output_shape(32, 32) == (16, 16)
+        assert conv_output_hw((32, 32), (3, 3), 2, 1) == (16, 16)
 
     def test_input_shape_check(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,11 @@ Every pair below claims the same engine work, so it must count the same
 cycles and MACs at every value dtype and on padded shapes (``p`` does
 not divide the layer dimensions):
 
-- ``run_conv_layer`` is the one-engine, B=1 case of ``LoweredConvStage``,
-  paying one pipeline fill per offset product (also on Hypothesis-drawn
-  conv shapes);
+- a 1-shard ``LoweredConvStage`` is its per-column engine reference:
+  every lowered column, cut by explicit indexing into the padded input,
+  through ``run_fc_layer`` and summed in offset order, bit for bit, with
+  one pipeline fill per offset product and the same SRAM traffic (also
+  on Hypothesis-drawn conv shapes);
 - a recurrent step costs exactly its two stacked engine batch calls
   (``W`` and ``U``) and does the MACs of its 8 per-gate products (also
   on Hypothesis-drawn cell shapes, where sharded and served steps match
@@ -30,8 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
+from repro.core.block_perm_diag import convert_values
 from repro.hw import PermDNNEngine
-from repro.hw.conv_lowering import offset_matrices, run_conv_layer
 from repro.nn.layers.recurrent import LSTMCell
 from repro.serve import (
     LoweredConvStage,
@@ -84,45 +86,74 @@ def _stage(kind, num_shards, value_dtype):
     return RecurrentStage(_cell(), num_shards, value_dtype=value_dtype)
 
 
-@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
-def test_run_conv_layer_is_the_one_shard_stage(value_dtype, stride, padding):
-    tensor = _conv_tensor()
-    x = _sparse((7, 9, 9), seed=1)
-    result = run_conv_layer(
-        PermDNNEngine(), tensor, x, stride=stride, padding=padding,
-        value_dtype=value_dtype,
-    )
-    stage = LoweredConvStage(
-        tensor, None, 1, input_hw=(9, 9), stride=stride, padding=padding,
-        value_dtype=value_dtype,
-    )
-    out, cycles, macs = stage.run_batch([PermDNNEngine()], x.reshape(1, -1))
-    assert out.dtype == result.output.dtype
-    np.testing.assert_array_equal(out[0], result.output.reshape(-1))
-    assert cycles == [result.cycles]
-    assert macs == [result.macs]
+def _per_column_conv(tensor, x, stride, padding, value_dtype):
+    """A conv stage's engine work on one ``(c_in, H, W)`` input, one
+    lowered column at a time.
 
-    # One fill per offset product, plus every lowered mat-vec's compute
-    # and writeback cycles.
+    Explicit indexing into the zero-padded input cuts each offset's
+    channel column at each output position, and ``run_fc_layer`` runs it
+    on that offset's channel matrix.  The outputs sum in offset order,
+    as the stage sums its offset products; the cycles are one pipeline
+    fill per offset product plus every column's compute and writeback.
+
+    Returns:
+        ``(flat c_out*oh*ow output, cycles, macs, engine)``.
+    """
     engine = PermDNNEngine()
     kh, kw = tensor.kernel_size
     padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    oh, ow = stage.conv_hw
-    expected_cycles = kh * kw * engine.config.pipeline_stages
-    expected_macs = 0
-    matrices = offset_matrices(tensor, value_dtype=value_dtype)
+    oh = (padded.shape[1] - kh) // stride + 1
+    ow = (padded.shape[2] - kw) // stride + 1
+    cycles = kh * kw * engine.config.pipeline_stages
+    macs = 0
+    products = []
+    matrices = convert_values(tensor.matrices, value_dtype)
     for offset, matrix in enumerate(matrices):
         dy, dx = divmod(offset, kw)
+        outputs = []
         for oy in range(oh):
             for ox in range(ow):
                 column = padded[:, oy * stride + dy, ox * stride + dx]
                 single = engine.run_fc_layer(matrix, column)
-                expected_cycles += single.compute_cycles
-                expected_cycles += single.writeback_cycles
-                expected_macs += single.macs
-    assert result.cycles == expected_cycles
-    assert result.macs == expected_macs
+                outputs.append(single.output)
+                cycles += single.compute_cycles + single.writeback_cycles
+                macs += single.macs
+        products.append(np.stack(outputs))
+    return sum(products).T.reshape(-1), cycles, macs, engine
+
+
+def _check_one_shard_conv_stage(tensor, x, stride, padding, value_dtype):
+    """A 1-shard conv stage serving ``x`` is its per-column reference in
+    bits, cycles, MACs and every SRAM counter."""
+    stage = LoweredConvStage(
+        tensor, None, 1, input_hw=x.shape[1:], stride=stride,
+        padding=padding, value_dtype=value_dtype,
+    )
+    engine = PermDNNEngine()
+    out, cycles, macs = stage.run_batch([engine], x.reshape(1, -1))
+    expected, ref_cycles, ref_macs, reference = _per_column_conv(
+        tensor, x, stride, padding, value_dtype
+    )
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out[0], expected)
+    assert cycles == [ref_cycles]
+    assert macs == [ref_macs]
+    for name in ("weight_sram", "perm_sram", "act_sram"):
+        got = getattr(engine, name).stats
+        want = getattr(reference, name).stats
+        assert (got.reads, got.writes) == (want.reads, want.writes), name
+    return stage
+
+
+@pytest.mark.parametrize("value_dtype", VALUE_DTYPES)
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_one_shard_conv_stage_is_its_per_column_reference(
+    value_dtype, stride, padding
+):
+    _check_one_shard_conv_stage(
+        _conv_tensor(), _sparse((7, 9, 9), seed=1), stride, padding,
+        value_dtype,
+    )
 
 
 def _gate_rows(matrix, gate):
@@ -298,18 +329,10 @@ def test_conv_paths_agree_on_drawn_shapes(
     np.testing.assert_array_equal(tensor.pack(tensor.to_dense()), tensor.values)
     input_hw = tuple(k + extra for k, extra in zip(kernel_size, extra_hw))
     geometry = dict(input_hw=input_hw, stride=stride, padding=padding)
-    x = _sparse((c_in, *input_hw), seed=seed)
-    result = run_conv_layer(
-        PermDNNEngine(), tensor, x, stride=stride, padding=padding,
-        value_dtype=value_dtype,
+    single = _check_one_shard_conv_stage(
+        tensor, _sparse((c_in, *input_hw), seed=seed), stride, padding,
+        value_dtype,
     )
-    single = LoweredConvStage(
-        tensor, None, 1, value_dtype=value_dtype, **geometry
-    )
-    out, cycles, macs = single.run_batch([PermDNNEngine()], x.reshape(1, -1))
-    np.testing.assert_array_equal(out[0], result.output.reshape(-1))
-    assert cycles == [result.cycles]
-    assert macs == [result.macs]
 
     xs = _sparse((3, single.in_features), seed=seed + 1)
     reference, _, reference_macs = single.run_batch([PermDNNEngine()], xs)

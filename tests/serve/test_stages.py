@@ -58,6 +58,19 @@ def _conv_model(seed=0):
     return model, (8, 8)
 
 
+# Conv geometry that a caller or a damaged manifest can hand the conv
+# stage of ``_conv_model``.  Each must fail fast with ``ValueError``:
+# truncating a non-integer would serve another convolution, a zero stride
+# divides by zero, and a negative padding only fails at the first drain.
+_BAD_CONV_GEOMETRY = [
+    ("stride", 0, "invalid conv geometry"),
+    ("stride", 1.5, "stride must be an integer"),
+    ("padding", -1, "invalid conv geometry"),
+    ("pool", 2.5, "pool must be an integer"),
+    ("input_hw", [8.5, 8], "input_hw must be an integer"),
+]
+
+
 def _requests(num, n, seed=1):
     return np.random.default_rng(seed).normal(size=(num, n))
 
@@ -151,6 +164,14 @@ class TestServedConvPipeline:
             LoweredConvStage(
                 tensor, "relu", 2, input_hw=(8, 8), padding=1, pool=3
             )
+
+    @pytest.mark.parametrize("name,value,message", _BAD_CONV_GEOMETRY)
+    def test_bad_geometry_rejected(self, name, value, message):
+        model, _ = _conv_model()
+        geometry = dict(input_hw=(8, 8), padding=1, pool=2)
+        geometry[name] = value
+        with pytest.raises(ValueError, match=message):
+            LoweredConvStage(model.layers[0].tensor, "relu", 2, **geometry)
 
 
 class TestServedRecurrentStage:
@@ -400,6 +421,19 @@ class TestStagedBundles:
         xs = _requests(3, 24)
         served = _drain(ModelServer(stages, max_batch_size=4), xs)
         np.testing.assert_allclose(served, model.forward(xs), atol=1e-10)
+
+    @pytest.mark.parametrize("name,value,message", _BAD_CONV_GEOMETRY)
+    def test_tampered_conv_geometry_fails_at_load(
+        self, tmp_path, name, value, message
+    ):
+        model, (h, w) = _conv_model()
+        export_model_bundle(tmp_path, model, num_shards=2, input_hw=(h, w))
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["layers"][0][name] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message):
+            load_staged_bundle(tmp_path)
 
     def test_unknown_stage_kind_rejected(self, tmp_path):
         model, (h, w) = _conv_model()
