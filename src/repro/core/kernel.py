@@ -165,12 +165,21 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     else:
         rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
         grad = np.empty(matrix.data.shape, dtype=dtype)
+        # One gather buffer for every slab: a fresh ~0.5 MB slab per
+        # iteration is an mmap plus page faults each time under glibc.
+        # ``mode="clip"`` writes straight into ``out`` (the default
+        # "raise" buffers it); the plan's columns are in range by
+        # construction, so nothing is clipped.  np.zeros, not np.empty:
+        # a short last slab fills only part of it.
+        buf = np.zeros((rows * matrix.nb * matrix.p, batch), dtype=x_t.dtype)
         for start in range(0, matrix.mb, rows):
             stop = min(start + rows, matrix.mb)
-            gathered = x_t[plan.cols[start:stop].reshape(-1)].reshape(
-                stop - start, matrix.nb, matrix.p, batch
-            )
+            idx = plan.cols[start:stop].reshape(-1)
+            gathered = buf[: idx.size]
+            np.take(x_t, idx, axis=0, out=gathered, mode="clip")
             grad[start:stop] = np.einsum(
-                "icb,ijcb->ijc", dy_blocks[start:stop], gathered
+                "icb,ijcb->ijc",
+                dy_blocks[start:stop],
+                gathered.reshape(stop - start, matrix.nb, matrix.p, batch),
             )
     return grad

@@ -337,11 +337,13 @@ class PermDNNEngine:
         matrix: BlockPermutedDiagonalMatrix,
         x_batch: np.ndarray,
         zero_skip: bool,
+        columns: np.ndarray | None = None,
     ) -> tuple[int, int, int, int, int]:
         """The cycle model: the ``B`` rows of ``x_batch`` streamed back to back.
 
         Each input processes its non-zero columns under zero-skipping and
-        all ``n`` columns otherwise.  The pipeline fill is paid once; every
+        all ``n`` columns otherwise; ``columns``, when given, is that
+        per-row count, already taken.  The pipeline fill is paid once; every
         input adds its own compute cycles (Case 1/2: ``cycles_per_column``
         per column, Case 3: several columns retire per cycle) and one
         output writeback.  MACs are exact: every processed column costs
@@ -356,25 +358,25 @@ class PermDNNEngine:
         """
         config = self.config
         pe = config.pe
-        if zero_skip:
-            nnz_per = np.count_nonzero(x_batch, axis=1)
-        else:
-            nnz_per = np.full(x_batch.shape[0], x_batch.shape[1])
+        if columns is None and zero_skip:
+            columns = np.count_nonzero(x_batch, axis=1)
+        elif columns is None:
+            columns = np.full(x_batch.shape[0], x_batch.shape[1])
         schedule = cycles_per_column(
             self.rows_per_pe(matrix.shape[0]), matrix.p, pe.n_mul, pe.n_acc
         )
+        processed = int(columns.sum())
         if schedule.case == 3:
-            compute = int(np.ceil(nnz_per / schedule.columns_per_cycle).sum())
+            compute = int(np.ceil(columns / schedule.columns_per_cycle).sum())
         else:
-            compute = int(schedule.cycles_per_column) * int(nnz_per.sum())
-        writeback = nnz_per.size * math.ceil(
+            compute = int(schedule.cycles_per_column) * processed
+        writeback = columns.size * math.ceil(
             matrix.shape[0] / config.activations_written_per_cycle
         )
-        columns = int(nnz_per.sum())
-        macs = _stored_macs(matrix, x_batch, columns, zero_skip)
+        macs = _stored_macs(matrix, x_batch, processed, zero_skip)
         self.weight_sram.read(compute)
         self.perm_sram.read(compute)
-        self.act_sram.read(columns)
+        self.act_sram.read(processed)
         self.act_sram.write(writeback)
         total = config.pipeline_stages + compute + writeback
         return total, compute, writeback, macs, schedule.case
@@ -405,6 +407,7 @@ class PermDNNEngine:
         activation: str | None = None,
         zero_skip: bool = True,
         enforce_capacity: bool = True,
+        columns: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, int]:
         """Execute one FC layer over a batch of inputs.
 
@@ -433,6 +436,11 @@ class PermDNNEngine:
             activation: optional ActU mode applied to every output.
             zero_skip: process only non-zero input entries.
             enforce_capacity: reject layers overflowing the per-PE SRAM.
+            columns: each row's processed-column count as a ``(B,)``
+                integer array (``np.count_nonzero(x_batch, axis=1)`` under
+                zero-skipping), when the caller has already taken it: a
+                served stage feeds one slot input to every shard and
+                counts it once.  ``None`` counts here.
 
         Returns:
             ``(outputs, total_cycles, macs)``; ``outputs`` is in the
@@ -446,8 +454,12 @@ class PermDNNEngine:
             )
         if enforce_capacity:
             self.check_capacity(matrix)
+        if columns is not None and np.shape(columns) != x_batch.shape[:1]:
+            raise ValueError(f"expected {len(x_batch)} column counts")
         outputs = apply_activation(matrix.matmat(x_batch), activation)
-        total, _, _, macs, _ = self._account_batch(matrix, x_batch, zero_skip)
+        total, _, _, macs, _ = self._account_batch(
+            matrix, x_batch, zero_skip, columns
+        )
         return outputs, total, macs
 
     def run_network(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = ["ColumnSchedule", "classify_case", "cycles_per_column", "schedule_trace"]
 
@@ -55,8 +56,13 @@ class ColumnSchedule:
     columns_per_cycle: int
 
 
+@lru_cache(maxsize=256)
 def cycles_per_column(n_rowpe: int, p: int, n_mul: int, n_acc: int) -> ColumnSchedule:
     """Compute the per-column schedule for one PE.
+
+    A pure function of its four integers, memoized: the engine asks for
+    it on every batch, and a served stage's shapes repeat every batch.
+    The schedule is frozen, so every caller can share one.
 
     Args:
         n_rowpe: rows of the weight matrix owned by the PE.

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
+    "checked_int",
     "col2im",
     "conv_output_hw",
     "im2col",
+    "int_pair",
     "log_softmax",
     "lower_columns",
     "one_hot",
@@ -38,6 +42,28 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
+
+
+def checked_int(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer.
+
+    Geometry and counts read from a manifest or a caller are checked, not
+    truncated: ``int(1.5)`` would silently serve another convolution, and
+    ``int(True)`` another shard count.  ``bool`` is rejected although it
+    subclasses ``int``; numpy integers pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def int_pair(name: str, value) -> tuple[int, int]:
+    """A 2-D size (``kernel_size``, ``input_hw``) given as one integer or
+    a pair of them, as a pair of :func:`checked_int`."""
+    if not isinstance(value, (tuple, list)):
+        value = (value, value)
+    first, second = (checked_int(name, v) for v in value)
+    return first, second
 
 
 def conv_output_hw(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import checked_int, col2im, im2col, int_pair
 from repro.nn.init import he_normal
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
@@ -39,16 +39,14 @@ class Conv2D(Module):
         rng: np.random.Generator | int | None = None,
     ) -> None:
         super().__init__()
-        if isinstance(kernel_size, int):
-            kernel_size = (kernel_size, kernel_size)
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        kh, kw = kernel_size
+        self.kernel_size = int_pair("kernel_size", kernel_size)
+        self.stride = checked_int("stride", stride)
+        self.padding = checked_int("padding", padding)
+        kh, kw = self.kernel_size
         fan_in = in_channels * kh * kw
         self.weight = Parameter(
             he_normal((out_channels, in_channels, kh, kw), fan_in, rng), "weight"

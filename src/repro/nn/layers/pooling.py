@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import checked_int, col2im, im2col, int_pair
 from repro.nn.module import Module
 
 __all__ = ["AvgPool2D", "GlobalAvgPool2D", "MaxPool2D"]
@@ -22,10 +22,10 @@ class MaxPool2D(Module):
         self, kernel_size: int | tuple[int, int], stride: int | None = None
     ) -> None:
         super().__init__()
-        if isinstance(kernel_size, int):
-            kernel_size = (kernel_size, kernel_size)
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size[0]
+        self.kernel_size = int_pair("kernel_size", kernel_size)
+        self.stride = checked_int(
+            "stride", stride if stride is not None else self.kernel_size[0]
+        )
         self._argmax: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
         self._out_hw: tuple[int, int] | None = None
@@ -68,10 +68,10 @@ class AvgPool2D(Module):
         self, kernel_size: int | tuple[int, int], stride: int | None = None
     ) -> None:
         super().__init__()
-        if isinstance(kernel_size, int):
-            kernel_size = (kernel_size, kernel_size)
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size[0]
+        self.kernel_size = int_pair("kernel_size", kernel_size)
+        self.stride = checked_int(
+            "stride", stride if stride is not None else self.kernel_size[0]
+        )
         self._x_shape: tuple[int, int, int, int] | None = None
         self._out_hw: tuple[int, int] | None = None
 

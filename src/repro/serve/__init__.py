@@ -13,10 +13,13 @@ pipeline between the per-layer shard arrays.
   degradation past the saturation knee.
 - :class:`ServedStage` -- the slotted stage skeleton (per shard, a
   fixed number of PD slot matrices cut at one set of block-row bounds)
-  and its one batch body, ``run_batch``, with three kinds that differ
-  only in how they build slot inputs and combine a shard's slot
-  products: :class:`ShardedLayer` (one FC layer, 1 slot),
-  :class:`LoweredConvStage` (a PD convolution lowered to ``kh*kw``
+  and its one batch body, ``run_batch``, which counts each slot input's
+  zero-skip columns once, runs small products inline and big ones on
+  the drain's shard threads, and runs the stage's nonlinear tail once
+  per batch.  Three kinds differ only in how they build slot inputs,
+  reduce a shard's slot products to its pre-activation columns, and
+  finish the stitched columns: :class:`ShardedLayer` (one FC layer, 1
+  slot), :class:`LoweredConvStage` (a PD convolution lowered to ``kh*kw``
   per-offset FC batches, row-sharded over output channels), and
   :class:`RecurrentStage` (one LSTM-cell timestep, 2 stacked gate
   matrices row-sharded over hidden units).  :class:`InvalidRequestError` rejects

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw.engine import export_engine_image, load_engine_image
+from repro.nn.functional import checked_int
 from repro.serve.server import (
     LoweredConvStage,
     RecurrentStage,
@@ -203,14 +204,14 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
         )
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    version = int(manifest.get("bundle_version", -1))
+    version = checked_int("bundle_version", manifest.get("bundle_version", -1))
     if not _BUNDLE_MIN_FORMAT_VERSION <= version <= _BUNDLE_FORMAT_VERSION:
         raise ValueError(
             f"unsupported bundle version {version} (supported: "
             f"{_BUNDLE_MIN_FORMAT_VERSION}..{_BUNDLE_FORMAT_VERSION})"
         )
-    num_shards = int(manifest["num_shards"])
-    num_layers = int(manifest["num_layers"])
+    num_shards = checked_int("num_shards", manifest["num_shards"])
+    num_layers = checked_int("num_layers", manifest["num_layers"])
     specs = manifest["layers"]
     if len(specs) != num_layers:
         raise ValueError(
@@ -220,7 +221,9 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
         load_engine_image(directory / shard_file)
         for shard_file in manifest["shard_files"]
     ]
-    slots_per_stage = [int(spec.get("slots", 1)) for spec in specs]
+    slots_per_stage = [
+        checked_int("slots", spec.get("slots", 1)) for spec in specs
+    ]
     total_slots = sum(slots_per_stage)
     if len(shard_images) != num_shards or any(
         len(image) != total_slots for image in shard_images
@@ -239,12 +242,12 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
             )
         cls = _STAGE_CLASSES[kind]
         slots = slots_per_stage[stage_idx]
-        p = int(spec["p"])
-        m, n = (int(v) for v in spec["shape"])
+        p = checked_int("p", spec["p"])
+        m, n = (checked_int("shape", v) for v in spec["shape"])
         # v1 manifests predate value dtypes: their images store float64.
         value_dtype = spec.get("value_dtype", "float64")
         fixed_point = (
-            tuple(int(v) for v in spec["fixed_point"])
+            tuple(checked_int("fixed_point", v) for v in spec["fixed_point"])
             if spec.get("fixed_point") is not None
             else None
         )

@@ -12,15 +12,21 @@ outputs reproduce the unsharded
 bit.  Shard concurrency exists on two clocks: in **simulated time** a micro-batch
 occupies a layer for its slowest shard's cycles (the engines are modelled
 as a parallel array), and in **host time** the shard engines of a layer
-actually run on a :class:`~concurrent.futures.ThreadPoolExecutor`
-(``num_threads``; each shard's kernel work releases the GIL inside its
-batched numpy/scipy product).  Results are stitched in shard order, so
-threaded and sequential execution are bit-identical by construction.
+run on a :class:`~concurrent.futures.ThreadPoolExecutor` (``num_threads``;
+each shard's kernel work releases the GIL inside its batched numpy/scipy
+product) -- when the batch's products are big enough to pay for the
+thread handoff (``_THREAD_MIN_MACS`` stored MACs in the largest shard
+slot product); smaller batches run their shards in turn on the calling
+thread.  Results are stitched in shard order, so threaded and sequential
+execution are bit-identical by construction.
 
 Every stage kind runs one body, :meth:`ServedStage.run_batch`: it builds
-the kind's slot inputs once, runs each shard's slot products through
-:meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`, and hands them to
-the kind's combine hook, which writes the shard's output columns.
+the kind's slot inputs and their zero-skip counts once, runs each shard's
+slot products through
+:meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`, reduces them to
+the shard's pre-activation columns with the kind's ``_reduce`` hook, and
+runs the kind's nonlinear tail (``_finish``) once on the stitched
+columns.
 
 Sharding reuses the layer matrix's cached index plan through
 :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shard` (pure slicing of
@@ -38,10 +44,10 @@ other ``repro.hw`` result uses.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
@@ -51,7 +57,12 @@ from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
 from repro.core.block_perm_diag import convert_values, row_shard_bounds
 from repro.hw.config import EngineConfig
 from repro.hw.engine import PermDNNEngine, apply_activation
-from repro.nn.functional import conv_output_hw, lower_columns
+from repro.nn.functional import (
+    checked_int,
+    conv_output_hw,
+    int_pair,
+    lower_columns,
+)
 from repro.nn.layers.recurrent import (
     LSTMCell,
     join_gates,
@@ -76,6 +87,14 @@ __all__ = [
 
 # A recurrent stage's aux sidecar keys: its bias per gate, in cell order.
 _BIAS_KEYS = ("bias_i", "bias_f", "bias_g", "bias_o")
+
+# A micro-batch runs its shards on the drain's executor only when its
+# largest shard slot product stores at least this many MACs (slot input
+# rows times the slot matrix's ``nnz``); smaller shards run in turn on
+# the calling thread, because below it the thread handoff and the GIL
+# held between kernel calls cost more than the overlap saves (crossover
+# sweep in docs/BENCHMARKS.md).
+_THREAD_MIN_MACS = 1 << 17
 
 
 class EmptyServeReportError(ValueError):
@@ -123,17 +142,6 @@ class LayerShardStats:
     shed: int = 0
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is an integer.
-
-    Geometry read from a manifest or a caller is checked, not truncated:
-    ``int(1.5)`` would silently serve another convolution.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _shard_major(
     matrices: list[BlockPermutedDiagonalMatrix], num_shards: int
 ) -> list[tuple[BlockPermutedDiagonalMatrix, ...]]:
@@ -150,21 +158,27 @@ class ServedStage:
     for FC, ``kh*kw`` offset matrices for a lowered conv, 2 stacked gate
     matrices for an LSTM cell step), all cut at one set of block-row
     bounds, so shard ``K`` owns rows ``row_bounds[K]`` of every slot.
-    Each shard writes a disjoint column range of the output (thread-safe
-    stitching, bit-identical at every thread count) and the concatenation
-    equals the unsharded single-engine computation bit for bit.
+    Each shard computes a disjoint column range of the stage's
+    pre-activations (stitched in shard order, bit-identical at every
+    thread count) and the concatenation equals the unsharded
+    single-engine computation bit for bit.
 
     The base class owns the slot layout, capacity checks, the one stage
     body :meth:`run_batch` and the bundle hooks.  A kind adds its
     model-side constructor, ``_check_geometry`` (validates the slots
     against the kind's geometry and sets ``in_features`` /
-    ``out_features``) and two batch hooks:
+    ``out_features``) and three batch hooks:
 
     - ``_slot_inputs(x_batch)``: the ``num_slots`` engine inputs, in slot
       order, shared read-only by every shard;
-    - ``_combine(products, x_batch, outputs, lo, hi)``: consumes one
-      shard's slot products (an iterator, in slot order) and writes the
-      shard's output columns.
+    - ``_reduce(products, lo, hi)``: consumes one shard's slot products
+      (an iterator, in slot order) and returns the shard's pre-activation
+      columns, those of stage rows ``[lo, hi)``;
+    - ``_finish(pre, x_batch)``: the kind's tail (activation, layout,
+      pool, cell update), run once per batch on every shard's
+      pre-activations side by side; elementwise or per channel, so it
+      gives each shard's columns what a shard-local tail would.  FC,
+      whose engine applies the activation, keeps the identity default.
     """
 
     stage_kind: str = "abstract"
@@ -216,8 +230,11 @@ class ServedStage:
     def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _finish(self, pre: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
+        return pre  # FC: the engine already applied the activation
 
     @classmethod
     def from_shard_slots(
@@ -244,6 +261,11 @@ class ServedStage:
     def compute_dtype(self) -> np.dtype:
         return self.shard_slots[0][0].compute_dtype
 
+    @cached_property
+    def _slot_nnz(self) -> int:
+        """The most weights any one shard slot matrix stores."""
+        return max(matrix.nnz for slots in self.shard_slots for matrix in slots)
+
     def check_capacity(self, engines: list[PermDNNEngine]) -> None:
         """Verify every slot matrix of every shard fits its engine."""
         for engine, slots in zip(engines, self.shard_slots):
@@ -258,15 +280,20 @@ class ServedStage:
     ) -> tuple[np.ndarray, list[int], list[int]]:
         """Execute one micro-batch on every shard engine.
 
-        The slot inputs are built once, on the calling thread.  Each shard
-        runs its slot products in slot order through
-        :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` and
-        ``_combine`` writes them into the shard's output columns.  Shards
-        run on ``executor``'s threads when given, else in turn; results
-        are collected in shard order either way, so outputs and counters
-        are identical at every thread count.  Capacity is not re-checked:
-        :class:`ModelServer` checks every shard at construction, and slot
-        matrices never change after that.
+        The slot inputs, and each one's per-row non-zero counts (the
+        columns zero-skipping processes), are taken once on the calling
+        thread and shared by every shard.  Each shard runs its slot
+        products in slot order through
+        :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed` (``columns=``
+        carries the counts) and ``_reduce`` turns them into the shard's
+        pre-activation columns; ``_finish`` then runs the kind's tail once,
+        on every shard's columns side by side.  Shards run on
+        ``executor``'s threads when it is given and the largest shard slot
+        product stores at least ``_THREAD_MIN_MACS`` MACs, else in turn
+        on the calling thread; results are collected in shard order either
+        way, so outputs and counters are identical at every thread count.
+        Capacity is not re-checked: :class:`ModelServer` checks every
+        shard at construction, and slot matrices never change after that.
 
         Returns:
             ``(outputs, shard_cycles, shard_macs)`` with outputs of shape
@@ -276,39 +303,36 @@ class ServedStage:
             mode.
         """
         inputs = self._slot_inputs(x_batch)
+        columns = [np.count_nonzero(x, axis=1) for x in inputs]
         activation = self.activation if self.engine_activation else None
-        # np.zeros, not np.empty: the shard writes that cover every column
-        # happen inside ``_combine`` (possibly on executor threads), out
-        # of reach of RPR006's unconditional-fill analysis.
-        outputs = np.zeros(
-            (x_batch.shape[0], self.out_features), dtype=self.compute_dtype
-        )
 
         def run_shard(engine, slots, bounds):
             cycles = macs = 0
 
             def products():
-                # Lazy, so a combine that sums (conv) holds one product
-                # at a time.
+                # Lazy, so a reduce that sums (conv) holds one product at
+                # a time.
                 nonlocal cycles, macs
-                for matrix, x in zip(slots, inputs):
+                for matrix, x, counts in zip(slots, inputs, columns):
                     out, slot_cycles, slot_macs = engine.run_fc_batch_detailed(
-                        matrix, x, activation=activation, enforce_capacity=False
+                        matrix, x, activation=activation,
+                        enforce_capacity=False, columns=counts,
                     )
                     cycles += slot_cycles
                     macs += slot_macs
                     yield out
 
-            self._combine(products(), x_batch, outputs, *bounds)
-            return cycles, macs
+            pre = self._reduce(products(), *bounds)  # consumes products
+            return pre, cycles, macs
 
         shards = (engines, self.shard_slots, self.row_bounds)
-        if executor is not None and self.num_shards > 1:
-            results = executor.map(run_shard, *shards)
-        else:
-            results = map(run_shard, *shards)
-        shard_cycles, shard_macs = map(list, zip(*results))
-        return outputs, shard_cycles, shard_macs
+        threaded = executor is not None and self.num_shards > 1 and (
+            len(inputs[0]) * self._slot_nnz >= _THREAD_MIN_MACS
+        )
+        results = (executor.map if threaded else map)(run_shard, *shards)
+        pre, shard_cycles, shard_macs = zip(*results)
+        outputs = self._finish(np.concatenate(pre, axis=1), x_batch)
+        return outputs, list(shard_cycles), list(shard_macs)
 
     # -- bundle serialization hooks (see repro.serve.bundle) -----------
 
@@ -377,9 +401,9 @@ class ShardedLayer(ServedStage):
     def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
         return [x_batch]
 
-    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
+    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
         (product,) = products
-        outputs[:, lo:hi] = product
+        return product
 
     # perfbench/tracing.py patches each stage class's *own* run_batch (read
     # through ``cls.__dict__``), so every kind names the shared body.
@@ -419,10 +443,11 @@ class LoweredConvStage(ServedStage):
 
     Per micro-batch, each shard accumulates its offset products over the
     ``(B*oh*ow, c_in)`` column batches of
-    :func:`~repro.nn.functional.lower_columns` **in fixed offset order**,
-    applies the activation post-accumulation, and optionally fuses a
-    non-overlapping square max-pool -- all elementwise/per-channel, so
-    sharded === unsharded and threaded === sequential hold bit for bit.
+    :func:`~repro.nn.functional.lower_columns` **in fixed offset order**;
+    the stage then applies the activation to the stitched sums, lays them
+    out channel-major and optionally fuses a non-overlapping square
+    max-pool -- all elementwise/per-channel, so sharded === unsharded and
+    threaded === sequential hold bit for bit.
 
     Args:
         tensor: PD CONV weight tensor ``(c_out, c_in, kh, kw)``.
@@ -467,14 +492,12 @@ class LoweredConvStage(ServedStage):
         return self.kernel_size[0] * self.kernel_size[1]
 
     def _check_geometry(self) -> None:
-        self.kernel_size = tuple(
-            _integer("kernel_size", v) for v in self.kernel_size
-        )
-        self.input_hw = tuple(_integer("input_hw", v) for v in self.input_hw)
-        self.stride = _integer("stride", self.stride)
-        self.padding = _integer("padding", self.padding)
+        self.kernel_size = int_pair("kernel_size", self.kernel_size)
+        self.input_hw = int_pair("input_hw", self.input_hw)
+        self.stride = checked_int("stride", self.stride)
+        self.padding = checked_int("padding", self.padding)
         pool = self.pool = (
-            None if self.pool is None else _integer("pool", self.pool)
+            None if self.pool is None else checked_int("pool", self.pool)
         )
         c_in = self.shard_slots[0][0].shape[1]
         if any(m.shape[1] != c_in for slots in self.shard_slots for m in slots):
@@ -503,32 +526,33 @@ class LoweredConvStage(ServedStage):
         )
         return lower_columns(x, *self.kernel_size, self.stride, self.padding)
 
-    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
-        """Sum the offsets, activate, pool, and write channels ``[lo, hi)``.
+    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
+        """Channels ``[lo, hi)`` of the offset sum, ``(B*oh*ow, hi - lo)``.
 
         ``products`` is consumed as it goes, so only the running sum and
         one product are alive at a time.  The fixed offset order makes
         any row shard reproduce its rows of the unsharded sum bit for bit.
         """
-        batch, rows = x_batch.shape[0], hi - lo
-        oh, ow = self.conv_hw
-        ph, pw = self.output_hw
         # A fresh sum in the products' dtype (a Python float does not
         # promote float32), bit for bit a zeroed buffer plus the first
         # product.
         acc = 0.0 + next(products)
         for product in products:
             acc += product
-        acc = apply_activation(acc, self.activation)
-        fmap = acc.reshape(batch, oh, ow, rows).transpose(0, 3, 1, 2)
+        return acc
+
+    def _finish(self, pre: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
+        """Activate, lay out channel-major, and pool the offset sums."""
+        batch, c_out = x_batch.shape[0], self.channels[0]
+        oh, ow = self.conv_hw
+        fmap = apply_activation(pre, self.activation)
+        fmap = fmap.reshape(batch, oh, ow, c_out).transpose(0, 3, 1, 2)
         if self.pool is not None:
-            pool = self.pool
-            fmap = fmap.reshape(batch, rows, ph, pool, pw, pool).max(
+            (ph, pw), pool = self.output_hw, self.pool
+            fmap = fmap.reshape(batch, c_out, ph, pool, pw, pool).max(
                 axis=(3, 5)
             )
-        outputs[:, lo * ph * pw : hi * ph * pw] = fmap.reshape(
-            batch, rows * ph * pw
-        )
+        return fmap.reshape(batch, self.out_features)
 
     # Kept per class for perfbench's tracer (see ShardedLayer).
     run_batch = ServedStage.run_batch
@@ -552,10 +576,12 @@ class RecurrentStage(ServedStage):
     :mod:`repro.nn.layers.recurrent`): this stage's 2 slots.  Both are
     row-sharded at whole hidden blocks, so shard ``K`` owns stacked rows
     ``[lo, hi)`` -- every gate of hidden rows ``[lo/4, hi/4)`` -- and
-    computes its slice of the cell update locally: one ``W x`` and one
-    ``U h`` engine batch call, then the cell's own
-    :func:`~repro.nn.layers.recurrent.lstm_update`, writing the ``h`` and
-    ``c`` row slices of the output.  Requests are
+    computes their pre-activations: one ``W x`` and one ``U h`` engine
+    batch call, plus the bias.  The cell's own
+    :func:`~repro.nn.layers.recurrent.lstm_update` then runs once on every
+    shard's pre-activations side by side (elementwise per hidden unit, so
+    each shard's units get what a shard-local update would give them),
+    and the stage returns ``[h | c]``.  Requests are
     ``[x | h_prev | c_prev]`` vectors and outputs ``[h | c]``, so a
     sequence is served by feeding each step's output state back into the
     next request -- and an encoder-decoder pair by feeding the encoder's
@@ -608,12 +634,14 @@ class RecurrentStage(ServedStage):
             ]
         with np.load(Path(directory) / entry["aux_file"]) as aux:
             gates = [aux[key] for key in _BIAS_KEYS]
-        params["bias"] = join_gates(gates, int(entry["p"]))
+        params["bias"] = join_gates(gates, checked_int("p", entry["p"]))
         return super().from_manifest(entry, shard_slots, directory, **params)
 
     def _check_geometry(self) -> None:
-        n_in = self.input_size = int(self.input_size)
-        hidden = self.hidden_size = int(self.hidden_size)
+        n_in = self.input_size = checked_int("input_size", self.input_size)
+        hidden = self.hidden_size = checked_int(
+            "hidden_size", self.hidden_size
+        )
         self.block = self.shard_slots[0][0].p
         for (lo, hi), (w, u) in zip(self.row_bounds, self.shard_slots):
             widths = (w.shape[1], u.shape[1])
@@ -640,19 +668,20 @@ class RecurrentStage(ServedStage):
         start, stop = self.input_size, self.input_size + self.hidden_size
         return [x_batch[:, :start], x_batch[:, start:stop]]
 
-    def _combine(self, products, x_batch, outputs, lo, hi) -> None:
-        """The cell update of hidden rows ``[lo/4, hi/4)``: ``h`` and ``c``."""
+    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
+        """Stacked pre-activation rows ``[lo, hi)``."""
         w_x, u_h = products
         # Same association order as LSTMCell.step: (W x + U h) + b.
-        pre = w_x + u_h + self._bias_c[lo:hi]
-        lo, hi, hidden = lo // 4, hi // 4, self.hidden_size
-        c_start = self.input_size + hidden
+        return w_x + u_h + self._bias_c[lo:hi]
+
+    def _finish(self, pre: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
+        """The cell update on the stacked pre-activations: ``[h | c]``."""
         c_prev = np.asarray(
-            x_batch[:, c_start + lo : c_start + hi], dtype=self.compute_dtype
+            x_batch[:, self.input_size + self.hidden_size :],
+            dtype=self.compute_dtype,
         )
         h, c, _ = lstm_update(pre, c_prev, self.block)
-        outputs[:, lo:hi] = h
-        outputs[:, hidden + lo : hidden + hi] = c
+        return np.concatenate([h, c], axis=1)
 
     # Kept per class for perfbench's tracer (see ShardedLayer).
     run_batch = ServedStage.run_batch
@@ -844,7 +873,10 @@ class ModelServer:
         flush_deadline_us: micro-batcher deadline flush.
         num_threads: host threads driving each layer's shard engines.
             ``None`` (default) uses ``min(max shard count, host CPUs)``;
-            ``1`` forces sequential shard execution.  Purely a host-side
+            ``1`` forces sequential shard execution.  Above 1, a layer's
+            micro-batch uses the threads only when its largest shard
+            slot product stores at least ``_THREAD_MIN_MACS`` MACs, and
+            runs its shards in turn otherwise.  Purely a host-side
             execution knob: simulated cycles, counters, and outputs are
             identical at every thread count (shards are collected in
             shard order).
@@ -1065,9 +1097,10 @@ class ModelServer:
         back in submission order regardless of batching.
 
         With ``num_threads > 1`` a drain-scoped thread pool runs each
-        layer's shard engines concurrently on the host (shut down before
-        this method returns, so no threads outlive the drain); the
-        simulated clock and every output are unchanged by threading.
+        layer's shard engines concurrently on the host, for micro-batches
+        whose products are big enough (see ``num_threads``); it is shut
+        down before this method returns, so no threads outlive the drain.
+        The simulated clock and every output are unchanged by threading.
         """
         pending, self._pending = self._pending, []
         num_layers = len(self.layers)

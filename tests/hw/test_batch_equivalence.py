@@ -4,13 +4,17 @@
 cycle model for the whole batch at once; these tests pin its contract:
 bit-identical outputs, identical cycle/MAC totals, and identical SRAM
 counters to a sample-by-sample ``run_fc_layer`` loop, at every value
-dtype.
+dtype -- and the same again when the caller hands in each row's
+processed-column count (``columns=``) instead of the engine taking it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlockPermutedDiagonalMatrix
+from repro.hw.config import EngineConfig, PEConfig
 from repro.hw.engine import PermDNNEngine
 
 
@@ -95,3 +99,49 @@ def test_tanh_batch_matches_per_sample():
         ]
     )
     np.testing.assert_array_equal(out, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    p=st.integers(1, 5),
+    batch=st.integers(1, 5),
+    sparsity=st.sampled_from([0.0, 0.5, 1.0]),
+    value_dtype=st.sampled_from(["float64", "float32", "int16"]),
+    pe=st.sampled_from([(32, 8, 128), (1, 1, 4), (2, 2, 128)]),
+    seed=st.integers(0, 2**16),
+)
+def test_precomputed_columns_match_the_engines_own_count(
+    m, n, p, batch, sparsity, value_dtype, pe, seed
+):
+    """``columns=``, a served stage's once-per-slot-input count, gives the
+    outputs, cycles, MACs and SRAM counters of the engine's own count:
+    padded shapes and every scheduler case included."""
+    n_pe, n_mul, n_acc = pe
+    config = EngineConfig(n_pe=n_pe, pe=PEConfig(n_mul=n_mul, n_acc=n_acc))
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (m, n), p, rng=seed, value_dtype=value_dtype
+    )
+    x_batch = _batch(n, np.random.default_rng(seed), sparsity, batch)
+    own, given_counts = PermDNNEngine(config), PermDNNEngine(config)
+    out, cycles, macs = own.run_fc_batch_detailed(
+        matrix, x_batch, activation="relu", enforce_capacity=False
+    )
+    got, got_cycles, got_macs = given_counts.run_fc_batch_detailed(
+        matrix, x_batch, activation="relu", enforce_capacity=False,
+        columns=np.count_nonzero(x_batch, axis=1),
+    )
+    assert got.dtype == out.dtype
+    np.testing.assert_array_equal(got, out)
+    assert (got_cycles, got_macs) == (cycles, macs)
+    for name in ("weight_sram", "perm_sram", "act_sram"):
+        assert getattr(given_counts, name).stats == getattr(own, name).stats
+
+
+def test_precomputed_columns_need_one_count_per_row():
+    matrix = BlockPermutedDiagonalMatrix.random((32, 32), 8, rng=0)
+    with pytest.raises(ValueError, match="column counts"):
+        PermDNNEngine().run_fc_batch_detailed(
+            matrix, np.ones((3, 32)), columns=np.full(2, 32)
+        )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv2D, PermDiagConv2D
+from repro.nn import AvgPool2D, Conv2D, MaxPool2D, PermDiagConv2D
 from repro.nn.functional import col2im, conv_output_hw, im2col, lower_columns
 from repro.nn.gradcheck import check_input_gradient, check_parameter_gradients
 
@@ -35,6 +35,36 @@ def _reference_conv(x, weight, bias, stride, pad):
     if bias is not None:
         out += bias[None, :, None, None]
     return out
+
+
+# Each layer constructor, valid arguments, and the integer geometry it
+# stores.
+_INTEGER_GEOMETRY = [
+    (cls, base, name)
+    for cls, base, names in [
+        (Conv2D, dict(in_channels=2, out_channels=3, kernel_size=3),
+         ("kernel_size", "stride", "padding")),
+        (PermDiagConv2D,
+         dict(in_channels=2, out_channels=4, kernel_size=3, p=2),
+         ("kernel_size", "stride", "padding")),
+        (MaxPool2D, dict(kernel_size=2), ("kernel_size", "stride")),
+        (AvgPool2D, dict(kernel_size=2), ("kernel_size", "stride")),
+    ]
+    for name in names
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize(
+    "cls,base,name", _INTEGER_GEOMETRY,
+    ids=[f"{cls.__name__}-{name}" for cls, _, name in _INTEGER_GEOMETRY],
+)
+def test_layer_geometry_must_be_integers(cls, base, name, value):
+    """A non-integer kernel size, stride or padding fails at construction
+    with ``ValueError``, not at the first forward with numpy's
+    ``TypeError`` (or never, when ``True`` passes for 1)."""
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        cls(**{**base, name: value})
 
 
 class TestIm2Col:

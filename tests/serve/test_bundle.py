@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
+from repro.nn.layers.recurrent import LSTMCell
 from repro.serve import (
     ModelServer,
     ShardedLayer,
@@ -131,6 +132,54 @@ class TestBundleValidation:
         dense = build_alexnet_fc(None, scale=64, dropout=0.0, rng=0)
         with pytest.raises(ValueError, match="not servable"):
             export_model_bundle(tmp_path, dense, num_shards=2)
+
+
+def _set_top(manifest, name, value):
+    manifest[name] = value
+
+
+def _set_entry(manifest, name, value):
+    manifest["layers"][0][name] = value
+
+
+def _set_first(manifest, name, value):
+    manifest["layers"][0][name][1] = value
+
+
+# Every integer a manifest holds, where it sits, and whether the bundle
+# is an int16 FC stack or a recurrent cell.  A non-integer must fail the
+# load with the field's name, not be truncated by ``int()`` into a
+# plausible bundle or fail later on another error.
+_MANIFEST_INTEGERS = [
+    ("bundle_version", _set_top, "fc"),
+    ("num_shards", _set_top, "fc"),
+    ("num_layers", _set_top, "fc"),
+    ("slots", _set_entry, "fc"),
+    ("p", _set_entry, "fc"),
+    ("shape", _set_first, "fc"),
+    ("fixed_point", _set_first, "fc"),
+    ("input_size", _set_entry, "recurrent"),
+    ("hidden_size", _set_entry, "recurrent"),
+]
+
+
+class TestManifestIntegers:
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name,tamper,kind", _MANIFEST_INTEGERS)
+    def test_non_integer_fails_the_load(
+        self, tmp_path, name, tamper, kind, value
+    ):
+        if kind == "fc":
+            layers = [(m.with_value_dtype("int16"), a) for m, a in _stack()]
+            _export_fc_stack(tmp_path, layers, num_shards=2)
+        else:
+            export_model_bundle(tmp_path, LSTMCell(6, 16, p=2, rng=0), 2)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        tamper(manifest, name, value)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            load_staged_bundle(tmp_path)
 
 
 class TestBundleSanitizer:

@@ -16,6 +16,12 @@ not divide the layer dimensions):
   the 1-shard stage and ``LSTMCell.step`` bitwise);
 - a 1-shard ``ShardedLayer`` is one ``run_fc_batch_detailed`` call
   (also on Hypothesis-drawn FC shapes);
+- 1-shard FC and recurrent stages are their per-row engine references
+  (``run_fc_layer`` on each request row, the recurrent one adding the
+  bias and the cell's ``lstm_update``) in bits, cycles, MACs and SRAM
+  counters, on drawn shapes at every value dtype; at float64 their
+  outputs are also the executable spec's forward (``_spec_products``),
+  which shares no index code with the kernel;
 - a 1-shard ``ModelServer`` at B=1 matches ``run_network`` layer by
   layer, and with the whole request set as one batch it matches the
   per-layer ``run_fc_batch_detailed`` loop, makespan included;
@@ -34,13 +40,15 @@ from hypothesis import strategies as st
 from repro.core import BlockPermDiagTensor4D, BlockPermutedDiagonalMatrix
 from repro.core.block_perm_diag import convert_values
 from repro.hw import PermDNNEngine
-from repro.nn.layers.recurrent import LSTMCell
+from repro.hw.engine import apply_activation
+from repro.nn.layers.recurrent import LSTMCell, lstm_update
 from repro.serve import (
     LoweredConvStage,
     ModelServer,
     RecurrentStage,
     ShardedLayer,
 )
+from tests.core.test_backend_conformance import _spec_products
 
 VALUE_DTYPES = ["float64", "float32", "int16"]
 
@@ -382,3 +390,140 @@ def test_fc_paths_agree_on_drawn_shapes(
         sharded, _, shard_macs = stage.run_batch(engines, xs)
         np.testing.assert_array_equal(sharded, reference)
         assert sum(shard_macs) == macs
+
+
+def _assert_same_sram(engine, reference):
+    for name in ("weight_sram", "perm_sram", "act_sram"):
+        assert getattr(engine, name).stats == getattr(reference, name).stats
+
+
+def _account(single, totals):
+    """Add one ``run_fc_layer`` result's compute, writeback and MACs."""
+    totals[0] += single.compute_cycles + single.writeback_cycles
+    totals[1] += single.macs
+
+
+def _per_row_fc(matrix, xs, activation):
+    """A FC stage's engine work, one request row at a time.
+
+    ``run_fc_layer`` runs each row alone; the cycles are one pipeline
+    fill for the stage's one slot plus every row's compute and writeback.
+
+    Returns:
+        ``(outputs, cycles, macs, engine)``.
+    """
+    engine = PermDNNEngine()
+    totals = [engine.config.pipeline_stages, 0]
+    outputs = []
+    for x in xs:
+        single = engine.run_fc_layer(matrix, x, activation=activation)
+        outputs.append(single.output)
+        _account(single, totals)
+    return np.stack(outputs), *totals, engine
+
+
+def _per_row_recurrent(cell, xs, value_dtype):
+    """A recurrent stage's engine work, one request row at a time.
+
+    ``run_fc_layer`` computes the row's ``W x`` and ``U h``; then
+    ``(W x + U h) + b`` and the cell's ``lstm_update`` give ``[h | c]``.
+    The cycles are one pipeline fill per slot plus every row's compute
+    and writeback on both.
+
+    Returns:
+        ``(outputs, cycles, macs, engine)``.
+    """
+    engine = PermDNNEngine()
+    w, u = convert_values(
+        [op.matrix for op in cell.weight_matrices], value_dtype
+    )
+    bias = np.asarray(cell.bias.value, dtype=w.compute_dtype)
+    totals = [2 * engine.config.pipeline_stages, 0]
+    outputs = []
+    split = [cell.input_size, cell.input_size + cell.hidden_size]
+    for row in xs:
+        x, h_prev, c_prev = np.split(row, split)
+        w_x, u_h = engine.run_fc_layer(w, x), engine.run_fc_layer(u, h_prev)
+        _account(w_x, totals)
+        _account(u_h, totals)
+        pre = w_x.output + u_h.output + bias
+        h, c, _ = lstm_update(
+            pre[None], c_prev[None].astype(w.compute_dtype), cell.p
+        )
+        outputs.append(np.concatenate([h[0], c[0]]))
+    return np.stack(outputs), *totals, engine
+
+
+def _spec_forward(matrix, x):
+    """``W x`` for the batch ``x`` from ``(data, ks, shape)`` alone."""
+    dy = np.zeros((x.shape[0], matrix.shape[0]))
+    return _spec_products(matrix.data, matrix.ks, matrix.shape, x, dy)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+    p=st.integers(1, 5),
+    batch=st.integers(1, 5),
+    activation=st.sampled_from([None, "relu", "tanh"]),
+    value_dtype=st.sampled_from(VALUE_DTYPES),
+    seed=st.integers(0, 2**16),
+)
+def test_one_shard_fc_stage_is_its_per_row_reference(
+    m, n, p, batch, activation, value_dtype, seed
+):
+    matrix = BlockPermutedDiagonalMatrix.random(
+        (m, n), p, rng=seed
+    ).with_value_dtype(value_dtype)
+    xs = _sparse((batch, n), seed=seed)
+    engine = PermDNNEngine()
+    out, cycles, macs = ShardedLayer(matrix, activation, 1).run_batch(
+        [engine], xs
+    )
+    expected, ref_cycles, ref_macs, reference = _per_row_fc(
+        matrix, xs, activation
+    )
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
+    assert (cycles, macs) == ([ref_cycles], [ref_macs])
+    _assert_same_sram(engine, reference)
+    if value_dtype == "float64":
+        np.testing.assert_array_equal(
+            out, apply_activation(_spec_forward(matrix, xs), activation)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    blocks=st.integers(1, 4),
+    input_size=st.integers(1, 12),
+    batch=st.integers(1, 5),
+    value_dtype=st.sampled_from(VALUE_DTYPES),
+    seed=st.integers(0, 2**16),
+)
+def test_one_shard_recurrent_stage_is_its_per_row_reference(
+    p, blocks, input_size, batch, value_dtype, seed
+):
+    cell = LSTMCell(input_size, p * blocks, p=p, rng=seed)
+    xs = _sparse((batch, input_size + 2 * p * blocks), seed=seed)
+    engine = PermDNNEngine()
+    out, cycles, macs = RecurrentStage(
+        cell, 1, value_dtype=value_dtype
+    ).run_batch([engine], xs)
+    expected, ref_cycles, ref_macs, reference = _per_row_recurrent(
+        cell, xs, value_dtype
+    )
+    assert out.dtype == expected.dtype
+    np.testing.assert_array_equal(out, expected)
+    assert (cycles, macs) == ([ref_cycles], [ref_macs])
+    _assert_same_sram(engine, reference)
+    if value_dtype == "float64":
+        w, u = (op.matrix for op in cell.weight_matrices)
+        x, h_prev, c_prev = np.split(
+            xs, [input_size, input_size + cell.hidden_size], axis=1
+        )
+        pre = _spec_forward(w, x) + _spec_forward(u, h_prev) + cell.bias.value
+        h, c, _ = lstm_update(pre, c_prev, p)
+        np.testing.assert_array_equal(out, np.concatenate([h, c], axis=1))
