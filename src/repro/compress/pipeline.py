@@ -9,7 +9,7 @@ The factory pipeline behind ``repro compress``:
    interfaces).
 2. **Convert**: dense layers are replaced by their PD counterparts
    (:meth:`PermDiagLinear.from_matrix` / :meth:`PermDiagConv2D.from_tensor`
-   / a PD :class:`LSTMCell`), each adopting its projected PD values as
+   / :meth:`LSTMCell.from_matrices`), each adopting its projected PD values as
    the storage it trains in place and serves from (already-PD layers
    are re-wrapped around copies), biases are dropped (the engine's datapath
    computes ``W x`` only -- fine-tuning compensates), and layers whose
@@ -337,11 +337,9 @@ def convert_cell(
     if hidden % p_eff:
         p_eff = 1
         clamp_note = f"p clamped to 1 ({p} does not divide hidden {hidden})"
-    pd = LSTMCell(cell.input_size, hidden, p=p_eff, rng=0)
+    matrices: list[BlockPermutedDiagonalMatrix] = []
     reports: list[LayerReport] = []
-    for name, source, target in zip(
-        ("LSTM.W", "LSTM.U"), cell.weight_matrices, pd.weight_matrices
-    ):
+    for name, source in zip(("LSTM.W", "LSTM.U"), cell.weight_matrices):
         weight = source.weight.value
         projected = stack_gates([
             BlockPermutedDiagonalMatrix.from_dense(
@@ -349,8 +347,7 @@ def convert_cell(
             )
             for gate in weight.reshape(4, hidden, -1)
         ])
-        target.matrix.set_structure(ks=projected.ks)
-        target.weight.value[...] = projected.data
+        matrices.append(projected)
         reports.append(
             LayerReport(
                 name=name,
@@ -364,8 +361,8 @@ def convert_cell(
             )
         )
     # A dense cell's bias is gate-major: blocks of h, not p.
-    pd.bias.value[...] = join_gates(cell.bias.value.reshape(4, -1), p_eff)
-    return pd, reports
+    bias = join_gates(cell.bias.value.reshape(4, -1), p_eff)
+    return LSTMCell.from_matrices(*matrices, bias), reports
 
 
 def compress_arrays(

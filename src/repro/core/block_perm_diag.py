@@ -29,12 +29,12 @@ instead of rebuilding indices, and the backward path is transpose-free:
 no intermediate :meth:`~BlockPermutedDiagonalMatrix.transpose` object
 is materialized per call.
 
-Structure is immutable through attribute access (``ks`` is exposed
-read-only and ``shape`` is a plain property).  The sanctioned mutation API
-is :meth:`~BlockPermutedDiagonalMatrix.set_structure`, which re-validates,
-re-masks the stored values, and invalidates the cached plan.  Matrices
-sharing one structure (e.g. the per-offset channel matrices of a lowered
-convolution) can share a single plan via
+The structure is fixed for a matrix's whole life: ``ks`` is exposed
+read-only, ``shape`` is a plain property, and no method swaps either, so
+a plan, once built, is never invalidated.  A different structure is a
+different matrix (and, for a layer, a different layer built around it).
+Matrices sharing one structure (e.g. the per-offset channel matrices of
+a lowered convolution) can share a single plan via
 :meth:`~BlockPermutedDiagonalMatrix.like`.
 
 Value storage
@@ -101,7 +101,8 @@ exactly like a freshly built one.
 
 from __future__ import annotations
 
-import contextlib
+import numbers
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -142,27 +143,6 @@ def _resolve_value_dtype(value_dtype, fixed_point):
     return name, fixed_point
 
 
-@contextlib.contextmanager
-def _ensure_writable(arr: np.ndarray):
-    """Temporarily lift a read-only flag, restoring it on *every* exit.
-
-    The sanitizer (:mod:`repro.debug.sanitizer`) freezes shared buffers by
-    clearing ``flags.writeable``; sanctioned in-place mutation paths wrap
-    their writes in this context so the freeze survives them -- including
-    when the write itself raises.  Arrays that are genuinely immutable
-    (views whose base this process may not write) make ``setflags`` raise
-    ``ValueError``; callers catch that and fall back to a copy.
-    """
-    original = bool(arr.flags.writeable)
-    if not original:
-        arr.setflags(write=True)
-    try:
-        yield arr
-    finally:
-        if not original:
-            arr.setflags(write=False)
-
-
 def row_shard_bounds(num_block_rows: int, num_shards: int) -> list[tuple[int, int]]:
     """Contiguous, balanced partition of ``num_block_rows`` into shards.
 
@@ -170,8 +150,12 @@ def row_shard_bounds(num_block_rows: int, num_shards: int) -> list[tuple[int, in
     ``num_block_rows % num_shards`` shards carry one extra block row.  Row
     sharding happens at block-row granularity so every shard stays a valid
     block-PD matrix (used by :meth:`BlockPermutedDiagonalMatrix.row_shards`
-    and the serving runtime in :mod:`repro.serve`).
+    and the serving runtime in :mod:`repro.serve`).  ``num_shards`` is
+    checked, not truncated: a ``bool`` or a non-integer raises
+    ``ValueError``, as ``repro.nn.functional.checked_int`` does.
     """
+    if isinstance(num_shards, bool) or not isinstance(num_shards, numbers.Integral):
+        raise ValueError(f"num_shards must be an integer, got {num_shards!r}")
     if num_shards <= 0:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
     if num_shards > num_block_rows:
@@ -232,10 +216,10 @@ class _IndexPlan:
     the slot coordinates and the support mask; the sparse products read
     the coordinates as they are, as the ``(row, col)`` arrays of scipy COO
     views (:meth:`BlockPermutedDiagonalMatrix._coo`), so no other index
-    layout is ever derived for them.  The support coordinates and the
-    backward products' PBD index are built lazily on first use so
-    forward-only consumers never pay for them.  All exposed arrays are
-    read-only.
+    layout is ever derived for them.  The support coordinates, the last
+    block row's columns (engine MACs) and the backward products' PBD
+    index are built lazily on first use so consumers that never ask for
+    them never pay for them.  All exposed arrays are read-only.
 
     Attributes:
         rows / cols: global ``(row, col)`` of every stored slot,
@@ -298,6 +282,20 @@ class _IndexPlan:
                 arr.setflags(write=False)
             self._support_coords = (flat, rows, cols)
         return self._support_coords
+
+    @cached_property
+    def last_row_cols(self) -> np.ndarray:
+        """Columns holding the last block row's in-bounds weights, 1-D.
+
+        A row-padded matrix's last block row keeps only its first rows,
+        so it stores weights in fewer columns than a full one; the
+        engine's MAC count reads them here
+        (:func:`repro.hw.engine._stored_macs`).  Sliced off ``cols`` and
+        ``support`` lazily, at most once; a row-shard plan derives its own.
+        """
+        cols = self.cols[-1][self.support[-1]]
+        cols.setflags(write=False)
+        return cols
 
     def pbd_index(self) -> _PBDIndex | None:
         """Class gather vectors for additive ``ks``; ``None`` otherwise.
@@ -369,10 +367,9 @@ class BlockPermutedDiagonalMatrix:
 
     The structure ``(ks, shape, p)`` is fixed at construction -- ``ks`` is
     exposed read-only and ``shape`` is a property -- and all index
-    arithmetic is derived from it lazily, cached, and never stored (see
-    the module docstring).  Use
-    :meth:`set_structure` to mutate it and :meth:`like` to create siblings
-    that share the cached plan.
+    arithmetic is derived from it lazily, cached, and never stored or
+    invalidated (see the module docstring).  Use :meth:`like` to create
+    siblings that share the cached plan.
 
     Args:
         data: array of shape ``(mb, nb, p)`` with the non-zero values.
@@ -425,16 +422,16 @@ class BlockPermutedDiagonalMatrix:
             )
         self._shape = (int(m), int(n))
         self._plan: _IndexPlan | None = None
-        self._coo_cache: dict[bool, tuple] = {}
+        self._coo_cache: dict[bool, _scipy_sparse.coo_matrix] = {}
         self.data = data  # through the property: masks padding only if needed
 
     # ------------------------------------------------------------------
-    # Structure access and the sanctioned mutation API
+    # Structure and value access
     # ------------------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        """Logical ``(m, n)``.  Mutate via :meth:`set_structure` only."""
+        """Logical ``(m, n)``, fixed at construction."""
         return self._shape
 
     @property
@@ -573,58 +570,8 @@ class BlockPermutedDiagonalMatrix:
         return self._sibling(self._get_plan(), data, name, fmt)
 
     # ------------------------------------------------------------------
-    # Structure mutation and plan-sharing siblings
+    # Plan-sharing siblings
     # ------------------------------------------------------------------
-
-    def set_structure(
-        self,
-        ks: np.ndarray | None = None,
-        shape: tuple[int, int] | None = None,
-    ) -> "BlockPermutedDiagonalMatrix":
-        """Sanctioned structure mutation: swap ``ks`` and/or the logical shape.
-
-        Validates exactly like ``__init__``, re-applies the padding mask to
-        the stored values under the new structure, and invalidates the
-        cached index plan (plus the COO views built over it).  The
-        re-mask happens **in place** whenever the buffer is writable, so
-        the data-aliasing contract (e.g. a ``Parameter`` sharing storage)
-        survives the mutation.
-
-        Returns:
-            ``self``, for chaining.
-        """
-        mb, nb, p = self._data.shape
-        if ks is not None:
-            ks = np.asarray(ks, dtype=np.int64)
-            if ks.shape != (mb, nb):
-                raise ValueError(
-                    f"ks shape {ks.shape} does not match data blocks ({mb}, {nb})"
-                )
-            ks = ks % p
-            ks.setflags(write=False)
-            self._ks = ks
-        if shape is not None:
-            m, n = shape
-            if not (mb * p - p < m <= mb * p and nb * p - p < n <= nb * p):
-                raise ValueError(
-                    f"logical shape {shape} inconsistent with {mb}x{nb} blocks of p={p}"
-                )
-            self._shape = (int(m), int(n))
-        self._plan = None
-        self._coo_cache = {}
-        # Re-mask under the new structure, in place when possible so any
-        # consumer aliasing the buffer keeps seeing this matrix's values.
-        if self._shape != (mb * p, nb * p):
-            support = self._get_plan().support
-            if np.any(self._data[~support]):
-                try:
-                    with _ensure_writable(self._data):
-                        self._data[~support] = 0.0
-                except ValueError:
-                    # Genuinely immutable buffer (read-only base we do not
-                    # own): aliasing cannot survive, mask into a copy.
-                    self._data = self._data * support
-        return self
 
     def like(self, data: np.ndarray) -> "BlockPermutedDiagonalMatrix":
         """New matrix with this structure, **sharing** the cached index plan.
@@ -961,18 +908,19 @@ class BlockPermutedDiagonalMatrix:
         read in place; ``int16`` codes are decoded per call.
         """
         key = bool(transposed)
+        # Looked up on every call, cached view or not, so a clobbered
+        # ``_plan`` shows up as a rebuild on the next product.
         plan = self._get_plan()
         values = self._kernel_data().reshape(-1)
-        entry = self._coo_cache.get(key)
-        if entry is not None and entry[0] is plan:
-            entry[1].data = values
-            return entry[1]
-        coords = (plan.rows.reshape(-1), plan.cols.reshape(-1))
-        shape = (self.mb * self.p, self.nb * self.p)
-        if key:
-            coords, shape = coords[::-1], shape[::-1]
-        view = _scipy_sparse.coo_matrix((values, coords), shape=shape)
-        self._coo_cache[key] = (plan, view)
+        view = self._coo_cache.get(key)
+        if view is None:
+            coords = (plan.rows.reshape(-1), plan.cols.reshape(-1))
+            shape = (self.mb * self.p, self.nb * self.p)
+            if key:
+                coords, shape = coords[::-1], shape[::-1]
+            view = _scipy_sparse.coo_matrix((values, coords), shape=shape)
+            self._coo_cache[key] = view
+        view.data = values
         return view
 
     def matvec(self, x: np.ndarray) -> np.ndarray:

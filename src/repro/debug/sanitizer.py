@@ -8,10 +8,10 @@ The PD matrix core promises two things its consumers silently rely on
    storage, and ``data`` assignment aliases the supplied buffer whenever
    padding allows, so in-place weight updates propagate with zero copies.
 2. **Plan caching** -- index arithmetic (an :class:`_IndexPlan`) is built
-   at most once per structure; only :meth:`set_structure` may invalidate
-   it.  A *rebuild* of the same matrix's plan means somebody clobbered
-   ``_plan`` behind the cache's back, silently re-running all index
-   arithmetic.
+   at most once per matrix and never invalidated: a matrix's structure
+   is fixed when it is built.  A *rebuild* of the same matrix's plan
+   means somebody clobbered ``_plan`` behind the cache's back, silently
+   re-running all index arithmetic.
 
 ``tools/repro_lint`` rejects the code *shapes* that break these
 contracts; this module catches the breakage the linter cannot see, at
@@ -22,8 +22,7 @@ runtime.  Inside :func:`sanitize`:
   the view contract broke) and the shard's value buffer is **frozen**
   (``flags.writeable = False``) so any code that writes weights through
   a shard instead of the parent trips a ``ValueError`` at the offending
-  line.  Sanctioned in-place core paths lift the freeze temporarily via
-  ``_ensure_writable`` and restore it even on exceptions.
+  line.  No library path lifts the freeze.
 * ``_get_plan`` calls are counted, distinguishing first builds from
   rebuilds; :meth:`Sanitizer.assert_no_plan_rebuild` turns rebuilds into
   a :class:`PlanRebuildError`.  No plan is ever stored, so a matrix
@@ -166,8 +165,7 @@ class Sanitizer:
             return out
 
         def _coo(matrix, transposed):
-            entry = matrix._coo_cache.get(bool(transposed))
-            if entry is None or entry[0] is not matrix._plan:
+            if bool(transposed) not in matrix._coo_cache:
                 sanitizer.stats.skeleton_builds += 1
             return orig_coo(matrix, transposed)
 
@@ -222,8 +220,8 @@ class Sanitizer:
             sites = ", ".join(self.stats.rebuild_sites)
             raise PlanRebuildError(
                 f"{self.stats.plan_rebuilds} index-plan rebuild(s) detected "
-                f"({sites}); plans must be built once and only invalidated "
-                f"through set_structure"
+                f"({sites}); a matrix builds its plan once and never "
+                f"invalidates it"
             )
 
 

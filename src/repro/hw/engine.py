@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import BlockPermutedDiagonalMatrix, nonzero_column
+from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw.config import EngineConfig
 from repro.hw.energy import AreaPowerModel
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
@@ -162,23 +162,18 @@ def _stored_macs(
     ``columns`` is the batch's processed-column count.  A full block row
     stores exactly one weight in every column, so each processed column
     costs ``mb`` MACs.  Only a row-padded matrix's last block row, which
-    keeps its first ``kept`` rows, stores fewer: its columns are read off
-    ``ks`` with Eqn. (1)'s modulo, and the batch's processed columns among
+    keeps its first rows, stores fewer: its columns come from the index
+    plan (built once per matrix), and the batch's processed columns among
     them are counted once more.
     """
-    m, n = matrix.shape
-    p, mb = matrix.p, matrix.mb
-    kept = m - (mb - 1) * p
-    if kept == p:
-        return mb * columns
-    offsets = nonzero_column(np.arange(kept), matrix.ks[-1][:, None], p)
-    cols = (np.arange(matrix.nb)[:, None] * p + offsets).reshape(-1)
-    cols = cols[cols < n]
+    if matrix.shape[0] == matrix.mb * matrix.p:
+        return matrix.mb * columns
+    cols = matrix._get_plan().last_row_cols
     if zero_skip:
         last = np.count_nonzero(x_batch[:, cols])
     else:
         last = x_batch.shape[0] * cols.size
-    return (mb - 1) * columns + int(last)
+    return (matrix.mb - 1) * columns + int(last)
 
 
 @dataclass

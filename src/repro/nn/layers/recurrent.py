@@ -59,6 +59,11 @@ class _PDOp(Module):
 
     def __init__(self, matrix: BlockPermutedDiagonalMatrix) -> None:
         super().__init__()
+        if matrix.value_dtype != "float64":
+            raise TypeError(
+                f"{matrix.value_dtype!r} storage cannot alias a PD cell's float64 "
+                f"Parameters; convert with matrix.with_value_dtype('float64') first"
+            )
         self._matrix = matrix
         # Aliasing contract: Parameter and matrix share one buffer, so
         # in-place optimizer updates reach the structured matrix directly.
@@ -181,6 +186,36 @@ class LSTMCell(Module):
         bias = np.zeros((4, hidden_size))
         bias[1] = forget_bias  # gates i, f, g, o
         self.bias = Parameter(join_gates(bias, self.block))
+
+    @classmethod
+    def from_matrices(
+        cls,
+        w: BlockPermutedDiagonalMatrix,
+        u: BlockPermutedDiagonalMatrix,
+        bias: np.ndarray,
+    ) -> "LSTMCell":
+        """A PD cell around existing stacked ``W`` and ``U`` (e.g. searched
+        and projected gates, Sec. III-F): the cell's counterpart of
+        :meth:`~repro.nn.PermDiagLinear.from_matrix`.
+
+        The cell adopts both matrices as they are, ``ks`` included, and
+        its parameters alias their storage, so the caller's matrices see
+        training updates.  ``bias`` is the stacked ``4h`` bias (blocks of
+        ``p``), copied.  Non-float64 storage raises ``TypeError``.
+        """
+        hidden, p = u.shape[1], u.p
+        if w.p != p or hidden % p or not w.shape[0] == u.shape[0] == 4 * hidden:
+            raise ValueError(
+                f"W {w.shape} (p={w.p}) and U {u.shape} (p={p}) are not one "
+                f"cell's stacked gate matrices"
+            )
+        cell = cls.__new__(cls)
+        Module.__init__(cell)
+        cell.input_size, cell.hidden_size = w.shape[1], hidden
+        cell.p = cell.block = p
+        cell.w_op, cell.u_op = _PDOp(w), _PDOp(u)
+        cell.bias = Parameter(np.array(bias, dtype=np.float64).reshape(4 * hidden))
+        return cell
 
     @property
     def weight_matrices(self) -> list[Module]:

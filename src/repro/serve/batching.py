@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.functional import checked_int
+
 __all__ = ["BatchAssembler", "MicroBatch", "MicroBatcher", "Request"]
 
 
@@ -68,13 +70,13 @@ class MicroBatcher:
     def __init__(
         self, max_batch_size: int = 16, flush_deadline_us: float = 50.0
     ) -> None:
-        if max_batch_size <= 0:
+        if checked_int("max_batch_size", max_batch_size) <= 0:
+            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
+        # NaN fails both comparisons; a NaN or infinite deadline would
+        # stamp the tail batch ready at a time that is not finite.
+        if not 0 <= flush_deadline_us < np.inf:
             raise ValueError(
-                f"max_batch_size must be positive, got {max_batch_size}"
-            )
-        if flush_deadline_us < 0:
-            raise ValueError(
-                f"flush_deadline_us must be non-negative, got {flush_deadline_us}"
+                f"flush_deadline_us must be finite and >= 0, got {flush_deadline_us}"
             )
         self.max_batch_size = max_batch_size
         self.flush_deadline_us = flush_deadline_us

@@ -905,7 +905,9 @@ class ModelServer:
     ) -> None:
         if not layers:
             raise ValueError("ModelServer needs at least one layer")
-        if queue_capacity is not None and queue_capacity <= 0:
+        if queue_capacity is not None and (
+            checked_int("queue_capacity", queue_capacity) <= 0
+        ):
             raise ValueError(
                 f"queue_capacity must be positive or None, got {queue_capacity}"
             )
@@ -925,9 +927,9 @@ class ModelServer:
                 max(layer.num_shards for layer in self.layers),
                 os.cpu_count() or 1,
             )
-        if num_threads < 1:
+        self.num_threads = checked_int("num_threads", num_threads)
+        if self.num_threads < 1:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
-        self.num_threads = int(num_threads)
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_features != nxt.in_features:
                 raise ValueError(

@@ -3,11 +3,11 @@
 Exporting ``REPRO_SANITIZE=1`` runs every test inside
 :func:`repro.debug.sanitize`: row shards are verified to alias their
 parent storage and frozen against stray writes, and index-plan activity
-is counted.  For the suites built on the "plans are computed once"
-contract -- the serving runtime and the kernel conformance suite --
-teardown additionally asserts that no plan was *rebuilt* during the
-test.  Suites that exercise ``set_structure`` (whose documented job is
-to invalidate the plan) are deliberately outside that strict set.
+is counted.  A matrix's structure is fixed when it is built, so no API
+may drop its plan: teardown asserts that no plan was *rebuilt* during
+any test outside ``tests/debug/``.  The sanitizer's own suite clobbers
+plans on purpose to check that the rebuild is caught, so it stays
+outside.
 
 CI runs the whole tier-1 suite once in this mode (see
 ``docs/STATIC_ANALYSIS.md``); without the env var this conftest is a
@@ -16,15 +16,14 @@ no-op and the suite runs exactly as before.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.debug import sanitize, sanitize_enabled
 
-# Test files where a plan rebuild is a contract violation, not a detail.
-_STRICT_NO_REBUILD = (
-    "tests/serve/",
-    "tests/core/test_backend_conformance.py",
-)
+# The one suite whose tests rebuild plans on purpose.
+_SANITIZER_SUITE = Path(__file__).parent / "debug"
 
 
 @pytest.fixture(autouse=True)
@@ -34,6 +33,5 @@ def _repro_sanitizer(request):
         return
     with sanitize() as sanitizer:
         yield sanitizer
-        nodeid = request.node.nodeid.replace("\\", "/")
-        if any(nodeid.startswith(prefix) for prefix in _STRICT_NO_REBUILD):
+        if _SANITIZER_SUITE not in Path(request.node.path).parents:
             sanitizer.assert_no_plan_rebuild()

@@ -284,61 +284,3 @@ class TestRoundTripsNonDivisible:
         )
         again = BlockPermutedDiagonalMatrix.from_dense(bpd.to_dense(), 4, ks=bpd.ks)
         np.testing.assert_allclose(again.to_dense(), bpd.to_dense())
-
-
-class TestEnsureWritable:
-    """The flag-restoring context behind set_structure's in-place re-mask."""
-
-    def test_lifts_and_restores_read_only_flag(self):
-        from repro.core.block_perm_diag import _ensure_writable
-
-        arr = np.zeros(4)
-        arr.setflags(write=False)
-        with _ensure_writable(arr):
-            arr[0] = 1.0
-        assert not arr.flags.writeable
-        assert arr[0] == 1.0
-
-    def test_restores_flag_when_body_raises(self):
-        from repro.core.block_perm_diag import _ensure_writable
-
-        arr = np.zeros(4)
-        arr.setflags(write=False)
-        with pytest.raises(RuntimeError, match="boom"):
-            with _ensure_writable(arr):
-                arr[0] = 1.0
-                raise RuntimeError("boom")
-        assert not arr.flags.writeable  # freeze survives the exception
-        assert arr[0] == 1.0  # the write before the raise landed
-
-    def test_writable_array_left_writable(self):
-        from repro.core.block_perm_diag import _ensure_writable
-
-        arr = np.zeros(4)
-        with _ensure_writable(arr):
-            arr[0] = 1.0
-        assert arr.flags.writeable
-
-    def test_truly_immutable_view_raises_valueerror(self):
-        from repro.core.block_perm_diag import _ensure_writable
-
-        base = np.zeros(4)
-        base.setflags(write=False)
-        view = base[:]
-        with pytest.raises(ValueError):
-            with _ensure_writable(view):
-                raise AssertionError("body must not run")  # pragma: no cover
-        assert not view.flags.writeable
-
-    def test_set_structure_remask_keeps_alias_on_frozen_buffer(self):
-        bpd = _random_bpd((8, 8), 4, seed=11)
-        buf = bpd.data
-        buf.setflags(write=False)
-        try:
-            bpd.set_structure(shape=(7, 7))
-            assert bpd.data is buf  # in-place re-mask, alias preserved
-            assert not buf.flags.writeable  # original flag state restored
-            support = bpd._get_plan().support
-            assert not np.any(np.asarray(bpd.data)[~support])
-        finally:
-            buf.setflags(write=True)

@@ -1,10 +1,12 @@
-"""Index-plan cache: laziness, sharing, invalidation, aliasing, and the
+"""Index-plan cache: laziness, sharing, fixed structure, aliasing, and the
 transpose-free backward path."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
+from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec, nonzero_column
 
 
 def _random_bpd(shape, p, seed=0, scheme="natural"):
@@ -103,50 +105,6 @@ class TestStructureMutation:
         with pytest.raises(AttributeError):
             bpd.shape = (7, 8)
 
-    def test_set_structure_invalidates_plan(self):
-        bpd = _random_bpd((8, 12), 4, seed=1)
-        old_plan = bpd._get_plan()
-        new_ks = (bpd.ks + 1) % bpd.p
-        bpd.set_structure(ks=new_ks)
-        assert bpd._get_plan() is not old_plan
-        np.testing.assert_array_equal(bpd.ks, new_ks)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 12))
-        y = rng.normal(size=(3, 8))
-        np.testing.assert_allclose(bpd.matmat(x), x @ bpd.to_dense().T, atol=1e-12)
-        np.testing.assert_allclose(bpd.rmatmat(y), y @ bpd.to_dense(), atol=1e-12)
-
-    def test_set_structure_shrinking_shape_remasks_data(self):
-        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 2, 4)), np.zeros((2, 2)))
-        bpd.set_structure(shape=(7, 6))
-        assert np.all(bpd.data[~bpd.support_mask()] == 0)
-        assert bpd.nnz == int(bpd.dense_mask().sum())
-
-    def test_set_structure_validates_ks_shape(self):
-        bpd = _random_bpd((8, 8), 4)
-        with pytest.raises(ValueError):
-            bpd.set_structure(ks=np.zeros((3, 3), dtype=int))
-
-    def test_set_structure_validates_logical_shape(self):
-        bpd = _random_bpd((8, 8), 4)
-        with pytest.raises(ValueError):
-            bpd.set_structure(shape=(3, 8))
-
-    def test_set_structure_preserves_buffer_aliasing(self):
-        """A shrinking shape re-masks in place: consumers aliasing the data
-        buffer (e.g. a Parameter) must keep seeing the matrix's values."""
-        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 2, 4)), np.zeros((2, 2)))
-        buffer = bpd.data
-        bpd.set_structure(shape=(7, 6))
-        assert bpd.data is buffer
-        assert np.all(buffer[~bpd.support_mask()] == 0)
-
-    def test_set_structure_noop_keeps_working(self):
-        bpd = _random_bpd((9, 6), 3, seed=4)
-        dense = bpd.to_dense()
-        bpd.set_structure()
-        np.testing.assert_allclose(bpd.to_dense(), dense)
-
 
 class TestAliasingContract:
     def test_aligned_data_is_aliased_not_copied(self):
@@ -220,3 +178,40 @@ class TestTransposeFreeBackward:
         bpd = _random_bpd((8, 8), 4)
         with pytest.raises(ValueError):
             bpd.grad_data(np.zeros((2, 7)), np.zeros((2, 8)))
+
+
+class TestLastRowCols:
+    """The plan's lazy list of the columns the last block row stores
+    weights in, which engine MACs read for row-padded matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        p=st.integers(1, 6),
+        scheme=st.sampled_from(["natural", "random"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_eqn1_on_the_kept_rows(self, m, n, p, scheme, seed):
+        bpd = _random_bpd((m, n), p, seed=seed, scheme=scheme)
+        kept = m - (bpd.mb - 1) * p
+        offsets = nonzero_column(np.arange(kept), bpd.ks[-1][:, None], p)
+        want = (np.arange(bpd.nb)[:, None] * p + offsets).reshape(-1)
+        cols = bpd._get_plan().last_row_cols
+        np.testing.assert_array_equal(cols, want[want < n])
+        assert cols is bpd._get_plan().last_row_cols  # built once
+        with pytest.raises(ValueError):
+            cols[...] = 0
+
+    def test_row_shard_plan_derives_its_own(self):
+        """Each shard's list is its own block row's, the last shard's the
+        padded one: what a matrix built with the shard's structure lists."""
+        bpd = _random_bpd((37, 23), 4, seed=3, scheme="random")
+        bpd._get_plan().last_row_cols
+        for shard in bpd.row_shards(3):
+            alone = BlockPermutedDiagonalMatrix(
+                shard.data, shard.ks, shape=shard.shape
+            )
+            np.testing.assert_array_equal(
+                shard._get_plan().last_row_cols, alone._get_plan().last_row_cols
+            )

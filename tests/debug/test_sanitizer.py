@@ -309,31 +309,3 @@ class TestScopes:
         assert not sanitize_enabled()
         monkeypatch.delenv("REPRO_SANITIZE")
         assert not sanitize_enabled()
-
-
-class TestSanctionedMutationUnderFreeze:
-    def test_set_structure_remasks_frozen_buffer_in_place(self):
-        m = _matrix(blocks=(2, 2), p=4)
-        buf = m.data
-        buf.setflags(write=False)
-        try:
-            m.set_structure(shape=(7, 7))
-            assert m.data is buf  # aliasing survived the re-mask
-            assert not buf.flags.writeable  # freeze restored
-            support = m._get_plan().support
-            assert not np.any(np.asarray(m.data)[~support])
-        finally:
-            buf.setflags(write=True)
-
-    def test_set_structure_falls_back_to_copy_when_immutable(self):
-        rng = np.random.default_rng(5)
-        base = rng.standard_normal((2, 2, 4))
-        base.setflags(write=False)
-        view = base[:]  # view of a read-only base: truly immutable
-        m = BlockPermutedDiagonalMatrix(view, rng.integers(0, 4, (2, 2)))
-        m.set_structure(shape=(7, 7))
-        assert not np.shares_memory(m.data, base)
-        support = m._get_plan().support
-        assert not np.any(m.data[~support])
-        # the original buffer was never written
-        assert np.any(base[~support])

@@ -179,3 +179,74 @@ class TestLSTMSequence:
             lstm.backward(dy)
             opt.step()
         assert final_loss < 0.2
+
+
+class TestFromMatrices:
+    """``LSTMCell.from_matrices``: the cell's counterpart of
+    ``PermDiagLinear.from_matrix``."""
+
+    def _source(self, seed=0):
+        cell = LSTMCell(
+            6, 16, p=4, spec=PermutationSpec(scheme="random", seed=seed),
+            rng=seed,
+        )
+        cell.bias.value[...] = np.random.default_rng(seed).normal(size=64)
+        return cell
+
+    def _clone(self, source):
+        """A cell around copies of ``source``'s matrices and bias."""
+        return LSTMCell.from_matrices(
+            *(op.matrix.like(op.matrix.data.copy()) for op in source.weight_matrices),
+            source.bias.value,
+        )
+
+    def test_adopts_matrices_with_their_ks(self):
+        source = self._source()
+        w, u = (op.matrix for op in source.weight_matrices)
+        cell = LSTMCell.from_matrices(w, u, source.bias.value)
+        for op, matrix in zip(cell.weight_matrices, (w, u)):
+            assert op.matrix is matrix
+            np.testing.assert_array_equal(op.matrix.ks, matrix.ks)
+        assert (cell.input_size, cell.hidden_size, cell.p) == (6, 16, 4)
+
+    def test_parameters_alias_the_matrices(self):
+        source = self._source()
+        w, u = (op.matrix for op in source.weight_matrices)
+        cell = LSTMCell.from_matrices(w, u, source.bias.value)
+        for op, matrix in zip(cell.weight_matrices, (w, u)):
+            assert np.shares_memory(op.weight.value, matrix.data)
+            op.weight.value *= 2.0  # an in-place optimizer step
+            np.testing.assert_array_equal(matrix.data, op.weight.value)
+        assert not np.shares_memory(cell.bias.value, source.bias.value)
+
+    def test_step_equals_a_cell_holding_the_same_values(self):
+        source = self._source(seed=3)
+        cell = self._clone(source)
+        gen = np.random.default_rng(4)
+        x, h, c = (gen.normal(size=(5, n)) for n in (6, 16, 16))
+        for got, want in zip(cell.step(x, h, c)[:2], source.step(x, h, c)[:2]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("value_dtype", ["float32", "int16"])
+    def test_reduced_precision_storage_rejected(self, value_dtype):
+        source = self._source()
+        w, u = (op.matrix for op in source.weight_matrices)
+        with pytest.raises(TypeError, match=value_dtype):
+            LSTMCell.from_matrices(
+                w.with_value_dtype(value_dtype), u, source.bias.value
+            )
+        with pytest.raises(TypeError, match=value_dtype):
+            LSTMCell.from_matrices(
+                w, u.with_value_dtype(value_dtype), source.bias.value
+            )
+
+    def test_mismatched_matrices_rejected(self):
+        source = self._source()
+        w, u = (op.matrix for op in source.weight_matrices)
+        other_p = LSTMCell(6, 16, p=2, rng=0).weight_matrices[0].matrix
+        other_h = LSTMCell(6, 8, p=4, rng=0).weight_matrices[0].matrix
+        for bad_w in (other_p, other_h):
+            with pytest.raises(ValueError, match="stacked gate matrices"):
+                LSTMCell.from_matrices(bad_w, u, source.bias.value)
+        with pytest.raises(ValueError):
+            LSTMCell.from_matrices(w, u, np.zeros(63))

@@ -165,9 +165,14 @@ class TestLSTMCheckpointing:
         with pytest.raises(ValueError, match="PD matrix 0"):
             load_model(path, LSTMCell(16, 32, p=8, rng=1))
 
-        clone = LSTMCell(16, 32, p=8, rng=1)
-        for op, source in zip(clone.weight_matrices, pd.weight_matrices):
-            op.matrix.set_structure(ks=source.matrix.ks)
+        fresh = LSTMCell(16, 32, p=8, rng=1)
+        clone = LSTMCell.from_matrices(
+            *(
+                source.matrix.like(op.matrix.data)
+                for op, source in zip(fresh.weight_matrices, pd.weight_matrices)
+            ),
+            fresh.bias.value,
+        )
         load_model(path, clone)
         rng = np.random.default_rng(2)
         x, h, c = (rng.normal(size=(3, n)) for n in (16, 32, 32))

@@ -61,6 +61,20 @@ class TestMicroBatcher:
         with pytest.raises(ValueError, match="flush_deadline_us"):
             MicroBatcher(flush_deadline_us=-1.0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_max_batch_size_checked_not_truncated(self, value):
+        """A fractional size never closes a batch on size, and ``True``
+        would act as 1."""
+        with pytest.raises(ValueError, match="max_batch_size"):
+            MicroBatcher(max_batch_size=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_flush_deadline_must_be_finite(self, value):
+        """Either would stamp the tail batch ready at a time that is not
+        finite, so no latency would be."""
+        with pytest.raises(ValueError, match="flush_deadline_us"):
+            MicroBatcher(flush_deadline_us=value)
+
     def test_stacked_inputs_follow_request_order(self):
         batcher = MicroBatcher(max_batch_size=4, flush_deadline_us=10.0)
         (batch,) = batcher.plan(_requests([0.0, 0.0, 0.0]))

@@ -170,6 +170,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="chain mismatch"):
             ModelServer([(l1, "relu"), (l2, None)], num_shards=2)
 
+    @pytest.mark.parametrize("value", [1.5, 2.5, True])
+    def test_num_threads_checked_not_truncated(self, value):
+        with pytest.raises(ValueError, match="num_threads"):
+            ModelServer(_stack(), num_shards=2, num_threads=value)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_queue_capacity_checked_not_truncated(self, value):
+        with pytest.raises(ValueError, match="queue_capacity"):
+            ModelServer(_stack(), num_shards=2, queue_capacity=value)
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True])
+    def test_num_shards_checked_not_truncated(self, value):
+        """Every shard count passes through ``row_shard_bounds``, which
+        raises ``ValueError`` rather than serving one shard for ``True``
+        or failing deep inside with ``TypeError`` for a float."""
+        with pytest.raises(ValueError, match="num_shards"):
+            ModelServer(_stack(), num_shards=value)
+
     def test_wrong_input_width_rejected(self):
         server = ModelServer(_stack(), num_shards=2)
         with pytest.raises(ValueError, match="expected input"):

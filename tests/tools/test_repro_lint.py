@@ -405,11 +405,12 @@ class TestRPR008SetflagsUnfreeze:
         assert codes(lint(src, "src/repro/nn/optim.py")) == ["RPR008"]
 
     def test_core_and_debug_exempt(self):
+        """Only debug/ is exempt: no core path lifts a read-only flag."""
         src = """
             def thaw(arr):
                 arr.setflags(write=True)
         """
-        assert lint(src, "src/repro/core/block_perm_diag.py") == []
+        assert codes(lint(src, "src/repro/core/block_perm_diag.py")) == ["RPR008"]
         assert lint(src, "src/repro/debug/sanitizer.py") == []
 
     def test_freezing_allowed_anywhere(self):
@@ -656,17 +657,3 @@ class TestDocsCheck:
         findings, checked = check_docs(REPO_ROOT)
         assert findings == []
         assert checked > 0
-
-
-class TestDocsLintCompatWrapper:
-    def test_script_still_reports_clean(self):
-        import subprocess
-        import sys
-
-        proc = subprocess.run(
-            [sys.executable, "tools/docs_lint.py"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr

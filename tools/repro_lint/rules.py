@@ -37,7 +37,7 @@ from tools.repro_lint.framework import (
 
 # Private attributes making up a matrix's cached-plan/value state.  The
 # only sanctioned mutation points live in ``src/repro/core/`` (the
-# ``data`` property setter, ``set_structure``, ``like``, ...).
+# constructors, the ``data`` property setter, ``like``, ...).
 _PRIVATE_STATE_ATTRS = frozenset(
     {"_plan", "_data", "_coo_cache", "_ks", "_shape",
      "_value_dtype", "_fixed_point"}
@@ -92,9 +92,10 @@ class PrivateStateMutationRule(Rule):
         "`src/repro/core/`"
     )
     rationale = (
-        "plans may only be invalidated through `set_structure`; an ad-hoc "
-        "`obj._plan = None` or `obj._data = arr` elsewhere silently breaks "
-        "the cache and aliasing contracts"
+        "a matrix's structure is fixed when it is built, so its plan is "
+        "never invalidated; an ad-hoc `obj._plan = None` or "
+        "`obj._data = arr` elsewhere silently breaks the cache and aliasing "
+        "contracts"
     )
     exempt = ("src/repro/core/",)
 
@@ -128,8 +129,9 @@ class PrivateStateMutationRule(Rule):
                             ctx,
                             node,
                             f"mutation of private matrix state "
-                            f"`.{inner.attr}` outside core/ -- go through "
-                            f"`set_structure` / the `data` property",
+                            f"`.{inner.attr}` outside core/ -- a plan is "
+                            f"never invalidated; assign values through the "
+                            f"`data` property or build a new matrix",
                         )
 
 
@@ -553,20 +555,21 @@ class AliasBreakingCopyRule(Rule):
 
 @register
 class SetflagsUnfreezeRule(Rule):
-    """RPR008: read-only buffers are unfrozen only by core/ and debug/."""
+    """RPR008: read-only buffers are unfrozen only by debug/."""
 
     code = "RPR008"
     name = "setflags-unfreeze"
     invariant = (
         "`setflags(write=True)` / `flags.writeable = True` appear only in "
-        "`src/repro/core/` and `src/repro/debug/`"
+        "`src/repro/debug/`"
     )
     rationale = (
         "plan arrays and sanitizer-frozen buffers are read-only on "
-        "purpose; lifting the flag elsewhere defeats both the shared-plan "
-        "immutability and the aliasing sanitizer"
+        "purpose; lifting the flag anywhere but the sanitizer's own "
+        "restore defeats both the shared-plan immutability and the "
+        "aliasing sanitizer (no core path writes a frozen buffer)"
     )
-    exempt = ("src/repro/core/", "src/repro/debug/")
+    exempt = ("src/repro/debug/",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -581,8 +584,8 @@ class SetflagsUnfreezeRule(Rule):
                 ):
                     yield self.finding(
                         ctx, node,
-                        "setflags(write=True) outside core//debug/ unfreezes "
-                        "a shared read-only buffer",
+                        "setflags(write=True) outside debug/ unfreezes a "
+                        "shared read-only buffer",
                     )
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
@@ -596,7 +599,7 @@ class SetflagsUnfreezeRule(Rule):
                     ):
                         yield self.finding(
                             ctx, node,
-                            "flags.writeable = True outside core//debug/ "
+                            "flags.writeable = True outside debug/ "
                             "unfreezes a shared read-only buffer",
                         )
 
