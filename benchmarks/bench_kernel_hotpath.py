@@ -23,8 +23,12 @@ Measures the three products every training step pays --
 Every grid point runs twice: with natural-indexed ``ks`` (the paper's
 setting), whose backward products run as permuted block-diagonal GEMMs,
 and with random ``ks``, whose backward products are the COO product over
-``W.T`` and the gather.  The table's ``bwd_path`` column names the path
-each row took (``pbd`` or ``coo``); the forward is COO on every row.
+``W.T`` and the gather.  The forward runs as tiled PBD GEMMs on natural
+``ks`` at least ``repro.core.kernel._PBD_MIN_WIDTH`` padded columns wide
+and as the COO product otherwise.  The table's ``fwd_path`` and
+``bwd_path`` columns name the path each row took (``pbd`` or ``coo``),
+and ``dense_fwd_ms`` times the dense-BLAS ``x @ W.T`` of the same shape,
+so it shows where PD structure wins on a CPU.
 
 Usage::
 
@@ -56,7 +60,7 @@ import numpy as np
 from scipy import sparse
 
 from _common import emit, format_table
-from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
+from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec, kernel
 
 # (m, n, p, batch); the (4096, 4096, 64, 128) point is the acceptance grid.
 FULL_GRID = [
@@ -68,6 +72,7 @@ FULL_GRID = [
 SMOKE_GRID = [
     (128, 128, 8, 16),
     (130, 96, 8, 16),  # non-multiple-of-p shapes keep the padded path honest
+    (64, 1024, 8, 16),  # at the width crossover: natural ks run PBD forward
 ]
 # Natural ks take the PBD backward, random ks the COO one.
 SCHEMES = ("natural", "random")
@@ -213,6 +218,8 @@ def bench_point(
     dy = dy64.astype(matrix.compute_dtype)
 
     fwd_s = _time(lambda: matrix.matmat(x), reps)
+    dense = matrix.to_dense().astype(matrix.compute_dtype)
+    dense_s = _time(lambda: x @ dense.T, reps)
     bwd_s = _time(
         lambda: (matrix.rmatmat(dy), matrix.grad_data(x, dy)), reps
     )
@@ -229,14 +236,18 @@ def bench_point(
     macs = batch * matrix.nnz
     fwd_gmacs = macs / fwd_s / 1e9
     bwd_gmacs = 2 * macs / bwd_s / 1e9
+    pbd = matrix._get_plan().pbd_index() is not None
+    wide = matrix.nb * matrix.p >= kernel._PBD_MIN_WIDTH
     return (
         m,
         n,
         p,
         batch,
-        "coo" if matrix._get_plan().pbd_index() is None else "pbd",
+        "pbd" if pbd and wide else "coo",
+        "pbd" if pbd else "coo",
         value_dtype,
         f"{fwd_s * 1e3:.2f}",
+        f"{dense_s * 1e3:.2f}",
         f"{fwd_gmacs:.2f}",
         f"{bwd_s * 1e3:.2f}",
         f"{bwd_gmacs:.2f}",
@@ -254,9 +265,11 @@ HEADERS = [
     "n",
     "p",
     "batch",
+    "fwd_path",
     "bwd_path",
     "dtype",
     "fwd_ms",
+    "dense_fwd_ms",
     "fwd_GMAC/s",
     "bwd_ms",
     "bwd_GMAC/s",

@@ -19,9 +19,10 @@ Public API
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
 - :mod:`repro.core.kernel` -- the one product kernel (scipy COO products
   over the index plan's slot coordinates, and permuted block-diagonal
-  GEMMs for the backward of additive ``ks``), which every product calls
-  directly; :func:`default_backend` / :func:`available_backends` name its
-  forward (``coo``) for host reports and choose nothing.
+  GEMMs for the backward of additive ``ks`` and the forward of wide
+  additive matrices), which every product calls directly;
+  :func:`default_backend` / :func:`available_backends` name a kernel
+  (``coo``) for host reports and choose nothing.
 - Value storage (float64 / float32 / int16 fixed-point; see
   :mod:`repro.core.value_types`): each matrix takes ``value_dtype=`` /
   ``fixed_point=`` arguments, stores float64 without them, and converts

@@ -14,7 +14,7 @@ Index-plan cache
 ----------------
 Because non-zero positions are arithmetically derivable, every index
 artifact -- the global row/column of each stored slot, the support mask,
-and the class gather vectors of the permuted block-diagonal backward --
+and the class gather vectors of the permuted block-diagonal products --
 is a pure function of the *structure* ``(ks, shape, p)`` and never of
 the values.  All of it is computed at most once, lazily, in an
 :class:`_IndexPlan` cached on the matrix, and none of it is ever stored
@@ -75,15 +75,18 @@ rejects a ``q`` that holds them).
 Product kernel
 --------------
 Every product calls the one kernel in :mod:`repro.core.kernel` directly.
-The forward is a scipy COO product over the plan's int32 slot
-coordinates on every matrix, reading the stored values in place.  The
-backward products follow the structure: when ``ks`` are additive
+The products follow the structure: when ``ks`` are additive
 (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural indexing's are) rows
-and columns relabel into ``p`` dense blocks and each backward product is
-one stacked GEMM (:meth:`_IndexPlan.pbd_index`); otherwise they are the
+and columns relabel into ``p`` dense blocks
+(:meth:`_IndexPlan.pbd_index`), each backward product is one stacked
+GEMM, and so is the forward of a matrix at least
+``kernel._PBD_MIN_WIDTH`` padded columns wide, cut into fixed tiles.
+Otherwise the forward is a scipy COO product over the plan's int32 slot
+coordinates, reading the stored values in place, and the backward the
 COO product over the same coordinates swapped and a batched
-gather-and-contract.  Nothing is chosen by setting, so matrices, layers
-and artifacts carry no kernel name.
+gather-and-contract.  A row shard takes the path of the matrix it was
+cut from: its plan slices the parent's PBD index.  Nothing is chosen by
+setting, so matrices, layers and artifacts carry no kernel name.
 
 What artifacts store
 --------------------
@@ -208,6 +211,23 @@ def _pbd_index(ks: np.ndarray, p: int) -> _PBDIndex | None:
     return index
 
 
+def _pbd_row_slice(
+    index: _PBDIndex | None, start: int, stop: int, p: int
+) -> _PBDIndex | None:
+    """Block rows ``[start, stop)`` of ``index``, rows re-based to the
+    slice; ``None`` stays ``None``."""
+    if index is None:
+        return None
+    rows = np.ascontiguousarray(index.rows[:, start:stop] - start * p)
+    rows.setflags(write=False)
+    return _PBDIndex(
+        index.block_rows[:, : stop - start],
+        index.row_offsets[:, start:stop],
+        rows,
+        index.cols,
+    )
+
+
 class _IndexPlan:
     """Cached index arithmetic for one ``(ks, shape, p)`` structure.
 
@@ -217,9 +237,9 @@ class _IndexPlan:
     the coordinates as they are, as the ``(row, col)`` arrays of scipy COO
     views (:meth:`BlockPermutedDiagonalMatrix._coo`), so no other index
     layout is ever derived for them.  The support coordinates, the last
-    block row's columns (engine MACs) and the backward products' PBD
-    index are built lazily on first use so consumers that never ask for
-    them never pay for them.  All exposed arrays are read-only.
+    block row's columns (engine MACs) and the PBD products' index are
+    built lazily on first use so consumers that never ask for them never
+    pay for them.  All exposed arrays are read-only.
 
     Attributes:
         rows / cols: global ``(row, col)`` of every stored slot,
@@ -263,6 +283,10 @@ class _IndexPlan:
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pbd_derived = False
         self._pbd: _PBDIndex | None = None
+        # A row shard's ``(parent plan, start, stop)``: its PBD index is
+        # the parent's, sliced.  Kept after the slice, so a thread that
+        # races the first call slices the parent's index too.
+        self._pbd_parent: tuple[_IndexPlan, int, int] | None = None
 
     def support_coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(flat, rows, cols)`` of every in-bounds slot, each 1-D.
@@ -307,12 +331,21 @@ class _IndexPlan:
         *class* ``s``.  Each class holds one row per block row and one
         column per block column, so relabelling rows and columns by class
         turns ``W`` into ``p`` dense ``mb x nb`` blocks -- the permuted
-        block-diagonal (PBD) form the backward products run on (see
-        :mod:`repro.core.kernel`).  Derived lazily, at most once (the
-        check costs O(mb*nb)); a row-shard plan derives its own.
+        block-diagonal (PBD) form the backward products, and the forward
+        of wide matrices, run on (see :mod:`repro.core.kernel`).  Derived
+        lazily, at most once (the check costs O(mb*nb)).  A row-shard
+        plan slices its parent's index instead of checking its own
+        ``ks``: a one-block-row shard of a non-additive matrix is always
+        additive, and a shard must take the path its whole matrix takes.
         """
         if not self._pbd_derived:
-            self._pbd = _pbd_index(self.ks, self.p)
+            if self._pbd_parent is None:
+                self._pbd = _pbd_index(self.ks, self.p)
+            else:
+                parent, start, stop = self._pbd_parent
+                self._pbd = _pbd_row_slice(
+                    parent.pbd_index(), start, stop, self.p
+                )
             self._pbd_derived = True
         return self._pbd
 
@@ -328,7 +361,9 @@ class _IndexPlan:
         runtime shard a layer across engines without paying the structure
         computation per shard.  ``cols`` and ``support`` are shared views;
         ``rows`` is a re-based copy.  Members this plan has not built stay
-        lazy on the shard too.
+        lazy on the shard too; the PBD index, once asked for, is this
+        plan's sliced (:meth:`pbd_index`), so a shard's kernel path is its
+        whole matrix's.
         """
         if not (0 <= start < stop <= self.mb):
             raise ValueError(
@@ -355,6 +390,7 @@ class _IndexPlan:
         shard._support_coords = None
         shard._pbd_derived = False
         shard._pbd = None
+        shard._pbd_parent = (self, start, stop)
         return shard
 
 

@@ -7,45 +7,58 @@ these functions directly for the three products every training step pays
 ``rmatvec`` are the one-row :func:`matmat` and :func:`rmatmat`, so each
 direction has one entry point.
 
-Forward: a scipy COO product, on every matrix.  The view
+Permuted block-diagonal (PBD) form: when a matrix's ``ks`` are additive
+(``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural indexing's are),
+relabelling rows and columns by class turns it into ``p`` dense
+``mb x nb`` blocks
+(:meth:`~repro.core.block_perm_diag._IndexPlan.pbd_index`).  The blocks
+are a relayout of the ``(mb, nb, p)`` values, redone on every call
+because training writes the values every step, one fixed chunk of
+``_ROW_TILE`` block rows at a time (:func:`_pbd_chunk`: one transposing
+copy plus a contiguous row take), so its temporaries stay small.
+
+Forward: fixed-tile PBD GEMMs on an additive matrix whose padded input
+width ``nb*p`` is at least ``_PBD_MIN_WIDTH``, the scipy COO product
+otherwise.  The choice reads only the structure, never the batch, and a
+row shard inherits it from its whole matrix (a shard plan slices its
+parent's PBD index), so a request takes one path whatever its batch or
+shard.  On the PBD path the batch is zero-padded to a multiple of
+``_BATCH_TILE`` rows and the blocks to a multiple of ``_ROW_TILE`` block
+rows, and every GEMM is one ``(T x nb) . (nb x R)`` product of one
+class, one batch tile and one row tile.  Every output is therefore
+computed by a GEMM of one shape from the same two vectors, whichever
+batch, tile position or row shard it falls in, and its bits depend on
+neither; a GEMM over a whole batch or a whole shard changes them.  The
+GEMMs sum in another order than the sparse product, so PBD-path outputs
+differ from the COO product in the last bits.  The COO view
 (``BlockPermutedDiagonalMatrix._coo``) is the index plan's own slot
 coordinates -- int32 whenever the padded dimensions permit, scipy's
 native index type -- over the padded ``(mb*p, nb*p)`` shape, with the
 stored values as its data, read in place (int16 codes are dequantized
 per call).  It multiplies the zero-padded transposed operand and the
-padded output rows are sliced off.  No other index layout is derived and
-no value is gathered per call, so in-place weight updates are always
-reflected without rebuilding structure.  Storage order ``(bi, bj, c)``
-lists every row's non-zeros in ascending column order, and a padding
-slot adds an exact ``+0`` (zero weight times zero operand) or lands in a
+padded output rows are sliced off.  Storage order ``(bi, bj, c)`` lists
+every row's non-zeros in ascending column order, and a padding slot adds
+an exact ``+0`` (zero weight times zero operand) or lands in a
 sliced-off row, so each output accumulates exactly as a sorted CSR row
-would.  float32 storage runs scipy's float32 product end to end (half the
-memory traffic), everything else the float64 reference arithmetic.
-Served outputs, shard and thread bit-identity and every engine counter
-rest on this one forward.
+would, whatever its batch.  Below the width crossover the relayout and
+the padded tiles cost more than the sparse product saves (sweep in
+docs/BENCHMARKS.md).  float32 storage runs float32 products end to end
+(half the memory traffic), everything else the float64 reference
+arithmetic.
 
-Backward: permuted block-diagonal (PBD) GEMMs when the matrix's ``ks``
-are additive (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural
-indexing's are), the COO product over ``W.T`` and a gather otherwise.
-Relabelling rows and columns by class turns an additive matrix into
-``p`` dense ``mb x nb`` blocks
-(:meth:`~repro.core.block_perm_diag._IndexPlan.pbd_index`), so the input
-gradient is one stacked ``np.matmul`` of the ``(B x mb)`` class slices of
-``dy`` against the blocks, and the weight gradient one of ``(mb x B)``
-against ``(B x nb)``.  Operands are gathered into class order in the
-transposed orientation (contiguous ``(B,)`` rows), and the blocks are a
-``(p, mb, nb)`` relayout of the values, redone on every call because
-training writes the values every step.  The GEMMs sum in another order
-than the sparse product, so on additive matrices backward results differ
-from the COO path in the last bits; repeated calls are bit-identical.
-The forward stays sparse: a served request's bits must not depend on its
-batch or its row shard, and one GEMM per class over either changes them.
-Without additive ``ks`` the ``W.T`` view is the forward's coordinates
-swapped -- in storage order each ``W.T`` row lists its non-zeros in
-ascending original row -- and the weight gradient gathers against the
-plan's columns through a batched contraction (:func:`batched_grad_data`):
-sparse storage buys nothing there because the output is exactly the
-dense ``(mb, nb, p)`` value array.
+Backward: PBD GEMMs whenever ``ks`` are additive, whatever the width,
+the COO product over ``W.T`` and a gather otherwise.  The input gradient
+is one stacked ``np.matmul`` of the ``(B x mb)`` class slices of ``dy``
+against the blocks, and the weight gradient one of ``(mb x B)`` against
+``(B x nb)``.  Operands are gathered into class order in the transposed
+orientation (contiguous ``(B,)`` rows).  On additive matrices backward
+results differ from the COO path in the last bits; repeated calls are
+bit-identical.  Without additive ``ks`` the ``W.T`` view is the
+forward's coordinates swapped -- in storage order each ``W.T`` row lists
+its non-zeros in ascending original row -- and the weight gradient
+gathers against the plan's columns through a batched contraction
+(:func:`batched_grad_data`): sparse storage buys nothing there because
+the output is exactly the dense ``(mb, nb, p)`` value array.
 
 Contract: every function receives operands of the correct shape, already
 cast to the matrix's compute dtype
@@ -72,11 +85,62 @@ __all__ = ["batched_grad_data", "matmat", "rmatmat"]
 # (measured fastest across 512..4096-wide layers, see docs/BENCHMARKS.md).
 _CHUNK_TARGET_ELEMENTS = 1 << 16
 
+# Padded input width ``nb*p`` from which an additive matrix's forward runs
+# as PBD GEMMs; narrower ones stay on the COO product (crossover sweep in
+# docs/BENCHMARKS.md).
+_PBD_MIN_WIDTH = 1024
+# Batch rows ``T`` and block rows ``R`` of every PBD forward GEMM; ``R``
+# is also the relayout's chunk.  Fixed, so a product's bits never depend
+# on its batch or its row shard.
+_BATCH_TILE = 16
+_ROW_TILE = 16
+
 
 def matmat(matrix, x: np.ndarray) -> np.ndarray:
     """Forward ``Y[b] = W @ X[b]`` for ``X`` of shape ``(B, n)``."""
-    out = matrix._coo(False) @ _padded_t(x, matrix.nb * matrix.p)
+    width = matrix.nb * matrix.p
+    index = (
+        matrix._get_plan().pbd_index() if width >= _PBD_MIN_WIDTH else None
+    )
+    if index is not None:
+        return _pbd_matmat(matrix, index, x)
+    out = matrix._coo(False) @ _padded_t(x, width)
     return np.ascontiguousarray(out[: matrix.shape[0]].T)
+
+
+def _pbd_matmat(matrix, index, x: np.ndarray) -> np.ndarray:
+    """The forward as ``(T x nb) . (nb x R)`` GEMMs, one per class, batch
+    tile and row tile.
+
+    ``x`` is zero-padded to whole batch tiles and gathered into class
+    order, ``(p, B/T, T, nb)``; each chunk of ``R`` block rows is
+    relayouted into its ``(p, R, nb)`` class blocks (zero-padded to ``R``
+    rows in a short last chunk) and multiplied by every tile in one
+    stacked ``np.matmul``.  Row ``bi`` of class ``s`` is output row
+    ``index.rows[s, bi]``.
+    """
+    p, mb, nb = matrix.p, matrix.mb, matrix.nb
+    batch = x.shape[0]
+    padded = -(-batch // _BATCH_TILE) * _BATCH_TILE
+    x_pad = np.zeros((padded, nb * p), dtype=x.dtype)
+    x_pad[:batch, : x.shape[1]] = x
+    tiles = np.take(x_pad, index.cols, axis=1).transpose(1, 0, 2).reshape(
+        p, padded // _BATCH_TILE, _BATCH_TILE, nb
+    )
+    values = matrix._kernel_data()
+    dtype = np.result_type(x, values)
+    out = np.empty(tiles.shape[:3] + (_ROW_TILE,), dtype=dtype)
+    y = np.zeros((batch, mb * p), dtype=dtype)
+    for start in range(0, mb, _ROW_TILE):
+        stop = min(start + _ROW_TILE, mb)
+        blocks = _pbd_chunk(values, index, start, stop)
+        if stop - start < _ROW_TILE:
+            pad = _ROW_TILE + start - stop
+            blocks = np.pad(blocks, ((0, 0), (0, pad), (0, 0)))
+        np.matmul(tiles, blocks.transpose(0, 2, 1)[:, None], out=out)
+        chunk = out.reshape(p, padded, _ROW_TILE)[:, :batch, : stop - start]
+        y[:, index.rows[:, start:stop]] = chunk.transpose(1, 0, 2)
+    return np.ascontiguousarray(y[:, : matrix.shape[0]])
 
 
 def rmatmat(matrix, y: np.ndarray) -> np.ndarray:
@@ -99,10 +163,30 @@ def rmatmat(matrix, y: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x_t[: matrix.shape[1]].T)
 
 
+def _pbd_chunk(values: np.ndarray, index, start: int, stop: int) -> np.ndarray:
+    """Class blocks of block rows ``[start, stop)``: ``(p, stop - start, nb)``.
+
+    One transposing copy lays the chunk's values out ``(bi, c, bj)``, so
+    in-block row ``c`` of block row ``bi`` is one contiguous ``nb`` row;
+    one row take then picks class ``s``'s row of every block row.
+    """
+    nb, p = values.shape[1:]
+    slab = np.ascontiguousarray(values[start:stop].transpose(0, 2, 1))
+    return np.take(
+        slab.reshape(-1, nb), index.rows[:, start:stop] - start * p, axis=0
+    )
+
+
 def _pbd_blocks(matrix, index) -> np.ndarray:
     """The ``p`` dense class blocks ``D_s`` of an additive matrix, as one
-    ``(p, mb, nb)`` array in the compute dtype."""
-    return matrix._kernel_data()[index.block_rows, :, index.row_offsets]
+    ``(p, mb, nb)`` array in the compute dtype, relayouted chunk by
+    chunk."""
+    values = matrix._kernel_data()
+    blocks = np.empty((matrix.p, matrix.mb, matrix.nb), dtype=values.dtype)
+    for start in range(0, matrix.mb, _ROW_TILE):
+        stop = min(start + _ROW_TILE, matrix.mb)
+        blocks[:, start:stop] = _pbd_chunk(values, index, start, stop)
+    return blocks
 
 
 def _chunk_rows(block_rows: int, per_row: int) -> int:

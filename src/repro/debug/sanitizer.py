@@ -34,9 +34,12 @@ runtime.  Inside :func:`sanitize`:
   orientation; a view wraps the plan's own coordinates, so building one
   runs no index arithmetic.  ``_IndexPlan.pbd_index`` cache misses are
   counted as PBD index builds (the additivity check plus, for additive
-  ``ks``, the class gather vectors of the backward products), at most
-  one per plan.  The serving forward never leaves COO, so a drain builds
-  no PBD index.
+  ``ks``, the class gather vectors of the PBD products), at most one per
+  plan; a row shard's plan slices its parent's index, which builds
+  nothing and is not counted.  The forward asks for the index only at
+  or above the kernel's width crossover, so a drain of narrower matrices
+  builds none, and a wider slot builds one per whole matrix, not per
+  shard.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test
@@ -170,7 +173,7 @@ class Sanitizer:
             return orig_coo(matrix, transposed)
 
         def pbd_index(plan):
-            if not plan._pbd_derived:
+            if not plan._pbd_derived and plan._pbd_parent is None:
                 sanitizer.stats.pbd_builds += 1
             return orig_pbd_index(plan)
 

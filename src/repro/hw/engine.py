@@ -164,13 +164,14 @@ def _stored_macs(
     costs ``mb`` MACs.  Only a row-padded matrix's last block row, which
     keeps its first rows, stores fewer: its columns come from the index
     plan (built once per matrix), and the batch's processed columns among
-    them are counted once more.
+    them are counted once more, on the batch's non-zero flags: a 1-byte
+    gather, not a copy of the values.
     """
     if matrix.shape[0] == matrix.mb * matrix.p:
         return matrix.mb * columns
     cols = matrix._get_plan().last_row_cols
     if zero_skip:
-        last = np.count_nonzero(x_batch[:, cols])
+        last = np.count_nonzero(np.take(x_batch != 0, cols, axis=1))
     else:
         last = x_batch.shape[0] * cols.size
     return (matrix.mb - 1) * columns + int(last)

@@ -33,8 +33,9 @@ pipeline between the per-layer shard arrays.
   benchmarking.
 - :func:`export_staged_bundle` / :func:`export_model_bundle` /
   :func:`load_staged_bundle` -- one engine image per shard plus a
-  manifest; images store values and ``ks``, and each loaded shard
-  matrix derives its index plan once, on first use.  A raw
+  manifest; images store values and ``ks``, and the loader joins each
+  slot's shards into one matrix, whose index plan its re-cut shards
+  slice.  A raw
   ``(matrix, activation)`` stack exports as
   ``export_staged_bundle(d, [ShardedLayer(m, a, n) ...])``.
 - :func:`measure_stream` -- the one serving-benchmark measurement:

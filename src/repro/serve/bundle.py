@@ -17,9 +17,13 @@ store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the
 manifest.
 
 Loading a bundle cold-starts a whole sharded server: every shard matrix
-is rebuilt through :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`
-and derives its index plan from ``ks`` on first use, once.  Bundles hold
-no index state, so one is about the size of its values plus ``ks``.
+is decoded through :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`,
+and each stage joins a slot's shards into its whole matrix and re-cuts
+them (:meth:`~repro.serve.server.ServedStage.from_shard_slots`), so the
+whole matrix derives one index plan from ``ks``, which its shards slice,
+and every shard takes the kernel path the live model's would.  Bundles
+hold no index state, so one is about the size of its values plus
+``ks``.
 """
 
 from __future__ import annotations
@@ -182,10 +186,11 @@ def _check_slot(
 def load_staged_bundle(directory) -> tuple[list, dict]:
     """Reload a bundle as ready-to-serve stage objects.
 
-    Every shard matrix is decoded from its values and ``ks`` (its index
-    plan is derived on first use), and shard shapes, dtypes, and stage
-    layouts are cross-checked against the manifest so a truncated or
-    mixed-up bundle fails loudly.  v1/v2 manifests (no ``stage_kind``)
+    Every shard matrix is decoded from its values and ``ks``, and shard
+    shapes, dtypes, and stage layouts are cross-checked against the
+    manifest so a truncated or mixed-up bundle fails loudly; each stage
+    then joins a slot's shards and re-cuts them, deriving one index plan
+    per slot.  v1/v2 manifests (no ``stage_kind``)
     load every entry as a single-slot FC stage.
 
     Args:

@@ -149,6 +149,50 @@ def _shard_major(
     return list(zip(*(matrix.row_shards(num_shards) for matrix in matrices)))
 
 
+def _joined(shards: tuple) -> BlockPermutedDiagonalMatrix:
+    """One slot's row shards, stacked back into its whole matrix."""
+    first = shards[0]
+    storage = (first.p, first.shape[1], first.value_dtype, first.fixed_point)
+    if any(
+        (m.p, m.shape[1], m.value_dtype, m.fixed_point) != storage
+        for m in shards
+    ):
+        raise ValueError(
+            "shards of one slot disagree on p, input widths or value storage"
+        )
+    if any(m.shape[0] != m.mb * m.p for m in shards[:-1]):
+        raise ValueError("only a slot's last shard may be row-padded")
+    return BlockPermutedDiagonalMatrix(
+        np.concatenate([m.data for m in shards]),
+        np.concatenate([m.ks for m in shards]),
+        shape=(sum(m.shape[0] for m in shards), first.shape[1]),
+        value_dtype=first.value_dtype,
+        fixed_point=first.fixed_point,
+    )
+
+
+def _rejoined(shard_slots: list) -> list:
+    """Shard-major slots whose every slot is re-cut, at its own bounds,
+    from its joined whole matrix (:func:`_joined`).
+
+    A shard takes the kernel path its whole matrix takes (a shard plan
+    slices its parent's PBD index), so shards that arrive on their own,
+    as a bundle's do, become shards of one matrix again.  One shard is a
+    whole matrix already; a ragged layout is left for ``_init_slots`` to
+    reject.
+    """
+    if len(shard_slots) < 2 or len({len(s) for s in shard_slots}) != 1:
+        return shard_slots
+    recut = []
+    for shards in zip(*shard_slots):
+        whole = _joined(shards)
+        ends = list(accumulate(m.mb for m in shards))
+        recut.append(
+            [whole.row_shard(a, b) for a, b in zip([0, *ends], ends)]
+        )
+    return [list(slots) for slots in zip(*recut)]
+
+
 class ServedStage:
     """One pipeline stage of a :class:`ModelServer`: the slotted skeleton.
 
@@ -243,9 +287,18 @@ class ServedStage:
         activation: str | None = None,
         **params,
     ) -> "ServedStage":
-        """Wrap already-sharded slot matrices (e.g. from a bundle)."""
+        """Wrap already-sharded slot matrices (e.g. from a bundle).
+
+        Each slot's shards are joined into one matrix and re-cut at the
+        same block-row bounds (:func:`_rejoined`), so the stage's shards
+        take their kernel path from their whole matrix, as a
+        :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards` cut
+        does, and build one index plan per slot, not per shard.  With
+        more than one shard the joined matrix holds a copy of the values:
+        the stage does not alias the given shards' storage.
+        """
         stage = cls.__new__(cls)
-        stage._init_slots(shard_slots, activation, **params)
+        stage._init_slots(_rejoined(shard_slots), activation, **params)
         return stage
 
     @classmethod
@@ -867,7 +920,10 @@ class ModelServer:
             recurrent, ...) or a raw ``(matrix, activation)`` pair (the
             same shape :meth:`~repro.hw.PermDNNEngine.run_network`
             accepts), which is wrapped as a :class:`ShardedLayer`.
-        num_shards: engines per layer; each holds one row shard.
+        num_shards: engines per layer for raw ``(matrix, activation)``
+            pairs, each holding one row shard; a pre-built stage keeps
+            its own shard count.  Checked on every path: a positive
+            integer, never truncated.
         config: engine configuration shared by every shard engine.
         max_batch_size: micro-batcher fill limit.
         flush_deadline_us: micro-batcher deadline flush.
@@ -905,6 +961,8 @@ class ModelServer:
     ) -> None:
         if not layers:
             raise ValueError("ModelServer needs at least one layer")
+        if checked_int("num_shards", num_shards) < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if queue_capacity is not None and (
             checked_int("queue_capacity", queue_capacity) <= 0
         ):
@@ -991,8 +1049,9 @@ class ModelServer:
         """Boot a server from a sharded image bundle.
 
         Every shard matrix is decoded from its values and ``ks``
-        (:mod:`repro.serve.bundle`) and derives its index plan once, on
-        first use -- for FC, lowered-conv, and recurrent stages alike.
+        (:mod:`repro.serve.bundle`), and each slot's shards are joined
+        into one matrix that derives one index plan, which the re-cut
+        shards slice -- for FC, lowered-conv, and recurrent stages alike.
         Keyword arguments are forwarded to the constructor (batching,
         config, ...).
         """

@@ -17,15 +17,19 @@ shrinkable input space.
 
 The first sweeps draw random ``ks``, which are additive only when
 ``mb == 1`` or ``nb == 1``.  Natural-indexed ``ks`` are always additive,
-so their backward products run as permuted block-diagonal (PBD) GEMMs;
+so their backward products run as permuted block-diagonal (PBD) GEMMs,
+and so does their forward at or above the kernel's width crossover;
 the natural-indexing sweep and properties check those against the spec
 at every value dtype, against the sparse (COO) path, and anchor the relabelling
-identity ``P_rows . W . P_cols = blockdiag(D_0 ... D_{p-1})``.
+identity ``P_rows . W . P_cols = blockdiag(D_0 ... D_{p-1})``.  Tests
+taking ``forward_path`` run twice: at the default crossover, where these
+narrow matrices' forward is COO, and under ``force_pbd``, where it is
+the PBD GEMMs.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
@@ -282,11 +286,26 @@ def test_products_agree_with_dense_hypothesis(structure):
     )
 
 
-@settings(max_examples=25, deadline=None)
+# ``forward_path`` only patches a module constant, which holds for every
+# drawn example.
+_FIXTURE_SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_FIXTURE_SETTINGS
 @given(_structure, st.integers(min_value=1, max_value=5))
-def test_row_shards_reassemble_forward_hypothesis(structure, num_shards):
+def test_row_shards_reassemble_forward_hypothesis(
+    forward_path, structure, num_shards
+):
     """Stacked row-shard outputs reproduce the full product bit for bit --
-    the decomposition the sharded serving runtime is built on."""
+    the decomposition the sharded serving runtime is built on.  On the
+    PBD path too: these random ``ks`` are additive only when ``mb == 1``
+    or ``nb == 1``, while a one-block-row shard's always are, so a shard
+    that chose its path from its own ``ks`` would leave the COO product
+    its matrix takes."""
     p, mb, nb, m_pad, n_pad, batch, seed = structure
     m = mb * p - min(m_pad, p - 1)
     n = nb * p - min(n_pad, p - 1)
@@ -339,6 +358,10 @@ def _check_against_spec(matrix, x, dy, atol):
     ids=[f"m{m}n{n}p{p}b{b}" for m, n, p, b, _ in CONFIGS],
 )
 class TestNaturalIndexingConformance:
+    """Every product at the 1e-10 dense bar, the forward on both of its
+    paths (``forward_path``)."""
+
+    @pytest.mark.usefixtures("forward_path")
     def test_float64_matches_executable_spec(self, m, n, p, batch, case_seed):
         matrix, rng = _build_natural(m, n, p, case_seed)
         assert matrix._get_plan().pbd_index() is not None
@@ -346,6 +369,7 @@ class TestNaturalIndexingConformance:
         dy = rng.normal(size=(batch, m))
         _check_against_spec(matrix, x, dy, ATOL)
 
+    @pytest.mark.usefixtures("forward_path")
     def test_float32_matches_executable_spec(self, m, n, p, batch, case_seed):
         matrix, rng = _build_natural(m, n, p, case_seed)
         x = rng.normal(size=(batch, n))
@@ -354,6 +378,7 @@ class TestNaturalIndexingConformance:
             matrix.with_value_dtype("float32"), x, dy, FLOAT32_ATOL
         )
 
+    @pytest.mark.usefixtures("forward_path")
     def test_int16_matches_executable_spec(self, m, n, p, batch, case_seed):
         """int16 codes decode into float64 arithmetic: the dequantized
         weights' spec holds at the float64 bar."""
@@ -363,28 +388,35 @@ class TestNaturalIndexingConformance:
         _check_against_spec(matrix.with_value_dtype("int16"), x, dy, ATOL)
 
     def test_pbd_agrees_with_the_csr_path(
-        self, m, n, p, batch, case_seed, monkeypatch
+        self, m, n, p, batch, case_seed, monkeypatch, forward_path
     ):
-        """On one additive matrix the PBD backward and the CSR/gather
-        backward (forced by hiding the PBD index) agree to 1e-10; the
-        forward is CSR either way and stays bit-identical."""
+        """On one additive matrix the PBD products and the COO/gather
+        products (forced by hiding the PBD index) agree to 1e-10.  At
+        the default crossover these narrow matrices' forward is COO
+        either way and stays bit-identical; under ``force_pbd`` it runs
+        the GEMMs and builds no COO view."""
         matrix, rng = _build_natural(m, n, p, case_seed)
         x = rng.normal(size=(batch, n))
         dy = rng.normal(size=(batch, m))
         pbd = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
+        assert (False in matrix._coo_cache) == (forward_path == "coo")
         monkeypatch.setattr(_IndexPlan, "pbd_index", lambda plan: None)
         csr = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
-        np.testing.assert_array_equal(pbd[0], csr[0])
-        for name, got, want in zip(("rmatmat", "grad_data"), pbd[1:], csr[1:]):
+        if forward_path == "coo":
+            np.testing.assert_array_equal(pbd[0], csr[0])
+        names = ("matmat", "rmatmat", "grad_data")
+        for name, got, want in zip(names, pbd, csr):
             np.testing.assert_allclose(got, want, atol=ATOL, err_msg=name)
 
 
 _value_dtype = st.sampled_from(["float64", "float32", "int16"])
 
 
-@settings(max_examples=25, deadline=None)
+@_FIXTURE_SETTINGS
 @given(_structure, _value_dtype)
-def test_natural_products_match_spec_hypothesis(structure, value_dtype):
+def test_natural_products_match_spec_hypothesis(
+    forward_path, structure, value_dtype
+):
     p, mb, nb, m_pad, n_pad, batch, seed = structure
     m = mb * p - min(m_pad, p - 1)
     n = nb * p - min(n_pad, p - 1)
@@ -458,8 +490,8 @@ class TestPBDDispatch:
 
     @pytest.mark.parametrize("num_shards", [2, 3])
     def test_row_shards_of_additive_matrices_are_additive(self, num_shards):
-        """A shard plan derives its own index from its own ``ks`` and its
-        backward products meet the spec."""
+        """A shard plan slices its whole matrix's index on first use, and
+        its backward products meet the spec."""
         matrix, rng = _build_natural(45, 30, 4, 7)
         matrix._get_plan().pbd_index()
         for shard in matrix.row_shards(num_shards):

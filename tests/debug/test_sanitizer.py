@@ -84,7 +84,7 @@ class TestPlanCounting:
 class TestSkeletonCounting:
     def test_fc_server_builds_skeletons_on_first_drain_only(self):
         """Two PD FC layers at two shards: each shard builds its forward
-        CSR skeleton on the first drain (4 builds) and reuses it after."""
+        COO view on the first drain (4 builds) and reuses it after."""
         from repro.nn import PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer
 
@@ -131,8 +131,9 @@ def _slot_matrices(server):
 
 
 class TestPBDCounting:
-    """PBD index builds: at most one per plan, and only the backward
-    products make them -- the serving forward never leaves COO."""
+    """PBD index builds: at most one per whole matrix.  The forward asks
+    for one only at or above the kernel's width crossover, so a drain of
+    test-sized matrices stays on COO unless ``force_pbd`` lowers it."""
 
     def test_backward_builds_one_pbd_index_and_no_transposed_skeleton(self):
         m = BlockPermutedDiagonalMatrix.random((13, 10), 4, rng=0)
@@ -157,13 +158,18 @@ class TestPBDCounting:
             assert s.stats.pbd_builds == 1
             assert s.stats.skeleton_builds == 1
 
-    def test_shards_derive_their_own_pbd_index(self):
-        m = BlockPermutedDiagonalMatrix.random((16, 12), 4, rng=0)
-        with sanitize() as s:
-            m.rmatmat(np.zeros((2, 16)))
-            for shard in m.row_shards(2):
-                shard.rmatmat(np.zeros((2, shard.shape[0])))
-            assert s.stats.pbd_builds == 3
+    def test_shards_slice_their_parents_pbd_index(self):
+        """A shard's index is its whole matrix's, sliced: one build,
+        whichever of them asks first."""
+        for parent_first in (True, False):
+            m = BlockPermutedDiagonalMatrix.random((16, 12), 4, rng=0)
+            with sanitize() as s:
+                shards = m.row_shards(2)
+                if parent_first:
+                    m.rmatmat(np.zeros((2, 16)))
+                for shard in shards:
+                    shard.rmatmat(np.zeros((2, shard.shape[0])))
+                assert s.stats.pbd_builds == 1
 
     def test_from_model_drain_stays_on_coo(self):
         from repro.nn import LSTMCell, PermDiagLinear, ReLU, Sequential
@@ -204,6 +210,31 @@ class TestPBDCounting:
             assert s.stats.pbd_builds == 0
             assert s.stats.skeleton_builds == len(matrices)
             assert all(set(m._coo_cache) == {False} for m in matrices)
+
+    @pytest.mark.usefixtures("force_pbd")
+    def test_drain_above_the_crossover_leaves_coo(self, tmp_path):
+        """Each slot's whole matrix builds one PBD index, which its
+        shards slice; no shard builds a COO view."""
+        from repro.nn import PermDiagLinear, ReLU, Sequential
+        from repro.serve import ModelServer, export_model_bundle
+
+        model = Sequential(
+            PermDiagLinear(48, 64, p=4, rng=0),
+            ReLU(),
+            PermDiagLinear(64, 32, p=4, rng=1),
+        )
+        export_model_bundle(tmp_path, model, num_shards=2)
+        xs = np.random.default_rng(3).normal(size=(4, 48))
+        for boot in (
+            lambda: ModelServer.from_model(model, num_shards=2),
+            lambda: ModelServer.from_bundle(tmp_path),
+        ):
+            with sanitize() as s:
+                server = boot()
+                server.submit_many(xs)
+                server.drain()
+                assert s.stats.pbd_builds == 2
+                assert s.stats.skeleton_builds == 0
 
     def test_pbd_index_patch_undone_on_exit(self):
         before = _IndexPlan.pbd_index

@@ -1,11 +1,14 @@
 """Sharded image bundles: round trips, plans derived once per matrix,
-manifest validation, and the committed zoo bundles' compatibility."""
+manifest validation, the committed zoo bundles' compatibility, and the
+loader's join of each slot's shards into its whole matrix."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
 from repro.nn.layers.recurrent import LSTMCell
@@ -185,8 +188,9 @@ class TestManifestIntegers:
 class TestBundleSanitizer:
     def test_bundle_boot_and_serve_builds_each_plan_once(self, tmp_path):
         """Sanitizer-counted cold-start property: a bundle stores no index
-        state, so every loaded slot matrix derives its plan and its
-        forward CSR skeleton exactly once, and nothing is rebuilt."""
+        state, so each layer's joined shards derive one index plan, every
+        served shard slices it and builds its own forward COO view
+        exactly once, and nothing is rebuilt."""
         from repro.debug import sanitize
 
         layers = _stack()
@@ -202,10 +206,100 @@ class TestBundleSanitizer:
                 for slots in stage.shard_slots
             )
             assert slot_matrices == 4
-            assert s.stats.plan_builds == slot_matrices
+            # One per layer's joined matrix, plus the one the decoder
+            # builds to check the row-padded last shard of the 30-row,
+            # p=8 layer for stray padding values.
+            assert s.stats.plan_builds == len(server.layers) + 1
             assert s.stats.plan_rebuilds == 0
             assert s.stats.skeleton_builds == slot_matrices
             s.assert_no_plan_rebuild()
+
+
+def _decoded(shard):
+    """A shard as a bundle hands it over: decoded on its own."""
+    return BlockPermutedDiagonalMatrix.from_q(
+        shard.to_q(), shard.shape, shard.p, shard.ks,
+        value_dtype=shard.value_dtype, fixed_point=shard.fixed_point,
+    )
+
+
+@pytest.mark.usefixtures("force_pbd")
+class TestJoinedShards:
+    """``from_shard_slots`` joins a slot's shards and re-cuts them, so
+    bundle shards take their whole matrix's kernel path, as cut ones
+    do."""
+
+    # ``force_pbd`` only patches a module constant, which holds for every
+    # drawn example.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.sampled_from(["natural", "random"]),
+        st.sampled_from(["float64", "float32", "int16"]),
+        st.integers(2, 6),
+        st.integers(1, 20),
+        st.integers(0, 2**16),
+    )
+    def test_joined_shards_reassemble_the_product(
+        self, p, mb, nb, m_pad, scheme, value_dtype, num_shards, batch, seed
+    ):
+        matrix = BlockPermutedDiagonalMatrix.random(
+            (mb * p - min(m_pad, p - 1), nb * p), p,
+            spec=PermutationSpec(scheme=scheme, seed=seed), rng=seed,
+            value_dtype=value_dtype,
+        )
+        cut = matrix.row_shards(min(num_shards, mb))
+        stage = ShardedLayer.from_shard_slots(
+            [[_decoded(shard)] for shard in cut], None
+        )
+        x = np.random.default_rng(seed).normal(size=(batch, matrix.shape[1]))
+        x = x.astype(matrix.compute_dtype)
+        whole = matrix.matmat(x)
+        joined = [shard.matmat(x) for (shard,) in stage.shard_slots]
+        np.testing.assert_array_equal(np.concatenate(joined, axis=1), whole)
+        for (shard,), original in zip(stage.shard_slots, cut):
+            assert shard.shape == original.shape
+            np.testing.assert_array_equal(shard.ks, original.ks)
+
+    def test_non_additive_matrix_serves_alike_from_model_and_bundle(
+        self, tmp_path
+    ):
+        """``ks = [[1, 1], [1, 0]]`` is not additive, but both of its
+        one-block-row shards are: a bundle shard that chose its path from
+        its own ``ks`` would serve other bits than the live model."""
+        from repro.nn import PermDiagLinear, Sequential
+
+        data = np.random.default_rng(0).normal(size=(2, 2, 2))
+        matrix = BlockPermutedDiagonalMatrix(data, np.array([[1, 1], [1, 0]]))
+        model = Sequential(PermDiagLinear.from_matrix(matrix))
+        xs = np.random.default_rng(1).normal(size=(5, 4))
+        export_model_bundle(tmp_path, model, num_shards=2)
+        outputs = []
+        for server in (
+            ModelServer.from_model(model, num_shards=2),
+            ModelServer.from_bundle(tmp_path),
+        ):
+            for (shard,) in server.layers[0].shard_slots:
+                assert shard._get_plan().pbd_index() is None
+            server.submit_many(xs)
+            outputs.append(np.stack(server.drain().outputs))
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+        np.testing.assert_array_equal(outputs[0], matrix.matmat(xs))
+
+    def test_unjoinable_shards_rejected(self):
+        full = BlockPermutedDiagonalMatrix.random((6, 8), 4, rng=0)
+        other = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
+        with pytest.raises(ValueError, match="last shard may be row-padded"):
+            ShardedLayer.from_shard_slots([[full], [full]], None)
+        with pytest.raises(ValueError, match="disagree on p"):
+            ShardedLayer.from_shard_slots([[other], [full]], None)
 
 
 class TestCommittedZooBundles:

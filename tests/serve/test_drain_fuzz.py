@@ -12,12 +12,17 @@ the queue bound, then checks the drain's invariants:
 - every served output equals its row of the whole request set drained
   as one batch on a 1-shard, 1-thread server at the same value dtype,
   bit for bit.
+
+It runs on both forward paths (``forward_path``): the COO product and,
+under ``force_pbd``, the tiled PBD GEMMs, whose bits must not depend on
+a request's batch, tile position or row shard either.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import (
@@ -73,7 +78,13 @@ def _stages(kind: str, num_shards: int, value_dtype: str | None) -> tuple:
     ))
 
 
-@settings(max_examples=200, deadline=None)
+# ``forward_path`` only patches a module constant, which holds for every
+# drawn example.
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(
     kind=st.sampled_from(("fc", "conv", "lstm")),
     value_dtype=st.sampled_from((None, "float32", "int16")),
@@ -85,6 +96,7 @@ def _stages(kind: str, num_shards: int, value_dtype: str | None) -> tuple:
     capacity=st.none() | st.integers(1, 8),
     seed=st.integers(0, 2**16),
 )
+@pytest.mark.usefixtures("forward_path")
 def test_drain_invariants(
     kind, value_dtype, gaps_us, max_batch, deadline_us, num_shards,
     num_threads, capacity, seed,

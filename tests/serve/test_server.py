@@ -188,6 +188,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="num_shards"):
             ModelServer(_stack(), num_shards=value)
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_num_shards_checked_beside_prebuilt_stages(self, value):
+        """A pre-built stage keeps its own shard count, but a meaningless
+        ``num_shards`` beside it is still an error, not ignored."""
+        matrix = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
+        with pytest.raises(ValueError, match="num_shards"):
+            ModelServer([ShardedLayer(matrix, None, 2)], num_shards=value)
+
     def test_wrong_input_width_rejected(self):
         server = ModelServer(_stack(), num_shards=2)
         with pytest.raises(ValueError, match="expected input"):

@@ -345,11 +345,17 @@ class TestModelStageSpecs:
 
 
 def _slot_matrices(server):
-    """Slot matrices a server holds: one index plan and one forward COO
-    view each, derived from ``ks`` on first use."""
+    """Slot matrices a server holds: one forward COO view each below the
+    PBD width crossover, built on first use."""
     return sum(
         len(slots) for stage in server.layers for slots in stage.shard_slots
     )
+
+
+def _whole_matrices(server):
+    """Whole matrices behind a bundle's slots: one index plan each, built
+    when the loader joins a slot's shards and re-cuts them."""
+    return sum(stage.num_slots for stage in server.layers)
 
 
 class TestStagedBundles:
@@ -364,7 +370,7 @@ class TestStagedBundles:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=4)
             out = _drain(server, xs)
             slot_matrices = _slot_matrices(server)
-            assert s.stats.plan_builds == slot_matrices
+            assert s.stats.plan_builds == _whole_matrices(server)
             assert s.stats.plan_rebuilds == 0
             assert s.stats.skeleton_builds == slot_matrices
         np.testing.assert_array_equal(out, reference)
@@ -380,14 +386,16 @@ class TestStagedBundles:
             server = ModelServer.from_bundle(tmp_path, max_batch_size=8)
             out = _drain(server, xs)
             slot_matrices = _slot_matrices(server)
-            assert s.stats.plan_builds == slot_matrices
+            assert s.stats.plan_builds == _whole_matrices(server)
             assert s.stats.plan_rebuilds == 0
             assert s.stats.skeleton_builds == slot_matrices
         np.testing.assert_array_equal(out, reference)
 
     def test_v2_manifest_still_loads_as_fc(self, tmp_path):
         """Pre-v3 bundles carry no stage tags; they must keep loading as
-        single-slot FC stages with the cold-start property intact."""
+        single-slot FC stages with the cold-start property intact: a
+        load builds one index plan per layer, the one its joined shards
+        slice, and none per shard."""
         model = Sequential(
             PermDiagLinear(24, 16, p=2, bias=False, rng=0), ReLU(),
             PermDiagLinear(16, 8, p=2, bias=False, rng=1),
@@ -402,13 +410,17 @@ class TestStagedBundles:
             del entry["slots"]
         manifest_path.write_text(json.dumps(manifest))
 
-        def boom(*args, **kwargs):
-            raise AssertionError("v2 bundle load rebuilt an index plan")
-
+        builds = []
         orig = mod._IndexPlan.__init__
-        mod._IndexPlan.__init__ = boom
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            orig(self, *args, **kwargs)
+
+        mod._IndexPlan.__init__ = counting
         try:
             stages, loaded = load_staged_bundle(tmp_path)
+            assert len(builds) == len(stages) == 2
             layers = [
                 (stage.shard_slots, stage.activation)
                 for stage in load_staged_bundle(tmp_path)[0]
