@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.hw.energy import AreaPowerModel
 from repro.hw.perf import PerformanceReport, equivalent_dense_ops
 from repro.hw.scheduler import cycles_per_column
 from repro.hw.sram import SRAMBank
+from repro.nn.functional import checked_int
 from repro.nn.quantization import (
     FixedPointFormat,
     WeightSharingCodebook,
@@ -39,11 +41,14 @@ from repro.nn.quantization import (
 )
 
 __all__ = [
+    "ImageEntry",
     "PermDNNEngine",
     "SimulationResult",
     "apply_activation",
+    "decode_image_rows",
     "export_engine_image",
     "load_engine_image",
+    "read_engine_image",
 ]
 
 # v3 drops the per-layer serialized index plan (``layer{i}_plan``): a
@@ -103,52 +108,108 @@ def export_engine_image(
     np.savez_compressed(path, **payload)
 
 
+class ImageEntry(NamedTuple):
+    """One stored matrix of an engine image, read but not decoded."""
+
+    q: np.ndarray
+    ks: np.ndarray
+    shape: tuple[int, ...]
+    p: int
+    activation: str | None
+    value_dtype: str
+    fixed_point: FixedPointFormat | None
+
+
+def read_engine_image(path) -> list[ImageEntry]:
+    """The stored entries of an :func:`export_engine_image` artifact (v1,
+    v2 or v3), in layer order, without decoding a matrix.
+
+    Every integer the image holds -- its version and layer count, each
+    layer's ``p``, shape and fixed-point bits -- is read with
+    :func:`~repro.nn.functional.checked_int`, never truncated, and a layer
+    the count names but the archive lacks raises ``ValueError``.  v1
+    images store float64 values.
+    """
+    entries: list[ImageEntry] = []
+    with np.load(path) as archive:
+
+        def integers(key: str) -> list[int]:
+            return [checked_int(key, v) for v in np.atleast_1d(archive[key])]
+
+        (version,) = integers("image_version")
+        if not _IMAGE_MIN_FORMAT_VERSION <= version <= _IMAGE_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported engine-image version {version} (supported: "
+                f"{_IMAGE_MIN_FORMAT_VERSION}..{_IMAGE_FORMAT_VERSION})"
+            )
+        (num_layers,) = integers("num_layers")
+        for idx in range(num_layers):
+            layer = f"layer{idx}_"
+            try:
+                if layer + "value_dtype" in archive.files:
+                    value_dtype = str(archive[layer + "value_dtype"])
+                    bits = integers(layer + "fixed_point")
+                    fixed_point = FixedPointFormat(*bits) if bits else None
+                else:  # v1 image: values were always float64
+                    value_dtype, fixed_point = "float64", None
+                (p,) = integers(layer + "p")
+                entries.append(ImageEntry(
+                    archive[layer + "q"],
+                    archive[layer + "ks"],
+                    tuple(integers(layer + "shape")),
+                    p,
+                    str(archive[layer + "activation"]) or None,
+                    value_dtype,
+                    fixed_point,
+                ))
+            except KeyError as exc:
+                raise ValueError(
+                    f"engine image {path} names {num_layers} layers but "
+                    f"lacks layer {idx}: {exc}"
+                ) from exc
+    return entries
+
+
+def decode_image_rows(
+    entries: list[ImageEntry], shape: tuple[int, int]
+) -> BlockPermutedDiagonalMatrix:
+    """The one matrix of logical ``shape`` whose block rows ``entries``
+    store in order (a whole matrix's row shards, or the matrix itself),
+    at the first entry's ``p`` and value storage.
+
+    Decoded through
+    :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`, which rejects
+    values that disagree with ``shape``; the matrix derives its index plan
+    from ``ks`` on first use, like any other.
+    """
+    first = entries[0]
+    return BlockPermutedDiagonalMatrix.from_q(
+        np.concatenate([entry.q for entry in entries]),
+        shape,
+        first.p,
+        np.concatenate([np.ravel(entry.ks) for entry in entries]),
+        value_dtype=first.value_dtype,
+        fixed_point=first.fixed_point,
+    )
+
+
 def load_engine_image(
     path,
 ) -> list[tuple[BlockPermutedDiagonalMatrix, str | None]]:
     """Reload an :func:`export_engine_image` artifact (v1, v2 or v3).
 
-    Every matrix is rebuilt through
-    :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`, which rejects
-    values that disagree with the stored shape, and derives its index
-    plan from ``ks`` on first use, like any other matrix.
+    Every entry :func:`read_engine_image` reads is decoded on its own by
+    :func:`decode_image_rows`.
 
     Returns:
         ``(matrix, activation)`` pairs ready for
         :meth:`PermDNNEngine.run_network`, each at its exported value
         dtype (v1 images load as float64).
     """
-    layers: list[tuple[BlockPermutedDiagonalMatrix, str | None]] = []
-    with np.load(path) as archive:
-        version = int(archive["image_version"])
-        if not _IMAGE_MIN_FORMAT_VERSION <= version <= _IMAGE_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported engine-image version {version} (supported: "
-                f"{_IMAGE_MIN_FORMAT_VERSION}..{_IMAGE_FORMAT_VERSION})"
-            )
-        for idx in range(int(archive["num_layers"])):
-            dtype_key = f"layer{idx}_value_dtype"
-            if dtype_key in archive.files:
-                value_dtype = str(archive[dtype_key])
-                fmt_bits = archive[f"layer{idx}_fixed_point"]
-                fixed_point = (
-                    FixedPointFormat(*(int(v) for v in fmt_bits))
-                    if fmt_bits.size
-                    else None
-                )
-            else:  # v1 image: values were always float64
-                value_dtype, fixed_point = "float64", None
-            matrix = BlockPermutedDiagonalMatrix.from_q(
-                archive[f"layer{idx}_q"],
-                tuple(int(v) for v in archive[f"layer{idx}_shape"]),
-                int(archive[f"layer{idx}_p"]),
-                archive[f"layer{idx}_ks"],
-                value_dtype=value_dtype,
-                fixed_point=fixed_point,
-            )
-            activation = str(archive[f"layer{idx}_activation"]) or None
-            layers.append((matrix, activation))
-    return layers
+    return [
+        (decode_image_rows([entry], entry.shape), entry.activation)
+        for entry in read_engine_image(path)
+    ]
 
 
 def _stored_macs(

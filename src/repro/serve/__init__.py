@@ -33,9 +33,10 @@ pipeline between the per-layer shard arrays.
   benchmarking.
 - :func:`export_staged_bundle` / :func:`export_model_bundle` /
   :func:`load_staged_bundle` -- one engine image per shard plus a
-  manifest; images store values and ``ks``, and the loader joins each
-  slot's shards into one matrix, whose index plan its re-cut shards
-  slice.  A raw
+  manifest; images store values and ``ks``, and the loader decodes each
+  stage slot's shards as one whole matrix, whose index plan the stage's
+  shards slice; a damaged bundle raises
+  :class:`~repro.serve.bundle.BundleError`.  A raw
   ``(matrix, activation)`` stack exports as
   ``export_staged_bundle(d, [ShardedLayer(m, a, n) ...])``.
 - :func:`measure_stream` -- the one serving-benchmark measurement:
@@ -69,6 +70,7 @@ from repro.serve.bench import (
     workload_names,
 )
 from repro.serve.bundle import (
+    BundleError,
     export_model_bundle,
     export_staged_bundle,
     load_staged_bundle,
@@ -101,6 +103,7 @@ __all__ = [
     "ArrivalProcess",
     "BatchAssembler",
     "BenchRecord",
+    "BundleError",
     "BurstyArrivals",
     "DeterministicArrivals",
     "DiurnalArrivals",

@@ -14,28 +14,40 @@ old FC-only bundles keep cold-starting unchanged.
 
 Stages that need non-matrix state (the recurrent stage's gate biases)
 store it in per-stage ``stage<L>_aux.npz`` sidecars referenced from the
-manifest.
+manifest.  A manifest names only these files, under exactly these
+names, so nothing it lists is read from outside the bundle.
 
-Loading a bundle cold-starts a whole sharded server: every shard matrix
-is decoded through :meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`,
-and each stage joins a slot's shards into its whole matrix and re-cuts
-them (:meth:`~repro.serve.server.ServedStage.from_shard_slots`), so the
-whole matrix derives one index plan from ``ks``, which its shards slice,
-and every shard takes the kernel path the live model's would.  Bundles
-hold no index state, so one is about the size of its values plus
-``ks``.
+Loading a bundle cold-starts a whole sharded server.  Every shard image
+is read with :func:`~repro.hw.engine.read_engine_image`, which decodes
+nothing, and its entries are checked against the manifest; then each
+stage slot's shards are decoded as one whole matrix
+(:func:`~repro.hw.engine.decode_image_rows`, through
+:meth:`~repro.core.BlockPermutedDiagonalMatrix.from_q`), and the stage
+cuts it at the manifest's block bounds
+(:meth:`~repro.serve.server.ServedStage.from_manifest`), as a stage
+built from a live model cuts its layer's matrices.  So a cold start
+derives one index plan per stage slot from ``ks``, which the slot's
+shards slice, and every shard takes the kernel path the live model's
+would.  Bundles hold no index state, so one is about the size of its
+values plus ``ks``.  Whatever fails past a missing manifest raises
+:class:`BundleError`, chained to its cause.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.core import BlockPermutedDiagonalMatrix
-from repro.hw.engine import export_engine_image, load_engine_image
+from repro.hw.engine import (
+    decode_image_rows,
+    export_engine_image,
+    read_engine_image,
+)
 from repro.nn.functional import checked_int
+from repro.nn.quantization import FixedPointFormat
 from repro.serve.server import (
     LoweredConvStage,
     RecurrentStage,
@@ -44,6 +56,7 @@ from repro.serve.server import (
 )
 
 __all__ = [
+    "BundleError",
     "export_model_bundle",
     "export_staged_bundle",
     "load_staged_bundle",
@@ -63,6 +76,19 @@ _STAGE_CLASSES = {
     cls.stage_kind: cls
     for cls in (ShardedLayer, LoweredConvStage, RecurrentStage)
 }
+
+
+# What a damaged manifest, shard image or sidecar raises while it loads:
+# a missing field or file, a truncated archive, a value of the wrong type.
+_DAMAGE = (
+    AttributeError, EOFError, IndexError, KeyError, OSError, TypeError,
+    ValueError, zipfile.BadZipFile,
+)
+
+
+class BundleError(ValueError):
+    """A bundle directory whose manifest, shard images or sidecars cannot
+    be loaded: damaged, truncated, tampered with or mixed up."""
 
 
 def _shard_file(shard_idx: int) -> str:
@@ -151,47 +177,17 @@ def export_model_bundle(
     )
 
 
-def _check_slot(
-    stage_idx: int,
-    shard_idx: int,
-    matrix: BlockPermutedDiagonalMatrix,
-    slot_activation: str | None,
-    rows: int,
-    expected_activation: str | None,
-    p: int,
-    value_dtype: str,
-    fixed_point,
-) -> None:
-    shard_fmt = (
-        (matrix.fixed_point.total_bits, matrix.fixed_point.frac_bits)
-        if matrix.fixed_point is not None
-        else None
-    )
-    if (
-        matrix.p != p
-        or matrix.shape[0] != rows
-        or slot_activation != expected_activation
-        or matrix.value_dtype != value_dtype
-        or shard_fmt != fixed_point
-    ):
-        raise ValueError(
-            f"layer {stage_idx} shard {shard_idx}: image "
-            f"(shape={matrix.shape}, p={matrix.p}, "
-            f"activation={slot_activation!r}, "
-            f"value_dtype={matrix.value_dtype!r}) does not match "
-            f"the manifest"
-        )
-
-
 def load_staged_bundle(directory) -> tuple[list, dict]:
     """Reload a bundle as ready-to-serve stage objects.
 
-    Every shard matrix is decoded from its values and ``ks``, and shard
-    shapes, dtypes, and stage layouts are cross-checked against the
-    manifest so a truncated or mixed-up bundle fails loudly; each stage
-    then joins a slot's shards and re-cuts them, deriving one index plan
-    per slot.  v1/v2 manifests (no ``stage_kind``)
-    load every entry as a single-slot FC stage.
+    Every shard's stored image entries are checked against the manifest
+    (``p``, the height the stage's block bounds give the shard, width,
+    activation and value storage), so a truncated or mixed-up bundle
+    fails loudly; then each stage slot's shards are decoded as one whole
+    matrix, which the stage cuts at the manifest's bounds.  Shard images
+    and sidecars are read only under the names the exporter gives them.
+    v1/v2 manifests (no ``stage_kind``) load every entry as a single-slot
+    FC stage.
 
     Args:
         directory: bundle directory written by one of the exporters.
@@ -200,6 +196,11 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
         ``(stages, manifest)`` where ``stages`` are
         :class:`~repro.serve.server.ServedStage` objects ready to hand to
         :class:`~repro.serve.server.ModelServer`.
+
+    Raises:
+        FileNotFoundError: ``directory`` holds no manifest.
+        BundleError: anything else the bundle holds cannot be loaded; a
+            damaged field or file is the error's cause.
     """
     directory = Path(directory)
     manifest_path = directory / _MANIFEST_NAME
@@ -207,11 +208,23 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
         raise FileNotFoundError(
             f"no {_MANIFEST_NAME} in {directory} -- not a sharded bundle"
         )
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    try:
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        return _stages(directory, manifest), manifest
+    except BundleError:
+        raise
+    except _DAMAGE as exc:
+        raise BundleError(
+            f"bundle {directory}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _stages(directory: Path, manifest: dict) -> list:
+    """The stages ``manifest`` describes (see :func:`load_staged_bundle`)."""
     version = checked_int("bundle_version", manifest.get("bundle_version", -1))
     if not _BUNDLE_MIN_FORMAT_VERSION <= version <= _BUNDLE_FORMAT_VERSION:
-        raise ValueError(
+        raise BundleError(
             f"unsupported bundle version {version} (supported: "
             f"{_BUNDLE_MIN_FORMAT_VERSION}..{_BUNDLE_FORMAT_VERSION})"
         )
@@ -219,77 +232,84 @@ def load_staged_bundle(directory) -> tuple[list, dict]:
     num_layers = checked_int("num_layers", manifest["num_layers"])
     specs = manifest["layers"]
     if len(specs) != num_layers:
-        raise ValueError(
+        raise BundleError(
             f"manifest lists {len(specs)} layers, says {num_layers}"
         )
-    shard_images = [
-        load_engine_image(directory / shard_file)
-        for shard_file in manifest["shard_files"]
-    ]
+    names = [_shard_file(idx) for idx in range(num_shards)]
+    if manifest["shard_files"] != names:
+        raise BundleError(
+            f"bundle {directory} names shard files "
+            f"{manifest['shard_files']!r}, not its own {names!r}"
+        )
+    shard_images = [read_engine_image(directory / name) for name in names]
     slots_per_stage = [
         checked_int("slots", spec.get("slots", 1)) for spec in specs
     ]
     total_slots = sum(slots_per_stage)
-    if len(shard_images) != num_shards or any(
-        len(image) != total_slots for image in shard_images
-    ):
-        raise ValueError(
+    if any(len(image) != total_slots for image in shard_images):
+        raise BundleError(
             f"bundle {directory} does not match its manifest "
             f"({num_shards} shards x {total_slots} image slots)"
         )
     stages = []
     cursor = 0
-    for stage_idx, spec in enumerate(specs):
+    for stage_idx, (spec, slots) in enumerate(zip(specs, slots_per_stage)):
         kind = spec.get("stage_kind", "fc")
         if kind not in _STAGE_CLASSES:
-            raise ValueError(
+            raise BundleError(
                 f"layer {stage_idx}: unknown stage_kind {kind!r}"
             )
         cls = _STAGE_CLASSES[kind]
-        slots = slots_per_stage[stage_idx]
         p = checked_int("p", spec["p"])
         m, n = (checked_int("shape", v) for v in spec["shape"])
         # v1 manifests predate value dtypes: their images store float64.
         value_dtype = spec.get("value_dtype", "float64")
         fixed_point = (
-            tuple(checked_int("fixed_point", v) for v in spec["fixed_point"])
+            FixedPointFormat(
+                *(checked_int("fixed_point", v) for v in spec["fixed_point"])
+            )
             if spec.get("fixed_point") is not None
             else None
         )
         bounds = spec["shard_block_bounds"]
         if len(bounds) != num_shards:
-            raise ValueError(
+            raise BundleError(
                 f"layer {stage_idx}: bundle {directory} does not match its "
                 f"manifest ({len(bounds)} shard bounds for {num_shards} "
                 f"shards)"
             )
+        aux_file = _aux_file(stage_idx)
+        if spec.get("aux_file", aux_file) != aux_file:
+            raise BundleError(
+                f"layer {stage_idx}: bundle {directory} names aux file "
+                f"{spec['aux_file']!r}, not its own {aux_file!r}"
+            )
         activation = spec["activation"] if cls.engine_activation else None
+        storage = (p, activation, value_dtype, fixed_point)
+        # The stage checks that the bounds tile the block rows; a shard's
+        # stored rows must be the ones its bounds give it.
+        heights = [min((b - a) * p, m - a * p) for a, b in bounds]
         # Flat-slot layout: shard K's entries ``cursor..cursor+slots`` all
-        # belong to this stage and share its row bounds.
-        shard_slots: list[list[BlockPermutedDiagonalMatrix]] = []
-        covered = 0
-        for shard_idx, (start, stop) in enumerate(bounds):
-            rows = min((stop - start) * p, m - start * p)
-            image = shard_images[shard_idx][cursor : cursor + slots]
-            for matrix, slot_activation in image:
-                _check_slot(
-                    stage_idx, shard_idx, matrix, slot_activation, rows,
-                    activation, p, value_dtype, fixed_point,
-                )
-            shard_slots.append([matrix for matrix, _ in image])
-            covered += rows
-        if covered != m:
-            raise ValueError(
-                f"layer {stage_idx}: shards cover {covered} rows, "
-                f"manifest says {m}"
-            )
+        # belong to this stage and share its block bounds.  Slot widths
+        # may differ (a recurrent stage's W and U); the manifest records
+        # the first's.
+        matrices = []
+        for slot in range(cursor, cursor + slots):
+            entries = [image[slot] for image in shard_images]
+            width = n if slot == cursor else entries[0].shape[1]
+            for shard_idx, (entry, rows) in enumerate(zip(entries, heights)):
+                if (
+                    entry.shape, entry.p, entry.activation,
+                    entry.value_dtype, entry.fixed_point,
+                ) != ((rows, width), *storage):
+                    raise BundleError(
+                        f"layer {stage_idx} shard {shard_idx}: image "
+                        f"(shape={entry.shape}, p={entry.p}, "
+                        f"activation={entry.activation!r}, "
+                        f"value_dtype={entry.value_dtype!r}) does not match "
+                        f"the manifest"
+                    )
+            matrices.append(decode_image_rows(entries, (m, width)))
         cursor += slots
-        stage = cls.from_manifest(spec, shard_slots, directory)
-        width = stage.shard_slots[0][0].shape[1]
-        if width != n:
-            raise ValueError(
-                f"layer {stage_idx}: shards take {width} inputs, "
-                f"manifest says {n}"
-            )
-        stages.append(stage)
-    return stages, manifest
+        stages.append(cls.from_manifest(spec, matrices, directory))
+    return stages

@@ -20,7 +20,10 @@ slot product); smaller batches run their shards in turn on the calling
 thread.  Results are stitched in shard order, so threaded and sequential
 execution are bit-identical by construction.
 
-Every stage kind runs one body, :meth:`ServedStage.run_batch`: it builds
+Every stage is built one way, from its whole slot matrices and one list
+of block-row bounds (:meth:`ServedStage._init_slots`), whether they come
+from a live model or from a bundle, and every stage kind runs one body,
+:meth:`ServedStage.run_batch`: it builds
 the kind's slot inputs and their zero-skip counts once, runs each shard's
 slot products through
 :meth:`~repro.hw.PermDNNEngine.run_fc_batch_detailed`, reduces them to
@@ -48,7 +51,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -142,70 +144,19 @@ class LayerShardStats:
     shed: int = 0
 
 
-def _shard_major(
-    matrices: list[BlockPermutedDiagonalMatrix], num_shards: int
-) -> list[tuple[BlockPermutedDiagonalMatrix, ...]]:
-    """Row-shard every slot matrix; regroup the shards slot by slot."""
-    return list(zip(*(matrix.row_shards(num_shards) for matrix in matrices)))
-
-
-def _joined(shards: tuple) -> BlockPermutedDiagonalMatrix:
-    """One slot's row shards, stacked back into its whole matrix."""
-    first = shards[0]
-    storage = (first.p, first.shape[1], first.value_dtype, first.fixed_point)
-    if any(
-        (m.p, m.shape[1], m.value_dtype, m.fixed_point) != storage
-        for m in shards
-    ):
-        raise ValueError(
-            "shards of one slot disagree on p, input widths or value storage"
-        )
-    if any(m.shape[0] != m.mb * m.p for m in shards[:-1]):
-        raise ValueError("only a slot's last shard may be row-padded")
-    return BlockPermutedDiagonalMatrix(
-        np.concatenate([m.data for m in shards]),
-        np.concatenate([m.ks for m in shards]),
-        shape=(sum(m.shape[0] for m in shards), first.shape[1]),
-        value_dtype=first.value_dtype,
-        fixed_point=first.fixed_point,
-    )
-
-
-def _rejoined(shard_slots: list) -> list:
-    """Shard-major slots whose every slot is re-cut, at its own bounds,
-    from its joined whole matrix (:func:`_joined`).
-
-    A shard takes the kernel path its whole matrix takes (a shard plan
-    slices its parent's PBD index), so shards that arrive on their own,
-    as a bundle's do, become shards of one matrix again.  One shard is a
-    whole matrix already; a ragged layout is left for ``_init_slots`` to
-    reject.
-    """
-    if len(shard_slots) < 2 or len({len(s) for s in shard_slots}) != 1:
-        return shard_slots
-    recut = []
-    for shards in zip(*shard_slots):
-        whole = _joined(shards)
-        ends = list(accumulate(m.mb for m in shards))
-        recut.append(
-            [whole.row_shard(a, b) for a, b in zip([0, *ends], ends)]
-        )
-    return [list(slots) for slots in zip(*recut)]
-
-
 class ServedStage:
     """One pipeline stage of a :class:`ModelServer`: the slotted skeleton.
 
     A stage maps a flat ``(B, in_features)`` micro-batch to a flat
-    ``(B, out_features)`` one on an array of shard engines.  It holds
-    ``shard_slots``: per shard, the stage's ``num_slots`` PD matrices (1
-    for FC, ``kh*kw`` offset matrices for a lowered conv, 2 stacked gate
-    matrices for an LSTM cell step), all cut at one set of block-row
-    bounds, so shard ``K`` owns rows ``row_bounds[K]`` of every slot.
-    Each shard computes a disjoint column range of the stage's
-    pre-activations (stitched in shard order, bit-identical at every
-    thread count) and the concatenation equals the unsharded
-    single-engine computation bit for bit.
+    ``(B, out_features)`` one on an array of shard engines.  It holds its
+    ``num_slots`` whole PD matrices, ``matrices`` (1 for FC, ``kh*kw``
+    offset matrices for a lowered conv, 2 stacked gate matrices for an
+    LSTM cell step), and ``shard_slots``: per shard, every slot cut at
+    the shard's ``block_bounds`` entry, so shard ``K`` owns the same
+    block rows of every slot.  Each shard computes a disjoint column
+    range of the stage's pre-activations (stitched in shard order,
+    bit-identical at every thread count) and the concatenation equals the
+    unsharded single-engine computation bit for bit.
 
     The base class owns the slot layout, capacity checks, the one stage
     body :meth:`run_batch` and the bundle hooks.  A kind adds its
@@ -215,11 +166,11 @@ class ServedStage:
 
     - ``_slot_inputs(x_batch)``: the ``num_slots`` engine inputs, in slot
       order, shared read-only by every shard;
-    - ``_reduce(products, lo, hi)``: consumes one shard's slot products
-      (an iterator, in slot order) and returns the shard's pre-activation
-      columns, those of stage rows ``[lo, hi)``;
-    - ``_finish(pre, x_batch)``: the kind's tail (activation, layout,
-      pool, cell update), run once per batch on every shard's
+    - ``_reduce(products)``: consumes one shard's slot products (an
+      iterator, in slot order) and returns the shard's pre-activation
+      columns;
+    - ``_finish(pre, x_batch)``: the kind's tail (bias, activation,
+      layout, pool, cell update), run once per batch on every shard's
       pre-activations side by side; elementwise or per channel, so it
       gives each shard's columns what a shard-local tail would.  FC,
       whose engine applies the activation, keeps the identity default.
@@ -238,34 +189,51 @@ class ServedStage:
 
     def _init_slots(
         self,
-        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
+        matrices: list[BlockPermutedDiagonalMatrix],
+        block_bounds,
         activation: str | None = None,
-        **params,
+        **geometry,
     ) -> None:
-        """Adopt shard-major slot matrices.  ``params`` (the kind's
-        geometry) become attributes before ``_check_geometry`` runs."""
-        self.shard_slots = [list(slots) for slots in shard_slots]
-        if not self.shard_slots:
-            raise ValueError(
-                f"a {self.stage_kind} stage needs at least one shard"
-            )
+        """Adopt the stage's whole slot matrices, which share ``p`` and
+        height, and cut every one at ``block_bounds`` -- ``(start, stop)``
+        block rows per shard -- the only place a stage cuts shards.
+
+        ``geometry`` (the kind's) becomes attributes first, because a conv
+        stage counts its slots from it; ``_check_geometry`` runs last.
+        """
         self.activation = activation
-        for name, value in params.items():
+        for name, value in geometry.items():
             setattr(self, name, value)
-        self.num_shards = len(self.shard_slots)
-        self.row_bounds: list[tuple[int, int]] = []
-        start = 0
-        for slots in self.shard_slots:
-            if len(slots) != self.num_slots:
-                raise ValueError(
-                    f"{self.stage_kind} shard holds {len(slots)} matrices, "
-                    f"the stage needs {self.num_slots}"
-                )
-            rows = slots[0].shape[0]
-            if any(matrix.shape[0] != rows for matrix in slots):
-                raise ValueError("slot matrices of one shard disagree on rows")
-            self.row_bounds.append((start, start + rows))
-            start += rows
+        self.matrices = list(matrices)
+        if len(self.matrices) != self.num_slots:
+            raise ValueError(
+                f"{self.stage_kind} stage holds {len(self.matrices)} "
+                f"matrices, the stage needs {self.num_slots}"
+            )
+        if len({(m.p, m.shape[0]) for m in self.matrices}) != 1:
+            raise ValueError(
+                "slot matrices of one stage disagree on p or rows"
+            )
+        mb = self.matrices[0].mb
+        bounds = self.block_bounds = [
+            tuple(checked_int("shard_block_bounds", v) for v in pair)
+            for pair in block_bounds
+        ]
+        edges = [0, *(stop for _, stop in bounds)]
+        if (
+            [start for start, _ in bounds] != edges[:-1]
+            or edges[-1] != mb
+            or any(start >= stop for start, stop in bounds)
+        ):
+            raise ValueError(
+                f"block bounds {bounds} do not cut the {mb} block rows "
+                f"into contiguous non-empty shards"
+            )
+        self.num_shards = len(self.block_bounds)
+        self.shard_slots = [
+            [matrix.row_shard(start, stop) for matrix in self.matrices]
+            for start, stop in self.block_bounds
+        ]
         self._check_geometry()
 
     def _check_geometry(self) -> None:
@@ -274,45 +242,30 @@ class ServedStage:
     def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
+    def _reduce(self, products) -> np.ndarray:
         raise NotImplementedError
 
     def _finish(self, pre: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
         return pre  # FC: the engine already applied the activation
 
     @classmethod
-    def from_shard_slots(
-        cls,
-        shard_slots: list[list[BlockPermutedDiagonalMatrix]],
-        activation: str | None = None,
-        **params,
-    ) -> "ServedStage":
-        """Wrap already-sharded slot matrices (e.g. from a bundle).
-
-        Each slot's shards are joined into one matrix and re-cut at the
-        same block-row bounds (:func:`_rejoined`), so the stage's shards
-        take their kernel path from their whole matrix, as a
-        :meth:`~repro.core.BlockPermutedDiagonalMatrix.row_shards` cut
-        does, and build one index plan per slot, not per shard.  With
-        more than one shard the joined matrix holds a copy of the values:
-        the stage does not alias the given shards' storage.
-        """
-        stage = cls.__new__(cls)
-        stage._init_slots(_rejoined(shard_slots), activation, **params)
-        return stage
-
-    @classmethod
     def from_manifest(
-        cls, entry: dict, shard_slots: list, directory, **params
+        cls, entry: dict, matrices: list, directory, **params
     ) -> "ServedStage":
-        """Rebuild a stage from its bundle manifest entry and loaded slots."""
+        """Rebuild a stage from its bundle manifest entry and its whole
+        slot matrices, cut at the entry's ``shard_block_bounds``."""
         for name in cls.geometry:
             params[name] = entry[name]
-        return cls.from_shard_slots(shard_slots, entry["activation"], **params)
+        stage = cls.__new__(cls)
+        stage._init_slots(
+            matrices, entry["shard_block_bounds"], entry["activation"],
+            **params,
+        )
+        return stage
 
     @property
     def compute_dtype(self) -> np.dtype:
-        return self.shard_slots[0][0].compute_dtype
+        return self.matrices[0].compute_dtype
 
     @cached_property
     def _slot_nnz(self) -> int:
@@ -359,7 +312,7 @@ class ServedStage:
         columns = [np.count_nonzero(x, axis=1) for x in inputs]
         activation = self.activation if self.engine_activation else None
 
-        def run_shard(engine, slots, bounds):
+        def run_shard(engine, slots):
             cycles = macs = 0
 
             def products():
@@ -375,10 +328,10 @@ class ServedStage:
                     macs += slot_macs
                     yield out
 
-            pre = self._reduce(products(), *bounds)  # consumes products
+            pre = self._reduce(products())  # consumes products
             return pre, cycles, macs
 
-        shards = (engines, self.shard_slots, self.row_bounds)
+        shards = (engines, self.shard_slots)
         threaded = executor is not None and self.num_shards > 1 and (
             len(inputs[0]) * self._slot_nnz >= _THREAD_MIN_MACS
         )
@@ -390,19 +343,18 @@ class ServedStage:
     # -- bundle serialization hooks (see repro.serve.bundle) -----------
 
     def manifest_entry(self) -> dict:
-        first = self.shard_slots[0][0]
+        first = self.matrices[0]
         entry = {
             "stage_kind": self.stage_kind,
             "slots": self.num_slots,
-            "shape": [self.row_bounds[-1][1], first.shape[1]],
+            "shape": list(first.shape),
             "activation": self.activation,
         }
         for name in self.geometry:
             value = getattr(self, name)
             entry[name] = list(value) if isinstance(value, tuple) else value
-        ends = list(accumulate(slots[0].mb for slots in self.shard_slots))
         entry["shard_block_bounds"] = [
-            [start, stop] for start, stop in zip([0, *ends], ends)
+            list(pair) for pair in self.block_bounds
         ]
         entry["p"] = first.p
         entry["value_dtype"] = first.value_dtype
@@ -442,19 +394,17 @@ class ShardedLayer(ServedStage):
         activation: str | None,
         num_shards: int,
     ) -> None:
-        self._init_slots(_shard_major([matrix], num_shards), activation)
+        self._init_slots(
+            [matrix], row_shard_bounds(matrix.mb, num_shards), activation
+        )
 
     def _check_geometry(self) -> None:
-        widths = {slots[0].shape[1] for slots in self.shard_slots}
-        if len(widths) != 1:
-            raise ValueError(f"shard input widths disagree: {sorted(widths)}")
-        self.in_features = widths.pop()
-        self.out_features = self.row_bounds[-1][1]
+        self.out_features, self.in_features = self.matrices[0].shape
 
     def _slot_inputs(self, x_batch: np.ndarray) -> list[np.ndarray]:
         return [x_batch]
 
-    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
+    def _reduce(self, products) -> np.ndarray:
         (product,) = products
         return product
 
@@ -528,10 +478,10 @@ class LoweredConvStage(ServedStage):
         pool: int | None = None,
         value_dtype: str | None = None,
     ) -> None:
+        matrices = convert_values(tensor.matrices, value_dtype)
         self._init_slots(
-            _shard_major(
-                convert_values(tensor.matrices, value_dtype), num_shards
-            ),
+            matrices,
+            row_shard_bounds(matrices[0].mb, num_shards),
             activation,
             kernel_size=tensor.kernel_size,
             input_hw=input_hw,
@@ -552,8 +502,8 @@ class LoweredConvStage(ServedStage):
         pool = self.pool = (
             None if self.pool is None else checked_int("pool", self.pool)
         )
-        c_in = self.shard_slots[0][0].shape[1]
-        if any(m.shape[1] != c_in for slots in self.shard_slots for m in slots):
+        c_out, c_in = self.matrices[0].shape
+        if any(m.shape[1] != c_in for m in self.matrices):
             raise ValueError("offset matrices disagree on input channels")
         oh, ow = self.conv_hw = conv_output_hw(
             self.input_hw, self.kernel_size, self.stride, self.padding
@@ -565,7 +515,7 @@ class LoweredConvStage(ServedStage):
         self.output_hw = (
             (oh // pool, ow // pool) if pool is not None else (oh, ow)
         )
-        self.channels = (self.row_bounds[-1][1], c_in)
+        self.channels = (c_out, c_in)
         self.in_features = c_in * self.input_hw[0] * self.input_hw[1]
         self.out_features = (
             self.channels[0] * self.output_hw[0] * self.output_hw[1]
@@ -579,8 +529,8 @@ class LoweredConvStage(ServedStage):
         )
         return lower_columns(x, *self.kernel_size, self.stride, self.padding)
 
-    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
-        """Channels ``[lo, hi)`` of the offset sum, ``(B*oh*ow, hi - lo)``.
+    def _reduce(self, products) -> np.ndarray:
+        """One shard's channels of the offset sum, ``(B*oh*ow, channels)``.
 
         ``products`` is consumed as it goes, so only the running sum and
         one product are alive at a time.  The fixed offset order makes
@@ -629,9 +579,9 @@ class RecurrentStage(ServedStage):
     :mod:`repro.nn.layers.recurrent`): this stage's 2 slots.  Both are
     row-sharded at whole hidden blocks, so shard ``K`` owns stacked rows
     ``[lo, hi)`` -- every gate of hidden rows ``[lo/4, hi/4)`` -- and
-    computes their pre-activations: one ``W x`` and one ``U h`` engine
-    batch call, plus the bias.  The cell's own
-    :func:`~repro.nn.layers.recurrent.lstm_update` then runs once on every
+    computes their ``W x + U h``: one ``W x`` and one ``U h`` engine batch
+    call.  The bias and the cell's own
+    :func:`~repro.nn.layers.recurrent.lstm_update` then run once on every
     shard's pre-activations side by side (elementwise per hidden unit, so
     each shard's units get what a shard-local update would give them),
     and the stage returns ``[h | c]``.  Requests are
@@ -670,7 +620,8 @@ class RecurrentStage(ServedStage):
         # Whole hidden blocks: 4 stacked block rows each.
         bounds = row_shard_bounds(cell.hidden_size // cell.p, num_shards)
         self._init_slots(
-            [[m.row_shard(4 * a, 4 * b) for m in matrices] for a, b in bounds],
+            matrices,
+            [(4 * start, 4 * stop) for start, stop in bounds],
             bias=cell.bias.value,
             input_size=cell.input_size,
             hidden_size=cell.hidden_size,
@@ -678,35 +629,36 @@ class RecurrentStage(ServedStage):
 
     @classmethod
     def from_manifest(
-        cls, entry: dict, shard_slots: list, directory, **params
+        cls, entry: dict, matrices: list, directory, **params
     ) -> "RecurrentStage":
         if entry["slots"] == 8:  # written before the stacked layout
-            shard_slots = [
-                [stack_gates(slots[:4]), stack_gates(slots[4:])]
-                for slots in shard_slots
-            ]
+            matrices = [stack_gates(matrices[:4]), stack_gates(matrices[4:])]
+            # Its bounds count per-gate block rows, 4 stacked ones each.
+            bounds = [[4 * a, 4 * b] for a, b in entry["shard_block_bounds"]]
+            entry = dict(entry, shard_block_bounds=bounds)
         with np.load(Path(directory) / entry["aux_file"]) as aux:
             gates = [aux[key] for key in _BIAS_KEYS]
         params["bias"] = join_gates(gates, checked_int("p", entry["p"]))
-        return super().from_manifest(entry, shard_slots, directory, **params)
+        return super().from_manifest(entry, matrices, directory, **params)
 
     def _check_geometry(self) -> None:
         n_in = self.input_size = checked_int("input_size", self.input_size)
         hidden = self.hidden_size = checked_int(
             "hidden_size", self.hidden_size
         )
-        self.block = self.shard_slots[0][0].p
-        for (lo, hi), (w, u) in zip(self.row_bounds, self.shard_slots):
-            widths = (w.shape[1], u.shape[1])
-            if (hi - lo) % (4 * self.block) or widths != (n_in, hidden):
-                raise ValueError(
-                    f"shard rows [{lo}, {hi}) with input widths {widths} are "
-                    f"not whole hidden blocks of a {n_in} -> {hidden} cell"
-                )
-        covered = (self.row_bounds[-1][1], np.size(self.bias))
+        w, u = self.matrices
+        self.block = w.p
+        widths = (w.shape[1], u.shape[1])
+        rows = [shard.shape[0] for shard, _ in self.shard_slots]
+        if widths != (n_in, hidden) or any(r % (4 * self.block) for r in rows):
+            raise ValueError(
+                f"shards of {rows} stacked rows with input widths {widths} "
+                f"are not whole hidden blocks of a {n_in} -> {hidden} cell"
+            )
+        covered = (w.shape[0], np.size(self.bias))
         if covered != (4 * hidden, 4 * hidden):
             raise ValueError(
-                f"shards cover {covered[0]} stacked rows and the bias holds "
+                f"slots hold {covered[0]} stacked rows and the bias "
                 f"{covered[1]}; the cell has 4 x {hidden}"
             )
         self.in_features = n_in + 2 * hidden
@@ -721,19 +673,20 @@ class RecurrentStage(ServedStage):
         start, stop = self.input_size, self.input_size + self.hidden_size
         return [x_batch[:, :start], x_batch[:, start:stop]]
 
-    def _reduce(self, products, lo: int, hi: int) -> np.ndarray:
-        """Stacked pre-activation rows ``[lo, hi)``."""
+    def _reduce(self, products) -> np.ndarray:
+        """One shard's stacked ``W x + U h`` rows."""
         w_x, u_h = products
-        # Same association order as LSTMCell.step: (W x + U h) + b.
-        return w_x + u_h + self._bias_c[lo:hi]
+        return w_x + u_h
 
     def _finish(self, pre: np.ndarray, x_batch: np.ndarray) -> np.ndarray:
-        """The cell update on the stacked pre-activations: ``[h | c]``."""
+        """The bias, then the cell update on the stacked pre-activations:
+        ``[h | c]``."""
         c_prev = np.asarray(
             x_batch[:, self.input_size + self.hidden_size :],
             dtype=self.compute_dtype,
         )
-        h, c, _ = lstm_update(pre, c_prev, self.block)
+        # Same association order as LSTMCell.step: (W x + U h) + b.
+        h, c, _ = lstm_update(pre + self._bias_c, c_prev, self.block)
         return np.concatenate([h, c], axis=1)
 
     # Kept per class for perfbench's tracer (see ShardedLayer).
@@ -1048,12 +1001,13 @@ class ModelServer:
     def from_bundle(cls, directory, **kwargs) -> "ModelServer":
         """Boot a server from a sharded image bundle.
 
-        Every shard matrix is decoded from its values and ``ks``
-        (:mod:`repro.serve.bundle`), and each slot's shards are joined
-        into one matrix that derives one index plan, which the re-cut
-        shards slice -- for FC, lowered-conv, and recurrent stages alike.
-        Keyword arguments are forwarded to the constructor (batching,
-        config, ...).
+        Each stage slot's shards are decoded from their values and ``ks``
+        as one whole matrix (:mod:`repro.serve.bundle`), which derives
+        one index plan, and the stage cuts it at the manifest's bounds,
+        so its shards slice that plan -- for FC, lowered-conv, and
+        recurrent stages alike.  A damaged bundle raises
+        :class:`~repro.serve.bundle.BundleError`.  Keyword arguments are
+        forwarded to the constructor (batching, config, ...).
         """
         from repro.serve.bundle import load_staged_bundle
 

@@ -110,6 +110,44 @@ class TestEngineImage:
             load_engine_image(path)
 
 
+def _tampered(tmp_path, **values):
+    """A two-layer image with some stored entries replaced."""
+    path = str(tmp_path / "image.npz")
+    export_engine_image(path, _layers(np.random.default_rng(5)))
+    with np.load(path) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    payload.update({key: np.asarray(value) for key, value in values.items()})
+    np.savez_compressed(path, **payload)
+    return path
+
+
+class TestImageIntegers:
+    """The image's counts are checked, not truncated by ``int()``: a
+    layer count of 1.9 would load one layer of two, and a version of 3.7
+    would load as v3."""
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("num_layers", 1.9),
+            ("image_version", 3.7),
+            ("num_layers", True),
+            ("layer1_p", 8.0),
+            ("layer0_shape", [64.0, 48.0]),
+            ("layer0_fixed_point", [16.0, 12.0]),
+        ],
+    )
+    def test_non_integer_rejected(self, tmp_path, key, value):
+        path = _tampered(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            load_engine_image(path)
+
+    def test_missing_layer_named(self, tmp_path):
+        path = _tampered(tmp_path, num_layers=3)
+        with pytest.raises(ValueError, match="names 3 layers but lacks layer 2"):
+            load_engine_image(path)
+
+
 class TestStoredBackendKey:
     """Older writers stored a ``layer<i>_backend`` key per layer.  There
     is one product kernel now: exports omit the key and the loader

@@ -1,8 +1,11 @@
-"""Sharded image bundles: round trips, plans derived once per matrix,
-manifest validation, the committed zoo bundles' compatibility, and the
-loader's join of each slot's shards into its whole matrix."""
+"""Sharded image bundles: round trips, plans derived once per slot
+matrix, manifest validation and typed load errors, the committed zoo
+bundles' compatibility, and the loader's decode of each slot's shards as
+one whole matrix."""
 
 import json
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import BlockPermutedDiagonalMatrix, PermutationSpec
+from repro.hw import export_engine_image
 from repro.nn.layers.recurrent import LSTMCell
 from repro.serve import (
+    BundleError,
     ModelServer,
     ShardedLayer,
     export_model_bundle,
@@ -185,12 +190,140 @@ class TestManifestIntegers:
             load_staged_bundle(tmp_path)
 
 
+def _tamper(directory, edit):
+    """Rewrite a bundle's manifest through ``edit(manifest)``."""
+    manifest_path = Path(directory) / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _tamper_image(path, **values):
+    """Rewrite entries of a stored engine image."""
+    with np.load(path) as archive:
+        payload = {key: archive[key] for key in archive.files}
+    payload.update({key: np.asarray(value) for key, value in values.items()})
+    np.savez_compressed(path, **payload)
+
+
+class TestBundleFileNames:
+    """A manifest names only its bundle's own files, ``shard<K>.npz``
+    and ``stage<L>_aux.npz`` as the exporter writes them: a name that
+    reaches another bundle is rejected, not served."""
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_shard_file_outside_the_bundle_rejected(
+        self, tmp_path, absolute
+    ):
+        ours, other = tmp_path / "ours", tmp_path / "other"
+        _export_fc_stack(ours, _stack(0), num_shards=2)
+        _export_fc_stack(other, _stack(1), num_shards=2)
+        name = str(other / "shard0.npz") if absolute else "../other/shard0.npz"
+        _tamper(ours, lambda m: m["shard_files"].__setitem__(0, name))
+        with pytest.raises(BundleError, match="names shard files"):
+            load_staged_bundle(ours)
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    def test_aux_file_outside_the_bundle_rejected(self, tmp_path, absolute):
+        ours, other = tmp_path / "ours", tmp_path / "other"
+        export_model_bundle(ours, LSTMCell(6, 16, p=2, rng=0), 2)
+        export_model_bundle(other, LSTMCell(6, 16, p=2, rng=1), 2)
+        name = (
+            str(other / "stage0_aux.npz") if absolute
+            else "../other/stage0_aux.npz"
+        )
+        _tamper(ours, lambda m: m["layers"][0].__setitem__("aux_file", name))
+        with pytest.raises(BundleError, match="names aux file"):
+            load_staged_bundle(ours)
+
+
+def _drop_shard_files(directory):
+    _tamper(directory, lambda m: m.pop("shard_files"))
+
+
+def _drop_p(directory):
+    _tamper(directory, lambda m: m["layers"][0].pop("p"))
+
+
+def _drop_shard1(directory):
+    (Path(directory) / "shard1.npz").unlink()
+
+
+def _truncate_shard1(directory):
+    path = Path(directory) / "shard1.npz"
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _image_num_layers(value):
+    def damage(directory):
+        _tamper_image(Path(directory) / "shard1.npz", num_layers=value)
+
+    return damage
+
+
+def _image_version(directory):
+    _tamper_image(Path(directory) / "shard1.npz", image_version=3.7)
+
+
+def _layer_not_an_object(directory):
+    _tamper(directory, lambda m: m["layers"].__setitem__(1, [1, 2]))
+
+
+def _unknown_kind(directory):
+    _tamper(directory, lambda m: m["layers"][1].__setitem__("stage_kind", "x"))
+
+
+# A damaged two-layer bundle, the cause the load must chain (``None``: a
+# check of the loader's own) and a fragment of the message.
+_DAMAGED_BUNDLES = [
+    pytest.param(_drop_shard_files, KeyError, "shard_files", id="no-files"),
+    pytest.param(_drop_p, KeyError, "'p'", id="no-p"),
+    pytest.param(
+        _drop_shard1, FileNotFoundError, "shard1.npz", id="no-shard1"
+    ),
+    pytest.param(
+        _truncate_shard1, zipfile.BadZipFile, "zip", id="truncated-shard1"
+    ),
+    pytest.param(
+        _image_num_layers(1.9), ValueError,
+        "num_layers must be an integer", id="image-num-layers-1.9",
+    ),
+    pytest.param(
+        _image_version, ValueError, "image_version must be an integer",
+        id="image-version-3.7",
+    ),
+    pytest.param(
+        _image_num_layers(3), ValueError, "lacks layer 2",
+        id="image-num-layers-3",
+    ),
+    pytest.param(
+        _layer_not_an_object, AttributeError, "list", id="layer-not-object"
+    ),
+    pytest.param(_unknown_kind, None, "stage_kind", id="unknown-kind"),
+]
+
+
+class TestBundleErrors:
+    @pytest.mark.parametrize("damage,cause,message", _DAMAGED_BUNDLES)
+    def test_damaged_bundle_raises_bundle_error(
+        self, tmp_path, damage, cause, message
+    ):
+        _export_fc_stack(tmp_path, _stack(), num_shards=2)
+        damage(tmp_path)
+        with pytest.raises(BundleError, match=message) as excinfo:
+            load_staged_bundle(tmp_path)
+        if cause is None:
+            assert excinfo.value.__cause__ is None
+        else:
+            assert type(excinfo.value.__cause__) is cause
+
+
 class TestBundleSanitizer:
     def test_bundle_boot_and_serve_builds_each_plan_once(self, tmp_path):
         """Sanitizer-counted cold-start property: a bundle stores no index
-        state, so each layer's joined shards derive one index plan, every
-        served shard slices it and builds its own forward COO view
-        exactly once, and nothing is rebuilt."""
+        state, so each layer's whole decoded matrix derives one index
+        plan, every served shard slices it and builds its own forward COO
+        view exactly once, and nothing is rebuilt."""
         from repro.debug import sanitize
 
         layers = _stack()
@@ -206,28 +339,64 @@ class TestBundleSanitizer:
                 for slots in stage.shard_slots
             )
             assert slot_matrices == 4
-            # One per layer's joined matrix, plus the one the decoder
-            # builds to check the row-padded last shard of the 30-row,
-            # p=8 layer for stray padding values.
-            assert s.stats.plan_builds == len(server.layers) + 1
+            # One per layer's whole matrix: the 30-row, p=8 layer checks
+            # its stray padding values on the plan its shards slice.
+            assert s.stats.plan_builds == len(server.layers)
             assert s.stats.plan_rebuilds == 0
             assert s.stats.skeleton_builds == slot_matrices
             s.assert_no_plan_rebuild()
 
-
-def _decoded(shard):
-    """A shard as a bundle hands it over: decoded on its own."""
-    return BlockPermutedDiagonalMatrix.from_q(
-        shard.to_q(), shard.shape, shard.p, shard.ks,
-        value_dtype=shard.value_dtype, fixed_point=shard.fixed_point,
+    # ``sanitize`` nests inside the suite's own sanitizer scope; each
+    # example exports to a fresh directory.
+    @pytest.mark.parametrize("padding", ["aligned", "rows", "cols", "both"])
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
+    @given(
+        st.integers(2, 5),
+        st.integers(4, 6),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(["float64", "float32", "int16"]),
+        st.integers(0, 2**16),
+    )
+    def test_cold_start_builds_one_plan_per_slot(
+        self, padding, p, mb, nb, num_shards, value_dtype, seed
+    ):
+        """Whatever the padding, a cold start decodes one whole matrix
+        per stage slot: one plan each, none per shard, nothing rebuilt,
+        and the live model's bits."""
+        from repro.debug import sanitize
+
+        rng = np.random.default_rng(seed)
+        m = mb * p - (rng.integers(1, p) if padding in ("rows", "both") else 0)
+        n = nb * p - (rng.integers(1, p) if padding in ("cols", "both") else 0)
+        matrix = BlockPermutedDiagonalMatrix.random(
+            (int(m), int(n)), p, rng=rng, value_dtype=value_dtype
+        )
+        layers = [(matrix, "relu")]
+        xs = rng.normal(size=(5, int(n)))
+        live = ModelServer(layers, num_shards=num_shards, max_batch_size=4)
+        live.submit_many(xs)
+        reference = np.stack(live.drain().outputs)
+        with tempfile.TemporaryDirectory() as directory:
+            _export_fc_stack(directory, layers, num_shards)
+            with sanitize() as s:
+                server = ModelServer.from_bundle(directory, max_batch_size=4)
+                server.submit_many(xs)
+                served = np.stack(server.drain().outputs)
+                assert s.stats.plan_builds == len(server.layers)
+                assert s.stats.plan_rebuilds == 0
+        np.testing.assert_array_equal(served, reference)
 
 
 @pytest.mark.usefixtures("force_pbd")
 class TestJoinedShards:
-    """``from_shard_slots`` joins a slot's shards and re-cuts them, so
-    bundle shards take their whole matrix's kernel path, as cut ones
-    do."""
+    """The loader decodes a slot's shards as one whole matrix and the
+    stage cuts it, so bundle shards take their whole matrix's kernel
+    path, as cut ones do."""
 
     # ``force_pbd`` only patches a module constant, which holds for every
     # drawn example.
@@ -256,9 +425,12 @@ class TestJoinedShards:
             value_dtype=value_dtype,
         )
         cut = matrix.row_shards(min(num_shards, mb))
-        stage = ShardedLayer.from_shard_slots(
-            [[_decoded(shard)] for shard in cut], None
-        )
+        with tempfile.TemporaryDirectory() as directory:
+            export_staged_bundle(
+                directory, [ShardedLayer(matrix, None, len(cut))]
+            )
+            (stage,), _ = load_staged_bundle(directory)
+        np.testing.assert_array_equal(stage.matrices[0].data, matrix.data)
         x = np.random.default_rng(seed).normal(size=(batch, matrix.shape[1]))
         x = x.astype(matrix.compute_dtype)
         whole = matrix.matmat(x)
@@ -293,13 +465,20 @@ class TestJoinedShards:
         np.testing.assert_array_equal(outputs[0], outputs[1])
         np.testing.assert_array_equal(outputs[0], matrix.matmat(xs))
 
-    def test_unjoinable_shards_rejected(self):
-        full = BlockPermutedDiagonalMatrix.random((6, 8), 4, rng=0)
-        other = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
-        with pytest.raises(ValueError, match="last shard may be row-padded"):
-            ShardedLayer.from_shard_slots([[full], [full]], None)
-        with pytest.raises(ValueError, match="disagree on p"):
-            ShardedLayer.from_shard_slots([[other], [full]], None)
+    def test_unjoinable_shards_rejected(self, tmp_path):
+        """A shard image that is not its slot's block rows -- row-padded
+        but not last, or at another ``p`` -- fails the load."""
+        whole = BlockPermutedDiagonalMatrix.random((16, 8), 4, rng=0)
+        export_staged_bundle(tmp_path, [ShardedLayer(whole, None, 2)])
+        for stranger in (
+            BlockPermutedDiagonalMatrix.random((6, 8), 4, rng=1),
+            BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=1),
+        ):
+            export_engine_image(tmp_path / "shard0.npz", [(stranger, None)])
+            with pytest.raises(
+                BundleError, match="layer 0 shard 0: image .* does not match"
+            ):
+                load_staged_bundle(tmp_path)
 
 
 class TestCommittedZooBundles:

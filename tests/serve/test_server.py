@@ -280,12 +280,35 @@ class TestValidation:
         assert excinfo.value.layer_type == "Linear"
 
     def test_sharded_layer_from_mismatched_shards_rejected(self):
+        """A stage adopts whole slot matrices of one ``p`` and height, and
+        cuts them only at integer bounds that tile their block rows."""
+        from repro.serve import LoweredConvStage
+
         a = BlockPermutedDiagonalMatrix.random((8, 8), 2, rng=0)
-        b = BlockPermutedDiagonalMatrix.random((8, 6), 2, rng=0)
-        with pytest.raises(ValueError, match="input widths"):
-            ShardedLayer.from_shard_slots([[a], [b]], None)
-        with pytest.raises(ValueError, match="at least one shard"):
-            ShardedLayer.from_shard_slots([], None)
+        b = BlockPermutedDiagonalMatrix.random((6, 8), 2, rng=0)
+        conv = {
+            "activation": None, "kernel_size": [1, 2], "input_hw": [2, 2],
+            "stride": 1, "padding": 0, "pool": None,
+            "shard_block_bounds": [[0, 4]],
+        }
+        with pytest.raises(ValueError, match="disagree on p or rows"):
+            LoweredConvStage.from_manifest(conv, [a, b], None)
+
+        def fc(bounds, matrices=(a,)):
+            entry = {"activation": None, "shard_block_bounds": bounds}
+            return ShardedLayer.from_manifest(entry, list(matrices), None)
+
+        assert fc([[0, 1], [1, 4]]).shard_slots[1][0].shape == (6, 8)
+        with pytest.raises(ValueError, match="holds 2 matrices"):
+            fc([[0, 4]], matrices=(a, a))
+        with pytest.raises(ValueError, match="bounds must be an integer"):
+            fc([[0, 2.0], [2, 4]])
+        for bounds in (
+            [], [[0, 2], [3, 4]], [[1, 4]], [[0, 2]], [[0, 2], [2, 5]],
+            [[0, 2], [2, 2], [2, 4]], [[0, 3], [3, 2], [2, 4]],
+        ):
+            with pytest.raises(ValueError, match="contiguous non-empty"):
+                fc(bounds)
 
 
 class TestAliasingContract:

@@ -10,9 +10,12 @@ one.)
 """
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.block_perm_diag as mod
 from repro.nn import (
@@ -354,8 +357,29 @@ def _slot_matrices(server):
 
 def _whole_matrices(server):
     """Whole matrices behind a bundle's slots: one index plan each, built
-    when the loader joins a slot's shards and re-cuts them."""
+    when the loader decodes a slot's shards as one matrix, or when the
+    stage cuts it."""
     return sum(stage.num_slots for stage in server.layers)
+
+
+def _check_cold_start(model, input_hw, num_shards, xs):
+    """Bundle ``model`` and cold-start it under the sanitizer: one plan
+    per stage slot, none rebuilt, and the live model's served bits."""
+    from repro.debug import sanitize
+
+    reference = _drain(
+        _served(model, input_hw, num_shards=num_shards), xs
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        export_model_bundle(
+            directory, model, num_shards=num_shards, input_hw=input_hw
+        )
+        with sanitize() as s:
+            server = ModelServer.from_bundle(directory, max_batch_size=4)
+            out = _drain(server, xs)
+            assert s.stats.plan_builds == _whole_matrices(server)
+            assert s.stats.plan_rebuilds == 0
+    np.testing.assert_array_equal(out, reference)
 
 
 class TestStagedBundles:
@@ -390,6 +414,70 @@ class TestStagedBundles:
             assert s.stats.plan_rebuilds == 0
             assert s.stats.skeleton_builds == slot_matrices
         np.testing.assert_array_equal(out, reference)
+
+    # Drawn stages of every padding kind at 1-4 shards: a cold start
+    # decodes one whole matrix per slot, so it builds one plan per slot
+    # and none per shard, rebuilds nothing and serves the live bits.
+    # ``sanitize`` nests inside the suite's own sanitizer scope.
+    @pytest.mark.parametrize("padding", ["aligned", "rows", "cols", "both"])
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(2, 4),
+        st.integers(4, 5),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    )
+    def test_conv_cold_start_builds_one_plan_per_slot(
+        self, padding, p, mb, nb, num_shards, seed
+    ):
+        rng = np.random.default_rng(seed)
+        c_out = mb * p - (
+            rng.integers(1, p) if padding in ("rows", "both") else 0
+        )
+        c_in = nb * p - (
+            rng.integers(1, p) if padding in ("cols", "both") else 0
+        )
+        model = Sequential(
+            PermDiagConv2D(
+                int(c_in), int(c_out), 2, p=p, bias=False, rng=rng
+            ),
+            ReLU(),
+        )
+        _check_cold_start(
+            model, (3, 3), num_shards, _requests(4, int(c_in) * 9, seed)
+        )
+
+    @pytest.mark.parametrize("padding", ["aligned", "cols"])
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(2, 4),
+        st.integers(4, 5),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+    )
+    def test_recurrent_cold_start_builds_one_plan_per_slot(
+        self, padding, p, hidden_blocks, nb, num_shards, seed
+    ):
+        """A cell's hidden size is whole blocks, so only its ``W`` can be
+        padded, in columns."""
+        rng = np.random.default_rng(seed)
+        hidden = hidden_blocks * p
+        n_in = nb * p - (rng.integers(1, p) if padding == "cols" else 0)
+        cell = LSTMCell(int(n_in), hidden, p=p, rng=rng)
+        _check_cold_start(
+            cell, None, num_shards,
+            _requests(4, int(n_in) + 2 * hidden, seed),
+        )
 
     def test_v2_manifest_still_loads_as_fc(self, tmp_path):
         """Pre-v3 bundles carry no stage tags; they must keep loading as
