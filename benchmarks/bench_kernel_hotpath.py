@@ -22,11 +22,11 @@ Measures the three products every training step pays --
 
 Every grid point runs twice: with natural-indexed ``ks`` (the paper's
 setting), whose backward products run as permuted block-diagonal GEMMs,
-and with random ``ks``, whose backward products are the COO product over
+and with random ``ks``, whose backward products are the CSC product over
 ``W.T`` and the gather.  The forward runs as tiled PBD GEMMs on natural
 ``ks`` at least ``repro.core.kernel._PBD_MIN_WIDTH`` padded columns wide
-and as the COO product otherwise.  The table's ``fwd_path`` and
-``bwd_path`` columns name the path each row took (``pbd`` or ``coo``),
+and as the CSR product otherwise.  The table's ``fwd_path`` and
+``bwd_path`` columns name the path each row took (``pbd`` or ``csr``),
 and ``dense_fwd_ms`` times the dense-BLAS ``x @ W.T`` of the same shape,
 so it shows where PD structure wins on a CPU.
 
@@ -74,7 +74,7 @@ SMOKE_GRID = [
     (130, 96, 8, 16),  # non-multiple-of-p shapes keep the padded path honest
     (64, 1024, 8, 16),  # at the width crossover: natural ks run PBD forward
 ]
-# Natural ks take the PBD backward, random ks the COO one.
+# Natural ks take the PBD backward, random ks the CSR one.
 SCHEMES = ("natural", "random")
 
 
@@ -108,9 +108,9 @@ def _naive_backward(matrix: BlockPermutedDiagonalMatrix, x, dy) -> None:
     dy_pad = np.zeros((batch, transposed.nb * transposed.p))
     dy_pad[:, : dy.shape[1]] = dy
     gathered = dy_pad[:, t_plan.cols.reshape(-1)].reshape(
-        batch, transposed.mb, transposed.nb, transposed.p
+        batch, transposed.mb, transposed.p, transposed.nb
     )
-    np.einsum("ijc,bijc->bic", transposed.data, gathered)
+    np.einsum("icj,bicj->bic", transposed.data, gathered)
     # (c): dq with unconditional pads, batch-major gather, per-call masking
     plan = fresh._get_plan()
     x_pad = np.zeros((batch, fresh.nb * fresh.p))
@@ -119,9 +119,9 @@ def _naive_backward(matrix: BlockPermutedDiagonalMatrix, x, dy) -> None:
     dy_pad[:, : dy.shape[1]] = dy
     dy_blocks = dy_pad.reshape(batch, fresh.mb, fresh.p)
     gathered = x_pad[:, plan.cols.reshape(-1)].reshape(
-        batch, fresh.mb, fresh.nb, fresh.p
+        batch, fresh.mb, fresh.p, fresh.nb
     )
-    np.einsum("bic,bijc->ijc", dy_blocks, gathered) * plan.support
+    np.einsum("bic,bicj->icj", dy_blocks, gathered) * plan.support
 
 
 class _PR1(NamedTuple):
@@ -185,9 +185,9 @@ def _pr1_grad(matrix: BlockPermutedDiagonalMatrix, x, dy) -> np.ndarray:
         dy_t = dy_pad
     dy_blocks = dy_t.reshape(matrix.mb, matrix.p, batch)
     gathered = x_t[plan.cols.reshape(-1)].reshape(
-        matrix.mb, matrix.nb, matrix.p, batch
+        matrix.mb, matrix.p, matrix.nb, batch
     )
-    grad = np.einsum("icb,ijcb->ijc", dy_blocks, gathered)
+    grad = np.einsum("icb,icjb->icj", dy_blocks, gathered)
     if plan.full_support:
         return grad
     return grad * plan.support
@@ -243,8 +243,8 @@ def bench_point(
         n,
         p,
         batch,
-        "pbd" if pbd and wide else "coo",
-        "pbd" if pbd else "coo",
+        "pbd" if pbd and wide else "csr",
+        "pbd" if pbd else "csr",
         value_dtype,
         f"{fwd_s * 1e3:.2f}",
         f"{dense_s * 1e3:.2f}",

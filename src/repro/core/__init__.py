@@ -17,12 +17,13 @@ Public API
 - :func:`natural_permutation`, :func:`random_permutation` -- ``k_l`` selection.
 - :func:`approximate_pd` / :func:`approximate_pd_tensor` -- optimal
   L2 projection of a dense matrix/tensor onto the PD support (Sec. III-F).
-- :mod:`repro.core.kernel` -- the one product kernel (scipy COO products
-  over the index plan's slot coordinates, and permuted block-diagonal
-  GEMMs for the backward of additive ``ks`` and the forward of wide
-  additive matrices), which every product calls directly;
+- :mod:`repro.core.kernel` -- the one product kernel (scipy CSR products
+  over the values, stored row by row, and the index plan's slot columns,
+  and permuted block-diagonal GEMMs over whole stored rows for the
+  backward of additive ``ks`` and the forward of wide additive
+  matrices), which every product calls directly;
   :func:`default_backend` / :func:`available_backends` name a kernel
-  (``coo``) for host reports and choose nothing.
+  (``csr``) for host reports and choose nothing.
 - Value storage (float64 / float32 / int16 fixed-point; see
   :mod:`repro.core.value_types`): each matrix takes ``value_dtype=`` /
   ``fixed_point=`` arguments, stores float64 without them, and converts
@@ -62,13 +63,13 @@ from repro.core.storage import (
 
 
 def default_backend() -> str:
-    """Name of the product kernel: always ``"coo"``."""
-    return "coo"
+    """Name of the product kernel: always ``"csr"``."""
+    return "csr"
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names of the product kernels: only ``("coo",)``."""
-    return ("coo",)
+    """Names of the product kernels: only ``("csr",)``."""
+    return ("csr",)
 
 
 __all__ = [

@@ -10,18 +10,29 @@ When ``m`` or ``n`` is not a multiple of ``p`` the matrix is zero-padded
 (footnote 3 of the paper); padded positions are forced to zero and excluded
 from storage accounting.
 
+Storage order
+-------------
+The values are stored row by row: ``data[bi, c, bj]`` is the non-zero of
+block ``(bi, bj)`` in its row ``c``, so ``data.reshape(mb*p, nb)`` holds
+each padded weight row's ``nb`` non-zeros in ascending column, and a
+stored value's row is given by its position.  Every product reads the
+values where they are stored: the sparse products as a CSR view, the
+permuted block-diagonal products as whole rows.  Only the artifacts keep
+the paper's block-major ``q`` (:meth:`~BlockPermutedDiagonalMatrix.to_q`).
+
 Index-plan cache
 ----------------
 Because non-zero positions are arithmetically derivable, every index
-artifact -- the global row/column of each stored slot, the support mask,
+artifact -- the global column of each stored slot, the support mask,
 and the class gather vectors of the permuted block-diagonal products --
 is a pure function of the *structure* ``(ks, shape, p)`` and never of
 the values.  All of it is computed at most once, lazily, in an
 :class:`_IndexPlan` cached on the matrix, and none of it is ever stored
-(see "What artifacts store").  The slot coordinates are the only index
+(see "What artifacts store").  The slot columns are the only index
 structure the sparse products use: they read them as they are, in
-storage order, as the coordinates of a scipy COO view, so no CSR or
-transposed index layout is derived and no value is re-gathered per call.
+storage order, as the column indices of a scipy CSR view whose
+``indptr`` is the constant stride ``nb``, so no row index or transposed
+index layout is derived and no value is re-gathered per call.
 Every product (:meth:`~BlockPermutedDiagonalMatrix.matmat`,
 :meth:`~BlockPermutedDiagonalMatrix.rmatmat`,
 :meth:`~BlockPermutedDiagonalMatrix.grad_data`, ...) reads the plan
@@ -81,9 +92,9 @@ and columns relabel into ``p`` dense blocks
 (:meth:`_IndexPlan.pbd_index`), each backward product is one stacked
 GEMM, and so is the forward of a matrix at least
 ``kernel._PBD_MIN_WIDTH`` padded columns wide, cut into fixed tiles.
-Otherwise the forward is a scipy COO product over the plan's int32 slot
-coordinates, reading the stored values in place, and the backward the
-COO product over the same coordinates swapped and a batched
+Otherwise the forward is a scipy CSR product over the plan's int32 slot
+columns, reading the stored values in place, and the backward the CSC
+product over the same arrays (the CSR view's transpose) and a batched
 gather-and-contract.  A row shard takes the path of the matrix it was
 cut from: its plan slices the parent's PBD index.  Nothing is chosen by
 setting, so matrices, layers and artifacts carry no kernel name.
@@ -91,9 +102,11 @@ setting, so matrices, layers and artifacts carry no kernel name.
 What artifacts store
 --------------------
 Index state is never stored.  Engine images (and so bundles) keep only
-the values ``q`` (:meth:`~BlockPermutedDiagonalMatrix.to_q`), the
-per-block ``ks``, ``p``, the logical shape and the value-dtype tags;
-checkpoints keep parameter values plus each PD matrix's ``ks``.  This
+the values ``q`` (:meth:`~BlockPermutedDiagonalMatrix.to_q`, block-major
+whatever the storage order), the per-block ``ks``, ``p``, the logical
+shape and the value-dtype tags; checkpoints keep parameter values, in
+the storage order, plus each PD matrix's ``ks`` and a format version
+that names that order.  This
 is the paper's storage model (Sec. III, Fig. 4): positions are
 recomputed from ``k_l`` with a modulo, so a PD layer costs its values
 plus ``ceil(log2 p)`` bits per block.
@@ -179,15 +192,13 @@ def row_shard_bounds(num_block_rows: int, num_shards: int) -> list[tuple[int, in
 class _PBDIndex(NamedTuple):
     """Gather vectors of the permuted block-diagonal form, O(m + n) in all.
 
-    Class ``s`` holds, in block row ``bi``, in-block row
-    ``row_offsets[s, bi]`` (global row ``rows[s, bi]``) and, in block
-    column ``bj``, global column ``cols[s, bj]``.  Its dense block is
-    ``D_s[bi, bj] = data[bi, bj, row_offsets[s, bi]]``, read as
-    ``data[block_rows, :, row_offsets]``.
+    Class ``s`` holds, in block row ``bi``, global row ``rows[s, bi]``
+    and, in block column ``bj``, global column ``cols[s, bj]``.  Its
+    dense block is ``D_s[bi, bj] = data[bi, c, bj]`` for that row's
+    in-block row ``c``: whole weight rows, read as
+    ``data.reshape(-1, nb)[rows]``.
     """
 
-    block_rows: np.ndarray  # (1, mb): arange(mb), broadcast against row_offsets
-    row_offsets: np.ndarray  # (p, mb)
     rows: np.ndarray  # (p, mb)
     cols: np.ndarray  # (p, nb)
 
@@ -201,11 +212,9 @@ def _pbd_index(ks: np.ndarray, p: int) -> _PBDIndex | None:
     if not np.array_equal((a[:, None] + b[None, :]) % p, ks):
         return None
     s = np.arange(p, dtype=np.intp)[:, None]
-    block_rows = np.arange(mb, dtype=np.intp)[None, :]
-    row_offsets = (s - a[None, :]) % p
-    rows = block_rows * p + row_offsets
+    rows = np.arange(mb, dtype=np.intp)[None, :] * p + (s - a[None, :]) % p
     cols = np.arange(nb, dtype=np.intp)[None, :] * p + (s + b[None, :]) % p
-    index = _PBDIndex(block_rows, row_offsets, rows, cols)
+    index = _PBDIndex(rows, cols)
     for arr in index:
         arr.setflags(write=False)
     return index
@@ -220,12 +229,7 @@ def _pbd_row_slice(
         return None
     rows = np.ascontiguousarray(index.rows[:, start:stop] - start * p)
     rows.setflags(write=False)
-    return _PBDIndex(
-        index.block_rows[:, : stop - start],
-        index.row_offsets[:, start:stop],
-        rows,
-        index.cols,
-    )
+    return _PBDIndex(rows, index.cols)
 
 
 class _IndexPlan:
@@ -233,19 +237,22 @@ class _IndexPlan:
 
     Built lazily, once, and shared by every matrix that uses the structure
     (see :meth:`BlockPermutedDiagonalMatrix.like`).  The eager members are
-    the slot coordinates and the support mask; the sparse products read
-    the coordinates as they are, as the ``(row, col)`` arrays of scipy COO
-    views (:meth:`BlockPermutedDiagonalMatrix._coo`), so no other index
-    layout is ever derived for them.  The support coordinates, the last
-    block row's columns (engine MACs) and the PBD products' index are
-    built lazily on first use so consumers that never ask for them never
-    pay for them.  All exposed arrays are read-only.
+    the slot columns and the support mask.  A slot's row is its position:
+    the values are stored row by row, so slot ``flat`` of
+    ``data.reshape(-1)`` lies in padded row ``flat // nb``, and no row
+    array exists.  The sparse products read ``cols`` as it is, as the
+    column indices of scipy CSR views with a constant-stride ``indptr``
+    (:meth:`BlockPermutedDiagonalMatrix._csr`), so no other index layout
+    is ever derived for them.  The support coordinates, the last block
+    row's columns (engine MACs) and the PBD products' index are built
+    lazily on first use so consumers that never ask for them never pay
+    for them.  All exposed arrays are read-only.
 
     Attributes:
-        rows / cols: global ``(row, col)`` of every stored slot,
-            ``(mb, nb, p)``; int32 whenever the padded dimensions fit
-            (scipy's native index type, so the COO views alias them).
-        support: boolean ``(mb, nb, p)`` mask of slots inside the logical shape.
+        cols: global column of every stored slot, ``(mb, p, nb)``; int32
+            whenever ``mb*p*nb`` fits (scipy's native index type, so the
+            CSR views alias it).
+        support: boolean ``(mb, p, nb)`` mask of slots inside the logical shape.
         nnz: number of in-bounds stored slots.
         aligned_m / aligned_n / full_support: padding-free flags per axis.
     """
@@ -261,25 +268,21 @@ class _IndexPlan:
         self.aligned_m = m == mb * p
         self.aligned_n = n == nb * p
         self.full_support = self.aligned_m and self.aligned_n
-        idx = np.int32 if max(mb, nb) * p < 2**31 else np.int64
-        c = np.arange(p, dtype=idx)
-        rows = np.ascontiguousarray(
-            np.broadcast_to(
-                np.arange(mb, dtype=idx)[:, None, None] * p + c, (mb, nb, p)
-            )
-        )
+        idx = np.int32 if mb * p * nb < 2**31 else np.int64
+        c = np.arange(p, dtype=idx)[None, :, None]
         cols = (
-            np.arange(nb, dtype=idx)[None, :, None] * p
-            + (c[None, None, :] + ks.astype(idx)[:, :, None]) % p
+            np.arange(nb, dtype=idx) * p
+            + (c + ks.astype(idx)[:, None, :]) % p
         )
         if self.full_support:
-            support = np.ones((mb, nb, p), dtype=bool)
+            support = np.ones((mb, p, nb), dtype=bool)
         else:
+            rows = np.arange(mb, dtype=idx)[:, None, None] * p + c
             support = (rows < m) & (cols < n)
         self.nnz = int(support.sum())
-        for arr in (rows, cols, support):
+        for arr in (cols, support):
             arr.setflags(write=False)
-        self.rows, self.cols, self.support = rows, cols, support
+        self.cols, self.support = cols, support
         self._support_coords: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pbd_derived = False
         self._pbd: _PBDIndex | None = None
@@ -292,16 +295,17 @@ class _IndexPlan:
         """``(flat, rows, cols)`` of every in-bounds slot, each 1-D.
 
         ``flat`` indexes ``data.ravel()``; ``rows``/``cols`` are the global
-        dense coordinates (always inside the logical shape).
+        dense coordinates (always inside the logical shape), in the
+        index dtype of ``cols``.
         """
         if self._support_coords is None:
+            cols = self.cols.reshape(-1)
             if self.full_support:
-                flat = np.arange(self.rows.size, dtype=np.int64)
-                rows, cols = self.rows.reshape(-1), self.cols.reshape(-1)
+                flat = np.arange(cols.size, dtype=np.int64)
             else:
                 flat = np.flatnonzero(self.support)
-                rows = self.rows.reshape(-1)[flat]
-                cols = self.cols.reshape(-1)[flat]
+                cols = cols[flat]
+            rows = (flat // self.nb).astype(cols.dtype)
             for arr in (flat, rows, cols):
                 arr.setflags(write=False)
             self._support_coords = (flat, rows, cols)
@@ -359,8 +363,9 @@ class _IndexPlan:
         Everything is obtained by **slicing this plan's cached arrays** --
         no modulo index arithmetic runs, which is what lets the serving
         runtime shard a layer across engines without paying the structure
-        computation per shard.  ``cols`` and ``support`` are shared views;
-        ``rows`` is a re-based copy.  Members this plan has not built stay
+        computation per shard, and no index array is copied: ``cols`` and
+        ``support`` are views of this plan's (a slot's row is its position
+        in the shard's own values).  Members this plan has not built stay
         lazy on the shard too; the PBD index, once asked for, is this
         plan's sliced (:meth:`pbd_index`), so a shard's kernel path is its
         whole matrix's.
@@ -381,9 +386,6 @@ class _IndexPlan:
         shard.aligned_m = shard.shape[0] == shard.mb * p
         shard.aligned_n = self.aligned_n
         shard.full_support = shard.aligned_m and shard.aligned_n
-        rows = np.ascontiguousarray(self.rows[start:stop] - start * p)
-        rows.setflags(write=False)
-        shard.rows = rows
         shard.cols = self.cols[start:stop]
         shard.support = self.support[start:stop]
         shard.nnz = int(shard.support.sum())
@@ -397,9 +399,11 @@ class _IndexPlan:
 class BlockPermutedDiagonalMatrix:
     """An ``m x n`` matrix made of ``p x p`` permuted diagonal blocks.
 
-    Storage layout: ``data[bi, bj, c]`` is the non-zero of block
-    ``(bi, bj)`` in its row ``c``, located at global position
-    ``(bi*p + c, bj*p + (c + ks[bi, bj]) % p)``.
+    Storage layout, row by row: ``data[bi, c, bj]`` is the non-zero of
+    block ``(bi, bj)`` in its row ``c``, located at global position
+    ``(bi*p + c, bj*p + (c + ks[bi, bj]) % p)``.  So
+    ``data.reshape(mb*p, nb)`` holds the ``nb`` non-zeros of each padded
+    weight row, in ascending column.
 
     The structure ``(ks, shape, p)`` is fixed at construction -- ``ks`` is
     exposed read-only and ``shape`` is a property -- and all index
@@ -408,7 +412,7 @@ class BlockPermutedDiagonalMatrix:
     siblings that share the cached plan.
 
     Args:
-        data: array of shape ``(mb, nb, p)`` with the non-zero values.
+        data: array of shape ``(mb, p, nb)`` with the non-zero values.
             Aliased, not copied, when already in the storage dtype with a
             zeroed padding region (the aliasing contract -- see the module
             docstring).  For ``int16`` storage this must hold integer
@@ -437,8 +441,8 @@ class BlockPermutedDiagonalMatrix:
         data = self._coerce_values(data)
         ks = np.asarray(ks, dtype=np.int64)
         if data.ndim != 3:
-            raise ValueError(f"data must have shape (mb, nb, p), got {data.shape}")
-        mb, nb, p = data.shape
+            raise ValueError(f"data must have shape (mb, p, nb), got {data.shape}")
+        mb, p, nb = data.shape
         if ks.shape != (mb, nb):
             raise ValueError(
                 f"ks shape {ks.shape} does not match data blocks ({mb}, {nb})"
@@ -458,7 +462,7 @@ class BlockPermutedDiagonalMatrix:
             )
         self._shape = (int(m), int(n))
         self._plan: _IndexPlan | None = None
-        self._coo_cache: dict[bool, _scipy_sparse.coo_matrix] = {}
+        self._csr_cache: dict[bool, _scipy_sparse.csr_matrix] = {}
         self.data = data  # through the property: masks padding only if needed
 
     # ------------------------------------------------------------------
@@ -477,7 +481,7 @@ class BlockPermutedDiagonalMatrix:
 
     @property
     def data(self) -> np.ndarray:
-        """Stored values, shape ``(mb, nb, p)``.
+        """Stored values, shape ``(mb, p, nb)``, row by row.
 
         Assignment validates the shape and enforces the padding rule under
         the aliasing contract: the array is aliased when its padding region
@@ -520,9 +524,9 @@ class BlockPermutedDiagonalMatrix:
     def data(self, value: np.ndarray) -> None:
         value = self._coerce_values(value)
         mb, nb = self._ks.shape
-        if value.shape != (mb, nb, self.p):
+        if value.shape != (mb, self.p, nb):
             raise ValueError(
-                f"data must have shape ({mb}, {nb}, {self.p}), got {value.shape}"
+                f"data must have shape ({mb}, {self.p}, {nb}), got {value.shape}"
             )
         if self._shape != (mb * self.p, nb * self.p):
             support = self._get_plan().support
@@ -671,7 +675,7 @@ class BlockPermutedDiagonalMatrix:
         out._ks = plan.ks
         out._shape = plan.shape
         out._plan = plan
-        out._coo_cache = {}
+        out._csr_cache = {}
         out._value_dtype = value_dtype
         out._fixed_point = fixed_point
         out.data = data
@@ -705,7 +709,7 @@ class BlockPermutedDiagonalMatrix:
             ks = spec.generate(mb * nb, p).reshape(mb, nb)
         name, fmt = _resolve_value_dtype(value_dtype, fixed_point)
         return cls(
-            np.zeros((mb, nb, p), dtype=_value_types.storage_dtype(name)),
+            np.zeros((mb, p, nb), dtype=_value_types.storage_dtype(name)),
             ks,
             shape=shape,
             value_dtype=name,
@@ -732,7 +736,8 @@ class BlockPermutedDiagonalMatrix:
         For ``value_dtype="int16"`` the samples are drawn at float64 and
         then encoded (deriving a covering format when ``fixed_point`` is
         omitted), so the same seed yields the same underlying weights at
-        every precision.
+        every precision.  They are drawn block-major, ``(mb, nb, p)``, so
+        every seed keeps its weights.
         """
         requested = _value_types.validate_value_dtype(value_dtype)
         out = cls.zeros(
@@ -745,7 +750,8 @@ class BlockPermutedDiagonalMatrix:
             rng = np.random.default_rng(rng)
         if scale is None:
             scale = float(np.sqrt(p / max(shape[1], 1)))
-        out.data = rng.normal(0.0, scale, size=out.data.shape)
+        draw = rng.normal(0.0, scale, size=(out.mb, out.nb, p))
+        out.data = np.ascontiguousarray(draw.transpose(0, 2, 1))
         if requested == "int16":
             return out.with_value_dtype("int16", fixed_point=fixed_point)
         if fixed_point is not None:
@@ -798,7 +804,7 @@ class BlockPermutedDiagonalMatrix:
     @property
     def nb(self) -> int:
         """Number of block columns."""
-        return self._data.shape[1]
+        return self._data.shape[2]
 
     @property
     def num_blocks(self) -> int:
@@ -815,7 +821,7 @@ class BlockPermutedDiagonalMatrix:
         return self.shape[0] * self.shape[1] / self.nnz
 
     def support_mask(self) -> np.ndarray:
-        """Boolean ``(mb, nb, p)`` mask of entries inside the logical shape.
+        """Boolean ``(mb, p, nb)`` mask of entries inside the logical shape.
 
         Read-only view of the cached index plan; copy before mutating.
         """
@@ -855,9 +861,10 @@ class BlockPermutedDiagonalMatrix:
         ``q[l*p + c]`` is the row-``c`` non-zero of block ``l = bi*nb + bj``,
         matching the paper's storage of "only the mn/p-length vector q".
         Returned in the storage dtype (fixed-point codes for ``int16``),
-        so persisting ``q`` keeps the compressed footprint.
+        so persisting ``q`` keeps the compressed footprint.  Always a
+        copy: the row-by-row storage is transposed back to block-major.
         """
-        return self._data.reshape(-1).copy()
+        return self._data.transpose(0, 2, 1).flatten()
 
     @classmethod
     def from_q(
@@ -886,7 +893,7 @@ class BlockPermutedDiagonalMatrix:
                 f"q has {q.size} entries, expected {mb * nb * p} for "
                 f"shape {shape} with p={p}"
             )
-        values = q.reshape(mb, nb, p)
+        values = np.ascontiguousarray(q.reshape(mb, nb, p).transpose(0, 2, 1))
         matrix = cls(
             values,
             np.asarray(ks).reshape(mb, nb),
@@ -907,16 +914,16 @@ class BlockPermutedDiagonalMatrix:
 
         Transposed row ``d`` of block ``(bj, bi)`` carries the original
         entry whose column offset was ``d``, i.e. original row
-        ``(d - k) mod p``: one gather along the value axis.  The backward
+        ``(d - k) mod p``: one gather along the row axis.  The backward
         pass never calls this -- :meth:`rmatmat` and :meth:`rmatvec` run
         transpose-free -- but the structured transpose remains part of the
         public API.
         """
-        src = (np.arange(self.p) - self._ks[:, :, None]) % self.p
-        data_t = np.take_along_axis(self._data, src, axis=2)
+        src = (np.arange(self.p)[:, None] - self._ks[:, None, :]) % self.p
+        data_t = np.take_along_axis(self._data, src, axis=1)
         ks_t = (-self._ks.T) % self.p
         return BlockPermutedDiagonalMatrix(
-            np.ascontiguousarray(data_t.transpose(1, 0, 2)),
+            np.ascontiguousarray(data_t.transpose(2, 1, 0)),
             ks_t,
             shape=(self.shape[1], self.shape[0]),
             value_dtype=self._value_dtype,
@@ -927,18 +934,18 @@ class BlockPermutedDiagonalMatrix:
     # Arithmetic
     # ------------------------------------------------------------------
 
-    def _coo(self, transposed: bool):
-        """Cached ``scipy.sparse.coo_matrix`` view of ``W`` (or ``W.T``).
+    def _csr(self, transposed: bool):
+        """Cached scipy CSR view of ``W`` (or its CSC transpose, ``W.T``).
 
-        Its coordinates are the plan's own ``rows``/``cols`` (swapped for
-        ``W.T``) and its shape the padded ``(mb*p, nb*p)`` (or its
-        transpose), so padding slots stay in: their zero weights meet the
-        kernel's zero-padded operand rows, or land in output rows it
-        slices off.  Storage order ``(bi, bj, c)`` lists every row's
-        non-zeros in ascending column, and every ``W.T`` row's in
-        ascending original row -- the order scipy accumulates them in.
-        A view is built once per matrix and orientation, paying only
-        scipy's O(nnz) bounds check; its ``data`` is re-pointed at
+        Its column indices are the plan's own ``cols``, its ``indptr`` the
+        constant stride ``nb`` (each padded row stores ``nb`` slots), and
+        its shape the padded ``(mb*p, nb*p)``, so padding slots stay in:
+        their zero weights meet the kernel's zero-padded operand rows, or
+        land in output rows it slices off.  Each row lists its non-zeros
+        in ascending column and each column its non-zeros in ascending
+        row -- the order scipy accumulates them in.  ``W.T`` is the CSR
+        view's ``.T``, sharing its arrays.  A view is built once per
+        matrix and orientation; its ``data`` is re-pointed at
         :meth:`_kernel_data` on every call, so in-place writes and a
         reassigned :attr:`data` are always current.  Float storage is
         read in place; ``int16`` codes are decoded per call.
@@ -948,14 +955,18 @@ class BlockPermutedDiagonalMatrix:
         # ``_plan`` shows up as a rebuild on the next product.
         plan = self._get_plan()
         values = self._kernel_data().reshape(-1)
-        view = self._coo_cache.get(key)
+        view = self._csr_cache.get(key)
         if view is None:
-            coords = (plan.rows.reshape(-1), plan.cols.reshape(-1))
+            cols = plan.cols.reshape(-1)
+            indptr = np.arange(0, cols.size + 1, self.nb, dtype=cols.dtype)
             shape = (self.mb * self.p, self.nb * self.p)
+            view = _scipy_sparse.csr_matrix((values, cols, indptr), shape=shape)
             if key:
-                coords, shape = coords[::-1], shape[::-1]
-            view = _scipy_sparse.coo_matrix((values, coords), shape=shape)
-            self._coo_cache[key] = view
+                view = view.T
+            # scipy copies an index array that views a larger one (a
+            # shard's ``cols``); point the view back at the plan's.
+            view.indices = cols
+            self._csr_cache[key] = view
         view.data = values
         return view
 
@@ -995,7 +1006,7 @@ class BlockPermutedDiagonalMatrix:
 
         The backward input gradient ``dx = W.T @ dy`` (Eqn. (3)).  Runs
         off the cached plan -- the permuted block-diagonal GEMMs for
-        additive ``ks``, the transposed COO view otherwise (see
+        additive ``ks``, the CSC view of ``W.T`` otherwise (see
         :func:`repro.core.kernel.rmatmat`) -- and never constructs a
         ``transpose()`` matrix object.
         """
@@ -1009,7 +1020,7 @@ class BlockPermutedDiagonalMatrix:
     def grad_data(self, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         """Gradient of a batch loss w.r.t. :attr:`data` (Eqn. (2)).
 
-        ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` --
+        ``dq[bi, c, bj] = sum_b dy[b, bi*p+c] * x[b, col(bi, c, bj)]`` --
         only the stored (non-zero) weights receive gradient, which is what
         keeps the trained network block-permuted diagonal.  The kernel
         batches this as permuted block-diagonal GEMMs for additive ``ks``

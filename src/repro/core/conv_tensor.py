@@ -25,13 +25,15 @@ __all__ = ["BlockPermDiagTensor4D"]
 class BlockPermDiagTensor4D:
     """A CONV weight tensor with PD structure on its channel plane.
 
-    Storage: ``values[dy, dx, bi, bj, c]`` is tap ``(dy, dx)`` of the
+    Storage: ``values[dy, dx, bi, c, bj]`` is tap ``(dy, dx)`` of the
     kernel at channel-plane slot ``(bi*p + c, bj*p + (c + ks[bi,bj]) % p)``,
-    zero in padding slots.  ``matrices[dy*kw + dx]`` is offset ``(dy, dx)``'s
-    channel matrix over the view ``values[dy, dx]``; all share one plan.
+    zero in padding slots: each offset's values row by row, as every
+    block-PD matrix stores them.  ``matrices[dy*kw + dx]`` is offset
+    ``(dy, dx)``'s channel matrix over the view ``values[dy, dx]``; all
+    share one plan.
 
     Args:
-        values: array of shape ``(kh, kw, mb, nb, p)``; aliased when it is
+        values: array of shape ``(kh, kw, mb, p, nb)``; aliased when it is
             C-contiguous float64 with zero padding slots.
         ks: per-block permutation parameters, shape ``(mb, nb)``.
         channels: logical ``(c_out, c_in)``; defaults to padded sizes.
@@ -46,9 +48,9 @@ class BlockPermDiagTensor4D:
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.ndim != 5:
             raise ValueError(
-                f"values must have shape (kh, kw, mb, nb, p), got {values.shape}"
+                f"values must have shape (kh, kw, mb, p, nb), got {values.shape}"
             )
-        kh, kw, mb, nb, p = values.shape
+        kh, kw, mb, p, nb = values.shape
         self.kernel_size = (kh, kw)
         if channels is None:
             channels = (mb * p, nb * p)
@@ -60,7 +62,7 @@ class BlockPermDiagTensor4D:
         self.values = values
         self.matrices = [
             structure.like(offset)
-            for offset in values.reshape(kh * kw, mb, nb, p)
+            for offset in values.reshape(kh * kw, mb, p, nb)
         ]
 
     # ------------------------------------------------------------------
@@ -86,9 +88,10 @@ class BlockPermDiagTensor4D:
         fan_in = max(c_in / p, 1.0) * kh * kw
         if scale is None:
             scale = float(np.sqrt(2.0 / fan_in))
-        # Drawn kernel-major, so every seed keeps its weights.
+        # Drawn kernel-major and block-major, so every seed keeps its
+        # weights.
         kernels = rng.normal(0.0, scale, size=(mb, nb, p, kh, kw))
-        return cls(kernels.transpose(3, 4, 0, 1, 2), ks, (c_out, c_in))
+        return cls(kernels.transpose(3, 4, 0, 2, 1), ks, (c_out, c_in))
 
     @classmethod
     def from_dense(
@@ -107,7 +110,7 @@ class BlockPermDiagTensor4D:
         if ks is None:
             spec = spec or PermutationSpec()
             ks = spec.generate(mb * nb, p).reshape(mb, nb)
-        out = cls(np.zeros((kh, kw, mb, nb, p)), ks, channels=(c_out, c_in))
+        out = cls(np.zeros((kh, kw, mb, p, nb)), ks, channels=(c_out, c_in))
         out.values[...] = out.pack(dense)
         return out
 

@@ -1,4 +1,4 @@
-"""The block-PD product kernel: COO products and permuted block-diagonal GEMMs.
+"""The block-PD product kernel: CSR products and permuted block-diagonal GEMMs.
 
 :class:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix` calls
 these functions directly for the three products every training step pays
@@ -7,66 +7,71 @@ these functions directly for the three products every training step pays
 ``rmatvec`` are the one-row :func:`matmat` and :func:`rmatmat`, so each
 direction has one entry point.
 
+The values are stored row by row, ``(mb, p, nb)``: viewed as
+``(mb*p, nb)``, row ``r`` holds the ``nb`` non-zeros of padded weight row
+``r`` in ascending column.  Every product reads them where they are
+stored.
+
 Permuted block-diagonal (PBD) form: when a matrix's ``ks`` are additive
 (``ks[bi, bj] == (a[bi] + b[bj]) % p``, as natural indexing's are),
 relabelling rows and columns by class turns it into ``p`` dense
 ``mb x nb`` blocks
-(:meth:`~repro.core.block_perm_diag._IndexPlan.pbd_index`).  The blocks
-are a relayout of the ``(mb, nb, p)`` values, redone on every call
-because training writes the values every step, one fixed chunk of
-``_ROW_TILE`` block rows at a time (:func:`_pbd_chunk`: one transposing
-copy plus a contiguous row take), so its temporaries stay small.
+(:meth:`~repro.core.block_perm_diag._IndexPlan.pbd_index`).  Class ``s``
+holds one weight row per block row, in class column order, so its block
+is a take of whole stored rows, ``values.reshape(-1, nb)[index.rows[s]]``;
+nothing is relaid out.
 
 Forward: fixed-tile PBD GEMMs on an additive matrix whose padded input
-width ``nb*p`` is at least ``_PBD_MIN_WIDTH``, the scipy COO product
+width ``nb*p`` is at least ``_PBD_MIN_WIDTH``, the scipy CSR product
 otherwise.  The choice reads only the structure, never the batch, and a
 row shard inherits it from its whole matrix (a shard plan slices its
 parent's PBD index), so a request takes one path whatever its batch or
 shard.  On the PBD path the batch is zero-padded to a multiple of
 ``_BATCH_TILE`` rows and the blocks to a multiple of ``_ROW_TILE`` block
-rows, and every GEMM is one ``(T x nb) . (nb x R)`` product of one
-class, one batch tile and one row tile.  Every output is therefore
-computed by a GEMM of one shape from the same two vectors, whichever
-batch, tile position or row shard it falls in, and its bits depend on
-neither; a GEMM over a whole batch or a whole shard changes them.  The
-GEMMs sum in another order than the sparse product, so PBD-path outputs
-differ from the COO product in the last bits.  The COO view
-(``BlockPermutedDiagonalMatrix._coo``) is the index plan's own slot
-coordinates -- int32 whenever the padded dimensions permit, scipy's
-native index type -- over the padded ``(mb*p, nb*p)`` shape, with the
-stored values as its data, read in place (int16 codes are dequantized
+rows, taken one chunk of ``_ROW_TILE`` block rows at a time so the
+temporaries stay small, and every GEMM is one ``(T x nb) . (nb x R)``
+product of one class, one batch tile and one row tile.  Every output is
+therefore computed by a GEMM of one shape from the same two vectors,
+whichever batch, tile position or row shard it falls in, and its bits
+depend on neither; a GEMM over a whole batch or a whole shard changes
+them.  The GEMMs sum in another order than the sparse product, so
+PBD-path outputs differ from the CSR product in the last bits.  The CSR
+view (``BlockPermutedDiagonalMatrix._csr``) is the stored values and the
+index plan's own slot columns -- int32 whenever ``mb*p*nb`` permits,
+scipy's native index type -- with a constant-stride ``indptr`` over the
+padded ``(mb*p, nb*p)`` shape, read in place (int16 codes are dequantized
 per call).  It multiplies the zero-padded transposed operand and the
-padded output rows are sliced off.  Storage order ``(bi, bj, c)`` lists
-every row's non-zeros in ascending column order, and a padding slot adds
-an exact ``+0`` (zero weight times zero operand) or lands in a
-sliced-off row, so each output accumulates exactly as a sorted CSR row
-would, whatever its batch.  Below the width crossover the relayout and
-the padded tiles cost more than the sparse product saves (sweep in
-docs/BENCHMARKS.md).  float32 storage runs float32 products end to end
-(half the memory traffic), everything else the float64 reference
-arithmetic.
+padded output rows are sliced off.  Each stored row lists its non-zeros
+in ascending column, and a padding slot adds an exact ``+0`` (zero
+weight times zero operand) or lands in a sliced-off row, so each output
+accumulates in ascending column, whatever its batch.  Below the width
+crossover the padded tiles cost more than the sparse product saves
+(sweep in docs/BENCHMARKS.md).  float32 storage runs float32 products
+end to end (half the memory traffic), everything else the float64
+reference arithmetic.
 
 Backward: PBD GEMMs whenever ``ks`` are additive, whatever the width,
-the COO product over ``W.T`` and a gather otherwise.  The input gradient
-is one stacked ``np.matmul`` of the ``(B x mb)`` class slices of ``dy``
-against the blocks, and the weight gradient one of ``(mb x B)`` against
-``(B x nb)``.  Operands are gathered into class order in the transposed
-orientation (contiguous ``(B,)`` rows).  On additive matrices backward
-results differ from the COO path in the last bits; repeated calls are
-bit-identical.  Without additive ``ks`` the ``W.T`` view is the
-forward's coordinates swapped -- in storage order each ``W.T`` row lists
-its non-zeros in ascending original row -- and the weight gradient
-gathers against the plan's columns through a batched contraction
-(:func:`batched_grad_data`): sparse storage buys nothing there because
-the output is exactly the dense ``(mb, nb, p)`` value array.
+the CSR view's transpose (a CSC view over the same arrays) and a gather
+otherwise.  The input gradient is one stacked ``np.matmul`` of the
+``(B x mb)`` class slices of ``dy`` against the blocks, and the weight
+gradient one of ``(mb x B)`` against ``(B x nb)``, written back as whole
+rows of a ``(mb*p, nb)`` buffer.  Operands are gathered into class order
+in the transposed orientation (contiguous ``(B,)`` rows).  On additive
+matrices backward results differ from the CSR path in the last bits;
+repeated calls are bit-identical.  Without additive ``ks`` each ``W.T``
+row (a CSC column) lists its non-zeros in ascending original row, and
+the weight gradient gathers against the plan's columns through a batched
+contraction (:func:`batched_grad_data`): sparse storage buys nothing
+there because the output is exactly the dense ``(mb, p, nb)`` value
+array.
 
 Contract: every function receives operands of the correct shape, already
 cast to the matrix's compute dtype
 (:attr:`~repro.core.block_perm_diag.BlockPermutedDiagonalMatrix.compute_dtype`),
 and may index them without re-checking; input validation stays on the
-matrix.  All per-matrix state (the cached index plan, the COO views)
+matrix.  All per-matrix state (the cached index plan, the CSR views)
 lives on the matrix, never here.  Weight values are read through
-``matrix._kernel_data()`` (which the COO views also read), never
+``matrix._kernel_data()`` (which the CSR views also read), never
 ``matrix.data``, which may hold int16 fixed-point codes.  Every
 temporary or output buffer is allocated with an explicit dtype derived
 from the operands: a dtype-less ``np.zeros`` / ``np.empty`` silently
@@ -86,11 +91,11 @@ __all__ = ["batched_grad_data", "matmat", "rmatmat"]
 _CHUNK_TARGET_ELEMENTS = 1 << 16
 
 # Padded input width ``nb*p`` from which an additive matrix's forward runs
-# as PBD GEMMs; narrower ones stay on the COO product (crossover sweep in
+# as PBD GEMMs; narrower ones stay on the CSR product (crossover sweep in
 # docs/BENCHMARKS.md).
 _PBD_MIN_WIDTH = 1024
 # Batch rows ``T`` and block rows ``R`` of every PBD forward GEMM; ``R``
-# is also the relayout's chunk.  Fixed, so a product's bits never depend
+# is also the row take's chunk.  Fixed, so a product's bits never depend
 # on its batch or its row shard.
 _BATCH_TILE = 16
 _ROW_TILE = 16
@@ -104,7 +109,7 @@ def matmat(matrix, x: np.ndarray) -> np.ndarray:
     )
     if index is not None:
         return _pbd_matmat(matrix, index, x)
-    out = matrix._coo(False) @ _padded_t(x, width)
+    out = matrix._csr(False) @ _padded_t(x, width)
     return np.ascontiguousarray(out[: matrix.shape[0]].T)
 
 
@@ -113,9 +118,9 @@ def _pbd_matmat(matrix, index, x: np.ndarray) -> np.ndarray:
     tile and row tile.
 
     ``x`` is zero-padded to whole batch tiles and gathered into class
-    order, ``(p, B/T, T, nb)``; each chunk of ``R`` block rows is
-    relayouted into its ``(p, R, nb)`` class blocks (zero-padded to ``R``
-    rows in a short last chunk) and multiplied by every tile in one
+    order, ``(p, B/T, T, nb)``; each chunk of ``R`` block rows takes its
+    ``(p, R, nb)`` class blocks as whole stored rows (zero-padded to
+    ``R`` rows in a short last chunk) and multiplies every tile in one
     stacked ``np.matmul``.  Row ``bi`` of class ``s`` is output row
     ``index.rows[s, bi]``.
     """
@@ -127,13 +132,13 @@ def _pbd_matmat(matrix, index, x: np.ndarray) -> np.ndarray:
     tiles = np.take(x_pad, index.cols, axis=1).transpose(1, 0, 2).reshape(
         p, padded // _BATCH_TILE, _BATCH_TILE, nb
     )
-    values = matrix._kernel_data()
-    dtype = np.result_type(x, values)
+    rows = matrix._kernel_data().reshape(-1, nb)
+    dtype = np.result_type(x, rows)
     out = np.empty(tiles.shape[:3] + (_ROW_TILE,), dtype=dtype)
     y = np.zeros((batch, mb * p), dtype=dtype)
     for start in range(0, mb, _ROW_TILE):
         stop = min(start + _ROW_TILE, mb)
-        blocks = _pbd_chunk(values, index, start, stop)
+        blocks = np.take(rows, index.rows[:, start:stop], axis=0)
         if stop - start < _ROW_TILE:
             pad = _ROW_TILE + start - stop
             blocks = np.pad(blocks, ((0, 0), (0, pad), (0, 0)))
@@ -149,44 +154,19 @@ def rmatmat(matrix, y: np.ndarray) -> np.ndarray:
     On additive ``ks``: class ``s`` of ``dy`` (its ``(mb, B)`` rows in
     the transposed orientation) times block ``D_s``, stacked over the
     ``p`` classes in one ``np.matmul``, then scattered back to column
-    order.  Otherwise the COO product over ``W.T``.
+    order.  Otherwise the CSC product over ``W.T``.
     """
     index = matrix._get_plan().pbd_index()
     y_t = _padded_t(y, matrix.mb * matrix.p)
     if index is None:
-        out = matrix._coo(True) @ y_t
+        out = matrix._csr(True) @ y_t
         return np.ascontiguousarray(out[: matrix.shape[1]].T)
-    blocks = _pbd_blocks(matrix, index)
+    rows = matrix._kernel_data().reshape(-1, matrix.nb)
+    blocks = np.take(rows, index.rows, axis=0)
     out_t = np.matmul(blocks.transpose(0, 2, 1), y_t[index.rows])
     x_t = np.empty((matrix.nb * matrix.p, y.shape[0]), dtype=out_t.dtype)
     x_t[index.cols] = out_t  # cols is a permutation: every row is written
     return np.ascontiguousarray(x_t[: matrix.shape[1]].T)
-
-
-def _pbd_chunk(values: np.ndarray, index, start: int, stop: int) -> np.ndarray:
-    """Class blocks of block rows ``[start, stop)``: ``(p, stop - start, nb)``.
-
-    One transposing copy lays the chunk's values out ``(bi, c, bj)``, so
-    in-block row ``c`` of block row ``bi`` is one contiguous ``nb`` row;
-    one row take then picks class ``s``'s row of every block row.
-    """
-    nb, p = values.shape[1:]
-    slab = np.ascontiguousarray(values[start:stop].transpose(0, 2, 1))
-    return np.take(
-        slab.reshape(-1, nb), index.rows[:, start:stop] - start * p, axis=0
-    )
-
-
-def _pbd_blocks(matrix, index) -> np.ndarray:
-    """The ``p`` dense class blocks ``D_s`` of an additive matrix, as one
-    ``(p, mb, nb)`` array in the compute dtype, relayouted chunk by
-    chunk."""
-    values = matrix._kernel_data()
-    blocks = np.empty((matrix.p, matrix.mb, matrix.nb), dtype=values.dtype)
-    for start in range(0, matrix.mb, _ROW_TILE):
-        stop = min(start + _ROW_TILE, matrix.mb)
-        blocks[:, start:stop] = _pbd_chunk(values, index, start, stop)
-    return blocks
 
 
 def _chunk_rows(block_rows: int, per_row: int) -> int:
@@ -212,28 +192,29 @@ def _padded_t(arr: np.ndarray, width: int) -> np.ndarray:
 def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """Weight gradient for a whole batch.
 
-    ``dq[bi, bj, c] = sum_b dy[b, bi*p+c] * x[b, col(bi, bj, c)]`` (Eqn.
+    ``dq[bi, c, bj] = sum_b dy[b, bi*p+c] * x[b, col(bi, c, bj)]`` (Eqn.
     (2)).  On additive ``ks`` that is, per class ``s``, the ``(mb x B)``
     class slice of ``dy`` times the ``(B x nb)`` one of ``x``: one
-    stacked ``np.matmul`` whose ``(p, mb, nb)`` result scatters back to
-    the value layout.  Otherwise, transposed, cache-blocked gathers of
-    ``x`` against ``plan.cols`` serve the entire batch; the ``dy`` factor
-    never needs gathering because in block order its rows are exactly
-    ``dy.T`` reshaped to ``(mb, p, B)`` and broadcast over ``nb`` -- that
-    broadcast plus the chunked gather is what makes this batched
-    formulation several times cheaper than per-sample gathers.  Each
-    slab's einsum sums over the batch only, so the slab size never
-    changes a bit of the result.  Either way, slots outside the logical
-    shape get zero gradient for finite inputs: their row of ``dy`` or
-    column of ``x`` is zero padding, so every term of their sum is zero.
+    stacked ``np.matmul`` whose ``(p, mb, nb)`` result lands as whole
+    weight rows, ``grad[index.rows] = blocks``.  Otherwise, transposed,
+    cache-blocked gathers of ``x`` against ``plan.cols`` serve the entire
+    batch; the ``dy`` factor never needs gathering because in row order
+    its rows are exactly ``dy.T`` reshaped to ``(mb, p, B)`` and
+    broadcast over ``nb`` -- that broadcast plus the chunked gather is
+    what makes this batched formulation several times cheaper than
+    per-sample gathers.  Each slab's einsum sums over the batch only, so
+    the slab size never changes a bit of the result.  Either way, slots
+    outside the logical shape get zero gradient for finite inputs: their
+    row of ``dy`` or column of ``x`` is zero padding, so every term of
+    their sum is zero.
     """
     plan = matrix._get_plan()
+    mb, p, nb = matrix.mb, matrix.p, matrix.nb
     batch = x.shape[0]
     # Transposed orientation: gathers read contiguous (batch,)-rows of
     # ``x.T`` instead of strided columns of ``x``.
-    x_t = _padded_t(x, matrix.nb * matrix.p)
-    dy_t = _padded_t(dy, matrix.mb * matrix.p)
-    dy_blocks = dy_t.reshape(matrix.mb, matrix.p, batch)
+    x_t = _padded_t(x, nb * p)
+    dy_t = _padded_t(dy, mb * p)
     # The gradient is w.r.t. the *logical* weights, in the compute dtype
     # of the operands -- never the storage dtype (which may be int16
     # codes that could not hold a gradient at all).
@@ -243,27 +224,27 @@ def batched_grad_data(matrix, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
         blocks = np.matmul(
             dy_t[index.rows], x_t[index.cols].transpose(0, 2, 1)
         )
-        grad = np.empty(matrix.data.shape, dtype=dtype)
-        # Each (bi, c) is one class's row: the scatter writes every slot.
-        grad[index.block_rows, :, index.row_offsets] = blocks
-    else:
-        rows = _chunk_rows(matrix.mb, matrix.nb * matrix.p * batch)
-        grad = np.empty(matrix.data.shape, dtype=dtype)
-        # One gather buffer for every slab: a fresh ~0.5 MB slab per
-        # iteration is an mmap plus page faults each time under glibc.
-        # ``mode="clip"`` writes straight into ``out`` (the default
-        # "raise" buffers it); the plan's columns are in range by
-        # construction, so nothing is clipped.  np.zeros, not np.empty:
-        # a short last slab fills only part of it.
-        buf = np.zeros((rows * matrix.nb * matrix.p, batch), dtype=x_t.dtype)
-        for start in range(0, matrix.mb, rows):
-            stop = min(start + rows, matrix.mb)
-            idx = plan.cols[start:stop].reshape(-1)
-            gathered = buf[: idx.size]
-            np.take(x_t, idx, axis=0, out=gathered, mode="clip")
-            grad[start:stop] = np.einsum(
-                "icb,ijcb->ijc",
-                dy_blocks[start:stop],
-                gathered.reshape(stop - start, matrix.nb, matrix.p, batch),
-            )
+        grad = np.empty((mb * p, nb), dtype=dtype)
+        grad[index.rows] = blocks  # rows is a permutation: all rows written
+        return grad.reshape(mb, p, nb)
+    dy_blocks = dy_t.reshape(mb, p, batch)
+    rows = _chunk_rows(mb, nb * p * batch)
+    grad = np.empty((mb, p, nb), dtype=dtype)
+    # One gather buffer for every slab: a fresh ~0.5 MB slab per
+    # iteration is an mmap plus page faults each time under glibc.
+    # ``mode="clip"`` writes straight into ``out`` (the default
+    # "raise" buffers it); the plan's columns are in range by
+    # construction, so nothing is clipped.  np.zeros, not np.empty:
+    # a short last slab fills only part of it.
+    buf = np.zeros((rows * nb * p, batch), dtype=x_t.dtype)
+    for start in range(0, mb, rows):
+        stop = min(start + rows, mb)
+        idx = plan.cols[start:stop].reshape(-1)
+        gathered = buf[: idx.size]
+        np.take(x_t, idx, axis=0, out=gathered, mode="clip")
+        grad[start:stop] = np.einsum(
+            "icb,icjb->icj",
+            dy_blocks[start:stop],
+            gathered.reshape(stop - start, p, nb, batch),
+        )
     return grad

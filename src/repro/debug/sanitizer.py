@@ -29,17 +29,17 @@ runtime.  Inside :func:`sanitize`:
   loaded from an engine image or bundle counts one build on first use,
   like any other: a cold start builds one plan per loaded slot matrix
   and rebuilds none.
-* ``BlockPermutedDiagonalMatrix._coo`` cache misses are counted as
-  COO-view builds (``skeleton_builds``), at most one per matrix and
-  orientation; a view wraps the plan's own coordinates, so building one
-  runs no index arithmetic.  ``_IndexPlan.pbd_index`` cache misses are
-  counted as PBD index builds (the additivity check plus, for additive
-  ``ks``, the class gather vectors of the PBD products), at most one per
-  plan; a row shard's plan slices its parent's index, which builds
-  nothing and is not counted.  The forward asks for the index only at
-  or above the kernel's width crossover, so a drain of narrower matrices
-  builds none, and a wider slot builds one per whole matrix, not per
-  shard.
+* ``BlockPermutedDiagonalMatrix._csr`` cache misses are counted as
+  CSR-view builds (``skeleton_builds``), at most one per matrix and
+  orientation; a view wraps the stored values and the plan's own
+  columns, so building one runs no index arithmetic.
+  ``_IndexPlan.pbd_index`` cache misses are counted as PBD index builds
+  (the additivity check plus, for additive ``ks``, the class gather
+  vectors of the PBD products), at most one per plan; a row shard's plan
+  slices its parent's index, which builds nothing and is not counted.
+  The forward asks for the index only at or above the kernel's width
+  crossover, so a drain of narrower matrices builds none, and a wider
+  slot builds one per whole matrix, not per shard.
 
 Activation: ``with sanitize() as s: ...`` in code/tests, or export
 ``REPRO_SANITIZE=1`` and the test suite's root conftest wraps every test
@@ -120,7 +120,7 @@ class Sanitizer:
         self._frozen: list[tuple[np.ndarray, bool]] = []
         self._orig_get_plan = None
         self._orig_row_shard = None
-        self._orig_coo = None
+        self._orig_csr = None
         self._orig_pbd_index = None
 
     # -- lifecycle -----------------------------------------------------
@@ -130,12 +130,12 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         self._orig_get_plan = cls._get_plan
         self._orig_row_shard = cls.row_shard
-        self._orig_coo = cls._coo
+        self._orig_csr = cls._csr
         self._orig_pbd_index = _IndexPlan.pbd_index
         sanitizer = self
         orig_get_plan = self._orig_get_plan
         orig_row_shard = self._orig_row_shard
-        orig_coo = self._orig_coo
+        orig_csr = self._orig_csr
         orig_pbd_index = self._orig_pbd_index
 
         def _get_plan(matrix):
@@ -167,10 +167,10 @@ class Sanitizer:
             sanitizer.freeze(out._data)
             return out
 
-        def _coo(matrix, transposed):
-            if bool(transposed) not in matrix._coo_cache:
+        def _csr(matrix, transposed):
+            if bool(transposed) not in matrix._csr_cache:
                 sanitizer.stats.skeleton_builds += 1
-            return orig_coo(matrix, transposed)
+            return orig_csr(matrix, transposed)
 
         def pbd_index(plan):
             if not plan._pbd_derived and plan._pbd_parent is None:
@@ -179,7 +179,7 @@ class Sanitizer:
 
         cls._get_plan = _get_plan
         cls.row_shard = row_shard
-        cls._coo = _coo
+        cls._csr = _csr
         _IndexPlan.pbd_index = pbd_index
         return self
 
@@ -189,7 +189,7 @@ class Sanitizer:
         cls = BlockPermutedDiagonalMatrix
         cls._get_plan = self._orig_get_plan
         cls.row_shard = self._orig_row_shard
-        cls._coo = self._orig_coo
+        cls._csr = self._orig_csr
         _IndexPlan.pbd_index = self._orig_pbd_index
         # Restore flags LIFO so re-frozen duplicates unwind correctly.
         while self._frozen:

@@ -22,6 +22,7 @@ the numpy golden model (:mod:`repro.hw.verify`).
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -126,23 +127,36 @@ def read_engine_image(path) -> list[ImageEntry]:
 
     Every integer the image holds -- its version and layer count, each
     layer's ``p``, shape and fixed-point bits -- is read with
-    :func:`~repro.nn.functional.checked_int`, never truncated, and a layer
-    the count names but the archive lacks raises ``ValueError``.  v1
-    images store float64 values.
+    :func:`~repro.nn.functional.checked_int`, never truncated.  A file
+    that is not an ``.npz`` archive (truncated, or something else), an
+    archive without the version or layer count, and a layer the count
+    names but the archive lacks raise ``ValueError`` naming the image,
+    chained to the cause.  v1 images store float64 values.
     """
     entries: list[ImageEntry] = []
-    with np.load(path) as archive:
+    try:
+        archive = np.load(path)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"engine image {path}: not an .npz archive: {exc!r}"
+        ) from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):  # a lone .npy array
+        raise ValueError(f"engine image {path}: not an .npz archive")
+    with archive:
 
         def integers(key: str) -> list[int]:
             return [checked_int(key, v) for v in np.atleast_1d(archive[key])]
 
-        (version,) = integers("image_version")
+        try:
+            (version,) = integers("image_version")
+            (num_layers,) = integers("num_layers")
+        except KeyError as exc:
+            raise ValueError(f"engine image {path}: {exc.args[0]}") from exc
         if not _IMAGE_MIN_FORMAT_VERSION <= version <= _IMAGE_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported engine-image version {version} (supported: "
                 f"{_IMAGE_MIN_FORMAT_VERSION}..{_IMAGE_FORMAT_VERSION})"
             )
-        (num_layers,) = integers("num_layers")
         for idx in range(num_layers):
             layer = f"layer{idx}_"
             try:

@@ -27,8 +27,9 @@ __all__ = ["PermDiagConv2D"]
 class PermDiagConv2D(Conv2D):
     """:class:`Conv2D` whose channel plane is block-permuted diagonal.
 
-    The trainable weight is :attr:`tensor`'s ``(kh, kw, mb, nb, p)``
-    ``values`` buffer; the ``k_l`` are fixed structure, never trained.
+    The trainable weight is :attr:`tensor`'s ``(kh, kw, mb, p, nb)``
+    ``values`` buffer (each offset's channel matrix row by row); the
+    ``k_l`` are fixed structure, never trained.
 
     Args:
         in_channels, out_channels, kernel_size, stride, padding, bias:

@@ -21,9 +21,10 @@ __all__ = ["PermDiagLinear"]
 class PermDiagLinear(Module):
     """``y = W x + b`` with ``W`` block-permuted diagonal of block size ``p``.
 
-    The trainable parameter is the packed ``(mb, nb, p)`` value array
-    (the paper's ``q`` vector); permutation parameters ``k_l`` are fixed
-    structure chosen at construction and never trained.
+    The trainable parameter is the packed ``(mb, p, nb)`` value array,
+    stored row by row (the paper's ``q`` vector, reordered so each padded
+    weight row's non-zeros lie together); permutation parameters ``k_l``
+    are fixed structure chosen at construction and never trained.
 
     Args:
         in_features: input width ``n``.

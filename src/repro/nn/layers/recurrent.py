@@ -113,7 +113,7 @@ def stack_gates(gates) -> BlockPermutedDiagonalMatrix:
     data = np.stack([gate.data for gate in gates], axis=1)
     ks = np.stack([gate.ks for gate in gates], axis=1)
     return BlockPermutedDiagonalMatrix(
-        data.reshape(-1, first.nb, first.p),
+        data.reshape(-1, first.p, first.nb),
         ks.reshape(-1, first.nb),
         shape=(4 * first.shape[0], first.shape[1]),
         value_dtype=first.value_dtype,

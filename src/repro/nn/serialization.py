@@ -2,10 +2,15 @@
 
 Checkpoints hold the flat parameter state dict plus, per PD matrix, its
 per-block permutation parameters ``ks`` -- the structure the values were
-trained under, one small integer per block.  :func:`load_model` checks
-them against the model before writing any parameter, so a checkpoint
-never loads into a layer with different permutations.  No index state is
-stored: a loaded layer derives its plan from ``ks`` as usual.
+trained under, one small integer per block -- and a format version.  PD
+parameters are saved in their storage order, row by row (``(mb, p, nb)``
+per matrix, ``(kh, kw, mb, p, nb)`` per conv tensor); the version names
+that order, so a checkpoint written before it (values block-major, no
+version) is rejected instead of loading permuted weights.
+:func:`load_model` checks the version and every ``ks`` against the model
+before writing any parameter, so a checkpoint never loads into a layer
+with different permutations.  No index state is stored: a loaded layer
+derives its plan from ``ks`` as usual.
 
 :func:`model_stage_specs` flattens a trained model into the serving
 stages of :mod:`repro.serve` (PD FC, lowered conv and LSTM-cell specs
@@ -15,7 +20,6 @@ staged bundles of :mod:`repro.serve.bundle` consume.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +67,14 @@ class UnsupportedLayerError(ValueError):
         )
 
 # Checkpoint keys carrying each PD matrix's ``ks`` (in module-discovery
-# order); everything else is parameter state.  Older writers could embed
-# a whole serialized index plan per matrix instead; only its ``ks`` is
-# read.
+# order) and the format version; everything else is parameter state.
+# The version names the PD value layout: 2 is row by row.  Unversioned
+# checkpoints are version 1 (block-major values), and the oldest of them
+# hold a serialized index plan per matrix (``pd_plan_<i>``), not ``ks``.
 _KS_KEY = "pd_ks"
 _LEGACY_PLAN_KEY = "pd_plan"
+_VERSION_KEY = "checkpoint_version"
+_VERSION = 2
 
 
 def _pd_matrices(model: Module) -> list[BlockPermutedDiagonalMatrix]:
@@ -234,7 +241,8 @@ def save_model(path: str, model: Module) -> None:
     Layer structure beyond ``ks`` is not serialized -- loading requires
     rebuilding the same architecture first (the usual state-dict
     discipline).  PD layers save their packed value arrays, so checkpoints
-    of compressed models are proportionally small.
+    of compressed models are proportionally small, in the storage order
+    that the written format version names.
 
     Args:
         path: target checkpoint path.
@@ -243,15 +251,20 @@ def save_model(path: str, model: Module) -> None:
     state = model.state_dict()
     for idx, matrix in enumerate(_pd_matrices(model)):
         state[f"{_KS_KEY}_{idx}"] = np.asarray(matrix.ks)
+    state[_VERSION_KEY] = np.asarray(_VERSION)
     np.savez_compressed(path, **state)
 
 
 def load_model(path: str, model: Module) -> Module:
     """Load an ``.npz`` checkpoint into an already-constructed model.
 
-    Every stored ``ks`` is checked against the matching PD matrix before
-    any parameter is written; a mismatch raises ``ValueError`` naming the
-    matrix's index and leaves the model untouched.
+    The format version and every stored ``ks`` are checked before any
+    parameter is written, and the model is left untouched when a check
+    fails: a checkpoint holding PD structure at another format version
+    (an unversioned one stores PD values block-major) raises
+    ``ValueError`` naming the value layout, and a ``ks`` mismatch one
+    naming the matrix's index.  Checkpoints of dense models load at any
+    version.
 
     Args:
         path: checkpoint produced by :func:`save_model`.
@@ -260,17 +273,24 @@ def load_model(path: str, model: Module) -> Module:
     Returns:
         The same model instance, for chaining.
     """
-    params, stored_ks = {}, {}
     with np.load(path) as archive:
-        for key in archive.files:
-            prefix, _, index = key.rpartition("_")
-            if prefix == _KS_KEY:
-                stored_ks[int(index)] = archive[key]
-            elif prefix == _LEGACY_PLAN_KEY:
-                with np.load(io.BytesIO(archive[key].tobytes())) as plan:
-                    stored_ks[int(index)] = plan["ks"]
-            else:
-                params[key] = archive[key]
+        state = {key: archive[key] for key in archive.files}
+    version = state.pop(_VERSION_KEY, 1)
+    if version != _VERSION and any(
+        key.startswith((_KS_KEY, _LEGACY_PLAN_KEY)) for key in state
+    ):
+        raise ValueError(
+            f"checkpoint {path} has format version {version}, not "
+            f"{_VERSION}: its PD values are not in the row-by-row "
+            f"(mb, p, nb) value layout"
+        )
+    params, stored_ks = {}, {}
+    for key, value in state.items():
+        prefix, _, index = key.rpartition("_")
+        if prefix == _KS_KEY:
+            stored_ks[int(index)] = value
+        else:
+            params[key] = value
     matrices = _pd_matrices(model)
     for idx, ks in stored_ks.items():
         if idx >= len(matrices) or not np.array_equal(matrices[idx].ks, ks):

@@ -17,7 +17,7 @@ It also provides ``force_pbd`` and ``forward_path``: test-sized matrices
 are far narrower than ``repro.core.kernel._PBD_MIN_WIDTH``, the padded
 input width from which an additive matrix's forward runs as permuted
 block-diagonal GEMMs, so a test of that path must set the crossover to 0
-or it silently runs the COO product.
+or it silently runs the CSR product.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ def force_pbd(monkeypatch):
     monkeypatch.setattr(kernel, "_PBD_MIN_WIDTH", 0)
 
 
-@pytest.fixture(params=["coo", "pbd"])
+@pytest.fixture(params=["csr", "pbd"])
 def forward_path(request):
     """Run a test twice: at the default crossover, where every
-    test-sized matrix takes the COO forward, and under ``force_pbd``,
+    test-sized matrix takes the CSR forward, and under ``force_pbd``,
     where every additive one takes the PBD GEMMs."""
     if request.param == "pbd":
         request.getfixturevalue("force_pbd")

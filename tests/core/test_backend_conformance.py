@@ -20,10 +20,10 @@ The first sweeps draw random ``ks``, which are additive only when
 so their backward products run as permuted block-diagonal (PBD) GEMMs,
 and so does their forward at or above the kernel's width crossover;
 the natural-indexing sweep and properties check those against the spec
-at every value dtype, against the sparse (COO) path, and anchor the relabelling
+at every value dtype, against the sparse (CSR) path, and anchor the relabelling
 identity ``P_rows . W . P_cols = blockdiag(D_0 ... D_{p-1})``.  Tests
 taking ``forward_path`` run twice: at the default crossover, where these
-narrow matrices' forward is COO, and under ``force_pbd``, where it is
+narrow matrices' forward is CSR, and under ``force_pbd``, where it is
 the PBD GEMMs.
 """
 
@@ -80,11 +80,11 @@ def _spec_products(data, ks, shape, x, dy):
 
     Block ``(bi, bj)`` scales a ``k``-permuted input block by its diagonal
     (the SNIPPETS ``Permute`` + ``DiagLinear`` form): row ``c`` of the
-    block is global row ``bi*p + c`` and reads column
-    ``bj*p + (c + k) mod p``.  Slots past the logical shape are padding
-    and masked out.  Returns ``(W x, W.T dy, dQ)`` for the batch.
+    block is global row ``bi*p + c``, holds ``data[bi, c, bj]`` and reads
+    column ``bj*p + (c + k) mod p``.  Slots past the logical shape are
+    padding and masked out.  Returns ``(W x, W.T dy, dQ)`` for the batch.
     """
-    mb, nb, p = data.shape
+    mb, p, nb = data.shape
     m, n = shape
     x_pad = np.zeros((x.shape[0], nb * p))
     x_pad[:, :n] = x
@@ -99,10 +99,10 @@ def _spec_products(data, ks, shape, x, dy):
         for bj in range(nb):
             cols = bj * p + (c + ks[bi, bj]) % p
             mask = (rows < m) & (cols < n)
-            diag = data[bi, bj] * mask
+            diag = data[bi, :, bj] * mask
             forward[:, rows] += diag * x_pad[:, cols]
             backward[:, cols] += diag * dy_pad[:, rows]
-            grad[bi, bj] = (dy_pad[:, rows] * x_pad[:, cols]).sum(0) * mask
+            grad[bi, :, bj] = (dy_pad[:, rows] * x_pad[:, cols]).sum(0) * mask
     return forward[:, :m], backward[:, :n], grad
 
 
@@ -304,7 +304,7 @@ def test_row_shards_reassemble_forward_hypothesis(
     the decomposition the sharded serving runtime is built on.  On the
     PBD path too: these random ``ks`` are additive only when ``mb == 1``
     or ``nb == 1``, while a one-block-row shard's always are, so a shard
-    that chose its path from its own ``ks`` would leave the COO product
+    that chose its path from its own ``ks`` would leave the CSR product
     its matrix takes."""
     p, mb, nb, m_pad, n_pad, batch, seed = structure
     m = mb * p - min(m_pad, p - 1)
@@ -390,19 +390,19 @@ class TestNaturalIndexingConformance:
     def test_pbd_agrees_with_the_csr_path(
         self, m, n, p, batch, case_seed, monkeypatch, forward_path
     ):
-        """On one additive matrix the PBD products and the COO/gather
+        """On one additive matrix the PBD products and the CSR/gather
         products (forced by hiding the PBD index) agree to 1e-10.  At
-        the default crossover these narrow matrices' forward is COO
+        the default crossover these narrow matrices' forward is CSR
         either way and stays bit-identical; under ``force_pbd`` it runs
-        the GEMMs and builds no COO view."""
+        the GEMMs and builds no CSR view."""
         matrix, rng = _build_natural(m, n, p, case_seed)
         x = rng.normal(size=(batch, n))
         dy = rng.normal(size=(batch, m))
         pbd = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
-        assert (False in matrix._coo_cache) == (forward_path == "coo")
+        assert (False in matrix._csr_cache) == (forward_path == "csr")
         monkeypatch.setattr(_IndexPlan, "pbd_index", lambda plan: None)
         csr = (matrix.matmat(x), matrix.rmatmat(dy), matrix.grad_data(x, dy))
-        if forward_path == "coo":
+        if forward_path == "csr":
             np.testing.assert_array_equal(pbd[0], csr[0])
         names = ("matmat", "rmatmat", "grad_data")
         for name, got, want in zip(names, pbd, csr):
@@ -430,7 +430,7 @@ def test_natural_products_match_spec_hypothesis(
 def _spec_dense_padded(data, ks, shape):
     """``W`` zero-padded to ``(mb*p, nb*p)`` from ``(data, ks, shape)``
     alone, by Eqn. (1); slots past the logical shape stay zero."""
-    mb, nb, p = data.shape
+    mb, p, nb = data.shape
     m, n = shape
     dense = np.zeros((mb * p, nb * p))
     c = np.arange(p)
@@ -438,7 +438,7 @@ def _spec_dense_padded(data, ks, shape):
         for bj in range(nb):
             rows = bi * p + c
             cols = bj * p + (c + ks[bi, bj]) % p
-            dense[rows, cols] = data[bi, bj] * ((rows < m) & (cols < n))
+            dense[rows, cols] = data[bi, :, bj] * ((rows < m) & (cols < n))
     return dense
 
 
@@ -448,11 +448,9 @@ def test_pbd_relabelling_is_block_diagonal_hypothesis(structure):
     """For additive ``ks``, ``P_rows . W . P_cols = blockdiag(D_0 ...
     D_{p-1})``: the index's class orders are permutations, every entry
     off the class blocks is zero, and the blocks are exactly the
-    ``(p, mb, nb)`` relayout the kernel multiplies (padded shapes
-    included)."""
+    ``(p, mb, nb)`` take of whole stored rows the kernel multiplies
+    (padded shapes included)."""
     from scipy.linalg import block_diag
-
-    from repro.core import kernel
 
     p, mb, nb, m_pad, n_pad, _, seed = structure
     m = mb * p - min(m_pad, p - 1)
@@ -463,7 +461,7 @@ def test_pbd_relabelling_is_block_diagonal_hypothesis(structure):
     np.testing.assert_array_equal(np.sort(rows), np.arange(mb * p))
     np.testing.assert_array_equal(np.sort(cols), np.arange(nb * p))
     dense = _spec_dense_padded(matrix.data, matrix.ks, matrix.shape)
-    blocks = kernel._pbd_blocks(matrix, index)
+    blocks = np.take(matrix.data.reshape(-1, nb), index.rows, axis=0)
     assert blocks.shape == (p, mb, nb)
     np.testing.assert_array_equal(
         dense[np.ix_(rows, cols)], block_diag(*blocks)
@@ -502,7 +500,7 @@ class TestPBDDispatch:
             dy = rng.normal(size=(3, shard.shape[0]))
             _check_against_spec(shard, x, dy, ATOL)
 
-    def test_non_additive_ks_take_the_coo_path(self):
+    def test_non_additive_ks_take_the_csr_path(self):
         # ks[1, 1] would have to be ks[1, 0] + ks[0, 1] - ks[0, 0] = 0.
         ks = np.array([[0, 0], [0, 1]])
         data = np.random.default_rng(0).normal(size=(2, 2, 2))
@@ -512,7 +510,7 @@ class TestPBDDispatch:
         x = np.random.default_rng(1).normal(size=(3, 4))
         dy = np.random.default_rng(2).normal(size=(3, 4))
         _check_against_spec(matrix, x, dy, ATOL)
-        assert set(matrix._coo_cache) == {False, True}
+        assert set(matrix._csr_cache) == {False, True}
 
     @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
     def test_backward_is_deterministic(self, value_dtype):
@@ -534,12 +532,12 @@ class TestPBDDispatch:
 @pytest.mark.parametrize("value_dtype", ["float64", "float32", "int16"])
 def test_one_row_products_equal_the_vector_products(scheme, value_dtype):
     """``matvec`` is the one-row ``matmat``, bit for bit the same as
-    scipy's single-vector COO product over the padded view (the engine's
+    scipy's single-vector CSR product over the padded view (the engine's
     bit-accurate path and ``hw/verify.py`` read it); off the PBD path
     ``rmatvec`` is likewise the single-vector product over ``W.T``."""
 
-    def coo_vector_product(matrix, v, transposed):
-        view = matrix._coo(transposed)
+    def csr_vector_product(matrix, v, transposed):
+        view = matrix._csr(transposed)
         padded = np.zeros(view.shape[1], dtype=v.dtype)
         padded[: v.size] = v
         return (view @ padded)[: matrix.shape[0 if not transposed else 1]]
@@ -553,12 +551,12 @@ def test_one_row_products_equal_the_vector_products(scheme, value_dtype):
         x = rng.normal(size=n).astype(matrix.compute_dtype)
         y = rng.normal(size=m).astype(matrix.compute_dtype)
         np.testing.assert_array_equal(
-            matrix.matvec(x), coo_vector_product(matrix, x, False)
+            matrix.matvec(x), csr_vector_product(matrix, x, False)
         )
         np.testing.assert_array_equal(
             matrix.rmatvec(y), matrix.rmatmat(y[None])[0]
         )
         if matrix._get_plan().pbd_index() is None:
             np.testing.assert_array_equal(
-                matrix.rmatvec(y), coo_vector_product(matrix, y, True)
+                matrix.rmatvec(y), csr_vector_product(matrix, y, True)
             )

@@ -1,6 +1,6 @@
 """The product kernel (:mod:`repro.core.kernel`): products against the
-dense reference, cache-blocked gradient paths, COO views that alias the
-plan's int32 coordinates and the stored values and list every row in the
+dense reference, cache-blocked gradient paths, CSR views that alias the
+plan's int32 columns and the stored values and list every row in the
 sorted order scipy accumulates in, and the index plans a matrix decoded
 from its stored form derives from ``ks``."""
 
@@ -148,23 +148,39 @@ def _drawn_matrix(draw):
     return matrix, [matrix]
 
 
-class TestCOOViews:
-    """The products' only index structure is the plan's own coordinates:
-    the COO views alias them (and float storage), keep every row and
-    column in the sorted order scipy accumulates in, and read the values
-    current at each call."""
+def _view_coordinates(view):
+    """``(rows, cols)`` of a CSR or CSC view's slots, in the storage
+    order scipy accumulates them in."""
+    major = np.repeat(np.arange(view.indptr.size - 1), np.diff(view.indptr))
+    if view.format == "csr":
+        return major, view.indices
+    return view.indices, major
+
+
+class TestCSRViews:
+    """The products' only index structure is the plan's own columns: the
+    CSR views (and their CSC transposes) alias them (and float storage)
+    under a constant-stride ``indptr``, keep every row and column in the
+    sorted order scipy accumulates in, and read the values current at
+    each call."""
 
     @settings(max_examples=60, deadline=None)
     @given(_drawn_matrix())
     def test_storage_order_sorts_every_row_and_column(self, drawn):
-        """scipy accumulates a COO product in storage order, so bit-exact
-        serving depends on each row's in-bounds columns, and each
-        column's rows (the ``W.T`` view), appearing strictly ascending."""
+        """scipy accumulates a CSR (CSC) product in storage order, so
+        bit-exact serving depends on each row's in-bounds columns, and
+        each column's rows (the ``W.T`` view), appearing strictly
+        ascending."""
         for part in drawn[1]:
             m, n = part.shape
             for transposed in (False, True):
-                view = part._coo(transposed)
-                rows, cols = view.row, view.col
+                view = part._csr(transposed)
+                assert view.format == ("csc" if transposed else "csr")
+                np.testing.assert_array_equal(
+                    view.indptr,
+                    np.arange(0, part.data.size + 1, part.nb),
+                )
+                rows, cols = _view_coordinates(view)
                 height, width = (n, m) if transposed else (m, n)
                 keep = (rows < height) & (cols < width)
                 assert keep.sum() == part.nnz
@@ -175,19 +191,17 @@ class TestCOOViews:
 
     @settings(max_examples=60, deadline=None)
     @given(_drawn_matrix())
-    def test_views_alias_the_plan_coordinates_and_float_values(self, drawn):
+    def test_views_alias_the_plan_columns_and_float_values(self, drawn):
         for part in drawn[1]:
             plan = part._get_plan()
-            assert plan.rows.dtype == np.int32
+            assert not hasattr(plan, "rows")
             assert plan.cols.dtype == np.int32
             for transposed in (False, True):
-                view = part._coo(transposed)
-                row, col = (plan.rows, plan.cols)[:: -1 if transposed else 1]
-                assert np.shares_memory(view.row, row)
-                assert np.shares_memory(view.col, col)
-                for arr in (view.row, view.col):
-                    with pytest.raises(ValueError):
-                        arr[...] = 0
+                view = part._csr(transposed)
+                assert np.shares_memory(view.indices, plan.cols)
+                assert view.indptr.dtype == plan.cols.dtype
+                with pytest.raises(ValueError):
+                    view.indices[...] = 0
                 if part.value_dtype != "int16":
                     assert np.shares_memory(view.data, part.data)
 
@@ -222,7 +236,7 @@ class TestCOOViews:
             )
             y_t = np.zeros((part.mb * part.p, y.shape[0]), dtype=y.dtype)
             y_t[: part.shape[0]] = y.T
-            out = part._coo(True) @ y_t
+            out = part._csr(True) @ y_t
             np.testing.assert_allclose(
                 out[: part.shape[1]].T, y @ dense, atol=tol, rtol=tol
             )
@@ -231,7 +245,7 @@ class TestCOOViews:
         for part in parts:
             x = rng.normal(size=(3, part.shape[1])).astype(part.compute_dtype)
             y = rng.normal(size=(3, part.shape[0])).astype(part.compute_dtype)
-            part.matmat(x), part.rmatmat(y), part._coo(True)
+            part.matmat(x), part.rmatmat(y), part._csr(True)
             inputs.append((x, y))
         with sanitize() as s:
             matrix.data[...] = new_values(matrix.data, matrix.support_mask())
@@ -278,9 +292,8 @@ class TestDecodedPlans:
         assert (clone.mb, clone.nb) == (plan.mb, plan.nb)
         assert clone.full_support == plan.full_support
         np.testing.assert_array_equal(clone.ks, plan.ks)
-        for a, b in ((clone.rows, plan.rows), (clone.cols, plan.cols)):
-            np.testing.assert_array_equal(a, b)
-            assert a.dtype == b.dtype
+        np.testing.assert_array_equal(clone.cols, plan.cols)
+        assert clone.cols.dtype == plan.cols.dtype
         np.testing.assert_array_equal(clone.support, plan.support)
         for a, b in zip(clone.support_coords(), plan.support_coords()):
             np.testing.assert_array_equal(a, b)
@@ -289,11 +302,10 @@ class TestDecodedPlans:
     def test_decoded_plan_arrays_are_read_only(self):
         clone = _decode(_random_bpd((13, 10), 4, seed=14))
         plan = _warm(clone._get_plan())
-        arrays = [plan.rows, plan.cols, plan.support, plan.ks]
+        arrays = [plan.cols, plan.support, plan.ks]
         arrays += [*plan.support_coords()]
         for transposed in (False, True):
-            view = clone._coo(transposed)
-            arrays += [view.row, view.col]
+            arrays.append(clone._csr(transposed).indices)
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[...] = 0
@@ -307,7 +319,7 @@ class TestDecodedPlans:
         plan = clone._plan
         assert plan is not None
         assert plan._support_coords is None and not plan._pbd_derived
-        assert set(clone._coo_cache) == {False}
+        assert set(clone._csr_cache) == {False}
 
     def test_decoded_matrix_builds_its_plan_once(self, monkeypatch):
         bpd = _random_bpd((13, 10), 4, seed=16)

@@ -29,16 +29,16 @@ class TestConstruction:
     def test_rejects_inconsistent_logical_shape(self):
         with pytest.raises(ValueError):
             BlockPermutedDiagonalMatrix(
-                np.zeros((2, 2, 4)), np.zeros((2, 2)), shape=(3, 8)
+                np.zeros((2, 4, 2)), np.zeros((2, 2)), shape=(3, 8)
             )
 
     def test_default_shape_is_padded(self):
-        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 3, 4)), np.zeros((2, 3)))
+        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 4, 3)), np.zeros((2, 3)))
         assert bpd.shape == (8, 12)
 
     def test_ks_reduced_modulo_p(self):
         bpd = BlockPermutedDiagonalMatrix(
-            np.ones((1, 1, 4)), np.array([[7]])
+            np.ones((1, 4, 1)), np.array([[7]])
         )
         assert bpd.ks[0, 0] == 3
 
@@ -73,7 +73,7 @@ class TestStructure:
         mb, nb = -(-shape[0] // p), -(-shape[1] // p)
         rng = np.random.default_rng(0)
         bpd = BlockPermutedDiagonalMatrix(
-            rng.normal(size=(mb, nb, p)),
+            rng.normal(size=(mb, p, nb)),
             np.zeros((mb, nb), dtype=int),
             shape=shape,
         )

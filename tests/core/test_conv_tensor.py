@@ -99,7 +99,7 @@ class TestOffsetMatrices:
 
     def test_offsets_view_values_and_share_one_plan(self):
         t = BlockPermDiagTensor4D.random(10, 6, (2, 3), p=4, rng=10)
-        assert t.values.shape == (2, 3, 3, 2, 4)
+        assert t.values.shape == (2, 3, 3, 4, 2)
         assert t.values.flags.c_contiguous
         plan = t.matrices[0]._get_plan()
         for offset, matrix in enumerate(t.matrices):
@@ -110,7 +110,7 @@ class TestOffsetMatrices:
             assert matrix.value_dtype == "float64"
 
     def test_clean_values_are_aliased(self):
-        values = np.ones((1, 1, 2, 2, 3))
+        values = np.ones((1, 1, 2, 3, 2))
         assert BlockPermDiagTensor4D(values, np.zeros((2, 2))).values is values
         # Non-zero padding slots are zeroed in a copy instead.
         padded = BlockPermDiagTensor4D(values, np.zeros((2, 2)), (5, 6))
@@ -123,6 +123,7 @@ class TestOffsetMatrices:
         kernels = np.random.default_rng(12).normal(
             0.0, np.sqrt(2.0 / 18.0), size=(4, 2, 2, 3, 3)
         )
+        # Drawn (mb, nb, p, kh, kw), stored (kh, kw, mb, p, nb).
         np.testing.assert_array_equal(
-            t.values, kernels.transpose(3, 4, 0, 1, 2)
+            t.values, kernels.transpose(3, 4, 0, 2, 1)
         )

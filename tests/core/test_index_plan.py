@@ -21,13 +21,13 @@ class TestPlanCache:
         assert bpd._get_plan() is bpd._get_plan()
         assert bpd.support_mask() is bpd.support_mask()
         plan = bpd._get_plan()
-        view = bpd._coo(False)
-        assert bpd._coo(False) is view
-        assert np.shares_memory(view.row, plan.rows)
-        assert np.shares_memory(view.col, plan.cols)
+        view = bpd._csr(False)
+        assert bpd._csr(False) is view
+        assert np.shares_memory(view.indices, plan.cols)
+        assert np.shares_memory(view.data, bpd.data)
 
     def test_plan_built_lazily_for_aligned_shapes(self):
-        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 3, 4)), np.zeros((2, 3)))
+        bpd = BlockPermutedDiagonalMatrix(np.ones((2, 4, 3)), np.zeros((2, 3)))
         assert bpd._plan is None  # aligned construction needs no indices
         bpd.matvec(np.zeros(12))
         assert bpd._plan is not None
@@ -35,7 +35,7 @@ class TestPlanCache:
     def test_plan_arrays_are_read_only(self):
         bpd = _random_bpd((10, 14), 4)
         plan = bpd._get_plan()
-        for arr in (plan.rows, plan.cols, bpd.support_mask()):
+        for arr in (plan.cols, bpd.support_mask()):
             with pytest.raises(ValueError):
                 arr[...] = 0
 
@@ -53,7 +53,7 @@ class TestPlanCache:
     def test_siblings_get_their_own_value_cache(self, make):
         """The plan-sharing constructors build through one helper: each
         sibling carries its structure and value dtype, and starts with an
-        empty COO view cache, so a product the parent ran first never
+        empty CSR view cache, so a product the parent ran first never
         serves the parent's values to the sibling."""
         base = _random_bpd((10, 14), 4, seed=5)  # row- and column-padded
         x = np.random.default_rng(1).normal(size=(3, 14))
@@ -65,7 +65,7 @@ class TestPlanCache:
             ),
             "row_shard": lambda: (base.row_shard(1, 3), base.ks[1:], "float64"),
         }[make]()
-        assert sibling._coo_cache == {}
+        assert sibling._csr_cache == {}
         assert sibling.value_dtype == value_dtype
         np.testing.assert_array_equal(sibling.ks, ks)
         np.testing.assert_allclose(
@@ -108,7 +108,7 @@ class TestStructureMutation:
 
 class TestAliasingContract:
     def test_aligned_data_is_aliased_not_copied(self):
-        arr = np.random.default_rng(0).normal(size=(2, 3, 4))
+        arr = np.random.default_rng(0).normal(size=(2, 4, 3))
         bpd = BlockPermutedDiagonalMatrix(arr, np.zeros((2, 3)))
         assert bpd.data is arr
 
@@ -120,7 +120,7 @@ class TestAliasingContract:
         assert bpd.data is arr
 
     def test_padding_violation_triggers_masked_copy(self):
-        arr = np.ones((2, 3, 4))
+        arr = np.ones((2, 4, 3))
         bpd = BlockPermutedDiagonalMatrix(arr, np.zeros((2, 3)), shape=(7, 10))
         assert bpd.data is not arr
         assert np.all(arr == 1.0)  # caller's array untouched
@@ -196,7 +196,8 @@ class TestLastRowCols:
         bpd = _random_bpd((m, n), p, seed=seed, scheme=scheme)
         kept = m - (bpd.mb - 1) * p
         offsets = nonzero_column(np.arange(kept), bpd.ks[-1][:, None], p)
-        want = (np.arange(bpd.nb)[:, None] * p + offsets).reshape(-1)
+        # Row by row: kept row c's nb columns, in ascending block column.
+        want = (np.arange(bpd.nb)[None, :] * p + offsets.T).reshape(-1)
         cols = bpd._get_plan().last_row_cols
         np.testing.assert_array_equal(cols, want[want < n])
         assert cols is bpd._get_plan().last_row_cols  # built once

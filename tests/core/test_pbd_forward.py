@@ -3,7 +3,7 @@ it, and the bit identities it keeps.
 
 An additive matrix at least ``_PBD_MIN_WIDTH`` padded columns wide runs
 its forward as ``(T x nb) . (nb x R)`` GEMMs, one per class, batch tile
-and row tile (:mod:`repro.core.kernel`); everything else runs the COO
+and row tile (:mod:`repro.core.kernel`); everything else runs the CSR
 product.  Test-sized matrices are far narrower, so the pins below run
 under ``force_pbd`` and check, on drawn shapes (padded included) at
 every value dtype, that an output's bits depend on nothing but its
@@ -72,17 +72,17 @@ class TestPathChoice:
         matrix = BlockPermutedDiagonalMatrix.random((40, n), 10, rng=0)
         for batch in (1, 2, 17):
             matrix.matmat(np.ones((batch, n)))
-        assert (False in matrix._coo_cache) != pbd
+        assert (False in matrix._csr_cache) != pbd
 
-    def test_non_additive_ks_stay_on_coo(self):
+    def test_non_additive_ks_stay_on_csr(self):
         spec = PermutationSpec(scheme="random", seed=0)
         matrix = BlockPermutedDiagonalMatrix.random((40, 2048), 8, spec=spec)
         assert matrix._get_plan().pbd_index() is None
         matrix.matmat(np.ones((16, 2048)))
-        assert False in matrix._coo_cache
+        assert False in matrix._csr_cache
 
     @pytest.mark.usefixtures("force_pbd")
-    def test_shards_of_a_non_additive_matrix_stay_on_coo(self):
+    def test_shards_of_a_non_additive_matrix_stay_on_csr(self):
         """A one-block-row shard's own ``ks`` are always additive; it
         takes its whole matrix's path all the same."""
         ks = np.array([[1, 1], [1, 0]])
@@ -93,7 +93,7 @@ class TestPathChoice:
         for shard in matrix.row_shards(2):
             assert shard._get_plan().pbd_index() is None
             shard.matmat(x)
-            assert False in shard._coo_cache
+            assert False in shard._csr_cache
 
     def test_shard_index_is_its_matrix_index_sliced(self):
         matrix = BlockPermutedDiagonalMatrix.random((45, 30), 4, rng=7)
@@ -105,9 +105,8 @@ class TestPathChoice:
             np.testing.assert_array_equal(
                 index.rows, whole.rows[:, start:stop] - start * matrix.p
             )
-            np.testing.assert_array_equal(
-                index.row_offsets, whole.row_offsets[:, start:stop]
-            )
+            # Whole stored rows are taken: no per-block row offsets.
+            assert index._fields == ("rows", "cols")
             np.testing.assert_array_equal(index.cols, whole.cols)
             start = stop
 

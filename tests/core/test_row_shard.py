@@ -92,8 +92,8 @@ class TestPlanSlicing:
         plan = matrix._get_plan()
         plan.support_coords()
         plan.pbd_index()
-        matrix._coo(False)
-        matrix._coo(True)
+        matrix._csr(False)
+        matrix._csr(True)
 
         def boom(*args, **kwargs):
             raise AssertionError("row sharding rebuilt an index plan")

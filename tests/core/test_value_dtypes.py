@@ -289,18 +289,24 @@ class TestDecoding:
         x = np.random.default_rng(10).normal(size=(3, 16))
         np.testing.assert_array_equal(restored.matmat(x), i16.matmat(x))
 
-    def test_from_q_aliases_values_in_the_storage_dtype(self):
+    def test_from_q_copies_block_major_q_into_row_storage(self):
+        """``q`` is block-major and the storage row by row, so decoding
+        copies it once, in the storage dtype, into C-contiguous values."""
         f32 = _matrix("float32", shape=(23, 17), seed=11)
         q = f32.to_q()
         restored = _from_q(f32, q, value_dtype="float32")
         assert restored.value_dtype == "float32"
-        assert np.shares_memory(restored.data, q)
+        assert restored.data.dtype == np.float32
+        assert restored.data.flags.c_contiguous
+        assert not np.shares_memory(restored.data, q)
+        np.testing.assert_array_equal(restored.data, f32.data)
+        np.testing.assert_array_equal(restored.to_q(), q)
 
     def test_explicit_value_dtype_overrides_stored_dtype(self):
         i16 = _matrix("int16", seed=13)
         restored = _from_q(
             i16,
-            np.asarray(i16._kernel_data(), dtype=np.float64).reshape(-1),
+            i16.with_value_dtype("float64").to_q(),
             value_dtype="float64",
         )
         assert restored.value_dtype == "float64"

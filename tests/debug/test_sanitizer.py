@@ -16,7 +16,7 @@ from repro.debug import (
 def _matrix(seed=0, blocks=(4, 3), p=4):
     rng = np.random.default_rng(seed)
     ks = rng.integers(0, p, size=blocks)
-    data = rng.standard_normal((*blocks, p))
+    data = rng.standard_normal((blocks[0], p, blocks[1]))
     return BlockPermutedDiagonalMatrix(data, ks)
 
 
@@ -84,7 +84,7 @@ class TestPlanCounting:
 class TestSkeletonCounting:
     def test_fc_server_builds_skeletons_on_first_drain_only(self):
         """Two PD FC layers at two shards: each shard builds its forward
-        COO view on the first drain (4 builds) and reuses it after."""
+        CSR view on the first drain (4 builds) and reuses it after."""
         from repro.nn import PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer
 
@@ -114,11 +114,11 @@ class TestSkeletonCounting:
                 clone.rmatmat(np.zeros((2, clone.shape[0])))
             assert s.stats.skeleton_builds == 2
 
-    def test_coo_patch_undone_on_exit(self):
-        before = BlockPermutedDiagonalMatrix._coo
+    def test_csr_patch_undone_on_exit(self):
+        before = BlockPermutedDiagonalMatrix._csr
         with sanitize():
-            assert BlockPermutedDiagonalMatrix._coo is not before
-        assert BlockPermutedDiagonalMatrix._coo is before
+            assert BlockPermutedDiagonalMatrix._csr is not before
+        assert BlockPermutedDiagonalMatrix._csr is before
 
 
 def _slot_matrices(server):
@@ -133,7 +133,7 @@ def _slot_matrices(server):
 class TestPBDCounting:
     """PBD index builds: at most one per whole matrix.  The forward asks
     for one only at or above the kernel's width crossover, so a drain of
-    test-sized matrices stays on COO unless ``force_pbd`` lowers it."""
+    test-sized matrices stays on CSR unless ``force_pbd`` lowers it."""
 
     def test_backward_builds_one_pbd_index_and_no_transposed_skeleton(self):
         m = BlockPermutedDiagonalMatrix.random((13, 10), 4, rng=0)
@@ -171,7 +171,7 @@ class TestPBDCounting:
                     shard.rmatmat(np.zeros((2, shard.shape[0])))
                 assert s.stats.pbd_builds == 1
 
-    def test_from_model_drain_stays_on_coo(self):
+    def test_from_model_drain_stays_on_csr(self):
         from repro.nn import LSTMCell, PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer
 
@@ -190,9 +190,9 @@ class TestPBDCounting:
                 matrices = _slot_matrices(server)
                 assert s.stats.pbd_builds == 0
                 assert s.stats.skeleton_builds == len(matrices)
-                assert all(set(m._coo_cache) == {False} for m in matrices)
+                assert all(set(m._csr_cache) == {False} for m in matrices)
 
-    def test_from_bundle_drain_stays_on_coo(self, tmp_path):
+    def test_from_bundle_drain_stays_on_csr(self, tmp_path):
         from repro.nn import PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer, export_model_bundle
 
@@ -209,12 +209,12 @@ class TestPBDCounting:
             matrices = _slot_matrices(server)
             assert s.stats.pbd_builds == 0
             assert s.stats.skeleton_builds == len(matrices)
-            assert all(set(m._coo_cache) == {False} for m in matrices)
+            assert all(set(m._csr_cache) == {False} for m in matrices)
 
     @pytest.mark.usefixtures("force_pbd")
-    def test_drain_above_the_crossover_leaves_coo(self, tmp_path):
+    def test_drain_above_the_crossover_leaves_csr(self, tmp_path):
         """Each slot's whole matrix builds one PBD index, which its
-        shards slice; no shard builds a COO view."""
+        shards slice; no shard builds a CSR view."""
         from repro.nn import PermDiagLinear, ReLU, Sequential
         from repro.serve import ModelServer, export_model_bundle
 

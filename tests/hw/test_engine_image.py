@@ -1,12 +1,15 @@
 """Engine images (format v3): values plus ``ks``, decoded through
 ``from_q``; no index state is stored."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
 import repro.core.block_perm_diag as mod
 from repro.core import BlockPermutedDiagonalMatrix
 from repro.hw import PermDNNEngine, export_engine_image, load_engine_image
+from repro.hw.engine import read_engine_image
 
 
 def _layers(rng):
@@ -146,6 +149,53 @@ class TestImageIntegers:
         path = _tampered(tmp_path, num_layers=3)
         with pytest.raises(ValueError, match="names 3 layers but lacks layer 2"):
             load_engine_image(path)
+
+
+_READERS = pytest.mark.parametrize(
+    "read", [read_engine_image, load_engine_image],
+    ids=["read_engine_image", "load_engine_image"],
+)
+
+
+class TestDamagedImages:
+    """A damaged image raises ``ValueError`` naming the image, chained to
+    what numpy or zipfile raised, whichever reader is called."""
+
+    @_READERS
+    def test_missing_version(self, tmp_path, read):
+        path = _tampered(tmp_path)
+        with np.load(path) as archive:
+            payload = {key: archive[key] for key in archive.files}
+        del payload["image_version"]
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == (
+            f"engine image {path}: image_version is not a file in the archive"
+        )
+        assert type(excinfo.value.__cause__) is KeyError
+
+    @_READERS
+    def test_truncated_file(self, tmp_path, read):
+        path = tmp_path / "image.npz"
+        export_engine_image(path, _layers(np.random.default_rng(7)))
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ValueError, match="not an .npz archive") as excinfo:
+            read(path)
+        assert str(excinfo.value).startswith(f"engine image {path}: ")
+        assert type(excinfo.value.__cause__) is zipfile.BadZipFile
+
+    @_READERS
+    def test_not_an_archive(self, tmp_path, read):
+        path = tmp_path / "image.npz"
+        path.write_bytes(b"no archive here, just bytes " * 4)
+        with pytest.raises(ValueError, match="not an .npz archive") as excinfo:
+            read(path)
+        assert str(excinfo.value).startswith(f"engine image {path}: ")
+        assert type(excinfo.value.__cause__) is ValueError
+        np.save(tmp_path / "array.npy", np.arange(3))
+        with pytest.raises(ValueError, match="not an .npz archive"):
+            read(tmp_path / "array.npy")
 
 
 class TestStoredBackendKey:

@@ -126,9 +126,10 @@ class TestPlanCheckpointing:
         for param, value in zip(wrong.parameters(), before):
             np.testing.assert_array_equal(param.value, value)
 
-    def test_legacy_plan_entry_checked_through_its_ks(self, tmp_path):
-        """Older checkpoints embedded a serialized plan per PD matrix as
-        ``pd_plan_<i>``; only the ``ks`` inside it is read."""
+    def test_legacy_plan_entry_is_rejected(self, tmp_path):
+        """The oldest checkpoints embedded a serialized plan per PD matrix
+        as ``pd_plan_<i>``; all of them predate the format version, so
+        their values are block-major and they are rejected."""
         import io
 
         model = Sequential(PermDiagLinear(16, 16, p=4, rng=0, bias=False))
@@ -141,12 +142,71 @@ class TestPlanCheckpointing:
             pd_plan_0=np.frombuffer(blob.getvalue(), dtype=np.uint8),
         )
         clone = Sequential(PermDiagLinear(16, 16, p=4, rng=5, bias=False))
-        load_model(path, clone)
-        np.testing.assert_array_equal(
-            clone[0].matrix.data, model[0].matrix.data
+        before = clone[0].matrix.data.copy()
+        with pytest.raises(ValueError, match="value layout"):
+            load_model(path, clone)
+        np.testing.assert_array_equal(clone[0].matrix.data, before)
+
+
+class TestCheckpointVersion:
+    """PD values are saved in their storage order, row by row; the format
+    version names it, so a checkpoint from before it (block-major values,
+    no version) fails to load instead of loading permuted weights."""
+
+    @staticmethod
+    def _model(seed):
+        return Sequential(
+            PermDiagLinear(16, 16, p=4, rng=seed),
+            PermDiagLinear(16, 24, p=4, rng=seed + 1),
         )
-        with pytest.raises(ValueError, match="PD matrix 0"):
-            load_model(path, self._random_spec_layer())
+
+    @staticmethod
+    def _unversioned(path, model):
+        """The checkpoint the writer before the version made of
+        ``model``: each PD value array block-major, ``(mb, nb, p)``, and
+        no version entry."""
+        state = {
+            key: value.transpose(0, 2, 1) if value.ndim == 3 else value
+            for key, value in model.state_dict().items()
+        }
+        for idx, layer in enumerate((model[0], model[1])):
+            state[f"pd_ks_{idx}"] = np.asarray(layer.matrix.ks)
+        np.savez_compressed(path, **state)
+
+    def test_save_writes_the_version(self, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        save_model(path, self._model(0))
+        with np.load(path) as archive:
+            assert int(archive["checkpoint_version"]) == 2
+
+    def test_unversioned_pd_checkpoint_is_rejected_untouched(self, tmp_path):
+        path = str(tmp_path / "old.npz")
+        self._unversioned(path, self._model(0))
+        clone = self._model(7)
+        before = [param.value.copy() for param in clone.parameters()]
+        with pytest.raises(ValueError, match="value layout"):
+            load_model(path, clone)
+        for param, value in zip(clone.parameters(), before):
+            np.testing.assert_array_equal(param.value, value)
+
+    def test_other_versions_are_rejected(self, tmp_path):
+        path = str(tmp_path / "future.npz")
+        save_model(path, self._model(0))
+        with np.load(path) as archive:
+            state = {key: archive[key] for key in archive.files}
+        state["checkpoint_version"] = np.asarray(3)
+        np.savez(path, **state)
+        with pytest.raises(ValueError, match="format version 3"):
+            load_model(path, self._model(7))
+
+    def test_unversioned_dense_checkpoint_still_loads(self, tmp_path):
+        model = Sequential(Linear(16, 8, rng=0), ReLU(), Linear(8, 4, rng=1))
+        path = str(tmp_path / "dense.npz")
+        np.savez_compressed(path, **model.state_dict())
+        clone = Sequential(Linear(16, 8, rng=2), ReLU(), Linear(8, 4, rng=3))
+        load_model(path, clone)
+        x = np.random.default_rng(4).normal(size=(3, 16))
+        np.testing.assert_array_equal(clone.forward(x), model.forward(x))
 
 
 class TestLSTMCheckpointing:

@@ -5,7 +5,6 @@ one whole matrix."""
 
 import json
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +280,10 @@ _DAMAGED_BUNDLES = [
     pytest.param(
         _drop_shard1, FileNotFoundError, "shard1.npz", id="no-shard1"
     ),
+    # The image reader names the image and chains zipfile's BadZipFile.
     pytest.param(
-        _truncate_shard1, zipfile.BadZipFile, "zip", id="truncated-shard1"
+        _truncate_shard1, ValueError,
+        "shard1.npz: not an .npz archive: BadZipFile", id="truncated-shard1",
     ),
     pytest.param(
         _image_num_layers(1.9), ValueError,
@@ -322,7 +323,7 @@ class TestBundleSanitizer:
     def test_bundle_boot_and_serve_builds_each_plan_once(self, tmp_path):
         """Sanitizer-counted cold-start property: a bundle stores no index
         state, so each layer's whole decoded matrix derives one index
-        plan, every served shard slices it and builds its own forward COO
+        plan, every served shard slices it and builds its own forward CSR
         view exactly once, and nothing is rebuilt."""
         from repro.debug import sanitize
 

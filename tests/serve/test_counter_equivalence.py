@@ -21,7 +21,7 @@ not divide the layer dimensions):
   bias and the cell's ``lstm_update``) in bits, cycles, MACs and SRAM
   counters, on drawn shapes at every value dtype; at float64 their
   outputs are also the executable spec's forward (``_spec_products``),
-  which shares no index code with the kernel -- bit for bit on the COO
+  which shares no index code with the kernel -- bit for bit on the CSR
   forward, to 1e-10 on the PBD GEMMs, which sum in another order;
 - the three reference checks run on both forward paths
   (``forward_path``): a batched stage equals its one-row references bit
@@ -467,9 +467,9 @@ def _spec_forward(matrix, x):
 
 
 def _assert_spec(out, want, forward_path):
-    """The COO forward accumulates each row in the spec's order; the PBD
+    """The CSR forward accumulates each row in the spec's order; the PBD
     GEMMs meet it at the 1e-10 dense bar."""
-    if forward_path == "coo":
+    if forward_path == "csr":
         np.testing.assert_array_equal(out, want)
     else:
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-10)

@@ -13,7 +13,7 @@ the queue bound, then checks the drain's invariants:
   as one batch on a 1-shard, 1-thread server at the same value dtype,
   bit for bit.
 
-It runs on both forward paths (``forward_path``): the COO product and,
+It runs on both forward paths (``forward_path``): the CSR product and,
 under ``force_pbd``, the tiled PBD GEMMs, whose bits must not depend on
 a request's batch, tile position or row shard either.
 """

@@ -49,8 +49,8 @@ def perfbench_run():
 def test_host_facts_for_every_workload(perfbench_run, name, tmp_path):
     workload = perfbench_run.WORKLOADS[name](1, str(tmp_path))
     facts = perfbench_run.host_facts(workload)
-    assert facts["default_backend"] == "coo"
-    assert facts["available_backends"] == ["coo"]
+    assert facts["default_backend"] == "csr"
+    assert facts["available_backends"] == ["csr"]
     assert facts["value_dtype"] in VALUE_DTYPES
     assert facts["shard_threads"] == (2 if workload.kind == "serve" else 1)
     assert json.loads(json.dumps(facts)) == facts

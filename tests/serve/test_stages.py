@@ -348,7 +348,7 @@ class TestModelStageSpecs:
 
 
 def _slot_matrices(server):
-    """Slot matrices a server holds: one forward COO view each below the
+    """Slot matrices a server holds: one forward CSR view each below the
     PBD width crossover, built on first use."""
     return sum(
         len(slots) for stage in server.layers for slots in stage.shard_slots

@@ -45,7 +45,7 @@ class TestRPR001PrivateStateMutation:
     def test_subscript_and_del_targets(self):
         src = """
             def evil(m):
-                m._coo_cache[True] = ()
+                m._csr_cache[True] = ()
                 del m._plan
         """
         assert codes(lint(src, "src/repro/serve/server.py")) == [
@@ -376,8 +376,8 @@ class TestRPR007AliasBreakingCopy:
 
     def test_structured_reshape_allowed(self):
         src = """
-            def unpack(shard, mb, nb, p):
-                return shard.data.reshape(mb, nb, p)
+            def unpack(shard, mb, p, nb):
+                return shard.data.reshape(mb, p, nb)
         """
         assert lint(src, "src/repro/serve/bundle.py") == []
 

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Run", "main", "parse_run", "run_pairs", "summarize"]
+__all__ = ["Run", "main", "parse_run", "run_pairs", "source_tree", "summarize"]
 
 SIDES = ("parent", "change")
 
@@ -192,7 +192,7 @@ def _summary_lines(summary) -> list[str]:
     return lines
 
 
-def _tree(spec: str, scratch: Path) -> Path:
+def source_tree(spec: str, scratch: Path) -> Path:
     """``spec`` as a directory: itself, or its git ref unpacked."""
     path = Path(spec)
     if path.is_dir():
@@ -202,7 +202,7 @@ def _tree(spec: str, scratch: Path) -> Path:
     )
     if archive.returncode:
         raise SystemExit(
-            f"perf_ab: {spec!r} is neither a directory nor a git ref: "
+            f"{spec!r} is neither a directory nor a git ref: "
             f"{archive.stderr.decode().strip()}"
         )
     target = Path(tempfile.mkdtemp(prefix="tree-", dir=scratch))
@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None, runner=run_perfbench) -> int:
         parser.error("--pairs must be >= 1 and --seconds positive")
     with tempfile.TemporaryDirectory(prefix="perf_ab-") as scratch:
         trees = {
-            side: _tree(spec, Path(scratch))
+            side: source_tree(spec, Path(scratch))
             for side, spec in zip(SIDES, (args.parent, args.change))
         }
         benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())

@@ -39,7 +39,7 @@ from tools.repro_lint.framework import (
 # only sanctioned mutation points live in ``src/repro/core/`` (the
 # constructors, the ``data`` property setter, ``like``, ...).
 _PRIVATE_STATE_ATTRS = frozenset(
-    {"_plan", "_data", "_coo_cache", "_ks", "_shape",
+    {"_plan", "_data", "_csr_cache", "_ks", "_shape",
      "_value_dtype", "_fixed_point"}
 )
 
@@ -88,7 +88,7 @@ class PrivateStateMutationRule(Rule):
     name = "private-state-mutation"
     invariant = (
         "index-plan and value-storage private attributes (`_plan`, `_data`, "
-        "`_coo_cache`, `_ks`, `_shape`) are assigned only inside "
+        "`_csr_cache`, `_ks`, `_shape`) are assigned only inside "
         "`src/repro/core/`"
     )
     rationale = (
@@ -149,8 +149,9 @@ class BackendBypassRule(Rule):
     )
     rationale = (
         "every PD product must go through the matrix's products "
-        "(`repro.core.kernel`) so the COO views over the plan's int32 "
-        "coordinates and the plan cache apply uniformly; raw products "
+        "(`repro.core.kernel`) so the CSR views over the stored values "
+        "and the plan's int32 columns, and the plan cache, apply "
+        "uniformly; raw products "
         "silently fork the execution path.  Served "
         "stages are held to the strict form: everything a stage multiplies "
         "is shard state by construction, so name heuristics would only "
@@ -522,7 +523,7 @@ class AliasBreakingCopyRule(Rule):
                             ctx, node,
                             "`.reshape(-1)` on parameter/shard storage may "
                             "silently copy non-contiguous views -- keep the "
-                            "(mb, nb, p) layout or use `.ravel()` plus an "
+                            "(mb, p, nb) layout or use `.ravel()` plus an "
                             "explicit contiguity check",
                         )
             if _is_np_call(node, "copy", "ascontiguousarray"):
